@@ -127,8 +127,10 @@ def bl_distance_lp(
 ) -> Fraction:
     """Bounded Lipschitz distance: the exact optimum of the test-function LP.
 
-    Maximizes ``sum f(x) (p_x - q_x)`` over 1-Lipschitz ``f`` into [0, 1];
-    both orientations are solved and the larger optimum returned.
+    Maximizes ``sum f(x) (p_x - q_x)`` over 1-Lipschitz ``f`` into [0, 1].
+    One orientation suffices: ``1 - f`` is feasible whenever ``f`` is, and
+    the weights of ``p`` and ``q`` both sum to 1, so ``sum (1 - f)(q - p)``
+    equals ``sum f (p - q)`` and the reversed LP has the same optimum.
     """
     return bl_distance_lp_witness(p, q, space)[0]
 
@@ -139,11 +141,8 @@ def bl_distance_lp_witness(
     """As :func:`bl_distance_lp`, also returning an optimal test function."""
     _check_indexing(p, q, space.points)
     diff = [a - b for a, b in zip(p.weights, q.weights)]
-    forward, f_fwd = _one_sided_lp(diff, space)
-    backward, f_bwd = _one_sided_lp([-v for v in diff], space)
-    if forward >= backward:
-        return forward, LipschitzFunction(space, f_fwd)
-    return backward, LipschitzFunction(space, f_bwd)
+    value, f = _one_sided_lp(diff, space)
+    return value, LipschitzFunction(space, f)
 
 
 def bl_distance_subsets(p: SimplexPoint, q: SimplexPoint) -> Fraction:
@@ -163,6 +162,15 @@ def bl_distance_subsets(p: SimplexPoint, q: SimplexPoint) -> Fraction:
         if abs(total) > best:
             best = abs(total)
     return best
+
+
+def subset_sums(weights: Sequence[Fraction]) -> list[Fraction]:
+    """The sum of ``weights`` over every subset of indices, listed by bit
+    mask: entry ``mask`` sums the weights whose bit is set in ``mask``."""
+    sums = [ZERO]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def total_variation(p: SimplexPoint, q: SimplexPoint) -> Fraction:
@@ -191,12 +199,14 @@ def check_simplex_lipschitz(
 ) -> SimplexLipschitzCheck:
     """Whether a map into a discrete-metric simplex is 1-Lipschitz.
 
-    Two criteria are evaluated independently and must agree: the direct
+    Two criteria are evaluated independently and both verdicts are
+    returned, with ``verdicts_agree`` saying whether they match: the direct
     definition (the simplex distance between images is at most the distance
-    between arguments, with the simplex distance computed by ``method``) and
-    the subset-sum criterion (every subset sum of components is 1-Lipschitz
-    into [0, 1]).  On failure the witness is the offending pair and, for the
-    subset route, the offending subset.
+    between arguments, with the simplex distance computed by ``method``),
+    which decides ``is_lipschitz``, and the subset-sum criterion (every
+    subset sum of components is 1-Lipschitz into [0, 1]).  On failure the
+    witness is the offending pair and, for the subset route, the offending
+    subset.
     """
     if method not in ("lp", "subsets"):
         raise DomainError(f"unknown method {method!r}")
@@ -230,14 +240,11 @@ def check_simplex_lipschitz(
 
     subset, subset_witness = True, None
     m = len(labels)
+    sums = [subset_sums(img.weights) for img in images]
     for mask in range(1 << m):
-        sums = [
-            sum((img.weights[k] for k in range(m) if mask >> k & 1), ZERO)
-            for img in images
-        ]
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                if abs(sums[i] - sums[j]) > space.dist[i][j]:
+                if abs(sums[i][mask] - sums[j][mask]) > space.dist[i][j]:
                     chosen = tuple(labels[k] for k in range(m) if mask >> k & 1)
                     subset, subset_witness = False, (points[i], points[j], chosen)
                     break
@@ -246,11 +253,6 @@ def check_simplex_lipschitz(
         if not subset:
             break
 
-    if direct != subset:
-        raise AssertionError(
-            f"criteria disagree: direct={direct} subset={subset} "
-            f"({direct_witness} vs {subset_witness})"
-        )
     return SimplexLipschitzCheck(direct, direct, subset, direct_witness or subset_witness)
 
 
@@ -456,11 +458,17 @@ def check_lipschitz_criterion_equivalence(
     discrete-metric simplex.
 
     Enumerates every metric space up to ``max_space`` points with distances
-    on the rational grid, every map into every simplex grid up to
-    ``max_labels`` labels, and compares the direct distance criterion with
-    the subset-sum criterion.  The direct side uses the subset-maximum form
-    of the distance for the sweep; a seeded sample of instances is recomputed
-    with the linear program as an independent spot check.
+    on the rational grid and every map into every simplex grid up to
+    ``max_labels`` labels, and compares two criteria on each map.  The
+    direct criterion bounds the simplex distance between images by the
+    distance between arguments, with the simplex distance taken from the
+    total-variation closed form.  The subset criterion bounds the gap
+    ``|p(A) - q(A)|`` between the images' subset sums, for every subset
+    ``A``.  Both verdicts depend only on a pair of grid points and a bound,
+    so each side is decided once per (bound, grid pair) into its own table,
+    by its own computation, and the map loop only looks verdicts up.  The
+    linear program is a third route: a seeded sample of maps is rechecked
+    with it.
     """
     import random as _random
 
@@ -480,33 +488,34 @@ def check_lipschitz_criterion_equivalence(
     for m in range(1, max_labels + 1):
         labels = tuple(f"t{i}" for i in range(m))
         grid = simplex_grid(labels, max_denominator)
-        subset_diffs: dict[tuple[int, int], tuple] = {}
-        for a, p in enumerate(grid):
-            sums_p = [
-                sum((p.weights[i] for i in range(m) if mask >> i & 1), ZERO)
-                for mask in range(1 << m)
-            ]
-            for b, q in enumerate(grid):
-                sums_q = [
-                    sum((q.weights[i] for i in range(m) if mask >> i & 1), ZERO)
-                    for mask in range(1 << m)
-                ]
-                diffs = tuple(abs(x - y) for x, y in zip(sums_p, sums_q))
-                subset_diffs[(a, b)] = (max(diffs), diffs)
+        size = len(grid)
+        # per grid pair (a, b), at index a * size + b
+        distances = [total_variation(p, q) for p in grid for q in grid]
+        sums = [subset_sums(p.weights) for p in grid]
+        gaps = [
+            max(abs(x - y) for x, y in zip(sums_p, sums_q))
+            for sums_p in sums
+            for sums_q in sums
+        ]
+        tables = {
+            bound: (
+                [d <= bound for d in distances],
+                [g <= bound for g in gaps],
+            )
+            for bound in grid_distances
+        }
         for n in range(1, max_space + 1):
+            pairs = list(itertools.combinations(range(n), 2))
             for space in _metric_grid(n, grid_distances):
-                for assignment in itertools.product(range(len(grid)), repeat=n):
+                bound_tables = [(i, j, *tables[space.dist[i][j]]) for i, j in pairs]
+                for assignment in itertools.product(range(size), repeat=n):
                     instances += 1
                     direct_ok = True
                     subset_ok = True
-                    for i in range(n):
-                        for j in range(i + 1, n):
-                            bound = space.dist[i][j]
-                            gap, diffs = subset_diffs[(assignment[i], assignment[j])]
-                            if gap > bound:
-                                direct_ok = False
-                            if any(d > bound for d in diffs):
-                                subset_ok = False
+                    for i, j, direct, subset in bound_tables:
+                        cell = assignment[i] * size + assignment[j]
+                        direct_ok = direct_ok and direct[cell]
+                        subset_ok = subset_ok and subset[cell]
                     if direct_ok != subset_ok:
                         disagreements.append(
                             f"n={n} m={m} dist={space.dist} map={assignment}"
@@ -521,7 +530,7 @@ def check_lipschitz_criterion_equivalence(
         f = dict(zip(space.points, assignment))
         check = check_simplex_lipschitz(f, space, method="lp")
         lp_spot_checks += 1
-        if check.is_lipschitz != verdict:
+        if check.is_lipschitz != verdict or not check.verdicts_agree:
             disagreements.append(
                 f"lp spot check disagrees on dist={space.dist} map={assignment}"
             )

@@ -283,9 +283,17 @@ def load_simplex(data: Any, location: str = "$", labels=None) -> SimplexPoint:
         parse_fraction(v, f"{location}.weights[{i}]") for i, v in enumerate(raw_weights)
     ]
     try:
-        return SimplexPoint(tuple(raw_labels), tuple(weights))
+        point = SimplexPoint(tuple(raw_labels), tuple(weights))
     except ValueError as exc:
         raise InputError(str(exc), location) from None
+    if labels is not None:
+        expected = tuple(str(x) for x in labels)
+        if point.labels != expected:
+            raise InputError(
+                f"labels {list(point.labels)} must be {list(expected)}",
+                f"{location}.labels",
+            )
+    return point
 
 
 # -- arrows and cones ---------------------------------------------------------

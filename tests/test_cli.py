@@ -1,7 +1,12 @@
 """Command-line front end: exit codes, determinism, diagnostics."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import finprob
 from finprob.cli import run
 
 
@@ -171,6 +176,31 @@ def test_malformed_input_exits_two(tmp_path, capsys):
     code, _, err = run_cli(capsys, "distance", "--input", str(path))
     assert code == 2
     assert "$.metric" in err
+
+
+def test_distance_input_foreign_simplex_labels_exit_two(tmp_path):
+    instance = {
+        "format": 1,
+        "metric": {
+            "points": ["a", "b"],
+            "dist": [["0/1", "1/1"], ["1/1", "0/1"]],
+        },
+        "p": {"labels": ["x", "y"], "weights": ["1/2", "1/2"]},
+        "q": ["0/1", "1/1"],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(instance))
+    env = dict(os.environ, PYTHONPATH=str(Path(finprob.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "finprob", "distance", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 2
+    assert "$.p.labels" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_unreadable_input_exits_two(capsys):

@@ -18,8 +18,13 @@ from finprob import (
     discrete_space,
     total_variation,
 )
-from finprob.lipmetric import average_simplex, bl_distance_lp_witness, simplex_grid
-from finprob import gen
+from finprob import gen, lipmetric
+from finprob.lipmetric import (
+    _one_sided_lp,
+    average_simplex,
+    bl_distance_lp_witness,
+    simplex_grid,
+)
 
 
 def grid_oracle(p, q, space, max_denominator=8):
@@ -96,6 +101,18 @@ def test_lp_witness_is_optimal_lipschitz_function():
         sum(f * (a - b) for f, a, b in zip(witness.values, p.weights, q.weights))
     )
     assert attained == value
+
+
+def test_reversed_lp_has_the_same_optimum():
+    # 1 - f is feasible whenever f is, so one orientation gives the distance
+    for case in range(20):
+        rng = gen.rng_for(53, "one-lp", str(case))
+        space = gen.random_metric(rng, rng.randint(1, 6), 6)
+        p = gen.random_simplex_point(rng, space.points, 6)
+        q = gen.random_simplex_point(rng, space.points, 6)
+        value, _ = bl_distance_lp_witness(p, q, space)
+        diff = [a - b for a, b in zip(p.weights, q.weights)]
+        assert _one_sided_lp([-v for v in diff], space)[0] == value
 
 
 def test_subsets_worked_pair():
@@ -175,6 +192,26 @@ def test_close_points_with_far_images_fail():
     assert result.witness is not None
 
 
+def _halve_subset_sums(monkeypatch):
+    real = lipmetric.subset_sums
+    monkeypatch.setattr(
+        lipmetric, "subset_sums", lambda weights: [s / 2 for s in real(weights)]
+    )
+
+
+def test_disagreeing_criteria_are_reported(monkeypatch):
+    _halve_subset_sums(monkeypatch)
+    labels = ("u", "v")
+    space = FiniteMetricSpace(("x", "y"), ((F(0), F(3, 4)), (F(3, 4), F(0))))
+    f = {
+        "x": SimplexPoint.point_mass(labels, "u"),
+        "y": SimplexPoint.point_mass(labels, "v"),
+    }
+    result = check_simplex_lipschitz(f, space)
+    assert not result.is_lipschitz
+    assert not result.verdicts_agree
+
+
 def test_vertex_embedding_of_discrete_space_is_lipschitz():
     points = ("x", "y", "z")
     space = discrete_space(points)
@@ -190,6 +227,41 @@ def test_equivalence_sweep_small():
     )
     assert sweep.ok
     assert sweep.instances > 0
+
+
+# the 2/2/2 sweep misses the scaled total variation below; 2/3/3 catches both faults
+FAULT_SWEEP = dict(max_space=2, max_labels=3, max_denominator=3, seed=0)
+
+
+def test_equivalence_sweep_fault_config_passes():
+    sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
+    assert sweep.ok
+    assert sweep.instances == 1579
+
+
+def test_equivalence_sweep_catches_a_wrong_direct_side(monkeypatch):
+    real = lipmetric.total_variation
+    monkeypatch.setattr(
+        lipmetric, "total_variation", lambda p, q: real(p, q) * F(3, 4)
+    )
+    sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
+    assert not sweep.ok
+    assert len(sweep.disagreements) == 52
+
+
+def test_equivalence_sweep_catches_a_wrong_subset_side(monkeypatch):
+    _halve_subset_sums(monkeypatch)
+    sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
+    assert not sweep.ok
+    assert len(sweep.disagreements) == 190
+
+
+def test_subset_sums_by_mask():
+    weights = (F(1, 2), F(1, 3), F(1, 6))
+    assert lipmetric.subset_sums(weights) == [
+        sum((w for i, w in enumerate(weights) if mask >> i & 1), F(0))
+        for mask in range(8)
+    ]
 
 
 def test_simplex_grid_enumeration():
