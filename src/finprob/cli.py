@@ -13,6 +13,7 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from . import gen, serialize
 from .codensity import small_index_sufficiency, verify_codensity_bijection
@@ -676,7 +677,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> dict:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        message = f"input is not UTF-8: {exc.reason} at byte {exc.start}"
+        raise InputError(message, "$") from None
     return serialize.loads_instance(text)
 
 
@@ -725,7 +733,7 @@ def run(argv=None) -> int:
         else:
             report = run_all(config)
     except InputError as exc:
-        print(f"input error at {exc.location}: {exc}", file=sys.stderr)
+        print(f"input error at {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)

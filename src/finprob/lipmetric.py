@@ -100,19 +100,36 @@ def _check_indexing(p: SimplexPoint, q: SimplexPoint, points: tuple[str, ...]) -
         raise DomainError("simplex points must be indexed by the metric's points")
 
 
+def _lipschitz_rows(space: FiniteMetricSpace) -> list[tuple[int, int]]:
+    """The ordered pairs ``(i, j)`` whose row ``f_i - f_j <= d(i, j)`` the
+    LP keeps: ``d(i, j) < 1`` and no third point lies between them (see
+    :func:`bl_distance_lp`)."""
+    n = space.size
+    dist = space.dist
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and dist[i][j] < ONE
+        and not any(
+            dist[i][k] + dist[k][j] == dist[i][j]
+            for k in range(n)
+            if k != i and k != j
+        )
+    ]
+
+
 def _one_sided_lp(
     diff: Sequence[Fraction], space: FiniteMetricSpace
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     n = space.size
     rows, rhs = [], []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            row = [ZERO] * n
-            row[i], row[j] = ONE, -ONE
-            rows.append(row)
-            rhs.append(space.dist[i][j])
+    for i, j in _lipschitz_rows(space):
+        row = [ZERO] * n
+        row[i], row[j] = ONE, -ONE
+        rows.append(row)
+        rhs.append(space.dist[i][j])
     for i in range(n):
         row = [ZERO] * n
         row[i] = ONE
@@ -131,6 +148,15 @@ def bl_distance_lp(
     One orientation suffices: ``1 - f`` is feasible whenever ``f`` is, and
     the weights of ``p`` and ``q`` both sum to 1, so ``sum (1 - f)(q - p)``
     equals ``sum f (p - q)`` and the reversed LP has the same optimum.
+
+    The LP keeps the box rows ``f_i <= 1`` and only the Lipschitz rows
+    ``f_i - f_j <= d(i, j)`` with ``d(i, j) < 1`` and no point ``k`` between
+    them (``d(i, k) + d(k, j) == d(i, j)``).  The dropped rows are implied,
+    so the feasible set and the optimum are unchanged: with ``d >= 1`` by
+    the box rows and ``f >= 0``, and with such a ``k`` by the rows
+    ``(i, k)`` and ``(k, j)``, both at strictly smaller distance, hence by
+    induction on distance by kept rows.  Under the discrete metric only the
+    box rows remain.
     """
     return bl_distance_lp_witness(p, q, space)[0]
 
@@ -309,8 +335,10 @@ def check_bl_monad_nonexpansive(
     distance between averaged meta-distributions is bounded by the bounded
     Lipschitz distance between the meta-distributions themselves, computed
     over the finite support with exact pairwise base distances.  The monad
-    unit and associativity laws are re-asserted on the same instances.  With
-    no space given, each case draws its own random metric space within
+    unit and associativity laws are re-asserted on the same instances.  An
+    LP whose optimal test function is not 1-Lipschitz into [0, 1] counts as
+    a failure of the unit or mult check that asked for it.  With no space
+    given, each case draws its own random metric space within
     ``max_size``.
     """
     from . import gen  # deferred: gen builds on this module's types
@@ -328,13 +356,18 @@ def check_bl_monad_nonexpansive(
             rng, rng.randint(1, max_size), max_denominator
         )
         labels = current.points
+        discrete = current.is_discrete()
 
         for i in range(current.size):
             for j in range(i + 1, current.size):
                 unit_cases += 1
                 px = SimplexPoint.point_mass(labels, labels[i])
                 py = SimplexPoint.point_mass(labels, labels[j])
-                d = bl_distance_lp(px, py, current)
+                try:
+                    d = bl_distance_lp(px, py, current)
+                except ValueError as exc:  # the LP's optimum is not 1-Lipschitz
+                    unit_failures.append(f"unit pair ({labels[i]},{labels[j]}): {exc}")
+                    continue
                 bound = current.dist[i][j]
                 if d > bound:
                     unit_failures.append(
@@ -342,7 +375,7 @@ def check_bl_monad_nonexpansive(
                     )
                 if d == min(bound, ONE):
                     unit_tight += 1
-                if current.is_discrete() and d != bound:
+                if discrete and d != bound:
                     unit_failures.append(
                         f"discrete equality fails at ({labels[i]},{labels[j]}): {d} != {bound}"
                     )
@@ -358,32 +391,36 @@ def check_bl_monad_nonexpansive(
         for s in support1 + support2:
             if s not in merged:
                 merged.append(s)
-        base = [
-            [
-                ZERO if a == b else bl_distance_lp(merged[a], merged[b], current)
-                for b in range(len(merged))
+        try:
+            base = [
+                [
+                    ZERO if a == b else bl_distance_lp(merged[a], merged[b], current)
+                    for b in range(len(merged))
+                ]
+                for a in range(len(merged))
             ]
-            for a in range(len(merged))
-        ]
-        if len(merged) == 1:
-            meta_distance = ZERO
+            if len(merged) == 1:
+                meta_distance = ZERO
+            else:
+                meta_labels = tuple(f"s{a}" for a in range(len(merged)))
+                meta_space = FiniteMetricSpace(
+                    meta_labels, tuple(tuple(row) for row in base)
+                )
+                ext1 = _extend_weights(merged, support1, w1)
+                ext2 = _extend_weights(merged, support2, w2)
+                meta_distance = bl_distance_lp(
+                    SimplexPoint(meta_labels, ext1),
+                    SimplexPoint(meta_labels, ext2),
+                    meta_space,
+                )
+            lhs = bl_distance_lp(
+                average_simplex(support1, w1), average_simplex(support2, w2), current
+            )
+        except ValueError as exc:  # an LP optimum or the meta metric is invalid
+            mult_failures.append(f"case {case}: {exc}")
         else:
-            meta_labels = tuple(f"s{a}" for a in range(len(merged)))
-            meta_space = FiniteMetricSpace(
-                meta_labels, tuple(tuple(row) for row in base)
-            )
-            ext1 = _extend_weights(merged, support1, w1)
-            ext2 = _extend_weights(merged, support2, w2)
-            meta_distance = bl_distance_lp(
-                SimplexPoint(meta_labels, ext1),
-                SimplexPoint(meta_labels, ext2),
-                meta_space,
-            )
-        lhs = bl_distance_lp(
-            average_simplex(support1, w1), average_simplex(support2, w2), current
-        )
-        if lhs > meta_distance:
-            mult_failures.append(f"case {case}: d(mult,mult)={lhs} > {meta_distance}")
+            if lhs > meta_distance:
+                mult_failures.append(f"case {case}: d(mult,mult)={lhs} > {meta_distance}")
 
         # monad laws re-asserted in the metric setting
         p = gen.random_simplex_point(rng, labels, max_denominator)

@@ -30,7 +30,7 @@ def dump_fraction(value: Fraction) -> str:
 
 
 def parse_fraction(raw: Any, location: str) -> Fraction:
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return Fraction(raw)
     if not isinstance(raw, str):
         raise InputError(f"expected a 'p/q' string, got {type(raw).__name__}", location)
@@ -79,7 +79,11 @@ def _indices_to_mask(indices: Any, ground: GroundSet, location: str) -> int:
     items = _expect(indices, list, location)
     mask = 0
     for pos, idx in enumerate(items):
-        if not isinstance(idx, int) or not 0 <= idx < ground.size:
+        if (
+            not isinstance(idx, int)
+            or isinstance(idx, bool)
+            or not 0 <= idx < ground.size
+        ):
             raise InputError(f"bad point index {idx!r}", f"{location}[{pos}]")
         mask |= 1 << idx
     return mask
@@ -356,9 +360,11 @@ def loads_instance(text: str) -> dict:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}", "$") from None
+    except RecursionError:
+        raise InputError("JSON nested too deeply", "$") from None
     obj = _expect(data, dict, "$")
     version = obj.get("format", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise InputError(f"unsupported format version {version!r}", "$.format")
     return obj
 

@@ -16,6 +16,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(command, path):
+    """``python -m finprob COMMAND --input PATH`` in a fresh interpreter, so
+    that what reaches stderr is exactly what a user would see."""
+    env = dict(os.environ, PYTHONPATH=str(Path(finprob.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "finprob", command, "--input", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 def test_laws_subcommand_passes(capsys):
     code, out, _ = run_cli(capsys, "laws", "--cases", "20", "--seed", "3")
     assert code == 0
@@ -190,16 +203,69 @@ def test_distance_input_foreign_simplex_labels_exit_two(tmp_path):
     }
     path = tmp_path / "d.json"
     path.write_text(json.dumps(instance))
-    env = dict(os.environ, PYTHONPATH=str(Path(finprob.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-m", "finprob", "distance", "--input", str(path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    done = run_module("distance", path)
     assert done.returncode == 2
     assert "$.p.labels" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+TWO_POINTS = {
+    "format": 1,
+    "metric": {"points": ["a", "b"], "dist": [["0/1", "1/1"], ["1/1", "0/1"]]},
+    "p": ["1/1", "0/1"],
+    "q": ["0/1", "1/1"],
+}
+
+
+def test_boolean_rational_exits_two(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dict(TWO_POINTS, p=[True, False])))
+    done = run_module("distance", path)
+    assert done.returncode == 2
+    assert "$.p[0]" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_boolean_format_version_exits_two(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dict(TWO_POINTS, format=True)))
+    done = run_module("distance", path)
+    assert done.returncode == 2
+    assert "$.format" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_boolean_point_index_exits_two(tmp_path, capsys):
+    instance = {
+        "format": 1,
+        "points": ["0", "1"],
+        "family": [[], [False], [True]],
+        "mu": ["0/1", "1/2", "1/2"],
+    }
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(instance))
+    code, _, err = run_cli(capsys, "extend", "--input", str(path))
+    assert code == 2
+    assert "$.family[1][0]" in err
+
+
+def test_non_utf8_input_exits_two(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_bytes(b'{"format": 1, "p": "\xff\xfe"}')
+    done = run_module("distance", path)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert "UTF-8" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_deeply_nested_input_exits_two(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    done = run_module("integrate", path)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert "nested too deeply" in done.stderr
     assert "Traceback" not in done.stderr
 
 

@@ -19,6 +19,7 @@ from finprob import (
     total_variation,
 )
 from finprob import gen, lipmetric
+from finprob.linprog import maximize
 from finprob.lipmetric import (
     _one_sided_lp,
     average_simplex,
@@ -113,6 +114,135 @@ def test_reversed_lp_has_the_same_optimum():
         value, _ = bl_distance_lp_witness(p, q, space)
         diff = [a - b for a, b in zip(p.weights, q.weights)]
         assert _one_sided_lp([-v for v in diff], space)[0] == value
+
+
+def line_metric(rng, size, max_denominator):
+    """Points on a line with unit-fraction gaps: every interior point lies
+    between its neighbours, so betweenness prunes rows."""
+    positions = [F(0)]
+    for _ in range(size - 1):
+        positions.append(positions[-1] + F(1, rng.randint(2, max_denominator)))
+    points = tuple(f"l{i}" for i in range(size))
+    return FiniteMetricSpace(
+        points, tuple(tuple(abs(x - y) for y in positions) for x in positions)
+    )
+
+
+def full_row_lp(diff, space):
+    """The LP with every Lipschitz row and every box row: the reference
+    that the pruned LP must match."""
+    n = space.size
+    rows, rhs = [], []
+    for i, j in itertools.permutations(range(n), 2):
+        rows.append([F(int(k == i) - int(k == j)) for k in range(n)])
+        rhs.append(space.dist[i][j])
+    for i in range(n):
+        rows.append([F(int(k == i)) for k in range(n)])
+        rhs.append(F(1))
+    return maximize(diff, rows, rhs).value
+
+
+PRUNING_CASES = 240
+
+
+def metric_kind(space, on_line):
+    """Which family a test metric belongs to: a line, or the
+    ``gen.random_metric`` style it looks like."""
+    if on_line:
+        return "line"
+    pairs = itertools.combinations(range(space.size), 2)
+    distances = [space.dist[i][j] for i, j in pairs]
+    if all(d == 1 for d in distances):
+        return "discrete"
+    if all(F(1, 2) <= d <= 1 for d in distances):
+        return "half-to-one"
+    return "closure"
+
+
+def pruning_mismatches():
+    """Compare the pruned LP with the full-row LP on seeded metrics with
+    3 <= n <= 9: three of every four from ``gen.random_metric``, one on a line.
+    Returns the mismatches and the set of tags seen: each metric's kind,
+    and "far" or "between" when some row was dropped for distance >= 1 or
+    for a point between its ends."""
+    mismatches, seen = [], set()
+    for case in range(PRUNING_CASES):
+        rng = gen.rng_for(71, "pruned-lp", str(case))
+        size = rng.randint(3, 9)
+        on_line = case % 4 == 3
+        if on_line:
+            space = line_metric(rng, size, 8)
+        else:
+            space = gen.random_metric(rng, size, 6)
+        seen.add(metric_kind(space, on_line))
+        p = gen.random_simplex_point(rng, space.points, 6)
+        q = gen.random_simplex_point(rng, space.points, 6)
+        diff = [a - b for a, b in zip(p.weights, q.weights)]
+        value, f = _one_sided_lp(diff, space)
+        dist = space.dist
+        pairs = list(itertools.permutations(range(size), 2))
+        if any(dist[i][j] >= 1 for i, j in pairs):
+            seen.add("far")
+        if any(
+            dist[i][k] + dist[k][j] == dist[i][j]
+            for i, j in pairs
+            for k in range(size)
+            if k not in (i, j)
+        ):
+            seen.add("between")
+        feasible = all(0 <= v <= 1 for v in f) and all(
+            f[i] - f[j] <= dist[i][j] for i, j in pairs
+        )
+        attained = sum((v * d for v, d in zip(f, diff)), F(0))
+        reference = full_row_lp(diff, space)
+        if not feasible or attained != value or value != reference:
+            mismatches.append(f"case {case}: {value} vs {reference}, f={f}")
+    return mismatches, seen
+
+
+def test_pruned_lp_matches_the_full_row_lp():
+    mismatches, seen = pruning_mismatches()
+    assert mismatches == []
+    assert seen == {"line", "discrete", "half-to-one", "closure", "far", "between"}
+
+
+def test_discrete_metric_lp_is_the_box_alone():
+    assert lipmetric._lipschitz_rows(discrete_space(("a", "b", "c", "d"))) == []
+
+
+def test_line_metric_keeps_only_neighbour_rows():
+    space = line_metric(gen.rng_for(0, "line"), 5, 8)
+    kept = lipmetric._lipschitz_rows(space)
+    assert sorted(kept) == sorted(
+        [(i, i + 1) for i in range(4)] + [(i + 1, i) for i in range(4)]
+    )
+
+
+def _drop_rows_below_a_half(monkeypatch):
+    real = lipmetric._lipschitz_rows
+    monkeypatch.setattr(
+        lipmetric,
+        "_lipschitz_rows",
+        lambda space: [(i, j) for i, j in real(space) if space.dist[i][j] >= F(1, 2)],
+    )
+
+
+def test_pruning_fault_is_caught_by_the_reference(monkeypatch):
+    _drop_rows_below_a_half(monkeypatch)
+    mismatches, _ = pruning_mismatches()
+    assert len(mismatches) > 0
+
+
+def test_pruning_fault_is_caught_by_unit_contraction(monkeypatch):
+    from finprob.cli import run_nonexpansive
+    from finprob.report import SuiteConfig
+
+    config = SuiteConfig()  # the suite as `finprob all` runs it
+    clean = {c.name: c for c in run_nonexpansive(config).checks}
+    assert clean["unit-contraction"].failed == 0
+    _drop_rows_below_a_half(monkeypatch)
+    faulty = {c.name: c for c in run_nonexpansive(config).checks}
+    assert faulty["unit-contraction"].failed > 0
 
 
 def test_subsets_worked_pair():
