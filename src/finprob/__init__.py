@@ -26,7 +26,6 @@ from .setalg import (
     SemiRing,
     SubsetFamily,
     algebra_closure,
-    atoms,
     generate_algebra,
     is_premeasurable,
     is_semiring,

@@ -14,6 +14,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import gen, serialize
 from .codensity import small_index_sufficiency, verify_codensity_bijection
@@ -35,7 +36,7 @@ from .lipmetric import (
 )
 from .measure import Mode
 from .monad import SimplexPoint, check_monad_laws
-from .report import Report, SuiteConfig
+from .report import Report, SuiteConfig, tally
 from .represent import (
     Functional,
     Slab,
@@ -55,6 +56,12 @@ ONE = Fraction(1)
 
 # ---------------------------------------------------------------------------
 # suite runners
+
+
+def _tally_cases(report: Report, name: str, count: int, case, *args) -> None:
+    """Add the check tallying ``case(*args, i)`` for ``i`` below ``count``;
+    each call returns an ``(ok, witness)`` outcome."""
+    report.checks.append(tally(name, (case(*args, i) for i in range(count))))
 
 
 def run_laws(config: SuiteConfig, modes=None) -> Report:
@@ -147,26 +154,7 @@ def run_distance_suite(config: SuiteConfig) -> Report:
     the L1 distance agree on seeded random pairs."""
     report = Report("distance", config.to_payload())
     pairs = max(1, 3 * config.cases // 5)
-    passed, failed, witnesses = 0, 0, []
-    for case in range(pairs):
-        rng = gen.rng_for(config.seed, "bl-identity", str(case))
-        size = rng.randint(2, 8)
-        labels = tuple(f"a{i}" for i in range(size))
-        space = discrete_space(labels)
-        p = gen.random_simplex_point(rng, labels, config.max_denominator)
-        q = gen.random_simplex_point(rng, labels, config.max_denominator)
-        by_lp = bl_distance_lp(p, q, space)
-        by_subsets = bl_distance_subsets(p, q)
-        by_l1 = total_variation(p, q)
-        if by_lp == by_subsets == by_l1:
-            passed += 1
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(
-                    f"case {case}: lp={by_lp} subsets={by_subsets} l1/2={by_l1}"
-                )
-    report.add("discrete-identity", passed, failed, witnesses)
+    _tally_cases(report, "discrete-identity", pairs, _discrete_identity_case, config)
 
     labels = ("a", "b", "c")
     p = SimplexPoint(labels, (Fraction(1, 2), Fraction(1, 2), ZERO))
@@ -177,13 +165,24 @@ def run_distance_suite(config: SuiteConfig) -> Report:
         == bl_distance_subsets(p, q)
         == expected
     )
-    report.add(
-        "worked-pair",
-        int(worked),
-        int(not worked),
-        () if worked else (f"expected {expected}",),
-    )
+    report.checks.append(tally("worked-pair", [(worked, f"expected {expected}")]))
     return report
+
+
+def _discrete_identity_case(config: SuiteConfig, case: int):
+    rng = gen.rng_for(config.seed, "bl-identity", str(case))
+    size = rng.randint(2, 8)
+    labels = tuple(f"a{i}" for i in range(size))
+    space = discrete_space(labels)
+    p = gen.random_simplex_point(rng, labels, config.max_denominator)
+    q = gen.random_simplex_point(rng, labels, config.max_denominator)
+    by_lp = bl_distance_lp(p, q, space)
+    by_subsets = bl_distance_subsets(p, q)
+    by_l1 = total_variation(p, q)
+    return (
+        by_lp == by_subsets == by_l1,
+        lambda: f"case {case}: lp={by_lp} subsets={by_subsets} l1/2={by_l1}",
+    )
 
 
 def run_lipschitz_equivalence(config: SuiteConfig) -> Report:
@@ -238,97 +237,79 @@ def run_nonexpansive(config: SuiteConfig) -> Report:
 
 def run_reconstruction_suite(config: SuiteConfig) -> Report:
     report = Report("reconstruct", config.to_payload())
-    cases = max(1, 3 * config.cases // 5)
-    passed, failed, witnesses = 0, 0, []
-    for case in range(cases):
-        rng = gen.rng_for(config.seed, "reconstruct", str(case))
-        algebra = gen.random_algebra(
-            rng, gen.random_ground(rng, config.max_ground_size)
-        )
-        mode = rng.choice((Mode.SIGMA, Mode.FINITELY_ADDITIVE))
-        p = gen.random_measure(rng, algebra, config.max_denominator, mode)
-        family = [
-            gen.random_simple_function(rng, algebra, config.max_denominator)
-            for _ in range(3)
-        ]
-        family += [
-            SimpleFunction.indicator(algebra, atom) for atom in algebra.atoms
-        ]
-        functional = Functional(
-            algebra, lambda s, p=p: simple_integral(p, s), tuple(family)
-        )
-        back = (
-            reconstruct_measure(functional)
-            if mode is Mode.SIGMA
-            else reconstruct_charge(functional)
-        )
-        if back == p and back.mode == mode:
-            passed += 1
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(f"case {case}: {p.weights} -> {back.weights}")
-    report.add("round-trip", passed, failed, witnesses)
-
-    adversarial = max(1, config.cases // 10)
-    passed, failed, witnesses = 0, 0, []
-    for case in range(adversarial):
-        rng = gen.rng_for(config.seed, "reconstruct-adversarial", str(case))
-        algebra = gen.random_algebra(
-            rng, gen.random_ground(rng, config.max_ground_size)
-        )
-        p = gen.random_measure(rng, algebra, config.max_denominator)
-        style = rng.randrange(3)
-        bump = Fraction(1, 2 * config.max_denominator)
-        full = algebra.ground.full_mask
-
-        def oracle(s: SimpleFunction, p=p, style=style, bump=bump, full=full):
-            value = simple_integral(p, s)
-            delta = bump if value + bump <= 1 else -bump
-            if style == 0 and s == SimpleFunction.indicator(p.algebra, full):
-                return value - bump  # break normalization
-            if style == 1 and s == SimpleFunction.indicator(p.algebra, p.algebra.atoms[0]):
-                return value + delta  # break atom additivity
-            if style == 2 and set(s.values) == {Fraction(1, 2)}:
-                return value + delta  # break the test family
-            return value
-
-        half = SimpleFunction.constant(algebra, Fraction(1, 2))
-        functional = Functional(algebra, oracle, (half,))
-        try:
-            reconstruct_measure(functional)
-        except ReconstructionError as exc:
-            if _witness_matches(exc, style, algebra, half):
-                passed += 1
-            else:
-                failed += 1
-                if len(witnesses) < 5:
-                    witnesses.append(f"case {case}: wrong witness for style {style}")
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(f"case {case}: style {style} violation undetected")
-    report.add("adversarial-detection", passed, failed, witnesses)
-
-    passed, failed, witnesses = 0, 0, []
-    for case in range(max(1, config.cases // 10)):
-        rng = gen.rng_for(config.seed, "reconstruct-lattice", str(case))
-        lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
-        try:
-            rebuilt = daniell_stone(lattice, _integration_oracle(hidden))
-        except FinprobError as exc:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(f"case {case}: {exc}")
-            continue
-        if rebuilt == hidden:
-            passed += 1
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(f"case {case}: {hidden.weights} -> {rebuilt.weights}")
-    report.add("lattice-route", passed, failed, witnesses)
+    round_trips = max(1, 3 * config.cases // 5)
+    tenth = max(1, config.cases // 10)
+    _tally_cases(report, "round-trip", round_trips, _round_trip_case, config)
+    _tally_cases(report, "adversarial-detection", tenth, _adversarial_case, config)
+    _tally_cases(report, "lattice-route", tenth, _lattice_case, config, "reconstruct-lattice")
     return report
+
+
+def _round_trip_case(config: SuiteConfig, case: int):
+    rng = gen.rng_for(config.seed, "reconstruct", str(case))
+    algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
+    mode = rng.choice((Mode.SIGMA, Mode.FINITELY_ADDITIVE))
+    p = gen.random_measure(rng, algebra, config.max_denominator, mode)
+    family = [
+        gen.random_simple_function(rng, algebra, config.max_denominator)
+        for _ in range(3)
+    ]
+    family += [SimpleFunction.indicator(algebra, atom) for atom in algebra.atoms]
+    functional = Functional(algebra, lambda s: simple_integral(p, s), tuple(family))
+    back = (
+        reconstruct_measure(functional)
+        if mode is Mode.SIGMA
+        else reconstruct_charge(functional)
+    )
+    return (
+        back == p and back.mode == mode,
+        lambda: f"case {case}: {p.weights} -> {back.weights}",
+    )
+
+
+def _adversarial_case(config: SuiteConfig, case: int):
+    rng = gen.rng_for(config.seed, "reconstruct-adversarial", str(case))
+    algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
+    p = gen.random_measure(rng, algebra, config.max_denominator)
+    style = rng.randrange(3)
+    bump = Fraction(1, 2 * config.max_denominator)
+    full = algebra.ground.full_mask
+
+    def oracle(s: SimpleFunction) -> Fraction:
+        value = simple_integral(p, s)
+        delta = bump if value + bump <= 1 else -bump
+        if style == 0 and s == SimpleFunction.indicator(p.algebra, full):
+            return value - bump  # break normalization
+        if style == 1 and s == SimpleFunction.indicator(p.algebra, p.algebra.atoms[0]):
+            return value + delta  # break atom additivity
+        if style == 2 and set(s.values) == {Fraction(1, 2)}:
+            return value + delta  # break the test family
+        return value
+
+    half = SimpleFunction.constant(algebra, Fraction(1, 2))
+    try:
+        reconstruct_measure(Functional(algebra, oracle, (half,)))
+    except ReconstructionError as exc:
+        return (
+            _witness_matches(exc, style, algebra, half),
+            f"case {case}: wrong witness for style {style}",
+        )
+    return False, f"case {case}: style {style} violation undetected"
+
+
+def _lattice_case(config: SuiteConfig, stream: str, case: int):
+    """Daniell-Stone on a random grid lattice must rebuild the hidden
+    measure, mode included."""
+    rng = gen.rng_for(config.seed, stream, str(case))
+    lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
+    try:
+        rebuilt = daniell_stone(lattice, _integration_oracle(hidden))
+    except FinprobError as exc:
+        return False, f"case {case}: {exc}"
+    return (
+        rebuilt == hidden,
+        lambda: f"case {case}: {hidden.weights} -> {rebuilt.weights}",
+    )
 
 
 def _witness_matches(exc, style, algebra, half) -> bool:
@@ -348,67 +329,37 @@ def _witness_matches(exc, style, algebra, half) -> bool:
 
 def run_extension_suite(config: SuiteConfig) -> Report:
     report = Report("extend", config.to_payload())
-
-    passed, failed, witnesses = 0, 0, []
-    for case in range(config.cases):
-        rng = gen.rng_for(config.seed, "slabs", str(case))
-        algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
-        a = _random_slab(rng, algebra, 4)
-        b = _random_slab(rng, algebra, 4)
-        if _slab_calculus_agrees(a, b):
-            passed += 1
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(
-                    f"case {case}: a=[{a.lower},{a.upper}) b=[{b.lower},{b.upper})"
-                )
-    report.add("slab-calculus", passed, failed, witnesses)
-
-    passed, failed, witnesses = 0, 0, []
-    for case in range(max(1, config.cases // 5)):
-        rng = gen.rng_for(config.seed, "caratheodory", str(case))
-        ground = gen.random_ground(rng, 4)
-        semiring = SemiRing(
-            ground, (0,) + tuple(1 << i for i in range(ground.size))
-        )
-        weights = gen.random_weights(rng, ground.size, config.max_denominator)
-        mu = {0: ZERO}
-        mu.update({1 << i: w for i, w in enumerate(weights)})
-        extension = caratheodory_extend(semiring, mu)
-        recovered = all(
-            extension.value(1 << i) == w for i, w in enumerate(weights)
-        )
-        if recovered and extension.mass == 1:
-            passed += 1
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(f"case {case}: weights {weights} not recovered")
-    report.add("singleton-extension", passed, failed, witnesses)
-
-    passed, failed, witnesses = 0, 0, []
-    for case in range(max(1, config.cases // 5)):
-        rng = gen.rng_for(config.seed, "daniell", str(case))
-        lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
-        oracle = _integration_oracle(hidden)
-        try:
-            rebuilt = daniell_stone(lattice, oracle)
-        except FinprobError as exc:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(f"case {case}: {exc}")
-            continue
-        if rebuilt.weights == hidden.weights and rebuilt.algebra == hidden.algebra:
-            passed += 1
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                witnesses.append(
-                    f"case {case}: {hidden.weights} -> {rebuilt.weights}"
-                )
-    report.add("lattice-representation", passed, failed, witnesses)
+    _tally_cases(report, "slab-calculus", config.cases, _slab_case, config)
+    fifth = max(1, config.cases // 5)
+    _tally_cases(report, "singleton-extension", fifth, _singleton_case, config)
+    _tally_cases(report, "lattice-representation", fifth, _lattice_case, config, "daniell")
     return report
+
+
+def _slab_case(config: SuiteConfig, case: int):
+    rng = gen.rng_for(config.seed, "slabs", str(case))
+    algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
+    a = _random_slab(rng, algebra, 4)
+    b = _random_slab(rng, algebra, 4)
+    return (
+        _slab_calculus_agrees(a, b),
+        lambda: f"case {case}: a=[{a.lower},{a.upper}) b=[{b.lower},{b.upper})",
+    )
+
+
+def _singleton_case(config: SuiteConfig, case: int):
+    rng = gen.rng_for(config.seed, "caratheodory", str(case))
+    ground = gen.random_ground(rng, 4)
+    semiring = SemiRing(ground, (0,) + tuple(1 << i for i in range(ground.size)))
+    weights = gen.random_weights(rng, ground.size, config.max_denominator)
+    mu = {0: ZERO}
+    mu.update({1 << i: w for i, w in enumerate(weights)})
+    extension = caratheodory_extend(semiring, mu)
+    recovered = all(extension.value(1 << i) == w for i, w in enumerate(weights))
+    return (
+        recovered and extension.mass == 1,
+        lambda: f"case {case}: weights {weights} not recovered",
+    )
 
 
 def _random_slab(rng, algebra, max_denominator) -> Slab:
@@ -485,24 +436,18 @@ def _integration_oracle(p):
 
 def run_integrate_suite(config: SuiteConfig) -> Report:
     report = Report("integrate", config.to_payload())
-    passed, failed, witnesses = 0, 0, []
-    for case in range(config.cases):
-        rng = gen.rng_for(config.seed, "integral", str(case))
-        algebra = gen.random_algebra(
-            rng, gen.random_ground(rng, config.max_ground_size)
-        )
-        p = gen.random_measure(rng, algebra, config.max_denominator)
-        f, g = gen.random_bounded_pair(rng, algebra, config.max_denominator)
-        result = check_integral_properties(p, [f, g])
-        if result.ok:
-            passed += 1
-        else:
-            failed += 1
-            if len(witnesses) < 5:
-                bad = [c.name for c in result.clauses if not c.ok]
-                witnesses.append(f"case {case}: clauses {bad} failed")
-    report.add("properties", passed, failed, witnesses)
+    _tally_cases(report, "properties", config.cases, _integral_case, config)
     return report
+
+
+def _integral_case(config: SuiteConfig, case: int):
+    rng = gen.rng_for(config.seed, "integral", str(case))
+    algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
+    p = gen.random_measure(rng, algebra, config.max_denominator)
+    f, g = gen.random_bounded_pair(rng, algebra, config.max_denominator)
+    result = check_integral_properties(p, [f, g])
+    failing = [c.name for c in result.clauses if not c.ok]
+    return result.ok, f"case {case}: clauses {failing} failed"
 
 
 def run_all(config: SuiteConfig) -> Report:
@@ -628,14 +573,57 @@ def run_integrate_input(config: SuiteConfig, data: dict) -> Report:
         serialize.load_simple_function(item, measure.algebra, f"$.functions[{i}]")
         for i, item in enumerate(raw_fns)
     ]
-    result = check_integral_properties(measure, fns)
-    for clause in result.clauses:
-        report.add(clause.name, clause.passed, clause.failed, clause.witnesses)
+    report.checks.extend(check_integral_properties(measure, fns).clauses)
     return report
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
+
+
+class Command(NamedTuple):
+    help: str
+    suite: Callable[[SuiteConfig], Report]
+    run_input: Callable[[SuiteConfig, dict], Report] | None = None
+    keys: tuple[str, ...] = ()  # top-level instance keys besides "format"
+
+
+# The lambdas look each runner up when they are called, so that rebinding a
+# runner on this module (a monkeypatch, a tracer) also reaches the dispatch.
+COMMANDS = {
+    "laws": Command("monad law suite", lambda c: run_laws(c)),
+    "codensity": Command(
+        "measure/cone bijection and small-index sufficiency",
+        lambda c: run_codensity(c),
+        lambda c, data: run_codensity_input(c, data),
+        ("algebra", "cone"),
+    ),
+    "distance": Command(
+        "bounded Lipschitz distances",
+        lambda c: run_distance_suite(c),
+        lambda c, data: run_distance_input(c, data),
+        ("metric", "p", "q"),
+    ),
+    "reconstruct": Command(
+        "functional-to-measure reconstruction",
+        lambda c: run_reconstruction_suite(c),
+        lambda c, data: run_reconstruct_input(c, data),
+        ("algebra", "table"),
+    ),
+    "extend": Command(
+        "semi-ring premeasure extension",
+        lambda c: run_extension_suite(c),
+        lambda c, data: run_extend_input(c, data),
+        ("points", "family", "mu"),
+    ),
+    "integrate": Command(
+        "integral property checks",
+        lambda c: run_integrate_suite(c),
+        lambda c, data: run_integrate_input(c, data),
+        ("measure", "functions"),
+    ),
+    "all": Command("the full verification suite", lambda c: run_all(c)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,16 +632,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification suites for finite probability structures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, description in (
-        ("laws", "monad law suite"),
-        ("codensity", "measure/cone bijection and small-index sufficiency"),
-        ("distance", "bounded Lipschitz distances"),
-        ("reconstruct", "functional-to-measure reconstruction"),
-        ("extend", "semi-ring premeasure extension"),
-        ("integrate", "integral property checks"),
-        ("all", "the full verification suite"),
-    ):
-        cmd = sub.add_parser(name, help=description)
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--seed", type=int, default=0)
         cmd.add_argument("--cases", type=int, default=500)
         cmd.add_argument("--size", type=int, default=5, dest="max_ground_size")
@@ -668,15 +648,16 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--method", choices=("lp", "subsets", "both"), default="both")
         cmd.add_argument("--k", type=int, default=3)
-        cmd.add_argument(
-            "--input",
-            default=None,
-            help="JSON instance file ('-' for stdin); omit to run generated cases",
-        )
+        if command.run_input is not None:
+            cmd.add_argument(
+                "--input",
+                default=None,
+                help="JSON instance file ('-' for stdin); omit to run generated cases",
+            )
     return parser
 
 
-def _read_input(path: str) -> dict:
+def _read_input(path: str, keys: tuple[str, ...]) -> dict:
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -685,12 +666,18 @@ def _read_input(path: str) -> dict:
     except UnicodeDecodeError as exc:
         message = f"input is not UTF-8: {exc.reason} at byte {exc.start}"
         raise InputError(message, "$") from None
-    return serialize.loads_instance(text)
+    data = serialize.loads_instance(text)
+    for key in data:
+        if key != "format" and key not in keys:
+            raise InputError(f"unknown key {key!r}", f"$.{key}")
+    return data
 
 
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
+    path = getattr(args, "input", None)  # only commands with an input runner have it
     started = time.monotonic()
     try:
         config = SuiteConfig(
@@ -703,35 +690,10 @@ def run(argv=None) -> int:
             method=args.method,
             k=args.k,
         )
-        data = _read_input(args.input) if args.input else None
-        if args.command == "laws":
-            report = run_laws(config)
-        elif args.command == "codensity":
-            report = (
-                run_codensity_input(config, data) if data else run_codensity(config)
-            )
-        elif args.command == "distance":
-            report = (
-                run_distance_input(config, data) if data else run_distance_suite(config)
-            )
-        elif args.command == "reconstruct":
-            report = (
-                run_reconstruct_input(config, data)
-                if data
-                else run_reconstruction_suite(config)
-            )
-        elif args.command == "extend":
-            report = (
-                run_extend_input(config, data) if data else run_extension_suite(config)
-            )
-        elif args.command == "integrate":
-            report = (
-                run_integrate_input(config, data)
-                if data
-                else run_integrate_suite(config)
-            )
+        if path is None:
+            report = command.suite(config)
         else:
-            report = run_all(config)
+            report = command.run_input(config, _read_input(path, command.keys))
     except InputError as exc:
         print(f"input error at {exc}", file=sys.stderr)
         return 2

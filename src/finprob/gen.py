@@ -199,12 +199,3 @@ def random_metric(
                     if i != j and via < dist[i][j]:
                         dist[i][j] = via
     return FiniteMetricSpace(points, tuple(tuple(row) for row in dist))
-
-
-def discrete_metric(labels: Sequence[str]) -> FiniteMetricSpace:
-    points = tuple(labels)
-    n = len(points)
-    dist = tuple(
-        tuple(ZERO if i == j else ONE for j in range(n)) for i in range(n)
-    )
-    return FiniteMetricSpace(points, dist)

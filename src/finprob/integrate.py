@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, RangeError
 from .measure import Measure, evaluate
+from .report import CheckOutcome, tally
 from .setalg import Algebra
 
 ZERO = Fraction(0)
@@ -184,26 +185,14 @@ def _grid_values(limit: Fraction, max_denominator: int) -> list[Fraction]:
 
 
 @dataclass(frozen=True)
-class ClauseResult:
-    name: str
-    passed: int
-    failed: int
-    witnesses: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.failed == 0
-
-
-@dataclass(frozen=True)
 class IntegralPropertiesReport:
-    clauses: tuple[ClauseResult, ...]
+    clauses: tuple[CheckOutcome, ...]
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.clauses)
 
-    def clause(self, name: str) -> ClauseResult:
+    def clause(self, name: str) -> CheckOutcome:
         for c in self.clauses:
             if c.name == name:
                 return c
@@ -230,34 +219,18 @@ def check_integral_properties(
         if f.algebra != p.algebra:
             raise DomainError("all functions must live on the measure's algebra")
 
-    results = []
-
-    def run(name, cases):
-        passed, failed, witnesses = 0, 0, []
-        for label, ok in cases:
-            if ok:
-                passed += 1
-            else:
-                failed += 1
-                if len(witnesses) < 5:
-                    witnesses.append(label)
-        results.append(ClauseResult(name, passed, failed, tuple(witnesses)))
-
     # (i) the integral agrees with the simple-function sum
-    run(
-        "simple-agreement",
-        [
-            (f"fn#{i}", integral(p, f) == simple_integral(p, f))
-            for i, f in enumerate(fns)
-        ],
-    )
+    cases = [
+        (integral(p, f) == simple_integral(p, f), f"fn#{i}") for i, f in enumerate(fns)
+    ]
+    results = [tally("simple-agreement", cases)]
 
     # (ii) monotonicity
     cases = []
     for (i, f), (j, g) in itertools.permutations(enumerate(fns), 2):
         if f <= g:
-            cases.append((f"fn#{i}<=fn#{j}", integral(p, f) <= integral(p, g)))
-    run("monotone", cases)
+            cases.append((integral(p, f) <= integral(p, g), f"fn#{i}<=fn#{j}"))
+    results.append(tally("monotone", cases))
 
     # (iii) sup over minorants equals inf over majorants
     cases = []
@@ -267,7 +240,7 @@ def check_integral_properties(
         target = integral(p, f)
         if k > grid_cap:
             # the extremum is attained at f itself; grid search skipped
-            cases.append((f"fn#{i}", target == simple_integral(p, f)))
+            cases.append((target == simple_integral(p, f), f"fn#{i}"))
             continue
         minorant_choices = [_grid_values(v, grid_denominator) for v in f.values]
         best_lower = max(
@@ -282,16 +255,16 @@ def check_integral_properties(
             simple_integral(p, SimpleFunction(p.algebra, combo))
             for combo in itertools.product(*majorant_choices)
         )
-        cases.append((f"fn#{i}", best_lower == target == best_upper))
-    run("sup-inf", cases)
+        cases.append((best_lower == target == best_upper, f"fn#{i}"))
+    results.append(tally("sup-inf", cases))
 
     # (iv) additivity when the sum stays a [0, 1]-function
     cases = []
     for (i, f), (j, g) in itertools.combinations(enumerate(fns), 2):
         if all(a + b <= 1 for a, b in zip(f.values, g.values)):
             lhs = integral(p, f.add(g))
-            cases.append((f"fn#{i}+fn#{j}", lhs == integral(p, f) + integral(p, g)))
-    run("additive", cases)
+            cases.append((lhs == integral(p, f) + integral(p, g), f"fn#{i}+fn#{j}"))
+    results.append(tally("additive", cases))
 
     # (v) monotone limits, finite form: eventually constant increasing chains
     cases = []
@@ -300,15 +273,15 @@ def check_integral_properties(
         chain.append(f)  # eventually constant at f
         values = [integral(p, g) for g in chain]
         increasing = all(a <= b for a, b in zip(values, values[1:]))
-        cases.append((f"fn#{i}", increasing and values[-1] == integral(p, f)))
-    run("monotone-limit", cases)
+        cases.append((increasing and values[-1] == integral(p, f), f"fn#{i}"))
+    results.append(tally("monotone-limit", cases))
 
     # (vi) countable sums, finite form: finitely many nonzero terms
     cases = []
     for i, f in enumerate(fns):
         pieces = [f.restrict(atom) for atom in p.algebra.atoms]
         total = sum((integral(p, piece) for piece in pieces), ZERO)
-        cases.append((f"fn#{i}", total == integral(p, f)))
-    run("finite-series", cases)
+        cases.append((total == integral(p, f), f"fn#{i}"))
+    results.append(tally("finite-series", cases))
 
     return IntegralPropertiesReport(tuple(results))

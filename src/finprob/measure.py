@@ -152,13 +152,6 @@ def validate_weights(
     return ValidationReport(ok, tuple(diagnostics))
 
 
-def measure_from_weights(
-    algebra: Algebra, weights: Iterable[Fraction], mode: Mode = Mode.SIGMA
-) -> Measure:
-    """Convenience constructor validating through :class:`Measure`."""
-    return Measure(algebra, tuple(Fraction(w) for w in weights), mode)
-
-
 def uniform(algebra: Algebra, mode: Mode = Mode.SIGMA) -> Measure:
     """Equal weight on every atom."""
     k = len(algebra.atoms)

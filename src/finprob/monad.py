@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .measure import Measure, Mode, dirac, pushforward
@@ -122,6 +122,17 @@ class MetaMeasure:
     def point_mass(cls, p: Measure) -> "MetaMeasure":
         return cls((p,), (ONE,))
 
+    @classmethod
+    def merge(cls, pairs: Iterable[tuple[Fraction, Measure]]) -> "MetaMeasure":
+        """The meta-measure of ``(weight, measure)`` pairs: the weights of a
+        repeated measure are added, and the support is sorted by weight
+        vector, so equal meta-measures come out identical."""
+        merged: dict[Measure, Fraction] = {}
+        for w, p in pairs:
+            merged[p] = merged.get(p, ZERO) + w
+        support = tuple(sorted(merged, key=lambda p: p.weights))
+        return cls(support, tuple(merged[p] for p in support))
+
 
 def mult(m: MetaMeasure) -> Measure:
     """The monad multiplication: average the support measures.
@@ -141,15 +152,13 @@ def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:
     """Convex combination of meta-measures, merging duplicate support."""
     if not parts:
         raise ValueError("empty combination")
-    merged: dict[Measure, Fraction] = {}
-    for coeff, m in parts:
-        coeff = Fraction(coeff)
-        if coeff <= 0:
-            raise ValueError("combination coefficients must be positive")
-        for w, p in zip(m.weights, m.support):
-            merged[p] = merged.get(p, ZERO) + coeff * w
-    support = tuple(sorted(merged, key=lambda p: p.weights))
-    return MetaMeasure(support, tuple(merged[p] for p in support))
+    if any(Fraction(coeff) <= 0 for coeff, _ in parts):
+        raise ValueError("combination coefficients must be positive")
+    return MetaMeasure.merge(
+        (Fraction(coeff) * w, p)
+        for coeff, m in parts
+        for w, p in zip(m.weights, m.support)
+    )
 
 
 def eta_as_meta(p: Measure) -> MetaMeasure:
@@ -158,27 +167,20 @@ def eta_as_meta(p: Measure) -> MetaMeasure:
     Each atom with positive weight contributes the Dirac measure at (any
     point of) that atom, weighted by the atom's mass.
     """
-    merged: dict[Measure, Fraction] = {}
-    for atom, w in zip(p.algebra.atoms, p.weights):
-        if w == 0:
-            continue
-        label = p.algebra.ground.labels_of(atom)[0]
-        d = dirac(label, p.algebra, p.mode)
-        merged[d] = merged.get(d, ZERO) + w
-    support = tuple(sorted(merged, key=lambda q: q.weights))
-    return MetaMeasure(support, tuple(merged[q] for q in support))
+    return MetaMeasure.merge(
+        (w, dirac(p.algebra.ground.labels_of(atom)[0], p.algebra, p.mode))
+        for atom, w in zip(p.algebra.atoms, p.weights)
+        if w != 0
+    )
 
 
 def map_meta(
     m: MetaMeasure, mapping: Mapping[str, str], cod: Algebra
 ) -> MetaMeasure:
     """The lifted pushforward ``GGf``: push every support measure forward."""
-    merged: dict[Measure, Fraction] = {}
-    for w, p in zip(m.weights, m.support):
-        q = pushforward(p, mapping, cod)
-        merged[q] = merged.get(q, ZERO) + w
-    support = tuple(sorted(merged, key=lambda q: q.weights))
-    return MetaMeasure(support, tuple(merged[q] for q in support))
+    return MetaMeasure.merge(
+        (w, pushforward(p, mapping, cod)) for w, p in zip(m.weights, m.support)
+    )
 
 
 @dataclass(frozen=True)
@@ -256,12 +258,7 @@ def check_monad_laws(
         ]
         outer = gen.random_positive_weights(rng, len(metas), max_denominator)
         flattened_outside = combine_meta(list(zip(outer, metas)))
-        via_inner_mult = tuple(mult(m) for m in metas)
-        merged: dict[Measure, Fraction] = {}
-        for w, q in zip(outer, via_inner_mult):
-            merged[q] = merged.get(q, ZERO) + w
-        support = tuple(sorted(merged, key=lambda q: q.weights))
-        after_g_mult = MetaMeasure(support, tuple(merged[q] for q in support))
+        after_g_mult = MetaMeasure.merge(zip(outer, (mult(m) for m in metas)))
         record(
             "associativity",
             case,
@@ -291,19 +288,3 @@ def check_monad_laws(
 
     return LawReport(mode, cases, passed, tuple(failures))
 
-
-def is_finite_map(
-    mapping: Mapping[str, str], dom_labels: Sequence[str], cod_labels: Sequence[str]
-) -> bool:
-    """Whether preimages of finite-or-cofinite sets are finite or cofinite.
-
-    On finite label sets every subset is finite, so this is vacuously true;
-    the predicate exists for API parity with the countable setting and is
-    documented as degenerate.
-    """
-    for label in dom_labels:
-        if label not in mapping:
-            raise DomainError(f"map is not total: missing {label!r}")
-        if mapping[label] not in cod_labels:
-            raise DomainError(f"map sends {label!r} outside the codomain")
-    return True

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import InputError
 from .measure import Mode
@@ -61,6 +61,28 @@ class CheckOutcome:
     @property
     def ok(self) -> bool:
         return self.failed == 0
+
+
+MAX_WITNESSES = 5
+
+
+def tally(name: str, outcomes: Iterable[tuple[bool, Any]]) -> CheckOutcome:
+    """Count ``(ok, witness)`` outcomes into one check.
+
+    Only the first :data:`MAX_WITNESSES` failures keep their witness.  A
+    witness given as a zero-argument callable is built only when it is kept,
+    so a passing case never pays for formatting one.
+    """
+    passed = failed = 0
+    witnesses = []
+    for ok, witness in outcomes:
+        if ok:
+            passed += 1
+        else:
+            failed += 1
+            if len(witnesses) < MAX_WITNESSES:
+                witnesses.append(witness() if callable(witness) else witness)
+    return CheckOutcome(name, passed, failed, tuple(witnesses))
 
 
 @dataclass

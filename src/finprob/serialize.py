@@ -54,6 +54,17 @@ def _field(data: dict, key: str, location: str):
     return data[key]
 
 
+def _labels(data: Any, location: str) -> list[str]:
+    """A list of point labels, each a string."""
+    labels = _expect(data, list, location)
+    for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise InputError(
+                f"label must be a string, got {type(label).__name__}", f"{location}[{i}]"
+            )
+    return labels
+
+
 # -- ground sets, families, algebras ---------------------------------------
 
 
@@ -62,9 +73,7 @@ def dump_ground(ground: GroundSet) -> list[str]:
 
 
 def load_ground(data: Any, location: str = "$.points") -> GroundSet:
-    points = _expect(data, list, location)
-    if not all(isinstance(p, str) for p in points):
-        raise InputError("points must be strings", location)
+    points = _labels(data, location)
     try:
         return GroundSet(tuple(points))
     except ValueError as exc:
@@ -251,7 +260,7 @@ def dump_metric(space: FiniteMetricSpace) -> dict:
 
 def load_metric(data: Any, location: str = "$.metric") -> FiniteMetricSpace:
     obj = _expect(data, dict, location)
-    points = _expect(_field(obj, "points", location), list, f"{location}.points")
+    points = _labels(_field(obj, "points", location), f"{location}.points")
     rows = _expect(_field(obj, "dist", location), list, f"{location}.dist")
     dist = tuple(
         tuple(
@@ -281,7 +290,7 @@ def load_simplex(data: Any, location: str = "$", labels=None) -> SimplexPoint:
         except ValueError as exc:
             raise InputError(str(exc), location) from None
     obj = _expect(data, dict, location)
-    raw_labels = _expect(_field(obj, "labels", location), list, f"{location}.labels")
+    raw_labels = _labels(_field(obj, "labels", location), f"{location}.labels")
     raw_weights = _expect(_field(obj, "weights", location), list, f"{location}.weights")
     weights = [
         parse_fraction(v, f"{location}.weights[{i}]") for i, v in enumerate(raw_weights)
@@ -315,7 +324,7 @@ def dump_arrow(arrow: Arrow) -> dict:
 
 def load_arrow(data: Any, source: Algebra, location: str = "$") -> Arrow:
     obj = _expect(data, dict, location)
-    targets = _expect(_field(obj, "targets", location), list, f"{location}.targets")
+    targets = _labels(_field(obj, "targets", location), f"{location}.targets")
     rows_raw = _expect(_field(obj, "rows", location), dict, f"{location}.rows")
     by_point = {}
     for point in source.ground.points:
@@ -338,6 +347,8 @@ def dump_cone(cone: Cone) -> list:
 
 def load_cone(data: Any, source: Algebra, location: str = "$.cone") -> Cone:
     raw = _expect(data, list, location)
+    if not raw:
+        raise InputError("cone needs at least one leg", location)
     legs = []
     for i, item in enumerate(raw):
         pair = _expect(item, list, f"{location}[{i}]")

@@ -90,10 +90,6 @@ class SubsetFamily:
             self.ground.check_mask(m)
         object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
 
-    @classmethod
-    def from_labels(cls, ground: GroundSet, sets: Iterable[Iterable[str]]) -> "SubsetFamily":
-        return cls(ground, tuple(ground.mask_of(s) for s in sets))
-
     def __contains__(self, mask: int) -> bool:
         return mask in self.masks  # tuples are tiny at desk scale
 
@@ -256,11 +252,6 @@ def algebra_closure(ground: GroundSet, generators: Iterable[int]) -> tuple[int, 
                 members.add(c)
                 work.append(c)
     return tuple(sorted(members))
-
-
-def atoms(algebra: Algebra) -> tuple[int, ...]:
-    """The minimal nonempty members, as a partition of the ground set."""
-    return algebra.atoms
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,13 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import finprob
-from finprob.cli import run
+from finprob.cli import COMMANDS, run
 
 
 def run_cli(capsys, *argv):
@@ -16,17 +17,26 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(command, path):
+def run_module(command, path, stdin=None):
     """``python -m finprob COMMAND --input PATH`` in a fresh interpreter, so
     that what reaches stderr is exactly what a user would see."""
     env = dict(os.environ, PYTHONPATH=str(Path(finprob.__file__).parent.parent))
     return subprocess.run(
         [sys.executable, "-m", "finprob", command, "--input", str(path)],
+        input=stdin,
         capture_output=True,
         text=True,
         env=env,
         timeout=60,
     )
+
+
+def assert_input_error(done, location):
+    """Exit 2 with one stderr line naming ``location`` and no traceback."""
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1
+    assert f"input error at {location}:" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_laws_subcommand_passes(capsys):
@@ -335,3 +345,65 @@ def test_mode_flag_runs_charge_suite(capsys):
     assert code == 0
     payload = json.loads(out)
     assert all(c["name"].startswith("finitely_additive.") for c in payload["checks"])
+
+
+def test_empty_instance_is_not_a_request_for_the_generated_suite():
+    done = run_module("distance", "-", stdin="{}")
+    assert_input_error(done, "$.metric")
+    assert done.stdout == ""
+
+
+def test_commands_without_an_input_runner_reject_input(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(TWO_POINTS))
+    for command in ("laws", "all"):
+        done = run_module(command, path)
+        assert done.returncode == 2
+        assert "unrecognized arguments: --input" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
+
+
+def test_empty_cone_exits_two(tmp_path):
+    instance = {
+        "format": 1,
+        "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
+        "cone": [],
+    }
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(instance))
+    assert_input_error(run_module("codensity", path), "$.cone")
+
+
+def test_non_string_labels_exit_two(tmp_path):
+    metric = dict(TWO_POINTS["metric"], points=[0, 1])
+    q = {"labels": ["a", 1], "weights": ["0/1", "1/1"]}
+    algebra = {"points": ["0", 1], "family": [[]]}
+    cases = [
+        ("distance", dict(TWO_POINTS, metric=metric), "$.metric.points[0]"),
+        ("distance", dict(TWO_POINTS, q=q), "$.q.labels[1]"),
+        ("reconstruct", {"algebra": algebra, "table": {}}, "$.algebra.points[1]"),
+    ]
+    for i, (command, instance, location) in enumerate(cases):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(dict(instance, format=1)))
+        assert_input_error(run_module(command, path), location)
+
+
+def test_unknown_top_level_key_exits_two(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dict(TWO_POINTS, bogus=1)))
+    assert_input_error(run_module("distance", path), "$.bogus")
+
+
+def test_valid_benchmark_instances_carry_exactly_the_declared_keys():
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    rng = random.Random(0)
+    for kind in ("codensity", "reconstruct", "extend", "integrate", "distance"):
+        for _ in range(5):
+            assert set(workloads._valid(kind, rng)) == set(COMMANDS[kind].keys), kind

@@ -20,7 +20,7 @@ from finprob import (
     mult,
     unit,
 )
-from finprob.monad import eta_as_meta, is_finite_map
+from finprob.monad import eta_as_meta
 from finprob import gen
 
 
@@ -169,9 +169,3 @@ def test_law_suite_on_fixed_algebra():
     g = GroundSet(("0", "1"))
     report = check_monad_laws(Algebra.powerset(g), cases=50, seed=1)
     assert report.ok
-
-
-def test_finite_map_predicate_is_degenerate_true():
-    assert is_finite_map({"a": "x", "b": "x"}, ("a", "b"), ("x", "y"))
-    with pytest.raises(Exception):
-        is_finite_map({"a": "x"}, ("a", "b"), ("x",))

@@ -137,6 +137,15 @@ def test_arrow_and_cone_round_trip():
     assert loaded.legs == cone.legs
 
 
+def test_arrow_targets_must_be_strings():
+    g = GroundSet(("0", "1"))
+    alg = Algebra.powerset(g)
+    data = serialize.dump_arrow(binary_arrow(SimpleFunction.indicator(alg, 1)))
+    data["targets"] = [0, 1]
+    with pytest.raises(InputError, match=r"^\$\.targets\[0\]: label must be a string"):
+        serialize.load_arrow(data, alg)
+
+
 def test_instance_format_version_enforced():
     with pytest.raises(InputError):
         serialize.loads_instance('{"format": 2}')

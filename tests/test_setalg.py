@@ -12,7 +12,6 @@ from finprob import (
     GroundSet,
     SubsetFamily,
     algebra_closure,
-    atoms,
     generate_algebra,
     is_premeasurable,
     is_semiring,
@@ -167,17 +166,17 @@ def test_member_count_is_power_of_atom_count(data):
 def test_atoms_of_four_member_algebra():
     g = GroundSet(("0", "1", "2"))
     alg = generate_algebra(g, masks_of(g, ["0"]))
-    assert set(atoms(alg)) == {g.mask_of(["0"]), g.mask_of(["1", "2"])}
+    assert set(alg.atoms) == {g.mask_of(["0"]), g.mask_of(["1", "2"])}
 
 
 def test_atoms_of_powerset_are_singletons():
     g = GroundSet(("a", "b", "c"))
-    assert set(atoms(Algebra.powerset(g))) == {1, 2, 4}
+    assert set(Algebra.powerset(g).atoms) == {1, 2, 4}
 
 
 def test_atoms_of_trivial_algebra():
     g = GroundSet(("a", "b", "c"))
-    assert atoms(Algebra.trivial(g)) == (g.full_mask,)
+    assert Algebra.trivial(g).atoms == (g.full_mask,)
 
 
 def test_every_member_is_a_union_of_atoms():
