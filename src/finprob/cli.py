@@ -80,12 +80,9 @@ def run_laws(config: SuiteConfig, modes=None) -> Report:
             mode=mode,
             max_ground_size=config.max_ground_size,
         )
-        for law, passed in sorted(result.passed.items()):
-            witnesses = tuple(
-                f"case {f.case}: {f.detail}" for f in result.failures if f.law == law
-            )
+        for check in sorted(result.checks, key=lambda c: c.name):
             report.add(
-                f"{mode.value}.{law}", passed, result.cases - passed, witnesses
+                f"{mode.value}.{check.name}", check.passed, check.failed, check.witnesses
             )
     return report
 

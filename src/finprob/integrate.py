@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RangeError
+from .exact import dot, fractions, in_unit_interval, total
 from .measure import Measure, evaluate
 from .report import CheckOutcome, tally
 from .setalg import Algebra
@@ -31,15 +32,17 @@ class SimpleFunction:
     terms: tuple[tuple[Fraction, int], ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
+        values = fractions(self.values)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "terms", tuple((Fraction(a), m) for a, m in self.terms)
-        )
+        terms = tuple(self.terms)
+        if terms:
+            coefficients = fractions(a for a, _ in terms)
+            terms = tuple(zip(coefficients, (m for _, m in terms)))
+        object.__setattr__(self, "terms", terms)
         if len(values) != len(self.algebra.atoms):
             raise ValueError("one value per atom required")
         for v in values:
-            if v < 0 or v > 1:
+            if not in_unit_interval(v):
                 raise RangeError(f"simple function value {v} outside [0, 1]")
 
     @classmethod
@@ -49,11 +52,11 @@ class SimpleFunction:
         """Build ``sum a_k * 1_{A_k}`` from coefficient/member pairs."""
         terms = tuple((Fraction(a), m) for a, m in terms)
         for a, m in terms:
-            if a < 0 or a > 1:
+            if not in_unit_interval(a):
                 raise RangeError(f"term coefficient {a} outside [0, 1]")
             algebra.check_member(m)
         values = tuple(
-            sum((a for a, m in terms if m & atom), ZERO) for atom in algebra.atoms
+            total(a for a, m in terms if m & atom) for atom in algebra.atoms
         )
         return cls(algebra, values, terms)
 
@@ -150,14 +153,14 @@ def simple_integral(p: Measure, s: SimpleFunction) -> Fraction:
     """
     if s.algebra != p.algebra:
         raise DomainError("function and measure live on different algebras")
-    total = sum((v * w for v, w in zip(s.values, p.weights)), ZERO)
+    by_atoms = dot(s.values, p.weights)
     if s.terms:
-        by_terms = sum((a * evaluate(p, m) for a, m in s.terms), ZERO)
-        if by_terms != total:
+        by_terms = dot((a for a, _ in s.terms), (evaluate(p, m) for _, m in s.terms))
+        if by_terms != by_atoms:
             raise AssertionError(
-                f"representation dependence: terms give {by_terms}, atoms give {total}"
+                f"representation dependence: terms give {by_terms}, atoms give {by_atoms}"
             )
-    return total
+    return by_atoms
 
 
 def integral(p: Measure, f: SimpleFunction) -> Fraction:
@@ -280,8 +283,8 @@ def check_integral_properties(
     cases = []
     for i, f in enumerate(fns):
         pieces = [f.restrict(atom) for atom in p.algebra.atoms]
-        total = sum((integral(p, piece) for piece in pieces), ZERO)
-        cases.append((total == integral(p, f), f"fn#{i}"))
+        series = total(integral(p, piece) for piece in pieces)
+        cases.append((series == integral(p, f), f"fn#{i}"))
     results.append(tally("finite-series", cases))
 
     return IntegralPropertiesReport(tuple(results))

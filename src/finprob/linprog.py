@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InfeasibleError, UnboundedError
+from .exact import fractions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,8 +33,8 @@ def maximize(
 ) -> LPResult:
     n = len(c)
     m = len(a_ub)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b_ub]
+    c = fractions(c)
+    b = fractions(b_ub)
     for i, v in enumerate(b):
         if v < 0:
             raise InfeasibleError(
@@ -46,7 +47,7 @@ def maximize(
     for i, a_row in enumerate(a_ub):
         if len(a_row) != n:
             raise ValueError("constraint row length mismatch")
-        row = [Fraction(v) for v in a_row]
+        row = list(fractions(a_row))
         row += [ONE if j == i else ZERO for j in range(m)]
         row.append(b[i])
         rows.append(row)

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
+from .exact import fractions, in_unit_interval, over_common_denominator
 from .linprog import maximize
 from .monad import SimplexPoint
 
@@ -34,7 +36,7 @@ class FiniteMetricSpace:
 
     def __post_init__(self):
         points = tuple(str(p) for p in self.points)
-        dist = tuple(tuple(Fraction(v) for v in row) for row in self.dist)
+        dist = tuple(fractions(row) for row in self.dist)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dist", dist)
         n = len(points)
@@ -42,19 +44,34 @@ class FiniteMetricSpace:
             raise ValueError("metric space labels must be distinct")
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance matrix must be square over the points")
+        num = self.scaled_dist[0]
         for i in range(n):
-            if dist[i][i] != 0:
+            if num[i][i] != 0:
                 raise ValueError(f"dist({points[i]}, {points[i]}) must be 0")
             for j in range(n):
-                if i != j and dist[i][j] <= 0:
+                if i != j and num[i][j] <= 0:
                     raise ValueError("distinct points must be at positive distance")
-                if dist[i][j] != dist[j][i]:
+                if num[i][j] != num[j][i]:
                     raise ValueError("distance matrix must be symmetric")
         for i, j, k in itertools.permutations(range(n), 3) if n >= 3 else ():
-            if dist[i][j] > dist[i][k] + dist[k][j]:
+            if num[i][j] > num[i][k] + num[k][j]:
                 raise ValueError(
                     f"triangle inequality fails at ({points[i]}, {points[j]}, {points[k]})"
                 )
+
+    @cached_property
+    def scaled_dist(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """``(num, den)``: the distance matrix as integer numerators over
+        one common denominator, ``dist[i][j] == num[i][j] / den``."""
+        n = len(self.points)
+        flat, den = over_common_denominator(v for row in self.dist for v in row)
+        return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)), den
+
+    @cached_property
+    def lp_rows(self) -> tuple[tuple[int, int], ...]:
+        """The Lipschitz rows the distance LP keeps, scanned once per space
+        (see :func:`_lipschitz_rows`)."""
+        return tuple(_lipschitz_rows(self))
 
     @property
     def size(self) -> int:
@@ -80,16 +97,19 @@ class LipschitzFunction:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(Fraction(v) for v in self.values)
+        values = fractions(self.values)
         object.__setattr__(self, "values", values)
         if len(values) != self.space.size:
             raise ValueError("one value per point required")
         for v in values:
-            if v < 0 or v > 1:
+            if not in_unit_interval(v):
                 raise ValueError(f"value {v} outside [0, 1]")
+        # |f_i - f_j| <= d(i, j), cross-multiplied onto integers
+        f, f_den = over_common_denominator(values)
+        dist, dist_den = self.space.scaled_dist
         for i in range(self.space.size):
             for j in range(i + 1, self.space.size):
-                if abs(values[i] - values[j]) > self.space.dist[i][j]:
+                if abs(f[i] - f[j]) * dist_den > dist[i][j] * f_den:
                     raise ValueError(
                         f"not 1-Lipschitz at ({self.space.points[i]}, {self.space.points[j]})"
                     )
@@ -125,7 +145,7 @@ def _one_sided_lp(
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
     n = space.size
     rows, rhs = [], []
-    for i, j in _lipschitz_rows(space):
+    for i, j in space.lp_rows:
         row = [ZERO] * n
         row[i], row[j] = ONE, -ONE
         rows.append(row)

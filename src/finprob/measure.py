@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import PreconditionError
+from .exact import fractions, in_unit_interval, total
 from .setalg import Algebra, is_premeasurable, preimage_mask
 
 ZERO = Fraction(0)
@@ -35,15 +36,16 @@ class Measure:
     mode: Mode = Mode.SIGMA
 
     def __post_init__(self):
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = fractions(self.weights)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "mode", Mode(self.mode))
         if len(weights) != len(self.algebra.atoms):
             raise ValueError("one weight per atom required")
-        if any(w < 0 or w > 1 for w in weights):
+        if not all(in_unit_interval(w) for w in weights):
             raise ValueError("atom weights must lie in [0, 1]")
-        if sum(weights) != 1:
-            raise ValueError(f"atom weights must sum to 1, got {sum(weights)}")
+        mass = total(weights)
+        if mass != 1:
+            raise ValueError(f"atom weights must sum to 1, got {mass}")
 
     def __call__(self, mask: int) -> Fraction:
         return evaluate(self, mask)
@@ -55,9 +57,7 @@ class Measure:
 def evaluate(p: Measure, mask: int) -> Fraction:
     """The measure of a member: the sum of its atoms' weights."""
     p.algebra.check_member(mask)
-    return sum(
-        (w for atom, w in zip(p.algebra.atoms, p.weights) if atom & mask), ZERO
-    )
+    return total(w for atom, w in zip(p.algebra.atoms, p.weights) if atom & mask)
 
 
 def dirac(x: str, algebra: Algebra, mode: Mode = Mode.SIGMA) -> Measure:
@@ -110,15 +110,15 @@ def validate_weights(
     exhaustive loop is skipped (with a diagnostic) above ``exhaustive_cap``
     members.  Never raises; every violation lands in the diagnostics.
     """
-    weights = tuple(Fraction(w) for w in weights)
+    weights = fractions(weights)
     diagnostics: list[str] = []
     if len(weights) != len(algebra.atoms):
         return ValidationReport(
             False, (f"shape: {len(weights)} weights for {len(algebra.atoms)} atoms",)
         )
-    total = sum(weights)
-    if total != 1:
-        diagnostics.append(f"normalization: weights sum to {total}, expected 1")
+    mass = total(weights)
+    if mass != 1:
+        diagnostics.append(f"normalization: weights sum to {mass}, expected 1")
     for atom, w in zip(algebra.atoms, weights):
         if w < 0:
             diagnostics.append(
@@ -126,7 +126,7 @@ def validate_weights(
             )
 
     def value(mask: int) -> Fraction:
-        return sum((w for a, w in zip(algebra.atoms, weights) if a & mask), ZERO)
+        return total(w for a, w in zip(algebra.atoms, weights) if a & mask)
 
     if algebra.member_count <= exhaustive_cap:
         members = list(algebra.members)

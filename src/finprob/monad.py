@@ -14,7 +14,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
+from .exact import dot, fractions, total
 from .measure import Measure, Mode, dirac, pushforward
+from .report import CheckOutcome, tally
 from .setalg import Algebra
 
 ZERO = Fraction(0)
@@ -30,17 +32,18 @@ class SimplexPoint:
 
     def __post_init__(self):
         labels = tuple(str(x) for x in self.labels)
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = fractions(self.weights)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "weights", weights)
         if len(set(labels)) != len(labels):
             raise ValueError("simplex labels must be distinct")
         if len(weights) != len(labels):
             raise ValueError("one weight per label required")
-        if any(w < 0 for w in weights):
+        if any(w.numerator < 0 for w in weights):
             raise ValueError("simplex weights must be nonnegative")
-        if sum(weights) != 1:
-            raise ValueError(f"simplex weights must sum to 1, got {sum(weights)}")
+        mass = total(weights)
+        if mass != 1:
+            raise ValueError(f"simplex weights must sum to 1, got {mass}")
 
     def weight(self, label: str) -> Fraction:
         try:
@@ -61,15 +64,15 @@ def map_simplex(
 ) -> SimplexPoint:
     """Functor action on distributions: push weights along preimages."""
     targets = tuple(targets)
-    sums = {t: ZERO for t in targets}
+    preimages: dict[str, list[Fraction]] = {t: [] for t in targets}
     for label, w in zip(p.labels, p.weights):
         if label not in mapping:
             raise DomainError(f"map is not total: missing {label!r}")
         t = mapping[label]
-        if t not in sums:
+        if t not in preimages:
             raise DomainError(f"map sends {label!r} outside the target labels")
-        sums[t] += w
-    return SimplexPoint(targets, tuple(sums[t] for t in targets))
+        preimages[t].append(w)
+    return SimplexPoint(targets, tuple(total(preimages[t]) for t in targets))
 
 
 def unit(x: str, algebra: Algebra, mode: Mode = Mode.SIGMA) -> Measure:
@@ -90,7 +93,7 @@ class MetaMeasure:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        weights = tuple(Fraction(w) for w in self.weights)
+        weights = fractions(self.weights)
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "weights", weights)
         if not self.support:
@@ -105,10 +108,11 @@ class MetaMeasure:
                 raise ValueError("support measures must share one algebra")
             if q.mode != first.mode:
                 raise ValueError("support measures must share one mode")
-        if any(w <= 0 for w in weights):
+        if any(w.numerator <= 0 for w in weights):
             raise ValueError("meta-measure weights must be strictly positive")
-        if sum(weights) != 1:
-            raise ValueError(f"meta-measure weights must sum to 1, got {sum(weights)}")
+        mass = total(weights)
+        if mass != 1:
+            raise ValueError(f"meta-measure weights must sum to 1, got {mass}")
 
     @property
     def algebra(self) -> Algebra:
@@ -140,12 +144,8 @@ def mult(m: MetaMeasure) -> Measure:
     ``mult(M)(A)`` is the integral of ``P(A)`` against ``M``; with finite
     support this is exactly ``sum_i weight_i * P_i(A)``.
     """
-    k = len(m.algebra.atoms)
-    acc = [ZERO] * k
-    for w, p in zip(m.weights, m.support):
-        for i in range(k):
-            acc[i] += w * p.weights[i]
-    return Measure(m.algebra, tuple(acc), m.mode)
+    columns = zip(*(p.weights for p in m.support))
+    return Measure(m.algebra, tuple(dot(m.weights, c) for c in columns), m.mode)
 
 
 def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:
@@ -184,22 +184,21 @@ def map_meta(
 
 
 @dataclass(frozen=True)
-class LawFailure:
-    law: str
-    case: int
-    detail: str
-
-
-@dataclass(frozen=True)
 class LawReport:
+    """One check per law, in :data:`LAWS` order, each keeping up to
+    :data:`~finprob.report.MAX_WITNESSES` failure witnesses of its own."""
+
     mode: Mode
     cases: int
-    passed: dict[str, int]
-    failures: tuple[LawFailure, ...]
+    checks: tuple[CheckOutcome, ...]
+
+    @property
+    def passed(self) -> dict[str, int]:
+        return {c.name: c.passed for c in self.checks}
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return all(c.ok for c in self.checks)
 
 
 LAWS = (
@@ -224,14 +223,10 @@ def check_monad_laws(
     ground set and algebra within ``max_ground_size``."""
     from . import gen  # deferred: gen builds on this module's types
 
-    passed = {law: 0 for law in LAWS}
-    failures: list[LawFailure] = []
+    outcomes: dict[str, list] = {law: [] for law in LAWS}
 
     def record(law: str, case: int, ok: bool, detail: str) -> None:
-        if ok:
-            passed[law] += 1
-        elif len(failures) < 10:
-            failures.append(LawFailure(law, case, detail))
+        outcomes[law].append((ok, f"case {case}: {detail}"))
 
     for case in range(cases):
         rng = gen.rng_for(seed, "laws", str(case))
@@ -286,5 +281,4 @@ def check_monad_laws(
             f"f={mapping}",
         )
 
-    return LawReport(mode, cases, passed, tuple(failures))
-
+    return LawReport(mode, cases, tuple(tally(law, outcomes[law]) for law in LAWS))

@@ -5,6 +5,7 @@ assertions hold regardless).  Stated runtimes are expectations, not asserted
 bounds; measured durations are printed alongside.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -200,6 +201,9 @@ def test_criterion_09_integral_properties():
     announce(9, "integral properties", ok, started, "500 (P, f, g) triples")
 
 
+ALL_SEED_0_SHA256 = "a2562c0c47d77eb08a71d3872aa4d14a4df4f5f11af1faa5d57eb491f0217b20"
+
+
 def test_criterion_10_determinism():
     started = time.monotonic()
     command = [sys.executable, "-m", "finprob", "all", "--seed", "0"]
@@ -215,3 +219,5 @@ def test_criterion_10_determinism():
         started,
         f"{len(first.stdout)} bytes each",
     )
+    # the report's bytes are fixed, not only the same from run to run
+    assert hashlib.sha256(first.stdout.encode()).hexdigest() == ALL_SEED_0_SHA256

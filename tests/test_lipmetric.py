@@ -145,6 +145,20 @@ def full_row_lp(diff, space):
 PRUNING_CASES = 240
 
 
+def fresh_rows(space):
+    """The Lipschitz rows the LP keeps, by a scan of its own: ``d < 1`` and
+    no third point between the ends."""
+    n, dist = space.size, space.dist
+    return tuple(
+        (i, j)
+        for i, j in itertools.permutations(range(n), 2)
+        if dist[i][j] < 1
+        and not any(
+            dist[i][k] + dist[k][j] == dist[i][j] for k in range(n) if k not in (i, j)
+        )
+    )
+
+
 def metric_kind(space, on_line):
     """Which family a test metric belongs to: a line, or the
     ``gen.random_metric`` style it looks like."""
@@ -190,6 +204,8 @@ def pruning_mismatches():
             if k not in (i, j)
         ):
             seen.add("between")
+        if space.lp_rows != fresh_rows(space):
+            mismatches.append(f"case {case}: cached rows {space.lp_rows}")
         feasible = all(0 <= v <= 1 for v in f) and all(
             f[i] - f[j] <= dist[i][j] for i, j in pairs
         )
@@ -204,6 +220,21 @@ def test_pruned_lp_matches_the_full_row_lp():
     mismatches, seen = pruning_mismatches()
     assert mismatches == []
     assert seen == {"line", "discrete", "half-to-one", "closure", "far", "between"}
+
+
+def test_rows_are_scanned_once_per_space(monkeypatch):
+    real = lipmetric._lipschitz_rows
+    scanned = []
+
+    def counting(space):
+        scanned.append(space)
+        return real(space)
+
+    monkeypatch.setattr(lipmetric, "_lipschitz_rows", counting)
+    space = line_metric(gen.rng_for(0, "scan-once"), 6, 8)
+    report = check_bl_monad_nonexpansive(space, cases=3, seed=0)
+    assert report.ok and report.unit_cases == 3 * 15
+    assert sum(s is space for s in scanned) == 1
 
 
 def test_discrete_metric_lp_is_the_box_alone():

@@ -161,7 +161,7 @@ def test_mult_is_affine():
 def test_law_suite_passes_both_modes():
     for mode in (Mode.SIGMA, Mode.FINITELY_ADDITIVE):
         report = check_monad_laws(None, cases=100, seed=0, mode=mode)
-        assert report.ok, report.failures
+        assert report.ok, report.checks
         assert all(count == 100 for count in report.passed.values())
 
 
@@ -169,3 +169,30 @@ def test_law_suite_on_fixed_algebra():
     g = GroundSet(("0", "1"))
     report = check_monad_laws(Algebra.powerset(g), cases=50, seed=1)
     assert report.ok
+
+
+def test_every_failing_law_keeps_its_own_witnesses(monkeypatch, capsys):
+    import json
+
+    from finprob import monad
+    from finprob.cli import run
+    from finprob.report import MAX_WITNESSES
+
+    real = monad.mult
+
+    def swaps_two_weights(m):
+        p = real(m)
+        w = list(p.weights)
+        if len(w) > 1:
+            w[0], w[1] = w[1], w[0]
+        return Measure(p.algebra, tuple(w), p.mode)
+
+    monkeypatch.setattr(monad, "mult", swaps_two_weights)
+    assert run(["laws", "--cases", "60"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failing = [c for c in checks if c["failed"]]
+    assert len(failing) >= 3
+    assert sum(c["failed"] for c in failing) > 2 * MAX_WITNESSES
+    for c in failing:
+        assert len(c["witnesses"]) == min(c["failed"], MAX_WITNESSES), c["name"]
+        assert all(w.startswith("case ") for w in c["witnesses"])
