@@ -14,17 +14,20 @@ from finprob import (
     Mode,
     check_monad_laws,
     dirac,
-    map_simplex,
     mult,
+    pushforward,
+    simplex_algebra,
     SimplexPoint,
 )
 
 ground = GroundSet(("0", "1"))
 algebra = Algebra.powerset(ground)
 
-# The functor action on plain distributions pushes weights along preimages.
+# A plain distribution is a measure on the powerset of its labels, and the
+# functor action is the pushforward: weights move along preimages.
 p = SimplexPoint(("0", "1", "2"), (F(1, 6), F(1, 3), F(1, 2)))
-print("fold 0,1 -> 0 and 2 -> 1:", map_simplex(p, {"0": "0", "1": "0", "2": "1"}, ("0", "1")).weights)
+fold = {"0": "0", "1": "0", "2": "1"}
+print("fold 0,1 -> 0 and 2 -> 1:", pushforward(p, fold, simplex_algebra(("0", "1"))).weights)
 
 # mult averages a measure on measures.
 coin = Measure(algebra, (F(1, 2), F(1, 2)))

@@ -15,7 +15,9 @@ from finprob import (
     bl_distance_subsets,
     check_bl_monad_nonexpansive,
     check_simplex_lipschitz,
+    dirac,
     discrete_space,
+    simplex_algebra,
     total_variation,
 )
 from finprob.lipmetric import bl_distance_lp_witness
@@ -44,13 +46,15 @@ close = FiniteMetricSpace(
 print("\nsame pair at distance 1/5:", bl_distance_lp(p, q, close))
 
 # Point masses are exactly as far apart as their points (capped at one).
-pa = SimplexPoint.point_mass(labels, "a")
-pb = SimplexPoint.point_mass(labels, "b")
+# A distribution on the labels is a measure on their powerset.
+simplex = simplex_algebra(labels)
+pa = dirac("a", simplex)
+pb = dirac("b", simplex)
 print("d(point mass a, point mass b) under 1/5 metric:", bl_distance_lp(pa, pb, close))
 
 # A map into the simplex is 1-Lipschitz exactly when all its subset sums
 # are; both criteria are evaluated independently.
-f = {x: SimplexPoint.point_mass(labels, x) for x in labels}
+f = {x: dirac(x, simplex) for x in labels}
 result = check_simplex_lipschitz(f, space)
 print("\nvertex embedding 1-Lipschitz:", result.is_lipschitz,
       "(criteria agree:", result.verdicts_agree, ")")

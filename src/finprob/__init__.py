@@ -37,6 +37,7 @@ from .measure import (
     dirac,
     evaluate,
     pushforward,
+    simplex_algebra,
     uniform,
     validate,
     validate_weights,
@@ -53,7 +54,6 @@ from .monad import (
     SimplexPoint,
     check_monad_laws,
     combine_meta,
-    map_simplex,
     mult,
     unit,
 )

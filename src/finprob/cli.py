@@ -195,9 +195,14 @@ def run_lipschitz_equivalence(config: SuiteConfig) -> Report:
         "criteria-agree",
         sweep.instances - len(sweep.disagreements),
         len(sweep.disagreements),
-        sweep.disagreements[:5],
+        sweep.disagreements,
     )
-    report.add("lp-spot-checks", sweep.lp_spot_checks, 0)
+    report.add(
+        "lp-spot-checks",
+        sweep.lp_spot_checks - len(sweep.lp_disagreements),
+        len(sweep.lp_disagreements),
+        sweep.lp_disagreements,
+    )
     return report
 
 
@@ -211,24 +216,7 @@ def run_nonexpansive(config: SuiteConfig) -> Report:
         max_denominator=min(config.max_denominator, 6),
         max_size=6,
     )
-    report.add(
-        "unit-contraction",
-        result.unit_cases - len(result.unit_failures),
-        len(result.unit_failures),
-        result.unit_failures[:5],
-    )
-    report.add(
-        "mult-contraction",
-        result.mult_cases - len(result.mult_failures),
-        len(result.mult_failures),
-        result.mult_failures[:5],
-    )
-    report.add(
-        "metric-laws",
-        result.mult_cases - len(result.law_failures),
-        len(result.law_failures),
-        result.law_failures[:5],
-    )
+    report.checks.extend(result.checks)
     return report
 
 

@@ -3,6 +3,11 @@ monad: arrows from a space into finite simplices, cones over a declared
 finite arrow family, integration legs, naturality checking, and the
 round-trip bijection between measures and cones.
 
+A point of the simplex on a finite label set is a :class:`Measure` on the
+labels' powerset (:func:`~finprob.monad.SimplexPoint`), and the simplex map
+of a label function is :func:`~finprob.measure.pushforward` into the
+target labels' powerset.
+
 The full comma category of arrows is infinite; a cone here is declared over
 a finite arrow family whose closure (binary arrows of every component, the
 collapse arrow to the one-point simplex) is rich enough to replay the
@@ -20,8 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .integrate import SimpleFunction, simple_integral
-from .measure import Measure, Mode
-from .monad import SimplexPoint, map_simplex
+from .measure import Measure, Mode, dirac, pushforward, simplex_algebra
+from .monad import SimplexPoint
 from .represent import Functional, reconstruct_charge, reconstruct_measure
 from .setalg import Algebra
 
@@ -38,7 +43,7 @@ class Arrow:
 
     source: Algebra
     targets: tuple[str, ...]
-    rows: tuple[SimplexPoint, ...]  # one simplex point per atom of the source
+    rows: tuple[Measure, ...]  # one simplex point per atom of the source
 
     def __post_init__(self):
         targets = tuple(str(t) for t in self.targets)
@@ -48,13 +53,14 @@ class Arrow:
             raise ValueError("arrow target labels must be distinct")
         if len(self.rows) != len(self.source.atoms):
             raise ValueError("one simplex point per source atom required")
+        simplex = simplex_algebra(targets)
         for row in self.rows:
-            if row.labels != targets:
+            if row.algebra != simplex:
                 raise ValueError("arrow rows must be indexed by the target labels")
 
     @classmethod
     def from_point_rows(
-        cls, source: Algebra, targets: Sequence[str], by_point: Mapping[str, SimplexPoint]
+        cls, source: Algebra, targets: Sequence[str], by_point: Mapping[str, Measure]
     ) -> "Arrow":
         """Build from per-point assignments, which must be constant on atoms."""
         rows = []
@@ -69,7 +75,7 @@ class Arrow:
             rows.append(first)
         return cls(source, tuple(targets), tuple(rows))
 
-    def at(self, label: str) -> SimplexPoint:
+    def at(self, label: str) -> Measure:
         return self.rows[self.source.atom_of_point(label)]
 
     def component(self, target: str) -> SimpleFunction:
@@ -81,10 +87,12 @@ class Arrow:
         self, mapping: Mapping[str, str], targets: Sequence[str]
     ) -> "Arrow":
         """Post-compose with the simplex map of a label function."""
+        targets = tuple(targets)
+        cod = simplex_algebra(targets)
         return Arrow(
             self.source,
-            tuple(targets),
-            tuple(map_simplex(row, mapping, targets) for row in self.rows),
+            targets,
+            tuple(pushforward(row, mapping, cod) for row in self.rows),
         )
 
 
@@ -146,13 +154,13 @@ class Cone:
     commute with every label map between the arrows' targets."""
 
     apex: str
-    legs: tuple[tuple[Arrow, SimplexPoint], ...]
+    legs: tuple[tuple[Arrow, Measure], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "legs", tuple(self.legs))
         seen = set()
         for arrow, point in self.legs:
-            if point.labels != arrow.targets:
+            if point.algebra != simplex_algebra(arrow.targets):
                 raise ValueError("leg must be indexed by its arrow's targets")
             if arrow in seen:
                 raise ValueError("cone declares an arrow twice")
@@ -162,7 +170,7 @@ class Cone:
     def family(self) -> tuple[Arrow, ...]:
         return tuple(arrow for arrow, _ in self.legs)
 
-    def leg(self, arrow: Arrow) -> SimplexPoint:
+    def leg(self, arrow: Arrow) -> Measure:
         for candidate, point in self.legs:
             if candidate == arrow:
                 return point
@@ -200,6 +208,7 @@ def check_cone_naturality(cone: Cone, max_map_count: int = 512) -> NaturalityRes
         for targets in target_sets:
             if len(targets) ** len(f.targets) > max_map_count:
                 continue
+            cod = simplex_algebra(targets)
             for image in itertools.product(targets, repeat=len(f.targets)):
                 mapping = dict(zip(f.targets, image))
                 composed = f.compose_label_map(mapping, targets)
@@ -207,7 +216,7 @@ def check_cone_naturality(cone: Cone, max_map_count: int = 512) -> NaturalityRes
                 if leg_g is None:
                     continue
                 triangles += 1
-                expected = map_simplex(legs[f], mapping, targets)
+                expected = pushforward(legs[f], mapping, cod)
                 if expected != leg_g:
                     return NaturalityResult(
                         False,
@@ -412,8 +421,8 @@ def _atom_arrow(algebra: Algebra, k: int) -> Arrow:
     """An arrow separating up to ``k`` atoms, used to exercise wider targets."""
     count = min(k, len(algebra.atoms))
     targets = tuple(f"t{i}" for i in range(count))
+    simplex = simplex_algebra(targets)
     rows = tuple(
-        SimplexPoint.point_mass(targets, targets[min(i, count - 1)])
-        for i in range(len(algebra.atoms))
+        dirac(targets[min(i, count - 1)], simplex) for i in range(len(algebra.atoms))
     )
     return Arrow(algebra, targets, rows)

@@ -160,7 +160,7 @@ def random_meta_measure(
 
 def random_simplex_point(
     rng: random.Random, labels: Sequence[str], max_denominator: int
-) -> SimplexPoint:
+) -> Measure:
     return SimplexPoint(tuple(labels), random_weights(rng, len(labels), max_denominator))
 
 

@@ -3,8 +3,10 @@
 Two independent routes are provided: an exact rational linear program over
 1-Lipschitz [0, 1]-valued test functions (any metric), and the subset-maximum
 formula valid under the discrete metric, where the distance also equals half
-the L1 distance.  Non-expansiveness of the monad unit and multiplication is
-checked against these exact distances.
+the L1 distance.  A distribution is a :class:`Measure` on the powerset of the
+space's points (:func:`~finprob.monad.SimplexPoint`).  Non-expansiveness of
+the monad unit and of :func:`~finprob.monad.mult` is checked against these
+exact distances.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import Mapping, Sequence
 from .errors import DomainError
 from .exact import fractions, in_unit_interval, over_common_denominator
 from .linprog import maximize
-from .monad import SimplexPoint
+from .measure import Measure, dirac, simplex_algebra
+from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
+from .report import CheckOutcome, tally
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -115,8 +119,9 @@ class LipschitzFunction:
                     )
 
 
-def _check_indexing(p: SimplexPoint, q: SimplexPoint, points: tuple[str, ...]) -> None:
-    if p.labels != points or q.labels != points:
+def _check_indexing(p: Measure, q: Measure, points: tuple[str, ...]) -> None:
+    simplex = simplex_algebra(points)
+    if p.algebra != simplex or q.algebra != simplex:
         raise DomainError("simplex points must be indexed by the metric's points")
 
 
@@ -159,9 +164,7 @@ def _one_sided_lp(
     return result.value, result.solution
 
 
-def bl_distance_lp(
-    p: SimplexPoint, q: SimplexPoint, space: FiniteMetricSpace
-) -> Fraction:
+def bl_distance_lp(p: Measure, q: Measure, space: FiniteMetricSpace) -> Fraction:
     """Bounded Lipschitz distance: the exact optimum of the test-function LP.
 
     Maximizes ``sum f(x) (p_x - q_x)`` over 1-Lipschitz ``f`` into [0, 1].
@@ -182,7 +185,7 @@ def bl_distance_lp(
 
 
 def bl_distance_lp_witness(
-    p: SimplexPoint, q: SimplexPoint, space: FiniteMetricSpace
+    p: Measure, q: Measure, space: FiniteMetricSpace
 ) -> tuple[Fraction, LipschitzFunction]:
     """As :func:`bl_distance_lp`, also returning an optimal test function."""
     _check_indexing(p, q, space.points)
@@ -191,10 +194,10 @@ def bl_distance_lp_witness(
     return value, LipschitzFunction(space, f)
 
 
-def bl_distance_subsets(p: SimplexPoint, q: SimplexPoint) -> Fraction:
+def bl_distance_subsets(p: Measure, q: Measure) -> Fraction:
     """Subset-maximum form of the distance under the discrete metric:
     the largest absolute gap between subset sums."""
-    if p.labels != q.labels:
+    if p.algebra != q.algebra:
         raise DomainError("simplex points must share one index set")
     n = len(p.labels)
     if n > SUBSET_ENUMERATION_CAP:
@@ -219,9 +222,9 @@ def subset_sums(weights: Sequence[Fraction]) -> list[Fraction]:
     return sums
 
 
-def total_variation(p: SimplexPoint, q: SimplexPoint) -> Fraction:
+def total_variation(p: Measure, q: Measure) -> Fraction:
     """Half the L1 distance between the weight vectors."""
-    if p.labels != q.labels:
+    if p.algebra != q.algebra:
         raise DomainError("simplex points must share one index set")
     return sum((abs(a - b) for a, b in zip(p.weights, q.weights)), ZERO) / 2
 
@@ -239,7 +242,7 @@ class SimplexLipschitzCheck:
 
 
 def check_simplex_lipschitz(
-    f: Mapping[str, SimplexPoint],
+    f: Mapping[str, Measure],
     space: FiniteMetricSpace,
     method: str = "lp",
 ) -> SimplexLipschitzCheck:
@@ -258,17 +261,14 @@ def check_simplex_lipschitz(
         raise DomainError(f"unknown method {method!r}")
     points = space.points
     images = []
-    labels = None
     for x in points:
         if x not in f:
             raise DomainError(f"map is not total: missing {x!r}")
         img = f[x]
-        if labels is None:
-            labels = img.labels
-        elif img.labels != labels:
+        if images and img.algebra != images[0].algebra:
             raise DomainError("images must share one simplex index set")
         images.append(img)
-    assert labels is not None
+    labels = images[0].labels
     target = discrete_space(labels)
 
     direct, direct_witness = True, None
@@ -309,36 +309,26 @@ def discrete_space(labels: Sequence[str]) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels, dist)
 
 
-def average_simplex(
-    support: Sequence[SimplexPoint], weights: Sequence[Fraction]
-) -> SimplexPoint:
-    """Convex combination of simplex points: the monad multiplication on a
-    finitely supported meta-distribution."""
-    if not support:
-        raise ValueError("empty support")
-    labels = support[0].labels
-    for s in support[1:]:
-        if s.labels != labels:
-            raise DomainError("support points must share one index set")
-    acc = [ZERO] * len(labels)
-    for w, s in zip(weights, support):
-        for i, v in enumerate(s.weights):
-            acc[i] += Fraction(w) * v
-    return SimplexPoint(labels, tuple(acc))
-
-
 @dataclass(frozen=True)
 class NonexpansiveReport:
-    unit_cases: int
-    unit_failures: tuple[str, ...]
+    """One check per property, in report order: ``unit-contraction`` with one
+    outcome per pair of points, then ``mult-contraction`` and
+    ``metric-laws`` with one outcome per case."""
+
+    checks: tuple[CheckOutcome, ...]
     unit_tight: int
-    mult_cases: int
-    mult_failures: tuple[str, ...]
-    law_failures: tuple[str, ...]
+
+    @property
+    def unit_cases(self) -> int:
+        return self.checks[0].passed + self.checks[0].failed
+
+    @property
+    def mult_cases(self) -> int:
+        return self.checks[1].passed + self.checks[1].failed
 
     @property
     def ok(self) -> bool:
-        return not (self.unit_failures or self.mult_failures or self.law_failures)
+        return all(c.ok for c in self.checks)
 
 
 def check_bl_monad_nonexpansive(
@@ -352,23 +342,22 @@ def check_bl_monad_nonexpansive(
 
     Unit: the distance between two point masses never exceeds the distance
     between the points (and equals it under the discrete metric).  Mult: the
-    distance between averaged meta-distributions is bounded by the bounded
-    Lipschitz distance between the meta-distributions themselves, computed
-    over the finite support with exact pairwise base distances.  The monad
-    unit and associativity laws are re-asserted on the same instances.  An
-    LP whose optimal test function is not 1-Lipschitz into [0, 1] counts as
-    a failure of the unit or mult check that asked for it.  With no space
-    given, each case draws its own random metric space within
-    ``max_size``.
+    distance between the :func:`~finprob.monad.mult` averages of two
+    meta-distributions is bounded by the bounded Lipschitz distance between
+    the meta-distributions themselves, computed over the finite support with
+    exact pairwise base distances.  The monad's unit and associativity laws
+    are checked on ``mult`` over the same instances; a case's witness is its
+    first failing law.  An LP whose optimal test function is not 1-Lipschitz
+    into [0, 1] counts as a failure of the unit or mult check that asked for
+    it.  With no space given, each case draws its own random metric space
+    within ``max_size``.
     """
     from . import gen  # deferred: gen builds on this module's types
 
-    unit_failures: list[str] = []
-    mult_failures: list[str] = []
-    law_failures: list[str] = []
+    unit_outcomes: list[tuple[bool, str | None]] = []
+    mult_outcomes: list[tuple[bool, str | None]] = []
+    law_outcomes: list[tuple[bool, str | None]] = []
     unit_tight = 0
-    unit_cases = 0
-    mult_cases = 0
 
     for case in range(cases):
         rng = gen.rng_for(seed, "nonexpansive", str(case))
@@ -376,38 +365,40 @@ def check_bl_monad_nonexpansive(
             rng, rng.randint(1, max_size), max_denominator
         )
         labels = current.points
+        simplex = simplex_algebra(labels)
         discrete = current.is_discrete()
 
         for i in range(current.size):
             for j in range(i + 1, current.size):
-                unit_cases += 1
-                px = SimplexPoint.point_mass(labels, labels[i])
-                py = SimplexPoint.point_mass(labels, labels[j])
+                pair = f"({labels[i]},{labels[j]})"
+                px, py = dirac(labels[i], simplex), dirac(labels[j], simplex)
                 try:
                     d = bl_distance_lp(px, py, current)
                 except ValueError as exc:  # the LP's optimum is not 1-Lipschitz
-                    unit_failures.append(f"unit pair ({labels[i]},{labels[j]}): {exc}")
+                    unit_outcomes.append((False, f"unit pair {pair}: {exc}"))
                     continue
                 bound = current.dist[i][j]
-                if d > bound:
-                    unit_failures.append(
-                        f"unit pair ({labels[i]},{labels[j]}): {d} > {bound}"
-                    )
                 if d == min(bound, ONE):
                     unit_tight += 1
-                if discrete and d != bound:
-                    unit_failures.append(
-                        f"discrete equality fails at ({labels[i]},{labels[j]}): {d} != {bound}"
+                if d > bound:
+                    unit_outcomes.append((False, f"unit pair {pair}: {d} > {bound}"))
+                elif discrete and d != bound:
+                    unit_outcomes.append(
+                        (False, f"discrete equality fails at {pair}: {d} != {bound}")
                     )
+                else:
+                    unit_outcomes.append((True, None))
 
         k1, k2 = rng.randint(1, 3), rng.randint(1, 3)
         support1 = _distinct_points(rng, labels, k1, max_denominator)
         support2 = _distinct_points(rng, labels, k2, max_denominator)
         w1 = gen.random_positive_weights(rng, len(support1), max_denominator)
         w2 = gen.random_positive_weights(rng, len(support2), max_denominator)
+        meta1 = MetaMeasure(tuple(support1), w1)
+        meta2 = MetaMeasure(tuple(support2), w2)
+        averages = (mult(meta1), mult(meta2))
 
-        mult_cases += 1
-        merged: list[SimplexPoint] = []
+        merged: list[Measure] = []
         for s in support1 + support2:
             if s not in merged:
                 merged.append(s)
@@ -433,42 +424,40 @@ def check_bl_monad_nonexpansive(
                     SimplexPoint(meta_labels, ext2),
                     meta_space,
                 )
-            lhs = bl_distance_lp(
-                average_simplex(support1, w1), average_simplex(support2, w2), current
-            )
+            lhs = bl_distance_lp(*averages, current)
         except ValueError as exc:  # an LP optimum or the meta metric is invalid
-            mult_failures.append(f"case {case}: {exc}")
+            mult_outcomes.append((False, f"case {case}: {exc}"))
         else:
-            if lhs > meta_distance:
-                mult_failures.append(f"case {case}: d(mult,mult)={lhs} > {meta_distance}")
+            mult_outcomes.append(
+                (lhs <= meta_distance, f"case {case}: d(mult,mult)={lhs} > {meta_distance}")
+            )
 
-        # monad laws re-asserted in the metric setting
+        # the monad laws, on mult itself, in the metric setting
         p = gen.random_simplex_point(rng, labels, max_denominator)
-        if average_simplex([p], [ONE]) != p:
-            law_failures.append(f"case {case}: left unit fails at {p.weights}")
-        diracs = [SimplexPoint.point_mass(labels, x) for x in labels]
-        if average_simplex(diracs, p.weights) != p:
-            law_failures.append(f"case {case}: right unit fails at {p.weights}")
-        inner = [average_simplex(support1, w1), average_simplex(support2, w2)]
         outer = gen.random_positive_weights(rng, 2, max_denominator)
-        left = average_simplex(inner, outer)
-        flat_support = list(support1) + list(support2)
-        flat_weights = [outer[0] * w for w in w1] + [outer[1] * w for w in w2]
-        right = average_simplex(flat_support, flat_weights)
-        if left != right:
-            law_failures.append(f"case {case}: associativity fails")
+        if mult(MetaMeasure.point_mass(p)) != p:
+            law = f"left unit fails at {p.weights}"
+        elif mult(eta_as_meta(p)) != p:
+            law = f"right unit fails at {p.weights}"
+        elif mult(MetaMeasure.merge(zip(outer, averages))) != mult(
+            combine_meta(list(zip(outer, (meta1, meta2))))
+        ):
+            law = "associativity fails"
+        else:
+            law = None
+        law_outcomes.append((law is None, f"case {case}: {law}"))
 
     return NonexpansiveReport(
-        unit_cases,
-        tuple(unit_failures),
+        (
+            tally("unit-contraction", unit_outcomes),
+            tally("mult-contraction", mult_outcomes),
+            tally("metric-laws", law_outcomes),
+        ),
         unit_tight,
-        mult_cases,
-        tuple(mult_failures),
-        tuple(law_failures),
     )
 
 
-def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[SimplexPoint, ...]:
+def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[Measure, ...]:
     """All simplex points whose weights have denominators at most the bound."""
     labels = tuple(labels)
     values = sorted(
@@ -478,7 +467,7 @@ def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[SimplexPo
             for num in range(den + 1)
         }
     )
-    points: list[SimplexPoint] = []
+    points: list[Measure] = []
 
     def build(prefix: list[Fraction], remaining: Fraction, slots: int) -> None:
         if slots == 1:
@@ -498,10 +487,11 @@ class EquivalenceSweep:
     instances: int
     disagreements: tuple[str, ...]
     lp_spot_checks: int
+    lp_disagreements: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.disagreements
+        return not (self.disagreements or self.lp_disagreements)
 
 
 def check_lipschitz_criterion_equivalence(
@@ -538,6 +528,7 @@ def check_lipschitz_criterion_equivalence(
         }
     )
     disagreements: list[str] = []
+    lp_disagreements: list[str] = []
     instances = 0
     lp_spot_checks = 0
     sampled: list[tuple] = []
@@ -588,11 +579,14 @@ def check_lipschitz_criterion_equivalence(
         check = check_simplex_lipschitz(f, space, method="lp")
         lp_spot_checks += 1
         if check.is_lipschitz != verdict or not check.verdicts_agree:
-            disagreements.append(
-                f"lp spot check disagrees on dist={space.dist} map={assignment}"
+            images = tuple(p.weights for p in assignment)
+            lp_disagreements.append(
+                f"lp spot check disagrees on dist={space.dist} map={images}"
             )
 
-    return EquivalenceSweep(instances, tuple(disagreements), lp_spot_checks)
+    return EquivalenceSweep(
+        instances, tuple(disagreements), lp_spot_checks, tuple(lp_disagreements)
+    )
 
 
 def _metric_grid(n: int, distances: Sequence[Fraction]):
@@ -619,7 +613,7 @@ def _metric_grid(n: int, distances: Sequence[Fraction]):
 def _distinct_points(rng, labels, count, max_denominator):
     from . import gen
 
-    out: list[SimplexPoint] = []
+    out: list[Measure] = []
     for _ in range(6 * count):
         p = gen.random_simplex_point(rng, labels, max_denominator)
         if p not in out:

@@ -1,10 +1,12 @@
-"""The probability monad on finite spaces: functor action on distributions,
-Dirac unit, averaging multiplication, and exhaustive law verification.
+"""The probability monad on finite spaces: Dirac unit, averaging
+multiplication, and exhaustive law verification.
 
-Distributions over a plain label set are :class:`SimplexPoint`; measures on
-``GX`` are represented with finite support only (:class:`MetaMeasure`), which
-makes the averaging integral an exact weighted sum.  The law suite runs
-identically under the sigma-additive and finitely-additive flags.
+A distribution over a plain label set is a :class:`Measure` on the labels'
+powerset (:func:`SimplexPoint`), so the functor action on distributions is
+:func:`~finprob.measure.pushforward`.  Measures on ``GX`` are represented
+with finite support only (:class:`MetaMeasure`), which makes the averaging
+integral an exact weighted sum.  The law suite runs identically under the
+sigma-additive and finitely-additive flags.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DomainError
 from .exact import dot, fractions, total
-from .measure import Measure, Mode, dirac, pushforward
+from .measure import Measure, Mode, dirac, pushforward, simplex_algebra
 from .report import CheckOutcome, tally
 from .setalg import Algebra
 
@@ -23,56 +24,10 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    """A probability distribution on a finite ordered label set."""
-
-    labels: tuple[str, ...]
-    weights: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        labels = tuple(str(x) for x in self.labels)
-        weights = fractions(self.weights)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "weights", weights)
-        if len(set(labels)) != len(labels):
-            raise ValueError("simplex labels must be distinct")
-        if len(weights) != len(labels):
-            raise ValueError("one weight per label required")
-        if any(w.numerator < 0 for w in weights):
-            raise ValueError("simplex weights must be nonnegative")
-        mass = total(weights)
-        if mass != 1:
-            raise ValueError(f"simplex weights must sum to 1, got {mass}")
-
-    def weight(self, label: str) -> Fraction:
-        try:
-            return self.weights[self.labels.index(label)]
-        except ValueError:
-            raise DomainError(f"label {label!r} not in simplex index set") from None
-
-    @classmethod
-    def point_mass(cls, labels: Sequence[str], x: str) -> "SimplexPoint":
-        labels = tuple(labels)
-        if x not in labels:
-            raise DomainError(f"label {x!r} not in simplex index set")
-        return cls(labels, tuple(ONE if y == x else ZERO for y in labels))
-
-
-def map_simplex(
-    p: SimplexPoint, mapping: Mapping[str, str], targets: Sequence[str]
-) -> SimplexPoint:
-    """Functor action on distributions: push weights along preimages."""
-    targets = tuple(targets)
-    preimages: dict[str, list[Fraction]] = {t: [] for t in targets}
-    for label, w in zip(p.labels, p.weights):
-        if label not in mapping:
-            raise DomainError(f"map is not total: missing {label!r}")
-        t = mapping[label]
-        if t not in preimages:
-            raise DomainError(f"map sends {label!r} outside the target labels")
-        preimages[t].append(w)
-    return SimplexPoint(targets, tuple(total(preimages[t]) for t in targets))
+def SimplexPoint(labels: Sequence[str], weights: Sequence[Fraction]) -> Measure:
+    """A probability distribution on a finite ordered label set: the measure
+    on the labels' powerset with one weight per label."""
+    return Measure(simplex_algebra(tuple(labels)), weights)
 
 
 def unit(x: str, algebra: Algebra, mode: Mode = Mode.SIGMA) -> Measure:

@@ -105,7 +105,9 @@ class Report:
         return all(c.ok for c in self.checks)
 
     def add(self, name: str, passed: int, failed: int, witnesses=()) -> None:
-        self.checks.append(CheckOutcome(name, passed, failed, tuple(witnesses)))
+        """Add a check, keeping its first :data:`MAX_WITNESSES` witnesses."""
+        witnesses = tuple(witnesses)[:MAX_WITNESSES]
+        self.checks.append(CheckOutcome(name, passed, failed, witnesses))
 
     def extend(self, other: "Report") -> None:
         for check in other.checks:

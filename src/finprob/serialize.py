@@ -275,14 +275,14 @@ def load_metric(data: Any, location: str = "$.metric") -> FiniteMetricSpace:
         raise InputError(str(exc), location) from None
 
 
-def dump_simplex(p: SimplexPoint) -> dict:
+def dump_simplex(p: Measure) -> dict:
     return {
         "labels": list(p.labels),
         "weights": [dump_fraction(w) for w in p.weights],
     }
 
 
-def load_simplex(data: Any, location: str = "$", labels=None) -> SimplexPoint:
+def load_simplex(data: Any, location: str = "$", labels=None) -> Measure:
     if isinstance(data, list) and labels is not None:
         weights = [parse_fraction(v, f"{location}[{i}]") for i, v in enumerate(data)]
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
@@ -202,12 +203,18 @@ class Algebra:
         self.check_member(mask)
         return tuple(i for i, atom in enumerate(self.atoms) if atom & mask)
 
-    def atom_of_point(self, label: str) -> int:
-        bit = 1 << self.ground.index(label)
+    @cached_property
+    def point_atoms(self) -> tuple[int, ...]:
+        """The index of each ground point's atom, in point order."""
+        index = [0] * self.ground.size
         for i, atom in enumerate(self.atoms):
-            if atom & bit:
-                return i
-        raise DomainError(f"point {label!r} not covered by atoms")  # unreachable
+            for j in range(self.ground.size):
+                if atom >> j & 1:
+                    index[j] = i
+        return tuple(index)
+
+    def atom_of_point(self, label: str) -> int:
+        return self.point_atoms[self.ground.index(label)]
 
     def refine_with(self, other: "Algebra") -> "Algebra":
         """Smallest common refinement of two algebras on the same ground."""

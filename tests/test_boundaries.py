@@ -55,7 +55,7 @@ def test_sums_off_by_one_997th_are_rejected(off):
     got = 1 + off
     rejects(
         ValueError,
-        f"simplex weights must sum to 1, got {got}",
+        f"atom weights must sum to 1, got {got}",
         lambda: SimplexPoint(LABELS, weights),
     )
     rejects(
@@ -71,7 +71,7 @@ def test_sums_off_by_one_997th_are_rejected(off):
 def test_the_printed_sums_are_exact():
     rejects(
         ValueError,
-        "simplex weights must sum to 1, got 998/997",
+        "atom weights must sum to 1, got 998/997",
         lambda: SimplexPoint(LABELS, (F(1, 2), F(1, 4), F(1, 4) + F(1, 997))),
     )
     rejects(
@@ -100,7 +100,7 @@ def test_a_meta_measure_weight_of_zero_is_rejected():
 def test_a_hair_below_zero_is_rejected():
     rejects(
         ValueError,
-        "simplex weights must be nonnegative",
+        "atom weights must lie in [0, 1]",
         lambda: SimplexPoint(LABELS, (-EPS, 1 + EPS, 0)),
     )
     rejects(
@@ -126,7 +126,7 @@ def test_a_hair_below_zero_is_rejected():
 def test_a_hair_above_one_is_rejected():
     rejects(
         ValueError,
-        "simplex weights must sum to 1, got 1000000001/1000000000",
+        "atom weights must lie in [0, 1]",
         lambda: SimplexPoint(LABELS, (1 + EPS, 0, 0)),
     )
     rejects(

@@ -407,3 +407,24 @@ def test_valid_benchmark_instances_carry_exactly_the_declared_keys():
     for kind in ("codensity", "reconstruct", "extend", "integrate", "distance"):
         for _ in range(5):
             assert set(workloads._valid(kind, rng)) == set(COMMANDS[kind].keys), kind
+
+
+def test_distance_input_on_seventeen_points_exits_zero(tmp_path):
+    """A distribution's label set has no size cap: 17 points is one more
+    than a ground set's default cap."""
+    n = 17
+    instance = {
+        "format": 1,
+        "metric": {
+            "points": [f"x{i}" for i in range(n)],
+            "dist": [["0/1" if i == j else "1/1" for j in range(n)] for i in range(n)],
+        },
+        "p": ["1/1"] + ["0/1"] * (n - 1),
+        "q": ["0/1"] * (n - 1) + ["1/1"],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("distance", path)
+    assert done.returncode == 0, done.stderr
+    values = json.loads(done.stdout)["checks"][0]["witnesses"][0]
+    assert values == {"lp": "1/1", "subsets": "1/1"}

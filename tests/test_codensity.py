@@ -19,6 +19,7 @@ from finprob import (
     dirac,
     indicator_family,
     reconstruct_from_cone,
+    simplex_algebra,
     small_index_sufficiency,
     uniform,
     verify_codensity_bijection,
@@ -67,7 +68,7 @@ def test_cone_legs_of_dirac_evaluate_the_arrow():
 def test_cone_legs_of_uniform_on_atom_arrow():
     alg = powerset3()
     targets = ("a", "b", "c")
-    rows = tuple(SimplexPoint.point_mass(targets, targets[i]) for i in range(3))
+    rows = tuple(dirac(targets[i], simplex_algebra(targets)) for i in range(3))
     from finprob.codensity import Arrow
 
     arrow = Arrow(alg, targets, rows)

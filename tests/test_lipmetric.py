@@ -9,20 +9,24 @@ import pytest
 from finprob import (
     FiniteMetricSpace,
     LipschitzFunction,
+    Measure,
+    MetaMeasure,
     SimplexPoint,
     bl_distance_lp,
     bl_distance_subsets,
     check_bl_monad_nonexpansive,
     check_lipschitz_criterion_equivalence,
     check_simplex_lipschitz,
+    dirac,
     discrete_space,
+    mult,
+    simplex_algebra,
     total_variation,
 )
 from finprob import gen, lipmetric
 from finprob.linprog import maximize
 from finprob.lipmetric import (
     _one_sided_lp,
-    average_simplex,
     bl_distance_lp_witness,
     simplex_grid,
 )
@@ -61,8 +65,8 @@ def test_identical_points_have_zero_distance():
 
 def test_discrete_metric_separates_point_masses():
     labels = ("a", "b")
-    p = SimplexPoint.point_mass(labels, "a")
-    q = SimplexPoint.point_mass(labels, "b")
+    p = dirac("a", simplex_algebra(labels))
+    q = dirac("b", simplex_algebra(labels))
     assert bl_distance_lp(p, q, discrete_space(labels)) == 1
     assert bl_distance_subsets(p, q) == 1
 
@@ -70,8 +74,8 @@ def test_discrete_metric_separates_point_masses():
 def test_half_distance_two_point_space():
     labels = ("a", "b")
     space = FiniteMetricSpace(labels, ((F(0), F(1, 2)), (F(1, 2), F(0))))
-    p = SimplexPoint.point_mass(labels, "a")
-    q = SimplexPoint.point_mass(labels, "b")
+    p = dirac("a", simplex_algebra(labels))
+    q = dirac("b", simplex_algebra(labels))
     value = bl_distance_lp(p, q, space)
     assert value == F(1, 2)
     assert value == grid_oracle(p, q, space)
@@ -365,8 +369,8 @@ def test_disagreeing_criteria_are_reported(monkeypatch):
     labels = ("u", "v")
     space = FiniteMetricSpace(("x", "y"), ((F(0), F(3, 4)), (F(3, 4), F(0))))
     f = {
-        "x": SimplexPoint.point_mass(labels, "u"),
-        "y": SimplexPoint.point_mass(labels, "v"),
+        "x": dirac("u", simplex_algebra(labels)),
+        "y": dirac("v", simplex_algebra(labels)),
     }
     result = check_simplex_lipschitz(f, space)
     assert not result.is_lipschitz
@@ -377,7 +381,7 @@ def test_vertex_embedding_of_discrete_space_is_lipschitz():
     points = ("x", "y", "z")
     space = discrete_space(points)
     labels = ("u", "v", "w")
-    f = {p: SimplexPoint.point_mass(labels, labels[i]) for i, p in enumerate(points)}
+    f = {p: dirac(labels[i], simplex_algebra(labels)) for i, p in enumerate(points)}
     result = check_simplex_lipschitz(f, space)
     assert result.is_lipschitz and result.verdicts_agree
 
@@ -444,8 +448,8 @@ def test_nonexpansive_unit_tight_on_discrete():
 def test_nonexpansive_small_distance():
     labels = ("a", "b")
     space = FiniteMetricSpace(labels, ((F(0), F(1, 3)), (F(1, 3), F(0))))
-    pa = SimplexPoint.point_mass(labels, "a")
-    pb = SimplexPoint.point_mass(labels, "b")
+    pa = dirac("a", simplex_algebra(labels))
+    pb = dirac("b", simplex_algebra(labels))
     assert bl_distance_lp(pa, pb, space) == F(1, 3)
     report = check_bl_monad_nonexpansive(space, cases=5, seed=0)
     assert report.ok
@@ -455,8 +459,58 @@ def test_nonexpansive_equal_meta_measures():
     labels = ("a", "b")
     space = discrete_space(labels)
     p = SimplexPoint(labels, (F(1, 4), F(3, 4)))
-    assert average_simplex([p, p], [F(1, 2), F(1, 2)]) == p
+    assert mult(MetaMeasure.merge([(F(1, 2), p), (F(1, 2), p)])) == p
     assert bl_distance_lp(p, p, space) == 0
+
+
+def test_a_faulted_mult_fails_metric_laws(monkeypatch):
+    from finprob.cli import run_nonexpansive
+    from finprob.report import SuiteConfig
+
+    def swaps_two_weights(m):
+        p = mult(m)
+        w = list(p.weights)
+        if len(w) > 1:
+            w[0], w[1] = w[1], w[0]
+        return Measure(p.algebra, tuple(w), p.mode)
+
+    monkeypatch.setattr(lipmetric, "mult", swaps_two_weights)
+    checks = {c.name: c for c in run_nonexpansive(SuiteConfig(cases=100)).checks}
+    laws = checks["metric-laws"]
+    assert laws.failed > 0 and laws.witnesses
+    assert all(w.startswith("case ") for w in laws.witnesses)
+    for check in checks.values():
+        assert check.passed >= 0
+    assert laws.passed + laws.failed == 20  # one outcome per case
+
+
+def test_each_unit_pair_counts_once(monkeypatch):
+    """An off LP breaks both the bound and the discrete equality of every
+    unit pair; each pair is still one failed outcome."""
+    real = lipmetric.bl_distance_lp
+    monkeypatch.setattr(
+        lipmetric, "bl_distance_lp", lambda p, q, space: real(p, q, space) + F(1, 1000)
+    )
+    report = check_bl_monad_nonexpansive(discrete_space(("a", "b", "c")), cases=4)
+    unit = report.checks[0]
+    assert (unit.name, unit.passed, unit.failed) == ("unit-contraction", 0, 12)
+    assert report.unit_cases == 12
+
+
+def test_a_faulted_lp_fails_lp_spot_checks_alone(monkeypatch):
+    from finprob.cli import run_lipschitz_equivalence
+    from finprob.report import SuiteConfig
+
+    real = lipmetric.bl_distance_lp
+    monkeypatch.setattr(
+        lipmetric, "bl_distance_lp", lambda p, q, space: real(p, q, space) + 1
+    )
+    checks = {c.name: c for c in run_lipschitz_equivalence(SuiteConfig()).checks}
+    spot = checks["lp-spot-checks"]
+    assert spot.failed > 0 and spot.witnesses
+    assert spot.passed + spot.failed == 100
+    assert all(w.startswith("lp spot check disagrees") for w in spot.witnesses)
+    assert checks["criteria-agree"].failed == 0
 
 
 def test_nonexpansive_random_spaces():

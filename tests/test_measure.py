@@ -13,10 +13,12 @@ from finprob import (
     Measure,
     Mode,
     PreconditionError,
+    SimplexPoint,
     dirac,
     evaluate,
     generate_algebra,
     pushforward,
+    simplex_algebra,
     uniform,
     validate,
     validate_weights,
@@ -102,6 +104,32 @@ def test_pushforward_requires_premeasurable_map():
     p = dirac("0", dom)
     with pytest.raises(PreconditionError):
         pushforward(p, {"0": "a", "1": "b", "2": "b"}, cod)
+
+
+def test_pushforward_errors_keep_their_types_and_messages():
+    g = GroundSet(("0", "1", "2"))
+    dom = generate_algebra(g, [g.mask_of(["0", "1"])])  # atoms {0, 1} and {2}
+    cod = Algebra.powerset(GroundSet(("a", "b")))
+    p = dirac("0", dom)
+    # the map also splits {0, 1}; totality is reported first
+    with pytest.raises(DomainError, match="^map is not total: missing '2'$"):
+        pushforward(p, {"0": "a", "1": "b"}, cod)
+    with pytest.raises(DomainError, match="^point 'z' not in ground set$"):
+        pushforward(p, {"0": "a", "1": "a", "2": "z"}, cod)
+    with pytest.raises(PreconditionError) as info:
+        pushforward(p, {"0": "a", "1": "b", "2": "b"}, cod)
+    assert str(info.value) == (
+        "map is not premeasurable: preimage of ('a',) is not in the domain algebra"
+    )
+
+
+def test_simplex_algebra_is_shared_and_uncapped():
+    labels = tuple(f"x{i}" for i in range(17))  # one past the default cap
+    algebra = simplex_algebra(labels)
+    assert algebra is simplex_algebra(labels)
+    assert algebra.atoms == tuple(1 << i for i in range(17))
+    p = SimplexPoint(labels, (1,) + (0,) * 16)
+    assert p.algebra is algebra and p.labels == labels
 
 
 def test_validate_uniform_measure():

@@ -12,38 +12,21 @@ from finprob import (
     Measure,
     MetaMeasure,
     Mode,
-    SimplexPoint,
     check_monad_laws,
     combine_meta,
     dirac,
-    map_simplex,
     mult,
+    pushforward,
+    simplex_algebra,
     unit,
 )
 from finprob.monad import eta_as_meta
 from finprob import gen
 
 
-def test_map_simplex_identity():
-    p = SimplexPoint(("a", "b"), (F(1, 3), F(2, 3)))
-    assert map_simplex(p, {"a": "a", "b": "b"}, ("a", "b")) == p
-
-
-def test_map_simplex_constant_gives_point_mass():
-    p = SimplexPoint(("a", "b"), (F(1, 3), F(2, 3)))
-    q = map_simplex(p, {"a": "z", "b": "z"}, ("z",))
-    assert q == SimplexPoint.point_mass(("z",), "z")
-
-
-def test_map_simplex_preimage_sums():
-    p = SimplexPoint(("0", "1", "2"), (F(1, 6), F(1, 3), F(1, 2)))
-    q = map_simplex(p, {"0": "0", "1": "0", "2": "1"}, ("0", "1"))
-    assert q.weights == (F(1, 2), F(1, 2))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**9))
-def test_map_simplex_functoriality(seed):
+def test_simplex_pushforward_functoriality(seed):
     rng = gen.rng_for(seed, "hyp-gmap")
     labels_a = tuple(f"a{i}" for i in range(rng.randint(1, 4)))
     labels_b = tuple(f"b{i}" for i in range(rng.randint(1, 3)))
@@ -52,8 +35,9 @@ def test_map_simplex_functoriality(seed):
     g = {x: rng.choice(labels_c) for x in labels_b}
     p = gen.random_simplex_point(rng, labels_a, 10)
     composed = {x: g[f[x]] for x in labels_a}
-    assert map_simplex(map_simplex(p, f, labels_b), g, labels_c) == map_simplex(
-        p, composed, labels_c
+    mid, cod = simplex_algebra(labels_b), simplex_algebra(labels_c)
+    assert pushforward(pushforward(p, f, mid), g, cod) == pushforward(
+        p, composed, cod
     )
 
 
