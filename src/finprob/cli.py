@@ -503,6 +503,7 @@ def run_reconstruct_input(config: SuiteConfig, data: dict) -> Report:
         data.get("table"), algebra, "$.table"
     )
     try:
+        _require_indicators(functional)
         result = (
             reconstruct_measure(functional)
             if config.mode is Mode.SIGMA
@@ -513,6 +514,30 @@ def run_reconstruct_input(config: SuiteConfig, data: dict) -> Report:
         return report
     report.add("reconstruct", 1, 0, (serialize.dump_measure(result),))
     return report
+
+
+def _require_indicators(table: Functional) -> None:
+    """A table determines a measure only if it lists 1_X and the indicator
+    of every atom; name the ones it lacks, as ``reconstruct_from_cone`` does
+    for a cone's legs."""
+    algebra = table.algebra
+    listed = set(table.test_family)
+    needed = dict.fromkeys(algebra.atoms + (algebra.ground.full_mask,))
+    missing = [
+        mask
+        for mask in needed
+        if SimpleFunction.indicator(algebra, mask) not in listed
+    ]
+    if missing:
+        names = ", ".join(
+            "1_{" + ", ".join(algebra.ground.labels_of(mask)) + "}"
+            for mask in missing
+        )
+        raise ReconstructionError(
+            "table lacks the indicators needed to determine a measure "
+            f"(every atom and the whole set): {names}",
+            witness=tuple(missing),
+        )
 
 
 def run_extend_input(config: SuiteConfig, data: dict) -> Report:

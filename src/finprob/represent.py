@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -247,40 +248,64 @@ class WeakLatticeReport:
     witnesses: tuple[tuple, ...]  # (clause key, multiplier, member index) triples
 
 
+def _scaled(
+    vectors: Sequence[tuple[Fraction, ...]],
+) -> tuple[int, list[tuple[int, ...]]]:
+    """``(D, numerators)``: every vector as integers over ``D``, the least
+    common denominator of all their entries."""
+    scale = lcm(*(v.denominator for vec in vectors for v in vec))
+    return scale, [
+        tuple(v.numerator * (scale // v.denominator) for v in vec) for vec in vectors
+    ]
+
+
+def _unscaled(vec: Sequence[int], scale: int) -> tuple[Fraction, ...]:
+    """The rational vector ``vec / scale``, for witnesses."""
+    return tuple(Fraction(v, scale) for v in vec)
+
+
+def _direction(vec: Sequence[int]) -> tuple[int, ...] | None:
+    """The primitive integer vector on the ray of ``vec`` (``None`` for zero):
+    two nonzero vectors are positive multiples of each other exactly when
+    their directions agree."""
+    g = gcd(*vec)
+    if g == 0:
+        return None
+    return tuple(v // g for v in vec)
+
+
+def _direction_index(vectors: Sequence[Sequence[int]]) -> dict[tuple, list[int]]:
+    """Member indices grouped by direction, each group in ascending order."""
+    index: dict[tuple, list[int]] = {}
+    for idx, vec in enumerate(vectors):
+        d = _direction(vec)
+        if d is not None:
+            index.setdefault(d, []).append(idx)
+    return index
+
+
 def _as_multiple(
-    target: tuple[Fraction, ...],
-    members: Sequence[tuple[Fraction, ...]],
+    target: tuple[int, ...],
+    members: Sequence[tuple[int, ...]],
+    index: Mapping[tuple, list[int]],
     bound: int,
 ) -> tuple[int, int] | None:
-    """Find ``(n, index)`` with ``target == n * members[index]``, ``n`` a
-    nonnegative integer at most ``bound`` (zero only for the zero target)."""
-    if all(v == 0 for v in target):
+    """``(n, idx)`` with ``target == n * members[idx]`` for the smallest
+    ``idx`` with ``1 <= n <= bound``; ``(0, 0)`` for the zero target (member
+    0 of a lattice is the zero function)."""
+    d = _direction(target)
+    if d is None:
         return (0, 0)
-    for idx, h in enumerate(members):
-        if all(v == 0 for v in h):
-            continue
-        ratio = None
-        consistent = True
-        for t, v in zip(target, h):
-            if v == 0:
-                if t != 0:
-                    consistent = False
-                    break
-                continue
-            r = t / v
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                consistent = False
-                break
-        if (
-            consistent
-            and ratio is not None
-            and ratio.denominator == 1
-            and 1 <= ratio <= bound
-        ):
-            return (int(ratio), idx)
+    k = next(i for i, v in enumerate(d) if v)
+    for idx in index.get(d, ()):
+        n, rest = divmod(target[k], members[idx][k])
+        if not rest and n <= bound:
+            return (n, idx)
     return None
+
+
+def _is_count(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool)
 
 
 def check_weak_lattice(
@@ -289,57 +314,71 @@ def check_weak_lattice(
     """Verify the four weak-lattice closure clauses exactly.
 
     A provided ``scale_witnesses`` entry (keyed by clause and operands,
-    valued ``(multiplier, member index)``) is verified directly; absent
-    witnesses are searched up to ``multiplier_bound``.  Reports the first
-    unsatisfiable clause.
+    valued ``(multiplier, member index)``) is verified directly and to the
+    same standard as a searched one: the multiplier must be an ``int`` in
+    ``[0, multiplier_bound]``.  Absent witnesses are searched up to
+    ``multiplier_bound``.  Reports the first unsatisfiable clause.
+
+    Every member is held as an integer vector over the lattice's common
+    denominator ``D``, so the clauses are integer maxima, minima,
+    differences and clips at ``D``.
     """
     fns = lattice.functions
-    n_pts = lattice.ground.size
-    one = (ONE,) * n_pts
+    scale, vecs = _scaled(fns)
+    position = {vec: i for i, vec in enumerate(vecs)}
+    index = _direction_index(vecs)
     provided = lattice.scale_witnesses or {}
     witnesses: list[tuple] = []
 
-    if one not in fns:
+    if (scale,) * lattice.ground.size not in position:
         return WeakLatticeReport(False, "contains-one", (), ())
 
     def exhibit(key, target):
         """A verified (multiplier, member index) pair for target in NL."""
         if key in provided:
             n, idx = provided[key]
-            if 0 <= idx < len(fns) and all(
-                t == n * v for t, v in zip(target, fns[idx])
+            if (
+                _is_count(n)
+                and 0 <= n <= multiplier_bound
+                and _is_count(idx)
+                and 0 <= idx < len(vecs)
+                and all(t == n * v for t, v in zip(target, vecs[idx]))
             ):
                 return (n, idx)
             return None  # a wrong witness is a failure, not a search trigger
-        return _as_multiple(target, fns, multiplier_bound)
+        return _as_multiple(target, vecs, index, multiplier_bound)
 
-    for i, f in enumerate(fns):
-        for j, g in enumerate(fns[i:], start=i):
-            join = tuple(max(a, b) for a, b in zip(f, g))
-            meet = tuple(min(a, b) for a, b in zip(f, g))
+    for i, f in enumerate(vecs):
+        for j, g in enumerate(vecs[i:], start=i):
+            join = tuple(map(max, f, g))
+            meet = tuple(map(min, f, g))
             span = tuple(a - b for a, b in zip(join, meet))
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
                 found = exhibit((kind, i, j), target)
                 if found is None:
-                    return WeakLatticeReport(
-                        False, kind, (i, j, target), tuple(witnesses)
-                    )
+                    witness = (i, j, _unscaled(target, scale))
+                    return WeakLatticeReport(False, kind, witness, tuple(witnesses))
                 witnesses.append(((kind, i, j), found[0], found[1]))
 
-    for i, f in enumerate(fns):
+    for i, f in enumerate(vecs):
         for n in range(1, lattice.clip_bound + 1):
-            clipped = tuple(min(n * v, ONE) for v in f)
+            clipped = tuple(min(n * v, scale) for v in f)
             found = exhibit(("clip", i, n), clipped)
             if found is None:
-                return WeakLatticeReport(False, "clip", (i, n, clipped), tuple(witnesses))
+                witness = (i, n, _unscaled(clipped, scale))
+                return WeakLatticeReport(False, "clip", witness, tuple(witnesses))
             witnesses.append((("clip", i, n), found[0], found[1]))
 
-    for i, f in enumerate(fns):
+    for i, f in enumerate(vecs):
         for r in lattice.scalars:
-            scaled = tuple(r * v for v in f)
-            if scaled not in fns:
-                return WeakLatticeReport(False, "scale", (i, r, scaled), tuple(witnesses))
-            witnesses.append((("scale", i, r), 1, fns.index(scaled)))
+            num, den = r.numerator, r.denominator
+            idx = None
+            if all(num * v % den == 0 for v in f):
+                idx = position.get(tuple(num * v // den for v in f))
+            if idx is None:
+                witness = (i, r, tuple(r * v for v in fns[i]))
+                return WeakLatticeReport(False, "scale", witness, tuple(witnesses))
+            witnesses.append((("scale", i, r), 1, idx))
 
     return WeakLatticeReport(True, None, None, tuple(witnesses))
 
@@ -569,6 +608,9 @@ def daniell_stone(
     the induced finite product grid, and reads the measure off the
     height-one slice.  The result is cross-checked against the direct
     indicator reconstruction whenever the lattice exposes every indicator.
+
+    Bounds, heights, breakpoints and cells are integer vectors over the
+    lattice's common denominator ``D``; functional values stay rational.
     """
     report = check_weak_lattice(lattice, multiplier_bound)
     if not report.ok:
@@ -592,48 +634,30 @@ def daniell_stone(
 
     sigma = sigma_of_functions(ground, lattice.functions)
     atom_count = len(sigma.atoms)
+    firsts = [(atom & -atom).bit_length() - 1 for atom in sigma.atoms]
+    scale, point_vecs = _scaled(lattice.functions)
+    members = [tuple(vec[p] for p in firsts) for vec in point_vecs]
+    values = [table[vec] for vec in lattice.functions]
+    by_direction = _direction_index(members)
 
-    def to_atom_vec(point_vec: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-        out = []
-        for atom in sigma.atoms:
-            idx = next(i for i in range(ground.size) if atom >> i & 1)
-            out.append(point_vec[idx])
-        return tuple(out)
-
-    members_atom = {to_atom_vec(vec): vec for vec in lattice.functions}
-
-    def lift(height: tuple[Fraction, ...]) -> Fraction | None:
+    def lift(height: tuple[int, ...]) -> Fraction | None:
         """The lifted functional on rational multiples of declared members."""
-        if all(v == 0 for v in height):
+        d = _direction(height)
+        if d is None:
             return ZERO
-        for member, point_vec in members_atom.items():
-            if all(v == 0 for v in member):
-                continue
-            ratio = None
-            for t, v in zip(height, member):
-                if v == 0:
-                    if t != 0:
-                        ratio = None
-                        break
-                    continue
-                r = t / v
-                if ratio is None:
-                    ratio = r
-                elif r != ratio:
-                    ratio = None
-                    break
-            if ratio is not None and ratio > 0:
-                return ratio * table[point_vec]
-        return None
+        on_ray = by_direction.get(d)
+        if on_ray is None:
+            return None
+        j = on_ray[0]
+        k = next(i for i, v in enumerate(d) if v)
+        return Fraction(height[k], members[j][k]) * values[j]
 
     # Join/meet-closed family of slab bounds, capped at height one.
-    bounds = {(ZERO,) * atom_count, (ONE,) * atom_count}
-    for vec in members_atom:
-        if all(v <= 1 for v in vec):
-            bounds.add(vec)
+    bounds = {(0,) * atom_count, (scale,) * atom_count}
+    bounds.update(vec for vec in members if max(vec) <= scale)
     for member_mask in sigma.members:
         bounds.add(
-            tuple(ONE if atom & member_mask else ZERO for atom in sigma.atoms)
+            tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
         )
     frontier = list(bounds)
     while frontier:
@@ -643,17 +667,14 @@ def daniell_stone(
             )
         f = frontier.pop()
         for g in tuple(bounds):
-            for combo in (
-                tuple(max(x, y) for x, y in zip(f, g)),
-                tuple(min(x, y) for x, y in zip(f, g)),
-            ):
+            for combo in (tuple(map(max, f, g)), tuple(map(min, f, g))):
                 if combo not in bounds:
                     bounds.add(combo)
                     frontier.append(combo)
     bound_family = sorted(bounds)
 
     # Finite product grid: sigma atoms times vertical cells between breakpoints.
-    breakpoints = sorted({v for vec in bound_family for v in vec} | {ZERO, ONE})
+    breakpoints = sorted({v for vec in bound_family for v in vec} | {0, scale})
     cells = list(zip(breakpoints, breakpoints[1:]))
     product_points = tuple(
         f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
@@ -662,34 +683,41 @@ def daniell_stone(
         product_points, size_cap=max(len(product_points), 16)
     )
 
-    def slab_mask(lower, upper) -> int:
-        mask = 0
-        bit = 0
-        for i in range(atom_count):
-            for lo_cell, hi_cell in cells:
-                if lower[i] <= lo_cell and hi_cell <= upper[i]:
-                    mask |= 1 << bit
-                bit += 1
-        return mask
+    # A slab [lower, upper) covers the cells at or above lower and at or
+    # below upper on every atom: its mask is an AND of two per-bound masks.
+    def cell_mask(covers) -> int:
+        return sum(1 << bit for bit, covered in enumerate(covers) if covered)
+
+    above = {
+        vec: cell_mask(v <= lo for v in vec for lo, _ in cells) for vec in bound_family
+    }
+    below = {
+        vec: cell_mask(hi <= v for v in vec for _, hi in cells) for vec in bound_family
+    }
+
+    def fractions_of(slab):
+        return tuple(_unscaled(vec, scale) for vec in slab)
 
     slab_values: dict[int, tuple] = {}
     for lower in bound_family:
         for upper in bound_family:
-            if any(lo > hi for lo, hi in zip(lower, upper)):
+            if any(map(int.__gt__, lower, upper)):
                 continue
-            mask = slab_mask(lower, upper)
-            height = tuple(hi - lo for lo, hi in zip(lower, upper))
-            value = lift(height)
+            mask = above[lower] & below[upper]
+            value = lift(tuple(hi - lo for lo, hi in zip(lower, upper)))
             if value is None:
                 raise ExtensionError(
                     "slab height is not a rational multiple of any declared "
                     "lattice member; declare a richer family",
-                    witness=(lower, upper),
+                    witness=fractions_of((lower, upper)),
                 )
             if mask in slab_values and slab_values[mask][0] != value:
                 raise ExtensionError(
                     "functional assigns different masses to one slab set",
-                    witness=(slab_values[mask][1], (lower, upper)),
+                    witness=(
+                        fractions_of(slab_values[mask][1]),
+                        fractions_of((lower, upper)),
+                    ),
                 )
             slab_values.setdefault(mask, (value, (lower, upper)))
 
@@ -713,7 +741,7 @@ def daniell_stone(
     for vec in lattice.functions:
         if any(v > 1 for v in vec):
             continue
-        f_simple = SimpleFunction(sigma, to_atom_vec(vec))
+        f_simple = SimpleFunction(sigma, tuple(vec[p] for p in firsts))
         if simple_integral(result, f_simple) != table[vec]:
             raise ExtensionError(
                 "slab route fails to represent the functional",
@@ -724,7 +752,7 @@ def daniell_stone(
     indicator_pairs = []
     complete = True
     for member_mask in sigma.members:
-        ind = tuple(ONE if atom & member_mask else ZERO for atom in sigma.atoms)
+        ind = tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
         value = lift(ind)
         if value is None:
             complete = False

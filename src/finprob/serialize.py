@@ -14,7 +14,7 @@ from typing import Any
 
 from .codensity import Arrow, Cone
 from .errors import FinprobError, InputError
-from .integrate import SimpleFunction
+from .integrate import SimpleFunction, canonicalize
 from .lipmetric import FiniteMetricSpace
 from .measure import Measure, Mode
 from .monad import SimplexPoint
@@ -205,11 +205,18 @@ def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> F
     raw_values = _expect(_field(obj, "values", location), list, f"{location}.values")
     if len(raw_family) != len(raw_values):
         raise InputError("family and values must have equal length", location)
-    pairs = []
+    values: dict[SimpleFunction, Fraction] = {}
     for i, (fn_data, val) in enumerate(zip(raw_family, raw_values)):
         fn = load_simple_function(fn_data, algebra, f"{location}.family[{i}]")
-        pairs.append((fn, parse_fraction(val, f"{location}.values[{i}]")))
-    return Functional.from_table(algebra, pairs)
+        fn = canonicalize(fn)
+        value = parse_fraction(val, f"{location}.values[{i}]")
+        if values.setdefault(fn, value) != value:
+            raise InputError(
+                f"value {value} conflicts with {values[fn]} given earlier "
+                "for the same function",
+                f"{location}.values[{i}]",
+            )
+    return Functional.from_table(algebra, values.items())
 
 
 # -- slabs -------------------------------------------------------------------

@@ -12,6 +12,8 @@ import sys
 import time
 from fractions import Fraction as F
 
+import pytest
+
 from finprob import (
     Mode,
     SimplexPoint,
@@ -221,3 +223,18 @@ def test_criterion_10_determinism():
     )
     # the report's bytes are fixed, not only the same from run to run
     assert hashlib.sha256(first.stdout.encode()).hexdigest() == ALL_SEED_0_SHA256
+
+
+# The reports of the two suites that run the weak-lattice check and the slab
+# route, pinned byte for byte alongside the full report.
+SUITE_SEED_0_SHA256 = {
+    "extend": "1499d6d2aec45f4ded123e1fbbb03d5285b72029ee1b90806c4fc604b19c8884",
+    "reconstruct": "d5f545aff1857e59ebe473e08c66905ec166308538940ab644205d183f928219",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_SEED_0_SHA256))
+def test_suite_reports_are_pinned(suite, capsys):
+    assert cli.run([suite, "--seed", "0"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SEED_0_SHA256[suite]

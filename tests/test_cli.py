@@ -127,6 +127,57 @@ def test_reconstruct_input_success(tmp_path, capsys):
     assert weights == {"0": "1/4", "1": "3/4"}
 
 
+TWO_POINT_ALGEBRA = {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]}
+
+
+def test_reconstruct_input_missing_indicators_exits_one(tmp_path):
+    """A table without the indicator of atom {1} cannot determine a measure:
+    a failed check naming 1_{1}, not a crash."""
+    instance = {
+        "format": 1,
+        "algebra": TWO_POINT_ALGEBRA,
+        "table": {
+            "family": [{"terms": [["1/1", [0, 1]]]}, {"terms": [["1/1", [0]]]}],
+            "values": ["1/1", "1/4"],
+        },
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("reconstruct", path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    check = json.loads(done.stdout)["checks"][0]
+    assert (check["name"], check["passed"], check["failed"]) == ("reconstruct", 0, 1)
+    assert check["witnesses"][0].endswith("(every atom and the whole set): 1_{1}")
+
+
+def test_reconstruct_input_conflicting_duplicate_rows_exit_two(tmp_path, capsys):
+    """Rows 1 and 3 both give 1_{0} (once as 1/2 + 1/2); equal values are
+    accepted, different ones are bad input at the later row."""
+    family = [
+        {"terms": [["1/1", [0, 1]]]},
+        {"terms": [["1/1", [0]]]},
+        {"terms": [["1/1", [1]]]},
+        {"terms": [["1/2", [0]], ["1/2", [0]]]},
+    ]
+    instance = {
+        "format": 1,
+        "algebra": TWO_POINT_ALGEBRA,
+        "table": {"family": family, "values": ["1/1", "1/4", "3/4", "1/4"]},
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(instance))
+    code, out, _ = run_cli(capsys, "reconstruct", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["checks"][0]["witnesses"][0]["weights"] == {
+        "0": "1/4",
+        "1": "3/4",
+    }
+    instance["table"]["values"][3] = "1/3"
+    path.write_text(json.dumps(instance))
+    assert_input_error(run_module("reconstruct", path), "$.table.values[3]")
+
+
 def test_codensity_cone_input_round_trip(tmp_path, capsys):
     from fractions import Fraction as F
 

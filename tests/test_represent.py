@@ -28,8 +28,9 @@ from finprob import (
     slab_subtract,
     uniform,
 )
-from finprob.setalg import SemiRing
-from finprob import gen
+from finprob import gen, represent
+from finprob.represent import WeakLatticeReport
+from finprob.setalg import SemiRing, sigma_of_functions
 
 
 def indicator_family_of(algebra):
@@ -429,3 +430,472 @@ def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
             )
         )
         assert rebuilt == direct
+
+
+# --- the integer kernel against the Fraction scan it replaced ------------------
+#
+# ``check_weak_lattice`` and ``daniell_stone`` work on integer vectors over the
+# lattice's common denominator and find multiples through a direction index.
+# The functions below are the earlier ``Fraction`` implementations, which
+# scanned every member for each multiple; they are kept as references only.
+
+
+def reference_as_multiple(target, members, bound):
+    """Find ``(n, index)`` with ``target == n * members[index]``, ``n`` a
+    nonnegative integer at most ``bound`` (zero only for the zero target)."""
+    if all(v == 0 for v in target):
+        return (0, 0)
+    for idx, h in enumerate(members):
+        if all(v == 0 for v in h):
+            continue
+        ratio = None
+        consistent = True
+        for t, v in zip(target, h):
+            if v == 0:
+                if t != 0:
+                    consistent = False
+                    break
+                continue
+            r = t / v
+            if ratio is None:
+                ratio = r
+            elif r != ratio:
+                consistent = False
+                break
+        if (
+            consistent
+            and ratio is not None
+            and ratio.denominator == 1
+            and 1 <= ratio <= bound
+        ):
+            return (int(ratio), idx)
+    return None
+
+
+def reference_check_weak_lattice(lattice, multiplier_bound=64):
+    fns = lattice.functions
+    n_pts = lattice.ground.size
+    one = (F(1),) * n_pts
+    provided = lattice.scale_witnesses or {}
+    witnesses: list[tuple] = []
+
+    if one not in fns:
+        return WeakLatticeReport(False, "contains-one", (), ())
+
+    def exhibit(key, target):
+        """A verified (multiplier, member index) pair for target in NL."""
+        if key in provided:
+            n, idx = provided[key]
+            if 0 <= idx < len(fns) and all(
+                t == n * v for t, v in zip(target, fns[idx])
+            ):
+                return (n, idx)
+            return None  # a wrong witness is a failure, not a search trigger
+        return reference_as_multiple(target, fns, multiplier_bound)
+
+    for i, f in enumerate(fns):
+        for j, g in enumerate(fns[i:], start=i):
+            join = tuple(max(a, b) for a, b in zip(f, g))
+            meet = tuple(min(a, b) for a, b in zip(f, g))
+            span = tuple(a - b for a, b in zip(join, meet))
+            for kind, target in (("join", join), ("meet", meet), ("span", span)):
+                found = exhibit((kind, i, j), target)
+                if found is None:
+                    return WeakLatticeReport(
+                        False, kind, (i, j, target), tuple(witnesses)
+                    )
+                witnesses.append(((kind, i, j), found[0], found[1]))
+
+    for i, f in enumerate(fns):
+        for n in range(1, lattice.clip_bound + 1):
+            clipped = tuple(min(n * v, F(1)) for v in f)
+            found = exhibit(("clip", i, n), clipped)
+            if found is None:
+                return WeakLatticeReport(False, "clip", (i, n, clipped), tuple(witnesses))
+            witnesses.append((("clip", i, n), found[0], found[1]))
+
+    for i, f in enumerate(fns):
+        for r in lattice.scalars:
+            scaled = tuple(r * v for v in f)
+            if scaled not in fns:
+                return WeakLatticeReport(False, "scale", (i, r, scaled), tuple(witnesses))
+            witnesses.append((("scale", i, r), 1, fns.index(scaled)))
+
+    return WeakLatticeReport(True, None, None, tuple(witnesses))
+
+
+def reference_daniell_stone(lattice, oracle, multiplier_bound=64, family_cap=512):
+    report = reference_check_weak_lattice(lattice, multiplier_bound)
+    if not report.ok:
+        raise PreconditionError(
+            f"invalid weak integration lattice: clause {report.clause} fails "
+            f"with witness {report.witness}"
+        )
+    ground = lattice.ground
+    one_vec = (F(1),) * ground.size
+    zero_vec = (F(0),) * ground.size
+    table = {zero_vec: F(0)}  # I(0) = 0 is forced; the oracle is never asked
+    for vec in lattice.functions:
+        if vec == zero_vec:
+            continue
+        v = F(oracle(vec))
+        if v < 0:
+            raise PreconditionError(f"functional value {v} is negative")
+        table[vec] = v
+    if table[one_vec] != 1:
+        raise PreconditionError(f"functional sends 1 to {table[one_vec]}, not 1")
+
+    sigma = sigma_of_functions(ground, lattice.functions)
+    atom_count = len(sigma.atoms)
+
+    def to_atom_vec(point_vec):
+        out = []
+        for atom in sigma.atoms:
+            idx = next(i for i in range(ground.size) if atom >> i & 1)
+            out.append(point_vec[idx])
+        return tuple(out)
+
+    members_atom = {to_atom_vec(vec): vec for vec in lattice.functions}
+
+    def lift(height):
+        """The lifted functional on rational multiples of declared members."""
+        if all(v == 0 for v in height):
+            return F(0)
+        for member, point_vec in members_atom.items():
+            if all(v == 0 for v in member):
+                continue
+            ratio = None
+            for t, v in zip(height, member):
+                if v == 0:
+                    if t != 0:
+                        ratio = None
+                        break
+                    continue
+                r = t / v
+                if ratio is None:
+                    ratio = r
+                elif r != ratio:
+                    ratio = None
+                    break
+            if ratio is not None and ratio > 0:
+                return ratio * table[point_vec]
+        return None
+
+    # Join/meet-closed family of slab bounds, capped at height one.
+    bounds = {(F(0),) * atom_count, (F(1),) * atom_count}
+    for vec in members_atom:
+        if all(v <= 1 for v in vec):
+            bounds.add(vec)
+    for member_mask in sigma.members:
+        bounds.add(
+            tuple(F(1) if atom & member_mask else F(0) for atom in sigma.atoms)
+        )
+    frontier = list(bounds)
+    while frontier:
+        if len(bounds) > family_cap:
+            raise ExtensionError(
+                f"slab bound family exceeds the desk-scale cap {family_cap}"
+            )
+        f = frontier.pop()
+        for g in tuple(bounds):
+            for combo in (
+                tuple(max(x, y) for x, y in zip(f, g)),
+                tuple(min(x, y) for x, y in zip(f, g)),
+            ):
+                if combo not in bounds:
+                    bounds.add(combo)
+                    frontier.append(combo)
+    bound_family = sorted(bounds)
+
+    # Finite product grid: sigma atoms times vertical cells between breakpoints.
+    breakpoints = sorted({v for vec in bound_family for v in vec} | {F(0), F(1)})
+    cells = list(zip(breakpoints, breakpoints[1:]))
+    product_points = tuple(
+        f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
+    )
+    product_ground = GroundSet(
+        product_points, size_cap=max(len(product_points), 16)
+    )
+
+    def slab_mask(lower, upper) -> int:
+        mask = 0
+        bit = 0
+        for i in range(atom_count):
+            for lo_cell, hi_cell in cells:
+                if lower[i] <= lo_cell and hi_cell <= upper[i]:
+                    mask |= 1 << bit
+                bit += 1
+        return mask
+
+    slab_values = {}
+    for lower in bound_family:
+        for upper in bound_family:
+            if any(lo > hi for lo, hi in zip(lower, upper)):
+                continue
+            mask = slab_mask(lower, upper)
+            height = tuple(hi - lo for lo, hi in zip(lower, upper))
+            value = lift(height)
+            if value is None:
+                raise ExtensionError(
+                    "slab height is not a rational multiple of any declared "
+                    "lattice member; declare a richer family",
+                    witness=(lower, upper),
+                )
+            if mask in slab_values and slab_values[mask][0] != value:
+                raise ExtensionError(
+                    "functional assigns different masses to one slab set",
+                    witness=(slab_values[mask][1], (lower, upper)),
+                )
+            slab_values.setdefault(mask, (value, (lower, upper)))
+
+    semiring = SemiRing(product_ground, tuple(slab_values))
+    extension = caratheodory_extend(
+        semiring, {mask: value for mask, (value, _) in slab_values.items()}
+    )
+
+    weights = []
+    for i in range(atom_count):
+        column = 0
+        for j in range(len(cells)):
+            column |= 1 << (i * len(cells) + j)
+        weights.append(extension.value(column))
+    try:
+        result = Measure(sigma, tuple(weights), Mode.SIGMA)
+    except ValueError as exc:
+        raise ExtensionError(f"slab extension is not a probability measure: {exc}")
+
+    # representation property on lattice members bounded by one
+    for vec in lattice.functions:
+        if any(v > 1 for v in vec):
+            continue
+        f_simple = SimpleFunction(sigma, to_atom_vec(vec))
+        if simple_integral(result, f_simple) != table[vec]:
+            raise ExtensionError(
+                "slab route fails to represent the functional",
+                witness=(vec, table[vec], simple_integral(result, f_simple)),
+            )
+
+    # uniqueness cross-check against the direct indicator reconstruction
+    indicator_pairs = []
+    complete = True
+    for member_mask in sigma.members:
+        ind = tuple(F(1) if atom & member_mask else F(0) for atom in sigma.atoms)
+        value = lift(ind)
+        if value is None:
+            complete = False
+            break
+        indicator_pairs.append((SimpleFunction.indicator(sigma, member_mask), value))
+    if complete:
+        direct = reconstruct_measure(
+            Functional.from_table(sigma, indicator_pairs)
+        )
+        if direct != result:
+            raise ExtensionError(
+                "slab route disagrees with the direct indicator reconstruction",
+                witness=(result.weights, direct.weights),
+            )
+    return result
+
+
+def _on_atoms(ground, algebra, atom_values):
+    values = [F(0)] * ground.size
+    for atom, v in zip(algebra.atoms, atom_values):
+        for i in range(ground.size):
+            if atom >> i & 1:
+                values[i] = v
+    return tuple(values)
+
+
+def _seeded_lattice(case):
+    """A grid lattice, a lattice of multiples along rays, or one of those
+    perturbed so that some clause fails; with a random multiplier bound,
+    clip bound, scalars, and some provided (right or wrong) witnesses."""
+    rng = gen.rng_for(7, "integer-kernel", str(case))
+    ground = gen.random_ground(rng, 3)
+    algebra = gen.random_algebra(rng, ground)
+    while len(algebra.atoms) > 3:
+        algebra = gen.random_algebra(rng, ground)
+    k = len(algebra.atoms)
+    if rng.random() < 0.5:
+        functions = list(grid_lattice(ground, algebra, rng.randint(1, 3)).functions)
+    else:
+        # multiples of a few base vectors, so witnesses need n > 1
+        functions = [(F(1),) * ground.size]
+        for _ in range(rng.randint(1, 3)):
+            steps = rng.randint(2, 5)
+            base = [F(rng.randint(0, steps), steps) for _ in range(k)]
+            for n in range(1, rng.randint(1, steps) + 1):
+                functions.append(_on_atoms(ground, algebra, [n * v for v in base]))
+    perturbation = rng.randrange(5)
+    if perturbation == 1 and len(functions) > 2:
+        functions.pop(rng.randrange(len(functions)))
+    elif perturbation == 2:
+        functions = [f for f in functions if any(v != 1 for v in f)]
+    elif perturbation == 3:
+        functions.append(
+            _on_atoms(ground, algebra, [F(rng.randint(0, 6), 4) for _ in range(k)])
+        )
+    scalars = (F(0), F(1))
+    if perturbation == 4:
+        scalars += (F(1, rng.randint(2, 3)),)
+    lattice = WeakIntegrationLattice(
+        ground, tuple(functions), scalars=scalars, clip_bound=rng.randint(1, 4)
+    )
+    bound = rng.choice((1, 2, 3, 4, 64))
+    if rng.random() < 0.3:
+        found = reference_check_weak_lattice(lattice, bound).witnesses
+        provided = {}
+        for key, n, idx in rng.sample(found, min(len(found), 3)):
+            if rng.random() < 0.5:
+                n = min(n + 1, bound)  # usually wrong, always in range
+            provided[key] = (n, idx)
+        lattice = WeakIntegrationLattice(
+            ground,
+            lattice.functions,
+            lattice.scalars,
+            lattice.clip_bound,
+            scale_witnesses=provided,
+        )
+    return rng, lattice, bound
+
+
+def _seeded_oracle(rng, lattice):
+    """Integration against random point weights, sometimes skewed on one
+    member or off normalization."""
+    weights = gen.random_weights(rng, lattice.ground.size, 6)
+    skew = rng.random()
+    target = rng.choice(lattice.functions)
+
+    def oracle(values):
+        value = sum((w * v for w, v in zip(weights, values)), F(0))
+        if skew < 0.3 and values == target and any(v != 1 for v in values):
+            return value + F(1, 7)
+        if skew > 0.9:
+            return value * F(5, 4)
+        return value
+
+    return oracle
+
+
+def _outcome(run):
+    try:
+        p = run()
+    except (ExtensionError, PreconditionError, ReconstructionError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return p.algebra, p.weights, p.mode
+
+
+def test_integer_kernel_matches_fraction_reference_on_seeded_lattices():
+    clauses, errors, multipliers, measures = set(), set(), set(), 0
+    for case in range(240):
+        rng, lattice, bound = _seeded_lattice(case)
+        report = check_weak_lattice(lattice, bound)
+        assert report == reference_check_weak_lattice(lattice, bound), case
+        clauses.add(report.clause)
+        multipliers.update((n == bound, n > 1) for _, n, _ in report.witnesses)
+        oracle = _seeded_oracle(rng, lattice)
+        cap = rng.choice((8, 512))
+        got = _outcome(lambda: daniell_stone(lattice, oracle, bound, cap))
+        want = _outcome(
+            lambda: reference_daniell_stone(lattice, oracle, bound, cap)
+        )
+        assert got == want, case
+        if isinstance(got[0], type):
+            errors.add(" ".join(got[1].split()[:3]))
+        else:
+            measures += 1
+    # the seeded lattices reach every clause, multipliers above one and at
+    # the bound, and every error the slab route raises on them
+    assert clauses == {
+        None, "contains-one", "join", "meet", "span", "clip", "scale"
+    }
+    assert (True, True) in multipliers
+    assert measures >= 40
+    assert errors == {
+        "invalid weak integration",
+        "functional sends 1",
+        "slab bound family",
+        "premeasure is not",
+        "slab extension is",
+        "slab route fails",
+    }
+
+
+def _integer_search(members, target, bound):
+    """The integer kernel's search over Fraction vectors."""
+    scale, vecs = represent._scaled(tuple(members) + (target,))
+    index = represent._direction_index(vecs[:-1])
+    return represent._as_multiple(vecs[-1], vecs[:-1], index, bound)
+
+
+@pytest.mark.parametrize(
+    "members, target, bound",
+    [
+        # the multiplier exactly at the bound, and one past it
+        (((F(0), F(0)), (F(1, 3), F(2, 3))), (F(1), F(2)), 3),
+        (((F(0), F(0)), (F(1, 3), F(2, 3))), (F(1), F(2)), 2),
+        # the zero target
+        (((F(0), F(0)), (F(1), F(1))), (F(0), F(0)), 64),
+        # h and 2h on one ray: the smaller index wins while n fits
+        (((F(0),), (F(1, 4),), (F(1, 2),)), (F(1),), 4),
+        (((F(0),), (F(1, 4),), (F(1, 2),)), (F(1),), 3),
+        (((F(0),), (F(1, 4),), (F(1, 2),)), (F(3, 4),), 64),
+        # same support, other direction
+        (((F(0), F(0)), (F(1, 2), F(1))), (F(1), F(1)), 64),
+    ],
+)
+def test_integer_search_edge_cases(members, target, bound):
+    expected = {
+        ((F(1), F(2)), 3): (3, 1),
+        ((F(1), F(2)), 2): None,
+        ((F(0), F(0)), 64): (0, 0),
+        ((F(1),), 4): (4, 1),
+        ((F(1),), 3): (2, 2),
+        ((F(3, 4),), 64): (3, 1),
+        ((F(1), F(1)), 64): None,
+    }[target, bound]
+    assert _integer_search(members, target, bound) == expected
+    assert reference_as_multiple(target, members, bound) == expected
+
+
+def test_direction_without_gcd_division_is_caught(monkeypatch):
+    """A direction index keyed by the raw vectors finds only n = 1, so a
+    lattice that needs larger multipliers fails with witnesses."""
+    g = GroundSet(("0", "1"))
+    chain = WeakIntegrationLattice(g, ((F(1, 4), F(1, 4)), (F(1), F(1))))
+    assert check_weak_lattice(chain).ok
+    assert daniell_stone(chain, lambda values: values[0]).weights == (F(1),)
+    monkeypatch.setattr(
+        represent, "_direction", lambda vec: tuple(vec) if any(vec) else None
+    )
+    report = check_weak_lattice(chain)
+    assert (report.ok, report.clause) == (False, "span")
+    assert report.witness == (1, 2, (F(3, 4), F(3, 4)))
+    with pytest.raises(PreconditionError, match="clause span"):
+        daniell_stone(chain, lambda values: values[0])
+
+
+def test_provided_witness_multiplier_must_be_a_bounded_int():
+    g = GroundSet(("0", "1"))
+    thirds = ((F(1), F(1)), (F(1, 2), F(1, 2)), (F(1, 3), F(1, 3)))
+    # members: 0, 1/3, 1/2, 1; the span of 1/3 and 1/2 is 1/6
+    assert check_weak_lattice(WeakIntegrationLattice(g, thirds)).clause == "span"
+    fractional = WeakIntegrationLattice(
+        g, thirds, scale_witnesses={("span", 1, 2): (F(1, 3), 2)}
+    )
+    report = check_weak_lattice(fractional)
+    assert (report.ok, report.clause) == (False, "span")
+    ones = ((F(1), F(1)),)
+    for n in (1.0, True, F(1)):
+        lattice = WeakIntegrationLattice(
+            g, ones, scale_witnesses={("join", 1, 1): (n, 1)}
+        )
+        assert check_weak_lattice(lattice).clause == "join", n
+    lattice = WeakIntegrationLattice(g, ones, scale_witnesses={("join", 1, 1): (1, 1)})
+    assert check_weak_lattice(lattice).ok
+    # members 0, 1/2, 1: the join of 1/2 and 1 is 2 * (1/2), true but n = 2
+    halves = WeakIntegrationLattice(
+        g, ((F(1, 2), F(1, 2)), (F(1), F(1))), scale_witnesses={("join", 1, 2): (2, 1)}
+    )
+    assert check_weak_lattice(halves, multiplier_bound=2).ok
+    assert check_weak_lattice(halves, multiplier_bound=1).clause == "join"
