@@ -27,6 +27,7 @@ from .errors import (
 )
 from .integrate import SimpleFunction, check_integral_properties, simple_integral
 from .lipmetric import (
+    SUBSET_ENUMERATION_CAP,
     bl_distance_lp,
     bl_distance_subsets,
     check_bl_monad_nonexpansive,
@@ -36,7 +37,7 @@ from .lipmetric import (
 )
 from .measure import Mode
 from .monad import SimplexPoint, check_monad_laws
-from .report import Report, SuiteConfig, tally
+from .report import CheckOutcome, Report, SuiteConfig, tally
 from .represent import (
     Functional,
     Slab,
@@ -58,10 +59,15 @@ ONE = Fraction(1)
 # suite runners
 
 
-def _tally_cases(report: Report, name: str, count: int, case, *args) -> None:
-    """Add the check tallying ``case(*args, i)`` for ``i`` below ``count``;
-    each call returns an ``(ok, witness)`` outcome."""
-    report.checks.append(tally(name, (case(*args, i) for i in range(count))))
+def _tally_cases(
+    report: Report, config: SuiteConfig, name: str, stream: str, count: int, case
+) -> None:
+    """Add the check ``name`` with one outcome per seeded case: case ``i``
+    returns ``case(config, rng, i)``, an ``(ok, witness)`` pair."""
+    def outcomes(rng, i):
+        return [(name, *case(config, rng, i))]
+
+    report.checks.extend(gen.run_cases(config.seed, stream, count, (name,), outcomes))
 
 
 def run_laws(config: SuiteConfig, modes=None) -> Report:
@@ -80,10 +86,7 @@ def run_laws(config: SuiteConfig, modes=None) -> Report:
             mode=mode,
             max_ground_size=config.max_ground_size,
         )
-        for check in sorted(result.checks, key=lambda c: c.name):
-            report.add(
-                f"{mode.value}.{check.name}", check.passed, check.failed, check.witnesses
-            )
+        report.add_checks(mode.value, sorted(result.checks, key=lambda c: c.name))
     return report
 
 
@@ -106,25 +109,8 @@ def run_codensity(config: SuiteConfig, modes=None) -> Report:
             mode=mode,
             max_ground_size=size,
         )
-        prefix = mode.value
-        report.add(
-            f"{prefix}.round-trip",
-            result.cases - len(result.round_trip_failures),
-            len(result.round_trip_failures),
-            result.round_trip_failures,
-        )
-        report.add(
-            f"{prefix}.naturality",
-            result.triangles,
-            len(result.naturality_failures),
-            result.naturality_failures,
-        )
-        report.add(
-            f"{prefix}.uniqueness",
-            result.cases - len(result.uniqueness_failures),
-            len(result.uniqueness_failures),
-            result.uniqueness_failures,
-        )
+        report.add_checks(mode.value, result.checks)
+    sufficiency = []
     for k, expect_determined in ((1, False), (2, True), (min(config.k, 3), True)):
         result = small_index_sufficiency(
             None,
@@ -136,13 +122,13 @@ def run_codensity(config: SuiteConfig, modes=None) -> Report:
             max_ground_size=size,
         )
         ok = result.determined == expect_determined and result.ok
-        report.add(
-            f"sufficiency.k{k}",
-            int(ok),
-            int(not ok),
-            result.failures
-            or ((f"determined={result.determined}, expected {expect_determined}",) if not ok else ()),
+        witnesses = result.failures or (
+            (f"determined={result.determined}, expected {expect_determined}",)
+            if not ok
+            else ()
         )
+        sufficiency.append(CheckOutcome(f"k{k}", int(ok), int(not ok), witnesses))
+    report.add_checks("sufficiency", sufficiency)
     return report
 
 
@@ -151,7 +137,9 @@ def run_distance_suite(config: SuiteConfig) -> Report:
     the L1 distance agree on seeded random pairs."""
     report = Report("distance", config.to_payload())
     pairs = max(1, 3 * config.cases // 5)
-    _tally_cases(report, "discrete-identity", pairs, _discrete_identity_case, config)
+    _tally_cases(
+        report, config, "discrete-identity", "bl-identity", pairs, _discrete_identity_case
+    )
 
     labels = ("a", "b", "c")
     p = SimplexPoint(labels, (Fraction(1, 2), Fraction(1, 2), ZERO))
@@ -166,8 +154,7 @@ def run_distance_suite(config: SuiteConfig) -> Report:
     return report
 
 
-def _discrete_identity_case(config: SuiteConfig, case: int):
-    rng = gen.rng_for(config.seed, "bl-identity", str(case))
+def _discrete_identity_case(config: SuiteConfig, rng, case: int):
     size = rng.randint(2, 8)
     labels = tuple(f"a{i}" for i in range(size))
     space = discrete_space(labels)
@@ -191,18 +178,7 @@ def run_lipschitz_equivalence(config: SuiteConfig) -> Report:
         lp_samples=max(1, config.cases // 5),
         seed=config.seed,
     )
-    report.add(
-        "criteria-agree",
-        sweep.instances - len(sweep.disagreements),
-        len(sweep.disagreements),
-        sweep.disagreements,
-    )
-    report.add(
-        "lp-spot-checks",
-        sweep.lp_spot_checks - len(sweep.lp_disagreements),
-        len(sweep.lp_disagreements),
-        sweep.lp_disagreements,
-    )
+    report.checks.extend(sweep.checks)
     return report
 
 
@@ -224,14 +200,24 @@ def run_reconstruction_suite(config: SuiteConfig) -> Report:
     report = Report("reconstruct", config.to_payload())
     round_trips = max(1, 3 * config.cases // 5)
     tenth = max(1, config.cases // 10)
-    _tally_cases(report, "round-trip", round_trips, _round_trip_case, config)
-    _tally_cases(report, "adversarial-detection", tenth, _adversarial_case, config)
-    _tally_cases(report, "lattice-route", tenth, _lattice_case, config, "reconstruct-lattice")
+    _tally_cases(
+        report, config, "round-trip", "reconstruct", round_trips, _round_trip_case
+    )
+    _tally_cases(
+        report,
+        config,
+        "adversarial-detection",
+        "reconstruct-adversarial",
+        tenth,
+        _adversarial_case,
+    )
+    _tally_cases(
+        report, config, "lattice-route", "reconstruct-lattice", tenth, _lattice_case
+    )
     return report
 
 
-def _round_trip_case(config: SuiteConfig, case: int):
-    rng = gen.rng_for(config.seed, "reconstruct", str(case))
+def _round_trip_case(config: SuiteConfig, rng, case: int):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
     mode = rng.choice((Mode.SIGMA, Mode.FINITELY_ADDITIVE))
     p = gen.random_measure(rng, algebra, config.max_denominator, mode)
@@ -252,8 +238,7 @@ def _round_trip_case(config: SuiteConfig, case: int):
     )
 
 
-def _adversarial_case(config: SuiteConfig, case: int):
-    rng = gen.rng_for(config.seed, "reconstruct-adversarial", str(case))
+def _adversarial_case(config: SuiteConfig, rng, case: int):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
     p = gen.random_measure(rng, algebra, config.max_denominator)
     style = rng.randrange(3)
@@ -282,10 +267,9 @@ def _adversarial_case(config: SuiteConfig, case: int):
     return False, f"case {case}: style {style} violation undetected"
 
 
-def _lattice_case(config: SuiteConfig, stream: str, case: int):
+def _lattice_case(config: SuiteConfig, rng, case: int):
     """Daniell-Stone on a random grid lattice must rebuild the hidden
     measure, mode included."""
-    rng = gen.rng_for(config.seed, stream, str(case))
     lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
     try:
         rebuilt = daniell_stone(lattice, _integration_oracle(hidden))
@@ -314,15 +298,18 @@ def _witness_matches(exc, style, algebra, half) -> bool:
 
 def run_extension_suite(config: SuiteConfig) -> Report:
     report = Report("extend", config.to_payload())
-    _tally_cases(report, "slab-calculus", config.cases, _slab_case, config)
+    _tally_cases(report, config, "slab-calculus", "slabs", config.cases, _slab_case)
     fifth = max(1, config.cases // 5)
-    _tally_cases(report, "singleton-extension", fifth, _singleton_case, config)
-    _tally_cases(report, "lattice-representation", fifth, _lattice_case, config, "daniell")
+    _tally_cases(
+        report, config, "singleton-extension", "caratheodory", fifth, _singleton_case
+    )
+    _tally_cases(
+        report, config, "lattice-representation", "daniell", fifth, _lattice_case
+    )
     return report
 
 
-def _slab_case(config: SuiteConfig, case: int):
-    rng = gen.rng_for(config.seed, "slabs", str(case))
+def _slab_case(config: SuiteConfig, rng, case: int):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
     a = _random_slab(rng, algebra, 4)
     b = _random_slab(rng, algebra, 4)
@@ -332,8 +319,7 @@ def _slab_case(config: SuiteConfig, case: int):
     )
 
 
-def _singleton_case(config: SuiteConfig, case: int):
-    rng = gen.rng_for(config.seed, "caratheodory", str(case))
+def _singleton_case(config: SuiteConfig, rng, case: int):
     ground = gen.random_ground(rng, 4)
     semiring = SemiRing(ground, (0,) + tuple(1 << i for i in range(ground.size)))
     weights = gen.random_weights(rng, ground.size, config.max_denominator)
@@ -421,12 +407,11 @@ def _integration_oracle(p):
 
 def run_integrate_suite(config: SuiteConfig) -> Report:
     report = Report("integrate", config.to_payload())
-    _tally_cases(report, "properties", config.cases, _integral_case, config)
+    _tally_cases(report, config, "properties", "integral", config.cases, _integral_case)
     return report
 
 
-def _integral_case(config: SuiteConfig, case: int):
-    rng = gen.rng_for(config.seed, "integral", str(case))
+def _integral_case(config: SuiteConfig, rng, case: int):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
     p = gen.random_measure(rng, algebra, config.max_denominator)
     f, g = gen.random_bounded_pair(rng, algebra, config.max_denominator)
@@ -458,6 +443,12 @@ def run_distance_input(config: SuiteConfig, data: dict) -> Report:
     space = serialize.load_metric(data.get("metric"), "$.metric")
     p = serialize.load_simplex(data.get("p"), "$.p", labels=space.points)
     q = serialize.load_simplex(data.get("q"), "$.q", labels=space.points)
+    if config.method != "lp" and space.size > SUBSET_ENUMERATION_CAP:
+        raise InputError(
+            f"subset enumeration is capped at {SUBSET_ENUMERATION_CAP} points; "
+            "use --method lp",
+            "$.metric.points",
+        )
     values = {}
     if config.method in ("lp", "both"):
         values["lp"] = serialize.dump_fraction(bl_distance_lp(p, q, space))

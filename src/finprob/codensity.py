@@ -27,6 +27,7 @@ from .errors import DomainError, PreconditionError, ReconstructionError
 from .integrate import SimpleFunction, simple_integral
 from .measure import Measure, Mode, dirac, pushforward, simplex_algebra
 from .monad import SimplexPoint
+from .report import CheckOutcome
 from .represent import Functional, reconstruct_charge, reconstruct_measure
 from .setalg import Algebra
 
@@ -122,30 +123,6 @@ def indicator_family(source: Algebra) -> tuple[Arrow, ...]:
     for member in source.members:
         arrows.append(binary_arrow(SimpleFunction.indicator(source, member)))
     return tuple(arrows)
-
-
-def close_family(family: Iterable[Arrow]) -> tuple[Arrow, ...]:
-    """Add the binary arrows of every component and the collapse arrow."""
-    family = list(family)
-    if not family:
-        raise DomainError("arrow family must be nonempty")
-    source = family[0].source
-    closed: list[Arrow] = []
-    seen = set()
-
-    def push(arrow: Arrow) -> None:
-        if arrow.source != source:
-            raise DomainError("all arrows must share one source")
-        if arrow not in seen:
-            seen.add(arrow)
-            closed.append(arrow)
-
-    push(collapse_arrow(source))
-    for arrow in family:
-        push(arrow)
-        for t in arrow.targets:
-            push(binary_arrow(arrow.component(t)))
-    return tuple(closed)
 
 
 @dataclass(frozen=True)
@@ -281,21 +258,29 @@ def reconstruct_from_cone(
     return reconstruct_charge(functional).with_mode(mode)
 
 
+BIJECTION_CHECKS = ("round-trip", "naturality", "uniqueness")
+
+
 @dataclass(frozen=True)
 class BijectionReport:
-    cases: int
-    round_trip_failures: tuple[str, ...]
-    naturality_failures: tuple[str, ...]
-    uniqueness_failures: tuple[str, ...]
-    triangles: int
+    """One check per property, in :data:`BIJECTION_CHECKS` order.
+
+    ``naturality`` has one outcome per enumerated triangle; a case whose
+    cone fails it reaches neither ``round-trip`` nor ``uniqueness``, and one
+    whose reconstruction differs from its measure does not reach
+    ``uniqueness``.
+    """
+
+    checks: tuple[CheckOutcome, ...]
+
+    @property
+    def triangles(self) -> int:
+        naturality = self.checks[1]
+        return naturality.passed + naturality.failed
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.round_trip_failures
-            or self.naturality_failures
-            or self.uniqueness_failures
-        )
+        return all(c.ok for c in self.checks)
 
 
 def verify_codensity_bijection(
@@ -315,13 +300,7 @@ def verify_codensity_bijection(
     """
     from . import gen
 
-    round_trip: list[str] = []
-    naturality: list[str] = []
-    uniqueness: list[str] = []
-    triangles = 0
-
-    for case in range(cases):
-        rng = gen.rng_for(seed, "codensity", str(case))
+    def check_case(rng, case):
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, max_ground_size)
         )
@@ -329,33 +308,32 @@ def verify_codensity_bijection(
         p = gen.random_measure(rng, current, max_denominator, mode)
         cone = cone_of_measure(p, family)
         nat = check_cone_naturality(cone)
-        triangles += nat.triangles
+        passed = nat.triangles - (not nat.ok)  # a failure ends the enumeration
+        yield from itertools.repeat(("naturality", True, None), passed)
         if not nat.ok:
-            naturality.append(f"case {case}: {nat.witness[1]}")
-            continue
+            yield "naturality", False, f"case {case}: {nat.witness[1]}"
+            return
         back = reconstruct_from_cone(cone, mode, recheck_naturality=False)
         if back != p:
-            round_trip.append(f"case {case}: {p.weights} -> {back.weights}")
-            continue
-        again = cone_of_measure(back, family)
-        if again.legs != cone.legs:
-            round_trip.append(f"case {case}: cone legs changed on the round trip")
+            yield "round-trip", False, f"case {case}: {p.weights} -> {back.weights}"
+            return
+        yield (
+            "round-trip",
+            cone_of_measure(back, family).legs == cone.legs,
+            f"case {case}: cone legs changed on the round trip",
+        )
 
         q = gen.random_measure(rng, current, max_denominator, mode)
-        legs_p = cone.legs
         legs_q = cone_of_measure(q, family).legs
-        if (q == p) != (legs_p == legs_q):
-            uniqueness.append(
-                f"case {case}: legs {'agree' if legs_p == legs_q else 'differ'} "
-                f"but measures {'agree' if q == p else 'differ'}"
-            )
+        yield (
+            "uniqueness",
+            (q == p) == (cone.legs == legs_q),
+            f"case {case}: legs {'agree' if cone.legs == legs_q else 'differ'} "
+            f"but measures {'agree' if q == p else 'differ'}",
+        )
 
     return BijectionReport(
-        cases,
-        tuple(round_trip),
-        tuple(naturality),
-        tuple(uniqueness),
-        triangles,
+        gen.run_cases(seed, "codensity", cases, BIJECTION_CHECKS, check_case)
     )
 
 
@@ -364,7 +342,7 @@ class SufficiencyReport:
     k: int
     determined: bool
     cases: int
-    failures: tuple[str, ...]
+    failures: tuple[str, ...]  # the first MAX_WITNESSES wrong reconstructions
 
     @property
     def ok(self) -> bool:
@@ -392,10 +370,7 @@ def small_index_sufficiency(
     if k < 1:
         raise PreconditionError("label-set size bound must be at least 1")
 
-    failures: list[str] = []
-    determined = True
-    for case in range(cases):
-        rng = gen.rng_for(seed, "sufficiency", str(case))
+    def check_case(rng, case):
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, max_ground_size)
         )
@@ -408,13 +383,16 @@ def small_index_sufficiency(
         try:
             back = reconstruct_from_cone(cone, mode)
         except ReconstructionError:
-            determined = False
-            continue
-        if back != p:
-            failures.append(f"case {case}: reconstruction wrong at k={k}")
-        if p != q and cone_of_measure(q, family).legs == cone.legs:
-            determined = False
-    return SufficiencyReport(k, determined, cases, tuple(failures))
+            yield "determined", False, None
+            return
+        yield "reconstruction", back == p, f"case {case}: reconstruction wrong at k={k}"
+        separated = p == q or cone_of_measure(q, family).legs != cone.legs
+        yield "determined", separated, None
+
+    determined, reconstruction = gen.run_cases(
+        seed, "sufficiency", cases, ("determined", "reconstruction"), check_case
+    )
+    return SufficiencyReport(k, determined.ok, cases, reconstruction.witnesses)
 
 
 def _atom_arrow(algebra: Algebra, k: int) -> Arrow:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .lipmetric import FiniteMetricSpace
 from .measure import Measure, Mode
 from .monad import MetaMeasure, SimplexPoint
 from .integrate import SimpleFunction
+from .report import CheckOutcome, tally
 from .setalg import Algebra, GroundSet, generate_algebra
 
 ZERO = Fraction(0)
@@ -24,6 +25,28 @@ ONE = Fraction(1)
 
 def rng_for(seed: int, *path: str) -> random.Random:
     return random.Random(f"{seed}/" + "/".join(path))
+
+
+def run_cases(
+    seed: int,
+    stream: str,
+    count: int,
+    checks: Sequence[str],
+    case: Callable[[random.Random, int], Iterable[tuple[str, bool, Any]]],
+) -> tuple[CheckOutcome, ...]:
+    """Run ``count`` seeded cases and tally them into one check per name in
+    ``checks``, in that order.
+
+    Case ``i`` draws from its own ``rng_for(seed, stream, str(i))`` and
+    yields a ``(check, ok, witness)`` outcome for each check it reached, so a
+    case that stops early counts only for the checks it ran.  Witnesses are
+    kept as :func:`~finprob.report.tally` keeps them.
+    """
+    outcomes: dict[str, list] = {name: [] for name in checks}
+    for i in range(count):
+        for name, ok, witness in case(rng_for(seed, stream, str(i)), i):
+            outcomes[name].append((ok, None if ok else witness))
+    return tuple(tally(name, outcomes[name]) for name in checks)
 
 
 def random_ground(rng: random.Random, max_size: int, min_size: int = 1) -> GroundSet:

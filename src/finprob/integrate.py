@@ -61,24 +61,6 @@ class SimpleFunction:
         return cls(algebra, values, terms)
 
     @classmethod
-    def from_point_values(
-        cls, algebra: Algebra, values: Sequence[Fraction]
-    ) -> "SimpleFunction":
-        """Build from per-point values, which must be constant on atoms."""
-        if len(values) != algebra.ground.size:
-            raise DomainError("one value per ground point required")
-        vals = [Fraction(v) for v in values]
-        atom_values = []
-        for atom in algebra.atoms:
-            seen = {vals[i] for i in range(algebra.ground.size) if atom >> i & 1}
-            if len(seen) != 1:
-                raise DomainError(
-                    f"values not constant on atom {algebra.ground.labels_of(atom)}"
-                )
-            atom_values.append(seen.pop())
-        return cls(algebra, tuple(atom_values))
-
-    @classmethod
     def indicator(cls, algebra: Algebra, mask: int) -> "SimpleFunction":
         algebra.check_member(mask)
         return cls(
@@ -92,16 +74,6 @@ class SimpleFunction:
     def value_at(self, label: str) -> Fraction:
         return self.values[self.algebra.atom_of_point(label)]
 
-    @property
-    def point_values(self) -> tuple[Fraction, ...]:
-        """Values per ground point, in canonical point order."""
-        by_point = [ZERO] * self.algebra.ground.size
-        for atom, v in zip(self.algebra.atoms, self.values):
-            for i in range(self.algebra.ground.size):
-                if atom >> i & 1:
-                    by_point[i] = v
-        return tuple(by_point)
-
     def __le__(self, other: "SimpleFunction") -> bool:
         self._check_same_algebra(other)
         return all(a <= b for a, b in zip(self.values, other.values))
@@ -111,13 +83,6 @@ class SimpleFunction:
         self._check_same_algebra(other)
         return SimpleFunction(
             self.algebra, tuple(a + b for a, b in zip(self.values, other.values))
-        )
-
-    def subtract(self, other: "SimpleFunction") -> "SimpleFunction":
-        """Pointwise difference for ``other <= self``."""
-        self._check_same_algebra(other)
-        return SimpleFunction(
-            self.algebra, tuple(a - b for a, b in zip(self.values, other.values))
         )
 
     def scale(self, r: Fraction) -> "SimpleFunction":

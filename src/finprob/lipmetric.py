@@ -309,6 +309,9 @@ def discrete_space(labels: Sequence[str]) -> FiniteMetricSpace:
     return FiniteMetricSpace(labels, dist)
 
 
+NONEXPANSIVE_CHECKS = ("unit-contraction", "mult-contraction", "metric-laws")
+
+
 @dataclass(frozen=True)
 class NonexpansiveReport:
     """One check per property, in report order: ``unit-contraction`` with one
@@ -354,13 +357,10 @@ def check_bl_monad_nonexpansive(
     """
     from . import gen  # deferred: gen builds on this module's types
 
-    unit_outcomes: list[tuple[bool, str | None]] = []
-    mult_outcomes: list[tuple[bool, str | None]] = []
-    law_outcomes: list[tuple[bool, str | None]] = []
     unit_tight = 0
 
-    for case in range(cases):
-        rng = gen.rng_for(seed, "nonexpansive", str(case))
+    def check_case(rng, case):
+        nonlocal unit_tight
         current = space or gen.random_metric(
             rng, rng.randint(1, max_size), max_denominator
         )
@@ -375,19 +375,21 @@ def check_bl_monad_nonexpansive(
                 try:
                     d = bl_distance_lp(px, py, current)
                 except ValueError as exc:  # the LP's optimum is not 1-Lipschitz
-                    unit_outcomes.append((False, f"unit pair {pair}: {exc}"))
+                    yield "unit-contraction", False, f"unit pair {pair}: {exc}"
                     continue
                 bound = current.dist[i][j]
                 if d == min(bound, ONE):
                     unit_tight += 1
                 if d > bound:
-                    unit_outcomes.append((False, f"unit pair {pair}: {d} > {bound}"))
+                    yield "unit-contraction", False, f"unit pair {pair}: {d} > {bound}"
                 elif discrete and d != bound:
-                    unit_outcomes.append(
-                        (False, f"discrete equality fails at {pair}: {d} != {bound}")
+                    yield (
+                        "unit-contraction",
+                        False,
+                        f"discrete equality fails at {pair}: {d} != {bound}",
                     )
                 else:
-                    unit_outcomes.append((True, None))
+                    yield "unit-contraction", True, None
 
         k1, k2 = rng.randint(1, 3), rng.randint(1, 3)
         support1 = _distinct_points(rng, labels, k1, max_denominator)
@@ -426,10 +428,12 @@ def check_bl_monad_nonexpansive(
                 )
             lhs = bl_distance_lp(*averages, current)
         except ValueError as exc:  # an LP optimum or the meta metric is invalid
-            mult_outcomes.append((False, f"case {case}: {exc}"))
+            yield "mult-contraction", False, f"case {case}: {exc}"
         else:
-            mult_outcomes.append(
-                (lhs <= meta_distance, f"case {case}: d(mult,mult)={lhs} > {meta_distance}")
+            yield (
+                "mult-contraction",
+                lhs <= meta_distance,
+                f"case {case}: d(mult,mult)={lhs} > {meta_distance}",
             )
 
         # the monad laws, on mult itself, in the metric setting
@@ -445,16 +449,12 @@ def check_bl_monad_nonexpansive(
             law = "associativity fails"
         else:
             law = None
-        law_outcomes.append((law is None, f"case {case}: {law}"))
+        yield "metric-laws", law is None, f"case {case}: {law}"
 
-    return NonexpansiveReport(
-        (
-            tally("unit-contraction", unit_outcomes),
-            tally("mult-contraction", mult_outcomes),
-            tally("metric-laws", law_outcomes),
-        ),
-        unit_tight,
+    checks = gen.run_cases(
+        seed, "nonexpansive", cases, NONEXPANSIVE_CHECKS, check_case
     )
+    return NonexpansiveReport(checks, unit_tight)
 
 
 def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[Measure, ...]:
@@ -484,14 +484,18 @@ def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[Measure, 
 
 @dataclass(frozen=True)
 class EquivalenceSweep:
-    instances: int
-    disagreements: tuple[str, ...]
-    lp_spot_checks: int
-    lp_disagreements: tuple[str, ...]
+    """``criteria-agree`` with one outcome per (space, map) instance, then
+    ``lp-spot-checks`` with one per sampled map."""
+
+    checks: tuple[CheckOutcome, CheckOutcome]
+
+    @property
+    def instances(self) -> int:
+        return self.checks[0].passed + self.checks[0].failed
 
     @property
     def ok(self) -> bool:
-        return not (self.disagreements or self.lp_disagreements)
+        return all(c.ok for c in self.checks)
 
 
 def check_lipschitz_criterion_equivalence(
@@ -527,65 +531,63 @@ def check_lipschitz_criterion_equivalence(
             for num in range(1, 2 * den + 1)
         }
     )
-    disagreements: list[str] = []
-    lp_disagreements: list[str] = []
-    instances = 0
-    lp_spot_checks = 0
     sampled: list[tuple] = []
 
-    for m in range(1, max_labels + 1):
-        labels = tuple(f"t{i}" for i in range(m))
-        grid = simplex_grid(labels, max_denominator)
-        size = len(grid)
-        # per grid pair (a, b), at index a * size + b
-        distances = [total_variation(p, q) for p in grid for q in grid]
-        sums = [subset_sums(p.weights) for p in grid]
-        gaps = [
-            max(abs(x - y) for x, y in zip(sums_p, sums_q))
-            for sums_p in sums
-            for sums_q in sums
-        ]
-        tables = {
-            bound: (
-                [d <= bound for d in distances],
-                [g <= bound for g in gaps],
-            )
-            for bound in grid_distances
-        }
-        for n in range(1, max_space + 1):
-            pairs = list(itertools.combinations(range(n), 2))
-            for space in _metric_grid(n, grid_distances):
-                bound_tables = [(i, j, *tables[space.dist[i][j]]) for i, j in pairs]
-                for assignment in itertools.product(range(size), repeat=n):
-                    instances += 1
-                    direct_ok = True
-                    subset_ok = True
-                    for i, j, direct, subset in bound_tables:
-                        cell = assignment[i] * size + assignment[j]
-                        direct_ok = direct_ok and direct[cell]
-                        subset_ok = subset_ok and subset[cell]
-                    if direct_ok != subset_ok:
-                        disagreements.append(
-                            f"n={n} m={m} dist={space.dist} map={assignment}"
-                        )
-                    if rng.random() < 0.0005:
-                        sampled.append(
-                            (space, tuple(grid[a] for a in assignment), direct_ok)
-                        )
+    def agreement():
+        for m in range(1, max_labels + 1):
+            labels = tuple(f"t{i}" for i in range(m))
+            grid = simplex_grid(labels, max_denominator)
+            size = len(grid)
+            # per grid pair (a, b), at index a * size + b
+            distances = [total_variation(p, q) for p in grid for q in grid]
+            sums = [subset_sums(p.weights) for p in grid]
+            gaps = [
+                max(abs(x - y) for x, y in zip(sums_p, sums_q))
+                for sums_p in sums
+                for sums_q in sums
+            ]
+            tables = {
+                bound: (
+                    [d <= bound for d in distances],
+                    [g <= bound for g in gaps],
+                )
+                for bound in grid_distances
+            }
+            for n in range(1, max_space + 1):
+                pairs = list(itertools.combinations(range(n), 2))
+                for space in _metric_grid(n, grid_distances):
+                    bound_tables = [(i, j, *tables[space.dist[i][j]]) for i, j in pairs]
+                    for assignment in itertools.product(range(size), repeat=n):
+                        direct_ok = True
+                        subset_ok = True
+                        for i, j, direct, subset in bound_tables:
+                            cell = assignment[i] * size + assignment[j]
+                            direct_ok = direct_ok and direct[cell]
+                            subset_ok = subset_ok and subset[cell]
+                        if rng.random() < 0.0005:
+                            sampled.append(
+                                (space, tuple(grid[a] for a in assignment), direct_ok)
+                            )
+                        if direct_ok == subset_ok:
+                            yield True, None
+                        else:
+                            witness = f"n={n} m={m} dist={space.dist} map={assignment}"
+                            yield False, witness
 
-    rng.shuffle(sampled)
-    for space, assignment, verdict in sampled[:lp_samples]:
-        f = dict(zip(space.points, assignment))
-        check = check_simplex_lipschitz(f, space, method="lp")
-        lp_spot_checks += 1
-        if check.is_lipschitz != verdict or not check.verdicts_agree:
-            images = tuple(p.weights for p in assignment)
-            lp_disagreements.append(
-                f"lp spot check disagrees on dist={space.dist} map={images}"
+    def spot_checks():
+        rng.shuffle(sampled)
+        for space, assignment, verdict in sampled[:lp_samples]:
+            f = dict(zip(space.points, assignment))
+            check = check_simplex_lipschitz(f, space, method="lp")
+            yield (
+                check.is_lipschitz == verdict and check.verdicts_agree,
+                lambda: "lp spot check disagrees on "
+                f"dist={space.dist} map={tuple(p.weights for p in assignment)}",
             )
 
+    # the spot checks draw from the maps the full sweep sampled, so they run second
     return EquivalenceSweep(
-        instances, tuple(disagreements), lp_spot_checks, tuple(lp_disagreements)
+        (tally("criteria-agree", agreement()), tally("lp-spot-checks", spot_checks()))
     )
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .exact import dot, fractions, total
 from .measure import Measure, Mode, dirac, pushforward, simplex_algebra
-from .report import CheckOutcome, tally
+from .report import CheckOutcome
 from .setalg import Algebra
 
 ZERO = Fraction(0)
@@ -178,28 +178,21 @@ def check_monad_laws(
     ground set and algebra within ``max_ground_size``."""
     from . import gen  # deferred: gen builds on this module's types
 
-    outcomes: dict[str, list] = {law: [] for law in LAWS}
-
-    def record(law: str, case: int, ok: bool, detail: str) -> None:
-        outcomes[law].append((ok, f"case {case}: {detail}"))
-
-    for case in range(cases):
-        rng = gen.rng_for(seed, "laws", str(case))
+    def check_case(rng, case):
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, max_ground_size)
         )
         p = gen.random_measure(rng, current, max_denominator, mode)
 
         # left unit: flattening the point mass at P returns P
-        record(
+        yield (
             "left-unit",
-            case,
             mult(MetaMeasure.point_mass(p)) == p,
-            f"P={p.weights}",
+            f"case {case}: P={p.weights}",
         )
 
         # right unit: flattening the unit-pushforward of P returns P
-        record("right-unit", case, mult(eta_as_meta(p)) == p, f"P={p.weights}")
+        yield "right-unit", mult(eta_as_meta(p)) == p, f"case {case}: P={p.weights}"
 
         # associativity on a two-level meta structure
         metas = [
@@ -209,31 +202,28 @@ def check_monad_laws(
         outer = gen.random_positive_weights(rng, len(metas), max_denominator)
         flattened_outside = combine_meta(list(zip(outer, metas)))
         after_g_mult = MetaMeasure.merge(zip(outer, (mult(m) for m in metas)))
-        record(
+        yield (
             "associativity",
-            case,
             mult(after_g_mult) == mult(flattened_outside),
-            f"outer={outer}",
+            f"case {case}: outer={outer}",
         )
 
         # naturality of the unit: pushing a Dirac forward is the Dirac of the image
         mapping, cod = gen.random_premeasurable_map(rng, current)
         x = rng.choice(current.ground.points)
-        record(
+        yield (
             "unit-naturality",
-            case,
             pushforward(unit(x, current, mode), mapping, cod)
             == unit(mapping[x], cod, mode),
-            f"x={x} f={mapping}",
+            f"case {case}: x={x} f={mapping}",
         )
 
         # naturality of mult: pushforward of the average is the average of pushforwards
         meta = gen.random_meta_measure(rng, current, max_denominator, mode)
-        record(
+        yield (
             "mult-naturality",
-            case,
             pushforward(mult(meta), mapping, cod) == mult(map_meta(meta, mapping, cod)),
-            f"f={mapping}",
+            f"case {case}: f={mapping}",
         )
 
-    return LawReport(mode, cases, tuple(tally(law, outcomes[law]) for law in LAWS))
+    return LawReport(mode, cases, gen.run_cases(seed, "laws", cases, LAWS, check_case))

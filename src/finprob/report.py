@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from .errors import InputError
@@ -109,16 +109,12 @@ class Report:
         witnesses = tuple(witnesses)[:MAX_WITNESSES]
         self.checks.append(CheckOutcome(name, passed, failed, witnesses))
 
+    def add_checks(self, prefix: str, checks: Iterable[CheckOutcome]) -> None:
+        """Add each check under the name ``prefix.name``."""
+        self.checks.extend(replace(c, name=f"{prefix}.{c.name}") for c in checks)
+
     def extend(self, other: "Report") -> None:
-        for check in other.checks:
-            self.checks.append(
-                CheckOutcome(
-                    f"{other.suite}.{check.name}",
-                    check.passed,
-                    check.failed,
-                    check.witnesses,
-                )
-            )
+        self.add_checks(other.suite, other.checks)
         for note in other.notes:
             if note not in self.notes:
                 self.notes.append(note)

@@ -410,12 +410,6 @@ class Slab:
             if lo > hi:
                 raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
 
-    @classmethod
-    def from_simple(cls, lower: SimpleFunction, upper: SimpleFunction) -> "Slab":
-        if lower.algebra != upper.algebra:
-            raise DomainError("slab bounds must live on one algebra")
-        return cls(lower.algebra, lower.values, upper.values)
-
     @property
     def is_empty(self) -> bool:
         return all(lo == hi for lo, hi in zip(self.lower, self.upper))

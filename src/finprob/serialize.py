@@ -98,13 +98,6 @@ def _indices_to_mask(indices: Any, ground: GroundSet, location: str) -> int:
     return mask
 
 
-def dump_family(family: SubsetFamily) -> dict:
-    return {
-        "points": dump_ground(family.ground),
-        "family": [_mask_to_indices(m) for m in family.masks],
-    }
-
-
 def load_family(data: Any, location: str = "$") -> SubsetFamily:
     obj = _expect(data, dict, location)
     ground = load_ground(_field(obj, "points", location), f"{location}.points")

@@ -181,10 +181,6 @@ class Algebra:
     def members(self) -> AlgebraMembers:
         return AlgebraMembers(self)
 
-    @property
-    def member_count(self) -> int:
-        return 1 << len(self.atoms)
-
     def is_member(self, mask: int) -> bool:
         self.ground.check_mask(mask)
         for atom in self.atoms:
@@ -197,11 +193,6 @@ class Algebra:
         if not self.is_member(mask):
             raise DomainError(f"set {self.ground.labels_of(mask)} is not in the algebra")
         return mask
-
-    def atom_indices(self, mask: int) -> tuple[int, ...]:
-        """Indices of the atoms whose union is the given member."""
-        self.check_member(mask)
-        return tuple(i for i, atom in enumerate(self.atoms) if atom & mask)
 
     @cached_property
     def point_atoms(self) -> tuple[int, ...]:

@@ -460,10 +460,9 @@ def test_valid_benchmark_instances_carry_exactly_the_declared_keys():
             assert set(workloads._valid(kind, rng)) == set(COMMANDS[kind].keys), kind
 
 
-def test_distance_input_on_seventeen_points_exits_zero(tmp_path):
-    """A distribution's label set has no size cap: 17 points is one more
-    than a ground set's default cap."""
-    n = 17
+def discrete_distance_file(tmp_path, n):
+    """A distance instance on the discrete metric over ``n`` points, with
+    ``p`` and ``q`` the point masses at the first and the last point."""
     instance = {
         "format": 1,
         "metric": {
@@ -475,7 +474,22 @@ def test_distance_input_on_seventeen_points_exits_zero(tmp_path):
     }
     path = tmp_path / "d.json"
     path.write_text(json.dumps(instance))
-    done = run_module("distance", path)
+    return path
+
+
+def test_distance_input_on_seventeen_points_exits_zero(tmp_path):
+    """A distribution's label set has no size cap: 17 points is one more
+    than a ground set's default cap."""
+    done = run_module("distance", discrete_distance_file(tmp_path, 17))
     assert done.returncode == 0, done.stderr
     values = json.loads(done.stdout)["checks"][0]["witnesses"][0]
     assert values == {"lp": "1/1", "subsets": "1/1"}
+
+
+def test_distance_input_past_the_subset_cap_exits_two(tmp_path):
+    """Subset enumeration stops at 20 points; the default ``--method both``
+    names the cap and the LP method instead of raising."""
+    done = run_module("distance", discrete_distance_file(tmp_path, 21))
+    assert_input_error(done, "$.metric.points")
+    assert "capped at 20 points" in done.stderr
+    assert "--method lp" in done.stderr

@@ -24,8 +24,9 @@ from finprob import (
     uniform,
     verify_codensity_bijection,
 )
-from finprob.codensity import collapse_arrow
-from finprob import gen
+from finprob.codensity import NaturalityResult, collapse_arrow
+from finprob.report import SuiteConfig
+from finprob import cli, codensity, gen
 
 
 def powerset3():
@@ -185,6 +186,57 @@ def test_bijection_suite_both_modes():
         report = verify_codensity_bijection(None, cases=40, seed=0, mode=mode)
         assert report.ok
         assert report.triangles > 0
+
+
+def codensity_checks_at_50_cases():
+    report = cli.run_codensity(SuiteConfig(seed=0, cases=50))
+    return {c.name: c for c in report.checks}
+
+
+def test_a_cone_that_fails_naturality_reaches_no_later_check(monkeypatch):
+    clean = codensity_checks_at_50_cases()
+    real = codensity.check_cone_naturality
+    calls = []
+
+    def every_third_fails(cone, *args, **kwargs):
+        result = real(cone, *args, **kwargs)
+        calls.append(cone)
+        if len(calls) % 3:
+            return result
+        return NaturalityResult(False, result.triangles, (None, "seeded fault"))
+
+    monkeypatch.setattr(codensity, "check_cone_naturality", every_third_fails)
+    checks = codensity_checks_at_50_cases()
+    for name in ("sigma.round-trip", "sigma.uniqueness"):
+        assert (checks[name].passed, checks[name].failed) == (14, 0)
+    naturality = checks["sigma.naturality"]
+    assert naturality.failed == 6
+    assert naturality.passed + naturality.failed == clean["sigma.naturality"].passed
+    assert naturality.witnesses[0] == "case 2: seeded fault"
+
+
+def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
+    real = codensity.reconstruct_from_cone
+    faulted = []
+
+    def one_wrong(cone, mode=Mode.SIGMA, recheck_naturality=True):
+        back = real(cone, mode, recheck_naturality)
+        if faulted or len(back.weights) < 2:
+            return back
+        faulted.append(back)
+        # the point mass on a lightest atom differs from any measure on 2+ atoms
+        light = min(range(len(back.weights)), key=back.weights.__getitem__)
+        point = back.algebra.ground.labels_of(back.algebra.atoms[light])[0]
+        return dirac(point, back.algebra, back.mode)
+
+    monkeypatch.setattr(codensity, "reconstruct_from_cone", one_wrong)
+    round_trip, naturality, uniqueness = verify_codensity_bijection(
+        None, cases=10, seed=0
+    ).checks
+    assert faulted
+    assert (round_trip.passed, round_trip.failed) == (9, 1)
+    assert (uniqueness.passed, uniqueness.failed) == (9, 0)
+    assert naturality.ok
 
 
 def test_small_index_sufficiency_thresholds():

@@ -411,14 +411,14 @@ def test_equivalence_sweep_catches_a_wrong_direct_side(monkeypatch):
     )
     sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
     assert not sweep.ok
-    assert len(sweep.disagreements) == 52
+    assert sweep.checks[0].failed == 52
 
 
 def test_equivalence_sweep_catches_a_wrong_subset_side(monkeypatch):
     _halve_subset_sums(monkeypatch)
     sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
     assert not sweep.ok
-    assert len(sweep.disagreements) == 190
+    assert sweep.checks[0].failed == 190
 
 
 def test_subset_sums_by_mask():
