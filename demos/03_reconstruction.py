@@ -13,7 +13,6 @@ from finprob import (
     Measure,
     ReconstructionError,
     SimpleFunction,
-    reconstruct_charge,
     reconstruct_measure,
     simple_integral,
 )
@@ -29,7 +28,7 @@ print("recovered:", reconstruct_measure(functional).weights)
 
 # Evaluation at a point is also additive; it reconstructs to a Dirac.
 evaluation = Functional(algebra, lambda s: s.value_at("b"), indicators)
-print("evaluation functional gives:", reconstruct_charge(evaluation).weights)
+print("evaluation functional gives:", reconstruct_measure(evaluation).weights)
 
 # A cheating functional: both {a} and its complement claim mass 3/4.
 def cheat(s):

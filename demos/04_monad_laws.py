@@ -11,7 +11,6 @@ from finprob import (
     GroundSet,
     Measure,
     MetaMeasure,
-    Mode,
     check_monad_laws,
     dirac,
     mult,
@@ -44,8 +43,7 @@ diracs = MetaMeasure(
 )
 print("right unit:", mult(diracs) == biased)
 
-# The full seeded law suite, in both the sigma-additive and the
-# finitely-additive mode (identical numbers, distinct semantics).
-for mode in (Mode.SIGMA, Mode.FINITELY_ADDITIVE):
-    report = check_monad_laws(None, cases=200, seed=0, mode=mode)
-    print(f"{mode.value}: all laws exact on 200 cases ->", report.ok)
+# The full seeded law suite.  On a finite algebra every finitely additive
+# charge is sigma-additive, so one run covers both readings of the monad.
+report = check_monad_laws(None, cases=200, seed=0)
+print("all laws exact on 200 cases ->", report.ok)

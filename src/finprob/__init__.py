@@ -33,14 +33,11 @@ from .setalg import (
 )
 from .measure import (
     Measure,
-    Mode,
     dirac,
     evaluate,
     pushforward,
     simplex_algebra,
     uniform,
-    validate,
-    validate_weights,
 )
 from .integrate import (
     SimpleFunction,
@@ -65,7 +62,6 @@ from .represent import (
     caratheodory_extend,
     check_weak_lattice,
     daniell_stone,
-    reconstruct_charge,
     reconstruct_measure,
     slab_intersect,
     slab_subtract,
@@ -92,6 +88,6 @@ from .lipmetric import (
     discrete_space,
     total_variation,
 )
-from .report import Report, SuiteConfig
+from .report import Mode, Report, SuiteConfig
 
 __version__ = "0.1.0"

@@ -35,16 +35,14 @@ from .lipmetric import (
     discrete_space,
     total_variation,
 )
-from .measure import Mode
 from .monad import SimplexPoint, check_monad_laws
-from .report import CheckOutcome, Report, SuiteConfig, tally
+from .report import CheckOutcome, Mode, Report, SuiteConfig, tally
 from .represent import (
     Functional,
     Slab,
     WeakIntegrationLattice,
     caratheodory_extend,
     daniell_stone,
-    reconstruct_charge,
     reconstruct_measure,
     slab_intersect,
     slab_subtract,
@@ -71,6 +69,8 @@ def _tally_cases(
 
 
 def run_laws(config: SuiteConfig, modes=None) -> Report:
+    """The monad laws, run once for each mode label in ``modes`` (default:
+    the config's) and reported under that label's prefix."""
     report = Report("laws", config.to_payload())
     report.notes.append(
         "on finite discrete spaces the Radon- and Baire-style measure monads "
@@ -83,7 +83,6 @@ def run_laws(config: SuiteConfig, modes=None) -> Report:
             cases=config.cases,
             seed=config.seed,
             max_denominator=config.max_denominator,
-            mode=mode,
             max_ground_size=config.max_ground_size,
         )
         report.add_checks(mode.value, sorted(result.checks, key=lambda c: c.name))
@@ -91,6 +90,9 @@ def run_laws(config: SuiteConfig, modes=None) -> Report:
 
 
 def run_codensity(config: SuiteConfig, modes=None) -> Report:
+    """The measure/cone bijection, run once for each mode label in ``modes``
+    (default: the config's) under that label's prefix, then small-index
+    sufficiency."""
     report = Report("codensity", config.to_payload())
     report.notes.append(
         "countable-index additivity legs are instantiated with finite index "
@@ -106,7 +108,6 @@ def run_codensity(config: SuiteConfig, modes=None) -> Report:
             cases=bijection_cases,
             seed=config.seed,
             max_denominator=config.max_denominator,
-            mode=mode,
             max_ground_size=size,
         )
         report.add_checks(mode.value, result.checks)
@@ -118,7 +119,6 @@ def run_codensity(config: SuiteConfig, modes=None) -> Report:
             cases=sufficiency_cases,
             seed=config.seed,
             max_denominator=config.max_denominator,
-            mode=config.mode,
             max_ground_size=size,
         )
         ok = result.determined == expect_determined and result.ok
@@ -219,21 +219,16 @@ def run_reconstruction_suite(config: SuiteConfig) -> Report:
 
 def _round_trip_case(config: SuiteConfig, rng, case: int):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
-    mode = rng.choice((Mode.SIGMA, Mode.FINITELY_ADDITIVE))
-    p = gen.random_measure(rng, algebra, config.max_denominator, mode)
+    p = gen.random_measure(rng, algebra, config.max_denominator)
     family = [
         gen.random_simple_function(rng, algebra, config.max_denominator)
         for _ in range(3)
     ]
     family += [SimpleFunction.indicator(algebra, atom) for atom in algebra.atoms]
     functional = Functional(algebra, lambda s: simple_integral(p, s), tuple(family))
-    back = (
-        reconstruct_measure(functional)
-        if mode is Mode.SIGMA
-        else reconstruct_charge(functional)
-    )
+    back = reconstruct_measure(functional)
     return (
-        back == p and back.mode == mode,
+        back == p,
         lambda: f"case {case}: {p.weights} -> {back.weights}",
     )
 
@@ -269,7 +264,7 @@ def _adversarial_case(config: SuiteConfig, rng, case: int):
 
 def _lattice_case(config: SuiteConfig, rng, case: int):
     """Daniell-Stone on a random grid lattice must rebuild the hidden
-    measure, mode included."""
+    measure."""
     lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
     try:
         rebuilt = daniell_stone(lattice, _integration_oracle(hidden))
@@ -421,6 +416,9 @@ def _integral_case(config: SuiteConfig, rng, case: int):
 
 
 def run_all(config: SuiteConfig) -> Report:
+    """Every suite.  The laws and the bijection run once under each mode
+    label: the labels select the same checks, but each prefix counts only
+    outcomes its own run produced."""
     report = Report("all", config.to_payload())
     both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
     report.extend(run_laws(config, modes=both))
@@ -476,12 +474,12 @@ def run_codensity_input(config: SuiteConfig, data: dict) -> Report:
         () if nat.ok else (f"failing triangle via {nat.witness[1]}",),
     )
     try:
-        measure = reconstruct_from_cone(cone, config.mode, recheck_naturality=False)
+        measure = reconstruct_from_cone(cone, recheck_naturality=False)
     except (ReconstructionError, PreconditionError) as exc:
         report.add("reconstruct", 0, 1, (str(exc),))
         return report
     if nat.ok:
-        report.add("reconstruct", 1, 0, (serialize.dump_measure(measure),))
+        report.add("reconstruct", 1, 0, (serialize.dump_measure(measure, config.mode),))
     else:
         report.add("reconstruct", 0, 1, ("cone is not natural",))
     return report
@@ -495,15 +493,11 @@ def run_reconstruct_input(config: SuiteConfig, data: dict) -> Report:
     )
     try:
         _require_indicators(functional)
-        result = (
-            reconstruct_measure(functional)
-            if config.mode is Mode.SIGMA
-            else reconstruct_charge(functional)
-        )
+        result = reconstruct_measure(functional)
     except (ReconstructionError, PreconditionError) as exc:
         report.add("reconstruct", 0, 1, (str(exc),))
         return report
-    report.add("reconstruct", 1, 0, (serialize.dump_measure(result),))
+    report.add("reconstruct", 1, 0, (serialize.dump_measure(result, config.mode),))
     return report
 
 
@@ -645,6 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--mode",
             choices=[m.value for m in Mode],
             default=Mode.SIGMA.value,
+            help="the label the report is filed under: it names the laws and "
+            "bijection check prefixes and the mode of dumped measures; on a "
+            "finite algebra both labels run the same checks",
         )
         cmd.add_argument("--format", choices=("json", "text"), default="json")
         cmd.add_argument("--method", choices=("lp", "subsets", "both"), default="both")

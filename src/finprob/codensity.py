@@ -25,10 +25,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .integrate import SimpleFunction, simple_integral
-from .measure import Measure, Mode, dirac, pushforward, simplex_algebra
+from .measure import Measure, dirac, pushforward, simplex_algebra
 from .monad import SimplexPoint
 from .report import CheckOutcome
-from .represent import Functional, reconstruct_charge, reconstruct_measure
+from .represent import Functional, reconstruct_measure
 from .setalg import Algebra
 
 ZERO = Fraction(0)
@@ -217,9 +217,7 @@ def _binary_indicator_mask(arrow: Arrow) -> int | None:
     return mask
 
 
-def reconstruct_from_cone(
-    cone: Cone, mode: Mode = Mode.SIGMA, recheck_naturality: bool = True
-) -> Measure:
+def reconstruct_from_cone(cone: Cone, recheck_naturality: bool = True) -> Measure:
     """The unique measure whose canonical cone has the given legs.
 
     Requires the declared family to contain the binary indicator arrow of
@@ -252,10 +250,7 @@ def reconstruct_from_cone(
         (SimpleFunction.indicator(source, mask), value)
         for mask, value in sorted(table.items())
     ]
-    functional = Functional.from_table(source, pairs)
-    if mode is Mode.SIGMA:
-        return reconstruct_measure(functional)
-    return reconstruct_charge(functional).with_mode(mode)
+    return reconstruct_measure(Functional.from_table(source, pairs))
 
 
 BIJECTION_CHECKS = ("round-trip", "naturality", "uniqueness")
@@ -288,7 +283,6 @@ def verify_codensity_bijection(
     cases: int = 100,
     seed: int = 0,
     max_denominator: int = 12,
-    mode: Mode = Mode.SIGMA,
     max_ground_size: int = 4,
 ) -> BijectionReport:
     """Round-trip and uniqueness checks for the measure/cone correspondence.
@@ -305,7 +299,7 @@ def verify_codensity_bijection(
             rng, gen.random_ground(rng, max_ground_size)
         )
         family = indicator_family(current)
-        p = gen.random_measure(rng, current, max_denominator, mode)
+        p = gen.random_measure(rng, current, max_denominator)
         cone = cone_of_measure(p, family)
         nat = check_cone_naturality(cone)
         passed = nat.triangles - (not nat.ok)  # a failure ends the enumeration
@@ -313,7 +307,7 @@ def verify_codensity_bijection(
         if not nat.ok:
             yield "naturality", False, f"case {case}: {nat.witness[1]}"
             return
-        back = reconstruct_from_cone(cone, mode, recheck_naturality=False)
+        back = reconstruct_from_cone(cone, recheck_naturality=False)
         if back != p:
             yield "round-trip", False, f"case {case}: {p.weights} -> {back.weights}"
             return
@@ -323,7 +317,7 @@ def verify_codensity_bijection(
             f"case {case}: cone legs changed on the round trip",
         )
 
-        q = gen.random_measure(rng, current, max_denominator, mode)
+        q = gen.random_measure(rng, current, max_denominator)
         legs_q = cone_of_measure(q, family).legs
         yield (
             "uniqueness",
@@ -355,7 +349,6 @@ def small_index_sufficiency(
     cases: int = 50,
     seed: int = 0,
     max_denominator: int = 12,
-    mode: Mode = Mode.SIGMA,
     max_ground_size: int = 4,
 ) -> SufficiencyReport:
     """Whether arrows with at most ``k`` target labels already determine the
@@ -377,11 +370,11 @@ def small_index_sufficiency(
         family = tuple(a for a in indicator_family(current) if len(a.targets) <= k)
         if k >= 3 and len(current.atoms) <= 3:
             family = family + (_atom_arrow(current, k),)
-        p = gen.random_measure(rng, current, max_denominator, mode)
-        q = gen.random_measure(rng, current, max_denominator, mode)
+        p = gen.random_measure(rng, current, max_denominator)
+        q = gen.random_measure(rng, current, max_denominator)
         cone = cone_of_measure(p, family)
         try:
-            back = reconstruct_from_cone(cone, mode)
+            back = reconstruct_from_cone(cone)
         except ReconstructionError:
             yield "determined", False, None
             return

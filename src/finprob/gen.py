@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .lipmetric import FiniteMetricSpace
-from .measure import Measure, Mode
+from .measure import Measure
 from .monad import MetaMeasure, SimplexPoint
 from .integrate import SimpleFunction
 from .report import CheckOutcome, tally
@@ -87,19 +87,16 @@ def random_positive_weights(
 
 
 def random_measure(
-    rng: random.Random,
-    algebra: Algebra,
-    max_denominator: int,
-    mode: Mode = Mode.SIGMA,
+    rng: random.Random, algebra: Algebra, max_denominator: int
 ) -> Measure:
     k = len(algebra.atoms)
     style = rng.randrange(8)
     if style == 0:  # forced edge case: all mass on one atom
         i = rng.randrange(k)
-        return Measure(algebra, tuple(ONE if j == i else ZERO for j in range(k)), mode)
+        return Measure(algebra, tuple(ONE if j == i else ZERO for j in range(k)))
     if style == 1 and k <= max_denominator:  # forced edge case: uniform
-        return Measure(algebra, (Fraction(1, k),) * k, mode)
-    return Measure(algebra, random_weights(rng, k, max_denominator), mode)
+        return Measure(algebra, (Fraction(1, k),) * k)
+    return Measure(algebra, random_weights(rng, k, max_denominator))
 
 
 def random_simple_function(
@@ -166,13 +163,12 @@ def random_meta_measure(
     rng: random.Random,
     algebra: Algebra,
     max_denominator: int,
-    mode: Mode = Mode.SIGMA,
     max_support: int = 3,
 ) -> MetaMeasure:
     count = rng.randint(1, max_support)
     support: list[Measure] = []
     for _ in range(4 * count):
-        p = random_measure(rng, algebra, max_denominator, mode)
+        p = random_measure(rng, algebra, max_denominator)
         if p not in support:
             support.append(p)
         if len(support) == count:

@@ -242,23 +242,20 @@ class SimplexLipschitzCheck:
 
 
 def check_simplex_lipschitz(
-    f: Mapping[str, Measure],
-    space: FiniteMetricSpace,
-    method: str = "lp",
+    f: Mapping[str, Measure], space: FiniteMetricSpace
 ) -> SimplexLipschitzCheck:
     """Whether a map into a discrete-metric simplex is 1-Lipschitz.
 
     Two criteria are evaluated independently and both verdicts are
     returned, with ``verdicts_agree`` saying whether they match: the direct
-    definition (the simplex distance between images is at most the distance
-    between arguments, with the simplex distance computed by ``method``),
-    which decides ``is_lipschitz``, and the subset-sum criterion (every
-    subset sum of components is 1-Lipschitz into [0, 1]).  On failure the
+    definition (the simplex distance between images, solved as a linear
+    program, is at most the distance between arguments), which decides
+    ``is_lipschitz``, and the subset-sum criterion (every subset sum of
+    components is 1-Lipschitz into [0, 1]).  The direct side never uses
+    subset sums, so the two verdicts are independent.  On failure the
     witness is the offending pair and, for the subset route, the offending
     subset.
     """
-    if method not in ("lp", "subsets"):
-        raise DomainError(f"unknown method {method!r}")
     points = space.points
     images = []
     for x in points:
@@ -274,10 +271,7 @@ def check_simplex_lipschitz(
     direct, direct_witness = True, None
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if method == "lp":
-                gap = bl_distance_lp(images[i], images[j], target)
-            else:
-                gap = bl_distance_subsets(images[i], images[j])
+            gap = bl_distance_lp(images[i], images[j], target)
             if gap > space.dist[i][j]:
                 direct, direct_witness = False, (points[i], points[j], gap)
                 break
@@ -578,7 +572,7 @@ def check_lipschitz_criterion_equivalence(
         rng.shuffle(sampled)
         for space, assignment, verdict in sampled[:lp_samples]:
             f = dict(zip(space.points, assignment))
-            check = check_simplex_lipschitz(f, space, method="lp")
+            check = check_simplex_lipschitz(f, space)
             yield (
                 check.is_lipschitz == verdict and check.verdicts_agree,
                 lambda: "lp spot check disagrees on "

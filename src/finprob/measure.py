@@ -1,19 +1,20 @@
-"""Probability measures and charges on finite algebras.
+"""Probability measures on finite algebras.
 
 A measure is stored by its atom weight vector, the unique minimal
 representation; the value on any member is the sum of the weights of the
-atoms it contains.  The mode flag distinguishes sigma-additive measures from
-finitely additive charges: on a finite algebra the two notions coincide
-numerically, so the flag is semantic and is preserved by every operation.
+atoms it contains.  There is no separate type or flag for finitely additive
+charges: a finite algebra has finitely many members, so every countable
+disjoint family in it has only finitely many nonempty members, and a
+finitely additive charge is already sigma-additive.  The two notions name
+one object here.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .exact import fractions, in_unit_interval, total
@@ -23,23 +24,16 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class Mode(str, enum.Enum):
-    SIGMA = "sigma"
-    FINITELY_ADDITIVE = "finitely_additive"
-
-
 @dataclass(frozen=True)
 class Measure:
     """A normalized additive set function on a finite algebra."""
 
     algebra: Algebra
     weights: tuple[Fraction, ...]
-    mode: Mode = Mode.SIGMA
 
     def __post_init__(self):
         weights = fractions(self.weights)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "mode", Mode(self.mode))
         if len(weights) != len(self.algebra.atoms):
             raise ValueError("one weight per atom required")
         if not all(in_unit_interval(w) for w in weights):
@@ -55,9 +49,6 @@ class Measure:
     def labels(self) -> tuple[str, ...]:
         """The ground set's points; on a simplex algebra, one per weight."""
         return self.algebra.ground.points
-
-    def with_mode(self, mode: Mode) -> "Measure":
-        return Measure(self.algebra, self.weights, mode)
 
 
 @lru_cache
@@ -77,11 +68,11 @@ def evaluate(p: Measure, mask: int) -> Fraction:
     return total(w for atom, w in zip(p.algebra.atoms, p.weights) if atom & mask)
 
 
-def dirac(x: str, algebra: Algebra, mode: Mode = Mode.SIGMA) -> Measure:
+def dirac(x: str, algebra: Algebra) -> Measure:
     """The point mass at ``x``: every member containing ``x`` has measure 1."""
     hit = algebra.atom_of_point(x)
     weights = tuple(ONE if i == hit else ZERO for i in range(len(algebra.atoms)))
-    return Measure(algebra, weights, mode)
+    return Measure(algebra, weights)
 
 
 def pushforward(p: Measure, mapping: Mapping[str, str], cod: Algebra) -> Measure:
@@ -110,49 +101,10 @@ def pushforward(p: Measure, mapping: Mapping[str, str], cod: Algebra) -> Measure
     buckets: list[list[Fraction]] = [[] for _ in cod.atoms]
     for j, w in zip(image, p.weights):
         buckets[j].append(w)
-    return Measure(cod, tuple(total(b) for b in buckets), p.mode)
+    return Measure(cod, tuple(total(b) for b in buckets))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    diagnostics: tuple[str, ...]
-
-
-def validate(p: Measure) -> ValidationReport:
-    """Check normalization and nonnegativity exactly.
-
-    See :func:`validate_weights`; a constructed :class:`Measure` always
-    passes.
-    """
-    return validate_weights(p.algebra, p.weights)
-
-
-def validate_weights(algebra: Algebra, weights: Iterable[Fraction]) -> ValidationReport:
-    """Diagnose a raw atom-weight vector without constructing a measure.
-
-    Checks the shape, normalization and nonnegativity.  Additivity needs no
-    check: every member is a union of atoms and its value is the sum of
-    their weights.  Never raises; every violation lands in the diagnostics.
-    """
-    weights = fractions(weights)
-    diagnostics: list[str] = []
-    if len(weights) != len(algebra.atoms):
-        return ValidationReport(
-            False, (f"shape: {len(weights)} weights for {len(algebra.atoms)} atoms",)
-        )
-    mass = total(weights)
-    if mass != 1:
-        diagnostics.append(f"normalization: weights sum to {mass}, expected 1")
-    for atom, w in zip(algebra.atoms, weights):
-        if w < 0:
-            diagnostics.append(
-                f"negative weight {w} on atom {algebra.ground.labels_of(atom)}"
-            )
-    return ValidationReport(not diagnostics, tuple(diagnostics))
-
-
-def uniform(algebra: Algebra, mode: Mode = Mode.SIGMA) -> Measure:
+def uniform(algebra: Algebra) -> Measure:
     """Equal weight on every atom."""
     k = len(algebra.atoms)
-    return Measure(algebra, (Fraction(1, k),) * k, mode)
+    return Measure(algebra, (Fraction(1, k),) * k)

@@ -5,8 +5,7 @@ A distribution over a plain label set is a :class:`Measure` on the labels'
 powerset (:func:`SimplexPoint`), so the functor action on distributions is
 :func:`~finprob.measure.pushforward`.  Measures on ``GX`` are represented
 with finite support only (:class:`MetaMeasure`), which makes the averaging
-integral an exact weighted sum.  The law suite runs identically under the
-sigma-additive and finitely-additive flags.
+integral an exact weighted sum.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .exact import dot, fractions, total
-from .measure import Measure, Mode, dirac, pushforward, simplex_algebra
+from .measure import Measure, dirac, pushforward, simplex_algebra
 from .report import CheckOutcome
 from .setalg import Algebra
 
@@ -30,18 +29,18 @@ def SimplexPoint(labels: Sequence[str], weights: Sequence[Fraction]) -> Measure:
     return Measure(simplex_algebra(tuple(labels)), weights)
 
 
-def unit(x: str, algebra: Algebra, mode: Mode = Mode.SIGMA) -> Measure:
+def unit(x: str, algebra: Algebra) -> Measure:
     """The monad unit: the Dirac measure at ``x``."""
-    return dirac(x, algebra, mode)
+    return dirac(x, algebra)
 
 
 @dataclass(frozen=True)
 class MetaMeasure:
     """A finitely supported probability measure on the measures of a space.
 
-    Support measures are pairwise distinct, share one algebra and one mode,
-    and every weight is strictly positive (zero-weight entries are rejected
-    rather than silently dropped).
+    Support measures are pairwise distinct and share one algebra, and every
+    weight is strictly positive (zero-weight entries are rejected rather
+    than silently dropped).
     """
 
     support: tuple[Measure, ...]
@@ -57,12 +56,8 @@ class MetaMeasure:
             raise ValueError("one weight per support measure required")
         if len(set(self.support)) != len(self.support):
             raise ValueError("support measures must be pairwise distinct")
-        first = self.support[0]
-        for q in self.support[1:]:
-            if q.algebra != first.algebra:
-                raise ValueError("support measures must share one algebra")
-            if q.mode != first.mode:
-                raise ValueError("support measures must share one mode")
+        if any(q.algebra != self.support[0].algebra for q in self.support[1:]):
+            raise ValueError("support measures must share one algebra")
         if any(w.numerator <= 0 for w in weights):
             raise ValueError("meta-measure weights must be strictly positive")
         mass = total(weights)
@@ -72,10 +67,6 @@ class MetaMeasure:
     @property
     def algebra(self) -> Algebra:
         return self.support[0].algebra
-
-    @property
-    def mode(self) -> Mode:
-        return self.support[0].mode
 
     @classmethod
     def point_mass(cls, p: Measure) -> "MetaMeasure":
@@ -100,7 +91,7 @@ def mult(m: MetaMeasure) -> Measure:
     support this is exactly ``sum_i weight_i * P_i(A)``.
     """
     columns = zip(*(p.weights for p in m.support))
-    return Measure(m.algebra, tuple(dot(m.weights, c) for c in columns), m.mode)
+    return Measure(m.algebra, tuple(dot(m.weights, c) for c in columns))
 
 
 def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:
@@ -123,7 +114,7 @@ def eta_as_meta(p: Measure) -> MetaMeasure:
     point of) that atom, weighted by the atom's mass.
     """
     return MetaMeasure.merge(
-        (w, dirac(p.algebra.ground.labels_of(atom)[0], p.algebra, p.mode))
+        (w, dirac(p.algebra.ground.labels_of(atom)[0], p.algebra))
         for atom, w in zip(p.algebra.atoms, p.weights)
         if w != 0
     )
@@ -143,7 +134,6 @@ class LawReport:
     """One check per law, in :data:`LAWS` order, each keeping up to
     :data:`~finprob.report.MAX_WITNESSES` failure witnesses of its own."""
 
-    mode: Mode
     cases: int
     checks: tuple[CheckOutcome, ...]
 
@@ -170,7 +160,6 @@ def check_monad_laws(
     cases: int = 100,
     seed: int = 0,
     max_denominator: int = 12,
-    mode: Mode = Mode.SIGMA,
     max_ground_size: int = 5,
 ) -> LawReport:
     """Verify the monad laws and naturality with exact equality on seeded
@@ -182,7 +171,7 @@ def check_monad_laws(
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, max_ground_size)
         )
-        p = gen.random_measure(rng, current, max_denominator, mode)
+        p = gen.random_measure(rng, current, max_denominator)
 
         # left unit: flattening the point mass at P returns P
         yield (
@@ -196,7 +185,7 @@ def check_monad_laws(
 
         # associativity on a two-level meta structure
         metas = [
-            gen.random_meta_measure(rng, current, max_denominator, mode)
+            gen.random_meta_measure(rng, current, max_denominator)
             for _ in range(rng.randint(1, 3))
         ]
         outer = gen.random_positive_weights(rng, len(metas), max_denominator)
@@ -213,17 +202,16 @@ def check_monad_laws(
         x = rng.choice(current.ground.points)
         yield (
             "unit-naturality",
-            pushforward(unit(x, current, mode), mapping, cod)
-            == unit(mapping[x], cod, mode),
+            pushforward(unit(x, current), mapping, cod) == unit(mapping[x], cod),
             f"case {case}: x={x} f={mapping}",
         )
 
         # naturality of mult: pushforward of the average is the average of pushforwards
-        meta = gen.random_meta_measure(rng, current, max_denominator, mode)
+        meta = gen.random_meta_measure(rng, current, max_denominator)
         yield (
             "mult-naturality",
             pushforward(mult(meta), mapping, cod) == mult(map_meta(meta, mapping, cod)),
             f"case {case}: f={mapping}",
         )
 
-    return LawReport(mode, cases, gen.run_cases(seed, "laws", cases, LAWS, check_case))
+    return LawReport(cases, gen.run_cases(seed, "laws", cases, LAWS, check_case))

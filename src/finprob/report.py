@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import enum
 import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from .errors import InputError
-from .measure import Mode
+
+
+class Mode(str, enum.Enum):
+    """The label a run carries: which of the paper's two readings, measures
+    or finitely additive charges, its report is filed under.  On a finite
+    algebra the two are one object, so the label selects no computation; it
+    names report prefixes and the ``"mode"`` key of dumped measures."""
+
+    SIGMA = "sigma"
+    FINITELY_ADDITIVE = "finitely_additive"
 
 
 @dataclass(frozen=True)

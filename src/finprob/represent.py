@@ -12,7 +12,6 @@ reconstruction wherever the lattice exposes indicators.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,7 +24,7 @@ from .errors import (
     ReconstructionError,
 )
 from .integrate import SimpleFunction, canonicalize, simple_integral
-from .measure import Measure, Mode
+from .measure import Measure
 from .setalg import (
     Algebra,
     GroundSet,
@@ -82,43 +81,22 @@ class Functional:
         return Fraction(self.oracle(s))
 
 
-def reconstruct_charge(f: Functional) -> Measure:
-    """The unique charge with the functional's indicator values.
+def reconstruct_measure(f: Functional) -> Measure:
+    """The unique measure with the functional's indicator values.
 
     Sets ``P(A) := F(1_A)`` on atoms, then asserts that the full ground set
     gets mass one, that the atom values are nonnegative and sum to it, and
     that integration against ``P`` reproduces the functional on the declared
     test family.
+
+    No separate finite-sum (or countable-sum) check follows, because none
+    could fail.  A countable disjoint family in a finite algebra has finitely
+    many nonempty members.  Once every listed function, each listed
+    indicator included, integrates against ``P`` to its value, every listed
+    indicator's value is ``P`` of its set.  ``P`` is additive, so the values
+    of a disjoint family of listed indicators add up to the value of their
+    union whenever that union is listed too.
     """
-    return _reconstruct(f, Mode.FINITELY_ADDITIVE)
-
-
-def reconstruct_measure(f: Functional) -> Measure:
-    """As :func:`reconstruct_charge`, additionally asserting finite-sum
-    additivity over disjoint indicator families (the faithful finite
-    instantiation of countable additivity) and flagging the result
-    sigma-additive."""
-    p = _reconstruct(f, Mode.SIGMA)
-    indicator_masks = _indicator_masks(f)
-    for masks in _disjoint_families(indicator_masks, f.algebra, max_size=3):
-        union = 0
-        for m in masks:
-            union |= m
-        if union not in indicator_masks:
-            continue
-        total = sum(
-            (f.value(SimpleFunction.indicator(f.algebra, m)) for m in masks), ZERO
-        )
-        whole = f.value(SimpleFunction.indicator(f.algebra, union))
-        if total != whole:
-            raise ReconstructionError(
-                f"finite-sum additivity violated: F(union)={whole} but parts sum to {total}",
-                witness=tuple(masks) + (union,),
-            )
-    return p
-
-
-def _reconstruct(f: Functional, mode: Mode) -> Measure:
     algebra = f.algebra
     full = SimpleFunction.indicator(algebra, algebra.ground.full_mask)
     total = f.value(full)
@@ -140,7 +118,7 @@ def _reconstruct(f: Functional, mode: Mode) -> Measure:
             f"total indicator mass {sum(weights)}, but F(1_X) = 1",
             witness=(algebra.ground.full_mask, algebra.atoms, sum(weights)),
         )
-    p = Measure(algebra, weights, mode)
+    p = Measure(algebra, weights)
     failures = []
     for s in f.test_family:
         got = f.value(s)
@@ -155,38 +133,6 @@ def _reconstruct(f: Functional, mode: Mode) -> Measure:
             witness=tuple(failures),
         )
     return p
-
-
-def _indicator_masks(f: Functional) -> set[int]:
-    masks = set(f.algebra.atoms)
-    masks.add(0)
-    masks.add(f.algebra.ground.full_mask)
-    for s in f.test_family:
-        if set(s.values) <= {ZERO, ONE}:
-            masks.add(
-                sum(
-                    atom
-                    for atom, v in zip(f.algebra.atoms, s.values)
-                    if v == ONE
-                )
-            )
-    return masks
-
-
-def _disjoint_families(
-    masks: set[int], algebra: Algebra, max_size: int
-) -> Iterable[tuple[int, ...]]:
-    pool = sorted(m for m in masks if m)
-    for size in range(2, max_size + 1):
-        for combo in itertools.combinations(pool, size):
-            union, disjoint = 0, True
-            for m in combo:
-                if union & m:
-                    disjoint = False
-                    break
-                union |= m
-            if disjoint:
-                yield combo
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +463,10 @@ class ExtensionResult:
             ZERO,
         )
 
-    def to_measure(self, mode: Mode = Mode.SIGMA) -> Measure:
+    def to_measure(self) -> Measure:
         if self.mass != 1:
             raise DomainError(f"extension has total mass {self.mass}, not 1")
-        return Measure(self.algebra, self.weights, mode)
+        return Measure(self.algebra, self.weights)
 
 
 def caratheodory_extend(
@@ -727,7 +673,7 @@ def daniell_stone(
             column |= 1 << (i * len(cells) + j)
         weights.append(extension.value(column))
     try:
-        result = Measure(sigma, tuple(weights), Mode.SIGMA)
+        result = Measure(sigma, tuple(weights))
     except ValueError as exc:
         raise ExtensionError(f"slab extension is not a probability measure: {exc}")
 

@@ -16,8 +16,9 @@ from .codensity import Arrow, Cone
 from .errors import FinprobError, InputError
 from .integrate import SimpleFunction, canonicalize
 from .lipmetric import FiniteMetricSpace
-from .measure import Measure, Mode
+from .measure import Measure
 from .monad import SimplexPoint
+from .report import Mode
 from .represent import Functional, Slab
 from .setalg import Algebra, GroundSet, SubsetFamily
 
@@ -127,11 +128,13 @@ def load_algebra(data: Any, location: str = "$.algebra") -> Algebra:
 # -- measures ----------------------------------------------------------------
 
 
-def dump_measure(p: Measure) -> dict:
+def dump_measure(p: Measure, mode: Mode = Mode.SIGMA) -> dict:
+    """The measure's wire form; ``mode`` is the run's label, carried in the
+    ``"mode"`` key."""
     return {
         "algebra": dump_algebra(p.algebra),
         "weights": {str(i): dump_fraction(w) for i, w in enumerate(p.weights)},
-        "mode": p.mode.value,
+        "mode": Mode(mode).value,
     }
 
 
@@ -145,13 +148,13 @@ def load_measure(data: Any, location: str = "$") -> Measure:
         if key not in raw:
             raise InputError(f"missing weight for atom {i}", f"{location}.weights")
         weights.append(parse_fraction(raw[key], f"{location}.weights.{key}"))
-    mode_raw = obj.get("mode", Mode.SIGMA.value)
+    if "mode" in obj:  # a run label only: validated, then ignored
+        try:
+            Mode(obj["mode"])
+        except ValueError:
+            raise InputError(f"unknown mode {obj['mode']!r}", f"{location}.mode") from None
     try:
-        mode = Mode(mode_raw)
-    except ValueError:
-        raise InputError(f"unknown mode {mode_raw!r}", f"{location}.mode") from None
-    try:
-        return Measure(algebra, tuple(weights), mode)
+        return Measure(algebra, tuple(weights))
     except ValueError as exc:
         raise InputError(str(exc), f"{location}.weights") from None
 

@@ -15,7 +15,6 @@ from fractions import Fraction as F
 import pytest
 
 from finprob import (
-    Mode,
     SimplexPoint,
     bl_distance_lp,
     bl_distance_subsets,
@@ -40,28 +39,21 @@ def announce(number, name, ok, started, detail=""):
 
 def test_criterion_01_monad_laws():
     started = time.monotonic()
-    ok = True
-    detail = []
-    for mode in (Mode.SIGMA, Mode.FINITELY_ADDITIVE):
-        report = check_monad_laws(
-            None, cases=500, seed=0, max_denominator=12, mode=mode, max_ground_size=5
-        )
-        ok = ok and report.ok and all(v == 500 for v in report.passed.values())
-        detail.append(f"{mode.value}: {sum(report.passed.values())} law checks")
-    announce(1, "monad laws", ok, started, "; ".join(detail))
+    report = check_monad_laws(
+        None, cases=500, seed=0, max_denominator=12, max_ground_size=5
+    )
+    ok = report.ok and all(v == 500 for v in report.passed.values())
+    detail = f"{sum(report.passed.values())} law checks"
+    announce(1, "monad laws", ok, started, detail)
 
 
 def test_criterion_02_codensity_bijection():
     started = time.monotonic()
-    ok = True
-    triangles = 0
-    for mode in (Mode.SIGMA, Mode.FINITELY_ADDITIVE):
-        report = verify_codensity_bijection(
-            None, cases=200, seed=0, max_denominator=12, mode=mode, max_ground_size=4
-        )
-        ok = ok and report.ok
-        triangles += report.triangles
-    announce(2, "codensity bijection", ok, started, f"{triangles} triangles checked")
+    report = verify_codensity_bijection(
+        None, cases=200, seed=0, max_denominator=12, max_ground_size=4
+    )
+    detail = f"{report.triangles} triangles checked"
+    announce(2, "codensity bijection", report.ok, started, detail)
 
 
 def test_criterion_03_small_index_sufficiency():
@@ -237,6 +229,21 @@ SUITE_SEED_0_SHA256 = {
     "laws": "0a639d686c561873a4651495040a94f7f7fe058d863b4c5c5808fdd6999a9660",
     "reconstruct": "d5f545aff1857e59ebe473e08c66905ec166308538940ab644205d183f928219",
 }
+
+
+# the same suites' reports at --seed 0 --mode finitely_additive
+CHARGE_SEED_0_SHA256 = {
+    "codensity": "1a083da49f7e941a5387dd2ea94d647cdcd2f7c9e33bbd75c3b8735215b23f1d",
+    "laws": "91cf6b0561e3a639d28c4265bd563184d3a8f014cee97c9a3cfc0eaa6b843ec1",
+    "reconstruct": "9bed544d58f8944f5a77e66e7ff796f790aee4672478c8e3763b58103c5eefdd",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(CHARGE_SEED_0_SHA256))
+def test_finitely_additive_reports_are_pinned(suite, capsys):
+    assert cli.run([suite, "--seed", "0", "--mode", "finitely_additive"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARGE_SEED_0_SHA256[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_SEED_0_SHA256))

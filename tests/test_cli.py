@@ -130,6 +130,29 @@ def test_reconstruct_input_success(tmp_path, capsys):
 TWO_POINT_ALGEBRA = {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]}
 
 
+def test_reconstruct_input_witness_carries_the_mode_label(tmp_path, capsys):
+    instance = {
+        "format": 1,
+        "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
+        "table": {
+            "family": [
+                {"terms": [["1/1", [0, 1]]]},
+                {"terms": [["1/1", [0]]]},
+                {"terms": [["1/1", [1]]]},
+            ],
+            "values": ["1/1", "1/4", "3/4"],
+        },
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(instance))
+    for mode in ("sigma", "finitely_additive"):
+        code, out, _ = run_cli(capsys, "reconstruct", "--input", str(path), "--mode", mode)
+        assert code == 0
+        witness = json.loads(out)["checks"][0]["witnesses"][0]
+        assert witness["mode"] == mode
+        assert witness["weights"] == {"0": "1/4", "1": "3/4"}
+
+
 def test_reconstruct_input_missing_indicators_exits_one(tmp_path):
     """A table without the indicator of atom {1} cannot determine a measure:
     a failed check naming 1_{1}, not a crash."""
@@ -368,6 +391,24 @@ def test_integrate_input_reports_clauses(tmp_path, capsys):
     payload = json.loads(out)
     names = [c["name"] for c in payload["checks"]]
     assert "sup-inf" in names and "finite-series" in names
+
+
+def test_integrate_input_rejects_an_unknown_measure_mode(tmp_path, capsys):
+    instance = {
+        "format": 1,
+        "measure": {
+            "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
+            "weights": {"0": "1/2", "1": "1/2"},
+            "mode": ["x"],
+        },
+        "functions": [{"terms": [["1/2", [0]]]}],
+    }
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "integrate", "--input", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "input error at $.measure.mode: unknown mode ['x']\n"
 
 
 def test_reports_byte_identical_across_runs(capsys):

@@ -182,10 +182,12 @@ def test_uniqueness_distinct_measures_have_distinct_legs():
 
 
 def test_bijection_suite_both_modes():
-    for mode in (Mode.SIGMA, Mode.FINITELY_ADDITIVE):
-        report = verify_codensity_bijection(None, cases=40, seed=0, mode=mode)
-        assert report.ok
-        assert report.triangles > 0
+    both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
+    checks = {c.name: c for c in cli.run_codensity(SuiteConfig(cases=100), modes=both).checks}
+    for name in ("round-trip", "naturality", "uniqueness"):
+        sigma, charge = checks[f"sigma.{name}"], checks[f"finitely_additive.{name}"]
+        assert sigma.ok and charge.ok
+        assert sigma.passed == charge.passed > 0
 
 
 def codensity_checks_at_50_cases():
@@ -219,15 +221,15 @@ def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
     real = codensity.reconstruct_from_cone
     faulted = []
 
-    def one_wrong(cone, mode=Mode.SIGMA, recheck_naturality=True):
-        back = real(cone, mode, recheck_naturality)
+    def one_wrong(cone, recheck_naturality=True):
+        back = real(cone, recheck_naturality)
         if faulted or len(back.weights) < 2:
             return back
         faulted.append(back)
         # the point mass on a lightest atom differs from any measure on 2+ atoms
         light = min(range(len(back.weights)), key=back.weights.__getitem__)
         point = back.algebra.ground.labels_of(back.algebra.atoms[light])[0]
-        return dirac(point, back.algebra, back.mode)
+        return dirac(point, back.algebra)
 
     monkeypatch.setattr(codensity, "reconstruct_from_cone", one_wrong)
     round_trip, naturality, uniqueness = verify_codensity_bijection(

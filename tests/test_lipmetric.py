@@ -472,7 +472,7 @@ def test_a_faulted_mult_fails_metric_laws(monkeypatch):
         w = list(p.weights)
         if len(w) > 1:
             w[0], w[1] = w[1], w[0]
-        return Measure(p.algebra, tuple(w), p.mode)
+        return Measure(p.algebra, tuple(w))
 
     monkeypatch.setattr(lipmetric, "mult", swaps_two_weights)
     checks = {c.name: c for c in run_nonexpansive(SuiteConfig(cases=100)).checks}

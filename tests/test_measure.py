@@ -1,4 +1,4 @@
-"""Measures and charges: evaluation, Dirac, pushforward, validation."""
+"""Measures: evaluation, Dirac, pushforward, construction."""
 
 from fractions import Fraction as F
 
@@ -11,7 +11,6 @@ from finprob import (
     DomainError,
     GroundSet,
     Measure,
-    Mode,
     PreconditionError,
     SimplexPoint,
     dirac,
@@ -20,8 +19,6 @@ from finprob import (
     pushforward,
     simplex_algebra,
     uniform,
-    validate,
-    validate_weights,
 )
 from finprob import gen
 
@@ -90,13 +87,6 @@ def test_pushforward_preimage_sums():
     assert q.weights == (F(2, 3), F(1, 3))
 
 
-def test_pushforward_preserves_mode():
-    g = GroundSet(("0", "1"))
-    p = uniform(Algebra.powerset(g), Mode.FINITELY_ADDITIVE)
-    q = pushforward(p, {"0": "0", "1": "0"}, p.algebra)
-    assert q.mode is Mode.FINITELY_ADDITIVE
-
-
 def test_pushforward_requires_premeasurable_map():
     g = GroundSet(("0", "1", "2"))
     dom = generate_algebra(g, [g.mask_of(["0", "1"])])
@@ -132,22 +122,12 @@ def test_simplex_algebra_is_shared_and_uncapped():
     assert p.algebra is algebra and p.labels == labels
 
 
-def test_validate_uniform_measure():
-    g = GroundSet(("0", "1", "2"))
-    assert validate(uniform(Algebra.powerset(g))).ok
-
-
-def test_validate_weights_normalization_diagnostic():
-    g = GroundSet(("0", "1"))
-    report = validate_weights(Algebra.powerset(g), (F(1, 2), F(2, 5)))
-    assert not report.ok
-    assert any(d.startswith("normalization") for d in report.diagnostics)
-
-
 def test_validate_allows_zero_weights():
+    """The constructor, the one check on weights, accepts a zero weight."""
     g = GroundSet(("0", "1", "2"))
-    p = Measure(Algebra.powerset(g), (F(1, 2), F(1, 2), F(0)))
-    assert validate(p).ok
+    p = Measure(Algebra.powerset(g), (F(1, 2), F(1, 2), 0))
+    assert p.weights == (F(1, 2), F(1, 2), F(0))
+    assert p(g.mask_of(["2"])) == 0
 
 
 def test_measure_constructor_rejects_bad_weights():

@@ -79,15 +79,6 @@ def test_meta_measure_rejects_zero_weights_and_duplicates():
         MetaMeasure((p, p), (F(1, 2), F(1, 2)))
 
 
-def test_meta_measure_rejects_mixed_modes():
-    g = GroundSet(("0", "1"))
-    alg = Algebra.powerset(g)
-    p = Measure(alg, (F(1, 2), F(1, 2)), Mode.SIGMA)
-    q = Measure(alg, (F(1, 4), F(3, 4)), Mode.FINITELY_ADDITIVE)
-    with pytest.raises(ValueError):
-        MetaMeasure((p, q), (F(1, 2), F(1, 2)))
-
-
 def test_left_unit_single_case():
     g = GroundSet(("0", "1"))
     p = Measure(Algebra.powerset(g), (F(1, 3), F(2, 3)))
@@ -143,10 +134,14 @@ def test_mult_is_affine():
 
 
 def test_law_suite_passes_both_modes():
-    for mode in (Mode.SIGMA, Mode.FINITELY_ADDITIVE):
-        report = check_monad_laws(None, cases=100, seed=0, mode=mode)
-        assert report.ok, report.checks
-        assert all(count == 100 for count in report.passed.values())
+    from finprob.cli import run_laws
+    from finprob.report import SuiteConfig
+
+    both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
+    report = run_laws(SuiteConfig(cases=100), modes=both)
+    assert report.ok, report.checks
+    assert sorted(c.name.split(".")[0] for c in report.checks) == ["finitely_additive"] * 5 + ["sigma"] * 5
+    assert all((c.passed, c.failed) == (100, 0) for c in report.checks)
 
 
 def test_law_suite_on_fixed_algebra():
@@ -169,7 +164,7 @@ def test_every_failing_law_keeps_its_own_witnesses(monkeypatch, capsys):
         w = list(p.weights)
         if len(w) > 1:
             w[0], w[1] = w[1], w[0]
-        return Measure(p.algebra, tuple(w), p.mode)
+        return Measure(p.algebra, tuple(w))
 
     monkeypatch.setattr(monad, "mult", swaps_two_weights)
     assert run(["laws", "--cases", "60"]) == 1

@@ -45,7 +45,7 @@ def _shift_mass(p: Measure) -> Measure:
     i = max(range(len(weights)), key=weights.__getitem__)
     j = (i + 1) % len(weights)
     weights[i], weights[j] = weights[i] / 2, weights[j] + weights[i] / 2
-    return Measure(p.algebra, tuple(weights), p.mode)
+    return Measure(p.algebra, tuple(weights))
 
 
 def _lattice_checks(config):

@@ -1,5 +1,8 @@
 """Reconstruction from functionals, weak lattices, slabs, and extension."""
 
+import functools
+import itertools
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +13,6 @@ from finprob import (
     Functional,
     GroundSet,
     Measure,
-    Mode,
     PreconditionError,
     ReconstructionError,
     SimpleFunction,
@@ -21,7 +23,6 @@ from finprob import (
     daniell_stone,
     dirac,
     generate_algebra,
-    reconstruct_charge,
     reconstruct_measure,
     simple_integral,
     slab_intersect,
@@ -46,18 +47,14 @@ def test_reconstruct_charge_tautological():
     functional = Functional(
         p.algebra, lambda s: simple_integral(p, s), indicator_family_of(p.algebra)
     )
-    back = reconstruct_charge(functional)
-    assert back.weights == p.weights
-    assert back.mode is Mode.FINITELY_ADDITIVE
+    assert reconstruct_measure(functional) == p
 
 
 def test_reconstruct_evaluation_functional_gives_dirac():
     g = GroundSet(("0", "1", "2"))
     alg = Algebra.powerset(g)
     functional = Functional(alg, lambda s: s.value_at("1"), indicator_family_of(alg))
-    assert reconstruct_charge(functional) == dirac(
-        "1", alg, Mode.FINITELY_ADDITIVE
-    )
+    assert reconstruct_measure(functional) == dirac("1", alg)
 
 
 def test_reconstruct_detects_complement_violation():
@@ -75,7 +72,7 @@ def test_reconstruct_detects_complement_violation():
 
     functional = Functional(alg, oracle, indicator_family_of(alg))
     with pytest.raises(ReconstructionError) as err:
-        reconstruct_charge(functional)
+        reconstruct_measure(functional)
     assert "additivity" in str(err.value)
 
 
@@ -87,9 +84,7 @@ def test_reconstruct_measure_from_table():
         (SimpleFunction.indicator(alg, m), simple_integral(p, SimpleFunction.indicator(alg, m)))
         for m in alg.members
     ]
-    back = reconstruct_measure(Functional.from_table(alg, pairs))
-    assert back == p
-    assert back.mode is Mode.SIGMA
+    assert reconstruct_measure(Functional.from_table(alg, pairs)) == p
 
 
 def test_reconstruct_measure_dirac():
@@ -119,6 +114,76 @@ def test_reconstruct_measure_detects_three_term_violation():
     with pytest.raises(ReconstructionError) as err:
         reconstruct_measure(functional)
     assert err.value.witness is not None
+
+
+def _perturbed_table(rng):
+    """A functional table on a random algebra of at most five points: some
+    member indicators, every atom indicator, 1_X and three random simple
+    functions, valued by integration against a random measure, with zero to
+    two values shifted."""
+    algebra = gen.random_algebra(rng, gen.random_ground(rng, 5))
+    p = gen.random_measure(rng, algebra, 12)
+    members = rng.sample(sorted(algebra.members), min(6, len(algebra.members)))
+    masks = members + list(algebra.atoms) + [algebra.ground.full_mask]
+    family = [SimpleFunction.indicator(algebra, m) for m in masks]
+    family += [gen.random_simple_function(rng, algebra, 12) for _ in range(3)]
+    table = {s: simple_integral(p, s) for s in family}
+    for s in rng.sample(sorted(table, key=lambda s: s.values), rng.randint(0, 2)):
+        table[s] += rng.choice((-1, 1)) * F(1, rng.randint(2, 24))
+    return algebra, table
+
+
+def _unbalanced_family(algebra, table):
+    """A disjoint family of at most three listed indicators whose union is
+    listed but whose values do not add up to the union's, or ``None``."""
+    value = {
+        sum(a for a, v in zip(algebra.atoms, s.values) if v): table[s]
+        for s in table
+        if set(s.values) <= {0, 1}
+    }
+    pool = sorted(m for m in value if m)
+    for size in (2, 3):
+        for family in itertools.combinations(pool, size):
+            union = sum(family)
+            if union == functools.reduce(operator.or_, family) and union in value:
+                if sum(value[m] for m in family) != value[union]:
+                    return family
+    return None
+
+
+def _reconstructions(with_test_family, cases=1000):
+    """``(accepted, rejected, unbalanced)`` over seeded perturbed tables;
+    the last counts accepted tables with an unbalanced disjoint family."""
+    accepted = rejected = unbalanced = 0
+    for case in range(cases):
+        algebra, table = _perturbed_table(gen.rng_for(case, "disjoint-families"))
+        functional = Functional.from_table(algebra, table.items())
+        if not with_test_family:
+            functional = Functional(algebra, functional.oracle)
+        try:
+            reconstruct_measure(functional)
+        except ReconstructionError:
+            rejected += 1
+            continue
+        accepted += 1
+        unbalanced += _unbalanced_family(algebra, table) is not None
+    return accepted, rejected, unbalanced
+
+
+def test_accepted_tables_add_up_on_every_disjoint_indicator_family():
+    """Once every listed function integrates to its value, no separate
+    finite-sum check is needed: disjoint listed indicators add up."""
+    accepted, rejected, unbalanced = _reconstructions(with_test_family=True)
+    assert accepted > 300 and rejected > 300
+    assert unbalanced == 0
+
+
+def test_disjoint_family_check_fails_without_the_test_family():
+    """The same oracle without its test family is checked on atoms and 1_X
+    only, so shifted member values pass reconstruction and the disjoint
+    family check catches them."""
+    accepted, _, unbalanced = _reconstructions(with_test_family=False)
+    assert unbalanced > 30 and accepted > unbalanced
 
 
 def test_reconstruction_order_preservation():
@@ -660,7 +725,7 @@ def reference_daniell_stone(lattice, oracle, multiplier_bound=64, family_cap=512
             column |= 1 << (i * len(cells) + j)
         weights.append(extension.value(column))
     try:
-        result = Measure(sigma, tuple(weights), Mode.SIGMA)
+        result = Measure(sigma, tuple(weights))
     except ValueError as exc:
         raise ExtensionError(f"slab extension is not a probability measure: {exc}")
 
@@ -782,7 +847,7 @@ def _outcome(run):
         p = run()
     except (ExtensionError, PreconditionError, ReconstructionError) as exc:
         return type(exc), str(exc), getattr(exc, "witness", None)
-    return p.algebra, p.weights, p.mode
+    return p.algebra, p.weights
 
 
 def test_integer_kernel_matches_fraction_reference_on_seeded_lattices():
