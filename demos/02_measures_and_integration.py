@@ -45,7 +45,6 @@ print("integral against P:", simple_integral(p, s))
 # The six integral properties, checked exactly.
 f = SimpleFunction.constant(algebra, F(1, 3))
 g = SimpleFunction.from_terms(algebra, [(F(1, 3), ground.mask_of(["red"]))])
-report = check_integral_properties(p, [f, g])
-for clause in report.clauses:
+for clause in check_integral_properties(p, [f, g]):
     print(f"  {clause.name}: {clause.passed} checks, {clause.failed} failures")
 print("sum rule worked example:", simple_integral(uniform(algebra), f.add(g)))

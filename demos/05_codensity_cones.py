@@ -41,10 +41,12 @@ print("naturality over", nat.triangles, "triangles:", nat.ok)
 print("round trip returns the measure:", reconstruct_from_cone(cone) == p)
 
 # The seeded bijection suite: round trips, naturality, uniqueness.
-report = verify_codensity_bijection(None, cases=50, seed=0)
-print("bijection suite ok:", report.ok, f"({report.triangles} triangles)")
+round_trip, naturality, uniqueness = verify_codensity_bijection(None, cases=50, seed=0)
+triangles = naturality.passed + naturality.failed
+ok = round_trip.ok and naturality.ok and uniqueness.ok
+print("bijection suite ok:", ok, f"({triangles} triangles)")
 
 # How many target labels are needed?  Two.  One is not enough.
 for k in (1, 2, 3):
-    result = small_index_sufficiency(None, k, cases=25, seed=0)
-    print(f"arrows with <= {k} labels determine the measure:", result.determined)
+    determined, _ = small_index_sufficiency(None, k, cases=25, seed=0)
+    print(f"arrows with <= {k} labels determine the measure:", determined.ok)

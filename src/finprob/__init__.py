@@ -43,7 +43,6 @@ from .integrate import (
     SimpleFunction,
     canonicalize,
     check_integral_properties,
-    integral,
     simple_integral,
 )
 from .monad import (

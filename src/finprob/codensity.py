@@ -256,41 +256,24 @@ def reconstruct_from_cone(cone: Cone, recheck_naturality: bool = True) -> Measur
 BIJECTION_CHECKS = ("round-trip", "naturality", "uniqueness")
 
 
-@dataclass(frozen=True)
-class BijectionReport:
-    """One check per property, in :data:`BIJECTION_CHECKS` order.
-
-    ``naturality`` has one outcome per enumerated triangle; a case whose
-    cone fails it reaches neither ``round-trip`` nor ``uniqueness``, and one
-    whose reconstruction differs from its measure does not reach
-    ``uniqueness``.
-    """
-
-    checks: tuple[CheckOutcome, ...]
-
-    @property
-    def triangles(self) -> int:
-        naturality = self.checks[1]
-        return naturality.passed + naturality.failed
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 def verify_codensity_bijection(
     algebra: Algebra | None = None,
     cases: int = 100,
     seed: int = 0,
     max_denominator: int = 12,
     max_ground_size: int = 4,
-) -> BijectionReport:
-    """Round-trip and uniqueness checks for the measure/cone correspondence.
+) -> tuple[CheckOutcome, ...]:
+    """Round-trip and uniqueness checks for the measure/cone correspondence,
+    one check per property in :data:`BIJECTION_CHECKS` order.
 
     For seeded random measures: the cone of the measure passes naturality on
     every enumerated triangle, reconstructing from the cone returns the
     measure exactly, reconstructing and re-taking the cone reproduces every
     leg, and distinct measures are separated by some binary indicator leg.
+    ``naturality`` has one outcome per enumerated triangle; a case whose
+    cone fails it reaches neither ``round-trip`` nor ``uniqueness``, and one
+    whose reconstruction differs from its measure does not reach
+    ``uniqueness``.
     """
     from . import gen
 
@@ -326,21 +309,7 @@ def verify_codensity_bijection(
             f"but measures {'agree' if q == p else 'differ'}",
         )
 
-    return BijectionReport(
-        gen.run_cases(seed, "codensity", cases, BIJECTION_CHECKS, check_case)
-    )
-
-
-@dataclass(frozen=True)
-class SufficiencyReport:
-    k: int
-    determined: bool
-    cases: int
-    failures: tuple[str, ...]  # the first MAX_WITNESSES wrong reconstructions
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    return gen.run_cases(seed, "codensity", cases, BIJECTION_CHECKS, check_case)
 
 
 def small_index_sufficiency(
@@ -350,9 +319,12 @@ def small_index_sufficiency(
     seed: int = 0,
     max_denominator: int = 12,
     max_ground_size: int = 4,
-) -> SufficiencyReport:
+) -> tuple[CheckOutcome, ...]:
     """Whether arrows with at most ``k`` target labels already determine the
-    reconstruction.
+    reconstruction: a ``determined`` check with one outcome per case (the
+    cone reconstructs and separates its measure from a second one), then a
+    ``reconstruction`` check (the reconstructed measure is the original)
+    for the cases that reconstruct.
 
     With one label only the collapse arrow exists, which carries nothing but
     normalization, so reconstruction is undetermined; with two labels the
@@ -382,10 +354,9 @@ def small_index_sufficiency(
         separated = p == q or cone_of_measure(q, family).legs != cone.legs
         yield "determined", separated, None
 
-    determined, reconstruction = gen.run_cases(
+    return gen.run_cases(
         seed, "sufficiency", cases, ("determined", "reconstruction"), check_case
     )
-    return SufficiencyReport(k, determined.ok, cases, reconstruction.witnesses)
 
 
 def _atom_arrow(algebra: Algebra, k: int) -> Arrow:

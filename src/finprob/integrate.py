@@ -3,7 +3,8 @@
 On a finite algebra every measurable [0, 1]-valued function is simple, so one
 type carries both roles.  A simple function is canonicalized to its
 atom-indexed value vector; the original term list, when given, is kept only
-for representation-independence checks and is ignored by equality.
+for the term-sum check of :func:`check_integral_properties` and is ignored
+by equality.
 """
 
 from __future__ import annotations
@@ -112,34 +113,33 @@ def canonicalize(s: SimpleFunction) -> SimpleFunction:
 def simple_integral(p: Measure, s: SimpleFunction) -> Fraction:
     """Exact integral of a simple function: sum of atom value times weight.
 
-    When the function carries an explicit term list, the term-by-term sum
-    ``sum a_k * P(A_k)`` is computed as well and must agree (representation
-    independence).
+    On a finite algebra the integral of a [0, 1]-valued function, the
+    supremum of simple-function integrals below it, is attained at the
+    function itself, so this sum is the integral.
     """
     if s.algebra != p.algebra:
         raise DomainError("function and measure live on different algebras")
-    by_atoms = dot(s.values, p.weights)
-    if s.terms:
-        by_terms = dot((a for a, _ in s.terms), (evaluate(p, m) for _, m in s.terms))
-        if by_terms != by_atoms:
-            raise AssertionError(
-                f"representation dependence: terms give {by_terms}, atoms give {by_atoms}"
-            )
-    return by_atoms
+    return dot(s.values, p.weights)
 
 
-def integral(p: Measure, f: SimpleFunction) -> Fraction:
-    """Supremum of simple-function integrals below ``f``.
+def _term_sum(p: Measure, f: SimpleFunction) -> Fraction:
+    """``sum a_k * P(A_k)`` over the terms of ``f``, computed from measures of
+    members rather than atom weights.
 
-    On a finite algebra the supremum is attained at ``f`` itself, so the
-    value coincides with :func:`simple_integral`; both are computed and
-    compared.
+    A function with no term list is written as its level-set decomposition
+    ``sum_j (v_j - v_{j-1}) * 1{f >= v_j}`` over its distinct nonzero values
+    ``v_1 < v_2 < ...`` (with ``v_0 = 0``).
     """
-    attained = simple_integral(p, canonicalize(f))
-    direct = simple_integral(p, f)
-    if attained != direct:
-        raise AssertionError("supremum not attained at the function itself")
-    return attained
+    terms = f.terms
+    if not terms:
+        levels = sorted(set(f.values) - {ZERO})
+        atoms = f.algebra.atoms
+        terms = tuple(
+            # atoms are disjoint, so their sum is their union
+            (v - below, sum(a for a, x in zip(atoms, f.values) if x >= v))
+            for below, v in zip([ZERO] + levels, levels)
+        )
+    return dot((a for a, _ in terms), (evaluate(p, m) for _, m in terms))
 
 
 def _grid_values(limit: Fraction, max_denominator: int) -> list[Fraction]:
@@ -152,44 +152,31 @@ def _grid_values(limit: Fraction, max_denominator: int) -> list[Fraction]:
     return sorted(values)
 
 
-@dataclass(frozen=True)
-class IntegralPropertiesReport:
-    clauses: tuple[CheckOutcome, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.clauses)
-
-    def clause(self, name: str) -> CheckOutcome:
-        for c in self.clauses:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-
 def check_integral_properties(
     p: Measure,
     fns: Sequence[SimpleFunction],
     grid_denominator: int = 4,
     chain_length: int = 3,
-) -> IntegralPropertiesReport:
+) -> tuple[CheckOutcome, ...]:
     """Exact checks of the integral's additivity and continuity properties.
 
-    Six clauses: agreement of the integral with the simple-function sum;
-    monotonicity; coincidence of the supremum over minorants with the infimum
-    over majorants (searched over a rational grid with denominators up to
-    ``grid_denominator``, plus the function itself, where the extremum is
-    attained); additivity of sums staying within [0, 1]; monotone limits of
-    eventually constant increasing sequences; and finite decompositions
-    standing in for countable sums with finitely many nonzero terms.
+    Six clauses, one check each in this order: agreement of
+    :func:`simple_integral` with the term sum ``sum a_k * P(A_k)``;
+    monotonicity; coincidence of the supremum over minorants with the
+    infimum over majorants (searched over a rational grid with denominators
+    up to ``grid_denominator``, or up to 1 on algebras of more than three
+    atoms, plus the function itself, where the extremum is attained);
+    additivity of sums staying within [0, 1]; monotone limits of eventually
+    constant increasing sequences; and finite decompositions standing in for
+    countable sums with finitely many nonzero terms.
     """
     for f in fns:
         if f.algebra != p.algebra:
             raise DomainError("all functions must live on the measure's algebra")
 
-    # (i) the integral agrees with the simple-function sum
+    # (i) the atom sum agrees with the term sum
     cases = [
-        (integral(p, f) == simple_integral(p, f), f"fn#{i}") for i, f in enumerate(fns)
+        (simple_integral(p, f) == _term_sum(p, f), f"fn#{i}") for i, f in enumerate(fns)
     ]
     results = [tally("simple-agreement", cases)]
 
@@ -197,27 +184,24 @@ def check_integral_properties(
     cases = []
     for (i, f), (j, g) in itertools.permutations(enumerate(fns), 2):
         if f <= g:
-            cases.append((integral(p, f) <= integral(p, g), f"fn#{i}<=fn#{j}"))
+            cases.append(
+                (simple_integral(p, f) <= simple_integral(p, g), f"fn#{i}<=fn#{j}")
+            )
     results.append(tally("monotone", cases))
 
     # (iii) sup over minorants equals inf over majorants
     cases = []
-    k = len(p.algebra.atoms)
     grid_cap = 3  # exhaustive grid search is exponential in the atom count
+    denominator = grid_denominator if len(p.algebra.atoms) <= grid_cap else 1
     for i, f in enumerate(fns):
-        target = integral(p, f)
-        if k > grid_cap:
-            # the extremum is attained at f itself; grid search skipped
-            cases.append((target == simple_integral(p, f), f"fn#{i}"))
-            continue
-        minorant_choices = [_grid_values(v, grid_denominator) for v in f.values]
+        target = simple_integral(p, f)
+        minorant_choices = [_grid_values(v, denominator) for v in f.values]
         best_lower = max(
             simple_integral(p, SimpleFunction(p.algebra, combo))
             for combo in itertools.product(*minorant_choices)
         )
         majorant_choices = [
-            [ONE - w for w in _grid_values(ONE - v, grid_denominator)]
-            for v in f.values
+            [ONE - w for w in _grid_values(ONE - v, denominator)] for v in f.values
         ]
         best_upper = min(
             simple_integral(p, SimpleFunction(p.algebra, combo))
@@ -230,8 +214,9 @@ def check_integral_properties(
     cases = []
     for (i, f), (j, g) in itertools.combinations(enumerate(fns), 2):
         if all(a + b <= 1 for a, b in zip(f.values, g.values)):
-            lhs = integral(p, f.add(g))
-            cases.append((lhs == integral(p, f) + integral(p, g), f"fn#{i}+fn#{j}"))
+            lhs = simple_integral(p, f.add(g))
+            rhs = simple_integral(p, f) + simple_integral(p, g)
+            cases.append((lhs == rhs, f"fn#{i}+fn#{j}"))
     results.append(tally("additive", cases))
 
     # (v) monotone limits, finite form: eventually constant increasing chains
@@ -239,17 +224,17 @@ def check_integral_properties(
     for i, f in enumerate(fns):
         chain = [f.scale(Fraction(step, chain_length)) for step in range(chain_length + 1)]
         chain.append(f)  # eventually constant at f
-        values = [integral(p, g) for g in chain]
+        values = [simple_integral(p, g) for g in chain]
         increasing = all(a <= b for a, b in zip(values, values[1:]))
-        cases.append((increasing and values[-1] == integral(p, f), f"fn#{i}"))
+        cases.append((increasing and values[-1] == simple_integral(p, f), f"fn#{i}"))
     results.append(tally("monotone-limit", cases))
 
     # (vi) countable sums, finite form: finitely many nonzero terms
     cases = []
     for i, f in enumerate(fns):
         pieces = [f.restrict(atom) for atom in p.algebra.atoms]
-        series = total(integral(p, piece) for piece in pieces)
-        cases.append((series == integral(p, f), f"fn#{i}"))
+        series = total(simple_integral(p, piece) for piece in pieces)
+        cases.append((series == simple_integral(p, f), f"fn#{i}"))
     results.append(tally("finite-series", cases))
 
-    return IntegralPropertiesReport(tuple(results))
+    return tuple(results)

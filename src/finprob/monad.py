@@ -129,23 +129,6 @@ def map_meta(
     )
 
 
-@dataclass(frozen=True)
-class LawReport:
-    """One check per law, in :data:`LAWS` order, each keeping up to
-    :data:`~finprob.report.MAX_WITNESSES` failure witnesses of its own."""
-
-    cases: int
-    checks: tuple[CheckOutcome, ...]
-
-    @property
-    def passed(self) -> dict[str, int]:
-        return {c.name: c.passed for c in self.checks}
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-
 LAWS = (
     "left-unit",
     "right-unit",
@@ -161,10 +144,11 @@ def check_monad_laws(
     seed: int = 0,
     max_denominator: int = 12,
     max_ground_size: int = 5,
-) -> LawReport:
+) -> tuple[CheckOutcome, ...]:
     """Verify the monad laws and naturality with exact equality on seeded
-    random instances.  With no algebra given, each case draws its own random
-    ground set and algebra within ``max_ground_size``."""
+    random instances: one check per law, in :data:`LAWS` order.  With no
+    algebra given, each case draws its own random ground set and algebra
+    within ``max_ground_size``."""
     from . import gen  # deferred: gen builds on this module's types
 
     def check_case(rng, case):
@@ -214,4 +198,4 @@ def check_monad_laws(
             f"case {case}: f={mapping}",
         )
 
-    return LawReport(cases, gen.run_cases(seed, "laws", cases, LAWS, check_case))
+    return gen.run_cases(seed, "laws", cases, LAWS, check_case)

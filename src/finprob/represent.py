@@ -12,7 +12,7 @@ reconstruction wherever the lattice exposes indicators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
@@ -149,16 +149,12 @@ class WeakIntegrationLattice:
     declared scalar ``r``.  The zero function, which always lies in the
     integer-multiple span, is adjoined automatically.
 
-    Functions are deduplicated and sorted at construction; optional
-    ``scale_witnesses`` entries are keyed ``(clause, i, j-or-n-or-r)`` with
-    indices into the canonicalized ``functions`` tuple and are verified
-    rather than trusted."""
+    Functions are deduplicated and sorted at construction."""
 
     ground: GroundSet
     functions: tuple[tuple[Fraction, ...], ...]
     scalars: tuple[Fraction, ...] = (ZERO, ONE)
     clip_bound: int = 4
-    scale_witnesses: Mapping | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         fns = []
@@ -250,20 +246,16 @@ def _as_multiple(
     return None
 
 
-def _is_count(n) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool)
-
-
 def check_weak_lattice(
     lattice: WeakIntegrationLattice, multiplier_bound: int = 64
 ) -> WeakLatticeReport:
     """Verify the four weak-lattice closure clauses exactly.
 
-    A provided ``scale_witnesses`` entry (keyed by clause and operands,
-    valued ``(multiplier, member index)``) is verified directly and to the
-    same standard as a searched one: the multiplier must be an ``int`` in
-    ``[0, multiplier_bound]``.  Absent witnesses are searched up to
-    ``multiplier_bound``.  Reports the first unsatisfiable clause.
+    Each join, meet, span and clip must be an integer multiple, up to
+    ``multiplier_bound``, of a member.  The report's witnesses give the
+    multiplier and member index found for each, keyed
+    ``(clause, i, j-or-n-or-r)`` by indices into the lattice's
+    ``functions``.  Reports the first unsatisfiable clause.
 
     Every member is held as an integer vector over the lattice's common
     denominator ``D``, so the clauses are integer maxima, minima,
@@ -273,26 +265,10 @@ def check_weak_lattice(
     scale, vecs = _scaled(fns)
     position = {vec: i for i, vec in enumerate(vecs)}
     index = _direction_index(vecs)
-    provided = lattice.scale_witnesses or {}
     witnesses: list[tuple] = []
 
     if (scale,) * lattice.ground.size not in position:
         return WeakLatticeReport(False, "contains-one", (), ())
-
-    def exhibit(key, target):
-        """A verified (multiplier, member index) pair for target in NL."""
-        if key in provided:
-            n, idx = provided[key]
-            if (
-                _is_count(n)
-                and 0 <= n <= multiplier_bound
-                and _is_count(idx)
-                and 0 <= idx < len(vecs)
-                and all(t == n * v for t, v in zip(target, vecs[idx]))
-            ):
-                return (n, idx)
-            return None  # a wrong witness is a failure, not a search trigger
-        return _as_multiple(target, vecs, index, multiplier_bound)
 
     for i, f in enumerate(vecs):
         for j, g in enumerate(vecs[i:], start=i):
@@ -300,7 +276,7 @@ def check_weak_lattice(
             meet = tuple(map(min, f, g))
             span = tuple(a - b for a, b in zip(join, meet))
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
-                found = exhibit((kind, i, j), target)
+                found = _as_multiple(target, vecs, index, multiplier_bound)
                 if found is None:
                     witness = (i, j, _unscaled(target, scale))
                     return WeakLatticeReport(False, kind, witness, tuple(witnesses))
@@ -309,7 +285,7 @@ def check_weak_lattice(
     for i, f in enumerate(vecs):
         for n in range(1, lattice.clip_bound + 1):
             clipped = tuple(min(n * v, scale) for v in f)
-            found = exhibit(("clip", i, n), clipped)
+            found = _as_multiple(clipped, vecs, index, multiplier_bound)
             if found is None:
                 witness = (i, n, _unscaled(clipped, scale))
                 return WeakLatticeReport(False, "clip", witness, tuple(witnesses))

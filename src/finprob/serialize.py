@@ -19,7 +19,7 @@ from .lipmetric import FiniteMetricSpace
 from .measure import Measure
 from .monad import SimplexPoint
 from .report import Mode
-from .represent import Functional, Slab
+from .represent import Functional
 from .setalg import Algebra, GroundSet, SubsetFamily
 
 FORMAT_VERSION = 1
@@ -188,13 +188,6 @@ def load_simple_function(data: Any, algebra: Algebra, location: str = "$") -> Si
         raise InputError(str(exc), f"{location}.terms") from None
 
 
-def dump_functional_table(f: Functional) -> dict:
-    return {
-        "family": [dump_simple_function(s) for s in f.test_family],
-        "values": [dump_fraction(f.value(s)) for s in f.test_family],
-    }
-
-
 def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> Functional:
     obj = _expect(data, dict, location)
     raw_family = _expect(_field(obj, "family", location), list, f"{location}.family")
@@ -213,42 +206,6 @@ def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> F
                 f"{location}.values[{i}]",
             )
     return Functional.from_table(algebra, values.items())
-
-
-# -- slabs -------------------------------------------------------------------
-
-
-def dump_slab(slab: Slab) -> dict:
-    points = slab.algebra.ground.points
-    lower = [slab.lower[slab.algebra.atom_of_point(p)] for p in points]
-    upper = [slab.upper[slab.algebra.atom_of_point(p)] for p in points]
-    return {
-        "lower": [dump_fraction(v) for v in lower],
-        "upper": [dump_fraction(v) for v in upper],
-    }
-
-
-def load_slab(data: Any, algebra: Algebra, location: str = "$") -> Slab:
-    obj = _expect(data, dict, location)
-    vectors = {}
-    for key in ("lower", "upper"):
-        raw = _expect(_field(obj, key, location), list, f"{location}.{key}")
-        if len(raw) != algebra.ground.size:
-            raise InputError("one value per ground point required", f"{location}.{key}")
-        values = [parse_fraction(v, f"{location}.{key}[{i}]") for i, v in enumerate(raw)]
-        atom_values = []
-        for atom in algebra.atoms:
-            seen = {values[i] for i in range(algebra.ground.size) if atom >> i & 1}
-            if len(seen) != 1:
-                raise InputError(
-                    f"{key} bound not constant on an atom", f"{location}.{key}"
-                )
-            atom_values.append(seen.pop())
-        vectors[key] = tuple(atom_values)
-    try:
-        return Slab(algebra, vectors["lower"], vectors["upper"])
-    except ValueError as exc:
-        raise InputError(str(exc), location) from None
 
 
 # -- metric spaces and simplex points ----------------------------------------

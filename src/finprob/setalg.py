@@ -74,10 +74,6 @@ class GroundSet:
     def complement(self, mask: int) -> int:
         return self.full_mask ^ self.check_mask(mask)
 
-    def subsets(self) -> Iterator[int]:
-        """All subsets in canonical (ascending mask) order."""
-        return iter(range(self.full_mask + 1))
-
 
 @dataclass(frozen=True)
 class SubsetFamily:

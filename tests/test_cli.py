@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import finprob
 from finprob.cli import COMMANDS, run
 
@@ -54,6 +56,25 @@ def test_codensity_subcommand_passes(capsys):
     names = [c["name"] for c in payload["checks"]]
     assert "sufficiency.k1" in names
     assert "sufficiency.k2" in names
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_codensity_small_k_passes_with_distinct_checks(k):
+    """k = 1 expects an undetermined reconstruction and k = 2 a determined
+    one, each listed once beside the other."""
+    env = dict(os.environ, PYTHONPATH=str(Path(finprob.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "finprob", "codensity", "--cases", "50", "--k", str(k)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stdout
+    names = [c["name"] for c in json.loads(done.stdout)["checks"]]
+    assert len(names) == len(set(names))
+    sufficiency = [name for name in names if name.startswith("sufficiency.")]
+    assert sufficiency == ["sufficiency.k1", "sufficiency.k2"]
 
 
 def test_distance_generated_suite(capsys):

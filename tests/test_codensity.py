@@ -234,7 +234,7 @@ def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
     monkeypatch.setattr(codensity, "reconstruct_from_cone", one_wrong)
     round_trip, naturality, uniqueness = verify_codensity_bijection(
         None, cases=10, seed=0
-    ).checks
+    )
     assert faulted
     assert (round_trip.passed, round_trip.failed) == (9, 1)
     assert (uniqueness.passed, uniqueness.failed) == (9, 0)
@@ -242,13 +242,13 @@ def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
 
 
 def test_small_index_sufficiency_thresholds():
-    report1 = small_index_sufficiency(None, 1, cases=20, seed=0)
-    assert not report1.determined
-    assert report1.ok
-    report2 = small_index_sufficiency(None, 2, cases=20, seed=0)
-    assert report2.determined and report2.ok
-    report3 = small_index_sufficiency(None, 3, cases=20, seed=0)
-    assert report3.determined and report3.ok
+    determined, reconstruction = small_index_sufficiency(None, 1, cases=20, seed=0)
+    assert not determined.ok
+    assert reconstruction.ok
+    for k in (2, 3):
+        determined, reconstruction = small_index_sufficiency(None, k, cases=20, seed=0)
+        assert (determined.name, determined.passed) == ("determined", 20)
+        assert determined.ok and reconstruction.ok
 
 
 def test_sufficiency_rejects_bad_bound():

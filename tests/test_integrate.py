@@ -14,11 +14,12 @@ from finprob import (
     SimpleFunction,
     canonicalize,
     check_integral_properties,
-    integral,
     simple_integral,
     uniform,
 )
-from finprob import gen
+from finprob import gen, integrate
+from finprob.cli import run_integrate_suite
+from finprob.report import SuiteConfig
 
 
 def two_point_powerset():
@@ -63,7 +64,6 @@ def test_integral_of_one_is_one():
     p = uniform(Algebra.powerset(g))
     one = SimpleFunction.constant(p.algebra, F(1))
     assert simple_integral(p, one) == 1
-    assert integral(p, one) == 1
 
 
 def test_integral_term_sum():
@@ -88,12 +88,12 @@ def test_integral_attained_value():
     alg = two_point_powerset()
     p = uniform(alg)
     f = SimpleFunction(alg, (F(1), F(1, 2)))
-    assert integral(p, f) == F(3, 4)
+    assert simple_integral(p, f) == F(3, 4)
 
 
 def test_integral_of_zero():
     alg = two_point_powerset()
-    assert integral(uniform(alg), SimpleFunction.constant(alg, F(0))) == 0
+    assert simple_integral(uniform(alg), SimpleFunction.constant(alg, F(0))) == 0
 
 
 def test_integral_requires_matching_algebra():
@@ -134,8 +134,25 @@ def test_rational_homogeneity(data, num, den):
 @settings(max_examples=80, deadline=None)
 @given(measure_and_terms())
 def test_integral_equals_simple_integral(data):
+    """The atom sum agrees with the term sum, over the term list and over
+    the level-set decomposition of the canonical form."""
     p, s = data
-    assert integral(p, s) == simple_integral(p, s)
+    agreement = check_integral_properties(p, [s, canonicalize(s)])[0]
+    assert (agreement.name, agreement.passed, agreement.failed) == (
+        "simple-agreement",
+        2,
+        0,
+    )
+
+
+def test_a_scaled_integral_fails_simple_agreement(monkeypatch):
+    real = integrate.simple_integral
+    monkeypatch.setattr(
+        integrate, "simple_integral", lambda p, s: real(p, s) * F(999, 1000)
+    )
+    (properties,) = run_integrate_suite(SuiteConfig(seed=0, cases=50)).checks
+    assert properties.failed > 0
+    assert all("'simple-agreement'" in w for w in properties.witnesses)
 
 
 def test_properties_complement_additivity():
@@ -145,8 +162,7 @@ def test_properties_complement_additivity():
     a = g.mask_of(["0", "2"])
     f = SimpleFunction.indicator(p.algebra, a)
     fc = SimpleFunction.indicator(p.algebra, g.full_mask ^ a)
-    report = check_integral_properties(p, [f, fc])
-    assert report.ok
+    assert all(c.ok for c in check_integral_properties(p, [f, fc]))
     assert simple_integral(p, f.add(fc)) == 1
 
 
@@ -157,7 +173,7 @@ def test_properties_worked_sum():
     s = SimpleFunction.from_terms(p.algebra, [(F(1, 3), g.mask_of(["0"]))])
     assert simple_integral(p, f.add(s)) == F(4, 9)
     assert simple_integral(p, f) + simple_integral(p, s) == F(4, 9)
-    assert check_integral_properties(p, [f, s]).ok
+    assert all(c.ok for c in check_integral_properties(p, [f, s]))
 
 
 def test_properties_monotone_from_zero():
@@ -165,9 +181,9 @@ def test_properties_monotone_from_zero():
     p = uniform(alg)
     zero = SimpleFunction.constant(alg, F(0))
     g = SimpleFunction(alg, (F(1, 3), F(2, 3)))
-    report = check_integral_properties(p, [zero, g])
-    assert report.clause("monotone").ok
-    assert integral(p, zero) <= integral(p, g)
+    monotone = check_integral_properties(p, [zero, g])[1]
+    assert (monotone.name, monotone.passed, monotone.failed) == ("monotone", 1, 0)
+    assert simple_integral(p, zero) <= simple_integral(p, g)
 
 
 def test_sup_inf_clause_searches_grid():
@@ -175,15 +191,15 @@ def test_sup_inf_clause_searches_grid():
     rng = gen.rng_for(5, "supinf")
     p = gen.random_measure(rng, Algebra.powerset(g), 4)
     f = gen.random_simple_function(rng, p.algebra, 4)
-    report = check_integral_properties(p, [f], grid_denominator=4)
-    assert report.clause("sup-inf").ok
+    sup_inf = check_integral_properties(p, [f], grid_denominator=4)[2]
+    assert (sup_inf.name, sup_inf.passed, sup_inf.failed) == ("sup-inf", 1, 0)
 
 
 def test_properties_report_structure():
     alg = two_point_powerset()
     p = uniform(alg)
-    report = check_integral_properties(p, [SimpleFunction.constant(alg, F(1, 2))])
-    names = [c.name for c in report.clauses]
+    checks = check_integral_properties(p, [SimpleFunction.constant(alg, F(1, 2))])
+    names = [c.name for c in checks]
     assert names == [
         "simple-agreement",
         "monotone",

@@ -236,8 +236,8 @@ def test_rows_are_scanned_once_per_space(monkeypatch):
 
     monkeypatch.setattr(lipmetric, "_lipschitz_rows", counting)
     space = line_metric(gen.rng_for(0, "scan-once"), 6, 8)
-    report = check_bl_monad_nonexpansive(space, cases=3, seed=0)
-    assert report.ok and report.unit_cases == 3 * 15
+    checks = check_bl_monad_nonexpansive(space, cases=3, seed=0)
+    assert all(c.ok for c in checks) and checks[0].passed == 3 * 15
     assert sum(s is space for s in scanned) == 1
 
 
@@ -440,9 +440,28 @@ def test_simplex_grid_enumeration():
 
 def test_nonexpansive_unit_tight_on_discrete():
     space = discrete_space(("a", "b", "c"))
-    report = check_bl_monad_nonexpansive(space, cases=5, seed=0)
-    assert report.ok
-    assert report.unit_tight == report.unit_cases  # distances are all 1
+    checks = check_bl_monad_nonexpansive(space, cases=5, seed=0)
+    assert all(c.ok for c in checks)
+    unit = checks[0]  # d(dirac x, dirac y) == 1 for each of the 3 pairs
+    assert (unit.name, unit.passed, unit.failed) == ("unit-contraction", 15, 0)
+
+
+def test_an_lp_short_on_non_discrete_spaces_fails_unit_contraction(monkeypatch):
+    """The unit's distance must equal min(d(x, y), 1) on every metric, not
+    only be bounded by it: an LP that returns 9/10 of the optimum wherever
+    the metric is not discrete stays within every bound."""
+    real = lipmetric.bl_distance_lp_witness
+
+    def short(p, q, space):
+        value, f = real(p, q, space)
+        return (value if space.is_discrete() else value * F(9, 10)), f
+
+    monkeypatch.setattr(lipmetric, "bl_distance_lp_witness", short)
+    unit = check_bl_monad_nonexpansive(
+        None, cases=100, seed=0, max_denominator=6, max_size=6
+    )[0]
+    assert unit.failed > 0 and unit.witnesses
+    assert all(w.startswith("unit pair ") for w in unit.witnesses)
 
 
 def test_nonexpansive_small_distance():
@@ -451,8 +470,8 @@ def test_nonexpansive_small_distance():
     pa = dirac("a", simplex_algebra(labels))
     pb = dirac("b", simplex_algebra(labels))
     assert bl_distance_lp(pa, pb, space) == F(1, 3)
-    report = check_bl_monad_nonexpansive(space, cases=5, seed=0)
-    assert report.ok
+    checks = check_bl_monad_nonexpansive(space, cases=5, seed=0)
+    assert all(c.ok for c in checks)
 
 
 def test_nonexpansive_equal_meta_measures():
@@ -485,16 +504,15 @@ def test_a_faulted_mult_fails_metric_laws(monkeypatch):
 
 
 def test_each_unit_pair_counts_once(monkeypatch):
-    """An off LP breaks both the bound and the discrete equality of every
-    unit pair; each pair is still one failed outcome."""
+    """An off LP breaks the unit equality of every pair; each pair is one
+    failed outcome."""
     real = lipmetric.bl_distance_lp
     monkeypatch.setattr(
         lipmetric, "bl_distance_lp", lambda p, q, space: real(p, q, space) + F(1, 1000)
     )
-    report = check_bl_monad_nonexpansive(discrete_space(("a", "b", "c")), cases=4)
-    unit = report.checks[0]
+    checks = check_bl_monad_nonexpansive(discrete_space(("a", "b", "c")), cases=4)
+    unit = checks[0]
     assert (unit.name, unit.passed, unit.failed) == ("unit-contraction", 0, 12)
-    assert report.unit_cases == 12
 
 
 def test_a_faulted_lp_fails_lp_spot_checks_alone(monkeypatch):
@@ -514,8 +532,8 @@ def test_a_faulted_lp_fails_lp_spot_checks_alone(monkeypatch):
 
 
 def test_nonexpansive_random_spaces():
-    report = check_bl_monad_nonexpansive(None, cases=15, seed=0, max_size=5)
-    assert report.ok
+    checks = check_bl_monad_nonexpansive(None, cases=15, seed=0, max_size=5)
+    assert all(c.ok for c in checks)
 
 
 def test_metric_space_validation():

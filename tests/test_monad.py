@@ -20,7 +20,7 @@ from finprob import (
     simplex_algebra,
     unit,
 )
-from finprob.monad import eta_as_meta
+from finprob.monad import LAWS, eta_as_meta
 from finprob import gen
 
 
@@ -146,8 +146,9 @@ def test_law_suite_passes_both_modes():
 
 def test_law_suite_on_fixed_algebra():
     g = GroundSet(("0", "1"))
-    report = check_monad_laws(Algebra.powerset(g), cases=50, seed=1)
-    assert report.ok
+    checks = check_monad_laws(Algebra.powerset(g), cases=50, seed=1)
+    assert [c.name for c in checks] == list(LAWS)
+    assert all((c.passed, c.failed) == (50, 0) for c in checks)
 
 
 def test_every_failing_law_keeps_its_own_witnesses(monkeypatch, capsys):

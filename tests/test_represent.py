@@ -254,21 +254,6 @@ def test_lattice_span_violation_detected():
     assert report.witness is not None
 
 
-def test_lattice_provided_witnesses_are_verified():
-    g = GroundSet(("0", "1"))
-    fns = ((F(0), F(0)), (F(1), F(1)))
-    good = WeakIntegrationLattice(
-        g, fns, scale_witnesses={("join", 1, 1): (1, 1)}
-    )
-    assert check_weak_lattice(good).ok
-    bad = WeakIntegrationLattice(
-        g, fns, scale_witnesses={("join", 1, 1): (2, 1)}  # 1 v 1 is not 2*1
-    )
-    report = check_weak_lattice(bad)
-    assert not report.ok
-    assert report.clause == "join"
-
-
 def test_lattice_scale_clause_checked():
     g = GroundSet(("0",))
     lattice = WeakIntegrationLattice(
@@ -541,22 +526,10 @@ def reference_check_weak_lattice(lattice, multiplier_bound=64):
     fns = lattice.functions
     n_pts = lattice.ground.size
     one = (F(1),) * n_pts
-    provided = lattice.scale_witnesses or {}
     witnesses: list[tuple] = []
 
     if one not in fns:
         return WeakLatticeReport(False, "contains-one", (), ())
-
-    def exhibit(key, target):
-        """A verified (multiplier, member index) pair for target in NL."""
-        if key in provided:
-            n, idx = provided[key]
-            if 0 <= idx < len(fns) and all(
-                t == n * v for t, v in zip(target, fns[idx])
-            ):
-                return (n, idx)
-            return None  # a wrong witness is a failure, not a search trigger
-        return reference_as_multiple(target, fns, multiplier_bound)
 
     for i, f in enumerate(fns):
         for j, g in enumerate(fns[i:], start=i):
@@ -564,7 +537,7 @@ def reference_check_weak_lattice(lattice, multiplier_bound=64):
             meet = tuple(min(a, b) for a, b in zip(f, g))
             span = tuple(a - b for a, b in zip(join, meet))
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
-                found = exhibit((kind, i, j), target)
+                found = reference_as_multiple(target, fns, multiplier_bound)
                 if found is None:
                     return WeakLatticeReport(
                         False, kind, (i, j, target), tuple(witnesses)
@@ -574,7 +547,7 @@ def reference_check_weak_lattice(lattice, multiplier_bound=64):
     for i, f in enumerate(fns):
         for n in range(1, lattice.clip_bound + 1):
             clipped = tuple(min(n * v, F(1)) for v in f)
-            found = exhibit(("clip", i, n), clipped)
+            found = reference_as_multiple(clipped, fns, multiplier_bound)
             if found is None:
                 return WeakLatticeReport(False, "clip", (i, n, clipped), tuple(witnesses))
             witnesses.append((("clip", i, n), found[0], found[1]))
@@ -774,7 +747,7 @@ def _on_atoms(ground, algebra, atom_values):
 def _seeded_lattice(case):
     """A grid lattice, a lattice of multiples along rays, or one of those
     perturbed so that some clause fails; with a random multiplier bound,
-    clip bound, scalars, and some provided (right or wrong) witnesses."""
+    clip bound and scalars."""
     rng = gen.rng_for(7, "integer-kernel", str(case))
     ground = gen.random_ground(rng, 3)
     algebra = gen.random_algebra(rng, ground)
@@ -807,20 +780,6 @@ def _seeded_lattice(case):
         ground, tuple(functions), scalars=scalars, clip_bound=rng.randint(1, 4)
     )
     bound = rng.choice((1, 2, 3, 4, 64))
-    if rng.random() < 0.3:
-        found = reference_check_weak_lattice(lattice, bound).witnesses
-        provided = {}
-        for key, n, idx in rng.sample(found, min(len(found), 3)):
-            if rng.random() < 0.5:
-                n = min(n + 1, bound)  # usually wrong, always in range
-            provided[key] = (n, idx)
-        lattice = WeakIntegrationLattice(
-            ground,
-            lattice.functions,
-            lattice.scalars,
-            lattice.clip_bound,
-            scale_witnesses=provided,
-        )
     return rng, lattice, bound
 
 
@@ -852,7 +811,7 @@ def _outcome(run):
 
 def test_integer_kernel_matches_fraction_reference_on_seeded_lattices():
     clauses, errors, multipliers, measures = set(), set(), set(), 0
-    for case in range(240):
+    for case in range(400):
         rng, lattice, bound = _seeded_lattice(case)
         report = check_weak_lattice(lattice, bound)
         assert report == reference_check_weak_lattice(lattice, bound), case
@@ -869,11 +828,11 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices():
             errors.add(" ".join(got[1].split()[:3]))
         else:
             measures += 1
-    # the seeded lattices reach every clause, multipliers above one and at
-    # the bound, and every error the slab route raises on them
-    assert clauses == {
-        None, "contains-one", "join", "meet", "span", "clip", "scale"
-    }
+    # the seeded lattices reach every clause but clip, multipliers above one
+    # and at the bound, and every error the slab route raises on them; no
+    # lattice closed under join, meet and span has been seen to fail clip, so
+    # clip is compared through the witnesses of the lattices that pass
+    assert clauses == {None, "contains-one", "join", "meet", "span", "scale"}
     assert (True, True) in multipliers
     assert measures >= 40
     assert errors == {
@@ -938,29 +897,3 @@ def test_direction_without_gcd_division_is_caught(monkeypatch):
     assert report.witness == (1, 2, (F(3, 4), F(3, 4)))
     with pytest.raises(PreconditionError, match="clause span"):
         daniell_stone(chain, lambda values: values[0])
-
-
-def test_provided_witness_multiplier_must_be_a_bounded_int():
-    g = GroundSet(("0", "1"))
-    thirds = ((F(1), F(1)), (F(1, 2), F(1, 2)), (F(1, 3), F(1, 3)))
-    # members: 0, 1/3, 1/2, 1; the span of 1/3 and 1/2 is 1/6
-    assert check_weak_lattice(WeakIntegrationLattice(g, thirds)).clause == "span"
-    fractional = WeakIntegrationLattice(
-        g, thirds, scale_witnesses={("span", 1, 2): (F(1, 3), 2)}
-    )
-    report = check_weak_lattice(fractional)
-    assert (report.ok, report.clause) == (False, "span")
-    ones = ((F(1), F(1)),)
-    for n in (1.0, True, F(1)):
-        lattice = WeakIntegrationLattice(
-            g, ones, scale_witnesses={("join", 1, 1): (n, 1)}
-        )
-        assert check_weak_lattice(lattice).clause == "join", n
-    lattice = WeakIntegrationLattice(g, ones, scale_witnesses={("join", 1, 1): (1, 1)})
-    assert check_weak_lattice(lattice).ok
-    # members 0, 1/2, 1: the join of 1/2 and 1 is 2 * (1/2), true but n = 2
-    halves = WeakIntegrationLattice(
-        g, ((F(1, 2), F(1, 2)), (F(1), F(1))), scale_witnesses={("join", 1, 2): (2, 1)}
-    )
-    assert check_weak_lattice(halves, multiplier_bound=2).ok
-    assert check_weak_lattice(halves, multiplier_bound=1).clause == "join"

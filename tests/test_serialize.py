@@ -13,7 +13,6 @@ from finprob import (
     Mode,
     SimpleFunction,
     SimplexPoint,
-    Slab,
     binary_arrow,
     cone_of_measure,
     discrete_space,
@@ -89,26 +88,13 @@ def test_functional_table_round_trip():
         for m in alg.members
     ]
     functional = Functional.from_table(alg, pairs)
-    data = serialize.dump_functional_table(functional)
+    data = {
+        "family": [serialize.dump_simple_function(s) for s, _ in pairs],
+        "values": [serialize.dump_fraction(v) for _, v in pairs],
+    }
     loaded = serialize.load_functional_table(data, alg)
     for s, _ in pairs:
         assert loaded.value(s) == functional.value(s)
-
-
-def test_slab_round_trip():
-    g = GroundSet(("0", "1"))
-    alg = generate_algebra(g, [1])
-    slab = Slab(alg, (F(0), F(1, 4)), (F(1, 2), F(1)))
-    data = serialize.dump_slab(slab)
-    assert serialize.load_slab(data, alg) == slab
-
-
-def test_slab_load_requires_atom_constant_bounds():
-    g = GroundSet(("0", "1"))
-    alg = Algebra.trivial(g)
-    data = {"lower": ["0/1", "1/4"], "upper": ["1/1", "1/1"]}
-    with pytest.raises(InputError):
-        serialize.load_slab(data, alg)
 
 
 def test_metric_round_trip():
