@@ -1,6 +1,6 @@
 """Deterministic command-line front end.
 
-Subcommands load JSON instances or generate seeded cases, run the
+Commands load JSON instances or generate seeded cases, run the
 verification suites, and emit machine-readable reports.  Exit code 0 means
 every check passed, 1 means a property was violated, 2 means the input was
 malformed.  Reports are byte-identical for identical configuration and
@@ -36,7 +36,7 @@ from .lipmetric import (
     total_variation,
 )
 from .monad import SimplexPoint, check_monad_laws
-from .report import CheckOutcome, Mode, Report, SuiteConfig, tally
+from .report import FORMATS, METHODS, CheckOutcome, Mode, Report, SuiteConfig, tally
 from .represent import (
     Functional,
     Slab,
@@ -47,7 +47,7 @@ from .represent import (
     slab_intersect,
     slab_subtract,
 )
-from .setalg import SemiRing
+from .setalg import DEFAULT_SIZE_CAP, SemiRing
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -624,36 +624,39 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser for every command.  An option left unset is absent from
+    the parsed namespace, so it takes its ``SuiteConfig`` default."""
     parser = argparse.ArgumentParser(
         prog="finprob",
         description="Exact verification suites for finite probability structures.",
+        formatter_class=argparse.RawTextHelpFormatter,
+        argument_default=argparse.SUPPRESS,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        cmd = sub.add_parser(name, help=command.help)
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--cases", type=int, default=500)
-        cmd.add_argument("--size", type=int, default=5, dest="max_ground_size")
-        cmd.add_argument(
-            "--denominator", type=int, default=12, dest="max_denominator"
-        )
-        cmd.add_argument(
-            "--mode",
-            choices=[m.value for m in Mode],
-            default=Mode.SIGMA.value,
-            help="the label the report is filed under: it names the laws and "
-            "bijection check prefixes and the mode of dumped measures; on a "
-            "finite algebra both labels run the same checks",
-        )
-        cmd.add_argument("--format", choices=("json", "text"), default="json")
-        cmd.add_argument("--method", choices=("lp", "subsets", "both"), default="both")
-        cmd.add_argument("--k", type=int, default=3)
-        if command.run_input is not None:
-            cmd.add_argument(
-                "--input",
-                default=None,
-                help="JSON instance file ('-' for stdin); omit to run generated cases",
-            )
+    commands = "\n".join(f"{name:<12} {c.help}" for name, c in COMMANDS.items())
+    parser.add_argument("command", choices=COMMANDS, metavar="command", help=commands)
+    defaults = SuiteConfig().to_payload()
+
+    def option(flag, dest, text, **kwargs):
+        text = f"{text}; default {defaults[dest]}"
+        parser.add_argument(flag, dest=dest, help=text, **kwargs)
+
+    option("--seed", "seed", "case generator seed", type=int)
+    option("--cases", "cases", "seeded cases per suite", type=int)
+    size = f"largest ground set, at most {DEFAULT_SIZE_CAP}"
+    option("--size", "max_ground_size", size, type=int)
+    option("--denominator", "max_denominator", "largest denominator", type=int)
+    labels = [m.value for m in Mode]
+    option("--mode", "mode", "report label; both run the same checks", choices=labels)
+    option("--method", "method", "how distance --input computes", choices=METHODS)
+    option("--k", "k", "largest sufficiency index", type=int)
+    formats = "how the report is rendered; default %(default)s"
+    parser.add_argument("--format", choices=FORMATS, default=FORMATS[0], help=formats)
+    takers = ", ".join(name for name, c in COMMANDS.items() if c.run_input)
+    parser.add_argument(
+        "--input",
+        help="JSON instance file ('-' for stdin); omit to run generated cases;\n"
+        f"taken by {takers}",
+    )
     return parser
 
 
@@ -675,21 +678,15 @@ def _read_input(path: str, keys: tuple[str, ...]) -> dict:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    command = COMMANDS[args.command]
-    path = getattr(args, "input", None)  # only commands with an input runner have it
+    options = vars(parser.parse_args(argv))
+    command = COMMANDS[options.pop("command")]
+    fmt = options.pop("format")
+    path = options.pop("input", None)
+    if path is not None and command.run_input is None:
+        parser.error(f"unrecognized arguments: --input {path}")
     started = time.monotonic()
     try:
-        config = SuiteConfig(
-            seed=args.seed,
-            max_ground_size=args.max_ground_size,
-            max_denominator=args.max_denominator,
-            cases=args.cases,
-            mode=Mode(args.mode),
-            format=args.format,
-            method=args.method,
-            k=args.k,
-        )
+        config = SuiteConfig(**options)
         if path is None:
             report = command.suite(config)
         else:
@@ -700,9 +697,9 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    report.wall_time = time.monotonic() - started
-    sys.stdout.write(report.render(config.format))
-    print(f"wall time: {report.wall_time:.3f}s", file=sys.stderr)
+    wall_time = time.monotonic() - started
+    sys.stdout.write(report.render(fmt))
+    print(f"wall time: {wall_time:.3f}s", file=sys.stderr)
     return 0 if report.ok else 1
 
 

@@ -229,13 +229,12 @@ def total_variation(p: Measure, q: Measure) -> Fraction:
 @dataclass(frozen=True)
 class SimplexLipschitzCheck:
     is_lipschitz: bool
-    direct_verdict: bool
     subset_verdict: bool
     witness: tuple | None
 
     @property
     def verdicts_agree(self) -> bool:
-        return self.direct_verdict == self.subset_verdict
+        return self.is_lipschitz == self.subset_verdict
 
 
 def check_simplex_lipschitz(
@@ -290,7 +289,7 @@ def check_simplex_lipschitz(
         if not subset:
             break
 
-    return SimplexLipschitzCheck(direct, direct, subset, direct_witness or subset_witness)
+    return SimplexLipschitzCheck(direct, subset, direct_witness or subset_witness)
 
 
 def discrete_space(labels: Sequence[str]) -> FiniteMetricSpace:

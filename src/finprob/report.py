@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterable
 
 from .errors import InputError
+from .setalg import DEFAULT_SIZE_CAP
 
 
 class Mode(str, enum.Enum):
@@ -20,12 +21,18 @@ class Mode(str, enum.Enum):
     FINITELY_ADDITIVE = "finitely_additive"
 
 
+METHODS = ("lp", "subsets", "both")  # how `distance --input` computes
+FORMATS = ("json", "text")  # how a report is rendered
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by every verification suite.
+    """Knobs shared by every verification suite; ``to_payload`` is the
+    ``config`` of every report.
 
     Defaults match the desk-scale acceptance setup: seed 0, ground sets up to
-    five points, denominators up to twelve, five hundred cases.
+    five points, denominators up to twelve, five hundred cases.  Ground sets
+    are capped at :data:`setalg.DEFAULT_SIZE_CAP` points.
     """
 
     seed: int = 0
@@ -33,7 +40,6 @@ class SuiteConfig:
     max_denominator: int = 12
     cases: int = 500
     mode: Mode = Mode.SIGMA
-    format: str = "json"
     method: str = "both"
     k: int = 3
 
@@ -44,21 +50,16 @@ class SuiteConfig:
         for name in ("max_ground_size", "max_denominator", "cases", "k"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive", f"$.{name}")
-        if self.format not in ("json", "text"):
-            raise InputError(f"unknown format {self.format!r}", "$.format")
-        if self.method not in ("lp", "subsets", "both"):
+        if self.max_ground_size > DEFAULT_SIZE_CAP:
+            raise InputError(
+                f"max_ground_size must be at most {DEFAULT_SIZE_CAP}",
+                "$.max_ground_size",
+            )
+        if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}", "$.method")
 
     def to_payload(self) -> dict:
-        return {
-            "seed": self.seed,
-            "max_ground_size": self.max_ground_size,
-            "max_denominator": self.max_denominator,
-            "cases": self.cases,
-            "mode": self.mode.value,
-            "method": self.method,
-            "k": self.k,
-        }
+        return dict(asdict(self), mode=self.mode.value)
 
 
 @dataclass(frozen=True)
@@ -99,16 +100,14 @@ def tally(name: str, outcomes: Iterable[tuple[bool, Any]]) -> CheckOutcome:
 class Report:
     """Per-suite pass/fail counts plus serialized witnesses.
 
-    Wall time is recorded on the object for operators but deliberately kept
-    out of the serialized payload so that reports are byte-identical across
-    runs of the same configuration.
+    A report holds no timing, so reports are byte-identical across runs of
+    the same configuration; the CLI prints wall time to stderr.
     """
 
     suite: str
     config: dict
     checks: list[CheckOutcome] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
 
     @property
     def ok(self) -> bool:

@@ -11,6 +11,7 @@ import pytest
 
 import finprob
 from finprob.cli import COMMANDS, run
+from finprob.report import SuiteConfig
 
 
 def run_cli(capsys, *argv):
@@ -22,9 +23,14 @@ def run_cli(capsys, *argv):
 def run_module(command, path, stdin=None):
     """``python -m finprob COMMAND --input PATH`` in a fresh interpreter, so
     that what reaches stderr is exactly what a user would see."""
+    return run_finprob(command, "--input", str(path), stdin=stdin)
+
+
+def run_finprob(*argv, stdin=None):
+    """``python -m finprob ARGV...`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(finprob.__file__).parent.parent))
     return subprocess.run(
-        [sys.executable, "-m", "finprob", command, "--input", str(path)],
+        [sys.executable, "-m", "finprob", *argv],
         input=stdin,
         capture_output=True,
         text=True,
@@ -475,6 +481,49 @@ def test_commands_without_an_input_runner_reject_input(tmp_path):
         assert "unrecognized arguments: --input" in done.stderr
         assert "Traceback" not in done.stderr
         assert done.stdout == ""
+
+
+def test_input_is_accepted_by_exactly_the_commands_with_an_input_runner(capsys):
+    for name, command in COMMANDS.items():
+        if command.run_input is None:
+            with pytest.raises(SystemExit) as exc:
+                run([name, "--input", "/nonexistent.json"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --input" in capsys.readouterr().err
+        else:
+            code, _, err = run_cli(capsys, name, "--input", "/nonexistent.json")
+            assert code == 2 and err.startswith("input error: "), name
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_every_command_reports_the_suite_config_defaults(capsys, name):
+    """Options left unset take their ``SuiteConfig`` defaults, and options
+    may come before the command."""
+    expected = SuiteConfig(cases=1).to_payload()
+    for argv in ([name, "--cases", "1"], ["--cases", "1", name]):
+        _, out, _ = run_cli(capsys, *argv)
+        assert json.loads(out)["config"] == expected
+
+
+def test_help_names_every_command():
+    done = run_finprob("-h")
+    assert done.returncode == 0
+    for name, command in COMMANDS.items():
+        assert name in done.stdout
+        assert command.help in done.stdout
+
+
+@pytest.mark.parametrize("command", ["laws", "reconstruct", "integrate"])
+def test_size_above_the_ground_set_cap_exits_two(command):
+    done = run_finprob(command, "--size", "40", "--cases", "50")
+    assert_input_error(done, "$.max_ground_size")
+    assert done.stdout == ""
+
+
+def test_size_at_the_ground_set_cap_runs(capsys):
+    code, out, _ = run_cli(capsys, "laws", "--size", "16", "--cases", "3")
+    assert code == 0
+    assert json.loads(out)["config"]["max_ground_size"] == 16
 
 
 def test_empty_cone_exits_two(tmp_path):
