@@ -1,7 +1,9 @@
 """Walkthrough: a measure is exactly an additive integration functional.
 
-Any functional that is normalized and additive on indicators determines a
-unique measure; violations are detected and reported with witnesses.
+A functional is given by its finite table: its value on each listed
+function.  Any table that is normalized and additive on indicators
+determines a unique measure; violations are detected and reported with
+witnesses.
 """
 
 from fractions import Fraction as F
@@ -23,11 +25,11 @@ indicators = tuple(SimpleFunction.indicator(algebra, m) for m in algebra.members
 
 # Integration against a hidden measure is the canonical functional.
 hidden = Measure(algebra, (F(1, 2), F(1, 4), F(1, 4)))
-functional = Functional(algebra, lambda s: simple_integral(hidden, s), indicators)
+functional = Functional(algebra, {s: simple_integral(hidden, s) for s in indicators})
 print("recovered:", reconstruct_measure(functional).weights)
 
 # Evaluation at a point is also additive; it reconstructs to a Dirac.
-evaluation = Functional(algebra, lambda s: s.value_at("b"), indicators)
+evaluation = Functional(algebra, {s: s.value_at("b") for s in indicators})
 print("evaluation functional gives:", reconstruct_measure(evaluation).weights)
 
 # A cheating functional: both {a} and its complement claim mass 3/4.
@@ -40,6 +42,6 @@ def cheat(s):
     return simple_integral(hidden, s)
 
 try:
-    reconstruct_measure(Functional(algebra, cheat, indicators))
+    reconstruct_measure(Functional(algebra, {s: cheat(s) for s in indicators}))
 except ReconstructionError as err:
     print("\ncheating detected:", err)

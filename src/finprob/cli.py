@@ -10,6 +10,7 @@ inputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from fractions import Fraction
@@ -47,7 +48,7 @@ from .represent import (
     slab_intersect,
     slab_subtract,
 )
-from .setalg import DEFAULT_SIZE_CAP, SemiRing
+from .setalg import DEFAULT_SIZE_CAP, SemiRing, sigma_of_functions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -227,9 +228,13 @@ def _round_trip_case(config: SuiteConfig, rng, case: int):
         gen.random_simple_function(rng, algebra, config.max_denominator)
         for _ in range(3)
     ]
-    family += [SimpleFunction.indicator(algebra, atom) for atom in algebra.atoms]
-    functional = Functional(algebra, lambda s: simple_integral(p, s), tuple(family))
-    back = reconstruct_measure(functional)
+    family += [
+        SimpleFunction.indicator(algebra, mask)
+        for mask in algebra.atoms + (algebra.ground.full_mask,)
+    ]
+    back = reconstruct_measure(
+        Functional(algebra, {s: simple_integral(p, s) for s in family})
+    )
     return (
         back == p,
         lambda: f"case {case}: {p.weights} -> {back.weights}",
@@ -255,8 +260,10 @@ def _adversarial_case(config: SuiteConfig, rng, case: int):
         return value
 
     half = SimpleFunction.constant(algebra, Fraction(1, 2))
+    listed = [SimpleFunction.indicator(algebra, m) for m in (full, *algebra.atoms)]
+    listed.append(half)
     try:
-        reconstruct_measure(Functional(algebra, oracle, (half,)))
+        reconstruct_measure(Functional(algebra, {s: oracle(s) for s in listed}))
     except ReconstructionError as exc:
         return (
             _witness_matches(exc, style, algebra, half),
@@ -365,29 +372,56 @@ def _slab_calculus_agrees(a: Slab, b: Slab) -> bool:
 
 
 def _random_grid_lattice(rng, max_denominator):
-    """A full value-grid lattice on a small random algebra, plus a hidden
-    measure it integrates against."""
-    from itertools import product as iproduct
+    """A weak integration lattice on a small random algebra, plus a hidden
+    measure on the algebra its functions generate.
 
+    Half the draws are the full value grid with denominator 1 or 2.  The
+    others are sparse: 0, 1 and one function of the denominator-2 grid,
+    closed here without :func:`check_weak_lattice`, so that a fault in its
+    multiple search cannot shape the lattices it is tested on.  A sparse
+    lattice can need multipliers above 1: {(0, 1/2), (1, 0)} closes to
+    {(0, 1/2), (1, 0), (1, 1/2), 1}, where the span of 1 and (1, 0) is
+    2 * (0, 1/2).
+    """
     ground = gen.random_ground(rng, 3)
     algebra = gen.random_algebra(rng, ground)
-    while len(algebra.atoms) > 3:
-        algebra = gen.random_algebra(rng, ground)
-    denominator = rng.randint(1, 2)
+    sparse = rng.randrange(2)
+    denominator = 2 if sparse else rng.randint(1, 2)
     grid = [Fraction(i, denominator) for i in range(denominator + 1)]
     functions = []
-    for combo in iproduct(grid, repeat=len(algebra.atoms)):
+    for combo in itertools.product(grid, repeat=len(algebra.atoms)):
         by_point = [ZERO] * ground.size
         for atom, v in zip(algebra.atoms, combo):
             for i in range(ground.size):
                 if atom >> i & 1:
                     by_point[i] = v
         functions.append(tuple(by_point))
-    lattice = WeakIntegrationLattice(
-        ground, tuple(functions), scalars=(ZERO, ONE), clip_bound=4
-    )
-    hidden = gen.random_measure(rng, algebra, max_denominator)
-    return lattice, hidden
+    if sparse:
+        functions = _closed_half_grid(
+            [(ZERO,) * ground.size, (ONE,) * ground.size, rng.choice(functions)]
+        )
+    lattice = WeakIntegrationLattice(ground, tuple(functions))
+    sigma = sigma_of_functions(ground, lattice.functions)
+    return lattice, gen.random_measure(rng, sigma, max_denominator)
+
+
+def _closed_half_grid(family: list) -> list:
+    """``family`` of functions valued in {0, 1/2, 1}, grown until each join,
+    meet, span and clip ``min(2f, 1)`` of members is a member or twice one:
+    on this grid those are the only integer multiples below 1."""
+    grown = True
+    while grown:
+        grown = False
+        for f, g in itertools.product(list(family), repeat=2):
+            join = tuple(map(max, f, g))
+            meet = tuple(map(min, f, g))
+            span = tuple(a - b for a, b in zip(join, meet))
+            clip = tuple(min(2 * v, ONE) for v in f)
+            for target in (join, meet, span, clip):
+                if target not in family and tuple(v / 2 for v in target) not in family:
+                    family.append(target)
+                    grown = True
+    return family
 
 
 def _integration_oracle(p):
@@ -412,7 +446,8 @@ def run_integrate_suite(config: SuiteConfig) -> Report:
 def _integral_case(config: SuiteConfig, rng, case: int):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
     p = gen.random_measure(rng, algebra, config.max_denominator)
-    f, g = gen.random_bounded_pair(rng, algebra, config.max_denominator)
+    f = gen.random_term_list(rng, algebra, config.max_denominator)
+    g = gen.random_addend(rng, f, config.max_denominator)
     failing = [c.name for c in check_integral_properties(p, [f, g]) if not c.ok]
     return not failing, f"case {case}: clauses {failing} failed"
 
@@ -494,37 +529,12 @@ def run_reconstruct_input(config: SuiteConfig, data: dict) -> Report:
         data.get("table"), algebra, "$.table"
     )
     try:
-        _require_indicators(functional)
         result = reconstruct_measure(functional)
     except (ReconstructionError, PreconditionError) as exc:
         report.add("reconstruct", 0, 1, (str(exc),))
         return report
     report.add("reconstruct", 1, 0, (serialize.dump_measure(result, config.mode),))
     return report
-
-
-def _require_indicators(table: Functional) -> None:
-    """A table determines a measure only if it lists 1_X and the indicator
-    of every atom; name the ones it lacks, as ``reconstruct_from_cone`` does
-    for a cone's legs."""
-    algebra = table.algebra
-    listed = set(table.test_family)
-    needed = dict.fromkeys(algebra.atoms + (algebra.ground.full_mask,))
-    missing = [
-        mask
-        for mask in needed
-        if SimpleFunction.indicator(algebra, mask) not in listed
-    ]
-    if missing:
-        names = ", ".join(
-            "1_{" + ", ".join(algebra.ground.labels_of(mask)) + "}"
-            for mask in missing
-        )
-        raise ReconstructionError(
-            "table lacks the indicators needed to determine a measure "
-            f"(every atom and the whole set): {names}",
-            witness=tuple(missing),
-        )
 
 
 def run_extend_input(config: SuiteConfig, data: dict) -> Report:

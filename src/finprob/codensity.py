@@ -220,11 +220,11 @@ def _binary_indicator_mask(arrow: Arrow) -> int | None:
 def reconstruct_from_cone(cone: Cone, recheck_naturality: bool = True) -> Measure:
     """The unique measure whose canonical cone has the given legs.
 
-    Requires the declared family to contain the binary indicator arrow of
-    every atom; naturality is checked first and failures are reported with
-    the violating triangle.  The indicator legs are handed to the functional
-    reconstruction, which supplies normalization and finite-additivity
-    checking.
+    Naturality is checked first and failures are reported with the
+    violating triangle.  The binary indicator legs, in mask order, are the
+    table handed to :func:`~finprob.represent.reconstruct_measure`, which
+    names any atom or whole-set indicator the family lacks and supplies
+    normalization and finite-additivity checking.
     """
     if recheck_naturality:
         naturality = check_cone_naturality(cone)
@@ -233,24 +233,13 @@ def reconstruct_from_cone(cone: Cone, recheck_naturality: bool = True) -> Measur
                 "cone legs do not commute with a label map", witness=naturality.witness
             )
     source = cone.family[0].source
-    table: dict[int, Fraction] = {}
-    for arrow, point in cone.legs:
-        mask = _binary_indicator_mask(arrow)
-        if mask is not None:
-            table[mask] = point.weights[1]
-    needed = source.atoms + (source.ground.full_mask,)
-    missing = [mask for mask in needed if mask not in table]
-    if missing:
-        raise ReconstructionError(
-            "family lacks the binary indicator arrows needed to determine "
-            "a measure (every atom and the whole set)",
-            witness=tuple(missing),
-        )
-    pairs = [
-        (SimpleFunction.indicator(source, mask), value)
-        for mask, value in sorted(table.items())
-    ]
-    return reconstruct_measure(Functional.from_table(source, pairs))
+    legs = sorted(
+        (mask, point.weights[1])
+        for arrow, point in cone.legs
+        if (mask := _binary_indicator_mask(arrow)) is not None
+    )
+    table = {SimpleFunction.indicator(source, mask): value for mask, value in legs}
+    return reconstruct_measure(Functional(source, table))
 
 
 BIJECTION_CHECKS = ("round-trip", "naturality", "uniqueness")

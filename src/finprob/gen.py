@@ -114,12 +114,19 @@ def random_bounded_pair(
 ) -> tuple[SimpleFunction, SimpleFunction]:
     """Two simple functions whose pointwise sum stays within [0, 1]."""
     f = random_simple_function(rng, algebra, max_denominator)
+    return f, random_addend(rng, f, max_denominator)
+
+
+def random_addend(
+    rng: random.Random, f: SimpleFunction, max_denominator: int
+) -> SimpleFunction:
+    """A simple function ``g`` with ``f + g <= 1`` pointwise."""
     g_values = []
     for v in f.values:
         d = rng.randint(1, max_denominator)
         cap = int((ONE - v) * d)
         g_values.append(Fraction(rng.randint(0, cap), d))
-    return f, SimpleFunction(algebra, tuple(g_values))
+    return SimpleFunction(f.algebra, tuple(g_values))
 
 
 def random_term_list(

@@ -3,6 +3,12 @@ extension machinery: weak integration lattices, half-open slabs between
 functions, Carathéodory extension over semi-rings, and the slab route from a
 lattice functional to its unique representing measure.
 
+An integration functional on a finite algebra is its finite table of values
+on the listed simple functions (:class:`Functional`); one function,
+:func:`reconstruct_measure`, decides whether a table's indicators determine
+a measure.  Lattice functionals stay callables, because lattice functions
+are indexed by points and may exceed 1, so they are not simple functions.
+
 The slab route is deliberately implemented in full -- build the semi-ring of
 slabs ``{(x, t) : f(x) <= t < g(x)}``, extend the induced premeasure to the
 generated algebra on a finite product grid, and read the measure off the
@@ -15,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -23,7 +29,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .integrate import SimpleFunction, canonicalize, simple_integral
+from .integrate import SimpleFunction, simple_integral
 from .measure import Measure
 from .setalg import (
     Algebra,
@@ -43,51 +49,33 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Functional:
-    """An integration functional supplied with a finite declared test family.
+    """An integration functional given by its finite table: ``values`` maps
+    each listed simple function to the functional's value on it.
 
     The additivity hypotheses of the representation results cannot be checked
-    on the full function space, so reconstruction asserts them on the test
-    family (plus all indicators of atoms) and reports violations with
-    witnesses.
+    on the full function space, so reconstruction asserts them on the listed
+    functions and reports violations with witnesses.  Functions are keyed by
+    their values on atoms: two term lists of one function are one entry.
     """
 
     algebra: Algebra
-    oracle: Callable[[SimpleFunction], Fraction]
-    test_family: tuple[SimpleFunction, ...] = ()
+    values: Mapping[SimpleFunction, Fraction]
 
     def __post_init__(self):
-        object.__setattr__(self, "test_family", tuple(self.test_family))
-        for s in self.test_family:
-            if s.algebra != self.algebra:
-                raise DomainError("test family must live on the functional's algebra")
-
-    @classmethod
-    def from_table(
-        cls,
-        algebra: Algebra,
-        pairs: Iterable[tuple[SimpleFunction, Fraction]],
-    ) -> "Functional":
-        table = {canonicalize(s): Fraction(v) for s, v in pairs}
-
-        def oracle(s: SimpleFunction) -> Fraction:
-            key = canonicalize(s)
-            if key not in table:
-                raise DomainError("functional table has no entry for this function")
-            return table[key]
-
-        return cls(algebra, oracle, tuple(table))
-
-    def value(self, s: SimpleFunction) -> Fraction:
-        return Fraction(self.oracle(s))
+        values = {s: Fraction(v) for s, v in self.values.items()}
+        if any(s.algebra != self.algebra for s in values):
+            raise DomainError("listed functions must live on the functional's algebra")
+        object.__setattr__(self, "values", values)
 
 
 def reconstruct_measure(f: Functional) -> Measure:
-    """The unique measure with the functional's indicator values.
+    """The unique measure with the table's indicator values.
 
-    Sets ``P(A) := F(1_A)`` on atoms, then asserts that the full ground set
-    gets mass one, that the atom values are nonnegative and sum to it, and
-    that integration against ``P`` reproduces the functional on the declared
-    test family.
+    The table must list 1_X and the indicator of every atom; the ones it
+    lacks are named in one :class:`ReconstructionError`.  Sets
+    ``P(A) := F(1_A)`` on atoms, then asserts that the full ground set gets
+    mass one, that the atom values are nonnegative and sum to it, and that
+    integration against ``P`` reproduces every listed value.
 
     No separate finite-sum (or countable-sum) check follows, because none
     could fail.  A countable disjoint family in a finite algebra has finitely
@@ -98,14 +86,31 @@ def reconstruct_measure(f: Functional) -> Measure:
     union whenever that union is listed too.
     """
     algebra = f.algebra
+    table = f.values
+    needed = dict.fromkeys(algebra.atoms + (algebra.ground.full_mask,))
+    missing = [
+        mask
+        for mask in needed
+        if SimpleFunction.indicator(algebra, mask) not in table
+    ]
+    if missing:
+        names = ", ".join(
+            "1_{" + ", ".join(algebra.ground.labels_of(mask)) + "}"
+            for mask in missing
+        )
+        raise ReconstructionError(
+            "table lacks the indicators needed to determine a measure "
+            f"(every atom and the whole set): {names}",
+            witness=tuple(missing),
+        )
     full = SimpleFunction.indicator(algebra, algebra.ground.full_mask)
-    total = f.value(full)
+    total = table[full]
     if total != 1:
         raise ReconstructionError(
             f"normalization violated: F(1_X) = {total}", witness=(full, total)
         )
     weights = tuple(
-        f.value(SimpleFunction.indicator(algebra, atom)) for atom in algebra.atoms
+        table[SimpleFunction.indicator(algebra, atom)] for atom in algebra.atoms
     )
     if any(w < 0 for w in weights):
         bad = next(w for w in weights if w < 0)
@@ -120,8 +125,7 @@ def reconstruct_measure(f: Functional) -> Measure:
         )
     p = Measure(algebra, weights)
     failures = []
-    for s in f.test_family:
-        got = f.value(s)
+    for s, got in table.items():
         expected = simple_integral(p, s)
         if got != expected:
             failures.append((s, expected, got))
@@ -353,29 +357,15 @@ class Slab:
         return Slab(self.algebra, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
 
 
-def _common_algebra(a: Slab, b: Slab) -> tuple[Slab, Slab]:
-    if a.algebra.ground != b.algebra.ground:
-        raise DomainError("slabs live on different ground sets")
-    if a.algebra == b.algebra:
-        return a, b
-    refined = a.algebra.refine_with(b.algebra)
-    return _on_refined(a, refined), _on_refined(b, refined)
-
-
-def _on_refined(s: Slab, refined: Algebra) -> Slab:
-    lower, upper = [], []
-    for atom in refined.atoms:
-        label = refined.ground.labels_of(atom)[0]
-        i = s.algebra.atom_of_point(label)
-        lower.append(s.lower[i])
-        upper.append(s.upper[i])
-    return Slab(refined, tuple(lower), tuple(upper))
+def _check_same_algebra(a: Slab, b: Slab) -> None:
+    if a.algebra != b.algebra:
+        raise DomainError("slabs live on different algebras")
 
 
 def slab_intersect(a: Slab, b: Slab) -> Slab:
     """Pointwise intersection: ``[f1 v f2, g1 ^ g2)``, clamped so the lower
     bound never exceeds the upper."""
-    a, b = _common_algebra(a, b)
+    _check_same_algebra(a, b)
     upper = tuple(min(x, y) for x, y in zip(a.upper, b.upper))
     lower = tuple(
         min(max(x, y), u) for x, y, u in zip(a.lower, b.lower, upper)
@@ -390,7 +380,7 @@ def slab_subtract(a: Slab, b: Slab) -> tuple[Slab, ...]:
     ``[f1 v g2, g1)``, each clamped per atom; adjacent pieces merge back into
     one slab and empty pieces are dropped.
     """
-    a, b = _common_algebra(a, b)
+    _check_same_algebra(a, b)
     low_piece = Slab(
         a.algebra,
         a.lower,
@@ -664,20 +654,17 @@ def daniell_stone(
                 witness=(vec, table[vec], simple_integral(result, f_simple)),
             )
 
-    # uniqueness cross-check against the direct indicator reconstruction
-    indicator_pairs = []
-    complete = True
+    # uniqueness cross-check against the direct indicator reconstruction,
+    # when every member's indicator lifts to a value
+    indicators = {}
     for member_mask in sigma.members:
         ind = tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
         value = lift(ind)
         if value is None:
-            complete = False
             break
-        indicator_pairs.append((SimpleFunction.indicator(sigma, member_mask), value))
-    if complete:
-        direct = reconstruct_measure(
-            Functional.from_table(sigma, indicator_pairs)
-        )
+        indicators[SimpleFunction.indicator(sigma, member_mask)] = value
+    else:
+        direct = reconstruct_measure(Functional(sigma, indicators))
         if direct != result:
             raise ExtensionError(
                 "slab route disagrees with the direct indicator reconstruction",

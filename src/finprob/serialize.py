@@ -14,7 +14,7 @@ from typing import Any
 
 from .codensity import Arrow, Cone
 from .errors import FinprobError, InputError
-from .integrate import SimpleFunction, canonicalize
+from .integrate import SimpleFunction
 from .lipmetric import FiniteMetricSpace
 from .measure import Measure
 from .monad import SimplexPoint
@@ -197,7 +197,6 @@ def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> F
     values: dict[SimpleFunction, Fraction] = {}
     for i, (fn_data, val) in enumerate(zip(raw_family, raw_values)):
         fn = load_simple_function(fn_data, algebra, f"{location}.family[{i}]")
-        fn = canonicalize(fn)
         value = parse_fraction(val, f"{location}.values[{i}]")
         if values.setdefault(fn, value) != value:
             raise InputError(
@@ -205,7 +204,7 @@ def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> F
                 "for the same function",
                 f"{location}.values[{i}]",
             )
-    return Functional.from_table(algebra, values.items())
+    return Functional(algebra, values)
 
 
 # -- metric spaces and simplex points ----------------------------------------

@@ -203,12 +203,6 @@ class Algebra:
     def atom_of_point(self, label: str) -> int:
         return self.point_atoms[self.ground.index(label)]
 
-    def refine_with(self, other: "Algebra") -> "Algebra":
-        """Smallest common refinement of two algebras on the same ground."""
-        if other.ground != self.ground:
-            raise DomainError("algebras live on different ground sets")
-        return generate_algebra(self.ground, self.atoms + other.atoms)
-
 
 def generate_algebra(ground: GroundSet, generators: Iterable[int] | SubsetFamily) -> Algebra:
     """Smallest algebra on ``ground`` containing all generator sets.

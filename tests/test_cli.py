@@ -279,6 +279,52 @@ def test_codensity_perturbed_cone_input_fails(tmp_path, capsys):
     assert payload["ok"] is False
 
 
+def test_codensity_input_without_an_atom_indicator_arrow_exits_one(tmp_path):
+    """A cone without the binary arrow of 1_{1} fails its reconstruct check
+    with the witness ``reconstruct --input`` gives a table without 1_{1}."""
+    from fractions import Fraction as F
+
+    from finprob import Algebra, GroundSet, Measure, SimpleFunction, serialize
+    from finprob.codensity import binary_arrow, cone_of_measure, indicator_family
+
+    g = GroundSet(("0", "1"))
+    alg = Algebra.powerset(g)
+    dropped = binary_arrow(SimpleFunction.indicator(alg, g.mask_of(["1"])))
+    family = [a for a in indicator_family(alg) if a != dropped]
+    cone = cone_of_measure(Measure(alg, (F(1, 4), F(3, 4))), family)
+    instance = {
+        "format": 1,
+        "algebra": serialize.dump_algebra(alg),
+        "cone": serialize.dump_cone(cone),
+    }
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("codensity", path)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    by_name = {c["name"]: c for c in json.loads(done.stdout)["checks"]}
+    assert by_name["naturality"]["failed"] == 0
+    check = by_name["reconstruct"]
+    assert (check["passed"], check["failed"]) == (0, 1)
+
+    table = {
+        "format": 1,
+        "algebra": TWO_POINT_ALGEBRA,
+        "table": {
+            "family": [{"terms": [["1/1", [0, 1]]]}, {"terms": [["1/1", [0]]]}],
+            "values": ["1/1", "1/4"],
+        },
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(table))
+    by_table = json.loads(run_module("reconstruct", path).stdout)["checks"][0]
+    assert check["witnesses"] == by_table["witnesses"]
+    assert check["witnesses"][0] == (
+        "table lacks the indicators needed to determine a measure "
+        "(every atom and the whole set): 1_{1}"
+    )
+
+
 def test_stdin_input(capsys, monkeypatch):
     import io
 

@@ -1,5 +1,6 @@
 """Simple functions and the exact integral."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -150,6 +151,23 @@ def test_a_scaled_integral_fails_simple_agreement(monkeypatch):
     monkeypatch.setattr(
         integrate, "simple_integral", lambda p, s: real(p, s) * F(999, 1000)
     )
+    (properties,) = run_integrate_suite(SuiteConfig(seed=0, cases=50)).checks
+    assert properties.failed > 0
+    assert all("'simple-agreement'" in w for w in properties.witnesses)
+
+
+def test_a_term_sum_that_drops_a_term_fails_simple_agreement(monkeypatch):
+    """The suite draws one function of each case as a term list, so the
+    term-sum route of ``simple-agreement`` is checked, not only the
+    level-set route."""
+    real = integrate._term_sum
+
+    def dropped(p, f):
+        if f.terms:
+            f = dataclasses.replace(f, terms=f.terms[:-1])
+        return real(p, f)
+
+    monkeypatch.setattr(integrate, "_term_sum", dropped)
     (properties,) = run_integrate_suite(SuiteConfig(seed=0, cases=50)).checks
     assert properties.failed > 0
     assert all("'simple-agreement'" in w for w in properties.witnesses)

@@ -9,6 +9,7 @@ import pytest
 
 from finprob import (
     Algebra,
+    DomainError,
     ExtensionError,
     Functional,
     GroundSet,
@@ -45,7 +46,7 @@ def test_reconstruct_charge_tautological():
     g = GroundSet(("0", "1", "2"))
     p = uniform(Algebra.powerset(g))
     functional = Functional(
-        p.algebra, lambda s: simple_integral(p, s), indicator_family_of(p.algebra)
+        p.algebra, {s: simple_integral(p, s) for s in indicator_family_of(p.algebra)}
     )
     assert reconstruct_measure(functional) == p
 
@@ -53,7 +54,7 @@ def test_reconstruct_charge_tautological():
 def test_reconstruct_evaluation_functional_gives_dirac():
     g = GroundSet(("0", "1", "2"))
     alg = Algebra.powerset(g)
-    functional = Functional(alg, lambda s: s.value_at("1"), indicator_family_of(alg))
+    functional = Functional(alg, {s: s.value_at("1") for s in indicator_family_of(alg)})
     assert reconstruct_measure(functional) == dirac("1", alg)
 
 
@@ -70,10 +71,30 @@ def test_reconstruct_detects_complement_violation():
             return F(3, 4)  # both {0} and {1} get 3/4: pair sums to 3/2
         raise AssertionError("only indicators are consulted")
 
-    functional = Functional(alg, oracle, indicator_family_of(alg))
+    functional = Functional(alg, {s: oracle(s) for s in indicator_family_of(alg)})
     with pytest.raises(ReconstructionError) as err:
         reconstruct_measure(functional)
     assert "additivity" in str(err.value)
+
+
+def test_functional_rejects_a_function_on_another_algebra():
+    g = GroundSet(("0", "1"))
+    coarse, fine = Algebra.trivial(g), Algebra.powerset(g)
+    stray = SimpleFunction.indicator(fine, g.mask_of(["0"]))
+    with pytest.raises(DomainError):
+        Functional(coarse, {SimpleFunction.constant(coarse, F(1)): F(1), stray: F(1, 2)})
+
+
+def test_reconstruct_names_every_missing_indicator():
+    g = GroundSet(("0", "1", "2"))
+    alg = Algebra.powerset(g)
+    only_zero = SimpleFunction.indicator(alg, g.mask_of(["0"]))
+    with pytest.raises(ReconstructionError) as err:
+        reconstruct_measure(Functional(alg, {only_zero: F(1, 3)}))
+    assert str(err.value).endswith(
+        "(every atom and the whole set): 1_{1}, 1_{2}, 1_{0, 1, 2}"
+    )
+    assert err.value.witness == (g.mask_of(["1"]), g.mask_of(["2"]), g.full_mask)
 
 
 def test_reconstruct_measure_from_table():
@@ -84,7 +105,7 @@ def test_reconstruct_measure_from_table():
         (SimpleFunction.indicator(alg, m), simple_integral(p, SimpleFunction.indicator(alg, m)))
         for m in alg.members
     ]
-    assert reconstruct_measure(Functional.from_table(alg, pairs)) == p
+    assert reconstruct_measure(Functional(alg, dict(pairs))) == p
 
 
 def test_reconstruct_measure_dirac():
@@ -92,7 +113,7 @@ def test_reconstruct_measure_dirac():
     alg = Algebra.powerset(g)
     d = dirac("a", alg)
     functional = Functional(
-        alg, lambda s: simple_integral(d, s), indicator_family_of(alg)
+        alg, {s: simple_integral(d, s) for s in indicator_family_of(alg)}
     )
     assert reconstruct_measure(functional) == d
 
@@ -110,7 +131,7 @@ def test_reconstruct_measure_detects_three_term_violation():
             return value + F(1, 12)  # every single atom bumped
         return value
 
-    functional = Functional(alg, oracle, indicator_family_of(alg))
+    functional = Functional(alg, {s: oracle(s) for s in indicator_family_of(alg)})
     with pytest.raises(ReconstructionError) as err:
         reconstruct_measure(functional)
     assert err.value.witness is not None
@@ -153,15 +174,19 @@ def _unbalanced_family(algebra, table):
 
 def _reconstructions(with_test_family, cases=1000):
     """``(accepted, rejected, unbalanced)`` over seeded perturbed tables;
-    the last counts accepted tables with an unbalanced disjoint family."""
+    the last counts accepted tables with an unbalanced disjoint family.
+    Without the test family, only the rows of the atoms and 1_X are given
+    to reconstruction."""
     accepted = rejected = unbalanced = 0
     for case in range(cases):
         algebra, table = _perturbed_table(gen.rng_for(case, "disjoint-families"))
-        functional = Functional.from_table(algebra, table.items())
+        listed = table
         if not with_test_family:
-            functional = Functional(algebra, functional.oracle)
+            masks = algebra.atoms + (algebra.ground.full_mask,)
+            indicators = [SimpleFunction.indicator(algebra, m) for m in masks]
+            listed = {s: table[s] for s in indicators}
         try:
-            reconstruct_measure(functional)
+            reconstruct_measure(Functional(algebra, listed))
         except ReconstructionError:
             rejected += 1
             continue
@@ -179,8 +204,8 @@ def test_accepted_tables_add_up_on_every_disjoint_indicator_family():
 
 
 def test_disjoint_family_check_fails_without_the_test_family():
-    """The same oracle without its test family is checked on atoms and 1_X
-    only, so shifted member values pass reconstruction and the disjoint
+    """The same tables cut down to the atoms and 1_X are checked on those
+    rows only, so shifted member values pass reconstruction and the disjoint
     family check catches them."""
     accepted, _, unbalanced = _reconstructions(with_test_family=False)
     assert unbalanced > 30 and accepted > unbalanced
@@ -191,26 +216,32 @@ def test_reconstruction_order_preservation():
     g = GroundSet(("0", "1", "2"))
     rng = gen.rng_for(23, "order")
     p = gen.random_measure(rng, Algebra.powerset(g), 8)
-    functional = Functional(p.algebra, lambda s: simple_integral(p, s))
+    triples = []
     for _ in range(40):
         f = gen.random_simple_function(rng, p.algebra, 8)
         g2 = gen.random_simple_function(rng, p.algebra, 8)
-        if f <= g2:
-            assert functional.value(f) <= functional.value(g2)
         hi = SimpleFunction(
             p.algebra, tuple(max(a, b) for a, b in zip(f.values, g2.values))
         )
-        assert functional.value(f) <= functional.value(hi)
+        triples.append((f, g2, hi))
+    listed = [s for triple in triples for s in triple]
+    value = Functional(p.algebra, {s: simple_integral(p, s) for s in listed}).values
+    for f, g2, hi in triples:
+        if f <= g2:
+            assert value[f] <= value[g2]
+        assert value[f] <= value[hi]
 
 
 def test_reconstruction_rational_scaling():
     g = GroundSet(("0", "1"))
     rng = gen.rng_for(29, "scaling")
     p = gen.random_measure(rng, Algebra.powerset(g), 8)
-    functional = Functional(p.algebra, lambda s: simple_integral(p, s))
     f = gen.random_simple_function(rng, p.algebra, 8)
-    for r in (F(0), F(1, 3), F(2, 5), F(1)):
-        assert functional.value(f.scale(r)) == r * functional.value(f)
+    scalars = (F(0), F(1, 3), F(2, 5), F(1))
+    listed = [f] + [f.scale(r) for r in scalars]
+    value = Functional(p.algebra, {s: simple_integral(p, s) for s in listed}).values
+    for r in scalars:
+        assert value[f.scale(r)] == r * value[f]
 
 
 # --- weak integration lattices ---------------------------------------------------
@@ -326,16 +357,14 @@ def test_slab_ops_extensional_on_random_pairs():
         assert _slab_calculus_agrees(a, b)
 
 
-def test_slab_cross_algebra_refinement():
+def test_slabs_on_different_algebras_are_rejected():
     g = GroundSet(("0", "1"))
-    coarse = Algebra.trivial(g)
-    fine = Algebra.powerset(g)
-    a = Slab(coarse, (F(0),), (F(1),))
-    b = Slab(fine, (F(0), F(1, 2)), (F(1, 2), F(1)))
-    meet = slab_intersect(a, b)
-    assert meet.contains("0", F(1, 4))
-    assert not meet.contains("1", F(1, 4))
-    assert meet.contains("1", F(3, 4))
+    a = Slab(Algebra.trivial(g), (F(0),), (F(1),))
+    b = Slab(Algebra.powerset(g), (F(0), F(1, 2)), (F(1, 2), F(1)))
+    with pytest.raises(DomainError):
+        slab_intersect(a, b)
+    with pytest.raises(DomainError):
+        slab_subtract(b, a)
 
 
 def test_slab_rejects_crossed_bounds():
@@ -475,9 +504,7 @@ def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
         assert rebuilt.weights == hidden.weights
         family = indicator_family_of(hidden.algebra)
         direct = reconstruct_measure(
-            Functional(
-                hidden.algebra, lambda s: simple_integral(hidden, s), family
-            )
+            Functional(hidden.algebra, {s: simple_integral(hidden, s) for s in family})
         )
         assert rebuilt == direct
 
@@ -724,9 +751,7 @@ def reference_daniell_stone(lattice, oracle, multiplier_bound=64, family_cap=512
             break
         indicator_pairs.append((SimpleFunction.indicator(sigma, member_mask), value))
     if complete:
-        direct = reconstruct_measure(
-            Functional.from_table(sigma, indicator_pairs)
-        )
+        direct = reconstruct_measure(Functional(sigma, dict(indicator_pairs)))
         if direct != result:
             raise ExtensionError(
                 "slab route disagrees with the direct indicator reconstruction",
@@ -897,3 +922,26 @@ def test_direction_without_gcd_division_is_caught(monkeypatch):
     assert report.witness == (1, 2, (F(3, 4), F(3, 4)))
     with pytest.raises(PreconditionError, match="clause span"):
         daniell_stone(chain, lambda values: values[0])
+
+
+def test_direction_without_gcd_division_fails_the_lattice_cases(monkeypatch):
+    """The seeded lattice cases include sparse lattices whose clauses need
+    multiplier 2, so the same fault fails them: a full value grid alone
+    never needs a multiplier above 1."""
+    from finprob import cli
+    from finprob.report import Report, SuiteConfig
+
+    def lattice_check():
+        report = Report("extend", {})
+        config = SuiteConfig(seed=0)
+        cli._tally_cases(
+            report, config, "lattice-representation", "daniell", 100, cli._lattice_case
+        )
+        return report.checks[0]
+
+    healthy = lattice_check()
+    assert (healthy.passed, healthy.failed) == (100, 0)
+    monkeypatch.setattr(
+        represent, "_direction", lambda vec: tuple(vec) if any(vec) else None
+    )
+    assert lattice_check().failed > 0

@@ -87,14 +87,14 @@ def test_functional_table_round_trip():
         (SimpleFunction.indicator(alg, m), simple_integral(p, SimpleFunction.indicator(alg, m)))
         for m in alg.members
     ]
-    functional = Functional.from_table(alg, pairs)
+    functional = Functional(alg, dict(pairs))
     data = {
         "family": [serialize.dump_simple_function(s) for s, _ in pairs],
         "values": [serialize.dump_fraction(v) for _, v in pairs],
     }
     loaded = serialize.load_functional_table(data, alg)
-    for s, _ in pairs:
-        assert loaded.value(s) == functional.value(s)
+    assert loaded.algebra == alg
+    assert list(loaded.values.items()) == list(functional.values.items())
 
 
 def test_metric_round_trip():
