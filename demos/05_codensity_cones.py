@@ -1,6 +1,6 @@
 """Walkthrough: measures are exactly cones over arrows into finite simplices.
 
-Integrating an arrow's components against a measure produces a compatible
+Averaging each arrow's rows, weighted by a measure, produces a compatible
 family of simplex points (a cone); conversely a natural cone containing the
 binary indicator arrows determines the measure uniquely.  Two labels
 suffice; one label carries only normalization.
@@ -30,10 +30,10 @@ print("declared arrow family size:", len(family))
 p = Measure(algebra, (F(1, 7), F(2, 7), F(4, 7)))
 cone = cone_of_measure(p, family)
 
-# Every leg is the componentwise integral; on the binary arrow of {x}
-# the second coordinate is just P({x}).
+# Every leg is the P-weighted average of the arrow's rows; on the binary
+# arrow of {x} the second coordinate is just P({x}).
 hat_x = binary_arrow(SimpleFunction.indicator(algebra, ground.mask_of(["x"])))
-print("leg on the {x} indicator arrow:", cone.leg(hat_x).weights)
+print("leg on the {x} indicator arrow:", cone.legs[hat_x].weights)
 
 nat = check_cone_naturality(cone)
 print("naturality over", nat.triangles, "triangles:", nat.ok)

@@ -56,5 +56,5 @@ grid = [F(0), F(1, 2), F(1)]
 functions = tuple(itertools.product(grid, repeat=3))
 lattice = WeakIntegrationLattice(g3, functions)
 print("\nlattice valid:", check_weak_lattice(lattice).ok)
-measure = daniell_stone(lattice, lambda values: values[1])
+measure = daniell_stone(lattice, {f: f[1] for f in lattice.functions})
 print("functional f -> f(v) yields the point mass:", measure.weights)

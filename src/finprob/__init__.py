@@ -41,7 +41,6 @@ from .measure import (
 )
 from .integrate import (
     SimpleFunction,
-    canonicalize,
     check_integral_properties,
     simple_integral,
 )

@@ -18,7 +18,12 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import gen, serialize
-from .codensity import small_index_sufficiency, verify_codensity_bijection
+from .codensity import (
+    check_cone_naturality,
+    indicator_table,
+    small_index_sufficiency,
+    verify_codensity_bijection,
+)
 from .errors import (
     ExtensionError,
     FinprobError,
@@ -26,6 +31,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
+from .exact import dot
 from .integrate import SimpleFunction, check_integral_properties, simple_integral
 from .lipmetric import (
     SUBSET_ENUMERATION_CAP,
@@ -277,7 +283,7 @@ def _lattice_case(config: SuiteConfig, rng, case: int):
     measure."""
     lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
     try:
-        rebuilt = daniell_stone(lattice, _integration_oracle(hidden))
+        rebuilt = daniell_stone(lattice, _integration_table(hidden, lattice))
     except FinprobError as exc:
         return False, f"case {case}: {exc}"
     return (
@@ -424,17 +430,12 @@ def _closed_half_grid(family: list) -> list:
     return family
 
 
-def _integration_oracle(p):
-    algebra = p.algebra
-
-    def oracle(point_values):
-        total = ZERO
-        for atom, w in zip(algebra.atoms, p.weights):
-            idx = next(i for i in range(algebra.ground.size) if atom >> i & 1)
-            total += w * point_values[idx]
-        return total
-
-    return oracle
+def _integration_table(p, lattice) -> dict:
+    """Each lattice function's integral against ``p``, a measure on the
+    lattice's generated algebra: its values at one point of each atom,
+    weighted by the atoms' masses."""
+    points = [(atom & -atom).bit_length() - 1 for atom in p.algebra.atoms]
+    return {f: dot(p.weights, [f[i] for i in points]) for f in lattice.functions}
 
 
 def run_integrate_suite(config: SuiteConfig) -> Report:
@@ -498,8 +499,6 @@ def run_distance_input(config: SuiteConfig, data: dict) -> Report:
 
 def run_codensity_input(config: SuiteConfig, data: dict) -> Report:
     """Check a declared cone's naturality and reconstruct its measure."""
-    from .codensity import check_cone_naturality, reconstruct_from_cone
-
     report = Report("codensity", config.to_payload())
     algebra = serialize.load_algebra(data.get("algebra"), "$.algebra")
     cone = serialize.load_cone(data.get("cone"), algebra, "$.cone")
@@ -511,7 +510,7 @@ def run_codensity_input(config: SuiteConfig, data: dict) -> Report:
         () if nat.ok else (f"failing triangle via {nat.witness[1]}",),
     )
     try:
-        measure = reconstruct_from_cone(cone, recheck_naturality=False)
+        measure = reconstruct_measure(indicator_table(cone))
     except (ReconstructionError, PreconditionError) as exc:
         report.add("reconstruct", 0, 1, (str(exc),))
         return report

@@ -1,19 +1,22 @@
 """Executable form of the limit-cone characterization of the probability
 monad: arrows from a space into finite simplices, cones over a declared
-finite arrow family, integration legs, naturality checking, and the
-round-trip bijection between measures and cones.
+finite arrow family, naturality checking, and the round-trip bijection
+between measures and cones.
 
 A point of the simplex on a finite label set is a :class:`Measure` on the
 labels' powerset (:func:`~finprob.monad.SimplexPoint`), and the simplex map
 of a label function is :func:`~finprob.measure.pushforward` into the
-target labels' powerset.
+target labels' powerset.  A cone is a table from arrows to legs; the
+canonical cone of a measure has, at each arrow, the average of the arrow's
+rows weighted by the measure (:func:`~finprob.monad.average`, the body of
+the monad multiplication).
 
 The full comma category of arrows is infinite; a cone here is declared over
 a finite arrow family whose closure (binary arrows of every component, the
 collapse arrow to the one-point simplex) is rich enough to replay the
-uniqueness argument: legs on binary indicator arrows pin the measure down,
-and naturality across label maps supplies normalization and finite
-additivity.
+uniqueness argument: the legs on binary indicator arrows form the
+:func:`indicator_table` that pins the measure down, and naturality across
+label maps supplies normalization and finite additivity.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ReconstructionError
-from .integrate import SimpleFunction, simple_integral
+from .integrate import SimpleFunction
 from .measure import Measure, dirac, pushforward, simplex_algebra
-from .monad import SimplexPoint
+from .monad import SimplexPoint, average
 from .report import CheckOutcome
 from .represent import Functional, reconstruct_measure
 from .setalg import Algebra
@@ -79,11 +82,6 @@ class Arrow:
     def at(self, label: str) -> Measure:
         return self.rows[self.source.atom_of_point(label)]
 
-    def component(self, target: str) -> SimpleFunction:
-        """The weight of one target label, as a [0, 1]-valued function."""
-        idx = self.targets.index(target)
-        return SimpleFunction(self.source, tuple(row.weights[idx] for row in self.rows))
-
     def compose_label_map(
         self, mapping: Mapping[str, str], targets: Sequence[str]
     ) -> "Arrow":
@@ -128,43 +126,36 @@ def indicator_family(source: Algebra) -> tuple[Arrow, ...]:
 @dataclass(frozen=True)
 class Cone:
     """A family of simplex points, one per declared arrow, required to
-    commute with every label map between the arrows' targets."""
+    commute with every label map between the arrows' targets.
+
+    Built from ``(arrow, leg)`` pairs; ``legs`` maps each arrow to its leg.
+    The arrows are distinct and share one source algebra.
+    """
 
     apex: str
-    legs: tuple[tuple[Arrow, Measure], ...]
+    legs: Mapping[Arrow, Measure]
 
     def __post_init__(self):
-        object.__setattr__(self, "legs", tuple(self.legs))
-        seen = set()
+        legs = {}
         for arrow, point in self.legs:
             if point.algebra != simplex_algebra(arrow.targets):
                 raise ValueError("leg must be indexed by its arrow's targets")
-            if arrow in seen:
+            if arrow in legs:
                 raise ValueError("cone declares an arrow twice")
-            seen.add(arrow)
-
-    @property
-    def family(self) -> tuple[Arrow, ...]:
-        return tuple(arrow for arrow, _ in self.legs)
-
-    def leg(self, arrow: Arrow) -> Measure:
-        for candidate, point in self.legs:
-            if candidate == arrow:
-                return point
-        raise DomainError("arrow not in the cone's declared family")
+            if legs and arrow.source != next(iter(legs)).source:
+                raise ValueError("cone arrows must share one source algebra")
+            legs[arrow] = point
+        object.__setattr__(self, "legs", legs)
 
 
 def cone_of_measure(p: Measure, family: Iterable[Arrow]) -> Cone:
-    """The canonical cone of a measure: each leg integrates the arrow's
-    components."""
+    """The canonical cone of a measure: the leg at an arrow is the average
+    of the arrow's rows weighted by the measure's atoms."""
     legs = []
     for arrow in family:
         if arrow.source != p.algebra:
             raise PreconditionError("arrow source differs from the measure's algebra")
-        weights = tuple(
-            simple_integral(p, arrow.component(t)) for t in arrow.targets
-        )
-        legs.append((arrow, SimplexPoint(arrow.targets, weights)))
+        legs.append((arrow, average(p.weights, arrow.rows)))
     return Cone(f"measure{p.weights}", tuple(legs))
 
 
@@ -178,7 +169,7 @@ class NaturalityResult:
 def check_cone_naturality(cone: Cone, max_map_count: int = 512) -> NaturalityResult:
     """Enumerate commutative triangles inside the declared family and check
     that the legs commute with the simplex maps of all label functions."""
-    legs = dict(cone.legs)
+    legs = cone.legs
     target_sets = sorted({arrow.targets for arrow in legs})
     triangles = 0
     for f in legs:
@@ -217,29 +208,37 @@ def _binary_indicator_mask(arrow: Arrow) -> int | None:
     return mask
 
 
-def reconstruct_from_cone(cone: Cone, recheck_naturality: bool = True) -> Measure:
-    """The unique measure whose canonical cone has the given legs.
-
-    Naturality is checked first and failures are reported with the
-    violating triangle.  The binary indicator legs, in mask order, are the
-    table handed to :func:`~finprob.represent.reconstruct_measure`, which
-    names any atom or whole-set indicator the family lacks and supplies
-    normalization and finite-additivity checking.
-    """
-    if recheck_naturality:
-        naturality = check_cone_naturality(cone)
-        if not naturality.ok:
-            raise ReconstructionError(
-                "cone legs do not commute with a label map", witness=naturality.witness
-            )
-    source = cone.family[0].source
+def indicator_table(cone: Cone) -> Functional:
+    """The cone's binary indicator legs as a table in mask order: ``1_A``
+    maps to the weight of label 1 in the leg at the binary arrow of
+    ``1_A``."""
+    if not cone.legs:
+        raise ReconstructionError("cone has no legs to reconstruct from")
+    source = next(iter(cone.legs)).source
     legs = sorted(
         (mask, point.weights[1])
-        for arrow, point in cone.legs
+        for arrow, point in cone.legs.items()
         if (mask := _binary_indicator_mask(arrow)) is not None
     )
     table = {SimpleFunction.indicator(source, mask): value for mask, value in legs}
-    return reconstruct_measure(Functional(source, table))
+    return Functional(source, table)
+
+
+def reconstruct_from_cone(cone: Cone) -> Measure:
+    """The unique measure whose canonical cone has the given legs.
+
+    Naturality is checked first and failures are reported with the
+    violating triangle.  The :func:`indicator_table` is then handed to
+    :func:`~finprob.represent.reconstruct_measure`, which names any atom or
+    whole-set indicator the family lacks and supplies normalization and
+    finite-additivity checking.
+    """
+    naturality = check_cone_naturality(cone)
+    if not naturality.ok:
+        raise ReconstructionError(
+            "cone legs do not commute with a label map", witness=naturality.witness
+        )
+    return reconstruct_measure(indicator_table(cone))
 
 
 BIJECTION_CHECKS = ("round-trip", "naturality", "uniqueness")
@@ -279,7 +278,7 @@ def verify_codensity_bijection(
         if not nat.ok:
             yield "naturality", False, f"case {case}: {nat.witness[1]}"
             return
-        back = reconstruct_from_cone(cone, recheck_naturality=False)
+        back = reconstruct_measure(indicator_table(cone))
         if back != p:
             yield "round-trip", False, f"case {case}: {p.weights} -> {back.weights}"
             return

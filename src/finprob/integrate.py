@@ -1,10 +1,10 @@
 """Simple functions and exact integration against finite measures.
 
 On a finite algebra every measurable [0, 1]-valued function is simple, so one
-type carries both roles.  A simple function is canonicalized to its
-atom-indexed value vector; the original term list, when given, is kept only
-for the term-sum check of :func:`check_integral_properties` and is ignored
-by equality.
+type carries both roles.  A simple function is held as its atom-indexed
+value vector; the original term list, when given, is kept only for the
+term-sum check of :func:`check_integral_properties` and is ignored by
+equality.
 """
 
 from __future__ import annotations
@@ -103,11 +103,6 @@ class SimpleFunction:
     def _check_same_algebra(self, other: "SimpleFunction") -> None:
         if other.algebra != self.algebra:
             raise DomainError("simple functions live on different algebras")
-
-
-def canonicalize(s: SimpleFunction) -> SimpleFunction:
-    """The atom-indexed form; equal pointwise functions canonicalize equally."""
-    return SimpleFunction(s.algebra, s.values)
 
 
 def simple_integral(p: Measure, s: SimpleFunction) -> Fraction:

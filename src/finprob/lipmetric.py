@@ -202,12 +202,7 @@ def bl_distance_subsets(p: Measure, q: Measure) -> Fraction:
             f"subset enumeration capped at {SUBSET_ENUMERATION_CAP} labels; use the LP"
         )
     diff = [a - b for a, b in zip(p.weights, q.weights)]
-    best = ZERO
-    for mask in range(1 << n):
-        total = sum((diff[i] for i in range(n) if mask >> i & 1), ZERO)
-        if abs(total) > best:
-            best = abs(total)
-    return best
+    return max(abs(s) for s in subset_sums(diff))
 
 
 def subset_sums(weights: Sequence[Fraction]) -> list[Fraction]:

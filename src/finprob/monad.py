@@ -84,14 +84,20 @@ class MetaMeasure:
         return cls(support, tuple(merged[p] for p in support))
 
 
+def average(weights: Sequence[Fraction], measures: Sequence[Measure]) -> Measure:
+    """The measure ``A -> sum_i weights_i * P_i(A)`` of measures ``P_i`` on
+    one algebra, for probability weights."""
+    columns = zip(*(p.weights for p in measures))
+    return Measure(measures[0].algebra, tuple(dot(weights, c) for c in columns))
+
+
 def mult(m: MetaMeasure) -> Measure:
     """The monad multiplication: average the support measures.
 
     ``mult(M)(A)`` is the integral of ``P(A)`` against ``M``; with finite
     support this is exactly ``sum_i weight_i * P_i(A)``.
     """
-    columns = zip(*(p.weights for p in m.support))
-    return Measure(m.algebra, tuple(dot(m.weights, c) for c in columns))
+    return average(m.weights, m.support)
 
 
 def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:

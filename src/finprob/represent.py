@@ -6,8 +6,8 @@ lattice functional to its unique representing measure.
 An integration functional on a finite algebra is its finite table of values
 on the listed simple functions (:class:`Functional`); one function,
 :func:`reconstruct_measure`, decides whether a table's indicators determine
-a measure.  Lattice functionals stay callables, because lattice functions
-are indexed by points and may exceed 1, so they are not simple functions.
+a measure.  A lattice functional is likewise a table, from each lattice
+function (a point-indexed vector, which may exceed 1) to its value.
 
 The slab route is deliberately implemented in full -- build the semi-ring of
 slabs ``{(x, t) : f(x) <= t < g(x)}``, extend the induced premeasure to the
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -500,11 +500,14 @@ def caratheodory_extend(
 
 def daniell_stone(
     lattice: WeakIntegrationLattice,
-    oracle: Callable[[tuple[Fraction, ...]], Fraction],
+    values: Mapping[tuple[Fraction, ...], Fraction],
     multiplier_bound: int = 64,
     family_cap: int = 512,
 ) -> Measure:
     """The unique measure representing a lattice functional, via slabs.
+
+    ``values`` maps each lattice function to the functional's value on it;
+    the zero function need not be listed, since its value is forced to 0.
 
     Builds the semi-ring of slabs between members of a join/meet-closed bound
     family (the lattice functions bounded by one, the constants zero and one,
@@ -527,11 +530,14 @@ def daniell_stone(
     ground = lattice.ground
     one_vec = (ONE,) * ground.size
     zero_vec = (ZERO,) * ground.size
-    table = {zero_vec: ZERO}  # I(0) = 0 is forced; the oracle is never asked
+    table = {zero_vec: ZERO}  # I(0) = 0 is forced; a listed value is ignored
     for vec in lattice.functions:
         if vec == zero_vec:
             continue
-        v = Fraction(oracle(vec))
+        if vec not in values:
+            named = ", ".join(map(str, vec))
+            raise PreconditionError(f"functional lacks a value for ({named})")
+        v = Fraction(values[vec])
         if v < 0:
             raise PreconditionError(f"functional value {v} is negative")
         table[vec] = v
@@ -543,7 +549,7 @@ def daniell_stone(
     firsts = [(atom & -atom).bit_length() - 1 for atom in sigma.atoms]
     scale, point_vecs = _scaled(lattice.functions)
     members = [tuple(vec[p] for p in firsts) for vec in point_vecs]
-    values = [table[vec] for vec in lattice.functions]
+    member_values = [table[vec] for vec in lattice.functions]
     by_direction = _direction_index(members)
 
     def lift(height: tuple[int, ...]) -> Fraction | None:
@@ -556,7 +562,7 @@ def daniell_stone(
             return None
         j = on_ray[0]
         k = next(i for i, v in enumerate(d) if v)
-        return Fraction(height[k], members[j][k]) * values[j]
+        return Fraction(height[k], members[j][k]) * member_values[j]
 
     # Join/meet-closed family of slab bounds, capped at height one.
     bounds = {(0,) * atom_count, (scale,) * atom_count}

@@ -300,7 +300,7 @@ def load_arrow(data: Any, source: Algebra, location: str = "$") -> Arrow:
 
 def dump_cone(cone: Cone) -> list:
     return [
-        [dump_arrow(arrow), dump_simplex(point)] for arrow, point in cone.legs
+        [dump_arrow(arrow), dump_simplex(point)] for arrow, point in cone.legs.items()
     ]
 
 

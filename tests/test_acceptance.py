@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -248,3 +249,27 @@ def test_suite_reports_are_pinned(suite, capsys):
     assert cli.run([suite, "--seed", "0"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == SUITE_SEED_0_SHA256[suite]
+
+
+# The `--input` reports of the benchmark's first 20 `instances` blocks at
+# seed 0 plus its hostile probes (568 requests), each hashed as its exit code
+# and stdout in request order.
+INPUT_SEED_0_SHA256 = "2cb9e2a17770f32a9f931e1b9a23f95ebc9c4d91608801cea1bc425fdc22aea3"
+
+
+def test_input_reports_are_pinned(tmp_path, monkeypatch):
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    monkeypatch.setattr(workloads, "INSTANCE_BLOCKS", 20)
+    blocks, probe = workloads.instances(0, tmp_path)
+    ops = [op for block in blocks for op in block] + probe
+    digest = hashlib.sha256()
+    for op in ops:
+        code, out = op.run()
+        digest.update(f"{code}\n{out}".encode())
+    assert len(ops) == 568
+    assert digest.hexdigest() == INPUT_SEED_0_SHA256

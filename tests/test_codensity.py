@@ -54,7 +54,8 @@ def test_binary_arrow_of_indicator():
     for i, point in enumerate(alg.ground.points):
         inside = bool(mask >> i & 1)
         assert arrow.at(point).weights == (F(0 if inside else 1), F(1 if inside else 0))
-    assert arrow.component("1").values == SimpleFunction.indicator(alg, mask).values
+    label_one = tuple(row.weights[1] for row in arrow.rows)
+    assert label_one == SimpleFunction.indicator(alg, mask).values
 
 
 def test_cone_legs_of_dirac_evaluate_the_arrow():
@@ -62,7 +63,7 @@ def test_cone_legs_of_dirac_evaluate_the_arrow():
     family = indicator_family(alg)
     d = dirac("1", alg)
     cone = cone_of_measure(d, family)
-    for arrow, leg in cone.legs:
+    for arrow, leg in cone.legs.items():
         assert leg == arrow.at("1")
 
 
@@ -74,7 +75,7 @@ def test_cone_legs_of_uniform_on_atom_arrow():
 
     arrow = Arrow(alg, targets, rows)
     cone = cone_of_measure(uniform(alg), (arrow,))
-    assert cone.leg(arrow).weights == (F(1, 3), F(1, 3), F(1, 3))
+    assert cone.legs[arrow].weights == (F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_cone_leg_of_constant_arrow_is_the_constant():
@@ -86,7 +87,7 @@ def test_cone_leg_of_constant_arrow_is_the_constant():
     rng = gen.rng_for(2, "const-arrow")
     for _ in range(5):
         p = gen.random_measure(rng, alg, 10)
-        assert cone_of_measure(p, (arrow,)).leg(arrow) == point
+        assert cone_of_measure(p, (arrow,)).legs[arrow] == point
 
 
 def test_cone_of_measure_passes_naturality():
@@ -116,7 +117,7 @@ def test_perturbed_cone_fails_naturality():
             if arrow == target
             else leg,
         )
-        for arrow, leg in cone.legs
+        for arrow, leg in cone.legs.items()
     )
     result = check_cone_naturality(Cone("perturbed", legs))
     assert not result.ok
@@ -127,6 +128,20 @@ def test_empty_cone_is_vacuously_natural():
     result = check_cone_naturality(Cone("empty", ()))
     assert result.ok
     assert result.triangles == 0
+
+
+def test_empty_cone_does_not_reconstruct():
+    with pytest.raises(ReconstructionError, match="no legs"):
+        reconstruct_from_cone(Cone("empty", ()))
+
+
+def test_cone_rejects_arrows_from_two_algebras():
+    ground = GroundSet(("a", "b"))
+    fine = binary_arrow(SimpleFunction.constant(Algebra.powerset(ground), F(1, 2)))
+    coarse = binary_arrow(SimpleFunction.constant(Algebra.trivial(ground), F(1, 2)))
+    point = SimplexPoint(("0", "1"), (F(1, 2), F(1, 2)))
+    with pytest.raises(ValueError, match="one source algebra"):
+        Cone("mixed", ((fine, point), (coarse, point)))
 
 
 def test_reconstruct_round_trip():
@@ -156,7 +171,7 @@ def test_reconstruct_perturbed_cone_raises():
             if arrow.targets == ("0", "1") and leg.weights[1] == F(1, 3)
             else leg,
         )
-        for arrow, leg in cone.legs
+        for arrow, leg in cone.legs.items()
     )
     with pytest.raises(ReconstructionError):
         reconstruct_from_cone(Cone("perturbed", legs))
@@ -218,11 +233,11 @@ def test_a_cone_that_fails_naturality_reaches_no_later_check(monkeypatch):
 
 
 def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
-    real = codensity.reconstruct_from_cone
+    real = codensity.reconstruct_measure
     faulted = []
 
-    def one_wrong(cone, recheck_naturality=True):
-        back = real(cone, recheck_naturality)
+    def one_wrong(functional):
+        back = real(functional)
         if faulted or len(back.weights) < 2:
             return back
         faulted.append(back)
@@ -231,7 +246,7 @@ def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
         point = back.algebra.ground.labels_of(back.algebra.atoms[light])[0]
         return dirac(point, back.algebra)
 
-    monkeypatch.setattr(codensity, "reconstruct_from_cone", one_wrong)
+    monkeypatch.setattr(codensity, "reconstruct_measure", one_wrong)
     round_trip, naturality, uniqueness = verify_codensity_bijection(
         None, cases=10, seed=0
     )

@@ -96,7 +96,8 @@ def test_daniell_stone_on_coarse_lattice():
         for b in (F(0), F(1, 2), F(1)):
             functions.append((a, b, b))
     lattice = WeakIntegrationLattice(g, tuple(functions))
-    measure = daniell_stone(lattice, lambda v: F(1, 4) * v[0] + F(3, 4) * v[1])
+    values = {v: F(1, 4) * v[0] + F(3, 4) * v[1] for v in lattice.functions}
+    measure = daniell_stone(lattice, values)
     assert measure.algebra.atoms == (1, 6)
     assert measure.weights == (F(1, 4), F(3, 4))
     assert g.mask_of(["1"]) not in measure.algebra.members

@@ -247,6 +247,11 @@ def test_reconstruction_rational_scaling():
 # --- weak integration lattices ---------------------------------------------------
 
 
+def tabulate(lattice, functional):
+    """The table of ``functional`` on every lattice function."""
+    return {f: functional(f) for f in lattice.functions}
+
+
 def grid_lattice(ground, algebra, denominator):
     import itertools
 
@@ -445,16 +450,16 @@ def test_daniell_stone_recovers_table_measure():
     lattice = grid_lattice(g, alg, 3)
     hidden = Measure(alg, (F(1, 3), F(2, 3)))
 
-    def oracle(values):
+    def integral(values):
         return sum(w * values[i] for i, w in enumerate(hidden.weights))
 
-    assert daniell_stone(lattice, oracle) == hidden
+    assert daniell_stone(lattice, tabulate(lattice, integral)) == hidden
 
 
 def test_daniell_stone_trivial_lattice():
     g = GroundSet(("0", "1"))
     lattice = WeakIntegrationLattice(g, ((F(1), F(1)),))
-    p = daniell_stone(lattice, lambda values: F(1))
+    p = daniell_stone(lattice, tabulate(lattice, lambda values: F(1)))
     assert p.algebra.atoms == (g.full_mask,)
     assert p.weights == (F(1),)
 
@@ -465,7 +470,7 @@ def test_daniell_stone_lipschitz_grid_dirac():
     full powerset."""
     g = GroundSet(("a", "b", "c"))
     lattice = grid_lattice(g, Algebra.powerset(g), 2)
-    p = daniell_stone(lattice, lambda values: values[1])
+    p = daniell_stone(lattice, tabulate(lattice, lambda values: values[1]))
     assert p.algebra == Algebra.powerset(g)
     assert p == dirac("b", Algebra.powerset(g))
 
@@ -474,7 +479,16 @@ def test_daniell_stone_requires_valid_lattice():
     g = GroundSet(("0", "1"))
     bad = WeakIntegrationLattice(g, ((F(1), F(1)), (F(1, 2), F(1, 4))))
     with pytest.raises(PreconditionError):
-        daniell_stone(bad, lambda values: F(1))
+        daniell_stone(bad, tabulate(bad, lambda values: F(1)))
+
+
+def test_daniell_stone_names_a_function_missing_from_the_table():
+    g = GroundSet(("0", "1"))
+    lattice = grid_lattice(g, Algebra.powerset(g), 2)
+    values = tabulate(lattice, lambda values: values[0])
+    del values[(F(1, 2), F(0))]
+    with pytest.raises(PreconditionError, match=r"lacks a value for \(1/2, 0\)"):
+        daniell_stone(lattice, values)
 
 
 def test_daniell_stone_rejects_inconsistent_oracle():
@@ -490,16 +504,16 @@ def test_daniell_stone_rejects_inconsistent_oracle():
         return sum(values) / 2
 
     with pytest.raises((ExtensionError, ReconstructionError)):
-        daniell_stone(lattice, skewed)
+        daniell_stone(lattice, tabulate(lattice, skewed))
 
 
 def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
-    from finprob.cli import _integration_oracle, _random_grid_lattice
+    from finprob.cli import _integration_table, _random_grid_lattice
 
     for case in range(25):
         rng = gen.rng_for(99, "daniell-agree", str(case))
         lattice, hidden = _random_grid_lattice(rng, 8)
-        rebuilt = daniell_stone(lattice, _integration_oracle(hidden))
+        rebuilt = daniell_stone(lattice, _integration_table(hidden, lattice))
         assert rebuilt.algebra == hidden.algebra
         assert rebuilt.weights == hidden.weights
         family = indicator_family_of(hidden.algebra)
@@ -844,7 +858,8 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices():
         multipliers.update((n == bound, n > 1) for _, n, _ in report.witnesses)
         oracle = _seeded_oracle(rng, lattice)
         cap = rng.choice((8, 512))
-        got = _outcome(lambda: daniell_stone(lattice, oracle, bound, cap))
+        values = tabulate(lattice, oracle)
+        got = _outcome(lambda: daniell_stone(lattice, values, bound, cap))
         want = _outcome(
             lambda: reference_daniell_stone(lattice, oracle, bound, cap)
         )
@@ -913,7 +928,8 @@ def test_direction_without_gcd_division_is_caught(monkeypatch):
     g = GroundSet(("0", "1"))
     chain = WeakIntegrationLattice(g, ((F(1, 4), F(1, 4)), (F(1), F(1))))
     assert check_weak_lattice(chain).ok
-    assert daniell_stone(chain, lambda values: values[0]).weights == (F(1),)
+    values = tabulate(chain, lambda values: values[0])
+    assert daniell_stone(chain, values).weights == (F(1),)
     monkeypatch.setattr(
         represent, "_direction", lambda vec: tuple(vec) if any(vec) else None
     )
@@ -921,7 +937,7 @@ def test_direction_without_gcd_division_is_caught(monkeypatch):
     assert (report.ok, report.clause) == (False, "span")
     assert report.witness == (1, 2, (F(3, 4), F(3, 4)))
     with pytest.raises(PreconditionError, match="clause span"):
-        daniell_stone(chain, lambda values: values[0])
+        daniell_stone(chain, values)
 
 
 def test_direction_without_gcd_division_fails_the_lattice_cases(monkeypatch):
