@@ -1,10 +1,11 @@
 """Deterministic command-line front end.
 
-Commands load JSON instances or generate seeded cases, run the
-verification suites, and emit machine-readable reports.  Exit code 0 means
-every check passed, 1 means a property was violated, 2 means the input was
-malformed.  Reports are byte-identical for identical configuration and
-inputs.
+Commands load JSON instances or generate seeded cases and run the
+verification suites.  Each runner returns its checks; :func:`run` files
+them in the command's one report and renders it.  Exit code 0 means every
+check passed, 1 means a property was violated, 2 means the input was
+malformed, and 3 means finprob itself failed.  Reports are byte-identical
+for identical configuration and inputs.
 """
 
 from __future__ import annotations
@@ -13,9 +14,10 @@ import argparse
 import itertools
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import gen, serialize
 from .codensity import (
@@ -61,64 +63,69 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# suite runners
+# suite runners: each returns its checks, and `run` files them in a report
+
+LAWS_NOTE = (
+    "on finite discrete spaces the Radon- and Baire-style measure monads "
+    "coincide with the one checked here, so this suite doubles as their "
+    "finite check"
+)
+CODENSITY_NOTE = (
+    "countable-index additivity legs are instantiated with finite index "
+    "sets (all but finitely many components zero), the only faithful "
+    "finite form"
+)
 
 
-def _tally_cases(
-    report: Report, config: SuiteConfig, name: str, stream: str, count: int, case
-) -> None:
-    """Add the check ``name`` with one outcome per seeded case: case ``i``
+def _prefixed(prefix: str, checks: Iterable[CheckOutcome]) -> list[CheckOutcome]:
+    """Each check under the name ``prefix.name``."""
+    return [replace(c, name=f"{prefix}.{c.name}") for c in checks]
+
+
+def _seeded_check(config: SuiteConfig, name: str, stream: str, count: int, case):
+    """The check ``name`` with one outcome per seeded case: case ``i``
     returns ``case(config, rng, i)``, an ``(ok, witness)`` pair."""
     def outcomes(rng, i):
         return [(name, *case(config, rng, i))]
 
-    report.checks.extend(gen.run_cases(config.seed, stream, count, (name,), outcomes))
+    (check,) = gen.run_cases(config.seed, stream, count, (name,), outcomes)
+    return check
 
 
-def run_laws(config: SuiteConfig, modes=None) -> Report:
+def run_laws(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
     """The monad laws, run once for each mode label in ``modes`` (default:
-    the config's) and reported under that label's prefix."""
-    report = Report("laws", config.to_payload())
-    report.notes.append(
-        "on finite discrete spaces the Radon- and Baire-style measure monads "
-        "coincide with the one checked here, so this suite doubles as their "
-        "finite check"
-    )
+    the config's) and named under that label's prefix."""
+    checks = []
     for mode in modes or (config.mode,):
-        checks = check_monad_laws(
+        laws = check_monad_laws(
             None,
             cases=config.cases,
             seed=config.seed,
             max_denominator=config.max_denominator,
             max_ground_size=config.max_ground_size,
         )
-        report.add_checks(mode.value, sorted(checks, key=lambda c: c.name))
-    return report
+        checks += _prefixed(mode.value, sorted(laws, key=lambda c: c.name))
+    return checks
 
 
-def run_codensity(config: SuiteConfig, modes=None) -> Report:
+def run_codensity(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
     """The measure/cone bijection, run once for each mode label in ``modes``
     (default: the config's) under that label's prefix, then small-index
     sufficiency once at each k in ``{1, 2, min(config.k, 3)}``: one label
     must leave the reconstruction undetermined, two or more determine it."""
-    report = Report("codensity", config.to_payload())
-    report.notes.append(
-        "countable-index additivity legs are instantiated with finite index "
-        "sets (all but finitely many components zero), the only faithful "
-        "finite form"
-    )
     bijection_cases = max(1, 2 * config.cases // 5)
     sufficiency_cases = max(1, config.cases // 10)
     size = min(config.max_ground_size, 4)
+    checks = []
     for mode in modes or (config.mode,):
-        checks = verify_codensity_bijection(
+        bijection = verify_codensity_bijection(
             None,
             cases=bijection_cases,
             seed=config.seed,
             max_denominator=config.max_denominator,
             max_ground_size=size,
         )
-        report.add_checks(mode.value, checks)
+        checks += _prefixed(mode.value, bijection)
     sufficiency = []
     for k in sorted({1, 2, min(config.k, 3)}):
         determined, reconstruction = small_index_sufficiency(
@@ -137,17 +144,15 @@ def run_codensity(config: SuiteConfig, modes=None) -> Report:
             else ()
         )
         sufficiency.append(CheckOutcome(f"k{k}", int(ok), int(not ok), witnesses))
-    report.add_checks("sufficiency", sufficiency)
-    return report
+    return checks + _prefixed("sufficiency", sufficiency)
 
 
-def run_distance_suite(config: SuiteConfig) -> Report:
+def run_distance_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     """The discrete-metric identity: LP distance, subset maximum, and half
     the L1 distance agree on seeded random pairs."""
-    report = Report("distance", config.to_payload())
     pairs = max(1, 3 * config.cases // 5)
-    _tally_cases(
-        report, config, "discrete-identity", "bl-identity", pairs, _discrete_identity_case
+    identity = _seeded_check(
+        config, "discrete-identity", "bl-identity", pairs, _discrete_identity_case
     )
 
     labels = ("a", "b", "c")
@@ -159,8 +164,7 @@ def run_distance_suite(config: SuiteConfig) -> Report:
         == bl_distance_subsets(p, q)
         == expected
     )
-    report.checks.append(tally("worked-pair", [(worked, f"expected {expected}")]))
-    return report
+    return identity, tally("worked-pair", [(worked, f"expected {expected}")])
 
 
 def _discrete_identity_case(config: SuiteConfig, rng, case: int):
@@ -178,8 +182,7 @@ def _discrete_identity_case(config: SuiteConfig, rng, case: int):
     )
 
 
-def run_lipschitz_equivalence(config: SuiteConfig) -> Report:
-    report = Report("lipschitz-equivalence", config.to_payload())
+def run_lipschitz_equivalence(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     sweep = check_lipschitz_criterion_equivalence(
         max_space=3,
         max_labels=3,
@@ -187,44 +190,33 @@ def run_lipschitz_equivalence(config: SuiteConfig) -> Report:
         lp_samples=max(1, config.cases // 5),
         seed=config.seed,
     )
-    report.checks.extend(sweep.checks)
-    return report
+    return sweep.checks
 
 
-def run_nonexpansive(config: SuiteConfig) -> Report:
-    report = Report("nonexpansive", config.to_payload())
-    cases = max(1, config.cases // 5)
-    report.checks.extend(
-        check_bl_monad_nonexpansive(
-            None,
-            cases=cases,
-            seed=config.seed,
-            max_denominator=min(config.max_denominator, 6),
-            max_size=6,
-        )
+def run_nonexpansive(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
+    return check_bl_monad_nonexpansive(
+        None,
+        cases=max(1, config.cases // 5),
+        seed=config.seed,
+        max_denominator=min(config.max_denominator, 6),
+        max_size=6,
     )
-    return report
 
 
-def run_reconstruction_suite(config: SuiteConfig) -> Report:
-    report = Report("reconstruct", config.to_payload())
+def run_reconstruction_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     round_trips = max(1, 3 * config.cases // 5)
     tenth = max(1, config.cases // 10)
-    _tally_cases(
-        report, config, "round-trip", "reconstruct", round_trips, _round_trip_case
+    return (
+        _seeded_check(config, "round-trip", "reconstruct", round_trips, _round_trip_case),
+        _seeded_check(
+            config,
+            "adversarial-detection",
+            "reconstruct-adversarial",
+            tenth,
+            _adversarial_case,
+        ),
+        _seeded_check(config, "lattice-route", "reconstruct-lattice", tenth, _lattice_case),
     )
-    _tally_cases(
-        report,
-        config,
-        "adversarial-detection",
-        "reconstruct-adversarial",
-        tenth,
-        _adversarial_case,
-    )
-    _tally_cases(
-        report, config, "lattice-route", "reconstruct-lattice", tenth, _lattice_case
-    )
-    return report
 
 
 def _round_trip_case(config: SuiteConfig, rng, case: int):
@@ -307,17 +299,13 @@ def _witness_matches(exc, style, algebra, half) -> bool:
     return False
 
 
-def run_extension_suite(config: SuiteConfig) -> Report:
-    report = Report("extend", config.to_payload())
-    _tally_cases(report, config, "slab-calculus", "slabs", config.cases, _slab_case)
+def run_extension_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     fifth = max(1, config.cases // 5)
-    _tally_cases(
-        report, config, "singleton-extension", "caratheodory", fifth, _singleton_case
+    return (
+        _seeded_check(config, "slab-calculus", "slabs", config.cases, _slab_case),
+        _seeded_check(config, "singleton-extension", "caratheodory", fifth, _singleton_case),
+        _seeded_check(config, "lattice-representation", "daniell", fifth, _lattice_case),
     )
-    _tally_cases(
-        report, config, "lattice-representation", "daniell", fifth, _lattice_case
-    )
-    return report
 
 
 def _slab_case(config: SuiteConfig, rng, case: int):
@@ -438,10 +426,8 @@ def _integration_table(p, lattice) -> dict:
     return {f: dot(p.weights, [f[i] for i in points]) for f in lattice.functions}
 
 
-def run_integrate_suite(config: SuiteConfig) -> Report:
-    report = Report("integrate", config.to_payload())
-    _tally_cases(report, config, "properties", "integral", config.cases, _integral_case)
-    return report
+def run_integrate_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
+    return (_seeded_check(config, "properties", "integral", config.cases, _integral_case),)
 
 
 def _integral_case(config: SuiteConfig, rng, case: int):
@@ -453,29 +439,29 @@ def _integral_case(config: SuiteConfig, rng, case: int):
     return not failing, f"case {case}: clauses {failing} failed"
 
 
-def run_all(config: SuiteConfig) -> Report:
-    """Every suite.  The laws and the bijection run once under each mode
-    label: the labels select the same checks, but each prefix counts only
-    outcomes its own run produced."""
-    report = Report("all", config.to_payload())
+def run_all(config: SuiteConfig) -> list[CheckOutcome]:
+    """Every suite, each check named under its suite's prefix.  The laws and
+    the bijection run once under each mode label: the labels select the
+    same checks, but each prefix counts only outcomes its own run
+    produced."""
     both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
-    report.extend(run_laws(config, modes=both))
-    report.extend(run_codensity(config, modes=both))
-    report.extend(run_distance_suite(config))
-    report.extend(run_lipschitz_equivalence(config))
-    report.extend(run_nonexpansive(config))
-    report.extend(run_reconstruction_suite(config))
-    report.extend(run_extension_suite(config))
-    report.extend(run_integrate_suite(config))
-    return report
+    return [
+        *_prefixed("laws", run_laws(config, modes=both)),
+        *_prefixed("codensity", run_codensity(config, modes=both)),
+        *_prefixed("distance", run_distance_suite(config)),
+        *_prefixed("lipschitz-equivalence", run_lipschitz_equivalence(config)),
+        *_prefixed("nonexpansive", run_nonexpansive(config)),
+        *_prefixed("reconstruct", run_reconstruction_suite(config)),
+        *_prefixed("extend", run_extension_suite(config)),
+        *_prefixed("integrate", run_integrate_suite(config)),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # input-driven commands
 
 
-def run_distance_input(config: SuiteConfig, data: dict) -> Report:
-    report = Report("distance", config.to_payload())
+def run_distance_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
     space = serialize.load_metric(data.get("metric"), "$.metric")
     p = serialize.load_simplex(data.get("p"), "$.p", labels=space.points)
     q = serialize.load_simplex(data.get("q"), "$.q", labels=space.points)
@@ -493,51 +479,44 @@ def run_distance_input(config: SuiteConfig, data: dict) -> Report:
     agree = True
     if config.method == "both" and space.is_discrete():
         agree = values["lp"] == values["subsets"]
-    report.add("distance", int(agree), int(not agree), (values,))
-    return report
+    return (CheckOutcome("distance", int(agree), int(not agree), (values,)),)
 
 
-def run_codensity_input(config: SuiteConfig, data: dict) -> Report:
+def run_codensity_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
     """Check a declared cone's naturality and reconstruct its measure."""
-    report = Report("codensity", config.to_payload())
     algebra = serialize.load_algebra(data.get("algebra"), "$.algebra")
     cone = serialize.load_cone(data.get("cone"), algebra, "$.cone")
     nat = check_cone_naturality(cone)
-    report.add(
-        "naturality",
-        nat.triangles if nat.ok else 0,
-        0 if nat.ok else 1,
-        () if nat.ok else (f"failing triangle via {nat.witness[1]}",),
-    )
-    try:
-        measure = reconstruct_measure(indicator_table(cone))
-    except (ReconstructionError, PreconditionError) as exc:
-        report.add("reconstruct", 0, 1, (str(exc),))
-        return report
     if nat.ok:
-        report.add("reconstruct", 1, 0, (serialize.dump_measure(measure, config.mode),))
+        naturality = CheckOutcome("naturality", nat.triangles, 0)
     else:
-        report.add("reconstruct", 0, 1, ("cone is not natural",))
-    return report
+        witness = f"failing triangle via {nat.witness[1]}"
+        naturality = CheckOutcome("naturality", 0, 1, (witness,))
+    failure = None if nat.ok else "cone is not natural"
+    return naturality, _reconstruct_check(config, indicator_table(cone), failure)
 
 
-def run_reconstruct_input(config: SuiteConfig, data: dict) -> Report:
-    report = Report("reconstruct", config.to_payload())
+def run_reconstruct_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
     algebra = serialize.load_algebra(data.get("algebra"), "$.algebra")
     functional = serialize.load_functional_table(
         data.get("table"), algebra, "$.table"
     )
+    return (_reconstruct_check(config, functional),)
+
+
+def _reconstruct_check(config: SuiteConfig, functional, failure=None) -> CheckOutcome:
+    """The ``reconstruct`` check: the measure ``functional`` determines, or
+    the reconstruction's error, or else ``failure`` when one is given."""
     try:
-        result = reconstruct_measure(functional)
+        measure = reconstruct_measure(functional)
     except (ReconstructionError, PreconditionError) as exc:
-        report.add("reconstruct", 0, 1, (str(exc),))
-        return report
-    report.add("reconstruct", 1, 0, (serialize.dump_measure(result, config.mode),))
-    return report
+        failure = str(exc)
+    if failure is not None:
+        return CheckOutcome("reconstruct", 0, 1, (failure,))
+    return CheckOutcome("reconstruct", 1, 0, (serialize.dump_measure(measure, config.mode),))
 
 
-def run_extend_input(config: SuiteConfig, data: dict) -> Report:
-    report = Report("extend", config.to_payload())
+def run_extend_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
     family = serialize.load_family(data, "$")
     raw_mu = data.get("mu")
     if not isinstance(raw_mu, list) or len(raw_mu) != len(family.masks):
@@ -553,8 +532,7 @@ def run_extend_input(config: SuiteConfig, data: dict) -> Report:
     try:
         extension = caratheodory_extend(semiring, mu)
     except ExtensionError as exc:
-        report.add("extend", 0, 1, (str(exc),))
-        return report
+        return (CheckOutcome("extend", 0, 1, (str(exc),)),)
     payload = {
         "mass": serialize.dump_fraction(extension.mass),
         "atoms": [
@@ -565,12 +543,10 @@ def run_extend_input(config: SuiteConfig, data: dict) -> Report:
             for atom, w in zip(extension.algebra.atoms, extension.weights)
         ],
     }
-    report.add("extend", 1, 0, (payload,))
-    return report
+    return (CheckOutcome("extend", 1, 0, (payload,)),)
 
 
-def run_integrate_input(config: SuiteConfig, data: dict) -> Report:
-    report = Report("integrate", config.to_payload())
+def run_integrate_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
     measure = serialize.load_measure(data.get("measure"), "$.measure")
     raw_fns = data.get("functions")
     if not isinstance(raw_fns, list) or not raw_fns:
@@ -579,8 +555,7 @@ def run_integrate_input(config: SuiteConfig, data: dict) -> Report:
         serialize.load_simple_function(item, measure.algebra, f"$.functions[{i}]")
         for i, item in enumerate(raw_fns)
     ]
-    report.checks.extend(check_integral_properties(measure, fns))
-    return report
+    return check_integral_properties(measure, fns)
 
 
 # ---------------------------------------------------------------------------
@@ -589,20 +564,22 @@ def run_integrate_input(config: SuiteConfig, data: dict) -> Report:
 
 class Command(NamedTuple):
     help: str
-    suite: Callable[[SuiteConfig], Report]
-    run_input: Callable[[SuiteConfig, dict], Report] | None = None
+    suite: Callable[[SuiteConfig], Sequence[CheckOutcome]]
+    run_input: Callable[[SuiteConfig, dict], Sequence[CheckOutcome]] | None = None
     keys: tuple[str, ...] = ()  # top-level instance keys besides "format"
+    notes: tuple[str, ...] = ()  # the generated suite's report notes
 
 
 # The lambdas look each runner up when they are called, so that rebinding a
 # runner on this module (a monkeypatch, a tracer) also reaches the dispatch.
 COMMANDS = {
-    "laws": Command("monad law suite", lambda c: run_laws(c)),
+    "laws": Command("monad law suite", lambda c: run_laws(c), notes=(LAWS_NOTE,)),
     "codensity": Command(
         "measure/cone bijection and small-index sufficiency",
         lambda c: run_codensity(c),
         lambda c, data: run_codensity_input(c, data),
         ("algebra", "cone"),
+        (CODENSITY_NOTE,),
     ),
     "distance": Command(
         "bounded Lipschitz distances",
@@ -628,7 +605,11 @@ COMMANDS = {
         lambda c, data: run_integrate_input(c, data),
         ("measure", "functions"),
     ),
-    "all": Command("the full verification suite", lambda c: run_all(c)),
+    "all": Command(
+        "the full verification suite",
+        lambda c: run_all(c),
+        notes=(LAWS_NOTE, CODENSITY_NOTE),
+    ),
 }
 
 
@@ -686,9 +667,11 @@ def _read_input(path: str, keys: tuple[str, ...]) -> dict:
 
 
 def run(argv=None) -> int:
+    """Run one command and print its report; return the exit code."""
     parser = build_parser()
     options = vars(parser.parse_args(argv))
-    command = COMMANDS[options.pop("command")]
+    name = options.pop("command")
+    command = COMMANDS[name]
     fmt = options.pop("format")
     path = options.pop("input", None)
     if path is not None and command.run_input is None:
@@ -697,17 +680,22 @@ def run(argv=None) -> int:
     try:
         config = SuiteConfig(**options)
         if path is None:
-            report = command.suite(config)
+            checks, notes = command.suite(config), command.notes
         else:
-            report = command.run_input(config, _read_input(path, command.keys))
+            checks, notes = command.run_input(config, _read_input(path, command.keys)), ()
+        report = Report(name, config.to_payload(), tuple(checks), notes)
+        wall_time = time.monotonic() - started
+        text = report.render(fmt)
     except InputError as exc:
         print(f"input error at {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    wall_time = time.monotonic() - started
-    sys.stdout.write(report.render(fmt))
+    except Exception as exc:  # a fault of finprob's, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    sys.stdout.write(text)
     print(f"wall time: {wall_time:.3f}s", file=sys.stderr)
     return 0 if report.ok else 1
 

@@ -38,6 +38,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 BINARY_LABELS = ("0", "1")
+MAX_MAP_COUNT = 512  # naturality skips a (leg, target set) pair with more label maps
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ class NaturalityResult:
     witness: tuple | None = None
 
 
-def check_cone_naturality(cone: Cone, max_map_count: int = 512) -> NaturalityResult:
+def check_cone_naturality(cone: Cone) -> NaturalityResult:
     """Enumerate commutative triangles inside the declared family and check
     that the legs commute with the simplex maps of all label functions."""
     legs = cone.legs
@@ -174,7 +175,7 @@ def check_cone_naturality(cone: Cone, max_map_count: int = 512) -> NaturalityRes
     triangles = 0
     for f in legs:
         for targets in target_sets:
-            if len(targets) ** len(f.targets) > max_map_count:
+            if len(targets) ** len(f.targets) > MAX_MAP_COUNT:
                 continue
             cod = simplex_algebra(targets)
             for image in itertools.product(targets, repeat=len(f.targets)):

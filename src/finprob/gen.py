@@ -21,6 +21,8 @@ from .setalg import Algebra, GroundSet, generate_algebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MAX_TERMS = 4  # terms of a random term list
+MAX_SUPPORT = 3  # measures in a random meta-measure's support
 
 
 def rng_for(seed: int, *path: str) -> random.Random:
@@ -49,8 +51,8 @@ def run_cases(
     return tuple(tally(name, outcomes[name]) for name in checks)
 
 
-def random_ground(rng: random.Random, max_size: int, min_size: int = 1) -> GroundSet:
-    n = rng.randint(min_size, max_size)
+def random_ground(rng: random.Random, max_size: int) -> GroundSet:
+    n = rng.randint(1, max_size)
     return GroundSet(tuple(f"x{i}" for i in range(n)))
 
 
@@ -130,13 +132,13 @@ def random_addend(
 
 
 def random_term_list(
-    rng: random.Random, algebra: Algebra, max_denominator: int, max_terms: int = 4
+    rng: random.Random, algebra: Algebra, max_denominator: int
 ) -> SimpleFunction:
     """A simple function built from explicit coefficient/member terms."""
     members = list(algebra.members)
     terms = []
     budget = ONE
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, MAX_TERMS)):
         if budget <= 0:
             break
         d = rng.randint(1, max_denominator)
@@ -167,12 +169,9 @@ def random_premeasurable_map(
 
 
 def random_meta_measure(
-    rng: random.Random,
-    algebra: Algebra,
-    max_denominator: int,
-    max_support: int = 3,
+    rng: random.Random, algebra: Algebra, max_denominator: int
 ) -> MetaMeasure:
-    count = rng.randint(1, max_support)
+    count = rng.randint(1, MAX_SUPPORT)
     support: list[Measure] = []
     for _ in range(4 * count):
         p = random_measure(rng, algebra, max_denominator)

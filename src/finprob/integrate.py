@@ -22,6 +22,8 @@ from .setalg import Algebra
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+GRID_DENOMINATOR = 4  # largest denominator of the sup-inf clause's grid
+CHAIN_LENGTH = 3  # steps of the monotone-limit clause's increasing chains
 
 
 @dataclass(frozen=True)
@@ -148,10 +150,7 @@ def _grid_values(limit: Fraction, max_denominator: int) -> list[Fraction]:
 
 
 def check_integral_properties(
-    p: Measure,
-    fns: Sequence[SimpleFunction],
-    grid_denominator: int = 4,
-    chain_length: int = 3,
+    p: Measure, fns: Sequence[SimpleFunction]
 ) -> tuple[CheckOutcome, ...]:
     """Exact checks of the integral's additivity and continuity properties.
 
@@ -159,7 +158,7 @@ def check_integral_properties(
     :func:`simple_integral` with the term sum ``sum a_k * P(A_k)``;
     monotonicity; coincidence of the supremum over minorants with the
     infimum over majorants (searched over a rational grid with denominators
-    up to ``grid_denominator``, or up to 1 on algebras of more than three
+    up to :data:`GRID_DENOMINATOR`, or up to 1 on algebras of more than three
     atoms, plus the function itself, where the extremum is attained);
     additivity of sums staying within [0, 1]; monotone limits of eventually
     constant increasing sequences; and finite decompositions standing in for
@@ -187,7 +186,7 @@ def check_integral_properties(
     # (iii) sup over minorants equals inf over majorants
     cases = []
     grid_cap = 3  # exhaustive grid search is exponential in the atom count
-    denominator = grid_denominator if len(p.algebra.atoms) <= grid_cap else 1
+    denominator = GRID_DENOMINATOR if len(p.algebra.atoms) <= grid_cap else 1
     for i, f in enumerate(fns):
         target = simple_integral(p, f)
         minorant_choices = [_grid_values(v, denominator) for v in f.values]
@@ -217,7 +216,7 @@ def check_integral_properties(
     # (v) monotone limits, finite form: eventually constant increasing chains
     cases = []
     for i, f in enumerate(fns):
-        chain = [f.scale(Fraction(step, chain_length)) for step in range(chain_length + 1)]
+        chain = [f.scale(Fraction(step, CHAIN_LENGTH)) for step in range(CHAIN_LENGTH + 1)]
         chain.append(f)  # eventually constant at f
         values = [simple_integral(p, g) for g in chain]
         increasing = all(a <= b for a, b in zip(values, values[1:]))

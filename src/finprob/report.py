@@ -1,10 +1,11 @@
-"""Suite configuration and deterministic machine-readable reports."""
+"""Suite configuration, the tally of one check, and the deterministic
+machine-readable report that the CLI builds from a command's checks."""
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 from .errors import InputError
@@ -96,9 +97,11 @@ def tally(name: str, outcomes: Iterable[tuple[bool, Any]]) -> CheckOutcome:
     return CheckOutcome(name, passed, failed, tuple(witnesses))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Report:
-    """Per-suite pass/fail counts plus serialized witnesses.
+    """One command's checks plus its configuration and notes, rendered as
+    JSON or text.  The CLI builds one per run from the checks its runner
+    returns.
 
     A report holds no timing, so reports are byte-identical across runs of
     the same configuration; the CLI prints wall time to stderr.
@@ -106,27 +109,12 @@ class Report:
 
     suite: str
     config: dict
-    checks: list[CheckOutcome] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    checks: tuple[CheckOutcome, ...]
+    notes: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
-
-    def add(self, name: str, passed: int, failed: int, witnesses=()) -> None:
-        """Add a check, keeping its first :data:`MAX_WITNESSES` witnesses."""
-        witnesses = tuple(witnesses)[:MAX_WITNESSES]
-        self.checks.append(CheckOutcome(name, passed, failed, witnesses))
-
-    def add_checks(self, prefix: str, checks: Iterable[CheckOutcome]) -> None:
-        """Add each check under the name ``prefix.name``."""
-        self.checks.extend(replace(c, name=f"{prefix}.{c.name}") for c in checks)
-
-    def extend(self, other: "Report") -> None:
-        self.add_checks(other.suite, other.checks)
-        for note in other.notes:
-            if note not in self.notes:
-                self.notes.append(note)
 
     def to_payload(self) -> dict:
         return {

@@ -35,6 +35,8 @@ def parse_fraction(raw: Any, location: str) -> Fraction:
         return Fraction(raw)
     if not isinstance(raw, str):
         raise InputError(f"expected a 'p/q' string, got {type(raw).__name__}", location)
+    if "e" in raw or "E" in raw:  # Fraction would expand 1e-10000000 digit by digit
+        raise InputError(f"bad rational {raw!r}: exponent notation is not accepted", location)
     try:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
@@ -328,7 +330,7 @@ def load_cone(data: Any, source: Algebra, location: str = "$.cone") -> Cone:
 def loads_instance(text: str) -> dict:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed text, or an integer past Python's digit limit
         raise InputError(f"invalid JSON: {exc}", "$") from None
     except RecursionError:
         raise InputError("JSON nested too deeply", "$") from None

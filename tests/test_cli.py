@@ -426,6 +426,51 @@ def test_deeply_nested_input_exits_two(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_integer_past_the_digit_limit_is_invalid_json(tmp_path):
+    path = tmp_path / "d.json"
+    text = json.dumps(dict(TWO_POINTS, p=[0, 0]))
+    path.write_text(text.replace('"p": [0, 0]', '"p": [' + "1" * 4301 + ", 0]"))
+    done = run_module("distance", path)
+    assert_input_error(done, "$")
+    assert "invalid JSON" in done.stderr
+
+
+@pytest.mark.parametrize("raw", ["1e0", "1E0", "1e-10000000"])
+def test_exponent_notation_is_not_a_rational(tmp_path, raw):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dict(TWO_POINTS, p=[raw, "0/1"])))
+    done = run_module("distance", path)
+    assert_input_error(done, "$.p[0]")
+    assert "exponent notation" in done.stderr
+
+
+def test_an_internal_failure_exits_three_without_a_traceback(tmp_path):
+    """Atom values 1/a and 1/b with coprime 4,002-digit a and b: the
+    additivity message would print their sum, whose denominator is past
+    Python's integer-to-string limit."""
+    a = 10**4001 + 1
+    instance = {
+        "format": 1,
+        "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
+        "table": {
+            "family": [
+                {"terms": [["1/1", [0, 1]]]},
+                {"terms": [["1/1", [0]]]},
+                {"terms": [["1/1", [1]]]},
+            ],
+            "values": ["1/1", f"1/{a}", f"1/{a + 1}"],
+        },
+    }
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("reconstruct", path)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.count("\n") == 1
+    assert done.stderr.startswith("internal error: ValueError: ")
+    assert "Traceback" not in done.stderr
+
+
 def test_unreadable_input_exits_two(capsys):
     code, _, err = run_cli(capsys, "distance", "--input", "/nonexistent.json")
     assert code == 2

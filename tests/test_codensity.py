@@ -198,7 +198,7 @@ def test_uniqueness_distinct_measures_have_distinct_legs():
 
 def test_bijection_suite_both_modes():
     both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
-    checks = {c.name: c for c in cli.run_codensity(SuiteConfig(cases=100), modes=both).checks}
+    checks = {c.name: c for c in cli.run_codensity(SuiteConfig(cases=100), modes=both)}
     for name in ("round-trip", "naturality", "uniqueness"):
         sigma, charge = checks[f"sigma.{name}"], checks[f"finitely_additive.{name}"]
         assert sigma.ok and charge.ok
@@ -206,8 +206,7 @@ def test_bijection_suite_both_modes():
 
 
 def codensity_checks_at_50_cases():
-    report = cli.run_codensity(SuiteConfig(seed=0, cases=50))
-    return {c.name: c for c in report.checks}
+    return {c.name: c for c in cli.run_codensity(SuiteConfig(seed=0, cases=50))}
 
 
 def test_a_cone_that_fails_naturality_reaches_no_later_check(monkeypatch):

@@ -152,7 +152,7 @@ def test_a_scaled_integral_fails_simple_agreement(monkeypatch):
     monkeypatch.setattr(
         integrate, "simple_integral", lambda p, s: real(p, s) * F(999, 1000)
     )
-    (properties,) = run_integrate_suite(SuiteConfig(seed=0, cases=50)).checks
+    (properties,) = run_integrate_suite(SuiteConfig(seed=0, cases=50))
     assert properties.failed > 0
     assert all("'simple-agreement'" in w for w in properties.witnesses)
 
@@ -169,7 +169,7 @@ def test_a_term_sum_that_drops_a_term_fails_simple_agreement(monkeypatch):
         return real(p, f)
 
     monkeypatch.setattr(integrate, "_term_sum", dropped)
-    (properties,) = run_integrate_suite(SuiteConfig(seed=0, cases=50)).checks
+    (properties,) = run_integrate_suite(SuiteConfig(seed=0, cases=50))
     assert properties.failed > 0
     assert all("'simple-agreement'" in w for w in properties.witnesses)
 
@@ -210,7 +210,7 @@ def test_sup_inf_clause_searches_grid():
     rng = gen.rng_for(5, "supinf")
     p = gen.random_measure(rng, Algebra.powerset(g), 4)
     f = gen.random_simple_function(rng, p.algebra, 4)
-    sup_inf = check_integral_properties(p, [f], grid_denominator=4)[2]
+    sup_inf = check_integral_properties(p, [f])[2]
     assert (sup_inf.name, sup_inf.passed, sup_inf.failed) == ("sup-inf", 1, 0)
 
 

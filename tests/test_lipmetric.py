@@ -273,10 +273,10 @@ def test_pruning_fault_is_caught_by_unit_contraction(monkeypatch):
     from finprob.report import SuiteConfig
 
     config = SuiteConfig()  # the suite as `finprob all` runs it
-    clean = {c.name: c for c in run_nonexpansive(config).checks}
+    clean = {c.name: c for c in run_nonexpansive(config)}
     assert clean["unit-contraction"].failed == 0
     _drop_rows_below_a_half(monkeypatch)
-    faulty = {c.name: c for c in run_nonexpansive(config).checks}
+    faulty = {c.name: c for c in run_nonexpansive(config)}
     assert faulty["unit-contraction"].failed > 0
 
 
@@ -494,7 +494,7 @@ def test_a_faulted_mult_fails_metric_laws(monkeypatch):
         return Measure(p.algebra, tuple(w))
 
     monkeypatch.setattr(lipmetric, "mult", swaps_two_weights)
-    checks = {c.name: c for c in run_nonexpansive(SuiteConfig(cases=100)).checks}
+    checks = {c.name: c for c in run_nonexpansive(SuiteConfig(cases=100))}
     laws = checks["metric-laws"]
     assert laws.failed > 0 and laws.witnesses
     assert all(w.startswith("case ") for w in laws.witnesses)
@@ -523,7 +523,7 @@ def test_a_faulted_lp_fails_lp_spot_checks_alone(monkeypatch):
     monkeypatch.setattr(
         lipmetric, "bl_distance_lp", lambda p, q, space: real(p, q, space) + 1
     )
-    checks = {c.name: c for c in run_lipschitz_equivalence(SuiteConfig()).checks}
+    checks = {c.name: c for c in run_lipschitz_equivalence(SuiteConfig())}
     spot = checks["lp-spot-checks"]
     assert spot.failed > 0 and spot.witnesses
     assert spot.passed + spot.failed == 100

@@ -138,10 +138,10 @@ def test_law_suite_passes_both_modes():
     from finprob.report import SuiteConfig
 
     both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
-    report = run_laws(SuiteConfig(cases=100), modes=both)
-    assert report.ok, report.checks
-    assert sorted(c.name.split(".")[0] for c in report.checks) == ["finitely_additive"] * 5 + ["sigma"] * 5
-    assert all((c.passed, c.failed) == (100, 0) for c in report.checks)
+    checks = run_laws(SuiteConfig(cases=100), modes=both)
+    assert all(c.ok for c in checks), checks
+    assert sorted(c.name.split(".")[0] for c in checks) == ["finitely_additive"] * 5 + ["sigma"] * 5
+    assert all((c.passed, c.failed) == (100, 0) for c in checks)
 
 
 def test_law_suite_on_fixed_algebra():

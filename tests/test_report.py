@@ -2,7 +2,7 @@
 
 from finprob import cli
 from finprob.measure import Measure
-from finprob.report import MAX_WITNESSES, Report, SuiteConfig, tally
+from finprob.report import MAX_WITNESSES, SuiteConfig, tally
 
 
 def test_tally_counts_every_outcome_and_keeps_first_five_witnesses():
@@ -49,8 +49,8 @@ def _shift_mass(p: Measure) -> Measure:
 
 
 def _lattice_checks(config):
-    route = cli.run_reconstruction_suite(config).checks[-1]
-    representation = cli.run_extension_suite(config).checks[-1]
+    route = cli.run_reconstruction_suite(config)[-1]
+    representation = cli.run_extension_suite(config)[-1]
     assert (route.name, representation.name) == ("lattice-route", "lattice-representation")
     return route, representation
 
@@ -69,13 +69,6 @@ def test_perturbed_daniell_stone_fails_both_lattice_checks(monkeypatch):
         assert all(" -> " in w for w in check.witnesses)
 
 
-def test_report_add_keeps_the_first_five_witnesses():
-    report = Report("sample", {})
-    report.add("many", 0, 7, (f"w{i}" for i in range(7)))
-    assert report.checks[0].witnesses == ("w0", "w1", "w2", "w3", "w4")
-    assert report.checks[0].failed == 7
-
-
 def test_faulted_reconstruction_keeps_five_round_trip_witnesses(monkeypatch):
     from finprob import codensity
 
@@ -84,7 +77,7 @@ def test_faulted_reconstruction_keeps_five_round_trip_witnesses(monkeypatch):
         codensity, "reconstruct_measure", lambda f: _shift_mass(original(f))
     )
     config = SuiteConfig(seed=0, cases=50)  # 20 bijection cases
-    checks = {c.name: c for c in cli.run_codensity(config).checks}
+    checks = {c.name: c for c in cli.run_codensity(config)}
     round_trip = checks["sigma.round-trip"]
     assert round_trip.failed > MAX_WITNESSES
     assert round_trip.passed + round_trip.failed == 20

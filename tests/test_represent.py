@@ -945,15 +945,13 @@ def test_direction_without_gcd_division_fails_the_lattice_cases(monkeypatch):
     multiplier 2, so the same fault fails them: a full value grid alone
     never needs a multiplier above 1."""
     from finprob import cli
-    from finprob.report import Report, SuiteConfig
+    from finprob.report import SuiteConfig
 
     def lattice_check():
-        report = Report("extend", {})
         config = SuiteConfig(seed=0)
-        cli._tally_cases(
-            report, config, "lattice-representation", "daniell", 100, cli._lattice_case
+        return cli._seeded_check(
+            config, "lattice-representation", "daniell", 100, cli._lattice_case
         )
-        return report.checks[0]
 
     healthy = lattice_check()
     assert (healthy.passed, healthy.failed) == (100, 0)
