@@ -33,9 +33,9 @@ print("  ", [ground.labels_of(a) for a in sigma.atoms])
 
 # Semi-rings are weaker than algebras: singletons plus the empty set.
 singles = (0,) + tuple(1 << i for i in range(ground.size))
-print("\nsingletons form a semi-ring:", is_semiring(ground, singles).ok)
+print("\nsingletons form a semi-ring:", is_semiring(singles).ok)
 broken = (0, ground.mask_of(["mon", "tue"]), ground.mask_of(["tue", "wed"]))
-check = is_semiring(ground, broken)
+check = is_semiring(broken)
 print("two overlapping pairs do not:", check.ok, "-> failed clause:", check.clause)
 
 # Premeasurability: preimages of members must be members.

@@ -24,7 +24,6 @@ from .setalg import (
     Algebra,
     GroundSet,
     SemiRing,
-    SubsetFamily,
     algebra_closure,
     generate_algebra,
     is_premeasurable,

@@ -517,18 +517,19 @@ def _reconstruct_check(config: SuiteConfig, functional, failure=None) -> CheckOu
 
 
 def run_extend_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
-    family = serialize.load_family(data, "$")
+    """Extend the premeasure that gives ``mu[i]`` to the i-th listed set."""
+    ground, masks = serialize.load_family(data, "$")
     raw_mu = data.get("mu")
-    if not isinstance(raw_mu, list) or len(raw_mu) != len(family.masks):
+    if not isinstance(raw_mu, list) or len(raw_mu) != len(masks):
         raise InputError("mu must list one value per family member", "$.mu")
     try:
-        semiring = SemiRing(family.ground, family.masks)
+        semiring = SemiRing(ground, masks)
     except ValueError as exc:
         raise InputError(str(exc), "$.family") from None
-    mu = {
-        mask: serialize.parse_fraction(raw, f"$.mu[{i}]")
-        for i, (mask, raw) in enumerate(zip(family.masks, raw_mu))
-    }
+    mu: dict[int, Fraction] = {}
+    for i, (mask, raw) in enumerate(zip(masks, raw_mu)):
+        value = serialize.parse_fraction(raw, f"$.mu[{i}]")
+        serialize.enter_once(mu, mask, value, "set", f"$.mu[{i}]")
     try:
         extension = caratheodory_extend(semiring, mu)
     except ExtensionError as exc:

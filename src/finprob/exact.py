@@ -12,7 +12,7 @@ of their inputs, so they take ``Fraction`` and ``int`` values alike;
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, log10
 from typing import Iterable, Iterator
 
 
@@ -61,6 +61,27 @@ def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
     values = tuple(values)
     den = lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of ``abs(n)``, without writing it out."""
+    n = abs(n)
+    count = max(0, int((n.bit_length() - 1) * log10(2)) - 1)
+    while 10**count <= n:
+        count += 1
+    return max(count, 1)
+
+
+def rational_text(value) -> str:
+    """``str(value)`` for a rational, or a phrase giving the digit counts of
+    its numerator and denominator when writing them out would pass Python's
+    int-to-string limit (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(value)
+    except ValueError:
+        sign = "-" if value < 0 else ""
+        num, den = _digit_count(value.numerator), _digit_count(value.denominator)
+        return f"{sign}<{num}-digit integer>/<{den}-digit integer>"
 
 
 def in_unit_interval(v) -> bool:

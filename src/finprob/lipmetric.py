@@ -356,10 +356,7 @@ def check_bl_monad_nonexpansive(
         meta2 = MetaMeasure(tuple(support2), w2)
         averages = (mult(meta1), mult(meta2))
 
-        merged: list[Measure] = []
-        for s in support1 + support2:
-            if s not in merged:
-                merged.append(s)
+        merged = list(dict.fromkeys(support1 + support2))
         try:
             base = [
                 [
@@ -375,13 +372,12 @@ def check_bl_monad_nonexpansive(
                 meta_space = FiniteMetricSpace(
                     meta_labels, tuple(tuple(row) for row in base)
                 )
-                ext1 = _extend_weights(merged, support1, w1)
-                ext2 = _extend_weights(merged, support2, w2)
-                meta_distance = bl_distance_lp(
-                    SimplexPoint(meta_labels, ext1),
-                    SimplexPoint(meta_labels, ext2),
-                    meta_space,
+                weights = [dict(zip(m.support, m.weights)) for m in (meta1, meta2)]
+                ext1, ext2 = (
+                    SimplexPoint(meta_labels, tuple(w.get(s, ZERO) for s in merged))
+                    for w in weights
                 )
+                meta_distance = bl_distance_lp(ext1, ext2, meta_space)
             lhs = bl_distance_lp(*averages, current)
         except ValueError as exc:  # an LP optimum or the meta metric is invalid
             yield "mult-contraction", False, f"case {case}: {exc}"
@@ -576,10 +572,3 @@ def _distinct_points(rng, labels, count, max_denominator):
         if len(out) == count:
             break
     return out
-
-
-def _extend_weights(merged, support, weights):
-    totals = {s: ZERO for s in merged}
-    for w, s in zip(weights, support):
-        totals[s] += w
-    return tuple(totals[s] for s in merged)

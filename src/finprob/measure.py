@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .exact import fractions, in_unit_interval, total
-from .setalg import DEFAULT_SIZE_CAP, Algebra, GroundSet, is_premeasurable
+from .setalg import Algebra, GroundSet, is_premeasurable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -59,7 +59,7 @@ def simplex_algebra(labels: Sequence[str]) -> Algebra:
     Any number of labels is accepted.  Equal label tuples share one
     algebra, so comparing measures on it short-circuits on identity.
     """
-    return Algebra.powerset(GroundSet(labels, max(DEFAULT_SIZE_CAP, len(labels))))
+    return Algebra.powerset(GroundSet(labels))
 
 
 def evaluate(p: Measure, mask: int) -> Fraction:

@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
+from .exact import rational_text
 from .integrate import SimpleFunction, simple_integral
 from .measure import Measure
 from .setalg import (
@@ -41,6 +42,8 @@ from .setalg import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+MULTIPLIER_BOUND = 64  # largest integer multiplier the lattice clauses try
+BOUND_FAMILY_CAP = 512  # most slab bounds the slab route builds
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +120,12 @@ def reconstruct_measure(f: Functional) -> Measure:
         raise ReconstructionError(
             f"negative indicator value {bad}", witness=(weights,)
         )
-    if sum(weights) != 1:
+    mass = sum(weights)
+    if mass != 1:
         raise ReconstructionError(
             "additivity violated: the ground set decomposes into atoms with "
-            f"total indicator mass {sum(weights)}, but F(1_X) = 1",
-            witness=(algebra.ground.full_mask, algebra.atoms, sum(weights)),
+            f"total indicator mass {rational_text(mass)}, but F(1_X) = 1",
+            witness=(algebra.ground.full_mask, algebra.atoms, mass),
         )
     p = Measure(algebra, weights)
     failures = []
@@ -133,7 +137,8 @@ def reconstruct_measure(f: Functional) -> Measure:
         s, expected, got = failures[0]
         raise ReconstructionError(
             f"additivity violated on the test family: F(s) = {got} but "
-            f"integration against the indicator reconstruction gives {expected}",
+            "integration against the indicator reconstruction gives "
+            f"{rational_text(expected)}",
             witness=tuple(failures),
         )
     return p
@@ -251,7 +256,7 @@ def _as_multiple(
 
 
 def check_weak_lattice(
-    lattice: WeakIntegrationLattice, multiplier_bound: int = 64
+    lattice: WeakIntegrationLattice, multiplier_bound: int = MULTIPLIER_BOUND
 ) -> WeakLatticeReport:
     """Verify the four weak-lattice closure clauses exactly.
 
@@ -485,7 +490,7 @@ def caratheodory_extend(
         if total != values[member]:
             raise ExtensionError(
                 f"premeasure is not additive: mu = {values[member]} on a member "
-                f"whose disjoint decomposition sums to {total}",
+                f"whose disjoint decomposition sums to {rational_text(total)}",
                 witness=(member, tuple(parts)),
             )
 
@@ -501,8 +506,6 @@ def caratheodory_extend(
 def daniell_stone(
     lattice: WeakIntegrationLattice,
     values: Mapping[tuple[Fraction, ...], Fraction],
-    multiplier_bound: int = 64,
-    family_cap: int = 512,
 ) -> Measure:
     """The unique measure representing a lattice functional, via slabs.
 
@@ -521,7 +524,7 @@ def daniell_stone(
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
     """
-    report = check_weak_lattice(lattice, multiplier_bound)
+    report = check_weak_lattice(lattice, MULTIPLIER_BOUND)
     if not report.ok:
         raise PreconditionError(
             f"invalid weak integration lattice: clause {report.clause} fails "
@@ -573,9 +576,9 @@ def daniell_stone(
         )
     frontier = list(bounds)
     while frontier:
-        if len(bounds) > family_cap:
+        if len(bounds) > BOUND_FAMILY_CAP:
             raise ExtensionError(
-                f"slab bound family exceeds the desk-scale cap {family_cap}"
+                f"slab bound family exceeds the desk-scale cap {BOUND_FAMILY_CAP}"
             )
         f = frontier.pop()
         for g in tuple(bounds):
@@ -591,9 +594,7 @@ def daniell_stone(
     product_points = tuple(
         f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
     )
-    product_ground = GroundSet(
-        product_points, size_cap=max(len(product_points), 16)
-    )
+    product_ground = GroundSet(product_points)
 
     # A slab [lower, upper) covers the cells at or above lower and at or
     # below upper on every atom: its mask is an AND of two per-bound masks.

@@ -1,8 +1,9 @@
 """JSON wire formats for every instance type, bit-exact.
 
 Rationals travel as ``"p/q"`` strings.  Subsets are sorted point-index
-arrays; families are sorted by their bit-vector encoding, so dumps are
-canonical and byte-stable.  Every loader validates structurally and raises
+arrays.  Dumps write families sorted by their bit-vector encoding, so they
+are canonical and byte-stable; loads keep a family in the order the file
+lists it.  Every loader validates structurally and raises
 :class:`InputError` with a JSON-path-like location.
 """
 
@@ -20,7 +21,7 @@ from .measure import Measure
 from .monad import SimplexPoint
 from .report import Mode
 from .represent import Functional
-from .setalg import Algebra, GroundSet, SubsetFamily
+from .setalg import DEFAULT_SIZE_CAP, Algebra, GroundSet
 
 FORMAT_VERSION = 1
 
@@ -57,6 +58,15 @@ def _field(data: dict, key: str, location: str):
     return data[key]
 
 
+def enter_once(table: dict, key, value: Fraction, what: str, location: str) -> None:
+    """Set ``table[key] = value``; a key listed again must repeat its value."""
+    if table.setdefault(key, value) != value:
+        raise InputError(
+            f"value {value} conflicts with {table[key]} given earlier for the same {what}",
+            location,
+        )
+
+
 def _labels(data: Any, location: str) -> list[str]:
     """A list of point labels, each a string."""
     labels = _expect(data, list, location)
@@ -78,9 +88,13 @@ def dump_ground(ground: GroundSet) -> list[str]:
 def load_ground(data: Any, location: str = "$.points") -> GroundSet:
     points = _labels(data, location)
     try:
-        return GroundSet(tuple(points))
+        ground = GroundSet(tuple(points))
     except ValueError as exc:
         raise InputError(str(exc), location) from None
+    if ground.size > DEFAULT_SIZE_CAP:
+        message = f"ground set of size {ground.size} exceeds cap {DEFAULT_SIZE_CAP}"
+        raise InputError(message, location)
+    return ground
 
 
 def _mask_to_indices(mask: int) -> list[int]:
@@ -101,7 +115,8 @@ def _indices_to_mask(indices: Any, ground: GroundSet, location: str) -> int:
     return mask
 
 
-def load_family(data: Any, location: str = "$") -> SubsetFamily:
+def load_family(data: Any, location: str = "$") -> tuple[GroundSet, tuple[int, ...]]:
+    """``(ground, masks)``, the masks in the order the file lists them."""
     obj = _expect(data, dict, location)
     ground = load_ground(_field(obj, "points", location), f"{location}.points")
     members = _expect(_field(obj, "family", location), list, f"{location}.family")
@@ -109,7 +124,7 @@ def load_family(data: Any, location: str = "$") -> SubsetFamily:
         _indices_to_mask(item, ground, f"{location}.family[{i}]")
         for i, item in enumerate(members)
     )
-    return SubsetFamily(ground, masks)
+    return ground, masks
 
 
 def dump_algebra(algebra: Algebra) -> dict:
@@ -120,9 +135,9 @@ def dump_algebra(algebra: Algebra) -> dict:
 
 
 def load_algebra(data: Any, location: str = "$.algebra") -> Algebra:
-    family = load_family(data, location)
+    ground, masks = load_family(data, location)
     try:
-        return Algebra.from_members(family.ground, family.masks)
+        return Algebra.from_members(ground, masks)
     except ValueError as exc:
         raise InputError(str(exc), f"{location}.family") from None
 
@@ -200,12 +215,7 @@ def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> F
     for i, (fn_data, val) in enumerate(zip(raw_family, raw_values)):
         fn = load_simple_function(fn_data, algebra, f"{location}.family[{i}]")
         value = parse_fraction(val, f"{location}.values[{i}]")
-        if values.setdefault(fn, value) != value:
-            raise InputError(
-                f"value {value} conflicts with {values[fn]} given earlier "
-                "for the same function",
-                f"{location}.values[{i}]",
-            )
+        enter_once(values, fn, value, "function", f"{location}.values[{i}]")
     return Functional(algebra, values)
 
 

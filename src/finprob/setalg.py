@@ -1,22 +1,25 @@
-"""Finite ground sets, subset families, algebras of sets, and semi-rings.
+"""Finite ground sets, algebras of sets, and semi-rings.
 
 Subsets are bit masks over the ground set's canonical point order: bit ``i``
-stands for ``points[i]``.  Families are kept sorted and deduplicated so every
-operation is deterministic.  An algebra is represented by its atom partition;
-its full member list (all unions of atoms) is exposed as a lazy view, since
-``|members| == 2**len(atoms)``.
+stands for ``points[i]``.  A family of subsets is an iterable of masks;
+:class:`SemiRing` and :class:`Algebra` keep theirs sorted and deduplicated so
+every operation is deterministic.  An algebra is represented by its atom
+partition; its full member list (all unions of atoms) is exposed as a lazy
+view, since ``|members| == 2**len(atoms)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
 
-#: Default cap on ground-set size; bounds every 2**n enumeration.
+#: The most points an input file's ground set or a generated suite's may
+#: have; bounds the 2**n enumerations they run.  Library ground sets are
+#: not capped.
 DEFAULT_SIZE_CAP = 16
 
 #: Algebras larger than this refuse to iterate their member view.
@@ -28,7 +31,6 @@ class GroundSet:
     """An ordered finite set of distinct point labels."""
 
     points: tuple[str, ...]
-    size_cap: int = field(default=DEFAULT_SIZE_CAP, compare=False, repr=False)
 
     def __post_init__(self):
         points = tuple(str(p) for p in self.points)
@@ -37,10 +39,6 @@ class GroundSet:
             raise ValueError("ground set must contain at least one point")
         if len(set(points)) != len(points):
             raise ValueError("ground set labels must be distinct")
-        if len(points) > self.size_cap:
-            raise ValueError(
-                f"ground set of size {len(points)} exceeds cap {self.size_cap}"
-            )
 
     @property
     def size(self) -> int:
@@ -73,28 +71,6 @@ class GroundSet:
 
     def complement(self, mask: int) -> int:
         return self.full_mask ^ self.check_mask(mask)
-
-
-@dataclass(frozen=True)
-class SubsetFamily:
-    """A deduplicated, canonically sorted family of subsets of a ground set."""
-
-    ground: GroundSet
-    masks: tuple[int, ...]
-
-    def __post_init__(self):
-        for m in self.masks:
-            self.ground.check_mask(m)
-        object.__setattr__(self, "masks", tuple(sorted(set(self.masks))))
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.masks  # tuples are tiny at desk scale
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.masks)
-
-    def __len__(self) -> int:
-        return len(self.masks)
 
 
 class AlgebraMembers:
@@ -204,7 +180,7 @@ class Algebra:
         return self.point_atoms[self.ground.index(label)]
 
 
-def generate_algebra(ground: GroundSet, generators: Iterable[int] | SubsetFamily) -> Algebra:
+def generate_algebra(ground: GroundSet, generators: Iterable[int]) -> Algebra:
     """Smallest algebra on ``ground`` containing all generator sets.
 
     Atoms are computed by partition refinement: two points land in the same
@@ -271,15 +247,14 @@ def _exact_cover(target: int, pieces: Sequence[int]) -> tuple[int, ...] | None:
     return solve(target)
 
 
-def is_semiring(ground: GroundSet, family: SubsetFamily | Iterable[int]) -> SemiRingCheck:
+def is_semiring(family: Iterable[int]) -> SemiRingCheck:
     """Check the three semi-ring clauses, returning a witness on failure.
 
     Clauses: the empty set belongs to the family; the family is closed under
     binary intersection; every relative complement of two members decomposes
     as a finite disjoint union of members.
     """
-    masks = tuple(family) if not isinstance(family, SubsetFamily) else family.masks
-    members = set(masks)
+    members = set(family)
     if 0 not in members:
         return SemiRingCheck(False, "missing-empty", ())
     masks = tuple(sorted(members))
@@ -307,7 +282,7 @@ class SemiRing:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-        check = is_semiring(self.ground, self.members)
+        check = is_semiring(self.members)
         if not check.ok:
             raise ValueError(f"not a semi-ring: {check.clause} witness {check.witness}")
 

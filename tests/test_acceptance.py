@@ -195,6 +195,19 @@ def test_criterion_09_integral_properties():
 
 ALL_SEED_0_SHA256 = "a2562c0c47d77eb08a71d3872aa4d14a4df4f5f11af1faa5d57eb491f0217b20"
 
+# `finprob --help` at 80 columns: it names the ground-set cap and every
+# `SuiteConfig` default
+HELP_SHA256 = "9255ea48bc82678ef5cbe2b3238f82f56db8043779a435d5dcdad2e806e09709"
+
+
+def test_help_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        cli.run(["--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256
+
 
 def test_criterion_10_determinism():
     started = time.monotonic()

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import finprob
+from finprob import cli
 from finprob.cli import COMMANDS, run
 from finprob.report import SuiteConfig
 
@@ -444,31 +445,66 @@ def test_exponent_notation_is_not_a_rational(tmp_path, raw):
     assert "exponent notation" in done.stderr
 
 
-def test_an_internal_failure_exits_three_without_a_traceback(tmp_path):
-    """Atom values 1/a and 1/b with coprime 4,002-digit a and b: the
-    additivity message would print their sum, whose denominator is past
-    Python's integer-to-string limit."""
-    a = 10**4001 + 1
-    instance = {
-        "format": 1,
-        "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
-        "table": {
-            "family": [
-                {"terms": [["1/1", [0, 1]]]},
-                {"terms": [["1/1", [0]]]},
-                {"terms": [["1/1", [1]]]},
-            ],
-            "values": ["1/1", f"1/{a}", f"1/{a + 1}"],
-        },
-    }
+def test_an_internal_failure_exits_three_without_a_traceback(tmp_path, capsys, monkeypatch):
+    def fault(config, data):
+        raise ValueError("a fault of finprob's own")
+
+    monkeypatch.setattr(cli, "run_reconstruct_input", fault)
     path = tmp_path / "r.json"
-    path.write_text(json.dumps(instance))
-    done = run_module("reconstruct", path)
-    assert done.returncode == 3
-    assert done.stdout == ""
-    assert done.stderr.count("\n") == 1
-    assert done.stderr.startswith("internal error: ValueError: ")
-    assert "Traceback" not in done.stderr
+    path.write_text(json.dumps({"format": 1}))
+    code, out, err = run_cli(capsys, "reconstruct", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: ValueError: ")
+    assert "Traceback" not in err
+
+
+# 1/A + 1/(A + 1) has a denominator past Python's int-to-string limit
+BIG = 10**4001 + 1
+BIG_SUM = "<4002-digit integer>/<8003-digit integer>"
+
+
+@pytest.mark.parametrize(
+    "command, instance, witness",
+    [
+        (
+            "reconstruct",
+            {
+                "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
+                "table": {
+                    "family": [
+                        {"terms": [["1/1", [0, 1]]]},
+                        {"terms": [["1/1", [0]]]},
+                        {"terms": [["1/1", [1]]]},
+                    ],
+                    "values": ["1/1", f"1/{BIG}", f"1/{BIG + 1}"],
+                },
+            },
+            "additivity violated: the ground set decomposes into atoms with "
+            f"total indicator mass {BIG_SUM}, but F(1_X) = 1",
+        ),
+        (
+            "extend",
+            {
+                "points": ["0", "1"],
+                "family": [[], [0], [1], [0, 1]],
+                "mu": ["0/1", f"1/{BIG}", f"1/{BIG + 1}", "1/1"],
+            },
+            "premeasure is not additive: mu = 1 on a member whose disjoint "
+            f"decomposition sums to {BIG_SUM}",
+        ),
+    ],
+    ids=["reconstruct", "extend"],
+)
+def test_a_violation_past_the_digit_limit_exits_one_with_its_witness(
+    tmp_path, command, instance, witness
+):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"format": 1, **instance}))
+    done = run_module(command, path)
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["checks"][0]["witnesses"] == [witness]
 
 
 def test_unreadable_input_exits_two(capsys):
@@ -490,6 +526,78 @@ def test_extend_input_success(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["witnesses"][0]["mass"] == "1/1"
+
+
+def extend_file(tmp_path, family, mu):
+    """An ``extend`` instance on the points a and b."""
+    instance = {"format": 1, "points": ["a", "b"], "family": family, "mu": mu}
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(instance))
+    return path
+
+
+def extend_witness(capsys, tmp_path, family, mu):
+    path = extend_file(tmp_path, family, mu)
+    code, out, _ = run_cli(capsys, "extend", "--input", str(path))
+    return code, json.loads(out)["checks"][0]["witnesses"][0]
+
+
+def test_extend_input_keeps_each_value_on_its_listed_set(tmp_path, capsys):
+    code, witness = extend_witness(
+        capsys, tmp_path, [[1], [0], []], ["0/1", "1/4", "3/4"]
+    )
+    assert code == 1
+    assert witness == "premeasure of the empty set is 3/4, not 0"
+
+
+def test_extend_input_atoms_do_not_depend_on_the_listed_order(tmp_path, capsys):
+    atoms = [
+        {"points": ["a"], "weight": "3/4"},
+        {"points": ["b"], "weight": "1/4"},
+    ]
+    for family, mu in (
+        ([[], [0], [1]], ["0/1", "3/4", "1/4"]),
+        ([[1], [0], []], ["1/4", "3/4", "0/1"]),
+    ):
+        code, witness = extend_witness(capsys, tmp_path, family, mu)
+        assert code == 0
+        assert witness["atoms"] == atoms
+
+
+def test_extend_input_repeated_set_must_repeat_its_value(tmp_path, capsys):
+    family = [[], [0], [1], [0]]
+    code, witness = extend_witness(capsys, tmp_path, family, ["0/1", "3/4", "1/4", "3/4"])
+    assert code == 0
+    assert witness["mass"] == "1/1"
+    path = extend_file(tmp_path, family, ["0/1", "3/4", "1/4", "1/2"])
+    done = run_module("extend", path)
+    assert_input_error(done, "$.mu[3]")
+    assert "value 1/2 conflicts with 3/4 given earlier for the same set" in done.stderr
+
+
+SEVENTEEN_POINTS = [f"x{i}" for i in range(17)]
+
+
+@pytest.mark.parametrize(
+    "command, instance, location",
+    [
+        ("extend", {"points": SEVENTEEN_POINTS, "family": [[]], "mu": ["0/1"]}, "$.points"),
+        (
+            "reconstruct",
+            {
+                "algebra": {"points": SEVENTEEN_POINTS, "family": [[]]},
+                "table": {"family": [], "values": []},
+            },
+            "$.algebra.points",
+        ),
+    ],
+)
+def test_an_input_ground_set_past_the_cap_exits_two(tmp_path, command, instance, location):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps({"format": 1, **instance}))
+    done = run_module(command, path)
+    assert_input_error(done, location)
+    assert done.stderr == f"input error at {location}: ground set of size 17 exceeds cap 16\n"
 
 
 def test_integrate_input_reports_clauses(tmp_path, capsys):

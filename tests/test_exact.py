@@ -116,3 +116,21 @@ def test_dropping_the_last_term_is_caught(monkeypatch):
     monkeypatch.setattr(exact, "total", drops_last)
     with pytest.raises(AssertionError):
         test_total_equals_the_fraction_sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rationals)
+def test_rational_text_is_str_within_the_digit_limit(v):
+    assert exact.rational_text(v) == str(v)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (F(1, 10**5000), "<1-digit integer>/<5001-digit integer>"),
+        (F(-1, 10**5000 - 1), "-<1-digit integer>/<5000-digit integer>"),
+        (F(10**4400 + 1, 3), "<4401-digit integer>/<1-digit integer>"),
+    ],
+)
+def test_rational_text_counts_digits_past_the_limit(value, text):
+    assert exact.rational_text(value) == text

@@ -692,9 +692,7 @@ def reference_daniell_stone(lattice, oracle, multiplier_bound=64, family_cap=512
     product_points = tuple(
         f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
     )
-    product_ground = GroundSet(
-        product_points, size_cap=max(len(product_points), 16)
-    )
+    product_ground = GroundSet(product_points)
 
     def slab_mask(lower, upper) -> int:
         mask = 0
@@ -848,7 +846,7 @@ def _outcome(run):
     return p.algebra, p.weights
 
 
-def test_integer_kernel_matches_fraction_reference_on_seeded_lattices():
+def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatch):
     clauses, errors, multipliers, measures = set(), set(), set(), 0
     for case in range(400):
         rng, lattice, bound = _seeded_lattice(case)
@@ -859,7 +857,9 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices():
         oracle = _seeded_oracle(rng, lattice)
         cap = rng.choice((8, 512))
         values = tabulate(lattice, oracle)
-        got = _outcome(lambda: daniell_stone(lattice, values, bound, cap))
+        monkeypatch.setattr(represent, "MULTIPLIER_BOUND", bound)
+        monkeypatch.setattr(represent, "BOUND_FAMILY_CAP", cap)
+        got = _outcome(lambda: daniell_stone(lattice, values))
         want = _outcome(
             lambda: reference_daniell_stone(lattice, oracle, bound, cap)
         )

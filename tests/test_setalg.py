@@ -10,7 +10,6 @@ from finprob import (
     Algebra,
     DomainError,
     GroundSet,
-    SubsetFamily,
     algebra_closure,
     generate_algebra,
     is_premeasurable,
@@ -60,7 +59,7 @@ def oracle_smallest_algebra(ground, generators):
     return best
 
 
-def oracle_is_semiring(ground, members):
+def oracle_is_semiring(members):
     members = set(members)
     if 0 not in members:
         return False
@@ -197,31 +196,31 @@ def test_every_member_is_a_union_of_atoms():
 def test_singletons_with_empty_form_semiring():
     g = GroundSet(("0", "1", "2"))
     family = (0, 1, 2, 4)
-    assert is_semiring(g, family).ok
-    assert oracle_is_semiring(g, family)
+    assert is_semiring(family).ok
+    assert oracle_is_semiring(family)
 
 
 def test_semiring_missing_intersection_detected():
     g = GroundSet(("0", "1", "2"))
     family = (0, g.mask_of(["0", "1"]), g.mask_of(["1", "2"]))
-    check = is_semiring(g, family)
+    check = is_semiring(family)
     assert not check.ok
     assert check.clause == "intersection"
     assert set(check.witness) == {g.mask_of(["0", "1"]), g.mask_of(["1", "2"])}
-    assert not oracle_is_semiring(g, family)
+    assert not oracle_is_semiring(family)
 
 
 def test_every_algebra_is_a_semiring():
     g = GroundSet(("0", "1", "2", "3"))
     for gens in ([0b1010], [0b0001, 0b0110]):
         alg = generate_algebra(g, gens)
-        assert is_semiring(g, tuple(alg.members)).ok
+        assert is_semiring(tuple(alg.members)).ok
 
 
 def test_semiring_difference_clause_detected():
     g = GroundSet(("0", "1", "2"))
     family = (0, g.mask_of(["0"]), g.mask_of(["0", "1", "2"]))
-    check = is_semiring(g, family)
+    check = is_semiring(family)
     assert not check.ok
     assert check.clause == "difference"
 
@@ -231,7 +230,7 @@ def test_semiring_difference_clause_detected():
 def test_is_semiring_agrees_with_oracle(data):
     g, gens = data
     family = (0,) + gens
-    assert is_semiring(g, family).ok == oracle_is_semiring(g, family)
+    assert is_semiring(family).ok == oracle_is_semiring(family)
 
 
 def test_semiring_type_rejects_invalid_family():
@@ -324,18 +323,20 @@ def test_premeasurable_atom_criterion_matches_member_criterion(data, salt):
     assert ok == brute
 
 
-def test_ground_set_rejects_duplicates_and_oversize():
+def test_ground_set_rejects_duplicates():
     with pytest.raises(ValueError):
         GroundSet(("a", "a"))
-    with pytest.raises(ValueError):
-        GroundSet(tuple(str(i) for i in range(20)))
-    GroundSet(tuple(str(i) for i in range(20)), size_cap=32)
 
 
-def test_subset_family_canonical_order():
+def test_ground_set_is_not_capped():
+    # the 16-point cap is an input limit, checked where files are loaded
+    assert GroundSet(tuple(str(i) for i in range(20))).size == 20
+
+
+def test_semiring_members_canonical_order():
     g = GroundSet(("0", "1"))
-    fam = SubsetFamily(g, (3, 1, 1, 0))
-    assert fam.masks == (0, 1, 3)
+    assert SemiRing(g, (2, 1, 1, 0)).members == (0, 1, 2)
+    assert SemiRing(g, (3, 2, 1, 3, 0)).members == (0, 1, 2, 3)
 
 
 def test_algebra_from_members_validates_closure():
