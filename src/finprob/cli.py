@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .exact import dot
+from .exact import dot, wire_text
 from .integrate import SimpleFunction, check_integral_properties, simple_integral
 from .lipmetric import (
     SUBSET_ENUMERATION_CAP,
@@ -473,9 +473,9 @@ def run_distance_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, .
         )
     values = {}
     if config.method in ("lp", "both"):
-        values["lp"] = serialize.dump_fraction(bl_distance_lp(p, q, space))
+        values["lp"] = wire_text(bl_distance_lp(p, q, space))
     if config.method in ("subsets", "both"):
-        values["subsets"] = serialize.dump_fraction(bl_distance_subsets(p, q))
+        values["subsets"] = wire_text(bl_distance_subsets(p, q))
     agree = True
     if config.method == "both" and space.is_discrete():
         agree = values["lp"] == values["subsets"]
@@ -535,11 +535,11 @@ def run_extend_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...
     except ExtensionError as exc:
         return (CheckOutcome("extend", 0, 1, (str(exc),)),)
     payload = {
-        "mass": serialize.dump_fraction(extension.mass),
+        "mass": wire_text(extension.mass),
         "atoms": [
             {
                 "points": list(extension.algebra.ground.labels_of(atom)),
-                "weight": serialize.dump_fraction(w),
+                "weight": wire_text(w),
             }
             for atom, w in zip(extension.algebra.atoms, extension.weights)
         ],

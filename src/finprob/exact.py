@@ -1,18 +1,21 @@
-"""Exact rational kernels on integer numerators and denominators.
+"""Exact rational kernels on integer numerators and denominators, one
+implementation each: exact sums (:func:`total`, :func:`dot`), rational grids
+(:func:`grid`), rows over their least common denominator
+(:func:`scaled_rows`), and rationals as wire text (:func:`wire_text`, every
+digit) and as prose (:func:`rational_text`, digit counts past the limit).
 
 Adding ``Fraction``s one by one reduces every partial sum by a gcd and builds
-a new ``Fraction`` per term.  The kernels here keep one integer numerator
-over the least common denominator of the terms seen so far and build a
-single ``Fraction`` at the end, so they return the same exact value at a
-fraction of the cost.  They read only the ``numerator`` and ``denominator``
-of their inputs, so they take ``Fraction`` and ``int`` values alike;
-:func:`fractions` brings any other input to ``Fraction`` first.
+a new ``Fraction`` per term.  The sums here keep one integer numerator over
+the least common denominator of the terms seen so far and build a single
+``Fraction`` at the end.  The kernels read only the ``numerator`` and
+``denominator`` of their inputs, so they take ``Fraction`` and ``int`` values
+alike; :func:`fractions` brings any other input to ``Fraction`` first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, log10
+from math import floor, gcd, lcm, log10
 from typing import Iterable, Iterator
 
 
@@ -55,12 +58,21 @@ def dot(xs: Iterable, ys: Iterable) -> Fraction:
     )
 
 
-def over_common_denominator(values: Iterable) -> tuple[list[int], int]:
-    """``(numerators, den)`` with ``values[i] == numerators[i] / den``, where
-    ``den`` is the least common denominator of the values."""
-    values = tuple(values)
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def grid(upper, max_denominator: int) -> list[Fraction]:
+    """``{n/d : 1 <= d <= max_denominator, 0 <= n/d <= upper}``, sorted."""
+    values = set()
+    for d in range(1, max_denominator + 1):
+        values.update(Fraction(n, d) for n in range(floor(upper * d) + 1))
+    return sorted(values)
+
+
+def scaled_rows(rows: Iterable) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(nums, den)`` with ``rows[i][j] == nums[i][j] / den``, where ``den``
+    is the least common denominator of every entry (1 when there are none)."""
+    rows = tuple(tuple(row) for row in rows)
+    den = lcm(*(v.denominator for row in rows for v in row))
+    nums = (tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
+    return tuple(nums), den
 
 
 def _digit_count(n: int) -> int:
@@ -70,6 +82,23 @@ def _digit_count(n: int) -> int:
     while 10**count <= n:
         count += 1
     return max(count, 1)
+
+
+def _decimal(n: int) -> str:
+    """The decimal digits of ``n``, past Python's int-to-string limit too:
+    halves are written separately until each fits."""
+    try:
+        return str(n)
+    except ValueError:
+        half = _digit_count(n) // 2
+        high, low = divmod(abs(n), 10**half)
+        return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(half)
+
+
+def wire_text(value) -> str:
+    """The rational ``value`` as its ``"p/q"`` wire string, in lowest terms
+    and with every digit, whatever the int-to-string limit."""
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 def rational_text(value) -> str:

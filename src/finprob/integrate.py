@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RangeError
-from .exact import dot, fractions, in_unit_interval, total
+from .exact import dot, fractions, grid, in_unit_interval, total
 from .measure import Measure, evaluate
 from .report import CheckOutcome, tally
 from .setalg import Algebra
@@ -139,16 +139,6 @@ def _term_sum(p: Measure, f: SimpleFunction) -> Fraction:
     return dot((a for a, _ in terms), (evaluate(p, m) for _, m in terms))
 
 
-def _grid_values(limit: Fraction, max_denominator: int) -> list[Fraction]:
-    values = {ZERO, limit}
-    for q in range(1, max_denominator + 1):
-        for num in range(q + 1):
-            v = Fraction(num, q)
-            if v <= limit:
-                values.add(v)
-    return sorted(values)
-
-
 def check_integral_properties(
     p: Measure, fns: Sequence[SimpleFunction]
 ) -> tuple[CheckOutcome, ...]:
@@ -187,16 +177,18 @@ def check_integral_properties(
     cases = []
     grid_cap = 3  # exhaustive grid search is exponential in the atom count
     denominator = GRID_DENOMINATOR if len(p.algebra.atoms) <= grid_cap else 1
+
+    def below(limit):  # the grid up to ``limit``, and ``limit`` itself
+        return dict.fromkeys([*grid(limit, denominator), limit])
+
     for i, f in enumerate(fns):
         target = simple_integral(p, f)
-        minorant_choices = [_grid_values(v, denominator) for v in f.values]
+        minorant_choices = [below(v) for v in f.values]
         best_lower = max(
             simple_integral(p, SimpleFunction(p.algebra, combo))
             for combo in itertools.product(*minorant_choices)
         )
-        majorant_choices = [
-            [ONE - w for w in _grid_values(ONE - v, denominator)] for v in f.values
-        ]
+        majorant_choices = [[ONE - w for w in below(ONE - v)] for v in f.values]
         best_upper = min(
             simple_integral(p, SimpleFunction(p.algebra, combo))
             for combo in itertools.product(*majorant_choices)

@@ -6,7 +6,9 @@ formula valid under the discrete metric, where the distance also equals half
 the L1 distance.  A distribution is a :class:`Measure` on the powerset of the
 space's points (:func:`~finprob.monad.SimplexPoint`).  Non-expansiveness of
 the monad unit and of :func:`~finprob.monad.mult` is checked against these
-exact distances.
+exact distances.  Distances and test-function values are compared as integer
+numerators (:func:`~finprob.exact.scaled_rows`), and the exhaustive sweep
+draws its weights and distances from :func:`~finprob.exact.grid`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .exact import fractions, in_unit_interval, over_common_denominator
+from .exact import fractions, grid, in_unit_interval, scaled_rows, total
 from .linprog import maximize
 from .measure import Measure, dirac, simplex_algebra
 from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
@@ -57,7 +59,7 @@ class FiniteMetricSpace:
                     raise ValueError("distinct points must be at positive distance")
                 if num[i][j] != num[j][i]:
                     raise ValueError("distance matrix must be symmetric")
-        for i, j, k in itertools.permutations(range(n), 3) if n >= 3 else ():
+        for i, j, k in itertools.permutations(range(n), 3):
             if num[i][j] > num[i][k] + num[k][j]:
                 raise ValueError(
                     f"triangle inequality fails at ({points[i]}, {points[j]}, {points[k]})"
@@ -67,9 +69,7 @@ class FiniteMetricSpace:
     def scaled_dist(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         """``(num, den)``: the distance matrix as integer numerators over
         one common denominator, ``dist[i][j] == num[i][j] / den``."""
-        n = len(self.points)
-        flat, den = over_common_denominator(v for row in self.dist for v in row)
-        return tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n)), den
+        return scaled_rows(self.dist)
 
     @cached_property
     def lp_rows(self) -> tuple[tuple[int, int], ...]:
@@ -106,7 +106,7 @@ class LipschitzFunction:
             if not in_unit_interval(v):
                 raise ValueError(f"value {v} outside [0, 1]")
         # |f_i - f_j| <= d(i, j), cross-multiplied onto integers
-        f, f_den = over_common_denominator(values)
+        (f,), f_den = scaled_rows((values,))
         dist, dist_den = self.space.scaled_dist
         for i in range(self.space.size):
             for j in range(i + 1, self.space.size):
@@ -218,7 +218,7 @@ def total_variation(p: Measure, q: Measure) -> Fraction:
     """Half the L1 distance between the weight vectors."""
     if p.algebra != q.algebra:
         raise DomainError("simplex points must share one index set")
-    return sum((abs(a - b) for a, b in zip(p.weights, q.weights)), ZERO) / 2
+    return total(abs(a - b) for a, b in zip(p.weights, q.weights)) / 2
 
 
 @dataclass(frozen=True)
@@ -409,13 +409,7 @@ def check_bl_monad_nonexpansive(
 def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[Measure, ...]:
     """All simplex points whose weights have denominators at most the bound."""
     labels = tuple(labels)
-    values = sorted(
-        {
-            Fraction(num, den)
-            for den in range(1, max_denominator + 1)
-            for num in range(den + 1)
-        }
-    )
+    values = grid(ONE, max_denominator)
     points: list[Measure] = []
 
     def build(prefix: list[Fraction], remaining: Fraction, slots: int) -> None:
@@ -473,23 +467,17 @@ def check_lipschitz_criterion_equivalence(
     from . import gen
 
     rng = gen.rng_for(seed, "lipschitz-sweep")
-    grid_distances = sorted(
-        {
-            Fraction(num, den)
-            for den in range(1, max_denominator + 1)
-            for num in range(1, 2 * den + 1)
-        }
-    )
+    grid_distances = grid(2, max_denominator)[1:]  # positive, up to 2
     sampled: list[tuple] = []
 
     def agreement():
         for m in range(1, max_labels + 1):
             labels = tuple(f"t{i}" for i in range(m))
-            grid = simplex_grid(labels, max_denominator)
-            size = len(grid)
+            points = simplex_grid(labels, max_denominator)
+            size = len(points)
             # per grid pair (a, b), at index a * size + b
-            distances = [total_variation(p, q) for p in grid for q in grid]
-            sums = [subset_sums(p.weights) for p in grid]
+            distances = [total_variation(p, q) for p in points for q in points]
+            sums = [subset_sums(p.weights) for p in points]
             gaps = [
                 max(abs(x - y) for x, y in zip(sums_p, sums_q))
                 for sums_p in sums
@@ -515,7 +503,7 @@ def check_lipschitz_criterion_equivalence(
                             subset_ok = subset_ok and subset[cell]
                         if rng.random() < 0.0005:
                             sampled.append(
-                                (space, tuple(grid[a] for a in assignment), direct_ok)
+                                (space, tuple(points[a] for a in assignment), direct_ok)
                             )
                         if direct_ok == subset_ok:
                             yield True, None
@@ -541,24 +529,19 @@ def check_lipschitz_criterion_equivalence(
 
 
 def _metric_grid(n: int, distances: Sequence[Fraction]):
-    """All metric spaces on ``n`` points with the given candidate distances."""
+    """All metric spaces on ``n`` points with the given candidate distances:
+    the candidates :class:`FiniteMetricSpace` accepts, in product order."""
     points = tuple(f"x{i}" for i in range(n))
-    if n == 1:
-        yield FiniteMetricSpace(points, ((ZERO,),))
-        return
-    pair_count = n * (n - 1) // 2
     pairs = list(itertools.combinations(range(n), 2))
-    for combo in itertools.product(distances, repeat=pair_count):
+    for combo in itertools.product(distances, repeat=len(pairs)):
         dist = [[ZERO] * n for _ in range(n)]
         for (i, j), v in zip(pairs, combo):
             dist[i][j] = dist[j][i] = v
-        ok = True
-        for i, j, k in itertools.permutations(range(n), 3):
-            if dist[i][j] > dist[i][k] + dist[k][j]:
-                ok = False
-                break
-        if ok:
-            yield FiniteMetricSpace(points, tuple(tuple(row) for row in dist))
+        try:
+            space = FiniteMetricSpace(points, tuple(tuple(row) for row in dist))
+        except ValueError:  # the triangle inequality fails
+            continue
+        yield space
 
 
 def _distinct_points(rng, labels, count, max_denominator):

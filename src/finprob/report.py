@@ -6,9 +6,11 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Any, Iterable
 
 from .errors import InputError
+from .exact import wire_text
 from .setalg import DEFAULT_SIZE_CAP
 
 
@@ -152,10 +154,8 @@ class Report:
 
 def _jsonable(value: Any):
     """Best-effort canonical JSON projection of witness values."""
-    from fractions import Fraction
-
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return wire_text(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

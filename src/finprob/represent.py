@@ -13,14 +13,17 @@ The slab route is deliberately implemented in full -- build the semi-ring of
 slabs ``{(x, t) : f(x) <= t < g(x)}``, extend the induced premeasure to the
 generated algebra on a finite product grid, and read the measure off the
 height-one slice -- and is then cross-checked against the direct indicator
-reconstruction wherever the lattice exposes indicators.
+reconstruction wherever the lattice exposes indicators.  The lattice clauses
+and the slab route hold every function as integer numerators over the
+lattice's least common denominator (:func:`~finprob.exact.scaled_rows`), and
+every rational sum goes through :func:`~finprob.exact.total`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -29,9 +32,9 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .exact import rational_text
+from .exact import rational_text, scaled_rows, total
 from .integrate import SimpleFunction, simple_integral
-from .measure import Measure
+from .measure import Measure, evaluate
 from .setalg import (
     Algebra,
     GroundSet,
@@ -107,10 +110,10 @@ def reconstruct_measure(f: Functional) -> Measure:
             witness=tuple(missing),
         )
     full = SimpleFunction.indicator(algebra, algebra.ground.full_mask)
-    total = table[full]
-    if total != 1:
+    at_full = table[full]
+    if at_full != 1:
         raise ReconstructionError(
-            f"normalization violated: F(1_X) = {total}", witness=(full, total)
+            f"normalization violated: F(1_X) = {at_full}", witness=(full, at_full)
         )
     weights = tuple(
         table[SimpleFunction.indicator(algebra, atom)] for atom in algebra.atoms
@@ -120,7 +123,7 @@ def reconstruct_measure(f: Functional) -> Measure:
         raise ReconstructionError(
             f"negative indicator value {bad}", witness=(weights,)
         )
-    mass = sum(weights)
+    mass = total(weights)
     if mass != 1:
         raise ReconstructionError(
             "additivity violated: the ground set decomposes into atoms with "
@@ -199,22 +202,6 @@ class WeakLatticeReport:
     witnesses: tuple[tuple, ...]  # (clause key, multiplier, member index) triples
 
 
-def _scaled(
-    vectors: Sequence[tuple[Fraction, ...]],
-) -> tuple[int, list[tuple[int, ...]]]:
-    """``(D, numerators)``: every vector as integers over ``D``, the least
-    common denominator of all their entries."""
-    scale = lcm(*(v.denominator for vec in vectors for v in vec))
-    return scale, [
-        tuple(v.numerator * (scale // v.denominator) for v in vec) for vec in vectors
-    ]
-
-
-def _unscaled(vec: Sequence[int], scale: int) -> tuple[Fraction, ...]:
-    """The rational vector ``vec / scale``, for witnesses."""
-    return tuple(Fraction(v, scale) for v in vec)
-
-
 def _direction(vec: Sequence[int]) -> tuple[int, ...] | None:
     """The primitive integer vector on the ray of ``vec`` (``None`` for zero):
     two nonzero vectors are positive multiples of each other exactly when
@@ -271,7 +258,7 @@ def check_weak_lattice(
     differences and clips at ``D``.
     """
     fns = lattice.functions
-    scale, vecs = _scaled(fns)
+    vecs, scale = scaled_rows(fns)
     position = {vec: i for i, vec in enumerate(vecs)}
     index = _direction_index(vecs)
     witnesses: list[tuple] = []
@@ -287,7 +274,7 @@ def check_weak_lattice(
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
                 found = _as_multiple(target, vecs, index, multiplier_bound)
                 if found is None:
-                    witness = (i, j, _unscaled(target, scale))
+                    witness = (i, j, tuple(Fraction(v, scale) for v in target))
                     return WeakLatticeReport(False, kind, witness, tuple(witnesses))
                 witnesses.append(((kind, i, j), found[0], found[1]))
 
@@ -296,7 +283,7 @@ def check_weak_lattice(
             clipped = tuple(min(n * v, scale) for v in f)
             found = _as_multiple(clipped, vecs, index, multiplier_bound)
             if found is None:
-                witness = (i, n, _unscaled(clipped, scale))
+                witness = (i, n, tuple(Fraction(v, scale) for v in clipped))
                 return WeakLatticeReport(False, "clip", witness, tuple(witnesses))
             witnesses.append((("clip", i, n), found[0], found[1]))
 
@@ -428,11 +415,7 @@ class ExtensionResult:
         return tuple(a for a in self.algebra.atoms if not a & self.covered)
 
     def value(self, mask: int) -> Fraction:
-        self.algebra.check_member(mask)
-        return sum(
-            (w for atom, w in zip(self.algebra.atoms, self.weights) if atom & mask),
-            ZERO,
-        )
+        return evaluate(self, mask)  # reads only ``algebra`` and ``weights``
 
     def to_measure(self) -> Measure:
         if self.mass != 1:
@@ -486,17 +469,15 @@ def caratheodory_extend(
     atom_weight = dict(zip(generated.atoms, weights))
     for member in semiring.members:
         parts = [a for a in generated.atoms if a & member]
-        total = sum((atom_weight[a] for a in parts), ZERO)
-        if total != values[member]:
+        decomposed = total(atom_weight[a] for a in parts)
+        if decomposed != values[member]:
             raise ExtensionError(
                 f"premeasure is not additive: mu = {values[member]} on a member "
-                f"whose disjoint decomposition sums to {rational_text(total)}",
+                f"whose disjoint decomposition sums to {rational_text(decomposed)}",
                 witness=(member, tuple(parts)),
             )
 
-    return ExtensionResult(
-        generated, tuple(weights), sum(weights, ZERO), covered
-    )
+    return ExtensionResult(generated, tuple(weights), total(weights), covered)
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +531,7 @@ def daniell_stone(
     sigma = sigma_of_functions(ground, lattice.functions)
     atom_count = len(sigma.atoms)
     firsts = [(atom & -atom).bit_length() - 1 for atom in sigma.atoms]
-    scale, point_vecs = _scaled(lattice.functions)
+    point_vecs, scale = scaled_rows(lattice.functions)
     members = [tuple(vec[p] for p in firsts) for vec in point_vecs]
     member_values = [table[vec] for vec in lattice.functions]
     by_direction = _direction_index(members)
@@ -609,7 +590,7 @@ def daniell_stone(
     }
 
     def fractions_of(slab):
-        return tuple(_unscaled(vec, scale) for vec in slab)
+        return tuple(tuple(Fraction(v, scale) for v in vec) for vec in slab)
 
     slab_values: dict[int, tuple] = {}
     for lower in bound_family:

@@ -1,6 +1,7 @@
 """JSON wire formats for every instance type, bit-exact.
 
-Rationals travel as ``"p/q"`` strings.  Subsets are sorted point-index
+Rationals travel as ``"p/q"`` strings (:func:`~finprob.exact.wire_text`,
+every digit included).  Subsets are sorted point-index
 arrays.  Dumps write families sorted by their bit-vector encoding, so they
 are canonical and byte-stable; loads keep a family in the order the file
 lists it.  Every loader validates structurally and raises
@@ -15,6 +16,7 @@ from typing import Any
 
 from .codensity import Arrow, Cone
 from .errors import FinprobError, InputError
+from .exact import wire_text
 from .integrate import SimpleFunction
 from .lipmetric import FiniteMetricSpace
 from .measure import Measure
@@ -24,11 +26,6 @@ from .represent import Functional
 from .setalg import DEFAULT_SIZE_CAP, Algebra, GroundSet
 
 FORMAT_VERSION = 1
-
-
-def dump_fraction(value: Fraction) -> str:
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def parse_fraction(raw: Any, location: str) -> Fraction:
@@ -150,7 +147,7 @@ def dump_measure(p: Measure, mode: Mode = Mode.SIGMA) -> dict:
     ``"mode"`` key."""
     return {
         "algebra": dump_algebra(p.algebra),
-        "weights": {str(i): dump_fraction(w) for i, w in enumerate(p.weights)},
+        "weights": {str(i): wire_text(w) for i, w in enumerate(p.weights)},
         "mode": Mode(mode).value,
     }
 
@@ -184,7 +181,7 @@ def dump_simple_function(s: SimpleFunction) -> dict:
         (v, atom) for atom, v in zip(s.algebra.atoms, s.values) if v
     )
     return {
-        "terms": [[dump_fraction(a), _mask_to_indices(m)] for a, m in terms]
+        "terms": [[wire_text(a), _mask_to_indices(m)] for a, m in terms]
     }
 
 
@@ -225,7 +222,7 @@ def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> F
 def dump_metric(space: FiniteMetricSpace) -> dict:
     return {
         "points": list(space.points),
-        "dist": [[dump_fraction(v) for v in row] for row in space.dist],
+        "dist": [[wire_text(v) for v in row] for row in space.dist],
     }
 
 
@@ -249,7 +246,7 @@ def load_metric(data: Any, location: str = "$.metric") -> FiniteMetricSpace:
 def dump_simplex(p: Measure) -> dict:
     return {
         "labels": list(p.labels),
-        "weights": [dump_fraction(w) for w in p.weights],
+        "weights": [wire_text(w) for w in p.weights],
     }
 
 
@@ -287,7 +284,7 @@ def dump_arrow(arrow: Arrow) -> dict:
     return {
         "targets": list(arrow.targets),
         "rows": {
-            point: [dump_fraction(w) for w in arrow.at(point).weights]
+            point: [wire_text(w) for w in arrow.at(point).weights]
             for point in arrow.source.ground.points
         },
     }

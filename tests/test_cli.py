@@ -507,6 +507,47 @@ def test_a_violation_past_the_digit_limit_exits_one_with_its_witness(
     assert json.loads(done.stdout)["checks"][0]["witnesses"] == [witness]
 
 
+def test_a_distance_past_the_digit_limit_exits_zero_with_every_digit(
+    tmp_path, unlimited_str
+):
+    instance = {
+        "format": 1,
+        "metric": {"points": ["0", "1"], "dist": [["0", "1"], ["1", "0"]]},
+        "p": [f"1/{BIG}", f"{BIG - 1}/{BIG}"],
+        "q": [f"1/{BIG + 1}", f"{BIG}/{BIG + 1}"],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(instance))
+    done = run_finprob("distance", "--input", str(path), "--method", "lp")
+    assert done.returncode == 0, done.stderr
+    witness = json.loads(done.stdout)["checks"][0]["witnesses"][0]
+    assert witness == {"lp": "1/" + unlimited_str(BIG * (BIG + 1))}
+
+
+def test_an_extension_past_the_digit_limit_exits_zero_with_every_digit(
+    tmp_path, unlimited_str
+):
+    instance = {
+        "format": 1,
+        "points": ["0", "1"],
+        "family": [[], [0], [1]],
+        "mu": ["0/1", f"1/{BIG}", f"1/{BIG + 1}"],
+    }
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("extend", path)
+    assert done.returncode == 0, done.stderr
+    witness = json.loads(done.stdout)["checks"][0]["witnesses"][0]
+    mass = f"{2 * BIG + 1}/" + unlimited_str(BIG * (BIG + 1))
+    assert witness == {
+        "mass": mass,
+        "atoms": [
+            {"points": ["0"], "weight": f"1/{BIG}"},
+            {"points": ["1"], "weight": f"1/{BIG + 1}"},
+        ],
+    }
+
+
 def test_unreadable_input_exits_two(capsys):
     code, _, err = run_cli(capsys, "distance", "--input", "/nonexistent.json")
     assert code == 2

@@ -1,6 +1,8 @@
 """Differential tests of the integer-numerator kernels in ``finprob.exact``
-against plain ``Fraction`` arithmetic."""
+against plain ``Fraction`` arithmetic and brute-force enumeration."""
 
+import functools
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -76,9 +78,71 @@ def test_unit_interval_agrees_with_comparison(v):
 @settings(deadline=None)
 @given(st.lists(rationals, max_size=12))
 def test_common_denominator_preserves_the_values(values):
-    numerators, den = exact.over_common_denominator(values)
+    (numerators,), den = exact.scaled_rows([values])
     assert [F(n, den) for n in numerators] == values
     assert all(den % v.denominator == 0 for v in values)
+
+
+@settings(deadline=None)
+@given(st.lists(st.lists(rationals, max_size=5), max_size=5))
+def test_scaled_rows_are_numerators_over_the_least_common_denominator(rows):
+    nums, den = exact.scaled_rows(rows)
+    assert [[F(n, den) for n in row] for row in nums] == rows
+    assert all(type(n) is int for row in nums for n in row)
+    dens = [v.denominator for row in rows for v in row]
+    assert den == functools.reduce(lambda a, b: a * b // math.gcd(a, b), dens, 1)
+
+
+def brute_grid(upper, max_denominator):
+    """Every n/d with d up to the bound and 0 <= n/d <= upper, by filtering
+    all numerators up to 4d (upper is at most 4 below)."""
+    values = {
+        F(n, d) for d in range(1, max_denominator + 1) for n in range(4 * d + 1)
+    }
+    return sorted(v for v in values if v <= upper)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.fractions(min_value=0, max_value=4, max_denominator=15),
+        st.integers(0, 4),
+    ),
+    st.integers(1, 9),
+)
+def test_grid_equals_the_brute_force_set(upper, max_denominator):
+    got = exact.grid(upper, max_denominator)
+    assert got == brute_grid(upper, max_denominator)
+    assert all(type(v) is F for v in got)
+
+
+def test_grid_edges():
+    assert exact.grid(F(5, 7), 3) == [F(0), F(1, 3), F(1, 2), F(2, 3)]
+    assert exact.grid(F(5, 7), 7)[-1] == F(5, 7)
+    assert exact.grid(F(0), 5) == [F(0)]
+    assert exact.grid(1, 1) == [F(0), F(1)]
+    # the sweep's distances: the grid up to 2 without 0
+    assert exact.grid(2, 2)[1:] == [F(1, 2), F(1), F(3, 2), F(2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rationals, st.integers(-3, 3)))
+def test_wire_text_is_p_over_q_within_the_digit_limit(v):
+    assert exact.wire_text(v) == f"{v.numerator}/{v.denominator}"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        F(1, 10**5000),
+        F(-(10**5000 + 1), 3),
+        F(7**9000, 10**4400 + 1),
+        F(10**20000 + 7 * 10**9000, 1),
+    ],
+)
+def test_wire_text_writes_every_digit_past_the_limit(value, unlimited_str):
+    expected = f"{unlimited_str(value.numerator)}/{unlimited_str(value.denominator)}"
+    assert exact.wire_text(value) == expected
 
 
 def test_edges():
@@ -86,7 +150,8 @@ def test_edges():
     assert exact.dot([], []) == 0
     assert exact.dot([F(1, 2), F(1, 3)], [F(1, 5)]) == F(1, 10)  # zip stops short
     assert exact.total([F(1, 2), F(-1, 2)]) == 0
-    assert exact.over_common_denominator([]) == ([], 1)
+    assert exact.scaled_rows([]) == ((), 1)
+    assert exact.scaled_rows([[]]) == (((),), 1)
     for v in (F(0), F(1), 0, 1):
         assert exact.in_unit_interval(v)
     for v in (F(-1, 10**9), 1 + F(1, 10**9), -1, 2):

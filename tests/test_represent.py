@@ -30,7 +30,7 @@ from finprob import (
     slab_subtract,
     uniform,
 )
-from finprob import gen, represent
+from finprob import exact, gen, represent
 from finprob.represent import WeakLatticeReport
 from finprob.setalg import SemiRing, sigma_of_functions
 
@@ -298,6 +298,21 @@ def test_lattice_scale_clause_checked():
     report = check_weak_lattice(lattice)
     assert not report.ok  # (1/2)*(1/2) = 1/4 is not declared
     assert report.clause == "scale"
+
+
+def test_lattice_clip_violation_detected():
+    """Closed under join, meet and span, yet 3 * (1/5, 1/2) clipped at one
+    is (3/5, 1), which is no integer multiple of a member."""
+    g = GroundSet(("a", "b"))
+    points = [(0, 0), (0, "1/2"), ("1/5", 0), ("1/5", "1/2"), ("2/5", "1/2"),
+              ("3/5", 0), ("3/5", "1/2"), ("4/5", "1/2"), (1, "1/2"), (1, 1)]
+    lattice = WeakIntegrationLattice(g, tuple((F(a), F(b)) for a, b in points))
+    report = check_weak_lattice(lattice)
+    assert (report.ok, report.clause) == (False, "clip")
+    assert report.witness == (3, 3, (F(3, 5), F(1)))
+    assert report == reference_check_weak_lattice(lattice)
+    with pytest.raises(PreconditionError, match="clause clip"):
+        daniell_stone(lattice, tabulate(lattice, lambda values: values[0]))
 
 
 # --- slabs -------------------------------------------------------------------------
@@ -869,9 +884,10 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatc
         else:
             measures += 1
     # the seeded lattices reach every clause but clip, multipliers above one
-    # and at the bound, and every error the slab route raises on them; no
-    # lattice closed under join, meet and span has been seen to fail clip, so
-    # clip is compared through the witnesses of the lattices that pass
+    # and at the bound, and every error the slab route raises on them; none
+    # of them fails clip (test_lattice_clip_violation_detected builds one
+    # that does), so here clip is compared through the witnesses of the
+    # lattices that pass
     assert clauses == {None, "contains-one", "join", "meet", "span", "scale"}
     assert (True, True) in multipliers
     assert measures >= 40
@@ -887,7 +903,7 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatc
 
 def _integer_search(members, target, bound):
     """The integer kernel's search over Fraction vectors."""
-    scale, vecs = represent._scaled(tuple(members) + (target,))
+    vecs, scale = exact.scaled_rows(tuple(members) + (target,))
     index = represent._direction_index(vecs[:-1])
     return represent._as_multiple(vecs[-1], vecs[:-1], index, bound)
 

@@ -22,11 +22,12 @@ from finprob import (
     uniform,
 )
 from finprob import serialize
+from finprob.exact import wire_text
 
 
 def test_fraction_round_trip():
     for v in (F(0), F(1), F(-3, 7), F(22, 12)):
-        assert serialize.parse_fraction(serialize.dump_fraction(v), "$") == v
+        assert serialize.parse_fraction(wire_text(v), "$") == v
 
 
 def test_fraction_rejects_garbage():
@@ -90,7 +91,7 @@ def test_functional_table_round_trip():
     functional = Functional(alg, dict(pairs))
     data = {
         "family": [serialize.dump_simple_function(s) for s, _ in pairs],
-        "values": [serialize.dump_fraction(v) for _, v in pairs],
+        "values": [wire_text(v) for _, v in pairs],
     }
     loaded = serialize.load_functional_table(data, alg)
     assert loaded.algebra == alg
