@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -82,16 +83,6 @@ def _prefixed(prefix: str, checks: Iterable[CheckOutcome]) -> list[CheckOutcome]
     return [replace(c, name=f"{prefix}.{c.name}") for c in checks]
 
 
-def _seeded_check(config: SuiteConfig, name: str, stream: str, count: int, case):
-    """The check ``name`` with one outcome per seeded case: case ``i``
-    returns ``case(config, rng, i)``, an ``(ok, witness)`` pair."""
-    def outcomes(rng, i):
-        return [(name, *case(config, rng, i))]
-
-    (check,) = gen.run_cases(config.seed, stream, count, (name,), outcomes)
-    return check
-
-
 def run_laws(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
     """The monad laws, run once for each mode label in ``modes`` (default:
     the config's) and named under that label's prefix."""
@@ -104,7 +95,7 @@ def run_laws(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
             max_denominator=config.max_denominator,
             max_ground_size=config.max_ground_size,
         )
-        checks += _prefixed(mode.value, sorted(laws, key=lambda c: c.name))
+        checks += _prefixed(mode.value, laws)
     return checks
 
 
@@ -151,9 +142,8 @@ def run_distance_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     """The discrete-metric identity: LP distance, subset maximum, and half
     the L1 distance agree on seeded random pairs."""
     pairs = max(1, 3 * config.cases // 5)
-    identity = _seeded_check(
-        config, "discrete-identity", "bl-identity", pairs, _discrete_identity_case
-    )
+    case = partial(_discrete_identity_case, config)
+    identity = gen.run_cases(config.seed, "bl-identity", pairs, ("discrete-identity",), case)
 
     labels = ("a", "b", "c")
     p = SimplexPoint(labels, (Fraction(1, 2), Fraction(1, 2), ZERO))
@@ -164,10 +154,10 @@ def run_distance_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
         == bl_distance_subsets(p, q)
         == expected
     )
-    return identity, tally("worked-pair", [(worked, f"expected {expected}")])
+    return *identity, tally("worked-pair", [(worked, f"expected {expected}")])
 
 
-def _discrete_identity_case(config: SuiteConfig, rng, case: int):
+def _discrete_identity_case(config: SuiteConfig, rng):
     size = rng.randint(2, 8)
     labels = tuple(f"a{i}" for i in range(size))
     space = discrete_space(labels)
@@ -176,9 +166,10 @@ def _discrete_identity_case(config: SuiteConfig, rng, case: int):
     by_lp = bl_distance_lp(p, q, space)
     by_subsets = bl_distance_subsets(p, q)
     by_l1 = total_variation(p, q)
-    return (
+    yield (
+        "discrete-identity",
         by_lp == by_subsets == by_l1,
-        lambda: f"case {case}: lp={by_lp} subsets={by_subsets} l1/2={by_l1}",
+        lambda: f"lp={by_lp} subsets={by_subsets} l1/2={by_l1}",
     )
 
 
@@ -206,20 +197,20 @@ def run_nonexpansive(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
 def run_reconstruction_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     round_trips = max(1, 3 * config.cases // 5)
     tenth = max(1, config.cases // 10)
+    seed = config.seed
+    round_trip = partial(_round_trip_case, config)
+    adversarial = partial(_adversarial_case, config)
+    lattice = partial(_lattice_case, config, "lattice-route")
     return (
-        _seeded_check(config, "round-trip", "reconstruct", round_trips, _round_trip_case),
-        _seeded_check(
-            config,
-            "adversarial-detection",
-            "reconstruct-adversarial",
-            tenth,
-            _adversarial_case,
+        *gen.run_cases(seed, "reconstruct", round_trips, ("round-trip",), round_trip),
+        *gen.run_cases(
+            seed, "reconstruct-adversarial", tenth, ("adversarial-detection",), adversarial
         ),
-        _seeded_check(config, "lattice-route", "reconstruct-lattice", tenth, _lattice_case),
+        *gen.run_cases(seed, "reconstruct-lattice", tenth, ("lattice-route",), lattice),
     )
 
 
-def _round_trip_case(config: SuiteConfig, rng, case: int):
+def _round_trip_case(config: SuiteConfig, rng):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
     p = gen.random_measure(rng, algebra, config.max_denominator)
     family = [
@@ -233,13 +224,10 @@ def _round_trip_case(config: SuiteConfig, rng, case: int):
     back = reconstruct_measure(
         Functional(algebra, {s: simple_integral(p, s) for s in family})
     )
-    return (
-        back == p,
-        lambda: f"case {case}: {p.weights} -> {back.weights}",
-    )
+    yield "round-trip", back == p, lambda: f"{p.weights} -> {back.weights}"
 
 
-def _adversarial_case(config: SuiteConfig, rng, case: int):
+def _adversarial_case(config: SuiteConfig, rng):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
     p = gen.random_measure(rng, algebra, config.max_denominator)
     style = rng.randrange(3)
@@ -263,25 +251,22 @@ def _adversarial_case(config: SuiteConfig, rng, case: int):
     try:
         reconstruct_measure(Functional(algebra, {s: oracle(s) for s in listed}))
     except ReconstructionError as exc:
-        return (
-            _witness_matches(exc, style, algebra, half),
-            f"case {case}: wrong witness for style {style}",
-        )
-    return False, f"case {case}: style {style} violation undetected"
+        matches = _witness_matches(exc, style, algebra, half)
+        yield "adversarial-detection", matches, f"wrong witness for style {style}"
+    else:
+        yield "adversarial-detection", False, f"style {style} violation undetected"
 
 
-def _lattice_case(config: SuiteConfig, rng, case: int):
-    """Daniell-Stone on a random grid lattice must rebuild the hidden
-    measure."""
+def _lattice_case(config: SuiteConfig, name: str, rng):
+    """The check ``name``: Daniell-Stone on a random grid lattice must
+    rebuild the hidden measure."""
     lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
     try:
         rebuilt = daniell_stone(lattice, _integration_table(hidden, lattice))
     except FinprobError as exc:
-        return False, f"case {case}: {exc}"
-    return (
-        rebuilt == hidden,
-        lambda: f"case {case}: {hidden.weights} -> {rebuilt.weights}",
-    )
+        yield name, False, str(exc)
+    else:
+        yield name, rebuilt == hidden, lambda: f"{hidden.weights} -> {rebuilt.weights}"
 
 
 def _witness_matches(exc, style, algebra, half) -> bool:
@@ -301,24 +286,28 @@ def _witness_matches(exc, style, algebra, half) -> bool:
 
 def run_extension_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     fifth = max(1, config.cases // 5)
+    seed = config.seed
+    singleton = partial(_singleton_case, config)
+    lattice = partial(_lattice_case, config, "lattice-representation")
     return (
-        _seeded_check(config, "slab-calculus", "slabs", config.cases, _slab_case),
-        _seeded_check(config, "singleton-extension", "caratheodory", fifth, _singleton_case),
-        _seeded_check(config, "lattice-representation", "daniell", fifth, _lattice_case),
+        *gen.run_cases(seed, "slabs", config.cases, ("slab-calculus",), _slab_case),
+        *gen.run_cases(seed, "caratheodory", fifth, ("singleton-extension",), singleton),
+        *gen.run_cases(seed, "daniell", fifth, ("lattice-representation",), lattice),
     )
 
 
-def _slab_case(config: SuiteConfig, rng, case: int):
+def _slab_case(rng):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
     a = _random_slab(rng, algebra, 4)
     b = _random_slab(rng, algebra, 4)
-    return (
+    yield (
+        "slab-calculus",
         _slab_calculus_agrees(a, b),
-        lambda: f"case {case}: a=[{a.lower},{a.upper}) b=[{b.lower},{b.upper})",
+        lambda: f"a=[{a.lower},{a.upper}) b=[{b.lower},{b.upper})",
     )
 
 
-def _singleton_case(config: SuiteConfig, rng, case: int):
+def _singleton_case(config: SuiteConfig, rng):
     ground = gen.random_ground(rng, 4)
     semiring = SemiRing(ground, (0,) + tuple(1 << i for i in range(ground.size)))
     weights = gen.random_weights(rng, ground.size, config.max_denominator)
@@ -326,9 +315,10 @@ def _singleton_case(config: SuiteConfig, rng, case: int):
     mu.update({1 << i: w for i, w in enumerate(weights)})
     extension = caratheodory_extend(semiring, mu)
     recovered = all(extension.value(1 << i) == w for i, w in enumerate(weights))
-    return (
+    yield (
+        "singleton-extension",
         recovered and extension.mass == 1,
-        lambda: f"case {case}: weights {weights} not recovered",
+        lambda: f"weights {weights} not recovered",
     )
 
 
@@ -427,16 +417,17 @@ def _integration_table(p, lattice) -> dict:
 
 
 def run_integrate_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
-    return (_seeded_check(config, "properties", "integral", config.cases, _integral_case),)
+    case = partial(_integral_case, config)
+    return gen.run_cases(config.seed, "integral", config.cases, ("properties",), case)
 
 
-def _integral_case(config: SuiteConfig, rng, case: int):
+def _integral_case(config: SuiteConfig, rng):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, config.max_ground_size))
     p = gen.random_measure(rng, algebra, config.max_denominator)
     f = gen.random_term_list(rng, algebra, config.max_denominator)
     g = gen.random_addend(rng, f, config.max_denominator)
     failing = [c.name for c in check_integral_properties(p, [f, g]) if not c.ok]
-    return not failing, f"case {case}: clauses {failing} failed"
+    yield "properties", not failing, f"clauses {failing} failed"
 
 
 def run_all(config: SuiteConfig) -> list[CheckOutcome]:

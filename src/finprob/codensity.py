@@ -266,7 +266,7 @@ def verify_codensity_bijection(
     """
     from . import gen
 
-    def check_case(rng, case):
+    def check_case(rng):
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, max_ground_size)
         )
@@ -277,16 +277,16 @@ def verify_codensity_bijection(
         passed = nat.triangles - (not nat.ok)  # a failure ends the enumeration
         yield from itertools.repeat(("naturality", True, None), passed)
         if not nat.ok:
-            yield "naturality", False, f"case {case}: {nat.witness[1]}"
+            yield "naturality", False, str(nat.witness[1])
             return
         back = reconstruct_measure(indicator_table(cone))
         if back != p:
-            yield "round-trip", False, f"case {case}: {p.weights} -> {back.weights}"
+            yield "round-trip", False, f"{p.weights} -> {back.weights}"
             return
         yield (
             "round-trip",
             cone_of_measure(back, family).legs == cone.legs,
-            f"case {case}: cone legs changed on the round trip",
+            "cone legs changed on the round trip",
         )
 
         q = gen.random_measure(rng, current, max_denominator)
@@ -294,7 +294,7 @@ def verify_codensity_bijection(
         yield (
             "uniqueness",
             (q == p) == (cone.legs == legs_q),
-            f"case {case}: legs {'agree' if cone.legs == legs_q else 'differ'} "
+            f"legs {'agree' if cone.legs == legs_q else 'differ'} "
             f"but measures {'agree' if q == p else 'differ'}",
         )
 
@@ -324,7 +324,7 @@ def small_index_sufficiency(
     if k < 1:
         raise PreconditionError("label-set size bound must be at least 1")
 
-    def check_case(rng, case):
+    def check_case(rng):
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, max_ground_size)
         )
@@ -336,12 +336,12 @@ def small_index_sufficiency(
         cone = cone_of_measure(p, family)
         try:
             back = reconstruct_from_cone(cone)
-        except ReconstructionError:
-            yield "determined", False, None
+        except ReconstructionError as exc:
+            yield "determined", False, f"no reconstruction at k={k}: {exc}"
             return
-        yield "reconstruction", back == p, f"case {case}: reconstruction wrong at k={k}"
+        yield "reconstruction", back == p, f"reconstruction wrong at k={k}"
         separated = p == q or cone_of_measure(q, family).legs != cone.legs
-        yield "determined", separated, None
+        yield "determined", separated, f"distinct measures share their legs at k={k}"
 
     return gen.run_cases(
         seed, "sufficiency", cases, ("determined", "reconstruction"), check_case

@@ -1,15 +1,18 @@
 """Deterministic seeded generators for random test instances.
 
-Every generator takes an explicit ``random.Random``; suites derive one
-sub-generator per case from ``(seed, suite name, case index)`` so that case
-outcomes never depend on execution order or worker count.  String seeding of
-``random.Random`` is stable across runs and platforms.
+Every generator takes an explicit ``random.Random``; :func:`run_cases`
+derives one sub-generator per case from ``(seed, stream, case index)`` so
+that case outcomes never depend on execution order or worker count, and
+names the case in each witness it keeps, so ``rng_for(seed, stream,
+str(i))`` replays case ``i``.  String seeding of ``random.Random`` is stable
+across runs and platforms.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .lipmetric import FiniteMetricSpace
@@ -34,21 +37,41 @@ def run_cases(
     stream: str,
     count: int,
     checks: Sequence[str],
-    case: Callable[[random.Random, int], Iterable[tuple[str, bool, Any]]],
+    case: Callable[[random.Random], Iterable[tuple[str, bool, Any]]],
 ) -> tuple[CheckOutcome, ...]:
     """Run ``count`` seeded cases and tally them into one check per name in
     ``checks``, in that order.
 
-    Case ``i`` draws from its own ``rng_for(seed, stream, str(i))`` and
-    yields a ``(check, ok, witness)`` outcome for each check it reached, so a
-    case that stops early counts only for the checks it ran.  Witnesses are
-    kept as :func:`~finprob.report.tally` keeps them.
+    Case ``i`` is ``case(rng_for(seed, stream, str(i)))``, so calling
+    ``case`` on a fresh generator from the same path replays it.  It yields
+    a ``(check, ok, witness)`` outcome for each check it reached, so a case
+    that stops early counts only for the checks it ran.  A witness is text
+    or a zero-argument callable that builds it.  Each witness
+    :func:`~finprob.report.tally` keeps is written as ``case {i}: ...``; a
+    passing case, or a failure past the kept ones, formats nothing.
     """
     outcomes: dict[str, list] = {name: [] for name in checks}
     for i in range(count):
-        for name, ok, witness in case(rng_for(seed, stream, str(i)), i):
-            outcomes[name].append((ok, None if ok else witness))
+        for name, ok, witness in case(rng_for(seed, stream, str(i))):
+            outcomes[name].append((ok, None if ok else _labelled(i, witness)))
     return tuple(tally(name, outcomes[name]) for name in checks)
+
+
+def _labelled(i: int, witness) -> Callable[[], str]:
+    return lambda: f"case {i}: {witness() if callable(witness) else witness}"
+
+
+def distinct_draws(draw: Callable[[], Any], count: int, attempts: int) -> list:
+    """Up to ``count`` distinct values of ``draw()``, in the order first
+    drawn, calling it at most ``attempts`` times."""
+    values = []
+    for _ in range(attempts):
+        value = draw()
+        if value not in values:
+            values.append(value)
+        if len(values) == count:
+            break
+    return values
 
 
 def random_ground(rng: random.Random, max_size: int) -> GroundSet:
@@ -172,13 +195,8 @@ def random_meta_measure(
     rng: random.Random, algebra: Algebra, max_denominator: int
 ) -> MetaMeasure:
     count = rng.randint(1, MAX_SUPPORT)
-    support: list[Measure] = []
-    for _ in range(4 * count):
-        p = random_measure(rng, algebra, max_denominator)
-        if p not in support:
-            support.append(p)
-        if len(support) == count:
-            break
+    draw = partial(random_measure, rng, algebra, max_denominator)
+    support = distinct_draws(draw, count, 4 * count)
     weights = random_positive_weights(rng, len(support), max_denominator)
     return MetaMeasure(tuple(support), weights)
 

@@ -144,10 +144,9 @@ class Algebra:
             for b in family:
                 if a & b not in members:
                     raise ValueError(f"family not closed under intersection at ({a:#x}, {b:#x})")
-        algebra = generate_algebra(ground, family)
-        if len(members) != 1 << len(algebra.atoms):
-            raise ValueError("family is closed but inconsistent with its atoms")
-        return algebra
+        # closed under complement and intersection, hence under union: the
+        # family is the algebra its own atoms generate
+        return generate_algebra(ground, family)
 
     @property
     def members(self) -> AlgebraMembers:

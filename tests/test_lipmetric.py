@@ -461,7 +461,7 @@ def test_an_lp_short_on_non_discrete_spaces_fails_unit_contraction(monkeypatch):
         None, cases=100, seed=0, max_denominator=6, max_size=6
     )[0]
     assert unit.failed > 0 and unit.witnesses
-    assert all(w.startswith("unit pair ") for w in unit.witnesses)
+    assert all(w.startswith("case ") and "unit pair " in w for w in unit.witnesses)
 
 
 def test_nonexpansive_small_distance():

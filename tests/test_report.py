@@ -1,6 +1,6 @@
 """The pass/fail tally behind every check, and a fault it must report."""
 
-from finprob import cli
+from finprob import cli, gen
 from finprob.measure import Measure
 from finprob.report import MAX_WITNESSES, SuiteConfig, tally
 
@@ -35,6 +35,29 @@ def test_lazy_witness_is_built_only_for_kept_failures():
     assert (check.passed, check.failed) == (5, 7)
     assert check.witnesses == ("case 2", "case 4", "case 5", "case 6", "case 7")
     assert built == [2, 4, 5, 6, 7]  # no pass and no sixth failure was formatted
+
+
+def test_run_cases_names_each_kept_witness_by_its_replayable_case():
+    first_draw = {gen.rng_for(7, "sample", str(i)).random(): i for i in range(8)}
+    built = []
+
+    def case(rng):
+        draw = rng.random()
+        i = first_draw[draw]
+        if i == 2:
+            yield "sample", False, f"text at {draw}"
+        else:
+            yield "sample", i != 5, lambda: built.append(i) or f"callable at {draw}"
+
+    (check,) = gen.run_cases(7, "sample", 8, ("sample",), case)
+    assert (check.passed, check.failed) == (6, 2)
+    assert [w.split(": ")[0] for w in check.witnesses] == ["case 2", "case 5"]
+    assert check.witnesses[0].startswith("case 2: text at ")
+    assert built == [5]  # no passing case built its witness
+
+    ((name, ok, witness),) = case(gen.rng_for(7, "sample", "5"))
+    assert (name, ok) == ("sample", False)
+    assert check.witnesses[1] == f"case 5: {witness()}"
 
 
 def _shift_mass(p: Measure) -> Measure:

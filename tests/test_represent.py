@@ -960,14 +960,16 @@ def test_direction_without_gcd_division_fails_the_lattice_cases(monkeypatch):
     """The seeded lattice cases include sparse lattices whose clauses need
     multiplier 2, so the same fault fails them: a full value grid alone
     never needs a multiplier above 1."""
-    from finprob import cli
+    from functools import partial
+
+    from finprob import cli, gen
     from finprob.report import SuiteConfig
 
     def lattice_check():
-        config = SuiteConfig(seed=0)
-        return cli._seeded_check(
-            config, "lattice-representation", "daniell", 100, cli._lattice_case
-        )
+        name = "lattice-representation"
+        case = partial(cli._lattice_case, SuiteConfig(seed=0), name)
+        (check,) = gen.run_cases(0, "daniell", 100, (name,), case)
+        return check
 
     healthy = lattice_check()
     assert (healthy.passed, healthy.failed) == (100, 0)
