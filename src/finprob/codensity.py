@@ -15,8 +15,12 @@ The full comma category of arrows is infinite; a cone here is declared over
 a finite arrow family whose closure (binary arrows of every component, the
 collapse arrow to the one-point simplex) is rich enough to replay the
 uniqueness argument: the legs on binary indicator arrows form the
-:func:`indicator_table` that pins the measure down, and naturality across
-label maps supplies normalization and finite additivity.
+:func:`indicator_table` that pins the measure down.  Over this family,
+naturality forces only leg(1_empty) = 0, leg(1_X) = 1 and
+leg(1_A) + leg(1_(X - A)) = 1; finite additivity comes from the mass check
+of :func:`~finprob.represent.reconstruct_measure`.  So a natural cone need
+not be a measure's cone: on the powerset of 3 points, the legs 1/2 at
+every singleton and pair pass all 43 triangles, then fail that check.
 """
 
 from __future__ import annotations
@@ -261,7 +265,7 @@ def verify_codensity_bijection(
     leg, and distinct measures are separated by some binary indicator leg.
     ``naturality`` has one outcome per enumerated triangle; a case whose
     cone fails it reaches neither ``round-trip`` nor ``uniqueness``, and one
-    whose reconstruction differs from its measure does not reach
+    whose reconstruction fails or differs from its measure does not reach
     ``uniqueness``.
     """
     from . import gen
@@ -279,7 +283,11 @@ def verify_codensity_bijection(
         if not nat.ok:
             yield "naturality", False, str(nat.witness[1])
             return
-        back = reconstruct_measure(indicator_table(cone))
+        try:
+            back = reconstruct_measure(indicator_table(cone))
+        except ReconstructionError as exc:
+            yield "round-trip", False, str(exc)
+            return
         if back != p:
             yield "round-trip", False, f"{p.weights} -> {back.weights}"
             return
@@ -311,9 +319,11 @@ def small_index_sufficiency(
 ) -> tuple[CheckOutcome, ...]:
     """Whether arrows with at most ``k`` target labels already determine the
     reconstruction: a ``determined`` check with one outcome per case (the
-    cone reconstructs and separates its measure from a second one), then a
-    ``reconstruction`` check (the reconstructed measure is the original)
-    for the cases that reconstruct.
+    cone reconstructs, and the cones of two sampled measures differ unless
+    the measures agree), then a ``reconstruction`` check (the reconstructed
+    measure is the original) for the cases that reconstruct.  "Determined"
+    is about sampled measure cones only: it does not show that every
+    natural cone over the family is a measure's cone.
 
     With one label only the collapse arrow exists, which carries nothing but
     normalization, so reconstruction is undetermined; with two labels the

@@ -146,13 +146,17 @@ def check_integral_properties(
 
     Six clauses, one check each in this order: agreement of
     :func:`simple_integral` with the term sum ``sum a_k * P(A_k)``;
-    monotonicity; coincidence of the supremum over minorants with the
-    infimum over majorants (searched over a rational grid with denominators
+    monotonicity; ``sup-inf``, the supremum over minorants equal to the
+    infimum over majorants, searched over a rational grid with denominators
     up to :data:`GRID_DENOMINATOR`, or up to 1 on algebras of more than three
-    atoms, plus the function itself, where the extremum is attained);
-    additivity of sums staying within [0, 1]; monotone limits of eventually
+    atoms; additivity of sums staying within [0, 1]; monotone limits of eventually
     constant increasing sequences; and finite decompositions standing in for
     countable sums with finitely many nonzero terms.
+
+    The function itself lies in both of ``sup-inf``'s searches, so that
+    clause is monotonicity between f and each grid function: it fails only
+    where :func:`simple_integral` gives a grid minorant of f more than f, or
+    a grid majorant less.
     """
     for f in fns:
         if f.algebra != p.algebra:

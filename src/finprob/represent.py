@@ -455,16 +455,8 @@ def caratheodory_extend(
     for member in semiring.members:
         covered |= member
 
-    weights = []
-    for atom in generated.atoms:
-        if not atom & covered:
-            weights.append(ZERO)
-            continue
-        if atom not in values:
-            raise AssertionError(
-                "atom of the generated algebra escapes the semi-ring"
-            )  # impossible for a validated semi-ring
-        weights.append(values[atom])
+    # in a validated semi-ring, each covered atom is itself a member
+    weights = [values[atom] if atom & covered else ZERO for atom in generated.atoms]
 
     atom_weight = dict(zip(generated.atoms, weights))
     for member in semiring.members:
@@ -620,12 +612,8 @@ def daniell_stone(
         semiring, {mask: value for mask, (value, _) in slab_values.items()}
     )
 
-    weights = []
-    for i in range(atom_count):
-        column = 0
-        for j in range(len(cells)):
-            column |= 1 << (i * len(cells) + j)
-        weights.append(extension.value(column))
+    column = (1 << len(cells)) - 1  # every cell of atom 0
+    weights = [extension.value(column << i * len(cells)) for i in range(atom_count)]
     try:
         result = Measure(sigma, tuple(weights))
     except ValueError as exc:

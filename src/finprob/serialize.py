@@ -4,8 +4,9 @@ Rationals travel as ``"p/q"`` strings (:func:`~finprob.exact.wire_text`,
 every digit included).  Subsets are sorted point-index
 arrays.  Dumps write families sorted by their bit-vector encoding, so they
 are canonical and byte-stable; loads keep a family in the order the file
-lists it.  Every loader validates structurally and raises
-:class:`InputError` with a JSON-path-like location.
+lists it.  This is the one input boundary: a loader checks the JSON
+shapes, the value type's constructor checks the values, and :func:`_build`
+alone makes a rejected value an :class:`InputError` with a JSON path.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .measure import Measure
 from .monad import SimplexPoint
 from .report import Mode
 from .represent import Functional
-from .setalg import DEFAULT_SIZE_CAP, Algebra, GroundSet
+from .setalg import DEFAULT_SIZE_CAP, Algebra, GroundSet, SemiRing
 
 FORMAT_VERSION = 1
 
@@ -55,6 +56,17 @@ def _field(data: dict, key: str, location: str):
     return data[key]
 
 
+def _build(location: str, make, *args):
+    """``make(*args)``, with a rejected value raised as an :class:`InputError`
+    at ``location``; one from a nested loader keeps its own location."""
+    try:
+        return make(*args)
+    except InputError:
+        raise
+    except (ValueError, FinprobError) as exc:
+        raise InputError(str(exc), location) from None
+
+
 def enter_once(table: dict, key, value: Fraction, what: str, location: str) -> None:
     """Set ``table[key] = value``; a key listed again must repeat its value."""
     if table.setdefault(key, value) != value:
@@ -83,11 +95,7 @@ def dump_ground(ground: GroundSet) -> list[str]:
 
 
 def load_ground(data: Any, location: str = "$.points") -> GroundSet:
-    points = _labels(data, location)
-    try:
-        ground = GroundSet(tuple(points))
-    except ValueError as exc:
-        raise InputError(str(exc), location) from None
+    ground = _build(location, GroundSet, tuple(_labels(data, location)))
     if ground.size > DEFAULT_SIZE_CAP:
         message = f"ground set of size {ground.size} exceeds cap {DEFAULT_SIZE_CAP}"
         raise InputError(message, location)
@@ -133,10 +141,7 @@ def dump_algebra(algebra: Algebra) -> dict:
 
 def load_algebra(data: Any, location: str = "$.algebra") -> Algebra:
     ground, masks = load_family(data, location)
-    try:
-        return Algebra.from_members(ground, masks)
-    except ValueError as exc:
-        raise InputError(str(exc), f"{location}.family") from None
+    return _build(f"{location}.family", Algebra.from_members, ground, masks)
 
 
 # -- measures ----------------------------------------------------------------
@@ -167,10 +172,7 @@ def load_measure(data: Any, location: str = "$") -> Measure:
             Mode(obj["mode"])
         except ValueError:
             raise InputError(f"unknown mode {obj['mode']!r}", f"{location}.mode") from None
-    try:
-        return Measure(algebra, tuple(weights))
-    except ValueError as exc:
-        raise InputError(str(exc), f"{location}.weights") from None
+    return _build(f"{location}.weights", Measure, algebra, tuple(weights))
 
 
 # -- simple functions and functional tables ---------------------------------
@@ -196,10 +198,17 @@ def load_simple_function(data: Any, algebra: Algebra, location: str = "$") -> Si
         coeff = parse_fraction(pair[0], f"{location}.terms[{i}][0]")
         mask = _indices_to_mask(pair[1], algebra.ground, f"{location}.terms[{i}][1]")
         terms.append((coeff, mask))
-    try:
-        return SimpleFunction.from_terms(algebra, terms)
-    except FinprobError as exc:
-        raise InputError(str(exc), f"{location}.terms") from None
+    return _build(f"{location}.terms", SimpleFunction.from_terms, algebra, terms)
+
+
+def load_functions(data: Any, algebra: Algebra, location: str = "$.functions") -> list:
+    """A nonempty list of simple functions on ``algebra``."""
+    if not isinstance(data, list) or not data:
+        raise InputError("functions must be a nonempty list", location)
+    return [
+        load_simple_function(item, algebra, f"{location}[{i}]")
+        for i, item in enumerate(data)
+    ]
 
 
 def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> Functional:
@@ -214,6 +223,21 @@ def load_functional_table(data: Any, algebra: Algebra, location: str = "$") -> F
         value = parse_fraction(val, f"{location}.values[{i}]")
         enter_once(values, fn, value, "function", f"{location}.values[{i}]")
     return Functional(algebra, values)
+
+
+def load_premeasure(data: Any, location: str = "$") -> tuple[SemiRing, dict]:
+    """The semi-ring a family file lists, and the premeasure that gives
+    ``mu[i]`` to its i-th listed set."""
+    ground, masks = load_family(data, location)
+    raw_mu = data.get("mu")
+    if not isinstance(raw_mu, list) or len(raw_mu) != len(masks):
+        raise InputError("mu must list one value per family member", f"{location}.mu")
+    semiring = _build(f"{location}.family", SemiRing, ground, masks)
+    mu: dict[int, Fraction] = {}
+    for i, (mask, raw) in enumerate(zip(masks, raw_mu)):
+        where = f"{location}.mu[{i}]"
+        enter_once(mu, mask, parse_fraction(raw, where), "set", where)
+    return semiring, mu
 
 
 # -- metric spaces and simplex points ----------------------------------------
@@ -237,10 +261,7 @@ def load_metric(data: Any, location: str = "$.metric") -> FiniteMetricSpace:
         )
         for i, row in enumerate(rows)
     )
-    try:
-        return FiniteMetricSpace(tuple(points), dist)
-    except ValueError as exc:
-        raise InputError(str(exc), location) from None
+    return _build(location, FiniteMetricSpace, tuple(points), dist)
 
 
 def dump_simplex(p: Measure) -> dict:
@@ -251,29 +272,19 @@ def dump_simplex(p: Measure) -> dict:
 
 
 def load_simplex(data: Any, location: str = "$", labels=None) -> Measure:
+    """A bare list of weights on known ``labels``, or ``{"labels", "weights"}``."""
     if isinstance(data, list) and labels is not None:
-        weights = [parse_fraction(v, f"{location}[{i}]") for i, v in enumerate(data)]
-        try:
-            return SimplexPoint(tuple(labels), tuple(weights))
-        except ValueError as exc:
-            raise InputError(str(exc), location) from None
-    obj = _expect(data, dict, location)
-    raw_labels = _labels(_field(obj, "labels", location), f"{location}.labels")
-    raw_weights = _expect(_field(obj, "weights", location), list, f"{location}.weights")
-    weights = [
-        parse_fraction(v, f"{location}.weights[{i}]") for i, v in enumerate(raw_weights)
-    ]
-    try:
-        point = SimplexPoint(tuple(raw_labels), tuple(weights))
-    except ValueError as exc:
-        raise InputError(str(exc), location) from None
-    if labels is not None:
-        expected = tuple(str(x) for x in labels)
-        if point.labels != expected:
-            raise InputError(
-                f"labels {list(point.labels)} must be {list(expected)}",
-                f"{location}.labels",
-            )
+        names, raw, where = labels, data, location
+    else:
+        obj = _expect(data, dict, location)
+        names = _labels(_field(obj, "labels", location), f"{location}.labels")
+        where = f"{location}.weights"
+        raw = _expect(_field(obj, "weights", location), list, where)
+    weights = tuple(parse_fraction(v, f"{where}[{i}]") for i, v in enumerate(raw))
+    point = _build(location, SimplexPoint, tuple(names), weights)
+    if labels is not None and point.labels != tuple(labels):
+        message = f"labels {list(point.labels)} must be {list(labels)}"
+        raise InputError(message, f"{location}.labels")
     return point
 
 
@@ -301,10 +312,9 @@ def load_arrow(data: Any, source: Algebra, location: str = "$") -> Arrow:
         by_point[point] = load_simplex(
             rows_raw[point], f"{location}.rows.{point}", labels=targets
         )
-    try:
-        return Arrow.from_point_rows(source, tuple(targets), by_point)
-    except FinprobError as exc:
-        raise InputError(str(exc), f"{location}.rows") from None
+    return _build(
+        f"{location}.rows", Arrow.from_point_rows, source, tuple(targets), by_point
+    )
 
 
 def dump_cone(cone: Cone) -> list:
@@ -325,10 +335,7 @@ def load_cone(data: Any, source: Algebra, location: str = "$.cone") -> Cone:
         arrow = load_arrow(pair[0], source, f"{location}[{i}][0]")
         point = load_simplex(pair[1], f"{location}[{i}][1]", labels=arrow.targets)
         legs.append((arrow, point))
-    try:
-        return Cone("input", tuple(legs))
-    except ValueError as exc:
-        raise InputError(str(exc), location) from None
+    return _build(location, Cone, "input", tuple(legs))
 
 
 # -- top-level instance files --------------------------------------------------

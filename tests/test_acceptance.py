@@ -10,15 +10,11 @@ import json
 import subprocess
 import sys
 import time
-from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from finprob import (
-    SimplexPoint,
-    bl_distance_lp,
-    bl_distance_subsets,
     check_bl_monad_nonexpansive,
     check_lipschitz_criterion_equivalence,
     check_monad_laws,
@@ -76,34 +72,13 @@ def test_criterion_03_small_index_sufficiency():
 
 def test_criterion_04_bounded_lipschitz_identity():
     started = time.monotonic()
-    from finprob import gen, total_variation
-
-    failures = 0
-    for case in range(300):
-        rng = gen.rng_for(0, "bl-identity", str(case))
-        size = rng.randint(2, 8)
-        labels = tuple(f"a{i}" for i in range(size))
-        space = discrete_space(labels)
-        p = gen.random_simplex_point(rng, labels, 12)
-        q = gen.random_simplex_point(rng, labels, 12)
-        if not (
-            bl_distance_lp(p, q, space)
-            == bl_distance_subsets(p, q)
-            == total_variation(p, q)
-        ):
-            failures += 1
-    labels = ("a", "b", "c")
-    worked_p = SimplexPoint(labels, (F(1, 2), F(1, 2), F(0)))
-    worked_q = SimplexPoint(labels, (F(1, 3), F(1, 3), F(1, 3)))
-    worked = (
-        bl_distance_lp(worked_p, worked_q, discrete_space(labels))
-        == bl_distance_subsets(worked_p, worked_q)
-        == F(1, 3)
-    )
+    checks = {c.name: c for c in cli.run_distance_suite(SuiteConfig(seed=0, cases=500))}
+    identity, worked = checks["discrete-identity"], checks["worked-pair"]
+    counts = (identity.passed, identity.failed, worked.passed, worked.failed)
     announce(
         4,
         "bounded Lipschitz identity",
-        failures == 0 and worked,
+        counts == (300, 0, 1, 0),
         started,
         "300 pairs, |A| <= 8, worked pair = 1/3",
     )

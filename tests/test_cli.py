@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,55 @@ def test_distance_input_both_methods(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["witnesses"][0] == {"lp": "1/1", "subsets": "1/1"}
+
+
+def test_distance_both_bounds_the_lp_by_the_subset_maximum_off_the_discrete_metric(
+    tmp_path, capsys, monkeypatch
+):
+    half = "1/2"
+    instance = {
+        "format": 1,
+        "metric": {
+            "points": ["a", "b", "c"],
+            "dist": [["0/1", half, half], [half, "0/1", half], [half, half, "0/1"]],
+        },
+        "p": ["1/1", "0/1", "0/1"],
+        "q": ["0/1", "1/1", "0/1"],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(instance))
+    code, out, _ = run_cli(capsys, "distance", "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["checks"][0]["witnesses"] == [{"lp": "1/2", "subsets": "1/1"}]
+
+    real = cli.bl_distance_lp
+
+    def shifted(p, q, space):
+        return real(p, q, space) + Fraction(3, 2)
+
+    monkeypatch.setattr(cli, "bl_distance_lp", shifted)
+    code, out, _ = run_cli(capsys, "distance", "--input", str(path))
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert (check["passed"], check["failed"]) == (0, 1)
+    assert check["witnesses"] == [{"lp": "2/1", "subsets": "1/1"}]
+
+
+def test_a_reconstruction_error_in_a_round_trip_fails_round_trip(capsys, monkeypatch):
+    real = cli.simple_integral
+
+    def shifted(p, s):  # additive no more on functions of three or more values
+        value = real(p, s)
+        return value + Fraction(1, 97) if len(set(s.values)) > 2 else value
+
+    monkeypatch.setattr(cli, "simple_integral", shifted)
+    code, out, err = run_cli(capsys, "reconstruct", "--seed", "0", "--cases", "40")
+    assert code == 1
+    assert "internal error" not in err
+    round_trip = json.loads(out)["checks"][0]
+    assert round_trip["name"] == "round-trip"
+    assert round_trip["failed"] > 0
+    assert "additivity violated" in round_trip["witnesses"][0]
 
 
 def test_reconstruct_input_violation_exits_one(tmp_path, capsys):

@@ -255,6 +255,44 @@ def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
     assert naturality.ok
 
 
+def test_a_failed_reconstruction_fails_round_trip_and_reaches_no_uniqueness(monkeypatch):
+    real = codensity.reconstruct_measure
+    calls = []
+
+    def second_raises(functional):
+        calls.append(functional)
+        if len(calls) == 2:
+            raise ReconstructionError("seeded fault")
+        return real(functional)
+
+    monkeypatch.setattr(codensity, "reconstruct_measure", second_raises)
+    round_trip, naturality, uniqueness = verify_codensity_bijection(
+        None, cases=10, seed=0
+    )
+    assert (round_trip.passed, round_trip.failed) == (9, 1)
+    assert round_trip.witnesses == ("case 1: seeded fault",)
+    assert (uniqueness.passed, uniqueness.failed) == (9, 0)
+    assert naturality.ok
+
+
+def test_a_natural_cone_over_the_indicator_family_need_not_be_a_measures_cone():
+    """Naturality over ``indicator_family`` forces only the two ends and
+    complements: legs 1/2 at every singleton and pair pass every triangle,
+    and only the reconstruction's mass check rejects them."""
+    legs = []
+    for arrow in indicator_family(powerset3()):
+        if arrow.targets == ("0",):  # the collapse arrow
+            legs.append((arrow, SimplexPoint(("0",), (F(1),))))
+            continue
+        size = sum(row.weights[1] for row in arrow.rows)
+        value = {0: F(0), 3: F(1)}.get(size, F(1, 2))
+        legs.append((arrow, SimplexPoint(("0", "1"), (1 - value, value))))
+    cone = Cone("half", tuple(legs))
+    assert check_cone_naturality(cone) == NaturalityResult(True, 43)
+    with pytest.raises(ReconstructionError, match="total indicator mass 3/2"):
+        reconstruct_from_cone(cone)
+
+
 def test_small_index_sufficiency_thresholds():
     determined, reconstruction = small_index_sufficiency(None, 1, cases=20, seed=0)
     assert not determined.ok

@@ -22,6 +22,7 @@ from finprob import (
     uniform,
 )
 from finprob import serialize
+from finprob.errors import DomainError
 from finprob.exact import wire_text
 
 
@@ -144,3 +145,22 @@ def test_canonical_dump_is_stable():
     assert serialize.dumps_canonical(payload) == serialize.dumps_canonical(
         {"a": 1, "b": [2]}
     )
+
+
+
+def test_build_places_a_rejected_value_at_its_location():
+    def rejects(kind):
+        def make():
+            raise kind("bad value")
+
+        return make
+
+    for kind in (ValueError, DomainError):
+        with pytest.raises(InputError, match=r"^\$\.x: bad value$"):
+            serialize._build("$.x", rejects(kind))
+    nested = serialize.parse_fraction  # a loader raising at its own location
+    with pytest.raises(InputError, match=r"^\$\.x\.inner: bad rational 'x'"):
+        serialize._build("$.x", nested, "x", "$.x.inner")
+    with pytest.raises(TypeError):  # a fault of the program, not of the input
+        serialize._build("$.x", rejects(TypeError))
+    assert serialize._build("$.x", GroundSet, ("a",)) == GroundSet(("a",))
