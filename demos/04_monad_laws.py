@@ -17,6 +17,7 @@ from finprob import (
     pushforward,
     simplex_algebra,
     SimplexPoint,
+    SuiteConfig,
 )
 
 ground = GroundSet(("0", "1"))
@@ -45,5 +46,5 @@ print("right unit:", mult(diracs) == biased)
 
 # The full seeded law suite.  On a finite algebra every finitely additive
 # charge is sigma-additive, so one run covers both readings of the monad.
-checks = check_monad_laws(None, cases=200, seed=0)
+checks = check_monad_laws(SuiteConfig(seed=0, cases=200))
 print("all laws exact on 200 cases ->", all(c.ok for c in checks))

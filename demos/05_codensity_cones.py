@@ -19,6 +19,7 @@ from finprob import (
     reconstruct_from_cone,
     small_index_sufficiency,
     SimpleFunction,
+    SuiteConfig,
     verify_codensity_bijection,
 )
 
@@ -40,13 +41,15 @@ print("naturality over", nat.triangles, "triangles:", nat.ok)
 
 print("round trip returns the measure:", reconstruct_from_cone(cone) == p)
 
-# The seeded bijection suite: round trips, naturality, uniqueness.
-round_trip, naturality, uniqueness = verify_codensity_bijection(None, cases=50, seed=0)
+# The seeded bijection suite: round trips, naturality, uniqueness.  Each
+# suite takes its share of `cases`: the bijection runs 2/5 of them (50).
+round_trip, naturality, uniqueness = verify_codensity_bijection(SuiteConfig(cases=125))
 triangles = naturality.passed + naturality.failed
 ok = round_trip.ok and naturality.ok and uniqueness.ok
 print("bijection suite ok:", ok, f"({triangles} triangles)")
 
 # How many target labels are needed?  Two.  One is not enough.
+# Sufficiency runs a tenth of `cases` (25) at each k.
 for k in (1, 2, 3):
-    determined, _ = small_index_sufficiency(None, k, cases=25, seed=0)
+    determined, _ = small_index_sufficiency(SuiteConfig(cases=250), k)
     print(f"arrows with <= {k} labels determine the measure:", determined.ok)

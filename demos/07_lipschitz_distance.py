@@ -11,6 +11,7 @@ from fractions import Fraction as F
 from finprob import (
     FiniteMetricSpace,
     SimplexPoint,
+    SuiteConfig,
     bl_distance_lp,
     bl_distance_subsets,
     check_bl_monad_nonexpansive,
@@ -60,8 +61,8 @@ print("\nvertex embedding 1-Lipschitz:", result.is_lipschitz,
       "(criteria agree:", result.verdicts_agree, ")")
 
 # Unit and mult never increase distances; the unit's distance is exactly
-# the points' distance capped at 1.
-unit_pairs, meta_cases, laws = check_bl_monad_nonexpansive(space, cases=20, seed=0)
+# the points' distance capped at 1.  The suite runs a fifth of `cases` (20).
+unit_pairs, meta_cases, laws = check_bl_monad_nonexpansive(SuiteConfig(cases=100), space)
 print("non-expansiveness on", unit_pairs.passed + unit_pairs.failed, "unit pairs and",
       meta_cases.passed + meta_cases.failed, "meta cases:",
       unit_pairs.ok and meta_cases.ok and laws.ok)

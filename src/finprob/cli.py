@@ -88,14 +88,7 @@ def run_laws(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
     the config's) and named under that label's prefix."""
     checks = []
     for mode in modes or (config.mode,):
-        laws = check_monad_laws(
-            None,
-            cases=config.cases,
-            seed=config.seed,
-            max_denominator=config.max_denominator,
-            max_ground_size=config.max_ground_size,
-        )
-        checks += _prefixed(mode.value, laws)
+        checks += _prefixed(mode.value, check_monad_laws(config))
     return checks
 
 
@@ -105,29 +98,12 @@ def run_codensity(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
     sufficiency once at each k in ``{1, 2, min(config.k, 3)}``: one label
     must leave the reconstruction undetermined, two or more determine it,
     where "determined" means the cones of two sampled measures differ."""
-    bijection_cases = max(1, 2 * config.cases // 5)
-    sufficiency_cases = max(1, config.cases // 10)
-    size = min(config.max_ground_size, 4)
     checks = []
     for mode in modes or (config.mode,):
-        bijection = verify_codensity_bijection(
-            None,
-            cases=bijection_cases,
-            seed=config.seed,
-            max_denominator=config.max_denominator,
-            max_ground_size=size,
-        )
-        checks += _prefixed(mode.value, bijection)
+        checks += _prefixed(mode.value, verify_codensity_bijection(config))
     sufficiency = []
     for k in sorted({1, 2, min(config.k, 3)}):
-        determined, reconstruction = small_index_sufficiency(
-            None,
-            k,
-            cases=sufficiency_cases,
-            seed=config.seed,
-            max_denominator=config.max_denominator,
-            max_ground_size=size,
-        )
+        determined, reconstruction = small_index_sufficiency(config, k)
         expect_determined = k >= 2
         ok = determined.ok == expect_determined and reconstruction.ok
         witnesses = reconstruction.witnesses or (
@@ -175,24 +151,11 @@ def _discrete_identity_case(config: SuiteConfig, rng):
 
 
 def run_lipschitz_equivalence(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
-    sweep = check_lipschitz_criterion_equivalence(
-        max_space=3,
-        max_labels=3,
-        max_denominator=3,
-        lp_samples=max(1, config.cases // 5),
-        seed=config.seed,
-    )
-    return sweep.checks
+    return check_lipschitz_criterion_equivalence(config).checks
 
 
 def run_nonexpansive(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
-    return check_bl_monad_nonexpansive(
-        None,
-        cases=max(1, config.cases // 5),
-        seed=config.seed,
-        max_denominator=min(config.max_denominator, 6),
-        max_size=6,
-    )
+    return check_bl_monad_nonexpansive(config)
 
 
 def run_reconstruction_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
@@ -469,10 +432,12 @@ def run_distance_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, .
         values["lp"] = bl_distance_lp(p, q, space)
     if config.method in ("subsets", "both"):
         values["subsets"] = bl_distance_subsets(p, q)
-    ok = True
-    if config.method == "both":  # 1-Lipschitz tests are among all [0, 1] tests
-        lp, subsets = values["lp"], values["subsets"]
-        ok = lp == subsets if space.is_discrete() else lp <= subsets
+    # the subset maximum is total variation, and it bounds the lp: 1-Lipschitz
+    # tests are among all [0, 1] tests, and on a discrete metric they are all
+    tv = total_variation(p, q)
+    lp = values.get("lp", tv)
+    in_range = lp == tv if space.is_discrete() else ZERO <= lp <= tv
+    ok = values.get("subsets", tv) == tv and in_range
     witness = {key: wire_text(v) for key, v in values.items()}
     return (CheckOutcome("distance", int(ok), int(not ok), (witness,)),)
 

@@ -34,7 +34,7 @@ from .errors import DomainError, PreconditionError, ReconstructionError
 from .integrate import SimpleFunction
 from .measure import Measure, dirac, pushforward, simplex_algebra
 from .monad import SimplexPoint, average
-from .report import CheckOutcome
+from .report import CheckOutcome, SuiteConfig
 from .represent import Functional, reconstruct_measure
 from .setalg import Algebra
 
@@ -43,6 +43,7 @@ ONE = Fraction(1)
 
 BINARY_LABELS = ("0", "1")
 MAX_MAP_COUNT = 512  # naturality skips a (leg, target set) pair with more label maps
+MAX_GROUND_SIZE = 4  # the seeded suites' largest ground set
 
 
 @dataclass(frozen=True)
@@ -250,19 +251,18 @@ BIJECTION_CHECKS = ("round-trip", "naturality", "uniqueness")
 
 
 def verify_codensity_bijection(
-    algebra: Algebra | None = None,
-    cases: int = 100,
-    seed: int = 0,
-    max_denominator: int = 12,
-    max_ground_size: int = 4,
+    config: SuiteConfig, algebra: Algebra | None = None
 ) -> tuple[CheckOutcome, ...]:
     """Round-trip and uniqueness checks for the measure/cone correspondence,
     one check per property in :data:`BIJECTION_CHECKS` order.
 
-    For seeded random measures: the cone of the measure passes naturality on
-    every enumerated triangle, reconstructing from the cone returns the
-    measure exactly, reconstructing and re-taking the cone reproduces every
-    leg, and distinct measures are separated by some binary indicator leg.
+    For ``max(1, 2 * config.cases // 5)`` seeded random measures, each on
+    ``algebra`` or else on its own random algebra of at most
+    ``min(config.max_ground_size, MAX_GROUND_SIZE)`` points: the cone of the
+    measure passes naturality on every enumerated triangle, reconstructing
+    from the cone returns the measure exactly, reconstructing and re-taking
+    the cone reproduces every leg, and distinct measures are separated by
+    some binary indicator leg.
     ``naturality`` has one outcome per enumerated triangle; a case whose
     cone fails it reaches neither ``round-trip`` nor ``uniqueness``, and one
     whose reconstruction fails or differs from its measure does not reach
@@ -272,10 +272,10 @@ def verify_codensity_bijection(
 
     def check_case(rng):
         current = algebra or gen.random_algebra(
-            rng, gen.random_ground(rng, max_ground_size)
+            rng, gen.random_ground(rng, min(config.max_ground_size, MAX_GROUND_SIZE))
         )
         family = indicator_family(current)
-        p = gen.random_measure(rng, current, max_denominator)
+        p = gen.random_measure(rng, current, config.max_denominator)
         cone = cone_of_measure(p, family)
         nat = check_cone_naturality(cone)
         passed = nat.triangles - (not nat.ok)  # a failure ends the enumeration
@@ -297,7 +297,7 @@ def verify_codensity_bijection(
             "cone legs changed on the round trip",
         )
 
-        q = gen.random_measure(rng, current, max_denominator)
+        q = gen.random_measure(rng, current, config.max_denominator)
         legs_q = cone_of_measure(q, family).legs
         yield (
             "uniqueness",
@@ -306,24 +306,22 @@ def verify_codensity_bijection(
             f"but measures {'agree' if q == p else 'differ'}",
         )
 
-    return gen.run_cases(seed, "codensity", cases, BIJECTION_CHECKS, check_case)
+    cases = max(1, 2 * config.cases // 5)
+    return gen.run_cases(config.seed, "codensity", cases, BIJECTION_CHECKS, check_case)
 
 
 def small_index_sufficiency(
-    algebra: Algebra | None,
-    k: int,
-    cases: int = 50,
-    seed: int = 0,
-    max_denominator: int = 12,
-    max_ground_size: int = 4,
+    config: SuiteConfig, k: int, algebra: Algebra | None = None
 ) -> tuple[CheckOutcome, ...]:
     """Whether arrows with at most ``k`` target labels already determine the
-    reconstruction: a ``determined`` check with one outcome per case (the
-    cone reconstructs, and the cones of two sampled measures differ unless
-    the measures agree), then a ``reconstruction`` check (the reconstructed
-    measure is the original) for the cases that reconstruct.  "Determined"
-    is about sampled measure cones only: it does not show that every
-    natural cone over the family is a measure's cone.
+    reconstruction, over ``max(1, config.cases // 10)`` seeded cases drawn
+    as in :func:`verify_codensity_bijection`: a ``determined`` check with
+    one outcome per case (the cone reconstructs, and the cones of two
+    sampled measures differ unless the measures agree), then a
+    ``reconstruction`` check (the reconstructed measure is the original)
+    for the cases that reconstruct.  "Determined" is about sampled measure
+    cones only: it does not show that every natural cone over the family is
+    a measure's cone.
 
     With one label only the collapse arrow exists, which carries nothing but
     normalization, so reconstruction is undetermined; with two labels the
@@ -336,13 +334,13 @@ def small_index_sufficiency(
 
     def check_case(rng):
         current = algebra or gen.random_algebra(
-            rng, gen.random_ground(rng, max_ground_size)
+            rng, gen.random_ground(rng, min(config.max_ground_size, MAX_GROUND_SIZE))
         )
         family = tuple(a for a in indicator_family(current) if len(a.targets) <= k)
         if k >= 3 and len(current.atoms) <= 3:
             family = family + (_atom_arrow(current, k),)
-        p = gen.random_measure(rng, current, max_denominator)
-        q = gen.random_measure(rng, current, max_denominator)
+        p = gen.random_measure(rng, current, config.max_denominator)
+        q = gen.random_measure(rng, current, config.max_denominator)
         cone = cone_of_measure(p, family)
         try:
             back = reconstruct_from_cone(cone)
@@ -353,9 +351,9 @@ def small_index_sufficiency(
         separated = p == q or cone_of_measure(q, family).legs != cone.legs
         yield "determined", separated, f"distinct measures share their legs at k={k}"
 
-    return gen.run_cases(
-        seed, "sufficiency", cases, ("determined", "reconstruction"), check_case
-    )
+    cases = max(1, config.cases // 10)
+    checks = ("determined", "reconstruction")
+    return gen.run_cases(config.seed, "sufficiency", cases, checks, check_case)
 
 
 def _atom_arrow(algebra: Algebra, k: int) -> Arrow:

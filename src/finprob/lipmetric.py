@@ -24,7 +24,7 @@ from .exact import fractions, grid, in_unit_interval, scaled_rows, total
 from .linprog import maximize
 from .measure import Measure, dirac, simplex_algebra
 from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
-from .report import CheckOutcome, tally
+from .report import CheckOutcome, SuiteConfig, tally
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -295,16 +295,16 @@ def discrete_space(labels: Sequence[str]) -> FiniteMetricSpace:
 
 
 NONEXPANSIVE_CHECKS = ("unit-contraction", "mult-contraction", "metric-laws")
+METRIC_MAX_SIZE = 6  # the nonexpansive suite's largest random metric space
+METRIC_MAX_DENOMINATOR = 6  # and its largest weight and distance denominator
 
 
 def check_bl_monad_nonexpansive(
-    space: FiniteMetricSpace | None = None,
-    cases: int = 50,
-    seed: int = 0,
-    max_denominator: int = 6,
-    max_size: int = 6,
+    config: SuiteConfig, space: FiniteMetricSpace | None = None
 ) -> tuple[CheckOutcome, ...]:
-    """Non-expansiveness of the monad structure maps, exactly, as one check
+    """Non-expansiveness of the monad structure maps, exactly, over
+    ``max(1, config.cases // 5)`` seeded cases with denominators up to
+    ``min(config.max_denominator, METRIC_MAX_DENOMINATOR)``, as one check
     per property in :data:`NONEXPANSIVE_CHECKS` order: ``unit-contraction``
     with one outcome per pair of points, then ``mult-contraction`` and
     ``metric-laws`` with one outcome per case.
@@ -320,13 +320,15 @@ def check_bl_monad_nonexpansive(
     first failing law.  An LP whose optimal test function is not 1-Lipschitz
     into [0, 1] counts as a failure of the unit or mult check that asked for
     it.  With no space given, each case draws its own random metric space
-    within ``max_size``.
+    of at most :data:`METRIC_MAX_SIZE` points.
     """
     from . import gen  # deferred: gen builds on this module's types
 
+    max_denominator = min(config.max_denominator, METRIC_MAX_DENOMINATOR)
+
     def check_case(rng):
         current = space or gen.random_metric(
-            rng, rng.randint(1, max_size), max_denominator
+            rng, rng.randint(1, METRIC_MAX_SIZE), max_denominator
         )
         labels = current.points
         simplex = simplex_algebra(labels)
@@ -404,7 +406,10 @@ def check_bl_monad_nonexpansive(
             law = None
         yield "metric-laws", law is None, law
 
-    return gen.run_cases(seed, "nonexpansive", cases, NONEXPANSIVE_CHECKS, check_case)
+    cases = max(1, config.cases // 5)
+    return gen.run_cases(
+        config.seed, "nonexpansive", cases, NONEXPANSIVE_CHECKS, check_case
+    )
 
 
 def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[Measure, ...]:
@@ -442,39 +447,40 @@ class EquivalenceSweep:
         return all(c.ok for c in self.checks)
 
 
-def check_lipschitz_criterion_equivalence(
-    max_space: int = 3,
-    max_labels: int = 3,
-    max_denominator: int = 3,
-    lp_samples: int = 200,
-    seed: int = 0,
-) -> EquivalenceSweep:
+# the exhaustive sweep: metric spaces, target label sets and grid denominators
+SWEEP_MAX_SPACE = 3
+SWEEP_MAX_LABELS = 3
+SWEEP_MAX_DENOMINATOR = 3
+
+
+def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSweep:
     """Exhaustive agreement of the two 1-Lipschitz criteria for maps into a
     discrete-metric simplex.
 
-    Enumerates every metric space up to ``max_space`` points with distances
-    on the rational grid and every map into every simplex grid up to
-    ``max_labels`` labels, and compares two criteria on each map.  The
-    direct criterion bounds the simplex distance between images by the
-    distance between arguments, with the simplex distance taken from the
-    total-variation closed form.  The subset criterion bounds the gap
+    Enumerates every metric space up to :data:`SWEEP_MAX_SPACE` points with
+    distances on the grid of denominators up to :data:`SWEEP_MAX_DENOMINATOR`
+    and every map into every simplex grid up to :data:`SWEEP_MAX_LABELS`
+    labels, and compares two criteria on each map.  The direct criterion
+    bounds the simplex distance between images by the distance between
+    arguments, with the simplex distance taken from the total-variation
+    closed form.  The subset criterion bounds the gap
     ``|p(A) - q(A)|`` between the images' subset sums, for every subset
     ``A``.  Both verdicts depend only on a pair of grid points and a bound,
     so each side is decided once per (bound, grid pair) into its own table,
     by its own computation, and the map loop only looks verdicts up.  The
-    linear program is a third route: a seeded sample of maps is rechecked
-    with it.
+    linear program is a third route: a seeded sample of at most
+    ``max(1, config.cases // 5)`` maps is rechecked with it.
     """
     from . import gen
 
-    rng = gen.rng_for(seed, "lipschitz-sweep")
-    grid_distances = grid(2, max_denominator)[1:]  # positive, up to 2
+    rng = gen.rng_for(config.seed, "lipschitz-sweep")
+    grid_distances = grid(2, SWEEP_MAX_DENOMINATOR)[1:]  # positive, up to 2
     sampled: list[tuple] = []
 
     def agreement():
-        for m in range(1, max_labels + 1):
+        for m in range(1, SWEEP_MAX_LABELS + 1):
             labels = tuple(f"t{i}" for i in range(m))
-            points = simplex_grid(labels, max_denominator)
+            points = simplex_grid(labels, SWEEP_MAX_DENOMINATOR)
             size = len(points)
             # per grid pair (a, b), at index a * size + b
             distances = [total_variation(p, q) for p in points for q in points]
@@ -486,7 +492,7 @@ def check_lipschitz_criterion_equivalence(
                 )
                 for bound in grid_distances
             }
-            for n in range(1, max_space + 1):
+            for n in range(1, SWEEP_MAX_SPACE + 1):
                 pairs = list(itertools.combinations(range(n), 2))
                 for space in _metric_grid(n, grid_distances):
                     bound_tables = [(i, j, *tables[space.dist[i][j]]) for i, j in pairs]
@@ -509,7 +515,7 @@ def check_lipschitz_criterion_equivalence(
 
     def spot_checks():
         rng.shuffle(sampled)
-        for space, assignment, verdict in sampled[:lp_samples]:
+        for space, assignment, verdict in sampled[: max(1, config.cases // 5)]:
             f = dict(zip(space.points, assignment))
             check = check_simplex_lipschitz(f, space)
             yield (

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .exact import dot, fractions, total
 from .measure import Measure, dirac, pushforward, simplex_algebra
-from .report import CheckOutcome
+from .report import CheckOutcome, SuiteConfig
 from .setalg import Algebra
 
 ZERO = Fraction(0)
@@ -145,23 +145,19 @@ LAWS = (
 
 
 def check_monad_laws(
-    algebra: Algebra | None = None,
-    cases: int = 100,
-    seed: int = 0,
-    max_denominator: int = 12,
-    max_ground_size: int = 5,
+    config: SuiteConfig, algebra: Algebra | None = None
 ) -> tuple[CheckOutcome, ...]:
-    """Verify the monad laws and naturality with exact equality on seeded
-    random instances: one check per law, in :data:`LAWS` order.  With no
-    algebra given, each case draws its own random ground set and algebra
-    within ``max_ground_size``."""
+    """Verify the monad laws and naturality with exact equality on
+    ``config.cases`` seeded random instances: one check per law, in
+    :data:`LAWS` order.  With no algebra given, each case draws its own
+    random ground set and algebra within ``config.max_ground_size``."""
     from . import gen  # deferred: gen builds on this module's types
 
     def check_case(rng):
         current = algebra or gen.random_algebra(
-            rng, gen.random_ground(rng, max_ground_size)
+            rng, gen.random_ground(rng, config.max_ground_size)
         )
-        p = gen.random_measure(rng, current, max_denominator)
+        p = gen.random_measure(rng, current, config.max_denominator)
 
         # left unit: flattening the point mass at P returns P
         yield "left-unit", mult(MetaMeasure.point_mass(p)) == p, f"P={p.weights}"
@@ -171,10 +167,10 @@ def check_monad_laws(
 
         # associativity on a two-level meta structure
         metas = [
-            gen.random_meta_measure(rng, current, max_denominator)
+            gen.random_meta_measure(rng, current, config.max_denominator)
             for _ in range(rng.randint(1, 3))
         ]
-        outer = gen.random_positive_weights(rng, len(metas), max_denominator)
+        outer = gen.random_positive_weights(rng, len(metas), config.max_denominator)
         flattened_outside = combine_meta(list(zip(outer, metas)))
         after_g_mult = MetaMeasure.merge(zip(outer, (mult(m) for m in metas)))
         yield (
@@ -193,11 +189,11 @@ def check_monad_laws(
         )
 
         # naturality of mult: pushforward of the average is the average of pushforwards
-        meta = gen.random_meta_measure(rng, current, max_denominator)
+        meta = gen.random_meta_measure(rng, current, config.max_denominator)
         yield (
             "mult-naturality",
             pushforward(mult(meta), mapping, cod) == mult(map_meta(meta, mapping, cod)),
             f"f={mapping}",
         )
 
-    return gen.run_cases(seed, "laws", cases, LAWS, check_case)
+    return gen.run_cases(config.seed, "laws", config.cases, LAWS, check_case)

@@ -31,7 +31,8 @@ FORMATS = ("json", "text")  # how a report is rendered
 @dataclass(frozen=True)
 class SuiteConfig:
     """Knobs shared by every verification suite; ``to_payload`` is the
-    ``config`` of every report.
+    ``config`` of every report.  Each seeded suite is ``suite(config)`` and
+    derives its own share of ``cases`` from it.
 
     Defaults match the desk-scale acceptance setup: seed 0, ground sets up to
     five points, denominators up to twelve, five hundred cases.  Ground sets

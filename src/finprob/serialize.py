@@ -67,6 +67,13 @@ def _build(location: str, make, *args):
         raise InputError(str(exc), location) from None
 
 
+def _only_keys(raw: dict, keys, what: str, location: str) -> None:
+    """Reject a key of ``raw`` outside ``keys``: it names no ``what``."""
+    for key in raw:
+        if key not in keys:
+            raise InputError(f"key {key!r} names no {what}", f"{location}.{key}")
+
+
 def enter_once(table: dict, key, value: Fraction, what: str, location: str) -> None:
     """Set ``table[key] = value``; a key listed again must repeat its value."""
     if table.setdefault(key, value) != value:
@@ -161,9 +168,10 @@ def load_measure(data: Any, location: str = "$") -> Measure:
     obj = _expect(data, dict, location)
     algebra = load_algebra(_field(obj, "algebra", location), f"{location}.algebra")
     raw = _expect(_field(obj, "weights", location), dict, f"{location}.weights")
+    keys = [str(i) for i in range(len(algebra.atoms))]
+    _only_keys(raw, keys, "atom", f"{location}.weights")
     weights = []
-    for i in range(len(algebra.atoms)):
-        key = str(i)
+    for i, key in enumerate(keys):
         if key not in raw:
             raise InputError(f"missing weight for atom {i}", f"{location}.weights")
         weights.append(parse_fraction(raw[key], f"{location}.weights.{key}"))
@@ -305,6 +313,7 @@ def load_arrow(data: Any, source: Algebra, location: str = "$") -> Arrow:
     obj = _expect(data, dict, location)
     targets = _labels(_field(obj, "targets", location), f"{location}.targets")
     rows_raw = _expect(_field(obj, "rows", location), dict, f"{location}.rows")
+    _only_keys(rows_raw, source.ground.points, "ground point", f"{location}.rows")
     by_point = {}
     for point in source.ground.points:
         if point not in rows_raw:

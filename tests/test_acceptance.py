@@ -7,6 +7,7 @@ bounds; measured durations are printed alongside.
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
@@ -37,7 +38,7 @@ def announce(number, name, ok, started, detail=""):
 def test_criterion_01_monad_laws():
     started = time.monotonic()
     checks = check_monad_laws(
-        None, cases=500, seed=0, max_denominator=12, max_ground_size=5
+        SuiteConfig(seed=0, cases=500, max_denominator=12, max_ground_size=5)
     )
     ok = all(c.ok and c.passed == 500 for c in checks)
     detail = f"{sum(c.passed for c in checks)} law checks"
@@ -46,21 +47,23 @@ def test_criterion_01_monad_laws():
 
 def test_criterion_02_codensity_bijection():
     started = time.monotonic()
-    checks = verify_codensity_bijection(
-        None, cases=200, seed=0, max_denominator=12, max_ground_size=4
+    checks = verify_codensity_bijection(  # 2/5 of 500 cases, on at most 4 points
+        SuiteConfig(seed=0, cases=500, max_denominator=12, max_ground_size=4)
     )
-    naturality = checks[1]
+    round_trip, naturality = checks[0], checks[1]
     detail = f"{naturality.passed + naturality.failed} triangles checked"
-    announce(2, "codensity bijection", all(c.ok for c in checks), started, detail)
+    ok = all(c.ok for c in checks) and round_trip.passed == 200
+    announce(2, "codensity bijection", ok, started, detail)
 
 
 def test_criterion_03_small_index_sufficiency():
     started = time.monotonic()
     (d1, r1), (d2, r2), (d3, r3) = (
-        small_index_sufficiency(None, k, cases=50, seed=0, max_ground_size=4)
+        small_index_sufficiency(SuiteConfig(seed=0, cases=500, max_ground_size=4), k)
         for k in (1, 2, 3)
     )
     ok = (not d1.ok) and d2.ok and d3.ok and r1.ok and r2.ok and r3.ok
+    ok = ok and all(d.passed + d.failed == 50 for d in (d1, d2, d3))
     announce(
         3,
         "small-index sufficiency",
@@ -86,14 +89,13 @@ def test_criterion_04_bounded_lipschitz_identity():
 
 def test_criterion_05_lipschitz_criterion_equivalence():
     started = time.monotonic()
-    sweep = check_lipschitz_criterion_equivalence(
-        max_space=3, max_labels=3, max_denominator=3, lp_samples=100, seed=0
-    )
+    # every space, label set and denominator up to 3; 100 LP spot checks
+    sweep = check_lipschitz_criterion_equivalence(SuiteConfig(seed=0, cases=500))
     spot_checks = sweep.checks[1]
     announce(
         5,
         "Lipschitz criterion equivalence",
-        sweep.ok,
+        sweep.ok and spot_checks.passed == 100,
         started,
         f"{sweep.instances} instances, "
         f"{spot_checks.passed + spot_checks.failed} LP spot checks",
@@ -102,19 +104,18 @@ def test_criterion_05_lipschitz_criterion_equivalence():
 
 def test_criterion_06_nonexpansiveness():
     started = time.monotonic()
-    checks = check_bl_monad_nonexpansive(
-        None, cases=100, seed=0, max_denominator=6, max_size=6
-    )
+    # 100 cases, denominators up to 6, spaces of up to 6 points
+    checks = check_bl_monad_nonexpansive(SuiteConfig(seed=0, cases=500))
     # unit-contraction requires d(dirac x, dirac y) == min(d(x, y), 1), so on
     # the discrete space it is the tightness of the unit
     discrete_checks = check_bl_monad_nonexpansive(
-        discrete_space(("a", "b", "c", "d")), cases=10, seed=0
+        SuiteConfig(seed=0, cases=50), discrete_space(("a", "b", "c", "d"))
     )
     unit, meta = checks[0], checks[1]
     announce(
         6,
         "unit/mult non-expansiveness",
-        all(c.ok for c in checks + discrete_checks),
+        all(c.ok for c in checks + discrete_checks) and meta.passed == 100,
         started,
         f"{unit.passed + unit.failed} unit pairs, {meta.passed + meta.failed} "
         "meta cases, unit distance tight",
@@ -187,8 +188,9 @@ def test_help_is_pinned(capsys, monkeypatch):
 def test_criterion_10_determinism():
     started = time.monotonic()
     command = [sys.executable, "-m", "finprob", "all", "--seed", "0"]
-    first = subprocess.run(command, capture_output=True, text=True)
-    second = subprocess.run(command, capture_output=True, text=True)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    first = subprocess.run(command, capture_output=True, text=True, env=env)
+    second = subprocess.run(command, capture_output=True, text=True, env=env)
     identical = first.stdout == second.stdout and first.stdout
     passes = first.returncode == 0 and second.returncode == 0
     payload = json.loads(first.stdout) if identical else {}

@@ -112,21 +112,25 @@ def test_distance_input_both_methods(tmp_path, capsys):
     assert payload["checks"][0]["witnesses"][0] == {"lp": "1/1", "subsets": "1/1"}
 
 
+# three points at mutual distance 1/2: the bounded Lipschitz distance of
+# these two point masses is 1/2, their total variation 1
+HALF = "1/2"
+HALF_TRIANGLE = {
+    "format": 1,
+    "metric": {
+        "points": ["a", "b", "c"],
+        "dist": [["0/1", HALF, HALF], [HALF, "0/1", HALF], [HALF, HALF, "0/1"]],
+    },
+    "p": ["1/1", "0/1", "0/1"],
+    "q": ["0/1", "1/1", "0/1"],
+}
+
+
 def test_distance_both_bounds_the_lp_by_the_subset_maximum_off_the_discrete_metric(
     tmp_path, capsys, monkeypatch
 ):
-    half = "1/2"
-    instance = {
-        "format": 1,
-        "metric": {
-            "points": ["a", "b", "c"],
-            "dist": [["0/1", half, half], [half, "0/1", half], [half, half, "0/1"]],
-        },
-        "p": ["1/1", "0/1", "0/1"],
-        "q": ["0/1", "1/1", "0/1"],
-    }
     path = tmp_path / "d.json"
-    path.write_text(json.dumps(instance))
+    path.write_text(json.dumps(HALF_TRIANGLE))
     code, out, _ = run_cli(capsys, "distance", "--input", str(path))
     assert code == 0
     assert json.loads(out)["checks"][0]["witnesses"] == [{"lp": "1/2", "subsets": "1/1"}]
@@ -142,6 +146,29 @@ def test_distance_both_bounds_the_lp_by_the_subset_maximum_off_the_discrete_metr
     check = json.loads(out)["checks"][0]
     assert (check["passed"], check["failed"]) == (0, 1)
     assert check["witnesses"] == [{"lp": "2/1", "subsets": "1/1"}]
+
+
+@pytest.mark.parametrize(
+    "method, route, value, shifted",
+    [("lp", "bl_distance_lp", "1/2", "2/1"), ("subsets", "bl_distance_subsets", "1/1", "5/2")],
+)
+def test_one_method_alone_is_checked_against_total_variation(
+    method, route, value, shifted, tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(HALF_TRIANGLE))
+    argv = ("distance", "--input", str(path), "--method", method)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["checks"][0]["witnesses"] == [{method: value}]
+
+    real = getattr(cli, route)
+    monkeypatch.setattr(cli, route, lambda p, q, *space: real(p, q, *space) + Fraction(3, 2))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert (check["passed"], check["failed"]) == (0, 1)
+    assert check["witnesses"] == [{method: shifted}]
 
 
 def test_a_reconstruction_error_in_a_round_trip_fails_round_trip(capsys, monkeypatch):
@@ -710,6 +737,37 @@ def test_integrate_input_reports_clauses(tmp_path, capsys):
     assert "sup-inf" in names and "finite-series" in names
 
 
+def test_integrate_input_rejects_a_weight_that_names_no_atom(tmp_path):
+    instance = {
+        "format": 1,
+        "measure": {
+            "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
+            "weights": {"0": "1/2", "1": "1/2", "2": "5/7"},
+        },
+        "functions": [{"terms": [["1/2", [0]]]}],
+    }
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("integrate", path)
+    assert_input_error(done, "$.measure.weights.2")
+    assert done.stderr.endswith(": key '2' names no atom\n")
+
+
+def test_codensity_input_rejects_a_row_that_names_no_ground_point(tmp_path):
+    from finprob import Algebra, GroundSet, cone_of_measure, indicator_family, uniform
+    from finprob import serialize
+
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    cone = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    cone[0][0]["rows"]["z"] = cone[0][0]["rows"]["0"]
+    instance = {"format": 1, "algebra": serialize.dump_algebra(alg), "cone": cone}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("codensity", path)
+    assert_input_error(done, "$.cone[0][0].rows.z")
+    assert done.stderr.endswith(": key 'z' names no ground point\n")
+
+
 def test_integrate_input_rejects_an_unknown_measure_mode(tmp_path, capsys):
     instance = {
         "format": 1,
@@ -793,6 +851,41 @@ def test_every_command_reports_the_suite_config_defaults(capsys, name):
     for argv in ([name, "--cases", "1"], ["--cases", "1", name]):
         _, out, _ = run_cli(capsys, *argv)
         assert json.loads(out)["config"] == expected
+
+
+@pytest.mark.parametrize(
+    "cases, laws, bijection, sufficiency, fifth", [(20, 20, 8, 2, 4), (1, 1, 1, 1, 1)]
+)
+def test_each_library_suite_takes_its_share_of_cases(
+    cases, laws, bijection, sufficiency, fifth
+):
+    """Every seeded suite reads its case count from ``config.cases``: the
+    laws all of them, the bijection 2/5, sufficiency 1/10, and the
+    nonexpansive cases and LP spot checks 1/5 each, but at least one."""
+    from finprob import (
+        check_bl_monad_nonexpansive,
+        check_lipschitz_criterion_equivalence,
+        check_monad_laws,
+        small_index_sufficiency,
+        verify_codensity_bijection,
+    )
+
+    config = SuiteConfig(cases=cases)
+
+    def outcomes(checks):
+        return {c.name: c.passed + c.failed for c in checks}
+
+    assert set(outcomes(check_monad_laws(config)).values()) == {laws}
+    counts = outcomes(verify_codensity_bijection(config))
+    assert (counts["round-trip"], counts["uniqueness"]) == (bijection, bijection)
+    assert outcomes(small_index_sufficiency(config, 2)) == {
+        "determined": sufficiency,
+        "reconstruction": sufficiency,
+    }
+    counts = outcomes(check_bl_monad_nonexpansive(config))
+    assert (counts["mult-contraction"], counts["metric-laws"]) == (fifth, fifth)
+    spot = check_lipschitz_criterion_equivalence(config).checks[1]
+    assert (spot.name, spot.passed + spot.failed) == ("lp-spot-checks", fifth)
 
 
 def test_help_names_every_command():

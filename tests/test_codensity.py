@@ -247,7 +247,7 @@ def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
 
     monkeypatch.setattr(codensity, "reconstruct_measure", one_wrong)
     round_trip, naturality, uniqueness = verify_codensity_bijection(
-        None, cases=10, seed=0
+        SuiteConfig(seed=0, cases=25)  # 10 cases
     )
     assert faulted
     assert (round_trip.passed, round_trip.failed) == (9, 1)
@@ -267,7 +267,7 @@ def test_a_failed_reconstruction_fails_round_trip_and_reaches_no_uniqueness(monk
 
     monkeypatch.setattr(codensity, "reconstruct_measure", second_raises)
     round_trip, naturality, uniqueness = verify_codensity_bijection(
-        None, cases=10, seed=0
+        SuiteConfig(seed=0, cases=25)  # 10 cases
     )
     assert (round_trip.passed, round_trip.failed) == (9, 1)
     assert round_trip.witnesses == ("case 1: seeded fault",)
@@ -294,18 +294,19 @@ def test_a_natural_cone_over_the_indicator_family_need_not_be_a_measures_cone():
 
 
 def test_small_index_sufficiency_thresholds():
-    determined, reconstruction = small_index_sufficiency(None, 1, cases=20, seed=0)
+    config = SuiteConfig(seed=0, cases=200)  # 20 cases
+    determined, reconstruction = small_index_sufficiency(config, 1)
     assert not determined.ok
     assert reconstruction.ok
     for k in (2, 3):
-        determined, reconstruction = small_index_sufficiency(None, k, cases=20, seed=0)
+        determined, reconstruction = small_index_sufficiency(config, k)
         assert (determined.name, determined.passed) == ("determined", 20)
         assert determined.ok and reconstruction.ok
 
 
 def test_sufficiency_rejects_bad_bound():
     with pytest.raises(Exception):
-        small_index_sufficiency(None, 0, cases=1)
+        small_index_sufficiency(SuiteConfig(cases=10), 0)
 
 
 def test_arrow_requires_measurable_components():

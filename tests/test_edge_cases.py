@@ -23,6 +23,7 @@ from finprob import (
     mult,
     pushforward,
     reconstruct_from_cone,
+    SuiteConfig,
     simple_integral,
     sigma_of_functions,
     uniform,
@@ -54,13 +55,15 @@ def test_trivial_algebra_measure_is_forced():
 
 def test_laws_on_trivial_algebra():
     g = GroundSet(("a", "b"))
-    checks = check_monad_laws(Algebra.trivial(g), cases=25, seed=0)
+    checks = check_monad_laws(SuiteConfig(seed=0, cases=25), Algebra.trivial(g))
     assert all((c.passed, c.failed) == (25, 0) for c in checks)
 
 
 def test_bijection_on_trivial_algebra():
     g = GroundSet(("a", "b"))
-    checks = verify_codensity_bijection(Algebra.trivial(g), cases=10, seed=0)
+    checks = verify_codensity_bijection(  # 10 cases
+        SuiteConfig(seed=0, cases=25), Algebra.trivial(g)
+    )
     assert all(c.ok for c in checks)
 
 

@@ -25,6 +25,7 @@ from finprob import (
 )
 from finprob import gen, lipmetric
 from finprob.linprog import maximize
+from finprob.report import SuiteConfig
 from finprob.lipmetric import (
     _one_sided_lp,
     bl_distance_lp_witness,
@@ -236,7 +237,7 @@ def test_rows_are_scanned_once_per_space(monkeypatch):
 
     monkeypatch.setattr(lipmetric, "_lipschitz_rows", counting)
     space = line_metric(gen.rng_for(0, "scan-once"), 6, 8)
-    checks = check_bl_monad_nonexpansive(space, cases=3, seed=0)
+    checks = check_bl_monad_nonexpansive(SuiteConfig(cases=15), space)  # 3 cases
     assert all(c.ok for c in checks) and checks[0].passed == 3 * 15
     assert sum(s is space for s in scanned) == 1
 
@@ -270,7 +271,6 @@ def test_pruning_fault_is_caught_by_the_reference(monkeypatch):
 
 def test_pruning_fault_is_caught_by_unit_contraction(monkeypatch):
     from finprob.cli import run_nonexpansive
-    from finprob.report import SuiteConfig
 
     config = SuiteConfig()  # the suite as `finprob all` runs it
     clean = {c.name: c for c in run_nonexpansive(config)}
@@ -386,20 +386,29 @@ def test_vertex_embedding_of_discrete_space_is_lipschitz():
     assert result.is_lipschitz and result.verdicts_agree
 
 
-def test_equivalence_sweep_small():
-    sweep = check_lipschitz_criterion_equivalence(
-        max_space=2, max_labels=2, max_denominator=2, lp_samples=20, seed=0
-    )
+def _sweep(monkeypatch, space, labels, denominator, samples):
+    """The sweep over spaces, label sets and denominators up to the given
+    sizes, with at most ``samples`` LP spot checks."""
+    monkeypatch.setattr(lipmetric, "SWEEP_MAX_SPACE", space)
+    monkeypatch.setattr(lipmetric, "SWEEP_MAX_LABELS", labels)
+    monkeypatch.setattr(lipmetric, "SWEEP_MAX_DENOMINATOR", denominator)
+    return check_lipschitz_criterion_equivalence(SuiteConfig(seed=0, cases=5 * samples))
+
+
+def test_equivalence_sweep_small(monkeypatch):
+    sweep = _sweep(monkeypatch, 2, 2, 2, samples=20)
     assert sweep.ok
     assert sweep.instances > 0
 
 
-# the 2/2/2 sweep misses the scaled total variation below; 2/3/3 catches both faults
-FAULT_SWEEP = dict(max_space=2, max_labels=3, max_denominator=3, seed=0)
+def fault_sweep(monkeypatch):
+    """The 2/3/3 sweep: 2/2/2 misses the scaled total variation below, and
+    2/3/3 catches both faults."""
+    return _sweep(monkeypatch, 2, 3, 3, samples=200)
 
 
-def test_equivalence_sweep_fault_config_passes():
-    sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
+def test_equivalence_sweep_fault_config_passes(monkeypatch):
+    sweep = fault_sweep(monkeypatch)
     assert sweep.ok
     assert sweep.instances == 1579
 
@@ -409,14 +418,14 @@ def test_equivalence_sweep_catches_a_wrong_direct_side(monkeypatch):
     monkeypatch.setattr(
         lipmetric, "total_variation", lambda p, q: real(p, q) * F(3, 4)
     )
-    sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
+    sweep = fault_sweep(monkeypatch)
     assert not sweep.ok
     assert sweep.checks[0].failed == 52
 
 
 def test_equivalence_sweep_catches_a_wrong_subset_side(monkeypatch):
     _halve_subset_sums(monkeypatch)
-    sweep = check_lipschitz_criterion_equivalence(**FAULT_SWEEP)
+    sweep = fault_sweep(monkeypatch)
     assert not sweep.ok
     assert sweep.checks[0].failed == 190
 
@@ -440,7 +449,7 @@ def test_simplex_grid_enumeration():
 
 def test_nonexpansive_unit_tight_on_discrete():
     space = discrete_space(("a", "b", "c"))
-    checks = check_bl_monad_nonexpansive(space, cases=5, seed=0)
+    checks = check_bl_monad_nonexpansive(SuiteConfig(cases=25), space)  # 5 cases
     assert all(c.ok for c in checks)
     unit = checks[0]  # d(dirac x, dirac y) == 1 for each of the 3 pairs
     assert (unit.name, unit.passed, unit.failed) == ("unit-contraction", 15, 0)
@@ -457,9 +466,7 @@ def test_an_lp_short_on_non_discrete_spaces_fails_unit_contraction(monkeypatch):
         return (value if space.is_discrete() else value * F(9, 10)), f
 
     monkeypatch.setattr(lipmetric, "bl_distance_lp_witness", short)
-    unit = check_bl_monad_nonexpansive(
-        None, cases=100, seed=0, max_denominator=6, max_size=6
-    )[0]
+    unit = check_bl_monad_nonexpansive(SuiteConfig(seed=0, cases=500))[0]  # 100 cases
     assert unit.failed > 0 and unit.witnesses
     assert all(w.startswith("case ") and "unit pair " in w for w in unit.witnesses)
 
@@ -470,7 +477,7 @@ def test_nonexpansive_small_distance():
     pa = dirac("a", simplex_algebra(labels))
     pb = dirac("b", simplex_algebra(labels))
     assert bl_distance_lp(pa, pb, space) == F(1, 3)
-    checks = check_bl_monad_nonexpansive(space, cases=5, seed=0)
+    checks = check_bl_monad_nonexpansive(SuiteConfig(cases=25), space)  # 5 cases
     assert all(c.ok for c in checks)
 
 
@@ -484,7 +491,6 @@ def test_nonexpansive_equal_meta_measures():
 
 def test_a_faulted_mult_fails_metric_laws(monkeypatch):
     from finprob.cli import run_nonexpansive
-    from finprob.report import SuiteConfig
 
     def swaps_two_weights(m):
         p = mult(m)
@@ -510,14 +516,15 @@ def test_each_unit_pair_counts_once(monkeypatch):
     monkeypatch.setattr(
         lipmetric, "bl_distance_lp", lambda p, q, space: real(p, q, space) + F(1, 1000)
     )
-    checks = check_bl_monad_nonexpansive(discrete_space(("a", "b", "c")), cases=4)
+    checks = check_bl_monad_nonexpansive(  # 4 cases
+        SuiteConfig(cases=20), discrete_space(("a", "b", "c"))
+    )
     unit = checks[0]
     assert (unit.name, unit.passed, unit.failed) == ("unit-contraction", 0, 12)
 
 
 def test_a_faulted_lp_fails_lp_spot_checks_alone(monkeypatch):
     from finprob.cli import run_lipschitz_equivalence
-    from finprob.report import SuiteConfig
 
     real = lipmetric.bl_distance_lp
     monkeypatch.setattr(
@@ -531,8 +538,9 @@ def test_a_faulted_lp_fails_lp_spot_checks_alone(monkeypatch):
     assert checks["criteria-agree"].failed == 0
 
 
-def test_nonexpansive_random_spaces():
-    checks = check_bl_monad_nonexpansive(None, cases=15, seed=0, max_size=5)
+def test_nonexpansive_random_spaces(monkeypatch):
+    monkeypatch.setattr(lipmetric, "METRIC_MAX_SIZE", 5)
+    checks = check_bl_monad_nonexpansive(SuiteConfig(seed=0, cases=75))  # 15 cases
     assert all(c.ok for c in checks)
 
 

@@ -22,6 +22,7 @@ from finprob import (
 )
 from finprob.monad import LAWS, eta_as_meta
 from finprob import gen
+from finprob.report import SuiteConfig
 
 
 @settings(max_examples=60, deadline=None)
@@ -135,7 +136,6 @@ def test_mult_is_affine():
 
 def test_law_suite_passes_both_modes():
     from finprob.cli import run_laws
-    from finprob.report import SuiteConfig
 
     both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
     checks = run_laws(SuiteConfig(cases=100), modes=both)
@@ -146,7 +146,7 @@ def test_law_suite_passes_both_modes():
 
 def test_law_suite_on_fixed_algebra():
     g = GroundSet(("0", "1"))
-    checks = check_monad_laws(Algebra.powerset(g), cases=50, seed=1)
+    checks = check_monad_laws(SuiteConfig(seed=1, cases=50), Algebra.powerset(g))
     assert [c.name for c in checks] == list(LAWS)
     assert all((c.passed, c.failed) == (50, 0) for c in checks)
 

@@ -71,6 +71,13 @@ def test_measure_load_rejects_bad_weights():
     assert "$.weights" in str(err.value)
 
 
+def test_a_weight_that_names_no_atom_is_rejected():
+    data = serialize.dump_measure(uniform(Algebra.powerset(GroundSet(("0", "1")))))
+    data["weights"]["2"] = "5/7"
+    with pytest.raises(InputError, match=r"^\$\.weights\.2: key '2' names no atom$"):
+        serialize.load_measure(data)
+
+
 def test_simple_function_round_trip():
     g = GroundSet(("0", "1", "2"))
     alg = Algebra.powerset(g)
@@ -129,6 +136,14 @@ def test_arrow_targets_must_be_strings():
     data = serialize.dump_arrow(binary_arrow(SimpleFunction.indicator(alg, 1)))
     data["targets"] = [0, 1]
     with pytest.raises(InputError, match=r"^\$\.targets\[0\]: label must be a string"):
+        serialize.load_arrow(data, alg)
+
+
+def test_a_row_that_names_no_ground_point_is_rejected():
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    data = serialize.dump_arrow(binary_arrow(SimpleFunction.indicator(alg, 1)))
+    data["rows"]["z"] = data["rows"]["0"]
+    with pytest.raises(InputError, match=r"^\$\.rows\.z: key 'z' names no ground point$"):
         serialize.load_arrow(data, alg)
 
 
