@@ -42,7 +42,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 BINARY_LABELS = ("0", "1")
-MAX_MAP_COUNT = 512  # naturality skips a (leg, target set) pair with more label maps
+MAX_TARGETS = 4  # most target labels of a cone arrow, so naturality tries 4**4 maps
 MAX_GROUND_SIZE = 4  # the seeded suites' largest ground set
 
 
@@ -135,7 +135,8 @@ class Cone:
     commute with every label map between the arrows' targets.
 
     Built from ``(arrow, leg)`` pairs; ``legs`` maps each arrow to its leg.
-    The arrows are distinct and share one source algebra.
+    The arrows are distinct, share one source algebra and have at most
+    :data:`MAX_TARGETS` target labels each.
     """
 
     apex: str
@@ -144,6 +145,8 @@ class Cone:
     def __post_init__(self):
         legs = {}
         for arrow, point in self.legs:
+            if len(arrow.targets) > MAX_TARGETS:
+                raise ValueError(f"cone arrows have at most {MAX_TARGETS} target labels")
             if point.algebra != simplex_algebra(arrow.targets):
                 raise ValueError("leg must be indexed by its arrow's targets")
             if arrow in legs:
@@ -174,14 +177,13 @@ class NaturalityResult:
 
 def check_cone_naturality(cone: Cone) -> NaturalityResult:
     """Enumerate commutative triangles inside the declared family and check
-    that the legs commute with the simplex maps of all label functions."""
+    that the legs commute with the simplex maps of all label functions:
+    every map from an arrow's labels into each target set, at most ``4**4``."""
     legs = cone.legs
     target_sets = sorted({arrow.targets for arrow in legs})
     triangles = 0
     for f in legs:
         for targets in target_sets:
-            if len(targets) ** len(f.targets) > MAX_MAP_COUNT:
-                continue
             cod = simplex_algebra(targets)
             for image in itertools.product(targets, repeat=len(f.targets)):
                 mapping = dict(zip(f.targets, image))

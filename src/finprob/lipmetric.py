@@ -468,19 +468,26 @@ def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSwe
     ``A``.  Both verdicts depend only on a pair of grid points and a bound,
     so each side is decided once per (bound, grid pair) into its own table,
     by its own computation, and the map loop only looks verdicts up.  The
-    linear program is a third route: a seeded sample of at most
-    ``max(1, config.cases // 5)`` maps is rechecked with it.
+    linear program is a third route: it rechecks a seeded uniform sample of
+    exactly ``max(1, config.cases // 5)`` maps, or every map when the sweep
+    has fewer.
     """
     from . import gen
 
     rng = gen.rng_for(config.seed, "lipschitz-sweep")
     grid_distances = grid(2, SWEEP_MAX_DENOMINATOR)[1:]  # positive, up to 2
+    grids = {
+        m: simplex_grid([f"t{i}" for i in range(m)], SWEEP_MAX_DENOMINATOR)
+        for m in range(1, SWEEP_MAX_LABELS + 1)
+    }
+    spaces = {n: tuple(_metric_grid(n, grid_distances)) for n in range(1, SWEEP_MAX_SPACE + 1)}
+    maps = sum(len(p) ** n * len(s) for p in grids.values() for n, s in spaces.items())
+    picks = set(rng.sample(range(maps), min(max(1, config.cases // 5), maps)))
     sampled: list[tuple] = []
 
     def agreement():
-        for m in range(1, SWEEP_MAX_LABELS + 1):
-            labels = tuple(f"t{i}" for i in range(m))
-            points = simplex_grid(labels, SWEEP_MAX_DENOMINATOR)
+        index = 0
+        for m, points in grids.items():
             size = len(points)
             # per grid pair (a, b), at index a * size + b
             distances = [total_variation(p, q) for p in points for q in points]
@@ -492,9 +499,9 @@ def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSwe
                 )
                 for bound in grid_distances
             }
-            for n in range(1, SWEEP_MAX_SPACE + 1):
+            for n, n_spaces in spaces.items():
                 pairs = list(itertools.combinations(range(n), 2))
-                for space in _metric_grid(n, grid_distances):
+                for space in n_spaces:
                     bound_tables = [(i, j, *tables[space.dist[i][j]]) for i, j in pairs]
                     for assignment in itertools.product(range(size), repeat=n):
                         direct_ok = True
@@ -503,10 +510,11 @@ def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSwe
                             cell = assignment[i] * size + assignment[j]
                             direct_ok = direct_ok and direct[cell]
                             subset_ok = subset_ok and subset[cell]
-                        if rng.random() < 0.0005:
+                        if index in picks:
                             sampled.append(
                                 (space, tuple(points[a] for a in assignment), direct_ok)
                             )
+                        index += 1
                         if direct_ok == subset_ok:
                             yield True, None
                         else:
@@ -514,8 +522,7 @@ def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSwe
                             yield False, witness
 
     def spot_checks():
-        rng.shuffle(sampled)
-        for space, assignment, verdict in sampled[: max(1, config.cases // 5)]:
+        for space, assignment, verdict in sampled:
             f = dict(zip(space.points, assignment))
             check = check_simplex_lipschitz(f, space)
             yield (

@@ -45,7 +45,6 @@ from .setalg import (
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-MULTIPLIER_BOUND = 64  # largest integer multiplier the lattice clauses try
 BOUND_FAMILY_CAP = 512  # most slab bounds the slab route builds
 
 
@@ -154,19 +153,16 @@ def reconstruct_measure(f: Functional) -> Measure:
 @dataclass(frozen=True)
 class WeakIntegrationLattice:
     """A finite family of nonnegative rational functions on a ground set,
-    closed in the weak lattice sense: it contains the constant one; joins,
-    meets, and join-minus-meet of members are integer multiples of members;
-    clipped integer multiples ``min(n*f, 1)`` are integer multiples of
-    members up to the declared bound; and ``r*f`` is a member for every
-    declared scalar ``r``.  The zero function, which always lies in the
-    integer-multiple span, is adjoined automatically.
+    closed in the weak lattice sense: it contains the constant one, and
+    joins, meets, join-minus-meet of members and clipped multiples
+    ``min(n*f, 1)`` for every integer ``n >= 1`` are integer multiples of
+    members.  The zero function, which always lies in the integer-multiple
+    span, is adjoined automatically.
 
     Functions are deduplicated and sorted at construction."""
 
     ground: GroundSet
     functions: tuple[tuple[Fraction, ...], ...]
-    scalars: tuple[Fraction, ...] = (ZERO, ONE)
-    clip_bound: int = 4
 
     def __post_init__(self):
         fns = []
@@ -184,14 +180,6 @@ class WeakIntegrationLattice:
         if zero not in seen:
             fns.append(zero)
         object.__setattr__(self, "functions", tuple(sorted(fns)))
-        object.__setattr__(
-            self, "scalars", tuple(sorted({Fraction(r) for r in self.scalars}))
-        )
-        for r in self.scalars:
-            if r < 0 or r > 1:
-                raise ValueError("declared scalars must lie in [0, 1]")
-        if self.clip_bound < 1:
-            raise ValueError("clip bound must be positive")
 
 
 @dataclass(frozen=True)
@@ -226,45 +214,42 @@ def _as_multiple(
     target: tuple[int, ...],
     members: Sequence[tuple[int, ...]],
     index: Mapping[tuple, list[int]],
-    bound: int,
 ) -> tuple[int, int] | None:
     """``(n, idx)`` with ``target == n * members[idx]`` for the smallest
-    ``idx`` with ``1 <= n <= bound``; ``(0, 0)`` for the zero target (member
-    0 of a lattice is the zero function)."""
+    ``idx`` with any integer ``n >= 1``; ``(0, 0)`` for the zero target
+    (member 0 of a lattice is the zero function)."""
     d = _direction(target)
     if d is None:
         return (0, 0)
     k = next(i for i, v in enumerate(d) if v)
     for idx in index.get(d, ()):
         n, rest = divmod(target[k], members[idx][k])
-        if not rest and n <= bound:
+        if not rest:
             return (n, idx)
     return None
 
 
-def check_weak_lattice(
-    lattice: WeakIntegrationLattice, multiplier_bound: int = MULTIPLIER_BOUND
-) -> WeakLatticeReport:
-    """Verify the four weak-lattice closure clauses exactly.
+def check_weak_lattice(lattice: WeakIntegrationLattice) -> WeakLatticeReport:
+    """Decide the weak-lattice closure clauses exactly.
 
-    Each join, meet, span and clip must be an integer multiple, up to
-    ``multiplier_bound``, of a member.  The report's witnesses give the
-    multiplier and member index found for each, keyed
-    ``(clause, i, j-or-n-or-r)`` by indices into the lattice's
-    ``functions``.  Reports the first unsatisfiable clause.
+    Each join, meet and span of two members, and each clip ``min(n*f, 1)``
+    for every integer ``n >= 1``, must be an integer multiple of a member.
+    The clip stops changing at the least ``N`` with ``N*v >= 1`` at every
+    positive value ``v`` of ``f`` (``N = 1`` for zero), so ``n = 1 ... N``
+    decide the clip clause.  The report's witnesses give the multiplier and
+    member index found for each, keyed ``(clause, i, j-or-n)`` by indices
+    into the lattice's ``functions``.  Reports the first unsatisfiable clause.
 
     Every member is held as an integer vector over the lattice's common
     denominator ``D``, so the clauses are integer maxima, minima,
     differences and clips at ``D``.
     """
-    fns = lattice.functions
-    vecs, scale = scaled_rows(fns)
-    position = {vec: i for i, vec in enumerate(vecs)}
+    if (ONE,) * lattice.ground.size not in lattice.functions:
+        return WeakLatticeReport(False, "contains-one", (), ())
+
+    vecs, scale = scaled_rows(lattice.functions)
     index = _direction_index(vecs)
     witnesses: list[tuple] = []
-
-    if (scale,) * lattice.ground.size not in position:
-        return WeakLatticeReport(False, "contains-one", (), ())
 
     for i, f in enumerate(vecs):
         for j, g in enumerate(vecs[i:], start=i):
@@ -272,31 +257,21 @@ def check_weak_lattice(
             meet = tuple(map(min, f, g))
             span = tuple(a - b for a, b in zip(join, meet))
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
-                found = _as_multiple(target, vecs, index, multiplier_bound)
+                found = _as_multiple(target, vecs, index)
                 if found is None:
                     witness = (i, j, tuple(Fraction(v, scale) for v in target))
                     return WeakLatticeReport(False, kind, witness, tuple(witnesses))
-                witnesses.append(((kind, i, j), found[0], found[1]))
+                witnesses.append(((kind, i, j), *found))
 
     for i, f in enumerate(vecs):
-        for n in range(1, lattice.clip_bound + 1):
+        steps = max((-(-scale // v) for v in f if v), default=1)
+        for n in range(1, steps + 1):
             clipped = tuple(min(n * v, scale) for v in f)
-            found = _as_multiple(clipped, vecs, index, multiplier_bound)
+            found = _as_multiple(clipped, vecs, index)
             if found is None:
                 witness = (i, n, tuple(Fraction(v, scale) for v in clipped))
                 return WeakLatticeReport(False, "clip", witness, tuple(witnesses))
-            witnesses.append((("clip", i, n), found[0], found[1]))
-
-    for i, f in enumerate(vecs):
-        for r in lattice.scalars:
-            num, den = r.numerator, r.denominator
-            idx = None
-            if all(num * v % den == 0 for v in f):
-                idx = position.get(tuple(num * v // den for v in f))
-            if idx is None:
-                witness = (i, r, tuple(r * v for v in fns[i]))
-                return WeakLatticeReport(False, "scale", witness, tuple(witnesses))
-            witnesses.append((("scale", i, r), 1, idx))
+            witnesses.append((("clip", i, n), *found))
 
     return WeakLatticeReport(True, None, None, tuple(witnesses))
 
@@ -497,7 +472,7 @@ def daniell_stone(
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
     """
-    report = check_weak_lattice(lattice, MULTIPLIER_BOUND)
+    report = check_weak_lattice(lattice)
     if not report.ok:
         raise PreconditionError(
             f"invalid weak integration lattice: clause {report.clause} fails "

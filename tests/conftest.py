@@ -3,6 +3,12 @@
 import sys
 
 import pytest
+from hypothesis import settings
+
+# one profile for every property test: the same examples on every run, no
+# per-example time limit, and no example database written into the checkout
+settings.register_profile("finprob", deadline=None, derandomize=True, database=None)
+settings.load_profile("finprob")
 
 
 def _unlimited_str(n: int) -> str:

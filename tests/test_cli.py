@@ -188,6 +188,35 @@ def test_a_reconstruction_error_in_a_round_trip_fails_round_trip(capsys, monkeyp
     assert "additivity violated" in round_trip["witnesses"][0]
 
 
+def test_adversarial_detection_expects_the_one_message_of_each_style(monkeypatch):
+    """A reconstruction that reports the atom-mass failure as a failed
+    normalization names the wrong clause, so the style-1 cases on algebras
+    of more than one atom fail."""
+    from finprob import ReconstructionError
+
+    real = cli.reconstruct_measure
+
+    def misreported(functional):
+        try:
+            return real(functional)
+        except ReconstructionError as exc:
+            if str(exc).startswith("additivity violated: the ground set"):
+                raise ReconstructionError(
+                    "normalization violated: the atoms miss total mass one",
+                    witness=exc.witness,
+                ) from None
+            raise
+
+    def detection():
+        checks = cli.run_reconstruction_suite(SuiteConfig(seed=0))
+        check = next(c for c in checks if c.name == "adversarial-detection")
+        return check.passed, check.failed
+
+    assert detection() == (50, 0)
+    monkeypatch.setattr(cli, "reconstruct_measure", misreported)
+    assert detection() == (38, 12)
+
+
 def test_reconstruct_input_violation_exits_one(tmp_path, capsys):
     instance = {
         "format": 1,
@@ -355,6 +384,50 @@ def test_codensity_perturbed_cone_input_fails(tmp_path, capsys):
     assert code == 1
     payload = json.loads(out)
     assert payload["ok"] is False
+
+
+def _relabelled_cone_file(tmp_path, m):
+    """A cone on one point over the indicator family and two ``m``-label
+    arrows: f with the row (1/3, 1/3, 1/3, 0, ...) and g, f relabelled
+    t_i -> t_(i+2 mod m).  The leg at g puts 1/2, 1/4, 1/4 where g puts 1/3
+    each, so the triangle from f to g fails."""
+    from finprob import Algebra, GroundSet, serialize
+    from finprob.codensity import Arrow, cone_of_measure, indicator_family
+    from finprob.measure import dirac
+    from finprob.monad import SimplexPoint
+
+    alg = Algebra.powerset(GroundSet(("x",)))
+    targets = tuple(f"t{i}" for i in range(m))
+    row = [Fraction(0)] * m
+    shifted = [Fraction(0)] * m
+    skewed = [Fraction(0)] * m
+    for i, w in enumerate((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))):
+        row[i] = shifted[(i + 2) % m] = Fraction(1, 3)
+        skewed[(i + 2) % m] = w
+    legs = serialize.dump_cone(cone_of_measure(dirac("x", alg), indicator_family(alg)))
+    for arrow_row, leg in ((row, row), (shifted, skewed)):
+        arrow = Arrow(alg, targets, (SimplexPoint(targets, arrow_row),))
+        point = SimplexPoint(targets, leg)
+        legs.append([serialize.dump_arrow(arrow), serialize.dump_simplex(point)])
+    instance = {"format": 1, "algebra": serialize.dump_algebra(alg), "cone": legs}
+    path = tmp_path / f"cone{m}.json"
+    path.write_text(json.dumps(instance))
+    return path
+
+
+def test_a_cone_arrow_with_five_labels_exits_two(tmp_path):
+    """Naturality would need 5**5 label maps from a 5-label arrow, so the
+    cone refuses it instead of checking it in part."""
+    done = run_module("codensity", _relabelled_cone_file(tmp_path, 5))
+    assert_input_error(done, "$.cone")
+    assert "at most 4 target labels" in done.stderr
+
+
+def test_a_cone_with_four_label_arrows_is_checked(tmp_path):
+    done = run_module("codensity", _relabelled_cone_file(tmp_path, 4))
+    assert done.returncode == 1
+    by_name = {c["name"]: c for c in json.loads(done.stdout)["checks"]}
+    assert by_name["naturality"]["failed"] == 1
 
 
 def test_codensity_input_without_an_atom_indicator_arrow_exits_one(tmp_path):

@@ -105,7 +105,7 @@ def _run(command, path):
     return code, err.getvalue()
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mutated_instances_exit_zero_one_or_two(tmp_path_factory, seed):
     rng = random.Random(seed)

@@ -33,7 +33,6 @@ def reference_sum(values):
     return sum(values, F(0))
 
 
-@settings(deadline=None)
 @given(st.lists(rationals, max_size=12))
 def test_total_equals_the_fraction_sum(values):
     got = exact.total(values)
@@ -41,7 +40,6 @@ def test_total_equals_the_fraction_sum(values):
     assert got == reference_sum(values)
 
 
-@settings(deadline=None)
 @given(st.lists(st.tuples(rationals, rationals), max_size=12))
 def test_dot_equals_the_fraction_sum_of_products(pairs):
     xs = [x for x, _ in pairs]
@@ -51,7 +49,6 @@ def test_dot_equals_the_fraction_sum_of_products(pairs):
     assert got == reference_sum(x * y for x, y in pairs)
 
 
-@settings(deadline=None)
 @given(st.lists(raw, max_size=12), st.lists(raw, max_size=12))
 def test_mixed_inputs_go_through_fractions(xs, ys):
     fxs, fys = exact.fractions(xs), exact.fractions(ys)
@@ -61,7 +58,6 @@ def test_mixed_inputs_go_through_fractions(xs, ys):
     assert exact.dot(fxs, fys) == reference_sum(F(x) * F(y) for x, y in zip(xs, ys))
 
 
-@settings(deadline=None)
 @given(st.lists(st.one_of(rationals, st.integers(-3, 3)), max_size=12))
 def test_ints_and_fractions_mix_without_coercion(values):
     assert exact.total(values) == reference_sum(values)
@@ -75,7 +71,6 @@ def test_unit_interval_agrees_with_comparison(v):
     assert exact.in_unit_interval(v) == (0 <= v <= 1)
 
 
-@settings(deadline=None)
 @given(st.lists(rationals, max_size=12))
 def test_common_denominator_preserves_the_values(values):
     (numerators,), den = exact.scaled_rows([values])
@@ -83,7 +78,6 @@ def test_common_denominator_preserves_the_values(values):
     assert all(den % v.denominator == 0 for v in values)
 
 
-@settings(deadline=None)
 @given(st.lists(st.lists(rationals, max_size=5), max_size=5))
 def test_scaled_rows_are_numerators_over_the_least_common_denominator(rows):
     nums, den = exact.scaled_rows(rows)
@@ -102,7 +96,6 @@ def brute_grid(upper, max_denominator):
     return sorted(v for v in values if v <= upper)
 
 
-@settings(deadline=None)
 @given(
     st.one_of(
         st.fractions(min_value=0, max_value=4, max_denominator=15),
@@ -125,7 +118,7 @@ def test_grid_edges():
     assert exact.grid(2, 2)[1:] == [F(1, 2), F(1), F(3, 2), F(2)]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.one_of(rationals, st.integers(-3, 3)))
 def test_wire_text_is_p_over_q_within_the_digit_limit(v):
     assert exact.wire_text(v) == f"{v.numerator}/{v.denominator}"
@@ -183,7 +176,7 @@ def test_dropping_the_last_term_is_caught(monkeypatch):
         test_total_equals_the_fraction_sum()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(rationals)
 def test_rational_text_is_str_within_the_digit_limit(v):
     assert exact.rational_text(v) == str(v)

@@ -113,7 +113,7 @@ def measure_and_terms(draw):
     return p, s
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(measure_and_terms())
 def test_representation_independence(data):
     p, s = data
@@ -122,7 +122,7 @@ def test_representation_independence(data):
     assert simple_integral(p, s) == simple_integral(p, canonical)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(measure_and_terms(), st.integers(0, 6), st.integers(1, 6))
 def test_rational_homogeneity(data, num, den):
     p, s = data
@@ -132,7 +132,7 @@ def test_rational_homogeneity(data, num, den):
     assert simple_integral(p, s.scale(r)) == r * simple_integral(p, s)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(measure_and_terms())
 def test_integral_equals_simple_integral(data):
     """The atom sum agrees with the term sum, over the term list and over

@@ -388,7 +388,8 @@ def test_vertex_embedding_of_discrete_space_is_lipschitz():
 
 def _sweep(monkeypatch, space, labels, denominator, samples):
     """The sweep over spaces, label sets and denominators up to the given
-    sizes, with at most ``samples`` LP spot checks."""
+    sizes, with ``samples`` LP spot checks, or one per map of a smaller
+    sweep."""
     monkeypatch.setattr(lipmetric, "SWEEP_MAX_SPACE", space)
     monkeypatch.setattr(lipmetric, "SWEEP_MAX_LABELS", labels)
     monkeypatch.setattr(lipmetric, "SWEEP_MAX_DENOMINATOR", denominator)
@@ -399,6 +400,14 @@ def test_equivalence_sweep_small(monkeypatch):
     sweep = _sweep(monkeypatch, 2, 2, 2, samples=20)
     assert sweep.ok
     assert sweep.instances > 0
+    assert sweep.checks[1].passed == 20
+
+
+def test_a_sweep_smaller_than_its_sample_spot_checks_every_map(monkeypatch):
+    sweep = _sweep(monkeypatch, 2, 2, 2, samples=200)
+    spot = sweep.checks[1]
+    assert sweep.instances == 44
+    assert (spot.name, spot.passed, spot.failed) == ("lp-spot-checks", 44, 0)
 
 
 def fault_sweep(monkeypatch):
@@ -411,6 +420,7 @@ def test_equivalence_sweep_fault_config_passes(monkeypatch):
     sweep = fault_sweep(monkeypatch)
     assert sweep.ok
     assert sweep.instances == 1579
+    assert sweep.checks[1].passed == 200
 
 
 def test_equivalence_sweep_catches_a_wrong_direct_side(monkeypatch):

@@ -147,7 +147,7 @@ def algebra_and_measure(draw):
     return algebra, gen.random_measure(rng, algebra, 12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(algebra_and_measure(), st.integers(0, 10**9))
 def test_pushforward_functoriality(data, salt):
     algebra, p = data
@@ -160,7 +160,7 @@ def test_pushforward_functoriality(data, salt):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(algebra_and_measure(), st.integers(0, 10**9))
 def test_unit_naturality(data, salt):
     algebra, _ = data

@@ -25,7 +25,7 @@ from finprob import gen
 from finprob.report import SuiteConfig
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 10**9))
 def test_simplex_pushforward_functoriality(seed):
     rng = gen.rng_for(seed, "hyp-gmap")

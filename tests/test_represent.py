@@ -290,14 +290,35 @@ def test_lattice_span_violation_detected():
     assert report.witness is not None
 
 
-def test_lattice_scale_clause_checked():
+def test_a_multiplier_of_any_size_closes_the_lattice():
+    """{1, 1/100} on one point: the span 1 - 1/100 is 99 times 1/100, and
+    the clip clause runs to n = 100, where min(n/100, 1) first reaches 1."""
     g = GroundSet(("0",))
-    lattice = WeakIntegrationLattice(
-        g, ((F(1),), (F(1, 2),)), scalars=(F(0), F(1, 2), F(1))
-    )
+    lattice = WeakIntegrationLattice(g, ((F(1),), (F(1, 100),)))
     report = check_weak_lattice(lattice)
-    assert not report.ok  # (1/2)*(1/2) = 1/4 is not declared
-    assert report.clause == "scale"
+    assert report.ok
+    assert report == reference_check_weak_lattice(lattice)
+    found = {key: (n, idx) for key, n, idx in report.witnesses}
+    assert found["span", 1, 2] == (99, 1)
+    assert max(n for kind, i, n in found if kind == "clip" and i == 1) == 100
+    p = daniell_stone(lattice, tabulate(lattice, lambda values: values[0]))
+    assert p.weights == (F(1),)
+
+
+def test_clip_clause_runs_until_the_clip_is_the_support_indicator():
+    """On (1/6, 1/6) the clip min(n*f, 1) changes up to n = 6, so the clause
+    tries n = 1 ... 6 there, and once for the zero function."""
+    g = GroundSet(("a", "b"))
+    lattice = WeakIntegrationLattice(g, ((F(1, 6), F(1, 6)), (F(1), F(1))))
+    report = check_weak_lattice(lattice)
+    assert report.ok
+    clips = [(key, n, idx) for key, n, idx in report.witnesses if key[0] == "clip"]
+    assert clips == [
+        (("clip", 0, 1), 0, 0),
+        *((("clip", 1, n), n, 1) for n in range(1, 7)),
+        (("clip", 2, 1), 6, 1),
+    ]
+    assert report == reference_check_weak_lattice(lattice)
 
 
 def test_lattice_clip_violation_detected():
@@ -546,9 +567,9 @@ def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
 # scanned every member for each multiple; they are kept as references only.
 
 
-def reference_as_multiple(target, members, bound):
+def reference_as_multiple(target, members):
     """Find ``(n, index)`` with ``target == n * members[index]``, ``n`` a
-    nonnegative integer at most ``bound`` (zero only for the zero target)."""
+    positive integer (zero only for the zero target)."""
     if all(v == 0 for v in target):
         return (0, 0)
     for idx, h in enumerate(members):
@@ -568,17 +589,12 @@ def reference_as_multiple(target, members, bound):
             elif r != ratio:
                 consistent = False
                 break
-        if (
-            consistent
-            and ratio is not None
-            and ratio.denominator == 1
-            and 1 <= ratio <= bound
-        ):
+        if consistent and ratio is not None and ratio.denominator == 1 and ratio >= 1:
             return (int(ratio), idx)
     return None
 
 
-def reference_check_weak_lattice(lattice, multiplier_bound=64):
+def reference_check_weak_lattice(lattice):
     fns = lattice.functions
     n_pts = lattice.ground.size
     one = (F(1),) * n_pts
@@ -593,7 +609,7 @@ def reference_check_weak_lattice(lattice, multiplier_bound=64):
             meet = tuple(min(a, b) for a, b in zip(f, g))
             span = tuple(a - b for a, b in zip(join, meet))
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
-                found = reference_as_multiple(target, fns, multiplier_bound)
+                found = reference_as_multiple(target, fns)
                 if found is None:
                     return WeakLatticeReport(
                         False, kind, (i, j, target), tuple(witnesses)
@@ -601,25 +617,21 @@ def reference_check_weak_lattice(lattice, multiplier_bound=64):
                 witnesses.append(((kind, i, j), found[0], found[1]))
 
     for i, f in enumerate(fns):
-        for n in range(1, lattice.clip_bound + 1):
+        # every n up to the first whose clip sends each positive value to one
+        n = 0
+        while n == 0 or any(0 < n * v < 1 for v in f):
+            n += 1
             clipped = tuple(min(n * v, F(1)) for v in f)
-            found = reference_as_multiple(clipped, fns, multiplier_bound)
+            found = reference_as_multiple(clipped, fns)
             if found is None:
                 return WeakLatticeReport(False, "clip", (i, n, clipped), tuple(witnesses))
             witnesses.append((("clip", i, n), found[0], found[1]))
 
-    for i, f in enumerate(fns):
-        for r in lattice.scalars:
-            scaled = tuple(r * v for v in f)
-            if scaled not in fns:
-                return WeakLatticeReport(False, "scale", (i, r, scaled), tuple(witnesses))
-            witnesses.append((("scale", i, r), 1, fns.index(scaled)))
-
     return WeakLatticeReport(True, None, None, tuple(witnesses))
 
 
-def reference_daniell_stone(lattice, oracle, multiplier_bound=64, family_cap=512):
-    report = reference_check_weak_lattice(lattice, multiplier_bound)
+def reference_daniell_stone(lattice, oracle, family_cap=512):
+    report = reference_check_weak_lattice(lattice)
     if not report.ok:
         raise PreconditionError(
             f"invalid weak integration lattice: clause {report.clause} fails "
@@ -798,8 +810,7 @@ def _on_atoms(ground, algebra, atom_values):
 
 def _seeded_lattice(case):
     """A grid lattice, a lattice of multiples along rays, or one of those
-    perturbed so that some clause fails; with a random multiplier bound,
-    clip bound and scalars."""
+    perturbed so that some clause may fail."""
     rng = gen.rng_for(7, "integer-kernel", str(case))
     ground = gen.random_ground(rng, 3)
     algebra = gen.random_algebra(rng, ground)
@@ -816,7 +827,7 @@ def _seeded_lattice(case):
             base = [F(rng.randint(0, steps), steps) for _ in range(k)]
             for n in range(1, rng.randint(1, steps) + 1):
                 functions.append(_on_atoms(ground, algebra, [n * v for v in base]))
-    perturbation = rng.randrange(5)
+    perturbation = rng.randrange(4)
     if perturbation == 1 and len(functions) > 2:
         functions.pop(rng.randrange(len(functions)))
     elif perturbation == 2:
@@ -825,14 +836,7 @@ def _seeded_lattice(case):
         functions.append(
             _on_atoms(ground, algebra, [F(rng.randint(0, 6), 4) for _ in range(k)])
         )
-    scalars = (F(0), F(1))
-    if perturbation == 4:
-        scalars += (F(1, rng.randint(2, 3)),)
-    lattice = WeakIntegrationLattice(
-        ground, tuple(functions), scalars=scalars, clip_bound=rng.randint(1, 4)
-    )
-    bound = rng.choice((1, 2, 3, 4, 64))
-    return rng, lattice, bound
+    return rng, WeakIntegrationLattice(ground, tuple(functions))
 
 
 def _seeded_oracle(rng, lattice):
@@ -862,34 +866,33 @@ def _outcome(run):
 
 
 def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatch):
-    clauses, errors, multipliers, measures = set(), set(), set(), 0
+    clauses, errors, multipliers, clip_steps, measures = set(), set(), set(), set(), 0
     for case in range(400):
-        rng, lattice, bound = _seeded_lattice(case)
-        report = check_weak_lattice(lattice, bound)
-        assert report == reference_check_weak_lattice(lattice, bound), case
+        rng, lattice = _seeded_lattice(case)
+        report = check_weak_lattice(lattice)
+        assert report == reference_check_weak_lattice(lattice), case
         clauses.add(report.clause)
-        multipliers.update((n == bound, n > 1) for _, n, _ in report.witnesses)
+        multipliers.update(n for _, n, _ in report.witnesses)
+        clip_steps.update(key[2] for key, _, _ in report.witnesses if key[0] == "clip")
         oracle = _seeded_oracle(rng, lattice)
         cap = rng.choice((8, 512))
         values = tabulate(lattice, oracle)
-        monkeypatch.setattr(represent, "MULTIPLIER_BOUND", bound)
         monkeypatch.setattr(represent, "BOUND_FAMILY_CAP", cap)
         got = _outcome(lambda: daniell_stone(lattice, values))
-        want = _outcome(
-            lambda: reference_daniell_stone(lattice, oracle, bound, cap)
-        )
+        want = _outcome(lambda: reference_daniell_stone(lattice, oracle, cap))
         assert got == want, case
         if isinstance(got[0], type):
             errors.add(" ".join(got[1].split()[:3]))
         else:
             measures += 1
-    # the seeded lattices reach every clause but clip, multipliers above one
-    # and at the bound, and every error the slab route raises on them; none
-    # of them fails clip (test_lattice_clip_violation_detected builds one
-    # that does), so here clip is compared through the witnesses of the
+    # the seeded lattices reach every clause but clip, multipliers above
+    # one, clips past n = 4, and every error the slab route raises on them;
+    # none of them fails clip (test_lattice_clip_violation_detected builds
+    # one that does), so here clip is compared through the witnesses of the
     # lattices that pass
-    assert clauses == {None, "contains-one", "join", "meet", "span", "scale"}
-    assert (True, True) in multipliers
+    assert clauses == {None, "contains-one", "join", "meet", "span"}
+    assert max(multipliers) > 1
+    assert max(clip_steps) > 4
     assert measures >= 40
     assert errors == {
         "invalid weak integration",
@@ -901,22 +904,22 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatc
     }
 
 
-def _integer_search(members, target, bound):
+def _integer_search(members, target):
     """The integer kernel's search over Fraction vectors."""
     vecs, scale = exact.scaled_rows(tuple(members) + (target,))
     index = represent._direction_index(vecs[:-1])
-    return represent._as_multiple(vecs[-1], vecs[:-1], index, bound)
+    return represent._as_multiple(vecs[-1], vecs[:-1], index)
 
 
 @pytest.mark.parametrize(
-    "members, target, bound",
+    "members, target, n",
     [
-        # the multiplier exactly at the bound, and one past it
+        # a multiplier of 3, and of 3n for n times the target
         (((F(0), F(0)), (F(1, 3), F(2, 3))), (F(1), F(2)), 3),
         (((F(0), F(0)), (F(1, 3), F(2, 3))), (F(1), F(2)), 2),
         # the zero target
         (((F(0), F(0)), (F(1), F(1))), (F(0), F(0)), 64),
-        # h and 2h on one ray: the smaller index wins while n fits
+        # h and 2h on one ray: the smaller index wins
         (((F(0),), (F(1, 4),), (F(1, 2),)), (F(1),), 4),
         (((F(0),), (F(1, 4),), (F(1, 2),)), (F(1),), 3),
         (((F(0),), (F(1, 4),), (F(1, 2),)), (F(3, 4),), 64),
@@ -924,18 +927,24 @@ def _integer_search(members, target, bound):
         (((F(0), F(0)), (F(1, 2), F(1))), (F(1), F(1)), 64),
     ],
 )
-def test_integer_search_edge_cases(members, target, bound):
+def test_integer_search_edge_cases(members, target, n):
+    """The search on ``target`` and on ``n * target``: a multiplier of any
+    size is found, 192 included."""
     expected = {
-        ((F(1), F(2)), 3): (3, 1),
-        ((F(1), F(2)), 2): None,
-        ((F(0), F(0)), 64): (0, 0),
-        ((F(1),), 4): (4, 1),
-        ((F(1),), 3): (2, 2),
-        ((F(3, 4),), 64): (3, 1),
-        ((F(1), F(1)), 64): None,
-    }[target, bound]
-    assert _integer_search(members, target, bound) == expected
-    assert reference_as_multiple(target, members, bound) == expected
+        ((F(1), F(2)), 3): ((3, 1), (9, 1)),
+        ((F(1), F(2)), 2): ((3, 1), (6, 1)),
+        ((F(0), F(0)), 64): ((0, 0), (0, 0)),
+        ((F(1),), 4): ((4, 1), (16, 1)),
+        ((F(1),), 3): ((4, 1), (12, 1)),
+        ((F(3, 4),), 64): ((3, 1), (192, 1)),
+        ((F(1), F(1)), 64): (None, None),
+    }[target, n]
+    scaled = tuple(n * v for v in target)
+    assert (_integer_search(members, target), _integer_search(members, scaled)) == expected
+    assert (
+        reference_as_multiple(target, members),
+        reference_as_multiple(scaled, members),
+    ) == expected
 
 
 def test_direction_without_gcd_division_is_caught(monkeypatch):

@@ -134,7 +134,7 @@ def ground_and_generators(draw, max_size=6):
     return g, gens
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(ground_and_generators())
 def test_generation_is_a_closure_operator(data):
     g, gens = data
@@ -151,7 +151,7 @@ def test_generation_is_a_closure_operator(data):
         assert alg.is_member(m)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(ground_and_generators())
 def test_member_count_is_power_of_atom_count(data):
     g, gens = data
@@ -225,7 +225,7 @@ def test_semiring_difference_clause_detected():
     assert check.clause == "difference"
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(ground_and_generators(max_size=4))
 def test_is_semiring_agrees_with_oracle(data):
     g, gens = data
@@ -299,7 +299,7 @@ def test_non_premeasurable_map_with_witness():
     assert witness == cod_ground.mask_of(["a"])
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(ground_and_generators(max_size=4), st.integers(0, 10**6))
 def test_premeasurable_atom_criterion_matches_member_criterion(data, salt):
     g, gens = data
