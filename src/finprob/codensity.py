@@ -6,7 +6,11 @@ between measures and cones.
 A point of the simplex on a finite label set is a :class:`Measure` on the
 labels' powerset (:func:`~finprob.monad.SimplexPoint`), and the simplex map
 of a label function is :func:`~finprob.measure.pushforward` into the
-target labels' powerset.  A cone is a table from arrows to legs; the
+target labels' powerset.  :func:`check_cone_naturality` applies that map
+to integer numerators: an arrow composed with a label map is found among
+the declared arrows by its summed, reduced integer columns, and the legs of
+a triangle are compared by cross-multiplication, so no measure or arrow is
+built unless a triangle fails.  A cone is a table from arrows to legs; the
 canonical cone of a measure has, at each arrow, the average of the arrow's
 rows weighted by the measure (:func:`~finprob.monad.average`, the body of
 the monad multiplication).
@@ -27,19 +31,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .integrate import SimpleFunction
-from .measure import Measure, dirac, pushforward, simplex_algebra
-from .monad import SimplexPoint, average
+from .measure import Measure, dirac, simplex_algebra
+from .monad import average
 from .report import CheckOutcome, SuiteConfig
 from .represent import Functional, reconstruct_measure
 from .setalg import Algebra
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 BINARY_LABELS = ("0", "1")
 MAX_TARGETS = 4  # most target labels of a cone arrow, so naturality tries 4**4 maps
@@ -88,31 +90,21 @@ class Arrow:
     def at(self, label: str) -> Measure:
         return self.rows[self.source.atom_of_point(label)]
 
-    def compose_label_map(
-        self, mapping: Mapping[str, str], targets: Sequence[str]
-    ) -> "Arrow":
-        """Post-compose with the simplex map of a label function."""
-        targets = tuple(targets)
-        cod = simplex_algebra(targets)
-        return Arrow(
-            self.source,
-            targets,
-            tuple(pushforward(row, mapping, cod) for row in self.rows),
-        )
-
 
 def binary_arrow(f: SimpleFunction) -> Arrow:
     """The arrow into the two-label simplex pairing ``f`` with its
     complement: a point maps to ``(1 - f(x), f(x))``."""
+    simplex = simplex_algebra(BINARY_LABELS)
     rows = tuple(
-        SimplexPoint(BINARY_LABELS, (ONE - v, v)) for v in f.values
+        Measure.from_numerators(simplex, d, (d - n, n))
+        for n, d in ((v.numerator, v.denominator) for v in f.values)
     )
     return Arrow(f.algebra, BINARY_LABELS, rows)
 
 
 def collapse_arrow(source: Algebra) -> Arrow:
     """The unique arrow into the one-point simplex."""
-    row = SimplexPoint(("0",), (ONE,))
+    row = Measure.from_numerators(simplex_algebra(("0",)), 1, (1,))
     return Arrow(source, ("0",), (row,) * len(source.atoms))
 
 
@@ -178,28 +170,55 @@ class NaturalityResult:
 def check_cone_naturality(cone: Cone) -> NaturalityResult:
     """Enumerate commutative triangles inside the declared family and check
     that the legs commute with the simplex maps of all label functions:
-    every map from an arrow's labels into each target set, at most ``4**4``."""
+    every map from an arrow's labels into each target set, at most ``4**4``.
+    The first failing triangle's witness is ``(f, mapping, g, pushed leg of
+    f, leg of g)``, where ``g`` is the declared arrow equal to ``f``
+    composed with ``mapping``."""
     legs = cone.legs
     target_sets = sorted({arrow.targets for arrow in legs})
+    columns = {arrow: _integer_columns(arrow) for arrow in legs}
+    declared = {(g.targets, *columns[g]): g for g in legs}
     triangles = 0
-    for f in legs:
+    for f, (den, f_columns) in columns.items():
+        leg_f = legs[f]
         for targets in target_sets:
-            cod = simplex_algebra(targets)
-            for image in itertools.product(targets, repeat=len(f.targets)):
-                mapping = dict(zip(f.targets, image))
-                composed = f.compose_label_map(mapping, targets)
-                leg_g = legs.get(composed)
-                if leg_g is None:
+            for image in itertools.product(range(len(targets)), repeat=len(f.targets)):
+                g = declared.get((targets, *_composed(den, f_columns, image, len(targets))))
+                if g is None:
                     continue
                 triangles += 1
-                expected = pushforward(legs[f], mapping, cod)
-                if expected != leg_g:
+                pushed = [0] * len(targets)
+                for u, n in zip(image, leg_f.nums):
+                    pushed[u] += n
+                leg_g = legs[g]
+                if any(n * leg_g.den != m * leg_f.den for n, m in zip(pushed, leg_g.nums)):
+                    mapping = {label: targets[u] for label, u in zip(f.targets, image)}
+                    cod = simplex_algebra(targets)
+                    expected = Measure.from_numerators(cod, leg_f.den, pushed)
                     return NaturalityResult(
-                        False,
-                        triangles,
-                        witness=(f, mapping, composed, expected, leg_g),
+                        False, triangles, witness=(f, mapping, g, expected, leg_g)
                     )
     return NaturalityResult(True, triangles)
+
+
+def _integer_columns(arrow: Arrow) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, columns)``: column ``t`` holds each row's weight of label ``t``
+    times ``den``, the least common denominator of the rows.  Rows are in
+    lowest terms, so no common factor divides ``den`` and every entry."""
+    den = lcm(*(row.den for row in arrow.rows))
+    rows = (tuple(n * (den // row.den) for n in row.nums) for row in arrow.rows)
+    return den, tuple(zip(*rows))
+
+
+def _composed(den: int, columns, image: tuple[int, ...], width: int):
+    """The integer columns of an arrow's composite with the label map
+    ``t -> image[t]`` into ``width`` labels, in the form of
+    :func:`_integer_columns`: column ``u`` sums the columns mapped to ``u``."""
+    sums = [(0,) * len(columns[0])] * width
+    for column, u in zip(columns, image):
+        sums[u] = tuple(map(add, sums[u], column))
+    g = gcd(den, *itertools.chain.from_iterable(sums))
+    return den // g, tuple(tuple(n // g for n in column) for column in sums)
 
 
 def _binary_indicator_mask(arrow: Arrow) -> int | None:
@@ -208,10 +227,9 @@ def _binary_indicator_mask(arrow: Arrow) -> int | None:
         return None
     mask = 0
     for atom, row in zip(arrow.source.atoms, arrow.rows):
-        v = row.weights[1]
-        if v == ONE:
+        if row.nums == (0, 1):  # lowest terms: weight 1 on label 1
             mask |= atom
-        elif v != ZERO:
+        elif row.nums != (1, 0):
             return None
     return mask
 
@@ -301,11 +319,12 @@ def verify_codensity_bijection(
 
         q = gen.random_measure(rng, current, config.max_denominator)
         legs_q = cone_of_measure(q, family).legs
+        same_legs, same_measures = cone.legs == legs_q, q == p
         yield (
             "uniqueness",
-            (q == p) == (cone.legs == legs_q),
-            f"legs {'agree' if cone.legs == legs_q else 'differ'} "
-            f"but measures {'agree' if q == p else 'differ'}",
+            same_measures == same_legs,
+            lambda: f"legs {'agree' if same_legs else 'differ'} "
+            f"but measures {'agree' if same_measures else 'differ'}",
         )
 
     cases = max(1, 2 * config.cases // 5)

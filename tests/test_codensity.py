@@ -1,5 +1,6 @@
 """Arrows, cones, naturality, and the measure/cone round trip."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -24,7 +25,8 @@ from finprob import (
     uniform,
     verify_codensity_bijection,
 )
-from finprob.codensity import NaturalityResult, collapse_arrow
+from finprob.codensity import Arrow, NaturalityResult, collapse_arrow
+from finprob.measure import pushforward
 from finprob.report import SuiteConfig
 from finprob import cli, codensity, gen
 
@@ -323,3 +325,82 @@ def test_arrow_requires_measurable_components():
                 "1": SimplexPoint(("a", "b"), (F(0), F(1))),
             },
         )
+
+
+def reference_compose_label_map(arrow, mapping, targets):
+    """Post-compose an arrow with the simplex map of a label function."""
+    cod = simplex_algebra(targets)
+    rows = tuple(pushforward(row, mapping, cod) for row in arrow.rows)
+    return Arrow(arrow.source, targets, rows)
+
+
+def reference_check_cone_naturality(cone):
+    """Naturality by building each composed arrow and pushed leg as values:
+    the composed arrow is found by equality among the declared ones."""
+    legs = cone.legs
+    target_sets = sorted({arrow.targets for arrow in legs})
+    triangles = 0
+    for f in legs:
+        for targets in target_sets:
+            cod = simplex_algebra(targets)
+            for image in itertools.product(targets, repeat=len(f.targets)):
+                mapping = dict(zip(f.targets, image))
+                composed = reference_compose_label_map(f, mapping, targets)
+                leg_g = legs.get(composed)
+                if leg_g is None:
+                    continue
+                triangles += 1
+                expected = pushforward(legs[f], mapping, cod)
+                if expected != leg_g:
+                    witness = (f, mapping, composed, expected, leg_g)
+                    return NaturalityResult(False, triangles, witness)
+    return NaturalityResult(True, triangles)
+
+
+def seeded_cone(rng, atoms, extra, with_atom_arrow, perturb):
+    """A measure's cone over the indicator family on ``atoms`` points, plus
+    the binary arrows of ``extra`` random functions and their complements,
+    plus optionally a three-label atom arrow; ``perturb`` moves one
+    indicator or extra leg by 1/24 (an indicator leg when there is no
+    extra arrow)."""
+    algebra = Algebra.powerset(GroundSet(tuple(f"x{i}" for i in range(atoms))))
+    family = list(indicator_family(algebra))
+    extras = []
+    for _ in range(extra):
+        f = gen.random_simple_function(rng, algebra, 12)
+        complement = SimpleFunction(algebra, tuple(1 - v for v in f.values))
+        for arrow in (binary_arrow(f), binary_arrow(complement)):
+            if arrow not in family:
+                family.append(arrow)
+                extras.append(arrow)
+    if with_atom_arrow:
+        family.append(codensity._atom_arrow(algebra, 3))
+    legs = list(cone_of_measure(gen.random_measure(rng, algebra, 12), family).legs.items())
+    if perturb == "extra" and extras:
+        hit = family.index(rng.choice(extras))
+    elif perturb:
+        hit = rng.randrange(1, 1 + 2**atoms)  # family[0] is the collapse arrow
+    if perturb:
+        arrow, leg = legs[hit]
+        v = leg.weights[1] + F(1, 24)
+        v = v if v <= 1 else v - F(2, 24)
+        legs[hit] = (arrow, SimplexPoint(leg.labels, (1 - v, v)))
+    return Cone("seeded", tuple(legs))
+
+
+def test_naturality_matches_the_composed_arrow_reference():
+    rng = gen.rng_for(21, "naturality-reference")
+    failures = 0
+    shapes = itertools.product(
+        range(1, 6), (0, 1, 2), (False, True), (None, "indicator", "extra")
+    )
+    for atoms, extra, with_atom_arrow, perturb in shapes:
+        cone = seeded_cone(rng, atoms, extra, with_atom_arrow, perturb)
+        result = check_cone_naturality(cone)
+        expected = reference_check_cone_naturality(cone)
+        assert (result.ok, result.triangles) == (expected.ok, expected.triangles)
+        assert result.witness == expected.witness
+        assert repr(result.witness) == repr(expected.witness)
+        assert result.ok == (perturb is None)
+        failures += not result.ok
+    assert failures == 5 * 3 * 2 * 2

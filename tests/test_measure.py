@@ -189,3 +189,89 @@ def test_additivity_exhaustive_small():
                 union |= m
             if disjoint:
                 assert evaluate(p, union) == sum(evaluate(p, m) for m in combo)
+
+
+def two_point_algebra():
+    return Algebra.powerset(GroundSet(("0", "1")))
+
+
+def test_equal_weights_give_one_canonical_form():
+    a = two_point_algebra()
+    halves = Measure(a, (F(1, 2), F(1, 2)))
+    quarters = Measure(a, ("2/4", "2/4"))
+    scaled = Measure.from_numerators(a, 4, (2, 2))
+    assert halves == quarters == scaled
+    assert hash(halves) == hash(quarters) == hash(scaled)
+    assert (scaled.den, scaled.nums) == (2, (1, 1))
+    assert Measure(a, (0, 1)) == dirac("1", a)
+
+
+def test_weights_are_fractions_in_lowest_terms():
+    a = Algebra.powerset(GroundSet(("0", "1", "2")))
+    p = Measure.from_numerators(a, 12, (2, 4, 6))
+    assert (p.den, p.nums) == (6, (1, 2, 3))
+    assert p.weights == (F(1, 6), F(1, 3), F(1, 2))
+    assert all(type(w) is F for w in p.weights)
+    assert [w.denominator for w in p.weights] == [6, 3, 2]
+
+
+def test_invalid_weights_keep_their_messages():
+    a = two_point_algebra()
+    bad = [
+        ((F(1),), "^one weight per atom required$"),
+        ((F(3, 2), F(-1, 2)), r"^atom weights must lie in \[0, 1\]$"),
+        ((F(1, 2), F(1)), "^atom weights must sum to 1, got 3/2$"),
+    ]
+    for weights, message in bad:
+        with pytest.raises(ValueError, match=message):
+            Measure(a, weights)
+        den = 2
+        with pytest.raises(ValueError, match=message):
+            Measure.from_numerators(a, den, tuple(int(w * den) for w in weights))
+
+
+def test_a_weight_past_the_int_to_string_limit_constructs_and_dumps_in_full(unlimited_str):
+    from finprob.serialize import dump_measure
+
+    tiny = F(1, 10**5000)
+    p = Measure(two_point_algebra(), (tiny, 1 - tiny))
+    assert p.den == 10**5000 and p.weights == (tiny, 1 - tiny)
+    weights = dump_measure(p)["weights"]
+    assert weights == {
+        "0": "1/" + unlimited_str(10**5000),
+        "1": unlimited_str(10**5000 - 1) + "/" + unlimited_str(10**5000),
+    }
+
+
+def test_measures_are_immutable():
+    import dataclasses
+
+    p = uniform(two_point_algebra())
+    for name, value in (("den", 4), ("nums", (2, 2)), ("algebra", None), ("weights", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+    assert (p.den, p.nums, p.weights) == (2, (1, 1), (F(1, 2), F(1, 2)))
+
+
+def test_merge_orders_support_by_the_fraction_weight_vector():
+    """(1/3, 2/3) precedes (1/2, 1/2) by weight, though its denominator and
+    its numerators are larger."""
+    from finprob.monad import MetaMeasure
+
+    a = two_point_algebra()
+    thirds, halves = Measure(a, (F(1, 3), F(2, 3))), Measure(a, (F(1, 2), F(1, 2)))
+    meta = MetaMeasure.merge([(F(1, 4), halves), (F(1, 2), thirds), (F(1, 4), halves)])
+    assert meta.support == (thirds, halves)
+    assert meta.weights == (F(1, 2), F(1, 2))
+
+
+def test_extension_results_share_evaluate_by_duck_typing():
+    from finprob.represent import ExtensionResult
+
+    g = GroundSet(("0", "1", "2"))
+    a = Algebra.powerset(g)
+    weights = (F(1, 2), F(1, 3), F(1, 6))
+    extension = ExtensionResult(a, weights, F(1), g.full_mask)
+    assert extension.value(g.mask_of(["1", "2"])) == F(1, 2)
+    assert extension.to_measure() == Measure(a, weights)
+    assert extension.to_measure()(g.mask_of(["1", "2"])) == F(1, 2)
