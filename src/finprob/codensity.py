@@ -12,8 +12,8 @@ the declared arrows by its summed, reduced integer columns, and the legs of
 a triangle are compared by cross-multiplication, so no measure or arrow is
 built unless a triangle fails.  A cone is a table from arrows to legs; the
 canonical cone of a measure has, at each arrow, the average of the arrow's
-rows weighted by the measure (:func:`~finprob.monad.average`, the body of
-the monad multiplication).
+rows weighted by the measure's own numerators (:func:`~finprob.monad.average`,
+the body of the monad multiplication).
 
 The full comma category of arrows is infinite; a cone here is declared over
 a finite arrow family whose closure (binary arrows of every component, the
@@ -156,7 +156,7 @@ def cone_of_measure(p: Measure, family: Iterable[Arrow]) -> Cone:
     for arrow in family:
         if arrow.source != p.algebra:
             raise PreconditionError("arrow source differs from the measure's algebra")
-        legs.append((arrow, average(p.weights, arrow.rows)))
+        legs.append((arrow, average(p.den, p.nums, arrow.rows)))
     return Cone(f"measure{p.weights}", tuple(legs))
 
 

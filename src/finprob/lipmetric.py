@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import DomainError
@@ -143,20 +144,22 @@ def _lipschitz_rows(space: FiniteMetricSpace) -> list[tuple[int, int]]:
 
 
 def _one_sided_lp(
-    diff: Sequence[Fraction], space: FiniteMetricSpace
+    diff: Sequence, space: FiniteMetricSpace
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The optimum and an optimal ``f`` of ``sum f_i diff_i`` over the kept
+    Lipschitz rows and the box rows, all of them 0/±1 rows."""
     n = space.size
     rows, rhs = [], []
     for i, j in space.lp_rows:
-        row = [ZERO] * n
-        row[i], row[j] = ONE, -ONE
+        row = [0] * n
+        row[i], row[j] = 1, -1
         rows.append(row)
         rhs.append(space.dist[i][j])
     for i in range(n):
-        row = [ZERO] * n
-        row[i] = ONE
+        row = [0] * n
+        row[i] = 1
         rows.append(row)
-        rhs.append(ONE)
+        rhs.append(1)
     result = maximize(diff, rows, rhs)
     return result.value, result.solution
 
@@ -184,11 +187,17 @@ def bl_distance_lp(p: Measure, q: Measure, space: FiniteMetricSpace) -> Fraction
 def bl_distance_lp_witness(
     p: Measure, q: Measure, space: FiniteMetricSpace
 ) -> tuple[Fraction, LipschitzFunction]:
-    """As :func:`bl_distance_lp`, also returning an optimal test function."""
+    """As :func:`bl_distance_lp`, also returning an optimal test function.
+
+    The LP's objective is ``p - q`` on integer numerators over
+    ``lcm(p.den, q.den)``, a positive multiple of it with the same optimal
+    ``f``; its optimum is divided back."""
     _check_indexing(p, q, space.points)
-    diff = [a - b for a, b in zip(p.weights, q.weights)]
+    den = lcm(p.den, q.den)
+    p_scale, q_scale = den // p.den, den // q.den
+    diff = [a * p_scale - b * q_scale for a, b in zip(p.nums, q.nums)]
     value, f = _one_sided_lp(diff, space)
-    return value, LipschitzFunction(space, f)
+    return value / den, LipschitzFunction(space, f)
 
 
 def bl_distance_subsets(p: Measure, q: Measure) -> Fraction:

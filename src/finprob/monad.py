@@ -20,7 +20,6 @@ from .measure import Measure, dirac, pushforward, simplex_algebra
 from .report import CheckOutcome, SuiteConfig
 from .setalg import Algebra
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
@@ -78,24 +77,28 @@ class MetaMeasure:
         """The meta-measure of ``(weight, measure)`` pairs: the weights of a
         repeated measure are added, and the support is sorted by weight
         vector, so equal meta-measures come out identical."""
-        merged: dict[Measure, Fraction] = {}
+        merged: dict[Measure, list] = {}
         for w, p in pairs:
-            merged[p] = merged.get(p, ZERO) + w
-        support = tuple(sorted(merged, key=lambda p: p.weights))
-        return cls(support, tuple(merged[p] for p in support))
+            merged.setdefault(p, []).append(w)
+        # numerators over one common denominator order as the weights do
+        den = lcm(*(p.den for p in merged))
+        support = tuple(
+            sorted(merged, key=lambda p: tuple(n * (den // p.den) for n in p.nums))
+        )
+        return cls(support, tuple(total(merged[p]) for p in support))
 
 
-def average(weights: Sequence[Fraction], measures: Sequence[Measure]) -> Measure:
-    """The measure ``A -> sum_i weights_i * P_i(A)`` of measures ``P_i`` on
-    one algebra, for probability weights.
+def average(den: int, coeffs: Sequence[int], measures: Sequence[Measure]) -> Measure:
+    """The measure ``A -> sum_i (coeffs_i / den) * P_i(A)`` of measures
+    ``P_i`` on one algebra, for probability weights given as integer
+    numerators over ``den``.
 
     Computed on numerators: each ``P_i`` is brought to the least common
-    denominator of the measures, and the weights to theirs."""
-    (coeffs,), weight_den = scaled_rows((fractions(weights),))
-    den = lcm(*(p.den for p in measures))
-    rows = [tuple(n * (den // p.den) for n in p.nums) for p in measures]
+    denominator of the measures."""
+    measures_den = lcm(*(p.den for p in measures))
+    rows = [tuple(n * (measures_den // p.den) for n in p.nums) for p in measures]
     nums = (sum(c * n for c, n in zip(coeffs, column)) for column in zip(*rows))
-    return Measure.from_numerators(measures[0].algebra, weight_den * den, tuple(nums))
+    return Measure.from_numerators(measures[0].algebra, den * measures_den, tuple(nums))
 
 
 def mult(m: MetaMeasure) -> Measure:
@@ -104,7 +107,8 @@ def mult(m: MetaMeasure) -> Measure:
     ``mult(M)(A)`` is the integral of ``P(A)`` against ``M``; with finite
     support this is exactly ``sum_i weight_i * P_i(A)``.
     """
-    return average(m.weights, m.support)
+    (coeffs,), den = scaled_rows((m.weights,))
+    return average(den, coeffs, m.support)
 
 
 def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:

@@ -674,6 +674,29 @@ def test_a_distance_past_the_digit_limit_exits_zero_with_every_digit(
     assert witness == {"lp": "1/" + unlimited_str(BIG * (BIG + 1))}
 
 
+def test_a_distance_with_huge_denominators_exits_zero_with_its_exact_value(tmp_path):
+    """Distances of 1/10**400 and weights over 10**300: the objective row
+    holds 300-digit integers and the optimum a 700-digit denominator.  The
+    optimal test function, solved by hand, is f = (0, 1/10**400, 1/10**399)."""
+    d, e = 10**300, 10**400
+    near, far = f"1/{e}", f"1/{e // 10}"
+    instance = {
+        "format": 1,
+        "metric": {
+            "points": ["a", "b", "c"],
+            "dist": [["0", near, far], [near, "0", far], [far, far, "0"]],
+        },
+        "p": [f"1/{d}", f"2/{d}", f"{d - 3}/{d}"],
+        "q": [f"{d - 1}/{d}", f"1/{d}", "0/1"],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(instance))
+    done = run_finprob("distance", "--input", str(path), "--method", "lp")
+    assert done.returncode == 0, done.stderr
+    witness = json.loads(done.stdout)["checks"][0]["witnesses"][0]
+    assert witness == {"lp": str(Fraction(10 * d - 29, d * e))}
+
+
 def test_an_extension_past_the_digit_limit_exits_zero_with_every_digit(
     tmp_path, unlimited_str
 ):

@@ -24,7 +24,7 @@ from finprob import (
     total_variation,
 )
 from finprob import gen, lipmetric
-from finprob.linprog import maximize
+from finprob.linprog import LPResult, maximize
 from finprob.report import SuiteConfig
 from finprob.lipmetric import (
     _one_sided_lp,
@@ -479,6 +479,38 @@ def test_an_lp_short_on_non_discrete_spaces_fails_unit_contraction(monkeypatch):
     unit = check_bl_monad_nonexpansive(SuiteConfig(seed=0, cases=500))[0]  # 100 cases
     assert unit.failed > 0 and unit.witnesses
     assert all(w.startswith("case ") and "unit pair " in w for w in unit.witnesses)
+
+
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        (lambda f: (F(2),) + f[1:], "value 2 outside [0, 1]"),
+        (lambda f: (F(1),) + (F(0),) * (len(f) - 1), "not 1-Lipschitz at (a, b)"),
+    ],
+    ids=["outside-unit-interval", "steep"],
+)
+def test_a_rejected_lp_optimum_fails_the_checks_without_crashing(
+    monkeypatch, solution, message
+):
+    """An optimal test function that ``LipschitzFunction`` rejects is a
+    failed ``unit-contraction`` pair or ``mult-contraction`` case, never an
+    exception out of the suite."""
+    real = lipmetric.maximize
+
+    def rejected(c, a_ub, b_ub):
+        result = real(c, a_ub, b_ub)
+        return LPResult(result.value, solution(result.solution))
+
+    monkeypatch.setattr(lipmetric, "maximize", rejected)
+    third = F(1, 3)
+    space = FiniteMetricSpace(
+        ("a", "b", "c"), ((0, third, third), (third, 0, third), (third, third, 0))
+    )
+    unit, meta, laws = check_bl_monad_nonexpansive(SuiteConfig(cases=20), space)  # 4 cases
+    assert (unit.passed, unit.failed) == (0, 12)
+    assert all(message in w for w in unit.witnesses)
+    assert (meta.passed, meta.failed) == (0, 4)
+    assert laws.failed == 0
 
 
 def test_nonexpansive_small_distance():
