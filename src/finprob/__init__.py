@@ -85,6 +85,6 @@ from .lipmetric import (
     discrete_space,
     total_variation,
 )
-from .report import Mode, Report, SuiteConfig
+from .report import Report, SuiteConfig
 
 __version__ = "0.1.0"

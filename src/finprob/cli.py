@@ -83,26 +83,18 @@ def _prefixed(prefix: str, checks: Iterable[CheckOutcome]) -> list[CheckOutcome]
     return [replace(c, name=f"{prefix}.{c.name}") for c in checks]
 
 
-def run_laws(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
-    """The monad laws, run once for each mode label in ``modes`` (default:
-    the config's) and named under that label's prefix."""
-    checks = []
-    for mode in modes or (config.mode,):
-        checks += _prefixed(mode.value, check_monad_laws(config))
-    return checks
+def run_laws(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
+    """The monad laws on seeded cases."""
+    return check_monad_laws(config)
 
 
-def run_codensity(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
-    """The measure/cone bijection, run once for each mode label in ``modes``
-    (default: the config's) under that label's prefix, then small-index
-    sufficiency once at each k in ``{1, 2, min(config.k, 3)}``: one label
-    must leave the reconstruction undetermined, two or more determine it,
-    where "determined" means the cones of two sampled measures differ."""
-    checks = []
-    for mode in modes or (config.mode,):
-        checks += _prefixed(mode.value, verify_codensity_bijection(config))
+def run_codensity(config: SuiteConfig) -> list[CheckOutcome]:
+    """The measure/cone bijection, then small-index sufficiency once at each
+    k in {1, 2, 3}: arrows into one label must leave the reconstruction
+    undetermined, arrows into two or three determine it, where "determined"
+    means the cones of two sampled measures differ."""
     sufficiency = []
-    for k in sorted({1, 2, min(config.k, 3)}):
+    for k in (1, 2, 3):
         determined, reconstruction = small_index_sufficiency(config, k)
         expect_determined = k >= 2
         ok = determined.ok == expect_determined and reconstruction.ok
@@ -112,7 +104,7 @@ def run_codensity(config: SuiteConfig, modes=None) -> list[CheckOutcome]:
             else ()
         )
         sufficiency.append(CheckOutcome(f"k{k}", int(ok), int(not ok), witnesses))
-    return checks + _prefixed("sufficiency", sufficiency)
+    return [*verify_codensity_bijection(config), *_prefixed("sufficiency", sufficiency)]
 
 
 def run_distance_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
@@ -393,13 +385,21 @@ def _integral_case(config: SuiteConfig, rng):
 
 def run_all(config: SuiteConfig) -> list[CheckOutcome]:
     """Every suite, each check named under its suite's prefix.  The laws and
-    the bijection run once under each mode label: the labels select the
-    same checks, but each prefix counts only outcomes its own run
-    produced."""
-    both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
+    the bijection are filed under both :class:`Mode` labels, each label's
+    checks from a run of its own, so that every count comes from a run that
+    produced it; sufficiency runs once, beside the first bijection."""
+    sigma, charge = Mode.SIGMA.value, Mode.FINITELY_ADDITIVE.value
+    laws = [*_prefixed(sigma, run_laws(config)), *_prefixed(charge, run_laws(config))]
+    first = run_codensity(config)
+    sufficiency = [c for c in first if c.name.startswith("sufficiency.")]
+    codensity = [
+        *_prefixed(sigma, [c for c in first if c not in sufficiency]),
+        *_prefixed(charge, verify_codensity_bijection(config)),
+        *sufficiency,
+    ]
     return [
-        *_prefixed("laws", run_laws(config, modes=both)),
-        *_prefixed("codensity", run_codensity(config, modes=both)),
+        *_prefixed("laws", laws),
+        *_prefixed("codensity", codensity),
         *_prefixed("distance", run_distance_suite(config)),
         *_prefixed("lipschitz-equivalence", run_lipschitz_equivalence(config)),
         *_prefixed("nonexpansive", run_nonexpansive(config)),
@@ -469,7 +469,7 @@ def _reconstruct_check(config: SuiteConfig, functional, failure=None) -> CheckOu
         failure = str(exc)
     if failure is not None:
         return CheckOutcome("reconstruct", 0, 1, (failure,))
-    return CheckOutcome("reconstruct", 1, 0, (serialize.dump_measure(measure, config.mode),))
+    return CheckOutcome("reconstruct", 1, 0, (serialize.dump_measure(measure),))
 
 
 def run_extend_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
@@ -575,10 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     size = f"largest ground set, at most {DEFAULT_SIZE_CAP}"
     option("--size", "max_ground_size", size, type=int)
     option("--denominator", "max_denominator", "largest denominator", type=int)
-    labels = [m.value for m in Mode]
-    option("--mode", "mode", "report label; both run the same checks", choices=labels)
     option("--method", "method", "how distance --input computes", choices=METHODS)
-    option("--k", "k", "largest sufficiency index", type=int)
     formats = "how the report is rendered; default %(default)s"
     parser.add_argument("--format", choices=FORMATS, default=FORMATS[0], help=formats)
     takers = ", ".join(name for name, c in COMMANDS.items() if c.run_input)

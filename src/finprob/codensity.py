@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .integrate import SimpleFunction
-from .measure import Measure, dirac, simplex_algebra
+from .measure import Measure, common_numerators, dirac, simplex_algebra
 from .monad import average
 from .report import CheckOutcome, SuiteConfig
 from .represent import Functional, reconstruct_measure
@@ -174,23 +174,26 @@ def check_cone_naturality(cone: Cone) -> NaturalityResult:
     The first failing triangle's witness is ``(f, mapping, g, pushed leg of
     f, leg of g)``, where ``g`` is the declared arrow equal to ``f``
     composed with ``mapping``."""
-    legs = cone.legs
-    target_sets = sorted({arrow.targets for arrow in legs})
-    columns = {arrow: _integer_columns(arrow) for arrow in legs}
-    declared = {(g.targets, *columns[g]): g for g in legs}
+    target_sets = sorted({arrow.targets for arrow in cone.legs})
+    arrows = []  # (f, leg of f, den, integer columns of f)
+    declared = {}  # an arrow's targets and integer columns -> (arrow, leg)
+    for arrow, leg in cone.legs.items():
+        den, rows = common_numerators(arrow.rows)
+        columns = tuple(zip(*rows))
+        arrows.append((arrow, leg, den, columns))
+        declared[(arrow.targets, den, columns)] = arrow, leg
     triangles = 0
-    for f, (den, f_columns) in columns.items():
-        leg_f = legs[f]
+    for f, leg_f, den, f_columns in arrows:
         for targets in target_sets:
             for image in itertools.product(range(len(targets)), repeat=len(f.targets)):
-                g = declared.get((targets, *_composed(den, f_columns, image, len(targets))))
-                if g is None:
+                hit = declared.get((targets, *_composed(den, f_columns, image, len(targets))))
+                if hit is None:
                     continue
                 triangles += 1
+                g, leg_g = hit
                 pushed = [0] * len(targets)
                 for u, n in zip(image, leg_f.nums):
                     pushed[u] += n
-                leg_g = legs[g]
                 if any(n * leg_g.den != m * leg_f.den for n, m in zip(pushed, leg_g.nums)):
                     mapping = {label: targets[u] for label, u in zip(f.targets, image)}
                     cod = simplex_algebra(targets)
@@ -201,19 +204,11 @@ def check_cone_naturality(cone: Cone) -> NaturalityResult:
     return NaturalityResult(True, triangles)
 
 
-def _integer_columns(arrow: Arrow) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(den, columns)``: column ``t`` holds each row's weight of label ``t``
-    times ``den``, the least common denominator of the rows.  Rows are in
-    lowest terms, so no common factor divides ``den`` and every entry."""
-    den = lcm(*(row.den for row in arrow.rows))
-    rows = (tuple(n * (den // row.den) for n in row.nums) for row in arrow.rows)
-    return den, tuple(zip(*rows))
-
-
 def _composed(den: int, columns, image: tuple[int, ...], width: int):
-    """The integer columns of an arrow's composite with the label map
-    ``t -> image[t]`` into ``width`` labels, in the form of
-    :func:`_integer_columns`: column ``u`` sums the columns mapped to ``u``."""
+    """The ``(den, columns)`` of an arrow's composite with the label map
+    ``t -> image[t]`` into ``width`` labels, from the arrow's own (its
+    :func:`~finprob.measure.common_numerators` rows, transposed): column
+    ``u`` sums the columns mapped to ``u``, reduced to lowest terms."""
     sums = [(0,) * len(columns[0])] * width
     for column, u in zip(columns, image):
         sums[u] = tuple(map(add, sums[u], column))

@@ -17,13 +17,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .exact import fractions, grid, in_unit_interval, scaled_rows, total
 from .linprog import maximize
-from .measure import Measure, dirac, simplex_algebra
+from .measure import Measure, common_numerators, dirac, simplex_algebra
 from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
 from .report import CheckOutcome, SuiteConfig, tally
 
@@ -193,9 +192,8 @@ def bl_distance_lp_witness(
     ``lcm(p.den, q.den)``, a positive multiple of it with the same optimal
     ``f``; its optimum is divided back."""
     _check_indexing(p, q, space.points)
-    den = lcm(p.den, q.den)
-    p_scale, q_scale = den // p.den, den // q.den
-    diff = [a * p_scale - b * q_scale for a, b in zip(p.nums, q.nums)]
+    den, (p_nums, q_nums) = common_numerators((p, q))
+    diff = [a - b for a, b in zip(p_nums, q_nums)]
     value, f = _one_sided_lp(diff, space)
     return value / den, LipschitzFunction(space, f)
 
@@ -422,22 +420,15 @@ def check_bl_monad_nonexpansive(
 
 
 def simplex_grid(labels: Sequence[str], max_denominator: int) -> tuple[Measure, ...]:
-    """All simplex points whose weights have denominators at most the bound."""
+    """All simplex points whose weights have denominators at most the bound,
+    in lexicographic order of their weight vectors."""
     labels = tuple(labels)
     values = grid(ONE, max_denominator)
-    points: list[Measure] = []
-
-    def build(prefix: list[Fraction], remaining: Fraction, slots: int) -> None:
-        if slots == 1:
-            if remaining in values:
-                points.append(SimplexPoint(labels, tuple(prefix + [remaining])))
-            return
-        for v in values:
-            if v <= remaining:
-                build(prefix + [v], remaining - v, slots - 1)
-
-    build([], ONE, len(labels))
-    return tuple(points)
+    return tuple(
+        SimplexPoint(labels, weights)
+        for weights in itertools.product(values, repeat=len(labels))
+        if sum(weights) == 1
+    )
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
-from typing import Mapping, Sequence
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
 from .exact import fractions, scaled_rows, total
@@ -81,6 +81,15 @@ class Measure:
     def labels(self) -> tuple[str, ...]:
         """The ground set's points; on a simplex algebra, one per weight."""
         return self.algebra.ground.points
+
+
+def common_numerators(measures: Iterable[Measure]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, rows)``: row ``i`` holds the i-th measure's atom weights times
+    ``den``, the least common denominator of the measures.  Each measure is
+    in lowest terms, so no factor above 1 divides ``den`` and every entry."""
+    measures = tuple(measures)
+    den = lcm(*(p.den for p in measures))
+    return den, tuple(tuple(n * (den // p.den) for n in p.nums) for p in measures)
 
 
 @lru_cache

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .exact import fractions, scaled_rows, total
-from .measure import Measure, dirac, pushforward, simplex_algebra
+from .measure import Measure, common_numerators, dirac, pushforward, simplex_algebra
 from .report import CheckOutcome, SuiteConfig
 from .setalg import Algebra
 
@@ -81,10 +81,8 @@ class MetaMeasure:
         for w, p in pairs:
             merged.setdefault(p, []).append(w)
         # numerators over one common denominator order as the weights do
-        den = lcm(*(p.den for p in merged))
-        support = tuple(
-            sorted(merged, key=lambda p: tuple(n * (den // p.den) for n in p.nums))
-        )
+        _, rows = common_numerators(merged)
+        support = tuple(p for _, p in sorted(zip(rows, merged), key=itemgetter(0)))
         return cls(support, tuple(total(merged[p]) for p in support))
 
 
@@ -95,8 +93,7 @@ def average(den: int, coeffs: Sequence[int], measures: Sequence[Measure]) -> Mea
 
     Computed on numerators: each ``P_i`` is brought to the least common
     denominator of the measures."""
-    measures_den = lcm(*(p.den for p in measures))
-    rows = [tuple(n * (measures_den // p.den) for n in p.nums) for p in measures]
+    measures_den, rows = common_numerators(measures)
     nums = (sum(c * n for c, n in zip(coeffs, column)) for column in zip(*rows))
     return Measure.from_numerators(measures[0].algebra, den * measures_den, tuple(nums))
 

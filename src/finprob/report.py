@@ -15,10 +15,11 @@ from .setalg import DEFAULT_SIZE_CAP
 
 
 class Mode(str, enum.Enum):
-    """The label a run carries: which of the paper's two readings, measures
-    or finitely additive charges, its report is filed under.  On a finite
-    algebra the two are one object, so the label selects no computation; it
-    names report prefixes and the ``"mode"`` key of dumped measures."""
+    """The paper's two readings, measures and finitely additive charges.  On
+    a finite algebra they are one object, so no run selects between them.
+    The labels survive in two places only: the sections that ``all`` files
+    the laws and the bijection under, and the values a format-1 input
+    measure's ``"mode"`` key may take."""
 
     SIGMA = "sigma"
     FINITELY_ADDITIVE = "finitely_additive"
@@ -30,9 +31,10 @@ FORMATS = ("json", "text")  # how a report is rendered
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs shared by every verification suite; ``to_payload`` is the
-    ``config`` of every report.  Each seeded suite is ``suite(config)`` and
-    derives its own share of ``cases`` from it.
+    """The one configuration of a run; ``to_payload`` is the ``config`` of
+    every report.  Each seeded suite is ``suite(config)`` and derives its
+    own share of ``cases`` from it; ``method`` matters to
+    ``distance --input`` only.
 
     Defaults match the desk-scale acceptance setup: seed 0, ground sets up to
     five points, denominators up to twelve, five hundred cases.  Ground sets
@@ -43,15 +45,12 @@ class SuiteConfig:
     max_ground_size: int = 5
     max_denominator: int = 12
     cases: int = 500
-    mode: Mode = Mode.SIGMA
     method: str = "both"
-    k: int = 3
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", Mode(self.mode))
         if self.seed < 0:
             raise InputError("seed must be nonnegative", "$.seed")
-        for name in ("max_ground_size", "max_denominator", "cases", "k"):
+        for name in ("max_ground_size", "max_denominator", "cases"):
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be positive", f"$.{name}")
         if self.max_ground_size > DEFAULT_SIZE_CAP:
@@ -63,7 +62,7 @@ class SuiteConfig:
             raise InputError(f"unknown method {self.method!r}", "$.method")
 
     def to_payload(self) -> dict:
-        return dict(asdict(self), mode=self.mode.value)
+        return asdict(self)
 
 
 @dataclass(frozen=True)

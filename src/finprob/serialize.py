@@ -154,17 +154,18 @@ def load_algebra(data: Any, location: str = "$.algebra") -> Algebra:
 # -- measures ----------------------------------------------------------------
 
 
-def dump_measure(p: Measure, mode: Mode = Mode.SIGMA) -> dict:
-    """The measure's wire form; ``mode`` is the run's label, carried in the
-    ``"mode"`` key."""
+def dump_measure(p: Measure) -> dict:
+    """The measure's wire form: its algebra and one weight per atom."""
     return {
         "algebra": dump_algebra(p.algebra),
         "weights": {str(i): wire_text(w) for i, w in enumerate(p.weights)},
-        "mode": Mode(mode).value,
     }
 
 
 def load_measure(data: Any, location: str = "$") -> Measure:
+    """A measure's wire form.  A ``"mode"`` key, which earlier dumps wrote,
+    must name a :class:`~finprob.report.Mode` label and is then ignored: on
+    a finite algebra both labels mean the same measure."""
     obj = _expect(data, dict, location)
     algebra = load_algebra(_field(obj, "algebra", location), f"{location}.algebra")
     raw = _expect(_field(obj, "weights", location), dict, f"{location}.weights")
@@ -175,7 +176,7 @@ def load_measure(data: Any, location: str = "$") -> Measure:
         if key not in raw:
             raise InputError(f"missing weight for atom {i}", f"{location}.weights")
         weights.append(parse_fraction(raw[key], f"{location}.weights.{key}"))
-    if "mode" in obj:  # a run label only: validated, then ignored
+    if "mode" in obj:
         try:
             Mode(obj["mode"])
         except ValueError:

@@ -28,6 +28,16 @@ def _unlimited_str(n: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.fixture(scope="session")
+def all_checks_at_100_cases():
+    """The checks of ``run_all`` at 100 cases, by name, run once for every
+    test that reads them."""
+    from finprob import cli
+    from finprob.report import SuiteConfig
+
+    return {c.name: c for c in cli.run_all(SuiteConfig(cases=100))}
+
+
 @pytest.fixture
 def unlimited_str():
     """``str(n)`` with Python's int-to-string limit lifted for that one call

@@ -169,11 +169,11 @@ def test_criterion_09_integral_properties():
     announce(9, "integral properties", ok, started, "500 (P, f, g) triples")
 
 
-ALL_SEED_0_SHA256 = "a2562c0c47d77eb08a71d3872aa4d14a4df4f5f11af1faa5d57eb491f0217b20"
+ALL_SEED_0_SHA256 = "21d9400ca85178fa25279c266bfccc3a361adb68aa54bbe9fcdc4d2351330393"
 
 # `finprob --help` at 80 columns: it names the ground-set cap and every
 # `SuiteConfig` default
-HELP_SHA256 = "9255ea48bc82678ef5cbe2b3238f82f56db8043779a435d5dcdad2e806e09709"
+HELP_SHA256 = "c357baf318a6e747ba8159b2126401e1acfe15269213ea12a28cf574892ebd8b"
 
 
 def test_help_is_pinned(capsys, monkeypatch):
@@ -183,6 +183,18 @@ def test_help_is_pinned(capsys, monkeypatch):
     assert done.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256
+
+
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, which pins the reports it
+    runs."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(bench))
+    return workloads
 
 
 def test_criterion_10_determinism():
@@ -203,33 +215,23 @@ def test_criterion_10_determinism():
     )
     # the report's bytes are fixed, not only the same from run to run
     assert hashlib.sha256(first.stdout.encode()).hexdigest() == ALL_SEED_0_SHA256
+    # and it keeps the check names and passed counts the benchmark expects
+    workloads = bench_workloads()
+    checks = payload["checks"]
+    assert [c["name"] for c in checks] == workloads.EXPECTED_CHECKS
+    assert {c["name"]: c["passed"] for c in checks} == workloads.expected_suite_counts(0)
 
 
 # The reports of the suites with their own command, pinned byte for byte
 # alongside the full report.
 SUITE_SEED_0_SHA256 = {
-    "codensity": "0a6432aef24196bd58c12c8600af3797343843364b49c4497d3e200ac1928cef",
-    "distance": "5c5d66fd50bd542d07a156ebf22e13eb7991dc3e2c08e049ce98518b29c0842d",
-    "extend": "1499d6d2aec45f4ded123e1fbbb03d5285b72029ee1b90806c4fc604b19c8884",
-    "integrate": "149caed0100c52bb0e04bcf7663ffdefc2e7f4867e35e394bf49bf18318a70cd",
-    "laws": "0a639d686c561873a4651495040a94f7f7fe058d863b4c5c5808fdd6999a9660",
-    "reconstruct": "d5f545aff1857e59ebe473e08c66905ec166308538940ab644205d183f928219",
+    "codensity": "1ef16c0a45e3ddee3db9effab5977c7c7faa9139b03284ee2214a322a31e9c1d",
+    "distance": "e4c856c92ef6dbe1f92ee31ef7f1ddf525090d8268b39a7008d4e732f65a7929",
+    "extend": "f8a0dadc5ac9ebbb91cf8e861f223bccf60cf0b1cebb81198aec281555f4f8dd",
+    "integrate": "2efcdc7955c293925f1d1968655923c9035f87baa9387447b3661c0d135d1703",
+    "laws": "73493c458e2720c08809d0086fda593db0f683d181ec989c8c56f0f24ae0ea11",
+    "reconstruct": "ebe3b06facba04800aacd2e80b5981e1da06ce1990720f5ee8e0dc9fd0f1ba70",
 }
-
-
-# the same suites' reports at --seed 0 --mode finitely_additive
-CHARGE_SEED_0_SHA256 = {
-    "codensity": "1a083da49f7e941a5387dd2ea94d647cdcd2f7c9e33bbd75c3b8735215b23f1d",
-    "laws": "91cf6b0561e3a639d28c4265bd563184d3a8f014cee97c9a3cfc0eaa6b843ec1",
-    "reconstruct": "9bed544d58f8944f5a77e66e7ff796f790aee4672478c8e3763b58103c5eefdd",
-}
-
-
-@pytest.mark.parametrize("suite", sorted(CHARGE_SEED_0_SHA256))
-def test_finitely_additive_reports_are_pinned(suite, capsys):
-    assert cli.run([suite, "--seed", "0", "--mode", "finitely_additive"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == CHARGE_SEED_0_SHA256[suite]
 
 
 @pytest.mark.parametrize("suite", sorted(SUITE_SEED_0_SHA256))
@@ -242,16 +244,11 @@ def test_suite_reports_are_pinned(suite, capsys):
 # The `--input` reports of the benchmark's first 20 `instances` blocks at
 # seed 0 plus its hostile probes (568 requests), each hashed as its exit code
 # and stdout in request order.
-INPUT_SEED_0_SHA256 = "2cb9e2a17770f32a9f931e1b9a23f95ebc9c4d91608801cea1bc425fdc22aea3"
+INPUT_SEED_0_SHA256 = "4a977ebd5f677e38ec18db9165d2e7744cc99b7c4d99db03f36439e3db65399c"
 
 
 def test_input_reports_are_pinned(tmp_path, monkeypatch):
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(bench))
+    workloads = bench_workloads()
     monkeypatch.setattr(workloads, "INSTANCE_BLOCKS", 20)
     blocks, probe = workloads.instances(0, tmp_path)
     ops = [op for block in blocks for op in block] + probe

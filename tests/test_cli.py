@@ -62,27 +62,25 @@ def test_codensity_subcommand_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     names = [c["name"] for c in payload["checks"]]
-    assert "sufficiency.k1" in names
-    assert "sufficiency.k2" in names
+    assert names == [
+        "round-trip",
+        "naturality",
+        "uniqueness",
+        "sufficiency.k1",
+        "sufficiency.k2",
+        "sufficiency.k3",
+    ]
 
 
-@pytest.mark.parametrize("k", [1, 2])
-def test_codensity_small_k_passes_with_distinct_checks(k):
-    """k = 1 expects an undetermined reconstruction and k = 2 a determined
-    one, each listed once beside the other."""
-    env = dict(os.environ, PYTHONPATH=str(Path(finprob.__file__).parent.parent))
-    done = subprocess.run(
-        [sys.executable, "-m", "finprob", "codensity", "--cases", "50", "--k", str(k)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
-    assert done.returncode == 0, done.stdout
-    names = [c["name"] for c in json.loads(done.stdout)["checks"]]
-    assert len(names) == len(set(names))
-    sufficiency = [name for name in names if name.startswith("sufficiency.")]
-    assert sufficiency == ["sufficiency.k1", "sufficiency.k2"]
+@pytest.mark.parametrize("argv", [["laws", "--mode", "sigma"], ["codensity", "--k", "2"]])
+def test_the_retired_mode_and_k_options_are_unrecognized(argv):
+    """A run has one configuration: no label to choose and no sufficiency
+    index to cap."""
+    done = run_finprob(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    errors = [line for line in done.stderr.splitlines() if "unrecognized arguments" in line]
+    assert errors == [f"finprob: error: unrecognized arguments: {' '.join(argv[1:])}"]
 
 
 def test_distance_generated_suite(capsys):
@@ -262,29 +260,6 @@ def test_reconstruct_input_success(tmp_path, capsys):
 
 
 TWO_POINT_ALGEBRA = {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]}
-
-
-def test_reconstruct_input_witness_carries_the_mode_label(tmp_path, capsys):
-    instance = {
-        "format": 1,
-        "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
-        "table": {
-            "family": [
-                {"terms": [["1/1", [0, 1]]]},
-                {"terms": [["1/1", [0]]]},
-                {"terms": [["1/1", [1]]]},
-            ],
-            "values": ["1/1", "1/4", "3/4"],
-        },
-    }
-    path = tmp_path / "r.json"
-    path.write_text(json.dumps(instance))
-    for mode in ("sigma", "finitely_additive"):
-        code, out, _ = run_cli(capsys, "reconstruct", "--input", str(path), "--mode", mode)
-        assert code == 0
-        witness = json.loads(out)["checks"][0]["witnesses"][0]
-        assert witness["mode"] == mode
-        assert witness["weights"] == {"0": "1/4", "1": "3/4"}
 
 
 def test_reconstruct_input_missing_indicators_exits_one(tmp_path):
@@ -899,15 +874,6 @@ def test_text_format(capsys):
     code, out, _ = run_cli(capsys, "laws", "--cases", "5", "--format", "text")
     assert code == 0
     assert out.startswith("suite laws: PASS")
-
-
-def test_mode_flag_runs_charge_suite(capsys):
-    code, out, _ = run_cli(
-        capsys, "laws", "--cases", "10", "--mode", "finitely_additive"
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert all(c["name"].startswith("finitely_additive.") for c in payload["checks"])
 
 
 def test_empty_instance_is_not_a_request_for_the_generated_suite():

@@ -10,7 +10,6 @@ from finprob import (
     Cone,
     GroundSet,
     Measure,
-    Mode,
     ReconstructionError,
     SimpleFunction,
     SimplexPoint,
@@ -198,13 +197,17 @@ def test_uniqueness_distinct_measures_have_distinct_legs():
         assert same_legs == (p == q)
 
 
-def test_bijection_suite_both_modes():
-    both = (Mode.SIGMA, Mode.FINITELY_ADDITIVE)
-    checks = {c.name: c for c in cli.run_codensity(SuiteConfig(cases=100), modes=both)}
+def test_bijection_suite_both_modes(all_checks_at_100_cases):
+    """``all`` files the bijection under both labels, each from its own run,
+    and sufficiency once."""
+    checks = all_checks_at_100_cases
     for name in ("round-trip", "naturality", "uniqueness"):
-        sigma, charge = checks[f"sigma.{name}"], checks[f"finitely_additive.{name}"]
+        sigma = checks[f"codensity.sigma.{name}"]
+        charge = checks[f"codensity.finitely_additive.{name}"]
         assert sigma.ok and charge.ok
         assert sigma.passed == charge.passed > 0
+    sufficiency = [name for name in checks if "sufficiency" in name]
+    assert sufficiency == [f"codensity.sufficiency.k{k}" for k in (1, 2, 3)]
 
 
 def codensity_checks_at_50_cases():
@@ -225,11 +228,11 @@ def test_a_cone_that_fails_naturality_reaches_no_later_check(monkeypatch):
 
     monkeypatch.setattr(codensity, "check_cone_naturality", every_third_fails)
     checks = codensity_checks_at_50_cases()
-    for name in ("sigma.round-trip", "sigma.uniqueness"):
+    for name in ("round-trip", "uniqueness"):
         assert (checks[name].passed, checks[name].failed) == (14, 0)
-    naturality = checks["sigma.naturality"]
+    naturality = checks["naturality"]
     assert naturality.failed == 6
-    assert naturality.passed + naturality.failed == clean["sigma.naturality"].passed
+    assert naturality.passed + naturality.failed == clean["naturality"].passed
     assert naturality.witnesses[0] == "case 2: seeded fault"
 
 

@@ -24,6 +24,7 @@ from finprob import (
     total_variation,
 )
 from finprob import gen, lipmetric
+from finprob.exact import grid
 from finprob.linprog import LPResult, maximize
 from finprob.report import SuiteConfig
 from finprob.lipmetric import (
@@ -455,6 +456,39 @@ def test_simplex_grid_enumeration():
     assert (F(1, 3), F(2, 3)) in weights
     assert (F(1, 2), F(1, 2)) in weights
     assert all(sum(w) == 1 for w in weights)
+
+
+def reference_simplex_grid(labels, max_denominator):
+    """The recursive enumeration that ``simplex_grid`` replaced: each weight
+    runs over the grid in increasing order up to what remains, and the last
+    weight is what remains, kept when it lies on the grid."""
+    labels = tuple(labels)
+    values = grid(F(1), max_denominator)
+    points = []
+
+    def build(prefix, remaining, slots):
+        if slots == 1:
+            if remaining in values:
+                points.append(SimplexPoint(labels, tuple(prefix + [remaining])))
+            return
+        for v in values:
+            if v <= remaining:
+                build(prefix + [v], remaining - v, slots - 1)
+
+    build([], F(1), len(labels))
+    return tuple(points)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_simplex_grid_matches_the_recursive_reference(m):
+    """The same points in the same order: the sweep's seeded spot-check
+    sample draws from this order, and no report digest would show a
+    reorder."""
+    labels = tuple(f"t{i}" for i in range(m))
+    for max_denominator in range(1, 7):
+        got = simplex_grid(labels, max_denominator)
+        assert got == reference_simplex_grid(labels, max_denominator)
+        assert len(got) == len(set(got))
 
 
 def test_nonexpansive_unit_tight_on_discrete():

@@ -101,7 +101,7 @@ def test_faulted_reconstruction_keeps_five_round_trip_witnesses(monkeypatch):
     )
     config = SuiteConfig(seed=0, cases=50)  # 20 bijection cases
     checks = {c.name: c for c in cli.run_codensity(config)}
-    round_trip = checks["sigma.round-trip"]
+    round_trip = checks["round-trip"]
     assert round_trip.failed > MAX_WITNESSES
     assert round_trip.passed + round_trip.failed == 20
     assert len(round_trip.witnesses) == MAX_WITNESSES
