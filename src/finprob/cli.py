@@ -46,7 +46,7 @@ from .lipmetric import (
     total_variation,
 )
 from .monad import SimplexPoint, check_monad_laws
-from .report import FORMATS, METHODS, CheckOutcome, Mode, Report, SuiteConfig, tally
+from .report import FORMATS, CheckOutcome, Mode, Report, SuiteConfig, tally
 from .represent import (
     Functional,
     Slab,
@@ -413,32 +413,27 @@ def run_all(config: SuiteConfig) -> list[CheckOutcome]:
 # input-driven commands
 
 
-def run_distance_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
+def run_distance_input(data: dict) -> tuple[CheckOutcome, ...]:
+    """The distance between ``p`` and ``q`` on the given metric: the LP
+    always, and the subset maximum beside it when the metric has at most
+    :data:`SUBSET_ENUMERATION_CAP` points."""
     space = serialize.load_metric(data.get("metric"), "$.metric")
     p = serialize.load_simplex(data.get("p"), "$.p", labels=space.points)
     q = serialize.load_simplex(data.get("q"), "$.q", labels=space.points)
-    if config.method != "lp" and space.size > SUBSET_ENUMERATION_CAP:
-        raise InputError(
-            f"subset enumeration is capped at {SUBSET_ENUMERATION_CAP} points; "
-            "use --method lp",
-            "$.metric.points",
-        )
-    values = {}
-    if config.method in ("lp", "both"):
-        values["lp"] = bl_distance_lp(p, q, space)
-    if config.method in ("subsets", "both"):
+    values = {"lp": bl_distance_lp(p, q, space)}
+    if space.size <= SUBSET_ENUMERATION_CAP:
         values["subsets"] = bl_distance_subsets(p, q)
     # the subset maximum is total variation, and it bounds the lp: 1-Lipschitz
     # tests are among all [0, 1] tests, and on a discrete metric they are all
     tv = total_variation(p, q)
-    lp = values.get("lp", tv)
+    lp = values["lp"]
     in_range = lp == tv if space.is_discrete() else ZERO <= lp <= tv
     ok = values.get("subsets", tv) == tv and in_range
     witness = {key: wire_text(v) for key, v in values.items()}
     return (CheckOutcome("distance", int(ok), int(not ok), (witness,)),)
 
 
-def run_codensity_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
+def run_codensity_input(data: dict) -> tuple[CheckOutcome, ...]:
     """Check a declared cone's naturality and reconstruct its measure."""
     algebra = serialize.load_algebra(data.get("algebra"), "$.algebra")
     cone = serialize.load_cone(data.get("cone"), algebra, "$.cone")
@@ -449,18 +444,18 @@ def run_codensity_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, 
         witness = f"failing triangle via {nat.witness[1]}"
         naturality = CheckOutcome("naturality", 0, 1, (witness,))
     failure = None if nat.ok else "cone is not natural"
-    return naturality, _reconstruct_check(config, indicator_table(cone), failure)
+    return naturality, _reconstruct_check(indicator_table(cone), failure)
 
 
-def run_reconstruct_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
+def run_reconstruct_input(data: dict) -> tuple[CheckOutcome, ...]:
     algebra = serialize.load_algebra(data.get("algebra"), "$.algebra")
     functional = serialize.load_functional_table(
         data.get("table"), algebra, "$.table"
     )
-    return (_reconstruct_check(config, functional),)
+    return (_reconstruct_check(functional),)
 
 
-def _reconstruct_check(config: SuiteConfig, functional, failure=None) -> CheckOutcome:
+def _reconstruct_check(functional, failure=None) -> CheckOutcome:
     """The ``reconstruct`` check: the measure ``functional`` determines, or
     the reconstruction's error, or else ``failure`` when one is given."""
     try:
@@ -472,7 +467,7 @@ def _reconstruct_check(config: SuiteConfig, functional, failure=None) -> CheckOu
     return CheckOutcome("reconstruct", 1, 0, (serialize.dump_measure(measure),))
 
 
-def run_extend_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
+def run_extend_input(data: dict) -> tuple[CheckOutcome, ...]:
     """Extend the premeasure that gives ``mu[i]`` to the i-th listed set."""
     semiring, mu = serialize.load_premeasure(data)
     try:
@@ -492,7 +487,7 @@ def run_extend_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...
     return (CheckOutcome("extend", 1, 0, (payload,)),)
 
 
-def run_integrate_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, ...]:
+def run_integrate_input(data: dict) -> tuple[CheckOutcome, ...]:
     measure = serialize.load_measure(data.get("measure"), "$.measure")
     fns = serialize.load_functions(data.get("functions"), measure.algebra)
     return check_integral_properties(measure, fns)
@@ -505,7 +500,7 @@ def run_integrate_input(config: SuiteConfig, data: dict) -> tuple[CheckOutcome, 
 class Command(NamedTuple):
     help: str
     suite: Callable[[SuiteConfig], Sequence[CheckOutcome]]
-    run_input: Callable[[SuiteConfig, dict], Sequence[CheckOutcome]] | None = None
+    run_input: Callable[[dict], Sequence[CheckOutcome]] | None = None
     keys: tuple[str, ...] = ()  # top-level instance keys besides "format"
     notes: tuple[str, ...] = ()  # the generated suite's report notes
 
@@ -517,32 +512,32 @@ COMMANDS = {
     "codensity": Command(
         "measure/cone bijection and small-index sufficiency",
         lambda c: run_codensity(c),
-        lambda c, data: run_codensity_input(c, data),
+        lambda data: run_codensity_input(data),
         ("algebra", "cone"),
         (CODENSITY_NOTE,),
     ),
     "distance": Command(
         "bounded Lipschitz distances",
         lambda c: run_distance_suite(c),
-        lambda c, data: run_distance_input(c, data),
+        lambda data: run_distance_input(data),
         ("metric", "p", "q"),
     ),
     "reconstruct": Command(
         "functional-to-measure reconstruction",
         lambda c: run_reconstruction_suite(c),
-        lambda c, data: run_reconstruct_input(c, data),
+        lambda data: run_reconstruct_input(data),
         ("algebra", "table"),
     ),
     "extend": Command(
         "semi-ring premeasure extension",
         lambda c: run_extension_suite(c),
-        lambda c, data: run_extend_input(c, data),
+        lambda data: run_extend_input(data),
         ("points", "family", "mu"),
     ),
     "integrate": Command(
         "integral property checks",
         lambda c: run_integrate_suite(c),
-        lambda c, data: run_integrate_input(c, data),
+        lambda data: run_integrate_input(data),
         ("measure", "functions"),
     ),
     "all": Command(
@@ -575,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     size = f"largest ground set, at most {DEFAULT_SIZE_CAP}"
     option("--size", "max_ground_size", size, type=int)
     option("--denominator", "max_denominator", "largest denominator", type=int)
-    option("--method", "method", "how distance --input computes", choices=METHODS)
     formats = "how the report is rendered; default %(default)s"
     parser.add_argument("--format", choices=FORMATS, default=FORMATS[0], help=formats)
     takers = ", ".join(name for name, c in COMMANDS.items() if c.run_input)
@@ -619,7 +613,7 @@ def run(argv=None) -> int:
         if path is None:
             checks, notes = command.suite(config), command.notes
         else:
-            checks, notes = command.run_input(config, _read_input(path, command.keys)), ()
+            checks, notes = command.run_input(_read_input(path, command.keys)), ()
         report = Report(name, config.to_payload(), tuple(checks), notes)
         wall_time = time.monotonic() - started
         text = report.render(fmt)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import add
 from typing import Iterable, Mapping, Sequence
@@ -87,6 +88,11 @@ class Arrow:
             rows.append(first)
         return cls(source, tuple(targets), tuple(rows))
 
+    @cached_property
+    def numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """:func:`~finprob.measure.common_numerators` of the rows, once per arrow."""
+        return common_numerators(self.rows)
+
     def at(self, label: str) -> Measure:
         return self.rows[self.source.atom_of_point(label)]
 
@@ -141,11 +147,12 @@ class Cone:
                 raise ValueError(f"cone arrows have at most {MAX_TARGETS} target labels")
             if point.algebra != simplex_algebra(arrow.targets):
                 raise ValueError("leg must be indexed by its arrow's targets")
-            if arrow in legs:
-                raise ValueError("cone declares an arrow twice")
             if legs and arrow.source != next(iter(legs)).source:
                 raise ValueError("cone arrows must share one source algebra")
-            legs[arrow] = point
+            declared = len(legs)
+            legs[arrow] = point  # the one hash of the arrow
+            if len(legs) == declared:
+                raise ValueError("cone declares an arrow twice")
         object.__setattr__(self, "legs", legs)
 
 
@@ -156,7 +163,8 @@ def cone_of_measure(p: Measure, family: Iterable[Arrow]) -> Cone:
     for arrow in family:
         if arrow.source != p.algebra:
             raise PreconditionError("arrow source differs from the measure's algebra")
-        legs.append((arrow, average(p.den, p.nums, arrow.rows)))
+        target = simplex_algebra(arrow.targets)
+        legs.append((arrow, average(p.den, p.nums, target, arrow.numerators)))
     return Cone(f"measure{p.weights}", tuple(legs))
 
 
@@ -178,7 +186,7 @@ def check_cone_naturality(cone: Cone) -> NaturalityResult:
     arrows = []  # (f, leg of f, den, integer columns of f)
     declared = {}  # an arrow's targets and integer columns -> (arrow, leg)
     for arrow, leg in cone.legs.items():
-        den, rows = common_numerators(arrow.rows)
+        den, rows = arrow.numerators
         columns = tuple(zip(*rows))
         arrows.append((arrow, leg, den, columns))
         declared[(arrow.targets, den, columns)] = arrow, leg

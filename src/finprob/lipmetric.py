@@ -72,10 +72,19 @@ class FiniteMetricSpace:
         return scaled_rows(self.dist)
 
     @cached_property
-    def lp_rows(self) -> tuple[tuple[int, int], ...]:
-        """The Lipschitz rows the distance LP keeps, scanned once per space
-        (see :func:`_lipschitz_rows`)."""
-        return tuple(_lipschitz_rows(self))
+    def lp_system(self) -> tuple[tuple[tuple[int, ...], ...], tuple]:
+        """``(rows, rhs)``: the distance LP's constraints, built once per
+        space.  The rows are 0/±1 ints: ``f_i - f_j <= d(i, j)`` for each
+        pair :func:`_lipschitz_rows` keeps, then the box rows ``f_i <= 1``."""
+        n = self.size
+        rows, rhs = [], []
+        for i, j in _lipschitz_rows(self):
+            rows.append(tuple(1 if k == i else -1 if k == j else 0 for k in range(n)))
+            rhs.append(self.dist[i][j])
+        for i in range(n):
+            rows.append(tuple(int(k == i) for k in range(n)))
+            rhs.append(1)
+        return tuple(rows), tuple(rhs)
 
     @property
     def size(self) -> int:
@@ -145,21 +154,9 @@ def _lipschitz_rows(space: FiniteMetricSpace) -> list[tuple[int, int]]:
 def _one_sided_lp(
     diff: Sequence, space: FiniteMetricSpace
 ) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """The optimum and an optimal ``f`` of ``sum f_i diff_i`` over the kept
-    Lipschitz rows and the box rows, all of them 0/±1 rows."""
-    n = space.size
-    rows, rhs = [], []
-    for i, j in space.lp_rows:
-        row = [0] * n
-        row[i], row[j] = 1, -1
-        rows.append(row)
-        rhs.append(space.dist[i][j])
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        rows.append(row)
-        rhs.append(1)
-    result = maximize(diff, rows, rhs)
+    """The optimum and an optimal ``f`` of ``sum f_i diff_i`` under the
+    space's :attr:`~FiniteMetricSpace.lp_system`."""
+    result = maximize(diff, *space.lp_system)
     return result.value, result.solution
 
 

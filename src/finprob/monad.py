@@ -86,16 +86,16 @@ class MetaMeasure:
         return cls(support, tuple(total(merged[p]) for p in support))
 
 
-def average(den: int, coeffs: Sequence[int], measures: Sequence[Measure]) -> Measure:
+def average(den: int, coeffs: Sequence[int], algebra: Algebra, numerators: tuple) -> Measure:
     """The measure ``A -> sum_i (coeffs_i / den) * P_i(A)`` of measures
-    ``P_i`` on one algebra, for probability weights given as integer
+    ``P_i`` on ``algebra``, for probability weights given as integer
     numerators over ``den``.
 
-    Computed on numerators: each ``P_i`` is brought to the least common
-    denominator of the measures."""
-    measures_den, rows = common_numerators(measures)
+    Computed on numerators: the ``P_i`` come as their
+    :func:`~finprob.measure.common_numerators` ``(measures_den, rows)``."""
+    measures_den, rows = numerators
     nums = (sum(c * n for c, n in zip(coeffs, column)) for column in zip(*rows))
-    return Measure.from_numerators(measures[0].algebra, den * measures_den, tuple(nums))
+    return Measure.from_numerators(algebra, den * measures_den, tuple(nums))
 
 
 def mult(m: MetaMeasure) -> Measure:
@@ -105,7 +105,7 @@ def mult(m: MetaMeasure) -> Measure:
     support this is exactly ``sum_i weight_i * P_i(A)``.
     """
     (coeffs,), den = scaled_rows((m.weights,))
-    return average(den, coeffs, m.support)
+    return average(den, coeffs, m.algebra, common_numerators(m.support))
 
 
 def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:

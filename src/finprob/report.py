@@ -25,7 +25,6 @@ class Mode(str, enum.Enum):
     FINITELY_ADDITIVE = "finitely_additive"
 
 
-METHODS = ("lp", "subsets", "both")  # how `distance --input` computes
 FORMATS = ("json", "text")  # how a report is rendered
 
 
@@ -33,8 +32,7 @@ FORMATS = ("json", "text")  # how a report is rendered
 class SuiteConfig:
     """The one configuration of a run; ``to_payload`` is the ``config`` of
     every report.  Each seeded suite is ``suite(config)`` and derives its
-    own share of ``cases`` from it; ``method`` matters to
-    ``distance --input`` only.
+    own share of ``cases`` from it; an ``--input`` command reads none of it.
 
     Defaults match the desk-scale acceptance setup: seed 0, ground sets up to
     five points, denominators up to twelve, five hundred cases.  Ground sets
@@ -45,7 +43,6 @@ class SuiteConfig:
     max_ground_size: int = 5
     max_denominator: int = 12
     cases: int = 500
-    method: str = "both"
 
     def __post_init__(self):
         if self.seed < 0:
@@ -58,8 +55,6 @@ class SuiteConfig:
                 f"max_ground_size must be at most {DEFAULT_SIZE_CAP}",
                 "$.max_ground_size",
             )
-        if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}", "$.method")
 
     def to_payload(self) -> dict:
         return asdict(self)

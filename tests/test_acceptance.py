@@ -169,11 +169,11 @@ def test_criterion_09_integral_properties():
     announce(9, "integral properties", ok, started, "500 (P, f, g) triples")
 
 
-ALL_SEED_0_SHA256 = "21d9400ca85178fa25279c266bfccc3a361adb68aa54bbe9fcdc4d2351330393"
+ALL_SEED_0_SHA256 = "a30dcfc2f076d61c422d9b5bfd7efa76fec1250ebfcbd2c56efc7ad547873e86"
 
 # `finprob --help` at 80 columns: it names the ground-set cap and every
 # `SuiteConfig` default
-HELP_SHA256 = "c357baf318a6e747ba8159b2126401e1acfe15269213ea12a28cf574892ebd8b"
+HELP_SHA256 = "5d5b72837c5a1ee284c03e365820eff953a0f2cb92e3cf1b68f7b88ef2fe5266"
 
 
 def test_help_is_pinned(capsys, monkeypatch):
@@ -225,12 +225,12 @@ def test_criterion_10_determinism():
 # The reports of the suites with their own command, pinned byte for byte
 # alongside the full report.
 SUITE_SEED_0_SHA256 = {
-    "codensity": "1ef16c0a45e3ddee3db9effab5977c7c7faa9139b03284ee2214a322a31e9c1d",
-    "distance": "e4c856c92ef6dbe1f92ee31ef7f1ddf525090d8268b39a7008d4e732f65a7929",
-    "extend": "f8a0dadc5ac9ebbb91cf8e861f223bccf60cf0b1cebb81198aec281555f4f8dd",
-    "integrate": "2efcdc7955c293925f1d1968655923c9035f87baa9387447b3661c0d135d1703",
-    "laws": "73493c458e2720c08809d0086fda593db0f683d181ec989c8c56f0f24ae0ea11",
-    "reconstruct": "ebe3b06facba04800aacd2e80b5981e1da06ce1990720f5ee8e0dc9fd0f1ba70",
+    "codensity": "6badcd135561cdbc3ddf497c29af6fdf8eebc1f469da4477905628aa4f1a2829",
+    "distance": "c31a247104f3ca9bf3ba39a9de6351fcd412888bef0eb00d6924bd3932919c0f",
+    "extend": "743c80374a34da3272e4f698b3c2c700d776d85e9195b0ec1848b1f49db72099",
+    "integrate": "be2e06e58831039d7d577c9e0116f6d2e7546ef3c776023caa5492eabb21fbb4",
+    "laws": "b1cb03476d9b80d386125923228734cf604afbbfb13474906a130035e6fc803c",
+    "reconstruct": "0f687b068fda0b5b8ce526d4ccbf05e46ab57d0ef8b9b6691d83c44ee31fb3fc",
 }
 
 
@@ -244,7 +244,7 @@ def test_suite_reports_are_pinned(suite, capsys):
 # The `--input` reports of the benchmark's first 20 `instances` blocks at
 # seed 0 plus its hostile probes (568 requests), each hashed as its exit code
 # and stdout in request order.
-INPUT_SEED_0_SHA256 = "4a977ebd5f677e38ec18db9165d2e7744cc99b7c4d99db03f36439e3db65399c"
+INPUT_SEED_0_SHA256 = "4581b7e66b4ba79a2dfe774ee4062daa30e2e112ac6ef930da799bac9268aad2"
 
 
 def test_input_reports_are_pinned(tmp_path, monkeypatch):

@@ -72,10 +72,14 @@ def test_codensity_subcommand_passes(capsys):
     ]
 
 
-@pytest.mark.parametrize("argv", [["laws", "--mode", "sigma"], ["codensity", "--k", "2"]])
+@pytest.mark.parametrize(
+    "argv",
+    [["laws", "--mode", "sigma"], ["codensity", "--k", "2"], ["distance", "--method", "lp"]],
+)
 def test_the_retired_mode_and_k_options_are_unrecognized(argv):
-    """A run has one configuration: no label to choose and no sufficiency
-    index to cap."""
+    """A run has one configuration: no label to choose, no sufficiency
+    index to cap, and no distance route to pick (``distance --input``
+    computes every route it can)."""
     done = run_finprob(*argv)
     assert done.returncode == 2
     assert done.stdout == ""
@@ -102,9 +106,7 @@ def test_distance_input_both_methods(tmp_path, capsys):
     }
     path = tmp_path / "d.json"
     path.write_text(json.dumps(instance))
-    code, out, _ = run_cli(
-        capsys, "distance", "--input", str(path), "--method", "both"
-    )
+    code, out, _ = run_cli(capsys, "distance", "--input", str(path))
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["witnesses"][0] == {"lp": "1/1", "subsets": "1/1"}
@@ -153,12 +155,16 @@ def test_distance_both_bounds_the_lp_by_the_subset_maximum_off_the_discrete_metr
 def test_one_method_alone_is_checked_against_total_variation(
     method, route, value, shifted, tmp_path, capsys, monkeypatch
 ):
+    """Both routes run by default; a fault in either one alone fails the
+    check, with the other route's value unchanged beside it."""
     path = tmp_path / "d.json"
     path.write_text(json.dumps(HALF_TRIANGLE))
-    argv = ("distance", "--input", str(path), "--method", method)
+    argv = ("distance", "--input", str(path))
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert json.loads(out)["checks"][0]["witnesses"] == [{method: value}]
+    clean = {"lp": "1/2", "subsets": "1/1"}
+    assert clean[method] == value
+    assert json.loads(out)["checks"][0]["witnesses"] == [clean]
 
     real = getattr(cli, route)
     monkeypatch.setattr(cli, route, lambda p, q, *space: real(p, q, *space) + Fraction(3, 2))
@@ -166,7 +172,7 @@ def test_one_method_alone_is_checked_against_total_variation(
     assert code == 1
     check = json.loads(out)["checks"][0]
     assert (check["passed"], check["failed"]) == (0, 1)
-    assert check["witnesses"] == [{method: shifted}]
+    assert check["witnesses"] == [{**clean, method: shifted}]
 
 
 def test_a_reconstruction_error_in_a_round_trip_fails_round_trip(capsys, monkeypatch):
@@ -571,7 +577,7 @@ def test_exponent_notation_is_not_a_rational(tmp_path, raw):
 
 
 def test_an_internal_failure_exits_three_without_a_traceback(tmp_path, capsys, monkeypatch):
-    def fault(config, data):
+    def fault(data):
         raise ValueError("a fault of finprob's own")
 
     monkeypatch.setattr(cli, "run_reconstruct_input", fault)
@@ -643,10 +649,11 @@ def test_a_distance_past_the_digit_limit_exits_zero_with_every_digit(
     }
     path = tmp_path / "d.json"
     path.write_text(json.dumps(instance))
-    done = run_finprob("distance", "--input", str(path), "--method", "lp")
+    done = run_module("distance", path)
     assert done.returncode == 0, done.stderr
     witness = json.loads(done.stdout)["checks"][0]["witnesses"][0]
-    assert witness == {"lp": "1/" + unlimited_str(BIG * (BIG + 1))}
+    value = "1/" + unlimited_str(BIG * (BIG + 1))
+    assert witness == {"lp": value, "subsets": value}
 
 
 def test_a_distance_with_huge_denominators_exits_zero_with_its_exact_value(tmp_path):
@@ -666,10 +673,14 @@ def test_a_distance_with_huge_denominators_exits_zero_with_its_exact_value(tmp_p
     }
     path = tmp_path / "d.json"
     path.write_text(json.dumps(instance))
-    done = run_finprob("distance", "--input", str(path), "--method", "lp")
+    done = run_module("distance", path)
     assert done.returncode == 0, done.stderr
     witness = json.loads(done.stdout)["checks"][0]["witnesses"][0]
-    assert witness == {"lp": str(Fraction(10 * d - 29, d * e))}
+    # the subset maximum is the total variation, (d - 2) / d
+    assert witness == {
+        "lp": str(Fraction(10 * d - 29, d * e)),
+        "subsets": str(Fraction(d - 2, d)),
+    }
 
 
 def test_an_extension_past_the_digit_limit_exits_zero_with_every_digit(
@@ -1042,10 +1053,10 @@ def test_distance_input_on_seventeen_points_exits_zero(tmp_path):
     assert values == {"lp": "1/1", "subsets": "1/1"}
 
 
-def test_distance_input_past_the_subset_cap_exits_two(tmp_path):
-    """Subset enumeration stops at 20 points; the default ``--method both``
-    names the cap and the LP method instead of raising."""
+def test_distance_input_past_the_subset_cap_exits_zero_with_the_lp_alone(tmp_path):
+    """Subset enumeration stops at 20 points; past it the LP still runs and
+    is checked against the total variation on its own."""
     done = run_module("distance", discrete_distance_file(tmp_path, 21))
-    assert_input_error(done, "$.metric.points")
-    assert "capped at 20 points" in done.stderr
-    assert "--method lp" in done.stderr
+    assert done.returncode == 0, done.stderr
+    values = json.loads(done.stdout)["checks"][0]["witnesses"][0]
+    assert values == {"lp": "1/1"}

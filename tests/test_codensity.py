@@ -145,6 +145,34 @@ def test_cone_rejects_arrows_from_two_algebras():
         Cone("mixed", ((fine, point), (coarse, point)))
 
 
+@pytest.mark.parametrize("same_leg", [True, False])
+def test_cone_rejects_an_arrow_declared_twice(same_leg):
+    alg = powerset3()
+    arrow = binary_arrow(SimpleFunction.constant(alg, F(1, 2)))
+    twin = binary_arrow(SimpleFunction.constant(alg, F(1, 2)))  # equal, not identical
+    point = SimplexPoint(("0", "1"), (F(1, 2), F(1, 2)))
+    other = point if same_leg else SimplexPoint(("0", "1"), (F(1, 3), F(2, 3)))
+    with pytest.raises(ValueError, match="declares an arrow twice"):
+        Cone("twice", ((arrow, point), (twin, other)))
+
+
+def test_an_arrow_computes_its_numerators_once(monkeypatch):
+    """The canonical cones of several measures and the naturality check all
+    read each arrow's cached integer rows."""
+    calls = []
+    real = codensity.common_numerators
+    monkeypatch.setattr(
+        codensity, "common_numerators", lambda rows: calls.append(rows) or real(rows)
+    )
+    alg = powerset3()
+    family = indicator_family(alg)
+    rng = gen.rng_for(4, "numerators-once")
+    cones = [cone_of_measure(gen.random_measure(rng, alg, 12), family) for _ in range(3)]
+    assert all(check_cone_naturality(cone).ok for cone in cones)
+    assert len(calls) == len(family)
+    assert all(arrow.numerators == real(arrow.rows) for arrow in family)
+
+
 def test_reconstruct_round_trip():
     alg = powerset3()
     family = indicator_family(alg)

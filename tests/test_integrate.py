@@ -1,6 +1,7 @@
 """Simple functions and the exact integral."""
 
 import dataclasses
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from finprob import (
 )
 from finprob import gen, integrate
 from finprob.cli import run_integrate_suite
+from finprob.exact import grid
 from finprob.report import SuiteConfig
 
 
@@ -212,6 +214,62 @@ def test_sup_inf_clause_searches_grid():
     f = gen.random_simple_function(rng, p.algebra, 4)
     sup_inf = check_integral_properties(p, [f])[2]
     assert (sup_inf.name, sup_inf.passed, sup_inf.failed) == ("sup-inf", 1, 0)
+
+
+def reference_sup_inf(p, f, denominator):
+    """The best grid minorant's and majorant's integrals of ``f``, by a
+    search over the product of the per-atom choices: on each atom ``f``'s
+    own value or a grid value below it (above it, for majorants)."""
+    levels = grid(1, denominator)
+    below = [{v, *(x for x in levels if x < v)} for v in f.values]
+    above = [{v, *(x for x in levels if x > v)} for v in f.values]
+    integral = lambda combo: simple_integral(p, SimpleFunction(p.algebra, combo))
+    best_lower = max(integral(combo) for combo in itertools.product(*below))
+    best_upper = min(integral(combo) for combo in itertools.product(*above))
+    return best_lower, best_upper
+
+
+def sup_inf_pairs(atom_counts, count, tag):
+    """``count`` seeded (p, f) pairs on powersets of the given sizes, at
+    denominator 4."""
+    for case in range(count):
+        rng = gen.rng_for(7, "sup-inf-reference", tag, str(case))
+        size = atom_counts[case % len(atom_counts)]
+        algebra = Algebra.powerset(GroundSet(tuple(f"x{i}" for i in range(size))))
+        yield (
+            gen.random_measure(rng, algebra, 4),
+            gen.random_simple_function(rng, algebra, 4),
+        )
+
+
+@pytest.mark.parametrize(
+    "atom_counts, count", [((1, 2, 3), 210), ((4,), 6)], ids=["1-3 atoms", "4 atoms"]
+)
+def test_atom_by_atom_sup_inf_matches_the_product_search(atom_counts, count):
+    assert integrate.GRID_DENOMINATOR == 4
+    for p, f in sup_inf_pairs(atom_counts, count, str(atom_counts)):
+        expected = reference_sup_inf(p, f, 4)
+        assert integrate._grid_bounds(p, f) == expected == (simple_integral(p, f),) * 2
+        (sup_inf,) = [c for c in check_integral_properties(p, [f]) if c.name == "sup-inf"]
+        assert (sup_inf.passed, sup_inf.failed) == (1, 0)
+
+
+def test_a_bump_on_single_atom_functions_fails_sup_inf(monkeypatch):
+    """A ``simple_integral`` that adds 1/100 to every function nonzero on
+    exactly one atom: (1/2, 1/2) under the uniform measure lies on two atoms,
+    so its own integral is right, but each atom's best piece is 1/100 too
+    large."""
+    real = integrate.simple_integral
+
+    def bumped(p, s):
+        value = real(p, s)
+        return value + F(1, 100) if sum(v != 0 for v in s.values) == 1 else value
+
+    monkeypatch.setattr(integrate, "simple_integral", bumped)
+    alg = two_point_powerset()
+    f = SimpleFunction.constant(alg, F(1, 2))
+    checks = {c.name: c for c in check_integral_properties(uniform(alg), [f])}
+    assert (checks["sup-inf"].passed, checks["sup-inf"].failed) == (0, 1)
 
 
 def test_properties_report_structure():

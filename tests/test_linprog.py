@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from finprob import InfeasibleError, UnboundedError, gen
+from finprob import InfeasibleError, UnboundedError, gen, lipmetric
 from finprob.errors import FinprobError
 from finprob.exact import fractions
 from finprob.linprog import LPResult, maximize
@@ -247,7 +247,7 @@ def test_distance_lps_match_the_rational_tableau():
         space = gen.random_metric(rng, case % 6 + 1, 6)
         n = space.size
         rows, rhs = [], []
-        for i, j in space.lp_rows:
+        for i, j in lipmetric._lipschitz_rows(space):
             rows.append([F(int(k == i) - int(k == j)) for k in range(n)])
             rhs.append(space.dist[i][j])
         rows += [[F(int(k == i)) for k in range(n)] for i in range(n)]
