@@ -288,8 +288,9 @@ def _random_slab(rng, algebra, max_denominator) -> Slab:
 
 def _slab_calculus_agrees(a: Slab, b: Slab) -> bool:
     """Extensional soundness of intersection and subtraction on the
-    breakpoint grid (breakpoints and midpoints of consecutive ones)."""
-    points = a.algebra.ground.points
+    breakpoint grid (breakpoints and midpoints of consecutive ones), probed
+    at one point per atom, since a slab contains ``(x, t)`` by ``x``'s atom."""
+    points = [a.algebra.ground.labels_of(atom)[0] for atom in a.algebra.atoms]
     values = sorted(set(a.breakpoints()) | set(b.breakpoints()) | {ZERO})
     probes = list(values)
     probes += [(x + y) / 2 for x, y in zip(values, values[1:])]

@@ -37,6 +37,7 @@ from .integrate import SimpleFunction, simple_integral
 from .measure import Measure, evaluate
 from .setalg import (
     Algebra,
+    ClauseCheck,
     GroundSet,
     SemiRing,
     generate_algebra,
@@ -182,14 +183,6 @@ class WeakIntegrationLattice:
         object.__setattr__(self, "functions", tuple(sorted(fns)))
 
 
-@dataclass(frozen=True)
-class WeakLatticeReport:
-    ok: bool
-    clause: str | None
-    witness: tuple | None
-    witnesses: tuple[tuple, ...]  # (clause key, multiplier, member index) triples
-
-
 def _direction(vec: Sequence[int]) -> tuple[int, ...] | None:
     """The primitive integer vector on the ray of ``vec`` (``None`` for zero):
     two nonzero vectors are positive multiples of each other exactly when
@@ -229,27 +222,30 @@ def _as_multiple(
     return None
 
 
-def check_weak_lattice(lattice: WeakIntegrationLattice) -> WeakLatticeReport:
-    """Decide the weak-lattice closure clauses exactly.
+def check_weak_lattice(lattice: WeakIntegrationLattice) -> ClauseCheck:
+    """Decide the weak-lattice closure clauses exactly: the first clause that
+    fails, with its witness ``(i, j, target)`` or ``(i, n, clip)`` by indices
+    into the lattice's ``functions``.
 
     Each join, meet and span of two members, and each clip ``min(n*f, 1)``
     for every integer ``n >= 1``, must be an integer multiple of a member.
-    The clip stops changing at the least ``N`` with ``N*v >= 1`` at every
-    positive value ``v`` of ``f`` (``N = 1`` for zero), so ``n = 1 ... N``
-    decide the clip clause.  The report's witnesses give the multiplier and
-    member index found for each, keyed ``(clause, i, j-or-n)`` by indices
-    into the lattice's ``functions``.  Reports the first unsatisfiable clause.
+    Below the least ``n0`` at which some value of ``f`` reaches 1 the clip is
+    ``n*f``, a multiple of ``f`` itself.  From ``n0`` up to the ``N`` at
+    which every positive value has reached 1 (after which the clip stops
+    changing), each clip lies on a new ray: its saturated values stay 1 while
+    some other value grows.  The at most ``|L| - 1`` nonzero members cover as
+    many rays, so trying ``n0 ... min(N, n0 + |L| - 1)`` decides the clause
+    and finds its first failure.
 
     Every member is held as an integer vector over the lattice's common
     denominator ``D``, so the clauses are integer maxima, minima,
     differences and clips at ``D``.
     """
     if (ONE,) * lattice.ground.size not in lattice.functions:
-        return WeakLatticeReport(False, "contains-one", (), ())
+        return ClauseCheck(False, "contains-one", ())
 
     vecs, scale = scaled_rows(lattice.functions)
     index = _direction_index(vecs)
-    witnesses: list[tuple] = []
 
     for i, f in enumerate(vecs):
         for j, g in enumerate(vecs[i:], start=i):
@@ -257,23 +253,22 @@ def check_weak_lattice(lattice: WeakIntegrationLattice) -> WeakLatticeReport:
             meet = tuple(map(min, f, g))
             span = tuple(a - b for a, b in zip(join, meet))
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
-                found = _as_multiple(target, vecs, index)
-                if found is None:
+                if _as_multiple(target, vecs, index) is None:
                     witness = (i, j, tuple(Fraction(v, scale) for v in target))
-                    return WeakLatticeReport(False, kind, witness, tuple(witnesses))
-                witnesses.append(((kind, i, j), *found))
+                    return ClauseCheck(False, kind, witness)
 
     for i, f in enumerate(vecs):
-        steps = max((-(-scale // v) for v in f if v), default=1)
-        for n in range(1, steps + 1):
+        reach = [-(-scale // v) for v in f if v]  # least n with n*v >= D
+        if not reach:
+            continue  # every clip of zero is zero
+        n0 = min(reach)
+        for n in range(n0, min(max(reach), n0 + len(vecs) - 1) + 1):
             clipped = tuple(min(n * v, scale) for v in f)
-            found = _as_multiple(clipped, vecs, index)
-            if found is None:
+            if _as_multiple(clipped, vecs, index) is None:
                 witness = (i, n, tuple(Fraction(v, scale) for v in clipped))
-                return WeakLatticeReport(False, "clip", witness, tuple(witnesses))
-            witnesses.append((("clip", i, n), *found))
+                return ClauseCheck(False, "clip", witness)
 
-    return WeakLatticeReport(True, None, None, tuple(witnesses))
+    return ClauseCheck(True)
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +467,11 @@ def daniell_stone(
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
     """
-    report = check_weak_lattice(lattice)
-    if not report.ok:
+    check = check_weak_lattice(lattice)
+    if not check.ok:
         raise PreconditionError(
-            f"invalid weak integration lattice: clause {report.clause} fails "
-            f"with witness {report.witness}"
+            f"invalid weak integration lattice: clause {check.clause} fails "
+            f"with witness {check.witness}"
         )
     ground = lattice.ground
     one_vec = (ONE,) * ground.size

@@ -218,7 +218,10 @@ def algebra_closure(ground: GroundSet, generators: Iterable[int]) -> tuple[int, 
 
 
 @dataclass(frozen=True)
-class SemiRingCheck:
+class ClauseCheck:
+    """The verdict of a clause-by-clause check: the first clause that fails,
+    and its witness."""
+
     ok: bool
     clause: str | None = None
     witness: tuple | None = None
@@ -246,8 +249,9 @@ def _exact_cover(target: int, pieces: Sequence[int]) -> tuple[int, ...] | None:
     return solve(target)
 
 
-def is_semiring(family: Iterable[int]) -> SemiRingCheck:
-    """Check the three semi-ring clauses, returning a witness on failure.
+def is_semiring(family: Iterable[int]) -> ClauseCheck:
+    """Check the three semi-ring clauses: the first that fails, with the
+    masks that witness it.
 
     Clauses: the empty set belongs to the family; the family is closed under
     binary intersection; every relative complement of two members decomposes
@@ -255,20 +259,20 @@ def is_semiring(family: Iterable[int]) -> SemiRingCheck:
     """
     members = set(family)
     if 0 not in members:
-        return SemiRingCheck(False, "missing-empty", ())
+        return ClauseCheck(False, "missing-empty", ())
     masks = tuple(sorted(members))
     for a in masks:
         for b in masks:
             if a & b not in members:
-                return SemiRingCheck(False, "intersection", (a, b))
+                return ClauseCheck(False, "intersection", (a, b))
     for a in masks:
         for b in masks:
             diff = a & ~b
             if diff in members:
                 continue
             if _exact_cover(diff, masks) is None:
-                return SemiRingCheck(False, "difference", (a, b))
-    return SemiRingCheck(True)
+                return ClauseCheck(False, "difference", (a, b))
+    return ClauseCheck(True)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,22 @@ def codensity_checks_at_50_cases():
     return {c.name: c for c in cli.run_codensity(SuiteConfig(seed=0, cases=50))}
 
 
+def test_a_bijection_case_takes_one_cone_per_measure(monkeypatch):
+    """The cone of p and the cone of the uniqueness check's q: the round trip
+    compares the reconstructed measure with p and re-takes no cone."""
+    real = codensity.cone_of_measure
+    measures = []
+
+    def counted(p, family):
+        measures.append(p)
+        return real(p, family)
+
+    monkeypatch.setattr(codensity, "cone_of_measure", counted)
+    checks = verify_codensity_bijection(SuiteConfig(seed=0, cases=25))  # 10 cases
+    assert all(c.ok for c in checks)
+    assert len(measures) == 2 * 10
+
+
 def test_a_cone_that_fails_naturality_reaches_no_later_check(monkeypatch):
     clean = codensity_checks_at_50_cases()
     real = codensity.check_cone_naturality
@@ -284,6 +300,7 @@ def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
     )
     assert faulted
     assert (round_trip.passed, round_trip.failed) == (9, 1)
+    assert f": {faulted[0].weights} -> (" in round_trip.witnesses[0]
     assert (uniqueness.passed, uniqueness.failed) == (9, 0)
     assert naturality.ok
 

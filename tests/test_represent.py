@@ -31,8 +31,7 @@ from finprob import (
     uniform,
 )
 from finprob import exact, gen, represent
-from finprob.represent import WeakLatticeReport
-from finprob.setalg import SemiRing, sigma_of_functions
+from finprob.setalg import ClauseCheck, SemiRing, is_semiring, sigma_of_functions
 
 
 def indicator_family_of(algebra):
@@ -270,9 +269,9 @@ def grid_lattice(ground, algebra, denominator):
 def test_grid_lattice_is_weak_lattice():
     g = GroundSet(("0", "1", "2"))
     lattice = grid_lattice(g, Algebra.powerset(g), 2)
-    report = check_weak_lattice(lattice)
-    assert report.ok
-    assert report.witnesses  # membership witnesses recorded
+    check = check_weak_lattice(lattice)
+    assert check.ok
+    assert verdict(check) == reference_check_weak_lattice(lattice)
 
 
 def test_unit_only_lattice_is_degenerate_weak_lattice():
@@ -284,56 +283,111 @@ def test_unit_only_lattice_is_degenerate_weak_lattice():
 def test_lattice_span_violation_detected():
     g = GroundSet(("0", "1"))
     lattice = WeakIntegrationLattice(g, ((F(1), F(1)), (F(1, 2), F(1, 4))))
-    report = check_weak_lattice(lattice)
-    assert not report.ok
-    assert report.clause == "span"
-    assert report.witness is not None
+    check = check_weak_lattice(lattice)
+    assert not check.ok
+    assert check.clause == "span"
+    assert check.witness is not None
+
+
+def test_semiring_and_lattice_checks_return_one_verdict_type():
+    g = GroundSet(("0", "1"))
+    lattice = WeakIntegrationLattice(g, ((F(1), F(1)),))
+    assert type(check_weak_lattice(lattice)) is ClauseCheck
+    assert type(is_semiring((0, 1))) is ClauseCheck
+    assert is_semiring((1,)) == ClauseCheck(False, "missing-empty", ())
 
 
 def test_a_multiplier_of_any_size_closes_the_lattice():
     """{1, 1/100} on one point: the span 1 - 1/100 is 99 times 1/100, and
-    the clip clause runs to n = 100, where min(n/100, 1) first reaches 1."""
+    the clip clause holds up to n = 100, where min(n/100, 1) first reaches 1."""
     g = GroundSet(("0",))
     lattice = WeakIntegrationLattice(g, ((F(1),), (F(1, 100),)))
-    report = check_weak_lattice(lattice)
-    assert report.ok
-    assert report == reference_check_weak_lattice(lattice)
-    found = {key: (n, idx) for key, n, idx in report.witnesses}
-    assert found["span", 1, 2] == (99, 1)
-    assert max(n for kind, i, n in found if kind == "clip" and i == 1) == 100
+    found = []
+    assert verdict(check_weak_lattice(lattice)) == reference_check_weak_lattice(
+        lattice, found
+    ) == (True, None, None)
+    assert _integer_search(lattice.functions, (F(99, 100),)) == (99, 1)
+    assert ("span", 1, 2, 99, 1) in found
+    assert max(n for kind, i, n, *_ in found if kind == "clip" and i == 1) == 100
     p = daniell_stone(lattice, tabulate(lattice, lambda values: values[0]))
     assert p.weights == (F(1),)
 
 
-def test_clip_clause_runs_until_the_clip_is_the_support_indicator():
-    """On (1/6, 1/6) the clip min(n*f, 1) changes up to n = 6, so the clause
-    tries n = 1 ... 6 there, and once for the zero function."""
+def _recorded_probes(monkeypatch):
+    """The targets ``check_weak_lattice`` asks ``_as_multiple`` about."""
+    probes = []
+    real = represent._as_multiple
+
+    def recorded(target, members, index):
+        probes.append(target)
+        return real(target, members, index)
+
+    monkeypatch.setattr(represent, "_as_multiple", recorded)
+    return probes
+
+
+def test_clip_clause_runs_until_the_clip_is_the_support_indicator(monkeypatch):
+    """On (1/6, 1/6) the clip min(n*f, 1) changes up to n = 6.  Below n0 = 6,
+    where a value first reaches 1, it is n*f, so the kernel tries n = 6 alone
+    there, n = 1 for the constant one and nothing for zero; the reference
+    tries every n and finds each clip below n = 6 on f's own ray."""
     g = GroundSet(("a", "b"))
     lattice = WeakIntegrationLattice(g, ((F(1, 6), F(1, 6)), (F(1), F(1))))
-    report = check_weak_lattice(lattice)
-    assert report.ok
-    clips = [(key, n, idx) for key, n, idx in report.witnesses if key[0] == "clip"]
-    assert clips == [
-        (("clip", 0, 1), 0, 0),
-        *((("clip", 1, n), n, 1) for n in range(1, 7)),
-        (("clip", 2, 1), 6, 1),
+    probes = _recorded_probes(monkeypatch)
+    check = check_weak_lattice(lattice)
+    assert check.ok
+    assert probes[3 * 6 :] == [(6, 6), (6, 6)]  # after 6 pairs' join, meet, span
+    found = []
+    assert verdict(check) == reference_check_weak_lattice(lattice, found)
+    assert [entry for entry in found if entry[0] == "clip"] == [
+        ("clip", 0, 1, 0, 0),
+        *(("clip", 1, n, n, 1) for n in range(1, 7)),
+        ("clip", 2, 1, 6, 1),
     ]
-    assert report == reference_check_weak_lattice(lattice)
+
+
+def test_clip_clause_on_a_tiny_value_makes_one_probe_per_member(monkeypatch):
+    """{1, 1/10**5} on one point: each clip before n = 10**5 is a multiple of
+    1/10**5, and from there on the clip is 1.  The kernel makes 18 probes for
+    the 6 pairs' join, meet and span, and one clip probe for each nonzero
+    member, where trying every n would make 10**5 + 2."""
+    g = GroundSet(("0",))
+    lattice = WeakIntegrationLattice(g, ((F(1),), (F(1, 10**5),)))
+    probes = _recorded_probes(monkeypatch)
+    assert check_weak_lattice(lattice).ok
+    assert len(probes) == 3 * 6 + 2
+    p = daniell_stone(lattice, tabulate(lattice, lambda values: values[0]))
+    assert p.weights == (F(1),)
 
 
 def test_lattice_clip_violation_detected():
     """Closed under join, meet and span, yet 3 * (1/5, 1/2) clipped at one
-    is (3/5, 1), which is no integer multiple of a member."""
+    is (3/5, 1), which is no integer multiple of a member: the clause fails
+    one step after n0 = 2, where the clip 2 * (1/5, 1/2) is still a
+    multiple."""
     g = GroundSet(("a", "b"))
     points = [(0, 0), (0, "1/2"), ("1/5", 0), ("1/5", "1/2"), ("2/5", "1/2"),
               ("3/5", 0), ("3/5", "1/2"), ("4/5", "1/2"), (1, "1/2"), (1, 1)]
     lattice = WeakIntegrationLattice(g, tuple((F(a), F(b)) for a, b in points))
-    report = check_weak_lattice(lattice)
-    assert (report.ok, report.clause) == (False, "clip")
-    assert report.witness == (3, 3, (F(3, 5), F(1)))
-    assert report == reference_check_weak_lattice(lattice)
+    check = check_weak_lattice(lattice)
+    assert (check.ok, check.clause) == (False, "clip")
+    assert check.witness == (3, 3, (F(3, 5), F(1)))
+    assert verdict(check) == reference_check_weak_lattice(lattice)
     with pytest.raises(PreconditionError, match="clause clip"):
         daniell_stone(lattice, tabulate(lattice, lambda values: values[0]))
+
+
+def test_lattice_clip_violation_at_the_first_saturating_step_detected():
+    """Closed under join, meet and span, yet the first clip of (2/3, 1/4)
+    that reaches one, at n0 = 2, overshoots it: min(2 * (2/3, 1/4), 1) is
+    (1, 1/2), which is no integer multiple of a member."""
+    g = GroundSet(("a", "b"))
+    points = [(0, 0), (0, "1/4"), ("1/3", 0), ("1/3", "1/4"), ("1/3", "1/2"),
+              ("1/3", "3/4"), ("2/3", "1/4"), ("2/3", "3/4"), (1, 1)]
+    lattice = WeakIntegrationLattice(g, tuple((F(a), F(b)) for a, b in points))
+    check = check_weak_lattice(lattice)
+    assert check == ClauseCheck(False, "clip", (6, 2, (F(1), F(1, 2))))
+    assert verdict(check) == reference_check_weak_lattice(lattice)
 
 
 # --- slabs -------------------------------------------------------------------------
@@ -594,14 +648,18 @@ def reference_as_multiple(target, members):
     return None
 
 
-def reference_check_weak_lattice(lattice):
+def reference_check_weak_lattice(lattice, found=None):
+    """``(ok, clause, witness)`` for the first failing clause.  Every multiple
+    found is appended to ``found`` as ``(clause, i, j-or-n, multiplier,
+    index)``, and the clip clause tries every ``n`` up to the first whose
+    clip sends each positive value to one."""
     fns = lattice.functions
     n_pts = lattice.ground.size
     one = (F(1),) * n_pts
-    witnesses: list[tuple] = []
+    found = [] if found is None else found
 
     if one not in fns:
-        return WeakLatticeReport(False, "contains-one", (), ())
+        return (False, "contains-one", ())
 
     for i, f in enumerate(fns):
         for j, g in enumerate(fns[i:], start=i):
@@ -609,33 +667,34 @@ def reference_check_weak_lattice(lattice):
             meet = tuple(min(a, b) for a, b in zip(f, g))
             span = tuple(a - b for a, b in zip(join, meet))
             for kind, target in (("join", join), ("meet", meet), ("span", span)):
-                found = reference_as_multiple(target, fns)
-                if found is None:
-                    return WeakLatticeReport(
-                        False, kind, (i, j, target), tuple(witnesses)
-                    )
-                witnesses.append(((kind, i, j), found[0], found[1]))
+                multiple = reference_as_multiple(target, fns)
+                if multiple is None:
+                    return (False, kind, (i, j, target))
+                found.append((kind, i, j, *multiple))
 
     for i, f in enumerate(fns):
-        # every n up to the first whose clip sends each positive value to one
         n = 0
         while n == 0 or any(0 < n * v < 1 for v in f):
             n += 1
             clipped = tuple(min(n * v, F(1)) for v in f)
-            found = reference_as_multiple(clipped, fns)
-            if found is None:
-                return WeakLatticeReport(False, "clip", (i, n, clipped), tuple(witnesses))
-            witnesses.append((("clip", i, n), found[0], found[1]))
+            multiple = reference_as_multiple(clipped, fns)
+            if multiple is None:
+                return (False, "clip", (i, n, clipped))
+            found.append(("clip", i, n, *multiple))
 
-    return WeakLatticeReport(True, None, None, tuple(witnesses))
+    return (True, None, None)
+
+
+def verdict(check):
+    return (check.ok, check.clause, check.witness)
 
 
 def reference_daniell_stone(lattice, oracle, family_cap=512):
-    report = reference_check_weak_lattice(lattice)
-    if not report.ok:
+    ok, clause, witness = reference_check_weak_lattice(lattice)
+    if not ok:
         raise PreconditionError(
-            f"invalid weak integration lattice: clause {report.clause} fails "
-            f"with witness {report.witness}"
+            f"invalid weak integration lattice: clause {clause} fails "
+            f"with witness {witness}"
         )
     ground = lattice.ground
     one_vec = (F(1),) * ground.size
@@ -866,14 +925,12 @@ def _outcome(run):
 
 
 def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatch):
-    clauses, errors, multipliers, clip_steps, measures = set(), set(), set(), set(), 0
+    clauses, errors, found, measures = set(), set(), [], 0
     for case in range(400):
         rng, lattice = _seeded_lattice(case)
-        report = check_weak_lattice(lattice)
-        assert report == reference_check_weak_lattice(lattice), case
-        clauses.add(report.clause)
-        multipliers.update(n for _, n, _ in report.witnesses)
-        clip_steps.update(key[2] for key, _, _ in report.witnesses if key[0] == "clip")
+        check = check_weak_lattice(lattice)
+        assert verdict(check) == reference_check_weak_lattice(lattice, found), case
+        clauses.add(check.clause)
         oracle = _seeded_oracle(rng, lattice)
         cap = rng.choice((8, 512))
         values = tabulate(lattice, oracle)
@@ -886,13 +943,12 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatc
         else:
             measures += 1
     # the seeded lattices reach every clause but clip, multipliers above
-    # one, clips past n = 4, and every error the slab route raises on them;
-    # none of them fails clip (test_lattice_clip_violation_detected builds
-    # one that does), so here clip is compared through the witnesses of the
-    # lattices that pass
+    # one, clips past n = 4 in the reference's scan, and every error the
+    # slab route raises on them; none of them fails clip (the closed
+    # lattices below do)
     assert clauses == {None, "contains-one", "join", "meet", "span"}
-    assert max(multipliers) > 1
-    assert max(clip_steps) > 4
+    assert max(multiplier for *_, multiplier, _ in found) > 1
+    assert max(n for kind, _, n, *_ in found if kind == "clip") > 4
     assert measures >= 40
     assert errors == {
         "invalid weak integration",
@@ -902,6 +958,106 @@ def test_integer_kernel_matches_fraction_reference_on_seeded_lattices(monkeypatc
         "slab extension is",
         "slab route fails",
     }
+
+
+def _first_saturating_step(f):
+    """n0: the least n at which some value of ``f`` reaches one."""
+    return min(-(-1 // v) for v in f if v)
+
+
+def _clip_range(f):
+    """N - n0: the clips from n0 on that may differ, less one."""
+    return max(-(-1 // v) for v in f if v) - _first_saturating_step(f)
+
+
+def _closed_lattice(case):
+    """A lattice closed under join, meet and span that often fails clip.
+
+    On points (a, b): every (i/p, j/q) with 0 < j < q, the constant one, and
+    (i/p, 0) for i = 1 and for some i whose span with one, (1 - i/p, 1), is
+    k times the member ((1 - i/p)/k, 1/k) for some k > 1 dividing q; p - 1
+    is a multiple of such a k, so i = 1 qualifies.  A clip that saturates b
+    before a lands on a ray (x, 1) that only some of these members cover.
+    Two thirds of the cases add a third point copying a or b.
+    """
+    rng = gen.rng_for(7, "closed-lattice", str(case))
+    q = rng.randint(2, 4)
+    k = rng.choice([k for k in range(2, q + 1) if q % k == 0])
+    p = 1 + k * rng.randint(1, 4 // k)
+    xs = [F(i, p) for i in range(p + 1)]
+
+    def spans_to_a_multiple(x):
+        return any(
+            q % m == 0 and ((1 - x) / m * p).denominator == 1 for m in range(2, q + 1)
+        )
+
+    functions = [(x, F(j, q)) for x in xs for j in range(1, q)]
+    functions += [
+        (x, F(0))
+        for x in xs
+        if x == F(1, p) or (spans_to_a_multiple(x) and rng.random() < 0.6)
+    ]
+    functions.append((F(1), F(1)))
+    copy = rng.randrange(3)
+    if copy < 2:
+        functions = [f + (f[copy],) for f in functions]
+    ground = GroundSet(tuple(f"x{i}" for i in range(len(functions[0]))))
+    return WeakIntegrationLattice(ground, tuple(functions))
+
+
+def test_integer_kernel_matches_fraction_reference_on_closed_lattices():
+    """The bounded clip search against the reference's scan of every n, on
+    lattices that reach the clip clause: some pass it, some fail it at n0
+    and some fail it later."""
+    outcomes = set()
+    for case in range(120):
+        lattice = _closed_lattice(case)
+        check = check_weak_lattice(lattice)
+        assert verdict(check) == reference_check_weak_lattice(lattice), case
+        assert check.clause in (None, "clip"), case
+        if check.clause == "clip":
+            i, n, _ = check.witness
+            outcomes.add(n == _first_saturating_step(lattice.functions[i]))
+        else:
+            outcomes.add(None)
+    assert outcomes == {None, True, False}
+
+
+def _long_range_lattice(case):
+    """One, a member f whose clips from n0 to N(f) outnumber the lattice's
+    members, up to two of f's clips and up to two random members."""
+    rng = gen.rng_for(7, "long-range-lattice", str(case))
+    size = rng.randint(2, 3)
+    high = rng.choice((F(1, 2), F(2, 3), F(1), F(3, 2)))
+    f = [high, F(rng.randint(1, 2), rng.randint(25, 60))]
+    f += [F(rng.randint(0, 4), 4) for _ in range(size - 2)]
+    rng.shuffle(f)
+    functions = [(F(1),) * size, tuple(f)]
+    for n in rng.sample(range(2, 25), rng.randint(0, 2)):
+        functions.append(tuple(min(n * v, F(1)) for v in f))
+    for _ in range(rng.randint(0, 2)):
+        functions.append(tuple(F(rng.randint(0, 6), 6) for _ in range(size)))
+    ground = GroundSet(tuple(f"x{i}" for i in range(size)))
+    return WeakIntegrationLattice(ground, tuple(functions))
+
+
+def test_integer_kernel_matches_fraction_reference_on_long_range_lattices():
+    """Lattices with a member whose clip range N - n0 is at least |L|: the
+    kernel would try at most |L| of those clips, the reference every one.
+    Those clips lie on distinct rays, more than the nonzero members cover,
+    so no such lattice passes.  None of these reaches the clip clause
+    either: no lattice closed under join, meet and span is known with
+    N - n0 >= |L|, so the clip failures come from the closed lattices
+    above."""
+    clauses = set()
+    for case in range(150):
+        lattice = _long_range_lattice(case)
+        assert max(map(_clip_range, lattice.functions[1:])) >= len(lattice.functions)
+        check = check_weak_lattice(lattice)
+        assert verdict(check) == reference_check_weak_lattice(lattice), case
+        assert not check.ok
+        clauses.add(check.clause)
+    assert clauses == {"join", "meet", "span"}
 
 
 def _integer_search(members, target):
@@ -958,9 +1114,9 @@ def test_direction_without_gcd_division_is_caught(monkeypatch):
     monkeypatch.setattr(
         represent, "_direction", lambda vec: tuple(vec) if any(vec) else None
     )
-    report = check_weak_lattice(chain)
-    assert (report.ok, report.clause) == (False, "span")
-    assert report.witness == (1, 2, (F(3, 4), F(3, 4)))
+    check = check_weak_lattice(chain)
+    assert (check.ok, check.clause) == (False, "span")
+    assert check.witness == (1, 2, (F(3, 4), F(3, 4)))
     with pytest.raises(PreconditionError, match="clause span"):
         daniell_stone(chain, values)
 
