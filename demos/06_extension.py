@@ -9,29 +9,40 @@ import itertools
 from fractions import Fraction as F
 
 from finprob import (
-    Algebra,
     ExtensionError,
     GroundSet,
-    Slab,
     WeakIntegrationLattice,
     caratheodory_extend,
     check_weak_lattice,
     daniell_stone,
-    generate_algebra,
-    slab_intersect,
-    slab_subtract,
+    slab_grid,
 )
 from finprob.setalg import SemiRing
 
-# Slabs are regions {(x, t) : lower(x) <= t < upper(x)}.
-ground = GroundSet(("0",))
-algebra = Algebra.powerset(ground)
-a = Slab(algebra, (F(0),), (F(1),))
-b = Slab(algebra, (F(1, 4),), (F(1, 2),))
+# Slabs are regions {(x, t) : lower(x) <= t < upper(x)}.  On one point, with
+# bounds counted in quarters, each slab is a mask of the cells between the
+# breakpoints 0, 1/4, 1/2 and 1.
+family, cells, above, below = slab_grid([(0,), (1,), (2,), (4,)], 4)
+slabs = SemiRing(
+    GroundSet(tuple(f"c{j}" for j in range(len(cells)))),
+    tuple(above[lo] & below[up] for lo in family for up in family if lo <= up),
+)
+
+
+def slab(lower, upper):
+    return above[(lower,)] & below[(upper,)]
+
+
+def interval(mask):
+    covered = [cell for j, cell in enumerate(cells) if mask >> j & 1]
+    return f"[{F(covered[0][0], 4)}, {F(covered[-1][1], 4)})"
+
+
+print("cells, in quarters:", cells)
 print("[0,1) minus [1/4,1/2):")
-for piece in slab_subtract(a, b):
-    print("   piece:", piece.lower, "to", piece.upper)
-print("[0,1) meet [1/2,1):", slab_intersect(a, Slab(algebra, (F(1, 2),), (F(1),))).lower)
+for piece in slabs.difference_decomposition(slab(0, 4), slab(1, 2)):
+    print("   piece:", interval(piece))
+print("[0,1) meet [1/2,1):", interval(slab(0, 4) & slab(2, 4)))
 
 # Caratheodory: weights on singletons extend to the powerset.
 g3 = GroundSet(("u", "v", "w"))

@@ -4,9 +4,9 @@ Finite set algebras, probability measures and charges, simple-function
 integration, reconstruction of measures from integration functionals, the
 probability monad with exhaustive law verification, its limit-cone
 description over finite simplices, Carathéodory/Daniell-Stone extension over
-slab semi-rings, and the bounded Lipschitz metric by exact rational linear
-programming.  Every quantity is a ``fractions.Fraction``; every check is
-exact.
+semi-rings of slabs (cell masks on a finite product grid), and the bounded
+Lipschitz metric by exact rational linear programming.  Every quantity is a
+``fractions.Fraction``; every check is exact.
 """
 
 from .errors import (
@@ -54,14 +54,12 @@ from .monad import (
 from .represent import (
     ExtensionResult,
     Functional,
-    Slab,
     WeakIntegrationLattice,
     caratheodory_extend,
     check_weak_lattice,
     daniell_stone,
     reconstruct_measure,
-    slab_intersect,
-    slab_subtract,
+    slab_grid,
 )
 from .codensity import (
     Arrow,

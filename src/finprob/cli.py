@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import operator
 import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -49,15 +50,13 @@ from .monad import SimplexPoint, check_monad_laws
 from .report import FORMATS, CheckOutcome, Mode, Report, SuiteConfig, tally
 from .represent import (
     Functional,
-    Slab,
     WeakIntegrationLattice,
     caratheodory_extend,
     daniell_stone,
     reconstruct_measure,
-    slab_intersect,
-    slab_subtract,
+    slab_grid,
 )
-from .setalg import DEFAULT_SIZE_CAP, SemiRing, sigma_of_functions
+from .setalg import DEFAULT_SIZE_CAP, GroundSet, SemiRing, sigma_of_functions
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -251,13 +250,84 @@ def run_extension_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
 
 def _slab_case(rng):
     algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
-    a = _random_slab(rng, algebra, 4)
-    b = _random_slab(rng, algebra, 4)
-    yield (
-        "slab-calculus",
-        _slab_calculus_agrees(a, b),
-        lambda: f"a=[{a.lower},{a.upper}) b=[{b.lower},{b.upper})",
+    scale = rng.randint(1, 4)
+    slabs = []
+    for _ in range(2):
+        draws = [
+            sorted(rng.randint(0, 2 * scale) for _ in range(2)) for _ in algebra.atoms
+        ]
+        slabs.append(tuple(zip(*draws)))  # (lower, upper), integers over scale
+    fault = _slab_mask_fault(slabs, scale)
+    yield "slab-calculus", fault is None, fault
+
+
+def _slab_mask_fault(slabs, scale) -> str | None:
+    """The first way the cell masks of :func:`~finprob.represent.slab_grid`
+    on the bounds of the two ``slabs`` miss the sets they stand for, or
+    ``None``.
+
+    Every mask ``above[lower] & below[upper]`` must hold exactly the cells
+    whose midpoint lies in ``[lower, upper)`` on their atom; the meet of the
+    two slabs' masks must be the mask of their ``(max lower, min upper)``;
+    and the semi-ring of all the masks must split each slab's difference
+    from the other into disjoint masks covering it.
+    """
+    family, cells, above, below = slab_grid(
+        [bound for slab in slabs for bound in slab], scale
     )
+    width = len(cells)
+    values = {v for vec in family for v in vec}
+    if cells[0][0] != 0 or any(lo < v < hi for v in values for lo, hi in cells):
+        return f"cells {cells} over {scale} miss 0 or split a bound in {sorted(values)}"
+
+    def cells_where(inside) -> dict[int, int]:
+        """For each bound value, the mask of the cells of one atom whose
+        doubled midpoint ``m`` satisfies ``inside(2 * value, m)``."""
+        return {
+            v: sum(1 << j for j, (lo, hi) in enumerate(cells) if inside(2 * v, lo + hi))
+            for v in values
+        }
+
+    from_lower = cells_where(int.__le__)
+    under_upper = cells_where(int.__gt__)
+    masks = []
+    for lower in family:
+        for upper in family:
+            if any(map(int.__gt__, lower, upper)):
+                continue
+            mask = above[lower] & below[upper]
+            expected = 0
+            for i, (lo, up) in enumerate(zip(lower, upper)):
+                expected |= (from_lower[lo] & under_upper[up]) << i * width
+            wrong = mask ^ expected
+            if wrong:
+                atom, j = divmod((wrong & -wrong).bit_length() - 1, width)
+                side = "in" if mask & wrong & -wrong else "missing from"
+                return (
+                    f"slab [{lower}, {upper}) over {scale}: cell {cells[j]} "
+                    f"of atom {atom} is wrongly {side} its mask"
+                )
+            masks.append(mask)
+
+    (lower_a, upper_a), (lower_b, upper_b) = slabs
+    a = above[lower_a] & below[upper_a]
+    b = above[lower_b] & below[upper_b]
+    meet = (tuple(map(max, lower_a, lower_b)), tuple(map(min, upper_a, upper_b)))
+    if a & b != above[meet[0]] & below[meet[1]]:
+        return f"meet of {slabs[0]} and {slabs[1]} over {scale} is not {meet}"
+
+    grid = GroundSet(tuple(f"c{bit}" for bit in range(len(lower_a) * width)))
+    try:
+        semiring = SemiRing(grid, masks)
+    except ValueError as exc:
+        return f"masks on bounds {slabs} over {scale}: {exc}"
+    for x, y in ((a, b), (b, a)):
+        pieces = semiring.difference_decomposition(x, y)
+        union = reduce(operator.or_, pieces, 0)
+        if union != x & ~y or sum(pieces) != union:  # a larger sum means overlap
+            shown = ", ".join(map(hex, pieces))
+            return f"pieces ({shown}) of {x:#x} minus {y:#x} overlap or miss part of it"
+    return None
 
 
 def _singleton_case(config: SuiteConfig, rng):
@@ -273,40 +343,6 @@ def _singleton_case(config: SuiteConfig, rng):
         recovered and extension.mass == 1,
         lambda: f"weights {weights} not recovered",
     )
-
-
-def _random_slab(rng, algebra, max_denominator) -> Slab:
-    lower, upper = [], []
-    for _ in algebra.atoms:
-        d = rng.randint(1, max_denominator)
-        x = Fraction(rng.randint(0, 2 * d), d)
-        y = Fraction(rng.randint(0, 2 * d), d)
-        lower.append(min(x, y))
-        upper.append(max(x, y))
-    return Slab(algebra, tuple(lower), tuple(upper))
-
-
-def _slab_calculus_agrees(a: Slab, b: Slab) -> bool:
-    """Extensional soundness of intersection and subtraction on the
-    breakpoint grid (breakpoints and midpoints of consecutive ones), probed
-    at one point per atom, since a slab contains ``(x, t)`` by ``x``'s atom."""
-    points = [a.algebra.ground.labels_of(atom)[0] for atom in a.algebra.atoms]
-    values = sorted(set(a.breakpoints()) | set(b.breakpoints()) | {ZERO})
-    probes = list(values)
-    probes += [(x + y) / 2 for x, y in zip(values, values[1:])]
-    probes.append(values[-1] + 1)
-
-    meet = slab_intersect(a, b)
-    pieces = slab_subtract(a, b)
-    for x in points:
-        for t in probes:
-            in_a, in_b = a.contains(x, t), b.contains(x, t)
-            if meet.contains(x, t) != (in_a and in_b):
-                return False
-            hits = [piece.contains(x, t) for piece in pieces]
-            if sum(hits) != int(in_a and not in_b):
-                return False  # also catches overlapping pieces
-    return True
 
 
 def _random_grid_lattice(rng, max_denominator):

@@ -1,7 +1,7 @@
 """Reconstruction of measures from integration functionals, and the measure
-extension machinery: weak integration lattices, half-open slabs between
-functions, Carathéodory extension over semi-rings, and the slab route from a
-lattice functional to its unique representing measure.
+extension machinery: weak integration lattices, slabs between functions as
+cell masks on a product grid, Carathéodory extension over semi-rings, and the
+slab route from a lattice functional to its unique representing measure.
 
 An integration functional on a finite algebra is its finite table of values
 on the listed simple functions (:class:`Functional`); one function,
@@ -13,10 +13,11 @@ The slab route is deliberately implemented in full -- build the semi-ring of
 slabs ``{(x, t) : f(x) <= t < g(x)}``, extend the induced premeasure to the
 generated algebra on a finite product grid, and read the measure off the
 height-one slice -- and is then cross-checked against the direct indicator
-reconstruction wherever the lattice exposes indicators.  The lattice clauses
-and the slab route hold every function as integer numerators over the
-lattice's least common denominator (:func:`~finprob.exact.scaled_rows`), and
-every rational sum goes through :func:`~finprob.exact.total`.
+reconstruction wherever the lattice exposes indicators.  One function,
+:func:`slab_grid`, builds that grid and every slab's cell mask on it.  The
+lattice clauses and the slab route hold every function as integer numerators
+over the lattice's least common denominator (:func:`~finprob.exact.scaled_rows`),
+and every rational sum goes through :func:`~finprob.exact.total`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -230,12 +231,19 @@ def check_weak_lattice(lattice: WeakIntegrationLattice) -> ClauseCheck:
     Each join, meet and span of two members, and each clip ``min(n*f, 1)``
     for every integer ``n >= 1``, must be an integer multiple of a member.
     Below the least ``n0`` at which some value of ``f`` reaches 1 the clip is
-    ``n*f``, a multiple of ``f`` itself.  From ``n0`` up to the ``N`` at
-    which every positive value has reached 1 (after which the clip stops
-    changing), each clip lies on a new ray: its saturated values stay 1 while
-    some other value grows.  The at most ``|L| - 1`` nonzero members cover as
-    many rays, so trying ``n0 ... min(N, n0 + |L| - 1)`` decides the clause
-    and finds its first failure.
+    ``n*f``, a multiple of ``f`` itself, and from the ``N`` at which every
+    positive value has reached 1 the clip stops changing, so trying
+    ``n0 ... N`` decides the clause.  That scan needs no cap of its own:
+
+    - the clips for ``n0 <= n <= N`` lie on pairwise distinct rays.  A value
+      saturated at ``n0`` is 1 in all of them, so two clips on one ray would
+      be equal, yet a value still below 1 at the smaller ``n`` is larger at
+      the greater;
+    - a passing clip is a multiple of a nonzero member on its ray, and there
+      are at most ``|L| - 1`` nonzero members, so one of the first ``|L|``
+      values of ``n`` fails;
+    - the scan returns at its first failure, so it stops within ``|L|``
+      values of ``n`` whatever ``N`` is.
 
     Every member is held as an integer vector over the lattice's common
     denominator ``D``, so the clauses are integer maxima, minima,
@@ -262,104 +270,13 @@ def check_weak_lattice(lattice: WeakIntegrationLattice) -> ClauseCheck:
         if not reach:
             continue  # every clip of zero is zero
         n0 = min(reach)
-        for n in range(n0, min(max(reach), n0 + len(vecs) - 1) + 1):
+        for n in range(n0, max(reach) + 1):
             clipped = tuple(min(n * v, scale) for v in f)
             if _as_multiple(clipped, vecs, index) is None:
                 witness = (i, n, tuple(Fraction(v, scale) for v in clipped))
                 return ClauseCheck(False, "clip", witness)
 
     return ClauseCheck(True)
-
-
-# ---------------------------------------------------------------------------
-# Slabs
-
-
-@dataclass(frozen=True)
-class Slab:
-    """The region ``{(x, t) : lower(x) <= t < upper(x)}`` between two
-    nonnegative step functions constant on the atoms of one algebra."""
-
-    algebra: Algebra
-    lower: tuple[Fraction, ...]  # per atom
-    upper: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        lower = tuple(Fraction(v) for v in self.lower)
-        upper = tuple(Fraction(v) for v in self.upper)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        k = len(self.algebra.atoms)
-        if len(lower) != k or len(upper) != k:
-            raise ValueError("one bound per atom required")
-        for lo, hi in zip(lower, upper):
-            if lo < 0:
-                raise ValueError("slab bounds must be nonnegative")
-            if lo > hi:
-                raise ValueError(f"lower bound {lo} exceeds upper bound {hi}")
-
-    @property
-    def is_empty(self) -> bool:
-        return all(lo == hi for lo, hi in zip(self.lower, self.upper))
-
-    def contains(self, label: str, t: Fraction) -> bool:
-        i = self.algebra.atom_of_point(label)
-        return self.lower[i] <= Fraction(t) < self.upper[i]
-
-    def breakpoints(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self.lower) | set(self.upper)))
-
-    def normalized(self) -> "Slab":
-        """Canonical form: per-atom empty intervals collapse to [0, 0), so
-        extensional equality becomes structural equality."""
-        pairs = [
-            (lo, hi) if lo < hi else (ZERO, ZERO)
-            for lo, hi in zip(self.lower, self.upper)
-        ]
-        return Slab(self.algebra, tuple(p[0] for p in pairs), tuple(p[1] for p in pairs))
-
-
-def _check_same_algebra(a: Slab, b: Slab) -> None:
-    if a.algebra != b.algebra:
-        raise DomainError("slabs live on different algebras")
-
-
-def slab_intersect(a: Slab, b: Slab) -> Slab:
-    """Pointwise intersection: ``[f1 v f2, g1 ^ g2)``, clamped so the lower
-    bound never exceeds the upper."""
-    _check_same_algebra(a, b)
-    upper = tuple(min(x, y) for x, y in zip(a.upper, b.upper))
-    lower = tuple(
-        min(max(x, y), u) for x, y, u in zip(a.lower, b.lower, upper)
-    )
-    return Slab(a.algebra, lower, upper).normalized()
-
-
-def slab_subtract(a: Slab, b: Slab) -> tuple[Slab, ...]:
-    """Set difference as at most two disjoint slabs.
-
-    The lower piece is ``[f1, g1 ^ f2)`` and the upper piece
-    ``[f1 v g2, g1)``, each clamped per atom; adjacent pieces merge back into
-    one slab and empty pieces are dropped.
-    """
-    _check_same_algebra(a, b)
-    low_piece = Slab(
-        a.algebra,
-        a.lower,
-        tuple(max(lo, min(g1, f2)) for lo, g1, f2 in zip(a.lower, a.upper, b.lower)),
-    )
-    high_piece = Slab(
-        a.algebra,
-        tuple(min(g1, max(f1, g2)) for f1, g1, g2 in zip(a.lower, a.upper, b.upper)),
-        a.upper,
-    )
-    if low_piece.upper == high_piece.lower:
-        merged = Slab(a.algebra, low_piece.lower, high_piece.upper).normalized()
-        return () if merged.is_empty else (merged,)
-    pieces = tuple(
-        s.normalized() for s in (low_piece, high_piece) if not s.is_empty
-    )
-    return pieces
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +363,55 @@ def caratheodory_extend(
 # The slab route from a lattice functional to its measure
 
 
+def slab_grid(
+    seeds: Iterable[tuple[int, ...]], scale: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]], dict, dict]:
+    """The product grid on which slabs between bound vectors are cell masks.
+
+    A bound vector gives one integer per atom, over the common denominator
+    ``scale``.  Returns ``(bound_family, cells, above, below)``:
+
+    - ``bound_family``, the closure of ``seeds`` under pointwise join and
+      meet, in ascending order;
+    - ``cells``, the pairs ``(lo, hi)`` of consecutive breakpoints, which are
+      the values of the bound family together with ``0`` and ``scale``;
+    - ``above`` and ``below``, mapping each bound vector to the mask of the
+      cells at or above it and of the cells at or below it.
+
+    Bit ``i * len(cells) + j`` of a mask is cell ``j`` over atom ``i``.  The
+    slab ``{(x, t) : lower(x) <= t < upper(x)}`` is the mask
+    ``above[lower] & below[upper]``.  A closure of more than
+    :data:`BOUND_FAMILY_CAP` vectors raises :class:`ExtensionError`.
+    """
+    bounds = set(seeds)
+    frontier = list(bounds)
+    while frontier:
+        if len(bounds) > BOUND_FAMILY_CAP:
+            raise ExtensionError(
+                f"slab bound family exceeds the desk-scale cap {BOUND_FAMILY_CAP}"
+            )
+        f = frontier.pop()
+        for g in tuple(bounds):
+            for combo in (tuple(map(max, f, g)), tuple(map(min, f, g))):
+                if combo not in bounds:
+                    bounds.add(combo)
+                    frontier.append(combo)
+    bound_family = sorted(bounds)
+    breakpoints = sorted({v for vec in bound_family for v in vec} | {0, scale})
+    cells = list(zip(breakpoints, breakpoints[1:]))
+
+    def cell_mask(covers) -> int:
+        return sum(1 << bit for bit, covered in enumerate(covers) if covered)
+
+    above = {
+        vec: cell_mask(v <= lo for v in vec for lo, _ in cells) for vec in bound_family
+    }
+    below = {
+        vec: cell_mask(hi <= v for v in vec for _, hi in cells) for vec in bound_family
+    }
+    return bound_family, cells, above, below
+
+
 def daniell_stone(
     lattice: WeakIntegrationLattice,
     values: Mapping[tuple[Fraction, ...], Fraction],
@@ -510,46 +476,18 @@ def daniell_stone(
         k = next(i for i, v in enumerate(d) if v)
         return Fraction(height[k], members[j][k]) * member_values[j]
 
-    # Join/meet-closed family of slab bounds, capped at height one.
-    bounds = {(0,) * atom_count, (scale,) * atom_count}
-    bounds.update(vec for vec in members if max(vec) <= scale)
-    for member_mask in sigma.members:
-        bounds.add(
-            tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
-        )
-    frontier = list(bounds)
-    while frontier:
-        if len(bounds) > BOUND_FAMILY_CAP:
-            raise ExtensionError(
-                f"slab bound family exceeds the desk-scale cap {BOUND_FAMILY_CAP}"
-            )
-        f = frontier.pop()
-        for g in tuple(bounds):
-            for combo in (tuple(map(max, f, g)), tuple(map(min, f, g))):
-                if combo not in bounds:
-                    bounds.add(combo)
-                    frontier.append(combo)
-    bound_family = sorted(bounds)
-
-    # Finite product grid: sigma atoms times vertical cells between breakpoints.
-    breakpoints = sorted({v for vec in bound_family for v in vec} | {0, scale})
-    cells = list(zip(breakpoints, breakpoints[1:]))
+    # The slabs' bounds: the lattice functions bounded by one and the
+    # indicators of the algebra's members, the constants zero and one among them.
+    seeds = [vec for vec in members if max(vec) <= scale]
+    seeds += [
+        tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
+        for member_mask in sigma.members
+    ]
+    bound_family, cells, above, below = slab_grid(seeds, scale)
     product_points = tuple(
         f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
     )
     product_ground = GroundSet(product_points)
-
-    # A slab [lower, upper) covers the cells at or above lower and at or
-    # below upper on every atom: its mask is an AND of two per-bound masks.
-    def cell_mask(covers) -> int:
-        return sum(1 << bit for bit, covered in enumerate(covers) if covered)
-
-    above = {
-        vec: cell_mask(v <= lo for v in vec for lo, _ in cells) for vec in bound_family
-    }
-    below = {
-        vec: cell_mask(hi <= v for v in vec for _, hi in cells) for vec in bound_family
-    }
 
     def fractions_of(slab):
         return tuple(tuple(Fraction(v, scale) for v in vec) for vec in slab)

@@ -20,7 +20,7 @@ STDOUT_SHA256 = {
     "03_reconstruction": "eb0172b88eeec95051ba48dfee2ebd450f5e7d5bf2344b15065ad5539072f3ea",
     "04_monad_laws": "70dfc91e9bd3d341965b97be49c3f07c298f8d9e645e4bee76eb268496f7847a",
     "05_codensity_cones": "0bd30016837391ed228b3549e200cc0ffe69043a6422bba7118d2ff7610ff839",
-    "06_extension": "556eebaa96d93058386a5cc41c6c20d1a250c6f9a80f5b53b4730b9132c6e867",
+    "06_extension": "7624eb7dcc5119a1306bcc8fe9454e7757faa77ebdfe27a1614457be273d8d14",
     "07_lipschitz_distance": "c6df397555ca48e0b9a949f2abd0be966a19c4ecc53914badcb4887c71dcf7d7",
 }
 

@@ -1,8 +1,9 @@
-"""Reconstruction from functionals, weak lattices, slabs, and extension."""
+"""Reconstruction from functionals, weak lattices, slab masks, and extension."""
 
 import functools
 import itertools
 import operator
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -17,7 +18,6 @@ from finprob import (
     PreconditionError,
     ReconstructionError,
     SimpleFunction,
-    Slab,
     WeakIntegrationLattice,
     caratheodory_extend,
     check_weak_lattice,
@@ -26,11 +26,11 @@ from finprob import (
     generate_algebra,
     reconstruct_measure,
     simple_integral,
-    slab_intersect,
-    slab_subtract,
+    slab_grid,
     uniform,
 )
-from finprob import exact, gen, represent
+from finprob import cli, exact, gen, represent
+from finprob.report import SuiteConfig
 from finprob.setalg import ClauseCheck, SemiRing, is_semiring, sigma_of_functions
 
 
@@ -390,82 +390,107 @@ def test_lattice_clip_violation_at_the_first_saturating_step_detected():
     assert verdict(check) == reference_check_weak_lattice(lattice)
 
 
-# --- slabs -------------------------------------------------------------------------
+# --- slab masks --------------------------------------------------------------------
 
 
-def one_point_algebra():
-    return Algebra.powerset(GroundSet(("0",)))
+def one_atom_slabs(scale, *slabs):
+    """The cell masks of the one-atom slabs ``[lower/scale, upper/scale)``,
+    and the semi-ring of every slab mask on their grid."""
+    family, cells, above, below = slab_grid(
+        [(v,) for slab in slabs for v in slab], scale
+    )
+    masks = [above[(lower,)] & below[(upper,)] for lower, upper in slabs]
+    every = [above[lo] & below[up] for lo in family for up in family if lo <= up]
+    ground = GroundSet(tuple(f"c{j}" for j in range(len(cells))))
+    return masks, SemiRing(ground, every)
 
 
-def test_slab_intersect_idempotent():
-    alg = one_point_algebra()
-    a = Slab(alg, (F(0),), (F(1),))
-    assert slab_intersect(a, a) == a
+def test_slab_mask_meet_is_idempotent():
+    (a,), semiring = one_atom_slabs(1, (0, 1))
+    assert a & a == a == semiring.ground.full_mask
 
 
-def test_slab_intersect_disjoint_pieces():
-    alg = one_point_algebra()
-    lo = Slab(alg, (F(0),), (F(1, 2),))
-    hi = Slab(alg, (F(1, 2),), (F(1),))
-    assert slab_intersect(lo, hi).is_empty
+def test_slab_mask_meet_of_adjacent_slabs_is_empty():
+    (lo, hi, whole), _ = one_atom_slabs(2, (0, 1), (1, 2), (0, 2))
+    assert lo & hi == 0
+    assert lo | hi == whole
 
 
-def test_slab_intersect_interval():
-    alg = one_point_algebra()
-    a = Slab(alg, (F(0),), (F(1),))
-    b = Slab(alg, (F(1, 2),), (F(1),))
-    assert slab_intersect(a, b) == b
+def test_slab_mask_meet_of_nested_slabs_is_the_inner():
+    (a, b), _ = one_atom_slabs(2, (0, 2), (1, 2))
+    assert a & b == b
 
 
-def test_slab_subtract_self_is_empty():
-    alg = one_point_algebra()
-    a = Slab(alg, (F(1, 4),), (F(3, 4),))
-    assert slab_subtract(a, a) == ()
+def test_slab_mask_difference_with_itself_is_empty():
+    (a,), semiring = one_atom_slabs(4, (1, 3))
+    assert semiring.difference_decomposition(a, a) == ()
 
 
-def test_slab_subtract_empty_returns_original():
-    alg = one_point_algebra()
-    a = Slab(alg, (F(0),), (F(1),))
-    empty = Slab(alg, (F(1, 3),), (F(1, 3),))
-    assert slab_subtract(a, empty) == (a,)
+def test_slab_mask_difference_with_the_empty_slab_covers_it():
+    (a, empty), semiring = one_atom_slabs(3, (0, 3), (1, 1))
+    assert empty == 0
+    pieces = semiring.difference_decomposition(a, empty)
+    assert sum(pieces) == functools.reduce(operator.or_, pieces) == a
 
 
-def test_slab_subtract_middle_interval():
-    alg = one_point_algebra()
-    a = Slab(alg, (F(0),), (F(1),))
-    b = Slab(alg, (F(1, 4),), (F(1, 2),))
-    pieces = slab_subtract(a, b)
-    assert [(s.lower, s.upper) for s in pieces] == [
-        ((F(0),), (F(1, 4),)),
-        ((F(1, 2),), (F(1),)),
-    ]
+def test_slab_mask_difference_of_a_middle_interval():
+    """[0, 1) minus [1/4, 1/2) is [0, 1/4) and [1/2, 1)."""
+    (a, b, low, high), semiring = one_atom_slabs(4, (0, 4), (1, 2), (0, 1), (2, 4))
+    assert sorted(semiring.difference_decomposition(a, b)) == [low, high]
 
 
 def test_slab_ops_extensional_on_random_pairs():
-    from finprob.cli import _random_slab, _slab_calculus_agrees
-
     rng = gen.rng_for(0, "slab-ext")
     for _ in range(100):
-        algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
-        a = _random_slab(rng, algebra, 4)
-        b = _random_slab(rng, algebra, 4)
-        assert _slab_calculus_agrees(a, b)
+        [(name, ok, witness)] = cli._slab_case(rng)
+        assert (name, ok) == ("slab-calculus", True), witness
 
 
-def test_slabs_on_different_algebras_are_rejected():
-    g = GroundSet(("0", "1"))
-    a = Slab(Algebra.trivial(g), (F(0),), (F(1),))
-    b = Slab(Algebra.powerset(g), (F(0), F(1, 2)), (F(1, 2), F(1)))
-    with pytest.raises(DomainError):
-        slab_intersect(a, b)
-    with pytest.raises(DomainError):
-        slab_subtract(b, a)
+def _cell_masks(cells, covers):
+    """Per bound vector, the mask of the cells ``(lo, hi)`` on each atom with
+    ``covers(v, lo, hi)`` for the vector's value ``v`` there."""
+    return lambda vec: sum(
+        1 << i * len(cells) + j
+        for i, v in enumerate(vec)
+        for j, (lo, hi) in enumerate(cells)
+        if covers(v, lo, hi)
+    )
 
 
-def test_slab_rejects_crossed_bounds():
-    alg = one_point_algebra()
-    with pytest.raises(ValueError):
-        Slab(alg, (F(1),), (F(1, 2),))
+def _above_off_by_one(family, cells, above, below):
+    shifted = _cell_masks(cells, lambda v, lo, hi: v <= hi)  # one cell too low
+    return {vec: shifted(vec) for vec in family}, below
+
+
+def _below_strict(family, cells, above, below):
+    strict = _cell_masks(cells, lambda v, lo, hi: hi < v)  # `<` for `<=`
+    return above, {vec: strict(vec) for vec in family}
+
+
+def _last_atom_dropped(family, cells, above, below):
+    atoms = len(family[0])
+    keep = (1 << (atoms - 1) * len(cells)) - 1
+    return {vec: mask & keep for vec, mask in above.items()}, below
+
+
+@pytest.mark.parametrize(
+    "fault", [_above_off_by_one, _below_strict, _last_atom_dropped]
+)
+def test_a_seeded_mask_fault_fails_slab_calculus(fault, monkeypatch):
+    real = represent.slab_grid
+
+    def faulty(seeds, scale):
+        family, cells, above, below = real(seeds, scale)
+        return (family, cells, *fault(family, cells, above, below))
+
+    monkeypatch.setattr(cli, "slab_grid", faulty)
+    check = cli.run_extension_suite(SuiteConfig(cases=50))[0]
+    assert check.name == "slab-calculus" and check.failed > 0
+    assert re.fullmatch(
+        r"case \d+: slab \[\(.*\), \(.*\)\) over \d: cell \(\d+, \d+\) "
+        r"of atom \d is wrongly (in|missing from) its mask",
+        check.witnesses[0],
+    )
 
 
 # --- caratheodory extension -----------------------------------------------------
