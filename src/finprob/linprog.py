@@ -47,10 +47,26 @@ def _rationals(values) -> tuple:
 def _numerators(values) -> tuple[list[int], int]:
     """``(nums, den)`` with ``values[j] == nums[j] / den`` over the least
     common denominator of the values (see :func:`_rationals`)."""
+    if type(values) is Rationals:
+        return list(values.nums), values.den
     if all(type(v) is int for v in values):
         return list(values), 1
     (nums,), den = scaled_rows((_rationals(values),))
     return list(nums), den
+
+
+class Rationals(tuple):
+    """A tuple of exact rationals (see :func:`_rationals`) that keeps its
+    numerators ``nums`` over their least common denominator ``den``, so a
+    constraint row or right-hand side that many LPs share is converted
+    once, not by every :func:`maximize` call."""
+
+    def __new__(cls, values):
+        values = _rationals(values)
+        nums, den = _numerators(values)
+        self = super().__new__(cls, values)
+        self.nums, self.den = tuple(nums), den
+        return self
 
 
 def maximize(
@@ -61,13 +77,13 @@ def maximize(
     n = len(c)
     m = len(a_ub)
     c_nums, c_den = _numerators(c)
-    b = _rationals(b_ub)
-    for i, v in enumerate(b):
+    b_nums, b_den = _numerators(b_ub)
+    for i, v in enumerate(b_nums):
         if v < 0:
             raise InfeasibleError(
-                f"right-hand side {v} of row {i} is negative; origin start requires b >= 0"
+                f"right-hand side {Fraction(v, b_den)} of row {i} is negative; "
+                "origin start requires b >= 0"
             )
-    b_nums, b_den = _numerators(b)
 
     # integer tableau rows: [s A_i | e_i | s D b_i]; cost row: [-C c | 0 | 0]
     rows: list[list[int]] = []

@@ -14,14 +14,14 @@ draws its weights and distances from :func:`~finprob.exact.grid`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .exact import fractions, grid, in_unit_interval, scaled_rows, total
-from .linprog import maximize
+from .linprog import Rationals, maximize
 from .measure import Measure, common_numerators, dirac, simplex_algebra
 from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
 from .report import CheckOutcome, SuiteConfig, tally
@@ -72,10 +72,11 @@ class FiniteMetricSpace:
         return scaled_rows(self.dist)
 
     @cached_property
-    def lp_system(self) -> tuple[tuple[tuple[int, ...], ...], tuple]:
-        """``(rows, rhs)``: the distance LP's constraints, built once per
-        space.  The rows are 0/±1 ints: ``f_i - f_j <= d(i, j)`` for each
-        pair :func:`_lipschitz_rows` keeps, then the box rows ``f_i <= 1``."""
+    def lp_system(self) -> tuple[tuple[Rationals, ...], Rationals]:
+        """``(rows, rhs)``: the distance LP's constraints, built and put over
+        their common denominators once per space.  The rows are 0/±1 ints:
+        ``f_i - f_j <= d(i, j)`` for each pair :func:`_lipschitz_rows`
+        keeps, then the box rows ``f_i <= 1``."""
         n = self.size
         rows, rhs = [], []
         for i, j in _lipschitz_rows(self):
@@ -84,7 +85,7 @@ class FiniteMetricSpace:
         for i in range(n):
             rows.append(tuple(int(k == i) for k in range(n)))
             rhs.append(1)
-        return tuple(rows), tuple(rhs)
+        return tuple(Rationals(row) for row in rows), Rationals(rhs)
 
     @property
     def size(self) -> int:
@@ -463,11 +464,16 @@ def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSwe
     closed form.  The subset criterion bounds the gap
     ``|p(A) - q(A)|`` between the images' subset sums, for every subset
     ``A``.  Both verdicts depend only on a pair of grid points and a bound,
-    so each side is decided once per (bound, grid pair) into its own table,
-    by its own computation, and the map loop only looks verdicts up.  The
-    linear program is a third route: it rechecks a seeded uniform sample of
-    exactly ``max(1, config.cases // 5)`` maps, or every map when the sweep
-    has fewer.
+    so each side is decided once per (bound, grid pair), by its own
+    computation, into row masks: bit ``b`` of row ``a`` is set when the pair
+    ``(a, b)`` is within the bound.  The maps of an ``n``-point space that
+    share a prefix ``(a_0, ..., a_{n-2})`` are decided together, as one mask
+    per side whose bit ``b`` is the verdict on the map ending in ``b``: 0
+    when a pair inside the prefix fails, else the AND of the rows
+    ``a_i`` at the bounds ``d(i, n-1)``.  The XOR of the two masks holds the
+    disagreeing maps.  The linear program is a third route: it rechecks a
+    seeded uniform sample of exactly ``max(1, config.cases // 5)`` maps, or
+    every map when the sweep has fewer.
     """
     from . import gen
 
@@ -479,44 +485,63 @@ def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSwe
     }
     spaces = {n: tuple(_metric_grid(n, grid_distances)) for n in range(1, SWEEP_MAX_SPACE + 1)}
     maps = sum(len(p) ** n * len(s) for p in grids.values() for n, s in spaces.items())
-    picks = set(rng.sample(range(maps), min(max(1, config.cases // 5), maps)))
+    picks = iter(sorted(rng.sample(range(maps), min(max(1, config.cases // 5), maps))))
     sampled: list[tuple] = []
+    agreed = 0
 
-    def agreement():
-        index = 0
+    def disagreements():
+        """One ``(False, witness)`` per map whose verdicts differ, in
+        product order; counts the others into ``agreed`` and collects the
+        picked maps into ``sampled`` on the way."""
+        nonlocal agreed
+        index = 0  # of the first map sharing the current prefix
+        pick = next(picks, maps)
         for m, points in grids.items():
             size = len(points)
-            # per grid pair (a, b), at index a * size + b
-            distances = [total_variation(p, q) for p in points for q in points]
-            gaps = [bl_distance_subsets(p, q) for p in points for q in points]
-            tables = {
-                bound: (
-                    [d <= bound for d in distances],
-                    [g <= bound for g in gaps],
-                )
-                for bound in grid_distances
-            }
+            full = (1 << size) - 1
+            direct_rows = _row_masks(
+                [[total_variation(p, q) for q in points] for p in points], grid_distances
+            )
+            subset_rows = _row_masks(
+                [[bl_distance_subsets(p, q) for q in points] for p in points], grid_distances
+            )
             for n, n_spaces in spaces.items():
-                pairs = list(itertools.combinations(range(n), 2))
+                last = n - 1
                 for space in n_spaces:
-                    bound_tables = [(i, j, *tables[space.dist[i][j]]) for i, j in pairs]
-                    for assignment in itertools.product(range(size), repeat=n):
-                        direct_ok = True
-                        subset_ok = True
-                        for i, j, direct, subset in bound_tables:
-                            cell = assignment[i] * size + assignment[j]
-                            direct_ok = direct_ok and direct[cell]
-                            subset_ok = subset_ok and subset[cell]
-                        if index in picks:
-                            sampled.append(
-                                (space, tuple(points[a] for a in assignment), direct_ok)
+                    dist = space.dist
+                    inner = [
+                        (i, j, direct_rows[dist[i][j]], subset_rows[dist[i][j]])
+                        for i, j in itertools.combinations(range(last), 2)
+                    ]
+                    outer = [
+                        (i, direct_rows[dist[i][last]], subset_rows[dist[i][last]])
+                        for i in range(last)
+                    ]
+                    for prefix in itertools.product(range(size), repeat=last):
+                        direct = subset = full
+                        for i, j, direct_row, subset_row in inner:
+                            if not direct_row[prefix[i]] >> prefix[j] & 1:
+                                direct = 0
+                            if not subset_row[prefix[i]] >> prefix[j] & 1:
+                                subset = 0
+                        for i, direct_row, subset_row in outer:
+                            direct &= direct_row[prefix[i]]
+                            subset &= subset_row[prefix[i]]
+                        while pick < index + size:
+                            b = pick - index
+                            images = tuple(points[a] for a in prefix) + (points[b],)
+                            sampled.append((space, images, bool(direct >> b & 1)))
+                            pick = next(picks, maps)
+                        index += size
+                        bad = direct ^ subset
+                        agreed += size - bad.bit_count()
+                        while bad:
+                            low = bad & -bad
+                            bad ^= low
+                            yield False, partial(
+                                "n={} m={} dist={} map={}".format,
+                                n, m, dist, prefix + (low.bit_length() - 1,),
                             )
-                        index += 1
-                        if direct_ok == subset_ok:
-                            yield True, None
-                        else:
-                            witness = f"n={n} m={m} dist={space.dist} map={assignment}"
-                            yield False, witness
 
     def spot_checks():
         for space, assignment, verdict in sampled:
@@ -528,10 +553,24 @@ def check_lipschitz_criterion_equivalence(config: SuiteConfig) -> EquivalenceSwe
                 f"dist={space.dist} map={tuple(p.weights for p in assignment)}",
             )
 
-    # the spot checks draw from the maps the full sweep sampled, so they run second
+    # tally consumes the generator before agreed is read; the spot checks
+    # draw from the maps the full sweep sampled, so they run second
+    disagreeing = tally("criteria-agree", disagreements())
     return EquivalenceSweep(
-        (tally("criteria-agree", agreement()), tally("lp-spot-checks", spot_checks()))
+        (
+            replace(disagreeing, passed=agreed),
+            tally("lp-spot-checks", spot_checks()),
+        )
     )
+
+
+def _row_masks(values, bounds) -> dict:
+    """For each bound, one int per row of ``values`` whose bit ``b`` is set
+    when ``values[a][b] <= bound``."""
+    return {
+        bound: [sum(1 << b for b, v in enumerate(row) if v <= bound) for row in values]
+        for bound in bounds
+    }
 
 
 def _metric_grid(n: int, distances: Sequence[Fraction]):

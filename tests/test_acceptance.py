@@ -95,7 +95,10 @@ def test_criterion_05_lipschitz_criterion_equivalence():
     announce(
         5,
         "Lipschitz criterion equivalence",
-        sweep.ok and spot_checks.passed == 100,
+        sweep.ok
+        and sweep.instances == 800691
+        and sweep.checks[0].failed == 0
+        and spot_checks.passed == 100,
         started,
         f"{sweep.instances} instances, "
         f"{spot_checks.passed + spot_checks.failed} LP spot checks",

@@ -8,7 +8,7 @@ import pytest
 from finprob import InfeasibleError, UnboundedError, gen, lipmetric
 from finprob.errors import FinprobError
 from finprob.exact import fractions
-from finprob.linprog import LPResult, maximize
+from finprob.linprog import LPResult, Rationals, maximize
 from finprob.lipmetric import bl_distance_lp_witness
 from finprob.measure import dirac, simplex_algebra
 
@@ -212,13 +212,17 @@ def test_integer_tableau_matches_the_rational_tableau_on_random_lps():
     """Value and solution, or exception type and message, agree with the
     rational tableau on 600 seeded LPs, which reach non-unit pivots,
     degenerate ratio ties, unbounded and infeasible problems and malformed
-    rows."""
+    rows, whether the rows and right-hand side come as plain sequences or
+    already converted to ``Rationals``."""
     seen, outcomes = {}, set()
     for case in range(600):
         rng = gen.rng_for(22, "lp-oracle", str(case))
         lp = random_lp(rng, LP_KINDS[case % len(LP_KINDS)])
         expected = outcome(reference_maximize, *lp, seen)
         assert outcome(maximize, *lp) == expected, f"case {case}: {lp}"
+        c, a, b = lp
+        converted = (c, [Rationals(row) for row in a], Rationals(b))
+        assert outcome(maximize, *converted) == expected, f"case {case}: {lp}"
         outcomes.add(expected[0] if isinstance(expected, tuple) else "optimum")
     assert outcomes == {"optimum", UnboundedError, InfeasibleError, ValueError}
     assert seen["non-unit pivots"] > 100 and seen["ties"] > 30

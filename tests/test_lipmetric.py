@@ -23,7 +23,7 @@ from finprob import (
     simplex_algebra,
     total_variation,
 )
-from finprob import gen, lipmetric
+from finprob import gen, linprog, lipmetric
 from finprob.exact import grid
 from finprob.linprog import LPResult, maximize
 from finprob.report import SuiteConfig
@@ -261,6 +261,32 @@ def test_rows_are_scanned_once_per_space(monkeypatch):
     assert sum(s is space for s in scanned) == 1
 
 
+def test_the_lp_system_is_put_over_its_denominators_once_per_space(monkeypatch):
+    """Twenty distance LPs on one space with fractional distances rescale
+    its right-hand side once, when the space first builds its system, and
+    keep the full-row LP's optimum."""
+    rng = gen.rng_for(0, "convert-once")
+    space = line_metric(rng, 5, 8)
+    pairs = [
+        tuple(gen.random_simplex_point(rng, space.points, 6) for _ in range(2))
+        for _ in range(20)
+    ]
+    expected = [
+        full_row_lp([a - b for a, b in zip(p.weights, q.weights)], space)
+        for p, q in pairs
+    ]
+    real = linprog.scaled_rows
+    scaled = []
+
+    def counting(rows):
+        scaled.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(linprog, "scaled_rows", counting)
+    assert [bl_distance_lp(p, q, space) for p, q in pairs] == expected
+    assert len(scaled) == 1
+
+
 def test_discrete_metric_lp_is_the_box_alone():
     assert lipmetric._lipschitz_rows(discrete_space(("a", "b", "c", "d"))) == []
 
@@ -442,11 +468,15 @@ def test_equivalence_sweep_fault_config_passes(monkeypatch):
     assert sweep.checks[1].passed == 200
 
 
-def test_equivalence_sweep_catches_a_wrong_direct_side(monkeypatch):
+def _shrink_total_variation(monkeypatch):
     real = lipmetric.total_variation
     monkeypatch.setattr(
         lipmetric, "total_variation", lambda p, q: real(p, q) * F(3, 4)
     )
+
+
+def test_equivalence_sweep_catches_a_wrong_direct_side(monkeypatch):
+    _shrink_total_variation(monkeypatch)
     sweep = fault_sweep(monkeypatch)
     assert not sweep.ok
     assert sweep.checks[0].failed == 52
@@ -457,6 +487,126 @@ def test_equivalence_sweep_catches_a_wrong_subset_side(monkeypatch):
     sweep = fault_sweep(monkeypatch)
     assert not sweep.ok
     assert sweep.checks[0].failed == 190
+
+
+def reference_sweep(config):
+    """The scalar map loop the bit-mask sweep replaced: one generator
+    resumption per map, each map's two verdicts a conjunction of per-pair
+    table cells.  It reads the module's names when it runs, so a
+    monkeypatched side or sweep size reaches it as it reaches the sweep."""
+    rng = gen.rng_for(config.seed, "lipschitz-sweep")
+    grid_distances = grid(2, lipmetric.SWEEP_MAX_DENOMINATOR)[1:]  # positive, up to 2
+    grids = {
+        m: simplex_grid([f"t{i}" for i in range(m)], lipmetric.SWEEP_MAX_DENOMINATOR)
+        for m in range(1, lipmetric.SWEEP_MAX_LABELS + 1)
+    }
+    spaces = {
+        n: tuple(lipmetric._metric_grid(n, grid_distances))
+        for n in range(1, lipmetric.SWEEP_MAX_SPACE + 1)
+    }
+    maps = sum(len(p) ** n * len(s) for p in grids.values() for n, s in spaces.items())
+    picks = set(rng.sample(range(maps), min(max(1, config.cases // 5), maps)))
+    sampled = []
+
+    def agreement():
+        index = 0
+        for m, points in grids.items():
+            size = len(points)
+            # per grid pair (a, b), at index a * size + b
+            distances = [lipmetric.total_variation(p, q) for p in points for q in points]
+            gaps = [lipmetric.bl_distance_subsets(p, q) for p in points for q in points]
+            tables = {
+                bound: (
+                    [d <= bound for d in distances],
+                    [g <= bound for g in gaps],
+                )
+                for bound in grid_distances
+            }
+            for n, n_spaces in spaces.items():
+                pairs = list(itertools.combinations(range(n), 2))
+                for space in n_spaces:
+                    bound_tables = [(i, j, *tables[space.dist[i][j]]) for i, j in pairs]
+                    for assignment in itertools.product(range(size), repeat=n):
+                        direct_ok = True
+                        subset_ok = True
+                        for i, j, direct, subset in bound_tables:
+                            cell = assignment[i] * size + assignment[j]
+                            direct_ok = direct_ok and direct[cell]
+                            subset_ok = subset_ok and subset[cell]
+                        if index in picks:
+                            sampled.append(
+                                (space, tuple(points[a] for a in assignment), direct_ok)
+                            )
+                        index += 1
+                        if direct_ok == subset_ok:
+                            yield True, None
+                        else:
+                            witness = f"n={n} m={m} dist={space.dist} map={assignment}"
+                            yield False, witness
+
+    def spot_checks():
+        for space, assignment, verdict in sampled:
+            f = dict(zip(space.points, assignment))
+            check = lipmetric.check_simplex_lipschitz(f, space)
+            yield (
+                check.is_lipschitz == verdict and check.verdicts_agree,
+                lambda: "lp spot check disagrees on "
+                f"dist={space.dist} map={tuple(p.weights for p in assignment)}",
+            )
+
+    # the spot checks draw from the maps the full sweep sampled, so they run second
+    return lipmetric.EquivalenceSweep(
+        (
+            lipmetric.tally("criteria-agree", agreement()),
+            lipmetric.tally("lp-spot-checks", spot_checks()),
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "fault, failed",
+    [(None, 0), (_shrink_total_variation, 52), (_halve_subset_sums, 190)],
+    ids=["unfaulted", "total-variation", "subset-sums"],
+)
+def test_the_mask_sweep_matches_the_scalar_reference(monkeypatch, fault, failed):
+    """Passes, failures, kept witnesses and spot-check tallies, at 2/3/3."""
+    if fault:
+        fault(monkeypatch)
+    sweep = fault_sweep(monkeypatch)
+    assert sweep.checks == reference_sweep(SuiteConfig(seed=0, cases=1000)).checks
+    assert sweep.checks[0].failed == failed
+
+
+def test_the_mask_sweep_matches_the_scalar_reference_on_three_points(monkeypatch):
+    """At the default 3/3/3, where a pair inside a map's prefix can fail on
+    one side only, the ×3/4 total-variation fault gives the same tallies
+    and first witnesses as the reference."""
+    _shrink_total_variation(monkeypatch)
+    config = SuiteConfig(seed=0, cases=500)
+    sweep = check_lipschitz_criterion_equivalence(config)
+    expected = reference_sweep(config)
+    assert sweep.checks == expected.checks
+    assert sweep.checks[0].failed == 50296
+    assert sweep.instances == 800691
+
+
+def test_the_spot_checks_recheck_the_reference_maps(monkeypatch):
+    """The LP rechecks the same (space, map) sequence as the reference
+    picks, 200 maps at 2/3/3."""
+    calls = []
+    real = lipmetric.check_simplex_lipschitz
+
+    def spy(f, space):
+        calls.append((space, tuple(f[x] for x in space.points)))
+        return real(f, space)
+
+    monkeypatch.setattr(lipmetric, "check_simplex_lipschitz", spy)
+    fault_sweep(monkeypatch)
+    swept = list(calls)
+    calls.clear()
+    reference_sweep(SuiteConfig(seed=0, cases=1000))
+    assert len(swept) == 200
+    assert swept == calls
 
 
 def test_subset_sums_by_mask():
