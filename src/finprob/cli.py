@@ -21,7 +21,7 @@ from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from . import gen, serialize
+from . import gen, serialize, workers
 from .codensity import (
     check_cone_naturality,
     indicator_table,
@@ -420,29 +420,56 @@ def _integral_case(config: SuiteConfig, rng):
     yield "properties", not failing, f"clauses {failing} failed"
 
 
+# The jobs of `all`, each the name of a runner of this module, looked up
+# when the job runs, so that a rebound runner reaches every worker.  They
+# are listed longest first by in-process time at the default config (about
+# 0.4 s for extend down to 0.1 s for lipschitz-equivalence), so that the
+# last job to start is a short one.
+ALL_JOBS = {
+    "extend": "run_extension_suite",
+    "integrate": "run_integrate_suite",
+    "laws.sigma": "run_laws",
+    "laws.charge": "run_laws",
+    "nonexpansive": "run_nonexpansive",
+    "codensity": "run_codensity",
+    "reconstruct": "run_reconstruction_suite",
+    "bijection": "verify_codensity_bijection",
+    "distance": "run_distance_suite",
+    "lipschitz-equivalence": "run_lipschitz_equivalence",
+}
+
+
 def run_all(config: SuiteConfig) -> list[CheckOutcome]:
     """Every suite, each check named under its suite's prefix.  The laws and
     the bijection are filed under both :class:`Mode` labels, each label's
     checks from a run of its own, so that every count comes from a run that
-    produced it; sufficiency runs once, beside the first bijection."""
+    produced it; sufficiency runs once, beside the first bijection.
+
+    The ten runner calls are independent: each draws its cases from its own
+    seeded streams.  :func:`~finprob.workers.run_jobs` spreads them over up
+    to one forked process per available CPU, this one included, and the
+    checks are assembled here in one fixed order, so the report is the same
+    whatever process ran each call.  A call's exception is raised here."""
+    jobs = [lambda name=name: globals()[name](config) for name in ALL_JOBS.values()]
+    done = dict(zip(ALL_JOBS, workers.run_jobs(jobs)))
     sigma, charge = Mode.SIGMA.value, Mode.FINITELY_ADDITIVE.value
-    laws = [*_prefixed(sigma, run_laws(config)), *_prefixed(charge, run_laws(config))]
-    first = run_codensity(config)
+    laws = [*_prefixed(sigma, done["laws.sigma"]), *_prefixed(charge, done["laws.charge"])]
+    first = done["codensity"]
     sufficiency = [c for c in first if c.name.startswith("sufficiency.")]
     codensity = [
         *_prefixed(sigma, [c for c in first if c not in sufficiency]),
-        *_prefixed(charge, verify_codensity_bijection(config)),
+        *_prefixed(charge, done["bijection"]),
         *sufficiency,
     ]
     return [
         *_prefixed("laws", laws),
         *_prefixed("codensity", codensity),
-        *_prefixed("distance", run_distance_suite(config)),
-        *_prefixed("lipschitz-equivalence", run_lipschitz_equivalence(config)),
-        *_prefixed("nonexpansive", run_nonexpansive(config)),
-        *_prefixed("reconstruct", run_reconstruction_suite(config)),
-        *_prefixed("extend", run_extension_suite(config)),
-        *_prefixed("integrate", run_integrate_suite(config)),
+        *_prefixed("distance", done["distance"]),
+        *_prefixed("lipschitz-equivalence", done["lipschitz-equivalence"]),
+        *_prefixed("nonexpansive", done["nonexpansive"]),
+        *_prefixed("reconstruct", done["reconstruct"]),
+        *_prefixed("extend", done["extend"]),
+        *_prefixed("integrate", done["integrate"]),
     ]
 
 

@@ -45,7 +45,13 @@ class InputError(FinprobError):
 
     def __init__(self, message: str, location: str = "$"):
         super().__init__(f"{location}: {message}")
+        self.message = message
         self.location = location
+
+    def __reduce__(self):
+        """Pickled as its message and location, from which it is rebuilt,
+        not as the formatted text, which its constructor would prefix again."""
+        return type(self), (self.message, self.location)
 
 
 class UnboundedError(FinprobError):

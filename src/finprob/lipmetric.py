@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -292,7 +292,11 @@ def check_simplex_lipschitz(
     return SimplexLipschitzCheck(direct, subset, direct_witness or subset_witness)
 
 
+@lru_cache
 def discrete_space(labels: Sequence[str]) -> FiniteMetricSpace:
+    """The discrete metric on ``labels``: distance 1 between distinct
+    points.  Equal label tuples share one space, so its LP system is built
+    once however many distances are taken on it."""
     labels = tuple(labels)
     n = len(labels)
     dist = tuple(tuple(ZERO if i == j else ONE for j in range(n)) for i in range(n))

@@ -455,6 +455,28 @@ def test_a_sweep_smaller_than_its_sample_spot_checks_every_map(monkeypatch):
     assert (spot.name, spot.passed, spot.failed) == ("lp-spot-checks", 44, 0)
 
 
+def test_the_spot_checks_build_one_target_space_per_label_set(monkeypatch):
+    """The 100 LP spot checks at seed 0 map into simplices on the 3 label
+    sets t0..t{m-1} and build each discrete target space once; the sweep's
+    source spaces are on points x0, x1, x2."""
+    built = []
+
+    class Counted(FiniteMetricSpace):
+        def __post_init__(self):
+            built.append(self.points)
+            super().__post_init__()
+
+    monkeypatch.setattr(lipmetric, "FiniteMetricSpace", Counted)
+    lipmetric.discrete_space.cache_clear()  # no space built by an earlier test
+    try:
+        sweep = check_lipschitz_criterion_equivalence(SuiteConfig(seed=0))
+    finally:
+        lipmetric.discrete_space.cache_clear()  # no Counted space for a later one
+    assert sweep.checks[1].passed == 100
+    targets = [points for points in built if points[0].startswith("t")]
+    assert 1 <= len(targets) <= 3
+
+
 def fault_sweep(monkeypatch):
     """The 2/3/3 sweep: 2/2/2 misses the scaled total variation below, and
     2/3/3 catches both faults."""
