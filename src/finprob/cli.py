@@ -420,22 +420,23 @@ def _integral_case(config: SuiteConfig, rng):
     yield "properties", not failing, f"clauses {failing} failed"
 
 
-# The jobs of `all`, each the name of a runner of this module, looked up
-# when the job runs, so that a rebound runner reaches every worker.  They
-# are listed longest first by in-process time at the default config (about
-# 0.4 s for extend down to 0.1 s for lipschitz-equivalence), so that the
-# last job to start is a short one.
+# The jobs of `all`: each the name of a runner of this module, looked up
+# when the job runs, so that a rebound runner reaches every worker, and its
+# cost, the percent of a one-process run it took in a fresh process at the
+# default config (about 0.57 s for integrate down to 0.12 s for
+# lipschitz-equivalence, of 2.8 s).  The costs decide which process runs
+# each job.
 ALL_JOBS = {
-    "extend": "run_extension_suite",
-    "integrate": "run_integrate_suite",
-    "laws.sigma": "run_laws",
-    "laws.charge": "run_laws",
-    "nonexpansive": "run_nonexpansive",
-    "codensity": "run_codensity",
-    "reconstruct": "run_reconstruction_suite",
-    "bijection": "verify_codensity_bijection",
-    "distance": "run_distance_suite",
-    "lipschitz-equivalence": "run_lipschitz_equivalence",
+    "integrate": ("run_integrate_suite", 20),
+    "extend": ("run_extension_suite", 14),
+    "laws.sigma": ("run_laws", 13),
+    "laws.charge": ("run_laws", 13),
+    "codensity": ("run_codensity", 9),
+    "nonexpansive": ("run_nonexpansive", 8),
+    "reconstruct": ("run_reconstruction_suite", 7),
+    "bijection": ("verify_codensity_bijection", 6),
+    "distance": ("run_distance_suite", 5),
+    "lipschitz-equivalence": ("run_lipschitz_equivalence", 4),
 }
 
 
@@ -446,12 +447,14 @@ def run_all(config: SuiteConfig) -> list[CheckOutcome]:
     produced it; sufficiency runs once, beside the first bijection.
 
     The ten runner calls are independent: each draws its cases from its own
-    seeded streams.  :func:`~finprob.workers.run_jobs` spreads them over up
-    to one forked process per available CPU, this one included, and the
-    checks are assembled here in one fixed order, so the report is the same
-    whatever process ran each call.  A call's exception is raised here."""
-    jobs = [lambda name=name: globals()[name](config) for name in ALL_JOBS.values()]
-    done = dict(zip(ALL_JOBS, workers.run_jobs(jobs)))
+    seeded streams.  :func:`~finprob.workers.run_jobs` splits them by their
+    costs into fixed shares, one per available CPU, runs one share here and
+    forks a process for each other.  The checks are assembled here in one
+    fixed order, so the report is the same whatever process ran each call.
+    A call's exception is raised here."""
+    jobs = [lambda name=name: globals()[name](config) for name, _ in ALL_JOBS.values()]
+    costs = [cost for _, cost in ALL_JOBS.values()]
+    done = dict(zip(ALL_JOBS, workers.run_jobs(jobs, costs)))
     sigma, charge = Mode.SIGMA.value, Mode.FINITELY_ADDITIVE.value
     laws = [*_prefixed(sigma, done["laws.sigma"]), *_prefixed(charge, done["laws.charge"])]
     first = done["codensity"]

@@ -1,15 +1,16 @@
 """Independent jobs spread over forked worker processes.
 
-:func:`run_jobs` writes one byte per job index into a pipe, closes its
-write end, and forks one worker fewer than it has CPUs.  Every process, the
-caller included, reads one index at a time and runs that job until the pipe
-is empty, so the caller does its share of the work instead of waiting.
-Each child pickles its results, or the exception that stopped it, into a
-pipe of its own and leaves through ``os._exit``.  The caller then collects
-and reaps every child, in a ``finally``, so none is left behind.
+:func:`run_jobs` splits the jobs into fixed shares by their estimated
+costs, one share per CPU this process may run on, forks one child per share
+beyond its own and runs its own share while the children run theirs.  The
+split depends on the costs and the CPU count only, so every run hands the
+same jobs to the same processes.  Each child pickles its results, or the
+exception that stopped it, into a pipe of its own and leaves through
+``os._exit``.  The caller then collects and reaps every child, in a
+``finally``, so none is left behind.
 
 With one CPU, where ``os.fork`` is missing, or where other threads run,
-the caller reads every index itself through the same loop.
+the caller runs every job itself.
 """
 
 from __future__ import annotations
@@ -19,6 +20,14 @@ import threading
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
+
+# The caller's share is this many times a child's.  The cores of a shared
+# virtual machine run up to 1.6x apart in speed, each on its own
+# (bench/README.md, "Machine speed").  A child's share that is 1/1.6 of the
+# caller's then ends before the caller's own does even on the slower core,
+# so the caller does not wait on a child, and a run's time follows the
+# speed of the caller's core alone instead of the slower of two.
+CALLER_WEIGHT = 1.6
 
 
 def _worker_count(jobs: int) -> int:
@@ -33,37 +42,49 @@ def _worker_count(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def run_jobs(jobs: Sequence[Callable[[], T]]) -> list[T]:
-    """Each of at most 256 ``jobs`` run once, in whichever process reads its
-    index first, and their results in the order of ``jobs``.  Jobs are
-    handed out in that order, so list the longest first.
+def shares(costs: Sequence[float], workers: int) -> list[list[int]]:
+    """The indices of the jobs each of ``workers`` processes runs, the
+    caller's share first.  Jobs go longest first, each to the process whose
+    load over its weight it raises least; the caller weighs
+    :data:`CALLER_WEIGHT` and each child 1.  Ties go to the earlier job
+    and the earlier process."""
+    weights = [CALLER_WEIGHT] + [1] * (workers - 1)
+    loads = [0] * workers
+    split: list[list[int]] = [[] for _ in range(workers)]
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        p = min(range(workers), key=lambda p: (loads[p] + costs[i]) / weights[p])
+        loads[p] += costs[i]
+        split[p].append(i)
+    return split
+
+
+def run_jobs(jobs: Sequence[Callable[[], T]], costs: Sequence[float]) -> list[T]:
+    """Each of ``jobs`` run once, in the process :func:`shares` gives it by
+    its estimated ``costs``, and their results in the order of ``jobs``.
 
     A job's exception is raised here as itself: the caller's own first, else
     the first child's in fork order.  A child that exits without sending its
     results raises :class:`RuntimeError`.
     """
-    workers = _worker_count(len(jobs))
-    queue, feed = os.pipe()
-    os.write(feed, bytes(range(len(jobs))))
-    os.close(feed)
+    mine, *theirs = shares(costs, _worker_count(len(jobs)))
     children = {}  # pid -> read end of the child's result pipe
     sent = []  # (pid, payload bytes, wait status), one per child
     try:
-        for _ in range(workers - 1):
+        for share in filter(None, theirs):
             results, out = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:  # no process to spare: go on with the workers there are
+            except OSError:  # no process to spare: this one runs the share
                 os.close(results)
                 os.close(out)
-                break
+                mine = mine + share
+                continue
             if pid == 0:
-                _work_and_exit(queue, jobs, out)
+                _work_and_exit(jobs, share, out)
             os.close(out)
             children[pid] = results
-        done = _drain(queue, jobs)
+        done = _run(jobs, mine)
     finally:
-        os.close(queue)
         for pid, results in children.items():
             with open(results, "rb") as pipe:
                 data = pipe.read()
@@ -76,22 +97,19 @@ def run_jobs(jobs: Sequence[Callable[[], T]]) -> list[T]:
     return [done[i] for i in range(len(jobs))]
 
 
-def _drain(queue: int, jobs: Sequence[Callable[[], T]]) -> dict[int, T]:
-    """Run the job of each index read from ``queue`` until it is empty."""
-    done = {}
-    while index := os.read(queue, 1):
-        done[index[0]] = jobs[index[0]]()
-    return done
+def _run(jobs: Sequence[Callable[[], T]], share: Sequence[int]) -> dict[int, T]:
+    """The result of each job of ``share``, by index."""
+    return {i: jobs[i]() for i in share}
 
 
-def _work_and_exit(queue: int, jobs, out: int):
+def _work_and_exit(jobs, share: Sequence[int], out: int):
     """A child's life: its share of the jobs, then its results or the
     exception that stopped it, pickled into ``out``.  It never returns."""
     import pickle  # here, not at the top: only a run that forks needs it
 
     try:
         try:
-            payload = _drain(queue, jobs)
+            payload = _run(jobs, share)
         except BaseException as exc:  # raised again by the caller
             payload = exc
         try:

@@ -13,7 +13,7 @@ from finprob import cli, lipmetric, workers
 from finprob.errors import InputError
 from finprob.report import CheckOutcome, SuiteConfig
 
-RUNNERS = sorted(set(cli.ALL_JOBS.values()))
+RUNNERS = sorted({name for name, _ in cli.ALL_JOBS.values()})
 
 
 @pytest.fixture
@@ -45,59 +45,42 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class OneJobInTheParent:
-    """A hook for the start of every job of `all`.  In a child it reports the
-    start; the parent's first job waits until children have started every
-    other job, or have all exited, so the parent runs exactly one job and a
-    child runs the rest, whatever the scheduler does."""
+PARENT = os.getpid()
 
-    def __init__(self, jobs=len(cli.ALL_JOBS)):
-        self.jobs = jobs
-        self.parent = os.getpid()
-        self.started, self.report = os.pipe()
-        self.waited = False
-
-    def __call__(self):
-        if os.getpid() != self.parent:
-            os.write(self.report, b"+")
-        elif not self.waited:
-            self.waited = True
-            os.close(self.report)  # the children hold the only write ends now
-            for _ in range(self.jobs - 1):
-                if not os.read(self.started, 1):
-                    break
-
-    def in_child(self) -> bool:
-        return os.getpid() != self.parent
-
-    def close(self):
-        os.close(self.started)
-        if not self.waited:
-            os.close(self.report)
+# where each job of `all` files its checks
+PREFIX = {
+    **{job: job for job in cli.ALL_JOBS},
+    "laws.charge": "laws.finitely_additive",
+    "codensity": "codensity.sigma",
+    "bijection": "codensity.finitely_additive",
+}
 
 
-@pytest.fixture
-def one_job_in_the_parent():
-    gate = OneJobInTheParent()
-    yield gate
-    gate.close()
+def in_child() -> bool:
+    return os.getpid() != PARENT
 
 
-def stamp_pids(monkeypatch, before):
-    """Each runner of `all` calls ``before`` and then adds a ``pid`` check
-    whose witness is the id of the process that ran it."""
+def stamp_pids(monkeypatch):
+    """Each runner of `all` adds a ``pid`` check whose witness is the id of
+    the process that ran it."""
     for name in RUNNERS:
         real = getattr(cli, name)
 
         def runner(config, real=real):
-            before()
             return (*real(config), CheckOutcome("pid", 1, 0, (os.getpid(),)))
 
         monkeypatch.setattr(cli, name, runner)
 
 
 def pids_by_job(checks) -> dict:
-    return {c.name: c.witnesses[0] for c in checks if c.name.endswith(".pid")}
+    pids = {c.name.removesuffix(".pid"): c.witnesses[0] for c in checks if c.name.endswith(".pid")}
+    return {job: pids[prefix] for job, prefix in PREFIX.items()}
+
+
+def caller_share(n) -> set:
+    """The jobs of `all` that this process runs itself on ``n`` CPUs."""
+    costs = [cost for _, cost in cli.ALL_JOBS.values()]
+    return {list(cli.ALL_JOBS)[i] for i in workers.shares(costs, n)[0]}
 
 
 def test_the_checks_are_the_same_from_one_process_and_from_two(cpus, alarm):
@@ -108,22 +91,38 @@ def test_the_checks_are_the_same_from_one_process_and_from_two(cpus, alarm):
     assert_no_child_left()
 
 
-def test_two_cpus_run_the_jobs_in_two_processes(cpus, monkeypatch, one_job_in_the_parent, alarm):
+def test_two_cpus_run_the_jobs_in_two_processes(cpus, monkeypatch, alarm):
     cpus(2)
-    stamp_pids(monkeypatch, one_job_in_the_parent)
+    stamp_pids(monkeypatch)
     pids = pids_by_job(cli.run_all(SuiteConfig(cases=20)))
-    assert len(pids) == len(cli.ALL_JOBS)
-    assert list(pids.values()).count(os.getpid()) == 1
+    assert {job for job, pid in pids.items() if pid == PARENT} == caller_share(2)
     assert len(set(pids.values())) == 2
     assert_no_child_left()
 
 
-def test_a_fault_installed_before_the_fork_reaches_the_children(
-    cpus, monkeypatch, one_job_in_the_parent, alarm
-):
+def test_each_job_runs_once_in_a_fixed_share():
+    costs = [cost for _, cost in cli.ALL_JOBS.values()]
+    for n in range(1, 11):
+        split = workers.shares(costs, n)
+        assert sorted(i for share in split for i in share) == list(range(len(costs)))
+        assert split == workers.shares(costs, n)
+    assert workers.shares(costs, 1) == [list(range(len(costs)))]
+
+
+def test_on_two_cpus_the_child_share_fits_its_allowance():
+    """The child's share of `all` costs at most the caller's over
+    CALLER_WEIGHT, so it ends first on a core that slow."""
+    costs = [cost for _, cost in cli.ALL_JOBS.values()]
+    mine, theirs = (sum(costs[i] for i in share) for share in workers.shares(costs, 2))
+    assert theirs <= mine / workers.CALLER_WEIGHT
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_a_fault_installed_before_the_fork_reaches_the_children(cpus, monkeypatch, alarm, n):
     """bench/faults.py's ``distance-off`` fault, every LP distance 1/1000
-    too large, set in this process, fails a distance or nonexpansive check
-    that a child ran."""
+    too large, set in this process, fails a check that a child ran: on two
+    CPUs the LP spot checks of lipschitz-equivalence, on three the distance
+    and nonexpansive suites too."""
     original = lipmetric.bl_distance_lp_witness
 
     def faulty(p, q, space):
@@ -131,27 +130,27 @@ def test_a_fault_installed_before_the_fork_reaches_the_children(
         return value + Fraction(1, 1000), f
 
     monkeypatch.setattr(lipmetric, "bl_distance_lp_witness", faulty)
-    cpus(2)
-    stamp_pids(monkeypatch, one_job_in_the_parent)
+    cpus(n)
+    stamp_pids(monkeypatch)
     checks = cli.run_all(SuiteConfig(cases=20))
     pids = pids_by_job(checks)
     caught = {
-        c.name.split(".")[0]
-        for c in checks
-        if c.failed and c.name.split(".")[0] in ("distance", "nonexpansive")
+        job
+        for job, prefix in PREFIX.items()
+        if any(c.failed and c.name.startswith(f"{prefix}.") for c in checks)
     }
-    assert any(pids[f"{suite}.pid"] != os.getpid() for suite in caught)
+    assert {"distance", "nonexpansive", "lipschitz-equivalence"} <= caught
+    assert any(pids[job] != PARENT for job in caught)
     assert_no_child_left()
 
 
-def fail_once(monkeypatch, gate, where, fault):
+def fail_once(monkeypatch, where, fault):
     """Every runner of `all` returns one passing check, except that the
     first job to start in ``where`` ("parent" or "child") calls ``fault``."""
     calls = []
 
     def runner(config):
-        gate()
-        if gate.in_child() == (where == "child") and not calls:
+        if in_child() == (where == "child") and not calls:
             calls.append(True)
             fault()
         return (CheckOutcome("fake", 1, 0),)
@@ -169,11 +168,9 @@ def raise_runtime_error():
 
 
 @pytest.mark.parametrize("where", ["parent", "child"])
-def test_an_input_error_in_a_job_exits_two(
-    capsys, cpus, monkeypatch, one_job_in_the_parent, alarm, where
-):
+def test_an_input_error_in_a_job_exits_two(capsys, cpus, monkeypatch, alarm, where):
     cpus(2)
-    fail_once(monkeypatch, one_job_in_the_parent, where, raise_input_error)
+    fail_once(monkeypatch, where, raise_input_error)
     code = cli.run(["all", "--cases", "20"])
     err = capsys.readouterr().err
     assert code == 2
@@ -182,11 +179,9 @@ def test_an_input_error_in_a_job_exits_two(
 
 
 @pytest.mark.parametrize("where", ["parent", "child"])
-def test_an_internal_error_in_a_job_exits_three(
-    capsys, cpus, monkeypatch, one_job_in_the_parent, alarm, where
-):
+def test_an_internal_error_in_a_job_exits_three(capsys, cpus, monkeypatch, alarm, where):
     cpus(2)
-    fail_once(monkeypatch, one_job_in_the_parent, where, raise_runtime_error)
+    fail_once(monkeypatch, where, raise_runtime_error)
     code = cli.run(["all", "--cases", "20"])
     err = capsys.readouterr().err
     assert code == 3
@@ -194,11 +189,9 @@ def test_an_internal_error_in_a_job_exits_three(
     assert_no_child_left()
 
 
-def test_a_child_that_dies_without_its_results_exits_three(
-    capsys, cpus, monkeypatch, one_job_in_the_parent, alarm
-):
+def test_a_child_that_dies_without_its_results_exits_three(capsys, cpus, monkeypatch, alarm):
     cpus(2)
-    fail_once(monkeypatch, one_job_in_the_parent, "child", lambda: os._exit(1))
+    fail_once(monkeypatch, "child", lambda: os._exit(1))
     code = cli.run(["all", "--cases", "20"])
     captured = capsys.readouterr()
     assert code == 3
@@ -228,7 +221,7 @@ def test_no_more_children_than_jobs_or_cpus_less_one(cpus, forks, alarm):
     for n, children in ((64, 9), (3, 2), (1, 0)):
         forks.clear()
         cpus(n)
-        assert workers.run_jobs(jobs) == [i * i for i in range(10)]
+        assert workers.run_jobs(jobs, [1] * 10) == [i * i for i in range(10)]
         assert len(forks) == children
         assert_no_child_left()
 
@@ -239,7 +232,7 @@ def test_no_fork_while_another_thread_runs(cpus, forks):
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert workers.run_jobs([os.getpid] * 4) == [os.getpid()] * 4
+        assert workers.run_jobs([os.getpid] * 4, [1] * 4) == [os.getpid()] * 4
     finally:
         release.set()
         other.join(timeout=60)
@@ -255,9 +248,9 @@ def test_without_fork_or_a_process_to_spare_the_caller_runs_every_job(cpus, monk
         raise BlockingIOError("no process to spare")
 
     monkeypatch.setattr(os, "fork", refused)
-    assert workers.run_jobs(jobs) == [os.getpid()] * 4
+    assert workers.run_jobs(jobs, [1] * 4) == [os.getpid()] * 4
     monkeypatch.delattr(os, "fork")
-    assert workers.run_jobs(jobs) == [os.getpid()] * 4
+    assert workers.run_jobs(jobs, [1] * 4) == [os.getpid()] * 4
 
 
 class Awkward(Exception):
@@ -269,18 +262,13 @@ class Awkward(Exception):
 
 def test_an_exception_that_does_not_rebuild_arrives_as_its_text(cpus, alarm):
     cpus(2)
-    gate = OneJobInTheParent(jobs=2)
 
     def job():
-        gate()
-        if gate.in_child():
+        if in_child():
             raise Awkward("one", "two")
 
-    try:
-        with pytest.raises(RuntimeError, match="^Awkward: one and two$"):
-            workers.run_jobs([job, job])
-    finally:
-        gate.close()
+    with pytest.raises(RuntimeError, match="^Awkward: one and two$"):
+        workers.run_jobs([job, job], [1, 1])
     assert_no_child_left()
 
 
@@ -291,15 +279,10 @@ def test_an_input_error_survives_the_trip_from_a_child():
 
 def test_a_result_that_does_not_pickle_arrives_as_an_error(cpus, alarm):
     cpus(2)
-    gate = OneJobInTheParent(jobs=2)
 
     def job():
-        gate()
-        return (lambda: None) if gate.in_child() else None
+        return (lambda: None) if in_child() else None
 
-    try:
-        with pytest.raises(RuntimeError, match="^(Pickling|Attribute)Error: .*pickle"):
-            workers.run_jobs([job, job])
-    finally:
-        gate.close()
+    with pytest.raises(RuntimeError, match="^(Pickling|Attribute)Error: .*pickle"):
+        workers.run_jobs([job, job], [1, 1])
     assert_no_child_left()
