@@ -423,20 +423,19 @@ def _integral_case(config: SuiteConfig, rng):
 # The jobs of `all`: each the name of a runner of this module, looked up
 # when the job runs, so that a rebound runner reaches every worker, and its
 # cost, the percent of a one-process run it took in a fresh process at the
-# default config (about 0.57 s for integrate down to 0.12 s for
-# lipschitz-equivalence, of 2.8 s).  The costs decide which process runs
-# each job.
+# default config (about 0.35 s for extend down to 0.03 s for distance, of
+# 2.0 s), longest first.  The costs decide which process runs each job.
 ALL_JOBS = {
-    "integrate": ("run_integrate_suite", 20),
-    "extend": ("run_extension_suite", 14),
-    "laws.sigma": ("run_laws", 13),
-    "laws.charge": ("run_laws", 13),
-    "codensity": ("run_codensity", 9),
-    "nonexpansive": ("run_nonexpansive", 8),
+    "extend": ("run_extension_suite", 17),
+    "laws.sigma": ("run_laws", 14),
+    "laws.charge": ("run_laws", 14),
+    "integrate": ("run_integrate_suite", 14),
+    "codensity": ("run_codensity", 11),
+    "nonexpansive": ("run_nonexpansive", 9),
     "reconstruct": ("run_reconstruction_suite", 7),
-    "bijection": ("verify_codensity_bijection", 6),
-    "distance": ("run_distance_suite", 5),
+    "bijection": ("verify_codensity_bijection", 7),
     "lipschitz-equivalence": ("run_lipschitz_equivalence", 4),
+    "distance": ("run_distance_suite", 2),
 }
 
 

@@ -101,10 +101,7 @@ def binary_arrow(f: SimpleFunction) -> Arrow:
     """The arrow into the two-label simplex pairing ``f`` with its
     complement: a point maps to ``(1 - f(x), f(x))``."""
     simplex = simplex_algebra(BINARY_LABELS)
-    rows = tuple(
-        Measure.from_numerators(simplex, d, (d - n, n))
-        for n, d in ((v.numerator, v.denominator) for v in f.values)
-    )
+    rows = tuple(Measure.from_numerators(simplex, f.den, (f.den - n, n)) for n in f.nums)
     return Arrow(f.algebra, BINARY_LABELS, rows)
 
 

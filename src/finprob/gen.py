@@ -16,8 +16,8 @@ from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .lipmetric import FiniteMetricSpace
-from .measure import Measure
-from .monad import MetaMeasure, SimplexPoint
+from .measure import Measure, simplex_algebra
+from .monad import MetaMeasure
 from .integrate import SimpleFunction
 from .report import CheckOutcome, tally
 from .setalg import Algebra, GroundSet, generate_algebra
@@ -93,11 +93,19 @@ def random_algebra(rng: random.Random, ground: GroundSet) -> Algebra:
 def random_weights(rng: random.Random, k: int, max_denominator: int) -> tuple[Fraction, ...]:
     """Nonnegative rationals with denominators at most ``max_denominator``
     summing exactly to one, via a random composition of the denominator."""
+    d, counts = _composition(rng, k, max_denominator)
+    return tuple(Fraction(c, d) for c in counts)
+
+
+def _composition(rng: random.Random, k: int, max_denominator: int) -> tuple[int, list[int]]:
+    """``(d, counts)``: a random denominator ``d`` up to ``max_denominator``
+    and ``k`` nonnegative counts summing to it, the draws of
+    :func:`random_weights`."""
     d = rng.randint(1, max_denominator)
     counts = [0] * k
     for _ in range(d):
         counts[rng.randrange(k)] += 1
-    return tuple(Fraction(c, d) for c in counts)
+    return d, counts
 
 
 def random_positive_weights(
@@ -118,10 +126,10 @@ def random_measure(
     style = rng.randrange(8)
     if style == 0:  # forced edge case: all mass on one atom
         i = rng.randrange(k)
-        return Measure(algebra, tuple(ONE if j == i else ZERO for j in range(k)))
+        return Measure.from_numerators(algebra, 1, [int(j == i) for j in range(k)])
     if style == 1 and k <= max_denominator:  # forced edge case: uniform
-        return Measure(algebra, (Fraction(1, k),) * k)
-    return Measure(algebra, random_weights(rng, k, max_denominator))
+        return Measure.from_numerators(algebra, k, (1,) * k)
+    return Measure.from_numerators(algebra, *_composition(rng, k, max_denominator))
 
 
 def random_simple_function(
@@ -204,7 +212,8 @@ def random_meta_measure(
 def random_simplex_point(
     rng: random.Random, labels: Sequence[str], max_denominator: int
 ) -> Measure:
-    return SimplexPoint(tuple(labels), random_weights(rng, len(labels), max_denominator))
+    algebra = simplex_algebra(tuple(labels))
+    return Measure.from_numerators(algebra, *_composition(rng, len(labels), max_denominator))
 
 
 def random_metric(

@@ -1,10 +1,12 @@
 """Simple functions and exact integration against finite measures.
 
 On a finite algebra every measurable [0, 1]-valued function is simple, so one
-type carries both roles.  A simple function is held as its atom-indexed
-value vector; the original term list, when given, is kept only for the
-term-sum check of :func:`check_integral_properties` and is ignored by
-equality.
+type carries both roles.  A simple function is held as :class:`Measure`
+holds its weights: one integer numerator per atom over a common
+denominator, in lowest terms, so equality and hashing read only ints.  The
+rational values and the original term list, when given, are kept beside
+them; the term list serves only the term-sum check of
+:func:`check_integral_properties`, and neither is read by equality.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RangeError
@@ -20,91 +25,134 @@ from .measure import Measure, evaluate
 from .report import CheckOutcome, tally
 from .setalg import Algebra
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 GRID_DENOMINATOR = 4  # largest denominator of the sup-inf clause's grid, at every size
 CHAIN_LENGTH = 3  # steps of the monotone-limit clause's increasing chains
 
 
-@dataclass(frozen=True)
+def _values(f: "SimpleFunction") -> tuple[Fraction, ...]:
+    """The values of a function built from integers, read on first use."""
+    return tuple(Fraction(n, f.den) for n in f.nums)
+
+
+@dataclass(frozen=True, init=False)
 class SimpleFunction:
-    """A [0, 1]-valued function constant on the atoms of its algebra."""
+    """A [0, 1]-valued function constant on the atoms of its algebra.
+
+    Built from one rational value per atom (``SimpleFunction(algebra,
+    values)``), from terms (:meth:`from_terms`) or from integers
+    (:meth:`from_numerators`).  Atom ``i`` takes ``nums[i] / den``; ``values``
+    is the same vector as ``Fraction``s, built on first use when the function
+    was built from integers.
+    """
 
     algebra: Algebra
-    values: tuple[Fraction, ...]  # one value per atom, canonical form
+    # a field, so the repr and dataclasses.replace read it; its class-level
+    # default is the lazy view, which an instance built from values shadows
+    values: tuple[Fraction, ...] = field(default=cached_property(_values), compare=False)
     terms: tuple[tuple[Fraction, int], ...] = field(default=(), compare=False, repr=False)
+    den: int = field(init=False, repr=False)
+    nums: tuple[int, ...] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        values = fractions(self.values)
-        object.__setattr__(self, "values", values)
-        terms = tuple(self.terms)
+    def __init__(
+        self,
+        algebra: Algebra,
+        values: Sequence,
+        terms: Iterable[tuple[Fraction, int]] = (),
+    ) -> None:
+        values = fractions(values)
+        terms = _fraction_terms(terms)
         if terms:
-            coefficients = fractions(a for a, _ in terms)
-            terms = tuple(zip(coefficients, (m for _, m in terms)))
-        object.__setattr__(self, "terms", terms)
-        if len(values) != len(self.algebra.atoms):
+            object.__setattr__(self, "terms", terms)
+        den = lcm(*(v.denominator for v in values))
+        self._set(algebra, den, tuple(v.numerator * (den // v.denominator) for v in values))
+        object.__setattr__(self, "values", values)  # already in lowest terms
+
+    @classmethod
+    def from_numerators(
+        cls, algebra: Algebra, den: int, nums: Sequence[int]
+    ) -> "SimpleFunction":
+        """The function taking ``nums[i] / den`` on atom ``i``, for ``den > 0``."""
+        f = cls.__new__(cls)
+        f._set(algebra, den, tuple(nums))
+        return f
+
+    def _set(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
+        if len(nums) != len(algebra.atoms):
             raise ValueError("one value per atom required")
-        for v in values:
-            if not in_unit_interval(v):
-                raise RangeError(f"simple function value {v} outside [0, 1]")
+        if min(nums) < 0 or max(nums) > den:
+            bad = next(n for n in nums if not 0 <= n <= den)
+            raise RangeError(f"simple function value {Fraction(bad, den)} outside [0, 1]")
+        g = gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, tuple(n // g for n in nums)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
 
     @classmethod
     def from_terms(
         cls, algebra: Algebra, terms: Iterable[tuple[Fraction, int]]
     ) -> "SimpleFunction":
         """Build ``sum a_k * 1_{A_k}`` from coefficient/member pairs."""
-        terms = tuple((Fraction(a), m) for a, m in terms)
+        terms = _fraction_terms(terms)
         for a, m in terms:
             if not in_unit_interval(a):
                 raise RangeError(f"term coefficient {a} outside [0, 1]")
             algebra.check_member(m)
-        values = tuple(
-            total(a for a, m in terms if m & atom) for atom in algebra.atoms
-        )
-        return cls(algebra, values, terms)
+        den = lcm(*(a.denominator for a, _ in terms))
+        scaled = [(a.numerator * (den // a.denominator), m) for a, m in terms]
+        nums = [sum(n for n, m in scaled if m & atom) for atom in algebra.atoms]
+        f = cls.from_numerators(algebra, den, nums)
+        object.__setattr__(f, "terms", terms)
+        return f
 
     @classmethod
     def indicator(cls, algebra: Algebra, mask: int) -> "SimpleFunction":
         algebra.check_member(mask)
-        return cls(
-            algebra, tuple(ONE if atom & mask else ZERO for atom in algebra.atoms)
-        )
+        return cls.from_numerators(algebra, 1, [int(atom & mask != 0) for atom in algebra.atoms])
 
     @classmethod
     def constant(cls, algebra: Algebra, value: Fraction) -> "SimpleFunction":
         return cls(algebra, (Fraction(value),) * len(algebra.atoms))
 
     def value_at(self, label: str) -> Fraction:
-        return self.values[self.algebra.atom_of_point(label)]
+        return Fraction(self.nums[self.algebra.atom_of_point(label)], self.den)
 
     def __le__(self, other: "SimpleFunction") -> bool:
         self._check_same_algebra(other)
-        return all(a <= b for a, b in zip(self.values, other.values))
+        return all(a * other.den <= b * self.den for a, b in zip(self.nums, other.nums))
 
     def add(self, other: "SimpleFunction") -> "SimpleFunction":
         """Pointwise sum; the result must stay within [0, 1]."""
         self._check_same_algebra(other)
-        return SimpleFunction(
-            self.algebra, tuple(a + b for a, b in zip(self.values, other.values))
-        )
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = [x * a + y * b for x, y in zip(self.nums, other.nums)]
+        return SimpleFunction.from_numerators(self.algebra, den, nums)
 
     def scale(self, r: Fraction) -> "SimpleFunction":
         r = Fraction(r)
         if r < 0 or r > 1:
             raise RangeError(f"scalar {r} outside [0, 1]")
-        return SimpleFunction(self.algebra, tuple(r * v for v in self.values))
+        nums = [n * r.numerator for n in self.nums]
+        return SimpleFunction.from_numerators(self.algebra, self.den * r.denominator, nums)
 
     def restrict(self, mask: int) -> "SimpleFunction":
         """Pointwise product with the indicator of a member."""
         self.algebra.check_member(mask)
-        return SimpleFunction(
-            self.algebra,
-            tuple(v if atom & mask else ZERO for atom, v in zip(self.algebra.atoms, self.values)),
-        )
+        nums = [n if atom & mask else 0 for atom, n in zip(self.algebra.atoms, self.nums)]
+        return SimpleFunction.from_numerators(self.algebra, self.den, nums)
 
     def _check_same_algebra(self, other: "SimpleFunction") -> None:
         if other.algebra != self.algebra:
             raise DomainError("simple functions live on different algebras")
+
+
+def _fraction_terms(terms: Iterable[tuple]) -> tuple[tuple[Fraction, int], ...]:
+    """Coefficient/member pairs with each coefficient as a ``Fraction``."""
+    terms = tuple(terms)
+    return tuple(zip(fractions(a for a, _ in terms), (m for _, m in terms)))
 
 
 def simple_integral(p: Measure, s: SimpleFunction) -> Fraction:
@@ -116,7 +164,7 @@ def simple_integral(p: Measure, s: SimpleFunction) -> Fraction:
     """
     if s.algebra != p.algebra:
         raise DomainError("function and measure live on different algebras")
-    return dot(s.values, p.weights)
+    return Fraction(sum(map(mul, s.nums, p.nums)), s.den * p.den)
 
 
 def _term_sum(p: Measure, f: SimpleFunction) -> Fraction:
@@ -129,12 +177,12 @@ def _term_sum(p: Measure, f: SimpleFunction) -> Fraction:
     """
     terms = f.terms
     if not terms:
-        levels = sorted(set(f.values) - {ZERO})
+        levels = sorted(set(f.nums) - {0})
         atoms = f.algebra.atoms
         terms = tuple(
             # atoms are disjoint, so their sum is their union
-            (v - below, sum(a for a, x in zip(atoms, f.values) if x >= v))
-            for below, v in zip([ZERO] + levels, levels)
+            (Fraction(n - below, f.den), sum(a for a, x in zip(atoms, f.nums) if x >= n))
+            for below, n in zip([0] + levels, levels)
         )
     return dot((a for a, _ in terms), (evaluate(p, m) for _, m in terms))
 
@@ -149,17 +197,24 @@ def _grid_bounds(p: Measure, f: SimpleFunction) -> tuple[Fraction, Fraction]:
     :func:`simple_integral` of the function that is ``c`` on atom k and 0
     elsewhere.  Whether the integral is additive across atoms is the
     question of the ``additive`` and ``finite-series`` clauses."""
-    levels = grid(ONE, GRID_DENOMINATOR)
     lower, upper = [], []
-    for k, v in enumerate(f.values):
-        scored = []
-        for c in {v, *levels}:
-            values = [ZERO] * len(f.values)
-            values[k] = c
-            scored.append((c, simple_integral(p, SimpleFunction(p.algebra, values))))
-        lower.append(max(s for c, s in scored if c <= v))
-        upper.append(min(s for c, s in scored if c >= v))
+    nums = [0] * len(f.nums)
+    for k, v in enumerate(f.nums):
+        scored = []  # (the sign of c - v_k, the piece's integral)
+        for c, d in ((v, f.den), *_grid_levels()):
+            nums[k] = c
+            piece = SimpleFunction.from_numerators(p.algebra, d, nums)
+            scored.append((c * f.den - v * d, simple_integral(p, piece)))
+        nums[k] = 0
+        lower.append(max(s for sign, s in scored if sign <= 0))
+        upper.append(min(s for sign, s in scored if sign >= 0))
     return total(lower), total(upper)
+
+
+@cache
+def _grid_levels() -> tuple[tuple[int, int], ...]:
+    """``grid(1, GRID_DENOMINATOR)`` as (numerator, denominator) pairs."""
+    return tuple((c.numerator, c.denominator) for c in grid(ONE, GRID_DENOMINATOR))
 
 
 def check_integral_properties(
@@ -205,7 +260,7 @@ def check_integral_properties(
     # (iv) additivity when the sum stays a [0, 1]-function
     cases = []
     for (i, f), (j, g) in itertools.combinations(enumerate(fns), 2):
-        if all(a + b <= 1 for a, b in zip(f.values, g.values)):
+        if all(a * g.den + b * f.den <= f.den * g.den for a, b in zip(f.nums, g.nums)):
             lhs = simple_integral(p, f.add(g))
             rhs = simple_integral(p, f) + simple_integral(p, g)
             cases.append((lhs == rhs, f"fn#{i}+fn#{j}"))

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .exact import fractions, grid, in_unit_interval, scaled_rows, total
+from .exact import fractions, grid, in_unit_interval, scaled_rows
 from .linprog import Rationals, maximize
 from .measure import Measure, common_numerators, dirac, simplex_algebra
 from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
@@ -206,14 +206,17 @@ def bl_distance_subsets(p: Measure, q: Measure) -> Fraction:
         raise DomainError(
             f"subset enumeration capped at {SUBSET_ENUMERATION_CAP} labels; use the LP"
         )
-    diff = [a - b for a, b in zip(p.weights, q.weights)]
-    return max(abs(s) for s in subset_sums(diff))
+    den, (p_nums, q_nums) = common_numerators((p, q))
+    gap = max(abs(s) for s in subset_sums([a - b for a, b in zip(p_nums, q_nums)]))
+    return Fraction(gap) / den
 
 
-def subset_sums(weights: Sequence[Fraction]) -> list[Fraction]:
+def subset_sums(weights: Sequence[int]) -> list[int]:
     """The sum of ``weights`` over every subset of indices, listed by bit
-    mask: entry ``mask`` sums the weights whose bit is set in ``mask``."""
-    sums = [ZERO]
+    mask: entry ``mask`` sums the weights whose bit is set in ``mask``.
+    The sums start from the integer 0, so integer weights give integer
+    sums, and ``Fraction`` weights ``Fraction`` sums."""
+    sums = [0]
     for w in weights:
         sums += [s + w for s in sums]
     return sums
@@ -223,7 +226,8 @@ def total_variation(p: Measure, q: Measure) -> Fraction:
     """Half the L1 distance between the weight vectors."""
     if p.algebra != q.algebra:
         raise DomainError("simplex points must share one index set")
-    return total(abs(a - b) for a, b in zip(p.weights, q.weights)) / 2
+    den, (p_nums, q_nums) = common_numerators((p, q))
+    return Fraction(sum(abs(a - b) for a, b in zip(p_nums, q_nums)), 2 * den)
 
 
 @dataclass(frozen=True)
@@ -276,11 +280,16 @@ def check_simplex_lipschitz(
 
     subset, subset_witness = True, None
     m = len(labels)
-    sums = [subset_sums(img.weights) for img in images]
+    # subset sums of the images' numerators over their common denominator,
+    # taken as exact rationals whatever type subset_sums returns, and
+    # compared with the distances cross-multiplied
+    den, rows = common_numerators(images)
+    sums = [[Fraction(s) for s in subset_sums(row)] for row in rows]
+    dist, dist_den = space.scaled_dist
     for mask in range(1 << m):
         for i in range(len(points)):
             for j in range(i + 1, len(points)):
-                if abs(sums[i][mask] - sums[j][mask]) > space.dist[i][j]:
+                if abs(sums[i][mask] - sums[j][mask]) * dist_den > dist[i][j] * den:
                     chosen = tuple(labels[k] for k in range(m) if mask >> k & 1)
                     subset, subset_witness = False, (points[i], points[j], chosen)
                     break

@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
-from .exact import fractions, scaled_rows, total
+from .exact import fractions, scaled_rows
 from .setalg import Algebra, GroundSet, is_premeasurable
 
 
@@ -54,7 +54,7 @@ class Measure:
     def _set(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
         if len(nums) != len(algebra.atoms):
             raise ValueError("one weight per atom required")
-        if not all(0 <= n <= den for n in nums):
+        if min(nums) < 0 or max(nums) > den:
             raise ValueError("atom weights must lie in [0, 1]")
         mass = sum(nums)
         if mass != den:
@@ -106,7 +106,7 @@ def simplex_algebra(labels: Sequence[str]) -> Algebra:
 def evaluate(p: Measure, mask: int) -> Fraction:
     """The measure of a member: the sum of its atoms' weights."""
     p.algebra.check_member(mask)
-    return total(w for atom, w in zip(p.algebra.atoms, p.weights) if atom & mask)
+    return Fraction(sum(n for atom, n in zip(p.algebra.atoms, p.nums) if atom & mask), p.den)
 
 
 def dirac(x: str, algebra: Algebra) -> Measure:

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exact import rational_text, scaled_rows, total
 from .integrate import SimpleFunction, simple_integral
-from .measure import Measure, evaluate
+from .measure import Measure
 from .setalg import (
     Algebra,
     ClauseCheck,
@@ -302,7 +302,9 @@ class ExtensionResult:
         return tuple(a for a in self.algebra.atoms if not a & self.covered)
 
     def value(self, mask: int) -> Fraction:
-        return evaluate(self, mask)  # reads only ``algebra`` and ``weights``
+        """The extension's value on a member: its atoms' weights summed."""
+        self.algebra.check_member(mask)
+        return total(w for atom, w in zip(self.algebra.atoms, self.weights) if atom & mask)
 
     def to_measure(self) -> Measure:
         if self.mass != 1:

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,62 @@ def test_canonicalize_overlapping_terms():
         alg, [(F(1, 2), alg.ground.mask_of(["0"])), (F(1, 2), alg.ground.full_mask)]
     )
     assert s.values == (F(1), F(1, 2))
+
+
+def test_fractions_terms_and_numerators_build_one_simple_function():
+    """Built from Fractions, from terms and from unreduced numerators, a
+    function is one value: equal, hashing alike, with today's repr, its
+    numerators in lowest terms, and the same after ``dataclasses.replace``."""
+    alg = Algebra.powerset(GroundSet(("0", "1", "2")))
+    g = alg.ground
+    built = [
+        SimpleFunction(alg, (F(1, 2), "1/6", 0)),
+        SimpleFunction.from_terms(
+            alg, [(F(1, 6), g.mask_of(["0", "1"])), (F(1, 3), g.mask_of(["0"]))]
+        ),
+        SimpleFunction.from_numerators(alg, 12, (6, 2, 0)),
+        SimpleFunction.from_numerators(alg, 6, [3, 1, 0]),
+    ]
+    expected = (
+        f"SimpleFunction(algebra={alg!r}, "
+        "values=(Fraction(1, 2), Fraction(1, 6), Fraction(0, 1)))"
+    )
+    for f in built + [dataclasses.replace(f, terms=f.terms[:-1]) for f in built]:
+        assert f == built[0] and hash(f) == hash(built[0])
+        assert repr(f) == expected
+        assert (f.den, f.nums) == (6, (3, 1, 0))
+        assert f.values == (F(1, 2), F(1, 6), F(0))
+        assert all(type(v) is F for v in f.values)
+    zero = SimpleFunction.from_numerators(alg, 4, (0, 0, 0))
+    assert (zero.den, zero.nums) == (1, (0, 0, 0))
+    assert built[1].terms == ((F(1, 6), g.mask_of(["0", "1"])), (F(1, 3), g.mask_of(["0"])))
+
+
+def test_numerator_arithmetic_matches_the_fraction_values():
+    """``add``, ``scale``, ``restrict``, ``<=`` and ``simple_integral`` on
+    numerators agree with the same operations on the Fraction values, over
+    seeded functions and measures."""
+    for case in range(300):
+        rng = gen.rng_for(3, "numerator-arithmetic", str(case))
+        algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
+        p = gen.random_measure(rng, algebra, 12)
+        f = gen.random_simple_function(rng, algebra, 12)
+        g = gen.random_addend(rng, f, 12)
+        h = gen.random_term_list(rng, algebra, 12)
+        r = F(rng.randint(0, 6), 6)
+        mask = rng.choice(list(algebra.members))
+        assert f.add(g).values == tuple(a + b for a, b in zip(f.values, g.values))
+        assert f.scale(r).values == tuple(r * v for v in f.values)
+        assert f.restrict(mask).values == tuple(
+            v if atom & mask else 0 for atom, v in zip(algebra.atoms, f.values)
+        )
+        assert (f <= h) == all(a <= b for a, b in zip(f.values, h.values))
+        for s in (f, g, h):
+            integral = simple_integral(p, s)
+            assert type(integral) is F
+            assert integral == sum((v * w for v, w in zip(s.values, p.weights)), F(0))
+            den = lcm(*(v.denominator for v in s.values))
+            assert (s.den, s.nums) == (den, tuple(v * den for v in s.values))
 
 
 def test_canonicalize_is_representation_independent():

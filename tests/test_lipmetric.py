@@ -639,6 +639,38 @@ def test_subset_sums_by_mask():
     ]
 
 
+def reference_subset_sums(weights):
+    """Subset sums as they were computed before they moved onto integer
+    numerators: ``Fraction`` partial sums from ``Fraction(0)``."""
+    sums = [F(0)]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def test_integer_subset_sums_match_the_fraction_sums():
+    """On seeded pairs of 1 to 12 labels, the integer subset sums of ``p - q``
+    over their common denominator are the Fraction sums of the weight
+    differences, and both distances come back as Fractions."""
+    rng = gen.rng_for(0, "subset-sum-reference")
+    for n in range(1, 13):
+        labels = tuple(f"t{i}" for i in range(n))
+        for _ in range(4):
+            p = gen.random_simplex_point(rng, labels, 12)
+            q = gen.random_simplex_point(rng, labels, 12)
+            for a, b in ((p, q), (p, p)):
+                den, (a_nums, b_nums) = lipmetric.common_numerators((a, b))
+                sums = lipmetric.subset_sums([x - y for x, y in zip(a_nums, b_nums)])
+                expected = reference_subset_sums(
+                    [x - y for x, y in zip(a.weights, b.weights)]
+                )
+                assert all(type(s) is int for s in sums)
+                assert [F(s, den) for s in sums] == expected
+                distance, tv = bl_distance_subsets(a, b), total_variation(a, b)
+                assert type(distance) is F and type(tv) is F
+                assert distance == max(abs(s) for s in expected) == tv
+
+
 def test_simplex_grid_enumeration():
     pts = simplex_grid(("a", "b"), 3)
     weights = {p.weights for p in pts}

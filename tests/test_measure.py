@@ -265,7 +265,39 @@ def test_merge_orders_support_by_the_fraction_weight_vector():
     assert meta.weights == (F(1, 2), F(1, 2))
 
 
-def test_extension_results_share_evaluate_by_duck_typing():
+def reference_random_measure(rng, algebra, max_denominator):
+    """``gen.random_measure`` as it built its measures from ``Fraction``
+    weights, before it built them from integer numerators."""
+    k = len(algebra.atoms)
+    style = rng.randrange(8)
+    if style == 0:
+        i = rng.randrange(k)
+        return Measure(algebra, tuple(F(1) if j == i else F(0) for j in range(k)))
+    if style == 1 and k <= max_denominator:
+        return Measure(algebra, (F(1, k),) * k)
+    return Measure(algebra, gen.random_weights(rng, k, max_denominator))
+
+
+def test_the_numerator_generators_replay_the_fraction_generators():
+    """On 1,000 seeded streams, ``random_measure`` and
+    ``random_simplex_point`` return the measures the Fraction constructions
+    returned, and leave the generator in the same state."""
+    for i in range(1000):
+        max_denominator = 1 + i % 12
+        streams = [gen.rng_for(i, "generator-replay") for _ in range(2)]
+        algebras = [gen.random_algebra(r, gen.random_ground(r, 6)) for r in streams]
+        new = gen.random_measure(streams[0], algebras[0], max_denominator)
+        old = reference_random_measure(streams[1], algebras[1], max_denominator)
+        assert (new, new.weights) == (old, old.weights)
+        assert streams[0].getstate() == streams[1].getstate()
+        labels = algebras[0].ground.points
+        new = gen.random_simplex_point(streams[0], labels, max_denominator)
+        old = SimplexPoint(labels, gen.random_weights(streams[1], len(labels), max_denominator))
+        assert (new, new.weights) == (old, old.weights)
+        assert streams[0].getstate() == streams[1].getstate()
+
+
+def test_extension_results_value_a_member_by_its_atom_weights():
     from finprob.represent import ExtensionResult
 
     g = GroundSet(("0", "1", "2"))

@@ -121,8 +121,8 @@ def test_on_two_cpus_the_child_share_fits_its_allowance():
 def test_a_fault_installed_before_the_fork_reaches_the_children(cpus, monkeypatch, alarm, n):
     """bench/faults.py's ``distance-off`` fault, every LP distance 1/1000
     too large, set in this process, fails a check that a child ran: on two
-    CPUs the LP spot checks of lipschitz-equivalence, on three the distance
-    and nonexpansive suites too."""
+    CPUs the distance suite, on three the distance and nonexpansive suites
+    and the LP spot checks of lipschitz-equivalence."""
     original = lipmetric.bl_distance_lp_witness
 
     def faulty(p, q, space):
