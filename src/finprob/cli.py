@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -382,20 +382,27 @@ def _random_grid_lattice(rng, max_denominator):
 def _closed_half_grid(family: list) -> list:
     """``family`` of functions valued in {0, 1/2, 1}, grown until each join,
     meet, span and clip ``min(2f, 1)`` of members is a member or twice one:
-    on this grid those are the only integer multiples below 1."""
+    on this grid those are the only integer multiples below 1.
+
+    The growth runs on the functions doubled, as integer vectors, in the
+    order they join; ``covered`` holds each member and twice each member,
+    so testing a candidate is one lookup."""
+    doubled = [tuple(int(2 * v) for v in f) for f in family]
+    covered = {tuple(k * x for x in f) for f in doubled for k in (1, 2)}
     grown = True
     while grown:
         grown = False
-        for f, g in itertools.product(list(family), repeat=2):
+        for f, g in itertools.product(list(doubled), repeat=2):
             join = tuple(map(max, f, g))
             meet = tuple(map(min, f, g))
-            span = tuple(a - b for a, b in zip(join, meet))
-            clip = tuple(min(2 * v, ONE) for v in f)
+            span = tuple(map(operator.sub, join, meet))
+            clip = tuple(min(2 * x, 2) for x in f)
             for target in (join, meet, span, clip):
-                if target not in family and tuple(v / 2 for v in target) not in family:
-                    family.append(target)
+                if target not in covered:
+                    doubled.append(target)
+                    covered.update((target, tuple(2 * x for x in target)))
                     grown = True
-    return family
+    return [tuple(Fraction(x, 2) for x in f) for f in doubled]
 
 
 def _integration_table(p, lattice) -> dict:
@@ -614,9 +621,11 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    """One parser for every command.  An option left unset is absent from
-    the parsed namespace, so it takes its ``SuiteConfig`` default."""
+    """One parser for every command, built once per process: it depends on
+    no input.  An option left unset is absent from the parsed namespace, so
+    it takes its ``SuiteConfig`` default."""
     parser = argparse.ArgumentParser(
         prog="finprob",
         description="Exact verification suites for finite probability structures.",
@@ -664,7 +673,11 @@ def _read_input(path: str, keys: tuple[str, ...]) -> dict:
 
 
 def run(argv=None) -> int:
-    """Run one command and print its report; return the exit code."""
+    """Run one command and print its report; return the exit code.
+
+    Every call parses ``argv`` with the process's one parser
+    (:func:`build_parser`) and keeps nothing of its request afterwards: the
+    rows an ``--input`` cone shares are loaded once within the call."""
     parser = build_parser()
     options = vars(parser.parse_args(argv))
     name = options.pop("command")

@@ -1,7 +1,10 @@
 """JSON wire formats for every instance type, bit-exact.
 
 Rationals travel as ``"p/q"`` strings (:func:`~finprob.exact.wire_text`,
-every digit included).  Subsets are sorted point-index
+every digit included).  Simplex weights are read straight to integer
+numerators (:func:`parse_rational`), with ``Fraction``'s grammar as the
+fallback for any other spelling, and a cone loads each distinct bare-list
+row once per call.  Subsets are sorted point-index
 arrays.  Dumps write families sorted by their bit-vector encoding, so they
 are canonical and byte-stable; loads keep a family in the order the file
 lists it.  This is the one input boundary: a loader checks the JSON
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 from typing import Any
 
 from .codensity import Arrow, Cone
@@ -20,8 +24,7 @@ from .errors import FinprobError, InputError
 from .exact import wire_text
 from .integrate import SimpleFunction
 from .lipmetric import FiniteMetricSpace
-from .measure import Measure
-from .monad import SimplexPoint
+from .measure import Measure, simplex_algebra
 from .report import Mode
 from .represent import Functional
 from .setalg import DEFAULT_SIZE_CAP, Algebra, GroundSet, SemiRing
@@ -40,6 +43,26 @@ def parse_fraction(raw: Any, location: str) -> Fraction:
         return Fraction(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {raw!r}: {exc}", location) from None
+
+
+def parse_rational(raw: Any, location: str) -> tuple[int, int]:
+    """``(num, den)`` with ``den > 0`` and ``num / den`` the value
+    :func:`parse_fraction` gives ``raw``, not necessarily in lowest terms.
+
+    ASCII digits, optionally followed by ``/`` and ASCII digits naming a
+    nonzero denominator, become ``int``s directly; every other input
+    (signs, spaces, decimals, other digits, JSON numbers, integers past
+    the int digit limit) is parsed, or rejected, by :func:`parse_fraction`.
+    """
+    if type(raw) is str and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if num.isdigit() and (not slash or den.isdigit() and den.strip("0")):
+            try:
+                return int(num), int(den) if slash else 1
+            except ValueError:  # past the int digit limit: parse_fraction says so
+                pass
+    value = parse_fraction(raw, location)
+    return value.numerator, value.denominator
 
 
 def _expect(data: Any, kind: type, location: str):
@@ -280,20 +303,37 @@ def dump_simplex(p: Measure) -> dict:
     }
 
 
-def load_simplex(data: Any, location: str = "$", labels=None) -> Measure:
-    """A bare list of weights on known ``labels``, or ``{"labels", "weights"}``."""
+def load_simplex(data: Any, location: str = "$", labels=None, rows=None) -> Measure:
+    """A bare list of weights on known ``labels``, or ``{"labels", "weights"}``.
+
+    ``rows``, when given, maps ``(labels, weights)`` of the bare-list rows
+    loaded so far to their measures: a row of strings listed again is
+    looked up there, not parsed again.  The caller owns it, so it lives no
+    longer than the caller's one load."""
+    key = None
     if isinstance(data, list) and labels is not None:
         names, raw, where = labels, data, location
+        if rows is not None and all(type(v) is str for v in raw):
+            key = (tuple(labels), tuple(raw))
+            if key in rows:
+                return rows[key]
     else:
         obj = _expect(data, dict, location)
         names = _labels(_field(obj, "labels", location), f"{location}.labels")
         where = f"{location}.weights"
         raw = _expect(_field(obj, "weights", location), list, where)
-    weights = tuple(parse_fraction(v, f"{where}[{i}]") for i, v in enumerate(raw))
-    point = _build(location, SimplexPoint, tuple(names), weights)
+    pairs = [parse_rational(v, f"{where}[{i}]") for i, v in enumerate(raw)]
+    den = lcm(*(d for _, d in pairs))
+    nums = [n * (den // d) for n, d in pairs]
+    point = _build(
+        location,
+        lambda: Measure.from_numerators(simplex_algebra(tuple(names)), den, nums),
+    )
     if labels is not None and point.labels != tuple(labels):
         message = f"labels {list(point.labels)} must be {list(labels)}"
         raise InputError(message, f"{location}.labels")
+    if key is not None:
+        rows[key] = point
     return point
 
 
@@ -310,9 +350,12 @@ def dump_arrow(arrow: Arrow) -> dict:
     }
 
 
-def load_arrow(data: Any, source: Algebra, location: str = "$") -> Arrow:
+def load_arrow(data: Any, source: Algebra, location: str = "$", rows=None) -> Arrow:
+    """An arrow from ``source``; ``rows`` is passed to :func:`load_simplex`."""
     obj = _expect(data, dict, location)
     targets = _labels(_field(obj, "targets", location), f"{location}.targets")
+    if len(set(targets)) != len(targets):
+        raise InputError("arrow target labels must be distinct", f"{location}.targets")
     rows_raw = _expect(_field(obj, "rows", location), dict, f"{location}.rows")
     _only_keys(rows_raw, source.ground.points, "ground point", f"{location}.rows")
     by_point = {}
@@ -320,7 +363,7 @@ def load_arrow(data: Any, source: Algebra, location: str = "$") -> Arrow:
         if point not in rows_raw:
             raise InputError(f"missing row for point {point!r}", f"{location}.rows")
         by_point[point] = load_simplex(
-            rows_raw[point], f"{location}.rows.{point}", labels=targets
+            rows_raw[point], f"{location}.rows.{point}", targets, rows
         )
     return _build(
         f"{location}.rows", Arrow.from_point_rows, source, tuple(targets), by_point
@@ -334,16 +377,19 @@ def dump_cone(cone: Cone) -> list:
 
 
 def load_cone(data: Any, source: Algebra, location: str = "$.cone") -> Cone:
+    """A cone over arrows from ``source``.  A bare-list row repeated across
+    its arrows and legs, as the indicator rows of a cone are, is loaded once."""
     raw = _expect(data, list, location)
     if not raw:
         raise InputError("cone needs at least one leg", location)
+    rows: dict = {}  # this call's rows, dropped when it returns
     legs = []
     for i, item in enumerate(raw):
         pair = _expect(item, list, f"{location}[{i}]")
         if len(pair) != 2:
             raise InputError("cone leg must be [arrow, point]", f"{location}[{i}]")
-        arrow = load_arrow(pair[0], source, f"{location}[{i}][0]")
-        point = load_simplex(pair[1], f"{location}[{i}][1]", labels=arrow.targets)
+        arrow = load_arrow(pair[0], source, f"{location}[{i}][0]", rows)
+        point = load_simplex(pair[1], f"{location}[{i}][1]", arrow.targets, rows)
         legs.append((arrow, point))
     return _build(location, Cone, "input", tuple(legs))
 

@@ -11,11 +11,15 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from finprob import (
+    Arrow,
+    Cone,
+    SimplexPoint,
     check_bl_monad_nonexpansive,
     check_lipschitz_criterion_equivalence,
     check_monad_laws,
@@ -24,7 +28,7 @@ from finprob import (
     verify_codensity_bijection,
 )
 from finprob.report import SuiteConfig
-from finprob import cli
+from finprob import cli, serialize
 
 
 def announce(number, name, ok, started, detail=""):
@@ -261,3 +265,39 @@ def test_input_reports_are_pinned(tmp_path, monkeypatch):
         digest.update(f"{code}\n{out}".encode())
     assert len(ops) == 568
     assert digest.hexdigest() == INPUT_SEED_0_SHA256
+
+
+def _fraction_cone(data, algebra):
+    """A cone's wire form loaded by ``Fraction`` weights, one
+    :func:`SimplexPoint` per row and per leg (a bare list, or a dict that
+    names the arrow's targets)."""
+
+    def point(targets, row):
+        return SimplexPoint(targets, [Fraction(v) for v in row])
+
+    legs = []
+    for arrow_data, leg in data:
+        targets = tuple(arrow_data["targets"])
+        by_point = {x: point(targets, row) for x, row in arrow_data["rows"].items()}
+        if isinstance(leg, dict):
+            assert tuple(leg["labels"]) == targets
+            leg = leg["weights"]
+        legs.append((Arrow.from_point_rows(algebra, targets, by_point), point(targets, leg)))
+    return Cone("reference", tuple(legs))
+
+
+def test_seeded_bench_cones_load_as_their_fraction_weights(tmp_path, monkeypatch):
+    """Every cone of the benchmark's first 20 ``instances`` blocks at seed 0,
+    perturbed legs included, loads equal to its ``Fraction`` reading."""
+    workloads = bench_workloads()
+    monkeypatch.setattr(workloads, "INSTANCE_BLOCKS", 20)
+    workloads.instances(0, tmp_path)
+    cones = 0
+    for b in range(20):
+        for i in range(workloads.PER_KIND):  # a block lists its cones first
+            data = serialize.loads_instance((tmp_path / f"b{b}-{i}.json").read_text())
+            algebra = serialize.load_algebra(data["algebra"])
+            loaded = serialize.load_cone(data["cone"], algebra)
+            assert loaded.legs == _fraction_cone(data["cone"], algebra).legs
+            cones += 1
+    assert cones == 100

@@ -1060,3 +1060,53 @@ def test_distance_input_past_the_subset_cap_exits_zero_with_the_lp_alone(tmp_pat
     assert done.returncode == 0, done.stderr
     values = json.loads(done.stdout)["checks"][0]["witnesses"][0]
     assert values == {"lp": "1/1"}
+
+
+def test_a_repeated_arrow_target_is_reported_at_the_targets(tmp_path, capsys):
+    from finprob import Algebra, GroundSet, cone_of_measure, indicator_family, uniform
+    from finprob import serialize
+
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    cone = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    cone[0][0]["targets"] = ["0", "0"]
+    instance = {"format": 1, "algebra": serialize.dump_algebra(alg), "cone": cone}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "codensity", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error at $.cone[0][0].targets: arrow target labels must be distinct\n"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, monkeypatch):
+    """``run`` parses every call's arguments with one parser per process,
+    and a usage error reads the same each time."""
+    import argparse
+
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(TWO_POINTS))
+    argvs = [
+        ["laws", "--cases", "1"],
+        ["distance", "--input", str(path)],
+        ["integrate", "--cases", "1", "--format", "text"],
+        ["--seed", "3", "reconstruct", "--cases", "1"],
+    ]
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in argvs * 5:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
+    assert len(built) <= 1
+
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as done:
+            run(["laws", "--input", "x"])
+        errors.append((done.value.code, capsys.readouterr().err))
+    assert errors[0] == errors[1]
+    assert errors[0][0] == 2 and "unrecognized arguments: --input x" in errors[0][1]

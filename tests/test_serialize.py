@@ -1,5 +1,6 @@
 """JSON wire formats: round trips, canonical order, input diagnostics."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -35,6 +36,31 @@ def test_fraction_rejects_garbage():
         serialize.parse_fraction("1/0", "$.x")
     with pytest.raises(InputError):
         serialize.parse_fraction([1, 2], "$.x")
+
+
+RATIONAL_CORPUS = [
+    "0/1", "1/1", "22/12", "5", "0", "007/3", "00/5", " 1/2", "1/2 ", "1 / 2",
+    "+1/2", "-1/2", "0.5", ".5", "1_0/3", "\u0663/\u0664", "\u00b2/2", "1/\u00b2",
+    "1/0", "0/00", "", "/", "1/", "/2", "1/2/3", "1e3", "1E3", "abc",
+    "1" * 5000 + "/3", "1/" + "3" * 5000, "9" * 4000 + "/" + "7" * 4000,
+    0, 7, -2, True, False, 1.5, None, [], {}, ["1/2"],
+]
+
+
+@pytest.mark.parametrize("raw", RATIONAL_CORPUS, ids=lambda raw: repr(raw)[:20])
+def test_parse_rational_matches_fraction(raw):
+    """The integer parser accepts what ``parse_fraction`` accepts, at the
+    value ``Fraction`` gives, and rejects the rest with the same text."""
+    try:
+        expected = serialize.parse_fraction(raw, "$.w[0]")
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            serialize.parse_rational(raw, "$.w[0]")
+        assert (str(caught.value), caught.value.location) == (str(exc), exc.location)
+        return
+    num, den = serialize.parse_rational(raw, "$.w[0]")
+    assert type(num) is int and type(den) is int and den > 0
+    assert F(num, den) == expected == F(raw)
 
 
 def test_algebra_round_trip_and_canonical_order():
@@ -128,6 +154,57 @@ def test_arrow_and_cone_round_trip():
     cone_data = serialize.dump_cone(cone)
     loaded = serialize.load_cone(cone_data, alg)
     assert loaded.legs == cone.legs
+
+
+def test_a_cone_loads_each_distinct_row_once_per_request(tmp_path, monkeypatch):
+    """Within one ``load_cone`` a row listed again is not built again, and
+    nothing is kept between loads: the same file loaded twice builds the
+    same number of measures each time."""
+    alg = Algebra.powerset(GroundSet(("0", "1", "2")))
+    cone = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"format": 1, "cone": cone}))
+    # the collapse row and the two indicator rows; each leg is in dict form,
+    # which is loaded on its own
+    distinct = {
+        (tuple(arrow["targets"]), tuple(row))
+        for arrow, _ in cone
+        for row in arrow["rows"].values()
+    }
+    assert len(distinct) == 3 and len(cone) == 9
+    built = []
+    real = Measure.from_numerators.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Measure, "from_numerators", classmethod(counting))
+    for _ in range(2):
+        built.clear()
+        data = serialize.loads_instance(path.read_text())
+        serialize.load_cone(data["cone"], alg)
+        assert len(built) == len(distinct) + len(cone)
+
+
+def test_a_row_equal_only_in_value_to_an_earlier_one_is_loaded_again():
+    """Only rows of strings are looked up: ``[true, false]`` equals
+    ``[1, 0]`` as a Python list, but only the second is a row of weights."""
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    cone = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    cone[1][0]["rows"]["0"] = [1, 0]
+    cone[2][0]["rows"]["0"] = [True, False]
+    with pytest.raises(InputError) as caught:
+        serialize.load_cone(cone, alg)
+    assert str(caught.value) == "$.cone[2][0].rows.0[0]: expected a 'p/q' string, got bool"
+
+
+def test_a_row_is_reused_only_on_its_own_labels():
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    cone = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    cone[1][0]["targets"] = cone[1][1]["labels"] = ["a", "b"]  # the rows of 1_{}
+    loaded = serialize.load_cone(cone, alg)
+    assert [arrow.targets for arrow in loaded.legs] == [("0",), ("a", "b")] + [("0", "1")] * 3
 
 
 def test_arrow_targets_must_be_strings():
