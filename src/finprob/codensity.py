@@ -37,8 +37,9 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ReconstructionError
+from .exact import common
 from .integrate import SimpleFunction
-from .measure import Measure, common_numerators, dirac, simplex_algebra
+from .measure import Measure, dirac, simplex_algebra
 from .monad import average
 from .report import CheckOutcome, SuiteConfig
 from .represent import Functional, reconstruct_measure
@@ -90,8 +91,8 @@ class Arrow:
 
     @cached_property
     def numerators(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """:func:`~finprob.measure.common_numerators` of the rows, once per arrow."""
-        return common_numerators(self.rows)
+        """:func:`~finprob.exact.common` of the rows, once per arrow."""
+        return common(self.rows)
 
     def at(self, label: str) -> Measure:
         return self.rows[self.source.atom_of_point(label)]
@@ -212,7 +213,7 @@ def check_cone_naturality(cone: Cone) -> NaturalityResult:
 def _composed(den: int, columns, image: tuple[int, ...], width: int):
     """The ``(den, columns)`` of an arrow's composite with the label map
     ``t -> image[t]`` into ``width`` labels, from the arrow's own (its
-    :func:`~finprob.measure.common_numerators` rows, transposed): column
+    :func:`~finprob.exact.common` rows, transposed): column
     ``u`` sums the columns mapped to ``u``, reduced to lowest terms."""
     sums = [(0,) * len(columns[0])] * width
     for column, u in zip(columns, image):

@@ -1,8 +1,8 @@
 """Exact rational kernels on integer numerators and denominators, one
 implementation each: exact sums (:func:`total`, :func:`dot`), rational grids
-(:func:`grid`), rows over their least common denominator
-(:func:`scaled_rows`), and rationals as wire text (:func:`wire_text`, every
-digit) and as prose (:func:`rational_text`, digit counts past the limit).
+(:func:`grid`), rational vectors over one denominator (:class:`Scaled`,
+:func:`scaled`, :func:`common`), and rationals as wire text
+(:func:`wire_text`, every digit) and as prose (:func:`rational_text`).
 
 Adding ``Fraction``s one by one reduces every partial sum by a gcd and builds
 a new ``Fraction`` per term.  The sums here keep one integer numerator over
@@ -14,9 +14,11 @@ alike; :func:`fractions` brings any other input to ``Fraction`` first.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd, lcm, log10
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def fractions(values: Iterable) -> tuple[Fraction, ...]:
@@ -66,13 +68,76 @@ def grid(upper, max_denominator: int) -> list[Fraction]:
     return sorted(values)
 
 
-def scaled_rows(rows: Iterable) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``(nums, den)`` with ``rows[i][j] == nums[i][j] / den``, where ``den``
-    is the least common denominator of every entry (1 when there are none)."""
-    rows = tuple(tuple(row) for row in rows)
-    den = lcm(*(v.denominator for row in rows for v in row))
-    nums = (tuple(v.numerator * (den // v.denominator) for v in row) for row in rows)
-    return tuple(nums), den
+def scaled(values: Sequence) -> tuple[int, tuple[int, ...]]:
+    """``(den, nums)`` with ``values[j] == nums[j] / den``, where ``den`` is
+    the least common denominator of the rational values (1 when there are
+    none); the numerators are then in lowest terms."""
+    den = lcm(*(v.denominator for v in values))
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def common(vectors: Iterable) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """``(den, rows)``: row ``i`` holds the i-th vector's ``nums`` over the
+    least common denominator ``den`` of the vectors' ``den``s; the vectors are
+    in lowest terms, so no factor above 1 divides ``den`` and every entry."""
+    vectors = tuple(vectors)
+    den = lcm(*(v.den for v in vectors))
+    return den, tuple(tuple(n * (den // v.den) for n in v.nums) for v in vectors)
+
+
+@dataclass(frozen=True, init=False)
+class Scaled:
+    """A rational vector as integers over one denominator: entry ``i`` is
+    ``nums[i] / den``, with ``den > 0`` and ``gcd(den, *nums) == 1``.
+
+    A subclass (:class:`~finprob.measure.Measure`,
+    :class:`~finprob.integrate.SimpleFunction`) indexes its entries by the
+    atoms of its ``algebra``, is built through :meth:`from_numerators` and
+    defines only ``_check``, its own checks of the numerators."""
+
+    den: int
+    nums: tuple[int, ...]
+
+    def __init__(self, den: int, nums: Iterable[int]) -> None:
+        """Store ``nums / den`` for ``den > 0``, reduced to lowest terms."""
+        nums = tuple(nums)
+        g = gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, tuple(n // g for n in nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    @classmethod
+    def from_numerators(cls, algebra, den: int, nums: Iterable[int]) -> "Scaled":
+        """The vector taking ``nums[i] / den`` on atom ``i``, for ``den > 0``."""
+        s = cls.__new__(cls)
+        s._init_on(algebra, den, tuple(nums))
+        return s
+
+    def _init_on(self, algebra, den: int, nums: tuple[int, ...]) -> None:
+        self._check(algebra, den, nums)
+        object.__setattr__(self, "algebra", algebra)
+        Scaled.__init__(self, den, nums)
+
+    @staticmethod
+    def of(values: Iterable) -> "Scaled":
+        """The rational values as a vector: a ``Scaled`` one as it is, ``int``s
+        and ``Fraction``s read directly, anything else through ``Fraction(v)``,
+        which accepts or rejects it as the constructor does."""
+        if isinstance(values, Scaled):
+            return values
+        values = tuple(v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values)
+        if all(type(v) is int for v in values):
+            return Scaled(1, values)
+        return Scaled(*scaled(values))
+
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The entries as ``Fraction``s in lowest terms, built on first read."""
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    def __len__(self) -> int:
+        return len(self.nums)
 
 
 def _digit_count(n: int) -> int:

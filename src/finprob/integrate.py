@@ -1,12 +1,11 @@
 """Simple functions and exact integration against finite measures.
 
 On a finite algebra every measurable [0, 1]-valued function is simple, so one
-type carries both roles.  A simple function is held as :class:`Measure`
-holds its weights: one integer numerator per atom over a common
-denominator, in lowest terms, so equality and hashing read only ints.  The
-rational values and the original term list, when given, are kept beside
-them; the term list serves only the term-sum check of
-:func:`check_integral_properties`, and neither is read by equality.
+type carries both roles.  A simple function is, like :class:`Measure`, a
+:class:`~finprob.exact.Scaled` vector on atoms, so equality and hashing read
+only ints.  The term list it was built from, when given, is kept beside it
+for the term-sum check of :func:`check_integral_properties` alone, and
+equality ignores it.
 """
 
 from __future__ import annotations
@@ -14,13 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
-from math import gcd, lcm
-from operator import mul
+from functools import cache
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RangeError
-from .exact import dot, fractions, grid, in_unit_interval, total
+from .exact import Scaled, common, dot, fractions, grid, in_unit_interval, scaled, total
 from .measure import Measure, evaluate
 from .report import CheckOutcome, tally
 from .setalg import Algebra
@@ -30,29 +28,22 @@ GRID_DENOMINATOR = 4  # largest denominator of the sup-inf clause's grid, at eve
 CHAIN_LENGTH = 3  # steps of the monotone-limit clause's increasing chains
 
 
-def _values(f: "SimpleFunction") -> tuple[Fraction, ...]:
-    """The values of a function built from integers, read on first use."""
-    return tuple(Fraction(n, f.den) for n in f.nums)
-
-
 @dataclass(frozen=True, init=False)
-class SimpleFunction:
+class SimpleFunction(Scaled):
     """A [0, 1]-valued function constant on the atoms of its algebra.
 
     Built from one rational value per atom (``SimpleFunction(algebra,
     values)``), from terms (:meth:`from_terms`) or from integers
-    (:meth:`from_numerators`).  Atom ``i`` takes ``nums[i] / den``; ``values``
-    is the same vector as ``Fraction``s, built on first use when the function
-    was built from integers.
+    (:meth:`from_numerators`).  Atom ``i`` takes ``nums[i] / den``.
     """
 
-    algebra: Algebra
-    # a field, so the repr and dataclasses.replace read it; its class-level
-    # default is the lazy view, which an instance built from values shadows
-    values: tuple[Fraction, ...] = field(default=cached_property(_values), compare=False)
-    terms: tuple[tuple[Fraction, int], ...] = field(default=(), compare=False, repr=False)
     den: int = field(init=False, repr=False)
     nums: tuple[int, ...] = field(init=False, repr=False)
+    algebra: Algebra
+    # a field, so the repr and dataclasses.replace read it; its class-level
+    # default is Scaled's lazy view, which an instance built from values shadows
+    values: tuple[Fraction, ...] = field(default=Scaled.values, compare=False)
+    terms: tuple[tuple[Fraction, int], ...] = field(default=(), compare=False, repr=False)
 
     def __init__(
         self,
@@ -61,34 +52,16 @@ class SimpleFunction:
         terms: Iterable[tuple[Fraction, int]] = (),
     ) -> None:
         values = fractions(values)
-        terms = _fraction_terms(terms)
-        if terms:
-            object.__setattr__(self, "terms", terms)
-        den = lcm(*(v.denominator for v in values))
-        self._set(algebra, den, tuple(v.numerator * (den // v.denominator) for v in values))
+        object.__setattr__(self, "terms", _fraction_terms(terms))
+        self._init_on(algebra, *scaled(values))
         object.__setattr__(self, "values", values)  # already in lowest terms
 
-    @classmethod
-    def from_numerators(
-        cls, algebra: Algebra, den: int, nums: Sequence[int]
-    ) -> "SimpleFunction":
-        """The function taking ``nums[i] / den`` on atom ``i``, for ``den > 0``."""
-        f = cls.__new__(cls)
-        f._set(algebra, den, tuple(nums))
-        return f
-
-    def _set(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
+    def _check(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
         if len(nums) != len(algebra.atoms):
             raise ValueError("one value per atom required")
         if min(nums) < 0 or max(nums) > den:
             bad = next(n for n in nums if not 0 <= n <= den)
             raise RangeError(f"simple function value {Fraction(bad, den)} outside [0, 1]")
-        g = gcd(den, *nums)
-        if g > 1:
-            den, nums = den // g, tuple(n // g for n in nums)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
 
     @classmethod
     def from_terms(
@@ -100,9 +73,8 @@ class SimpleFunction:
             if not in_unit_interval(a):
                 raise RangeError(f"term coefficient {a} outside [0, 1]")
             algebra.check_member(m)
-        den = lcm(*(a.denominator for a, _ in terms))
-        scaled = [(a.numerator * (den // a.denominator), m) for a, m in terms]
-        nums = [sum(n for n, m in scaled if m & atom) for atom in algebra.atoms]
+        den, coeffs = scaled([a for a, _ in terms])
+        nums = [sum(n for n, (_, m) in zip(coeffs, terms) if m & atom) for atom in algebra.atoms]
         f = cls.from_numerators(algebra, den, nums)
         object.__setattr__(f, "terms", terms)
         return f
@@ -126,10 +98,8 @@ class SimpleFunction:
     def add(self, other: "SimpleFunction") -> "SimpleFunction":
         """Pointwise sum; the result must stay within [0, 1]."""
         self._check_same_algebra(other)
-        den = lcm(self.den, other.den)
-        a, b = den // self.den, den // other.den
-        nums = [x * a + y * b for x, y in zip(self.nums, other.nums)]
-        return SimpleFunction.from_numerators(self.algebra, den, nums)
+        den, (a, b) = common((self, other))
+        return SimpleFunction.from_numerators(self.algebra, den, map(add, a, b))
 
     def scale(self, r: Fraction) -> "SimpleFunction":
         r = Fraction(r)

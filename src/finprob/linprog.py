@@ -5,9 +5,9 @@ side nonnegative, so the origin is a feasible start and no phase-one step is
 needed.  Bland's anti-cycling rule makes termination unconditional.  The
 optimum is attained at a basic feasible point, hence rational.
 
-The tableau holds integers only (Edmonds' integer-preserving pivoting).
-Each row of ``A`` is multiplied by the least common denominator of its
-entries, which rescales only that row's slack; ``b`` is put over one common
+The tableau holds integers only (Edmonds' integer-preserving pivoting).  Each
+row of ``A``, ``b`` and ``c`` is a :class:`~finprob.exact.Scaled` vector; a
+row times its denominator rescales only that row's slack, ``b`` goes over its
 denominator ``D`` (the substitution ``x' = D x``) and ``c`` over its own.
 The rational tableau is the integer one over a running common denominator
 ``det``: a pivot on the entry ``p`` replaces every other entry ``t`` by
@@ -28,45 +28,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import InfeasibleError, UnboundedError
-from .exact import scaled_rows
+from .exact import Scaled
 
 
 @dataclass(frozen=True)
 class LPResult:
     value: Fraction
     solution: tuple[Fraction, ...]
-
-
-def _rationals(values) -> tuple:
-    """The values as exact rationals: ``int``s and ``Fraction``s as they
-    are, anything else through ``Fraction(v)``, which accepts or rejects it
-    as the constructor does."""
-    return tuple(v if type(v) is int or type(v) is Fraction else Fraction(v) for v in values)
-
-
-def _numerators(values) -> tuple[list[int], int]:
-    """``(nums, den)`` with ``values[j] == nums[j] / den`` over the least
-    common denominator of the values (see :func:`_rationals`)."""
-    if type(values) is Rationals:
-        return list(values.nums), values.den
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    (nums,), den = scaled_rows((_rationals(values),))
-    return list(nums), den
-
-
-class Rationals(tuple):
-    """A tuple of exact rationals (see :func:`_rationals`) that keeps its
-    numerators ``nums`` over their least common denominator ``den``, so a
-    constraint row or right-hand side that many LPs share is converted
-    once, not by every :func:`maximize` call."""
-
-    def __new__(cls, values):
-        values = _rationals(values)
-        nums, den = _numerators(values)
-        self = super().__new__(cls, values)
-        self.nums, self.den = tuple(nums), den
-        return self
 
 
 def maximize(
@@ -76,12 +44,11 @@ def maximize(
 ) -> LPResult:
     n = len(c)
     m = len(a_ub)
-    c_nums, c_den = _numerators(c)
-    b_nums, b_den = _numerators(b_ub)
-    for i, v in enumerate(b_nums):
+    c, b = Scaled.of(c), Scaled.of(b_ub)
+    for i, v in enumerate(b.nums):
         if v < 0:
             raise InfeasibleError(
-                f"right-hand side {Fraction(v, b_den)} of row {i} is negative; "
+                f"right-hand side {Fraction(v, b.den)} of row {i} is negative; "
                 "origin start requires b >= 0"
             )
 
@@ -90,12 +57,11 @@ def maximize(
     for i, a_row in enumerate(a_ub):
         if len(a_row) != n:
             raise ValueError("constraint row length mismatch")
-        row, scale = _numerators(a_row)
-        row += [0] * m
+        a_row = Scaled.of(a_row)
+        row = [*a_row.nums] + [0] * m + [a_row.den * b.nums[i]]
         row[n + i] = 1
-        row.append(scale * b_nums[i])
         rows.append(row)
-    cost = [-v for v in c_nums] + [0] * (m + 1)
+    cost = [-v for v in c.nums] + [0] * (m + 1)
     basis = list(range(n, n + m))
     det = 1
 
@@ -139,5 +105,5 @@ def maximize(
     solution = [Fraction(0)] * n
     for i, var in enumerate(basis):
         if var < n:
-            solution[var] = Fraction(rows[i][-1], det * b_den)
-    return LPResult(Fraction(cost[-1], det * c_den * b_den), tuple(solution))
+            solution[var] = Fraction(rows[i][-1], det * b.den)
+    return LPResult(Fraction(cost[-1], det * c.den * b.den), tuple(solution))

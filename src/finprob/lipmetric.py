@@ -7,7 +7,7 @@ the L1 distance.  A distribution is a :class:`Measure` on the powerset of the
 space's points (:func:`~finprob.monad.SimplexPoint`).  Non-expansiveness of
 the monad unit and of :func:`~finprob.monad.mult` is checked against these
 exact distances.  Distances and test-function values are compared as integer
-numerators (:func:`~finprob.exact.scaled_rows`), and the exhaustive sweep
+numerators (:func:`~finprob.exact.scaled`), and the exhaustive sweep
 draws its weights and distances from :func:`~finprob.exact.grid`.
 """
 
@@ -20,9 +20,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DomainError
-from .exact import fractions, grid, in_unit_interval, scaled_rows
-from .linprog import Rationals, maximize
-from .measure import Measure, common_numerators, dirac, simplex_algebra
+from .exact import Scaled, common, fractions, grid, in_unit_interval, scaled
+from .linprog import maximize
+from .measure import Measure, dirac, simplex_algebra
 from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
 from .report import CheckOutcome, SuiteConfig, tally
 
@@ -50,7 +50,7 @@ class FiniteMetricSpace:
             raise ValueError("metric space labels must be distinct")
         if len(dist) != n or any(len(row) != n for row in dist):
             raise ValueError("distance matrix must be square over the points")
-        num = self.scaled_dist[0]
+        num = self.scaled_dist[1]
         for i in range(n):
             if num[i][i] != 0:
                 raise ValueError(f"dist({points[i]}, {points[i]}) must be 0")
@@ -66,13 +66,13 @@ class FiniteMetricSpace:
                 )
 
     @cached_property
-    def scaled_dist(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """``(num, den)``: the distance matrix as integer numerators over
+    def scaled_dist(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(den, num)``: the distance matrix as integer numerators over
         one common denominator, ``dist[i][j] == num[i][j] / den``."""
-        return scaled_rows(self.dist)
+        return common(map(Scaled.of, self.dist))
 
     @cached_property
-    def lp_system(self) -> tuple[tuple[Rationals, ...], Rationals]:
+    def lp_system(self) -> tuple[tuple[Scaled, ...], Scaled]:
         """``(rows, rhs)``: the distance LP's constraints, built and put over
         their common denominators once per space.  The rows are 0/±1 ints:
         ``f_i - f_j <= d(i, j)`` for each pair :func:`_lipschitz_rows`
@@ -85,7 +85,7 @@ class FiniteMetricSpace:
         for i in range(n):
             rows.append(tuple(int(k == i) for k in range(n)))
             rhs.append(1)
-        return tuple(Rationals(row) for row in rows), Rationals(rhs)
+        return tuple(map(Scaled.of, rows)), Scaled.of(rhs)
 
     @property
     def size(self) -> int:
@@ -116,8 +116,8 @@ class LipschitzFunction:
             if not in_unit_interval(v):
                 raise ValueError(f"value {v} outside [0, 1]")
         # |f_i - f_j| <= d(i, j), cross-multiplied onto integers
-        (f,), f_den = scaled_rows((values,))
-        dist, dist_den = self.space.scaled_dist
+        f_den, f = scaled(values)
+        dist_den, dist = self.space.scaled_dist
         for i in range(self.space.size):
             for j in range(i + 1, self.space.size):
                 if abs(f[i] - f[j]) * dist_den > dist[i][j] * f_den:
@@ -190,7 +190,7 @@ def bl_distance_lp_witness(
     ``lcm(p.den, q.den)``, a positive multiple of it with the same optimal
     ``f``; its optimum is divided back."""
     _check_indexing(p, q, space.points)
-    den, (p_nums, q_nums) = common_numerators((p, q))
+    den, (p_nums, q_nums) = common((p, q))
     diff = [a - b for a, b in zip(p_nums, q_nums)]
     value, f = _one_sided_lp(diff, space)
     return value / den, LipschitzFunction(space, f)
@@ -206,7 +206,7 @@ def bl_distance_subsets(p: Measure, q: Measure) -> Fraction:
         raise DomainError(
             f"subset enumeration capped at {SUBSET_ENUMERATION_CAP} labels; use the LP"
         )
-    den, (p_nums, q_nums) = common_numerators((p, q))
+    den, (p_nums, q_nums) = common((p, q))
     gap = max(abs(s) for s in subset_sums([a - b for a, b in zip(p_nums, q_nums)]))
     return Fraction(gap) / den
 
@@ -226,7 +226,7 @@ def total_variation(p: Measure, q: Measure) -> Fraction:
     """Half the L1 distance between the weight vectors."""
     if p.algebra != q.algebra:
         raise DomainError("simplex points must share one index set")
-    den, (p_nums, q_nums) = common_numerators((p, q))
+    den, (p_nums, q_nums) = common((p, q))
     return Fraction(sum(abs(a - b) for a, b in zip(p_nums, q_nums)), 2 * den)
 
 
@@ -283,9 +283,9 @@ def check_simplex_lipschitz(
     # subset sums of the images' numerators over their common denominator,
     # taken as exact rationals whatever type subset_sums returns, and
     # compared with the distances cross-multiplied
-    den, rows = common_numerators(images)
+    den, rows = common(images)
     sums = [[Fraction(s) for s in subset_sums(row)] for row in rows]
-    dist, dist_den = space.scaled_dist
+    dist_den, dist = space.scaled_dist
     for mask in range(1 << m):
         for i in range(len(points)):
             for j in range(i + 1, len(points)):

@@ -1,8 +1,7 @@
 """Probability measures on finite algebras.
 
 A measure is stored by its atom weight vector, the unique minimal
-representation, held as integers: one numerator per atom over a common
-denominator, in lowest terms (``gcd(den, *nums) == 1``), so two measures
+representation, as a :class:`~finprob.exact.Scaled` vector, so two measures
 are equal exactly when their algebras, denominators and numerators are, and
 hashing reads only ints.  The value on any member is the sum of the weights
 of the atoms it contains.  There is no separate type or flag for finitely
@@ -16,17 +15,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 from .errors import DomainError, PreconditionError
-from .exact import fractions, scaled_rows
+from .exact import Scaled, fractions, scaled
 from .setalg import Algebra, GroundSet, is_premeasurable
 
 
 @dataclass(frozen=True, init=False, repr=False)
-class Measure:
+class Measure(Scaled):
     """A normalized additive set function on a finite algebra.
 
     Built from one rational weight per atom (``Measure(algebra, weights)``)
@@ -35,23 +33,13 @@ class Measure:
     """
 
     algebra: Algebra
-    den: int
-    nums: tuple[int, ...]
 
     def __init__(self, algebra: Algebra, weights: Sequence) -> None:
         weights = fractions(weights)
-        (nums,), den = scaled_rows((weights,))
-        self._set(algebra, den, nums)
-        object.__setattr__(self, "weights", weights)  # already in lowest terms
+        self._init_on(algebra, *scaled(weights))
+        object.__setattr__(self, "values", weights)  # already in lowest terms
 
-    @classmethod
-    def from_numerators(cls, algebra: Algebra, den: int, nums: Sequence[int]) -> "Measure":
-        """The measure weighing atom ``i`` at ``nums[i] / den``, for ``den > 0``."""
-        p = cls.__new__(cls)
-        p._set(algebra, den, tuple(nums))
-        return p
-
-    def _set(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
+    def _check(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
         if len(nums) != len(algebra.atoms):
             raise ValueError("one weight per atom required")
         if min(nums) < 0 or max(nums) > den:
@@ -59,17 +47,11 @@ class Measure:
         mass = sum(nums)
         if mass != den:
             raise ValueError(f"atom weights must sum to 1, got {Fraction(mass, den)}")
-        g = gcd(*nums)  # the sum is den, so this also divides den
-        if g > 1:
-            den, nums = den // g, tuple(n // g for n in nums)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
 
-    @cached_property
+    @property
     def weights(self) -> tuple[Fraction, ...]:
         """The atom weights as ``Fraction``s in lowest terms."""
-        return tuple(Fraction(n, self.den) for n in self.nums)
+        return self.values
 
     def __repr__(self) -> str:
         return f"Measure(algebra={self.algebra!r}, weights={self.weights!r})"
@@ -81,15 +63,6 @@ class Measure:
     def labels(self) -> tuple[str, ...]:
         """The ground set's points; on a simplex algebra, one per weight."""
         return self.algebra.ground.points
-
-
-def common_numerators(measures: Iterable[Measure]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """``(den, rows)``: row ``i`` holds the i-th measure's atom weights times
-    ``den``, the least common denominator of the measures.  Each measure is
-    in lowest terms, so no factor above 1 divides ``den`` and every entry."""
-    measures = tuple(measures)
-    den = lcm(*(p.den for p in measures))
-    return den, tuple(tuple(n * (den // p.den) for n in p.nums) for p in measures)
 
 
 @lru_cache

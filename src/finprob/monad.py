@@ -15,8 +15,8 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .exact import fractions, scaled_rows, total
-from .measure import Measure, common_numerators, dirac, pushforward, simplex_algebra
+from .exact import common, fractions, scaled, total
+from .measure import Measure, dirac, pushforward, simplex_algebra
 from .report import CheckOutcome, SuiteConfig
 from .setalg import Algebra
 
@@ -81,18 +81,16 @@ class MetaMeasure:
         for w, p in pairs:
             merged.setdefault(p, []).append(w)
         # numerators over one common denominator order as the weights do
-        _, rows = common_numerators(merged)
+        _, rows = common(merged)
         support = tuple(p for _, p in sorted(zip(rows, merged), key=itemgetter(0)))
         return cls(support, tuple(total(merged[p]) for p in support))
 
 
 def average(den: int, coeffs: Sequence[int], algebra: Algebra, numerators: tuple) -> Measure:
-    """The measure ``A -> sum_i (coeffs_i / den) * P_i(A)`` of measures
-    ``P_i`` on ``algebra``, for probability weights given as integer
-    numerators over ``den``.
-
-    Computed on numerators: the ``P_i`` come as their
-    :func:`~finprob.measure.common_numerators` ``(measures_den, rows)``."""
+    """The measure ``A -> sum_i (coeffs_i / den) * P_i(A)`` on ``algebra``,
+    for probability weights given as integer numerators over ``den`` and
+    measures ``P_i`` given as their :func:`~finprob.exact.common`
+    ``(measures_den, rows)``, computed on those numerators."""
     measures_den, rows = numerators
     nums = (sum(c * n for c, n in zip(coeffs, column)) for column in zip(*rows))
     return Measure.from_numerators(algebra, den * measures_den, tuple(nums))
@@ -104,8 +102,7 @@ def mult(m: MetaMeasure) -> Measure:
     ``mult(M)(A)`` is the integral of ``P(A)`` against ``M``; with finite
     support this is exactly ``sum_i weight_i * P_i(A)``.
     """
-    (coeffs,), den = scaled_rows((m.weights,))
-    return average(den, coeffs, m.algebra, common_numerators(m.support))
+    return average(*scaled(m.weights), m.algebra, common(m.support))
 
 
 def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:

@@ -16,7 +16,7 @@ height-one slice -- and is then cross-checked against the direct indicator
 reconstruction wherever the lattice exposes indicators.  One function,
 :func:`slab_grid`, builds that grid and every slab's cell mask on it.  The
 lattice clauses and the slab route hold every function as integer numerators
-over the lattice's least common denominator (:func:`~finprob.exact.scaled_rows`),
+over the lattice's least common denominator (:func:`~finprob.exact.common`),
 and every rational sum goes through :func:`~finprob.exact.total`.
 """
 
@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .exact import rational_text, scaled_rows, total
+from .exact import Scaled, common, rational_text, total
 from .integrate import SimpleFunction, simple_integral
 from .measure import Measure
 from .setalg import (
@@ -252,7 +252,7 @@ def check_weak_lattice(lattice: WeakIntegrationLattice) -> ClauseCheck:
     if (ONE,) * lattice.ground.size not in lattice.functions:
         return ClauseCheck(False, "contains-one", ())
 
-    vecs, scale = scaled_rows(lattice.functions)
+    scale, vecs = common(map(Scaled.of, lattice.functions))
     index = _direction_index(vecs)
 
     for i, f in enumerate(vecs):
@@ -461,7 +461,7 @@ def daniell_stone(
     sigma = sigma_of_functions(ground, lattice.functions)
     atom_count = len(sigma.atoms)
     firsts = [(atom & -atom).bit_length() - 1 for atom in sigma.atoms]
-    point_vecs, scale = scaled_rows(lattice.functions)
+    scale, point_vecs = common(map(Scaled.of, lattice.functions))
     members = [tuple(vec[p] for p in firsts) for vec in point_vecs]
     member_values = [table[vec] for vec in lattice.functions]
     by_direction = _direction_index(members)

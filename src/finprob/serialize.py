@@ -1,6 +1,6 @@
 """JSON wire formats for every instance type, bit-exact.
 
-Rationals travel as ``"p/q"`` strings (:func:`~finprob.exact.wire_text`,
+Rational values travel as ``"p/q"`` strings (:func:`~finprob.exact.wire_text`,
 every digit included).  Simplex weights are read straight to integer
 numerators (:func:`parse_rational`), with ``Fraction``'s grammar as the
 fallback for any other spelling, and a cone loads each distinct bare-list
@@ -409,7 +409,3 @@ def loads_instance(text: str) -> dict:
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise InputError(f"unsupported format version {version!r}", "$.format")
     return obj
-
-
-def dumps_canonical(data: Any) -> str:
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"

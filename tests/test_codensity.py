@@ -160,10 +160,8 @@ def test_an_arrow_computes_its_numerators_once(monkeypatch):
     """The canonical cones of several measures and the naturality check all
     read each arrow's cached integer rows."""
     calls = []
-    real = codensity.common_numerators
-    monkeypatch.setattr(
-        codensity, "common_numerators", lambda rows: calls.append(rows) or real(rows)
-    )
+    real = codensity.common
+    monkeypatch.setattr(codensity, "common", lambda rows: calls.append(rows) or real(rows))
     alg = powerset3()
     family = indicator_family(alg)
     rng = gen.rng_for(4, "numerators-once")

@@ -73,14 +73,14 @@ def test_unit_interval_agrees_with_comparison(v):
 
 @given(st.lists(rationals, max_size=12))
 def test_common_denominator_preserves_the_values(values):
-    (numerators,), den = exact.scaled_rows([values])
+    den, numerators = exact.scaled(values)
     assert [F(n, den) for n in numerators] == values
     assert all(den % v.denominator == 0 for v in values)
 
 
 @given(st.lists(st.lists(rationals, max_size=5), max_size=5))
-def test_scaled_rows_are_numerators_over_the_least_common_denominator(rows):
-    nums, den = exact.scaled_rows(rows)
+def test_common_rows_are_numerators_over_the_least_common_denominator(rows):
+    den, nums = exact.common(map(exact.Scaled.of, rows))
     assert [[F(n, den) for n in row] for row in nums] == rows
     assert all(type(n) is int for row in nums for n in row)
     dens = [v.denominator for row in rows for v in row]
@@ -143,8 +143,8 @@ def test_edges():
     assert exact.dot([], []) == 0
     assert exact.dot([F(1, 2), F(1, 3)], [F(1, 5)]) == F(1, 10)  # zip stops short
     assert exact.total([F(1, 2), F(-1, 2)]) == 0
-    assert exact.scaled_rows([]) == ((), 1)
-    assert exact.scaled_rows([[]]) == (((),), 1)
+    assert exact.common(map(exact.Scaled.of, [])) == (1, ())
+    assert exact.common(map(exact.Scaled.of, [[]])) == (1, ((),))
     for v in (F(0), F(1), 0, 1):
         assert exact.in_unit_interval(v)
     for v in (F(-1, 10**9), 1 + F(1, 10**9), -1, 2):

@@ -7,8 +7,8 @@ import pytest
 
 from finprob import InfeasibleError, UnboundedError, gen, lipmetric
 from finprob.errors import FinprobError
-from finprob.exact import fractions
-from finprob.linprog import LPResult, Rationals, maximize
+from finprob.exact import Scaled, fractions
+from finprob.linprog import LPResult, maximize
 from finprob.lipmetric import bl_distance_lp_witness
 from finprob.measure import dirac, simplex_algebra
 
@@ -213,19 +213,24 @@ def test_integer_tableau_matches_the_rational_tableau_on_random_lps():
     rational tableau on 600 seeded LPs, which reach non-unit pivots,
     degenerate ratio ties, unbounded and infeasible problems and malformed
     rows, whether the rows and right-hand side come as plain sequences or
-    already converted to ``Rationals``."""
+    already converted to ``Scaled`` vectors.  A last, fixed LP pivots twice
+    on 2, so its second pivot equals the running denominator above 1."""
+    lps = [
+        random_lp(gen.rng_for(22, "lp-oracle", str(case)), LP_KINDS[case % len(LP_KINDS)])
+        for case in range(600)
+    ]
+    lps.append(([1, 1], [[2, 1], [2, 0]], [3, 2]))
     seen, outcomes = {}, set()
-    for case in range(600):
-        rng = gen.rng_for(22, "lp-oracle", str(case))
-        lp = random_lp(rng, LP_KINDS[case % len(LP_KINDS)])
+    for case, lp in enumerate(lps):
         expected = outcome(reference_maximize, *lp, seen)
         assert outcome(maximize, *lp) == expected, f"case {case}: {lp}"
         c, a, b = lp
-        converted = (c, [Rationals(row) for row in a], Rationals(b))
+        converted = (c, [Scaled.of(row) for row in a], Scaled.of(b))
         assert outcome(maximize, *converted) == expected, f"case {case}: {lp}"
         outcomes.add(expected[0] if isinstance(expected, tuple) else "optimum")
     assert outcomes == {"optimum", UnboundedError, InfeasibleError, ValueError}
     assert seen["non-unit pivots"] > 100 and seen["ties"] > 30
+    assert expected == LPResult(F(3), (F(0), F(3)))
 
 
 def distance_lp_pairs(space, rng):

@@ -23,7 +23,7 @@ from finprob import (
     simplex_algebra,
     total_variation,
 )
-from finprob import gen, linprog, lipmetric
+from finprob import exact, gen, lipmetric
 from finprob.exact import grid
 from finprob.linprog import LPResult, maximize
 from finprob.report import SuiteConfig
@@ -171,8 +171,9 @@ def cached_rows(space):
     row checked to bound one point by 1."""
     rows, rhs = space.lp_system
     pairs = []
-    for row, bound in zip(rows, rhs):
-        assert all(type(v) is int for v in row)
+    for row, bound in zip(rows, rhs.values):
+        assert row.den == 1
+        row = row.nums
         if -1 in row:
             i, j = row.index(1), row.index(-1)
             assert bound == space.dist[i][j]
@@ -275,14 +276,14 @@ def test_the_lp_system_is_put_over_its_denominators_once_per_space(monkeypatch):
         full_row_lp([a - b for a, b in zip(p.weights, q.weights)], space)
         for p, q in pairs
     ]
-    real = linprog.scaled_rows
+    real = exact.scaled
     scaled = []
 
-    def counting(rows):
-        scaled.append(rows)
-        return real(rows)
+    def counting(values):
+        scaled.append(values)
+        return real(values)
 
-    monkeypatch.setattr(linprog, "scaled_rows", counting)
+    monkeypatch.setattr(exact, "scaled", counting)
     assert [bl_distance_lp(p, q, space) for p, q in pairs] == expected
     assert len(scaled) == 1
 
@@ -659,7 +660,7 @@ def test_integer_subset_sums_match_the_fraction_sums():
             p = gen.random_simplex_point(rng, labels, 12)
             q = gen.random_simplex_point(rng, labels, 12)
             for a, b in ((p, q), (p, p)):
-                den, (a_nums, b_nums) = lipmetric.common_numerators((a, b))
+                den, (a_nums, b_nums) = lipmetric.common((a, b))
                 sums = lipmetric.subset_sums([x - y for x, y in zip(a_nums, b_nums)])
                 expected = reference_subset_sums(
                     [x - y for x, y in zip(a.weights, b.weights)]

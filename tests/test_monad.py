@@ -79,6 +79,17 @@ def test_meta_measure_rejects_zero_weights_and_duplicates():
         MetaMeasure((p, p), (F(1, 2), F(1, 2)))
 
 
+def test_meta_measure_rejects_a_foreign_algebra_in_first_place():
+    """The algebra of the first support measure is compared with every
+    other one, not only the rest with each other."""
+    a, b = simplex_algebra(("0", "1")), simplex_algebra(("x", "y"))
+    p = Measure(b, (F(1, 2), F(1, 2)))
+    q = Measure(a, (F(1, 2), F(1, 2)))
+    r = Measure(a, (F(1, 4), F(3, 4)))
+    with pytest.raises(ValueError, match="support measures must share one algebra"):
+        MetaMeasure((p, q, r), (F(1, 3), F(1, 3), F(1, 3)))
+
+
 def test_left_unit_single_case():
     g = GroundSet(("0", "1"))
     p = Measure(Algebra.powerset(g), (F(1, 3), F(2, 3)))

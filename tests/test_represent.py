@@ -84,6 +84,19 @@ def test_functional_rejects_a_function_on_another_algebra():
         Functional(coarse, {SimpleFunction.constant(coarse, F(1)): F(1), stray: F(1, 2)})
 
 
+def test_reconstruct_names_the_negative_weight():
+    """The first negative atom value is named, not a zero before it."""
+    g = GroundSet(("0", "1", "2"))
+    alg = Algebra.powerset(g)
+    table = {
+        SimpleFunction.indicator(alg, g.mask_of([x])): v
+        for x, v in zip(g.points, (F(0), F(-1, 2), F(3, 2)))
+    }
+    table[SimpleFunction.indicator(alg, g.full_mask)] = F(1)
+    with pytest.raises(ReconstructionError, match="-1/2"):
+        reconstruct_measure(Functional(alg, table))
+
+
 def test_reconstruct_names_every_missing_indicator():
     g = GroundSet(("0", "1", "2"))
     alg = Algebra.powerset(g)
@@ -1087,7 +1100,7 @@ def test_integer_kernel_matches_fraction_reference_on_long_range_lattices():
 
 def _integer_search(members, target):
     """The integer kernel's search over Fraction vectors."""
-    vecs, scale = exact.scaled_rows(tuple(members) + (target,))
+    scale, vecs = exact.common(map(exact.Scaled.of, tuple(members) + (target,)))
     index = represent._direction_index(vecs[:-1])
     return represent._as_multiple(vecs[-1], vecs[:-1], index)
 

@@ -232,13 +232,6 @@ def test_instance_format_version_enforced():
     assert serialize.loads_instance('{"format": 1, "x": 3}')["x"] == 3
 
 
-def test_canonical_dump_is_stable():
-    payload = {"b": [F(1, 2).denominator], "a": 1}
-    assert serialize.dumps_canonical(payload) == serialize.dumps_canonical(
-        {"a": 1, "b": [2]}
-    )
-
-
 
 def test_build_places_a_rejected_value_at_its_location():
     def rejects(kind):

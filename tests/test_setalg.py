@@ -16,6 +16,7 @@ from finprob import (
     is_semiring,
     sigma_of_functions,
 )
+from finprob import setalg
 from finprob.setalg import SemiRing
 from fractions import Fraction as F
 
@@ -149,6 +150,17 @@ def test_generation_is_a_closure_operator(data):
     smaller = generate_algebra(g, gens[:1])
     for m in smaller.members:
         assert alg.is_member(m)
+
+
+def test_member_iteration_stops_only_past_its_cap(monkeypatch):
+    """An algebra with exactly the capped number of members still lists
+    them; one with more refuses."""
+    monkeypatch.setattr(setalg, "MEMBER_ITERATION_CAP", 8)
+    three = Algebra.powerset(GroundSet(("0", "1", "2")))
+    assert list(three.members) == list(range(8))
+    four = Algebra.powerset(GroundSet(("0", "1", "2", "3")))
+    with pytest.raises(DomainError, match="refusing to enumerate 16 members"):
+        list(four.members)
 
 
 @settings(max_examples=60)
