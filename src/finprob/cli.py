@@ -47,7 +47,7 @@ from .lipmetric import (
     total_variation,
 )
 from .monad import SimplexPoint, check_monad_laws
-from .report import FORMATS, CheckOutcome, Mode, Report, SuiteConfig, tally
+from .report import FORMATS, MODE_LABELS, CheckOutcome, Report, SuiteConfig, tally
 from .represent import (
     Functional,
     WeakIntegrationLattice,
@@ -362,14 +362,10 @@ def _random_grid_lattice(rng, max_denominator):
     sparse = rng.randrange(2)
     denominator = 2 if sparse else rng.randint(1, 2)
     grid = [Fraction(i, denominator) for i in range(denominator + 1)]
-    functions = []
-    for combo in itertools.product(grid, repeat=len(algebra.atoms)):
-        by_point = [ZERO] * ground.size
-        for atom, v in zip(algebra.atoms, combo):
-            for i in range(ground.size):
-                if atom >> i & 1:
-                    by_point[i] = v
-        functions.append(tuple(by_point))
+    functions = [
+        tuple(combo[a] for a in algebra.point_atoms)
+        for combo in itertools.product(grid, repeat=len(algebra.atoms))
+    ]
     if sparse:
         functions = _closed_half_grid(
             [(ZERO,) * ground.size, (ONE,) * ground.size, rng.choice(functions)]
@@ -448,9 +444,9 @@ ALL_JOBS = {
 
 def run_all(config: SuiteConfig) -> list[CheckOutcome]:
     """Every suite, each check named under its suite's prefix.  The laws and
-    the bijection are filed under both :class:`Mode` labels, each label's
-    checks from a run of its own, so that every count comes from a run that
-    produced it; sufficiency runs once, beside the first bijection.
+    the bijection are filed under both :data:`~finprob.report.MODE_LABELS`,
+    each label's checks from a run of its own, so that every count comes from
+    a run that produced it; sufficiency runs once, beside the first bijection.
 
     The ten runner calls are independent: each draws its cases from its own
     seeded streams.  :func:`~finprob.workers.run_jobs` splits them by their
@@ -461,7 +457,7 @@ def run_all(config: SuiteConfig) -> list[CheckOutcome]:
     jobs = [lambda name=name: globals()[name](config) for name, _ in ALL_JOBS.values()]
     costs = [cost for _, cost in ALL_JOBS.values()]
     done = dict(zip(ALL_JOBS, workers.run_jobs(jobs, costs)))
-    sigma, charge = Mode.SIGMA.value, Mode.FINITELY_ADDITIVE.value
+    sigma, charge = MODE_LABELS
     laws = [*_prefixed(sigma, done["laws.sigma"]), *_prefixed(charge, done["laws.charge"])]
     first = done["codensity"]
     sufficiency = [c for c in first if c.name.startswith("sufficiency.")]

@@ -100,6 +100,8 @@ class Scaled:
 
     def __init__(self, den: int, nums: Iterable[int]) -> None:
         """Store ``nums / den`` for ``den > 0``, reduced to lowest terms."""
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
         nums = tuple(nums)
         g = gcd(den, *nums)
         if g > 1:

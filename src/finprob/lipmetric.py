@@ -126,12 +126,6 @@ class LipschitzFunction:
                     )
 
 
-def _check_indexing(p: Measure, q: Measure, points: tuple[str, ...]) -> None:
-    simplex = simplex_algebra(points)
-    if p.algebra != simplex or q.algebra != simplex:
-        raise DomainError("simplex points must be indexed by the metric's points")
-
-
 def _lipschitz_rows(space: FiniteMetricSpace) -> list[tuple[int, int]]:
     """The ordered pairs ``(i, j)`` whose row ``f_i - f_j <= d(i, j)`` the
     LP keeps: ``d(i, j) < 1`` and no third point lies between them (see
@@ -150,15 +144,6 @@ def _lipschitz_rows(space: FiniteMetricSpace) -> list[tuple[int, int]]:
             if k != i and k != j
         )
     ]
-
-
-def _one_sided_lp(
-    diff: Sequence, space: FiniteMetricSpace
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """The optimum and an optimal ``f`` of ``sum f_i diff_i`` under the
-    space's :attr:`~FiniteMetricSpace.lp_system`."""
-    result = maximize(diff, *space.lp_system)
-    return result.value, result.solution
 
 
 def bl_distance_lp(p: Measure, q: Measure, space: FiniteMetricSpace) -> Fraction:
@@ -186,14 +171,18 @@ def bl_distance_lp_witness(
 ) -> tuple[Fraction, LipschitzFunction]:
     """As :func:`bl_distance_lp`, also returning an optimal test function.
 
-    The LP's objective is ``p - q`` on integer numerators over
-    ``lcm(p.den, q.den)``, a positive multiple of it with the same optimal
-    ``f``; its optimum is divided back."""
-    _check_indexing(p, q, space.points)
+    This is the one place the distance LP is set up: ``sum f_i diff_i``
+    under the space's :attr:`~FiniteMetricSpace.lp_system`.  The objective
+    ``diff`` is ``p - q`` on integer numerators over ``lcm(p.den, q.den)``,
+    a positive multiple of it with the same optimal ``f``; its optimum is
+    divided back."""
+    simplex = simplex_algebra(space.points)
+    if p.algebra != simplex or q.algebra != simplex:
+        raise DomainError("simplex points must be indexed by the metric's points")
     den, (p_nums, q_nums) = common((p, q))
     diff = [a - b for a, b in zip(p_nums, q_nums)]
-    value, f = _one_sided_lp(diff, space)
-    return value / den, LipschitzFunction(space, f)
+    result = maximize(diff, *space.lp_system)
+    return result.value / den, LipschitzFunction(space, result.solution)
 
 
 def bl_distance_subsets(p: Measure, q: Measure) -> Fraction:

@@ -1,9 +1,9 @@
-"""Suite configuration, the tally of one check, and the deterministic
-machine-readable report that the CLI builds from a command's checks."""
+"""Suite configuration, the two mode labels, the tally of one check, and the
+deterministic machine-readable report that the CLI builds from a command's
+checks."""
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -14,15 +14,12 @@ from .exact import wire_text
 from .setalg import DEFAULT_SIZE_CAP
 
 
-class Mode(str, enum.Enum):
-    """The paper's two readings, measures and finitely additive charges.  On
-    a finite algebra they are one object, so no run selects between them.
-    The labels survive in two places only: the sections that ``all`` files
-    the laws and the bijection under, and the values a format-1 input
-    measure's ``"mode"`` key may take."""
-
-    SIGMA = "sigma"
-    FINITELY_ADDITIVE = "finitely_additive"
+#: The paper's two readings, measures and finitely additive charges.  On a
+#: finite algebra they are one object, so no run selects between them.  The
+#: labels survive in two places only: the sections that ``all`` files the
+#: laws and the bijection under, and the values a format-1 input measure's
+#: ``"mode"`` key may take.
+MODE_LABELS = ("sigma", "finitely_additive")
 
 
 FORMATS = ("json", "text")  # how a report is rendered
@@ -131,10 +128,10 @@ class Report:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
-
-    def to_text(self) -> str:
+    def render(self, fmt: str) -> str:
+        """The report as key-sorted, indented JSON, or as text."""
+        if fmt == "json":
+            return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
         lines = [f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}"]
         for c in self.checks:
             status = "pass" if c.ok else "FAIL"
@@ -142,9 +139,6 @@ class Report:
             for w in c.witnesses[:3]:
                 lines.append(f"      witness: {_jsonable(w)}")
         return "\n".join(lines) + "\n"
-
-    def render(self, fmt: str) -> str:
-        return self.to_json() if fmt == "json" else self.to_text()
 
 
 def _jsonable(value: Any):

@@ -94,12 +94,11 @@ def reconstruct_measure(f: Functional) -> Measure:
     """
     algebra = f.algebra
     table = f.values
-    needed = dict.fromkeys(algebra.atoms + (algebra.ground.full_mask,))
-    missing = [
-        mask
-        for mask in needed
-        if SimpleFunction.indicator(algebra, mask) not in table
-    ]
+    needed = {
+        mask: SimpleFunction.indicator(algebra, mask)
+        for mask in algebra.atoms + (algebra.ground.full_mask,)
+    }
+    missing = [mask for mask, s in needed.items() if s not in table]
     if missing:
         names = ", ".join(
             "1_{" + ", ".join(algebra.ground.labels_of(mask)) + "}"
@@ -110,15 +109,13 @@ def reconstruct_measure(f: Functional) -> Measure:
             f"(every atom and the whole set): {names}",
             witness=tuple(missing),
         )
-    full = SimpleFunction.indicator(algebra, algebra.ground.full_mask)
+    full = needed[algebra.ground.full_mask]
     at_full = table[full]
     if at_full != 1:
         raise ReconstructionError(
             f"normalization violated: F(1_X) = {at_full}", witness=(full, at_full)
         )
-    weights = tuple(
-        table[SimpleFunction.indicator(algebra, atom)] for atom in algebra.atoms
-    )
+    weights = tuple(table[needed[atom]] for atom in algebra.atoms)
     if any(w < 0 for w in weights):
         bad = next(w for w in weights if w < 0)
         raise ReconstructionError(
@@ -480,11 +477,12 @@ def daniell_stone(
 
     # The slabs' bounds: the lattice functions bounded by one and the
     # indicators of the algebra's members, the constants zero and one among them.
-    seeds = [vec for vec in members if max(vec) <= scale]
-    seeds += [
-        tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
+    indicator_vecs = {
+        member_mask: tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
         for member_mask in sigma.members
-    ]
+    }
+    seeds = [vec for vec in members if max(vec) <= scale]
+    seeds += indicator_vecs.values()
     bound_family, cells, above, below = slab_grid(seeds, scale)
     product_points = tuple(
         f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
@@ -543,8 +541,7 @@ def daniell_stone(
     # uniqueness cross-check against the direct indicator reconstruction,
     # when every member's indicator lifts to a value
     indicators = {}
-    for member_mask in sigma.members:
-        ind = tuple(scale if atom & member_mask else 0 for atom in sigma.atoms)
+    for member_mask, ind in indicator_vecs.items():
         value = lift(ind)
         if value is None:
             break

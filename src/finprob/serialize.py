@@ -25,7 +25,7 @@ from .exact import wire_text
 from .integrate import SimpleFunction
 from .lipmetric import FiniteMetricSpace
 from .measure import Measure, simplex_algebra
-from .report import Mode
+from .report import MODE_LABELS
 from .represent import Functional
 from .setalg import DEFAULT_SIZE_CAP, Algebra, GroundSet, SemiRing
 
@@ -120,18 +120,6 @@ def _labels(data: Any, location: str) -> list[str]:
 # -- ground sets, families, algebras ---------------------------------------
 
 
-def dump_ground(ground: GroundSet) -> list[str]:
-    return list(ground.points)
-
-
-def load_ground(data: Any, location: str = "$.points") -> GroundSet:
-    ground = _build(location, GroundSet, tuple(_labels(data, location)))
-    if ground.size > DEFAULT_SIZE_CAP:
-        message = f"ground set of size {ground.size} exceeds cap {DEFAULT_SIZE_CAP}"
-        raise InputError(message, location)
-    return ground
-
-
 def _mask_to_indices(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -153,7 +141,12 @@ def _indices_to_mask(indices: Any, ground: GroundSet, location: str) -> int:
 def load_family(data: Any, location: str = "$") -> tuple[GroundSet, tuple[int, ...]]:
     """``(ground, masks)``, the masks in the order the file lists them."""
     obj = _expect(data, dict, location)
-    ground = load_ground(_field(obj, "points", location), f"{location}.points")
+    where = f"{location}.points"
+    labels = _labels(_field(obj, "points", location), where)
+    ground = _build(where, GroundSet, tuple(labels))
+    if ground.size > DEFAULT_SIZE_CAP:
+        message = f"ground set of size {ground.size} exceeds cap {DEFAULT_SIZE_CAP}"
+        raise InputError(message, where)
     members = _expect(_field(obj, "family", location), list, f"{location}.family")
     masks = tuple(
         _indices_to_mask(item, ground, f"{location}.family[{i}]")
@@ -164,7 +157,7 @@ def load_family(data: Any, location: str = "$") -> tuple[GroundSet, tuple[int, .
 
 def dump_algebra(algebra: Algebra) -> dict:
     return {
-        "points": dump_ground(algebra.ground),
+        "points": list(algebra.ground.points),
         "family": [_mask_to_indices(m) for m in algebra.members],
     }
 
@@ -187,8 +180,8 @@ def dump_measure(p: Measure) -> dict:
 
 def load_measure(data: Any, location: str = "$") -> Measure:
     """A measure's wire form.  A ``"mode"`` key, which earlier dumps wrote,
-    must name a :class:`~finprob.report.Mode` label and is then ignored: on
-    a finite algebra both labels mean the same measure."""
+    must be one of :data:`~finprob.report.MODE_LABELS` and is then ignored:
+    on a finite algebra both labels mean the same measure."""
     obj = _expect(data, dict, location)
     algebra = load_algebra(_field(obj, "algebra", location), f"{location}.algebra")
     raw = _expect(_field(obj, "weights", location), dict, f"{location}.weights")
@@ -199,11 +192,8 @@ def load_measure(data: Any, location: str = "$") -> Measure:
         if key not in raw:
             raise InputError(f"missing weight for atom {i}", f"{location}.weights")
         weights.append(parse_fraction(raw[key], f"{location}.weights.{key}"))
-    if "mode" in obj:
-        try:
-            Mode(obj["mode"])
-        except ValueError:
-            raise InputError(f"unknown mode {obj['mode']!r}", f"{location}.mode") from None
+    if "mode" in obj and obj["mode"] not in MODE_LABELS:
+        raise InputError(f"unknown mode {obj['mode']!r}", f"{location}.mode")
     return _build(f"{location}.weights", Measure, algebra, tuple(weights))
 
 

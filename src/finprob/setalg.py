@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
 
@@ -189,9 +189,15 @@ def generate_algebra(ground: GroundSet, generators: Iterable[int]) -> Algebra:
     masks = tuple(generators)
     for m in masks:
         ground.check_mask(m)
-    blocks: dict[tuple[int, ...], int] = {}
-    for i in range(ground.size):
-        signature = tuple(m >> i & 1 for m in masks)
+    bits = (tuple(m >> i & 1 for m in masks) for i in range(ground.size))
+    return _partition(ground, bits)
+
+
+def _partition(ground: GroundSet, signatures: Iterable[Hashable]) -> Algebra:
+    """The algebra whose atoms group the points with equal signatures, given
+    one signature per point in point order."""
+    blocks: dict[Hashable, int] = {}
+    for i, signature in enumerate(signatures):
         blocks[signature] = blocks.get(signature, 0) | (1 << i)
     return Algebra(ground, tuple(sorted(blocks.values())))
 
@@ -301,15 +307,16 @@ class SemiRing:
 def sigma_of_functions(ground: GroundSet, fns: Sequence[Sequence[Fraction]]) -> Algebra:
     """Algebra generated by the level sets ``{x : f(x) > r}`` of the given
     rational-valued functions (one value tuple per function, aligned with the
-    ground's point order)."""
-    generators: list[int] = []
+    ground's point order).  The level set at ``r = f(x)`` separates ``x``
+    from every point where ``f`` is larger, so the atoms group the points on
+    which every function agrees; no level set is built."""
+    columns: list[list[Fraction]] = []
     for values in fns:
         if len(values) != ground.size:
             raise DomainError("function must assign a value to every point")
-        vals = [Fraction(v) for v in values]
-        for r in sorted(set(vals)):
-            generators.append(sum(1 << i for i, v in enumerate(vals) if v > r))
-    return generate_algebra(ground, generators)
+        columns.append([Fraction(v) for v in values])
+    values_at = (tuple(vals[i] for vals in columns) for i in range(ground.size))
+    return _partition(ground, values_at)
 
 
 def is_premeasurable(
@@ -321,23 +328,13 @@ def is_premeasurable(
     must be a union of domain atoms; a failing atom is itself a violating
     member and is returned as the witness.
     """
+    image = []
     for point in dom.ground.points:
         if point not in mapping:
             raise DomainError(f"map is not total: missing {point!r}")
-        cod.ground.index(mapping[point])
+        image.append(cod.ground.index(mapping[point]))
     for atom in cod.atoms:
-        pre = preimage_mask(mapping, dom.ground, cod.ground, atom)
+        pre = sum(1 << i for i, j in enumerate(image) if atom >> j & 1)
         if not dom.is_member(pre):
             return False, atom
     return True, None
-
-
-def preimage_mask(
-    mapping: Mapping[str, str], dom: GroundSet, cod: GroundSet, mask: int
-) -> int:
-    cod.check_mask(mask)
-    pre = 0
-    for i, point in enumerate(dom.points):
-        if mask >> cod.index(mapping[point]) & 1:
-            pre |= 1 << i
-    return pre

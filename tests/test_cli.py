@@ -148,6 +148,30 @@ def test_distance_both_bounds_the_lp_by_the_subset_maximum_off_the_discrete_metr
     assert check["witnesses"] == [{"lp": "2/1", "subsets": "1/1"}]
 
 
+def test_a_discrete_metric_checks_the_lp_against_total_variation_exactly(
+    tmp_path, capsys, monkeypatch
+):
+    """On a discrete metric the lp must equal total variation, not merely lie
+    below it: half the lp fails the check."""
+    one, zero = "1/1", "0/1"
+    instance = {
+        "format": 1,
+        "metric": {
+            "points": ["a", "b", "c"],
+            "dist": [[zero, one, one], [one, zero, one], [one, one, zero]],
+        },
+        "p": ["1/2", "1/2", "0/1"],
+        "q": ["1/3", "1/3", "1/3"],
+    }
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(instance))
+    real = cli.bl_distance_lp
+    monkeypatch.setattr(cli, "bl_distance_lp", lambda p, q, space: real(p, q, space) / 2)
+    code, out, _ = run_cli(capsys, "distance", "--input", str(path))
+    assert code == 1
+    assert json.loads(out)["checks"][0]["witnesses"] == [{"lp": "1/6", "subsets": "1/3"}]
+
+
 @pytest.mark.parametrize(
     "method, route, value, shifted",
     [("lp", "bl_distance_lp", "1/2", "2/1"), ("subsets", "bl_distance_subsets", "1/1", "5/2")],

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finprob import exact
+from finprob.integrate import SimpleFunction
+from finprob.measure import Measure, simplex_algebra
 
 # large primes, so that sums of their reciprocals keep growing denominators
 PRIMES = (998244353, 10**9 + 7, 2**61 - 1, 2**89 - 1)
@@ -192,3 +194,17 @@ def test_rational_text_is_str_within_the_digit_limit(v):
 )
 def test_rational_text_counts_digits_past_the_limit(value, text):
     assert exact.rational_text(value) == text
+
+
+def test_a_denominator_below_one_is_rejected():
+    # den == 0 with zero numerators passed every subclass check and built a
+    # measure whose weights raised ZeroDivisionError on first read
+    algebra = simplex_algebra(("a", "b"))
+    for build in (
+        lambda: Measure.from_numerators(algebra, 0, (0, 0)),
+        lambda: SimpleFunction.from_numerators(algebra, 0, (0, 0)),
+        lambda: exact.Scaled(0, (0,)),
+        lambda: exact.Scaled(-1, (1,)),
+    ):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            build()

@@ -13,6 +13,7 @@ from finprob import (
     Algebra,
     DomainError,
     GroundSet,
+    Measure,
     RangeError,
     SimpleFunction,
     check_integral_properties,
@@ -342,3 +343,17 @@ def test_properties_report_structure():
         "monotone-limit",
         "finite-series",
     ]
+
+
+def test_monotone_limit_fails_on_a_decreasing_chain(monkeypatch):
+    # scaling by 1 - r turns the chain f * k/n into a decreasing one, which
+    # only the monotone-limit clause reads
+    original = SimpleFunction.scale
+    monkeypatch.setattr(SimpleFunction, "scale", lambda self, r: original(self, 1 - F(r)))
+    alg = Algebra.powerset(GroundSet(("0", "1", "2")))
+    p = Measure(alg, (F(1, 2), F(1, 3), F(1, 6)))
+    f = SimpleFunction(alg, (F(1, 2), F(1), F(0)))
+    checks = {c.name: (c.passed, c.failed) for c in check_integral_properties(p, [f])}
+    assert len(checks) == 6
+    assert checks.pop("monotone-limit") == (0, 1)
+    assert all(failed == 0 for _, failed in checks.values())

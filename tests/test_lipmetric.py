@@ -27,11 +27,7 @@ from finprob import exact, gen, lipmetric
 from finprob.exact import grid
 from finprob.linprog import LPResult, maximize
 from finprob.report import SuiteConfig
-from finprob.lipmetric import (
-    _one_sided_lp,
-    bl_distance_lp_witness,
-    simplex_grid,
-)
+from finprob.lipmetric import bl_distance_lp_witness, simplex_grid
 
 
 def grid_oracle(p, q, space, max_denominator=8):
@@ -119,7 +115,21 @@ def test_reversed_lp_has_the_same_optimum():
         q = gen.random_simplex_point(rng, space.points, 6)
         value, _ = bl_distance_lp_witness(p, q, space)
         diff = [a - b for a, b in zip(p.weights, q.weights)]
-        assert _one_sided_lp([-v for v in diff], space)[0] == value
+        assert maximize([-v for v in diff], *space.lp_system).value == value
+
+
+def test_is_discrete_means_every_off_diagonal_distance_is_one():
+    seen = set()
+    for case in range(60):
+        rng = gen.rng_for(32, "is-discrete", str(case))
+        space = gen.random_metric(rng, rng.randint(1, 5), 6)
+        off_diagonal = [
+            d for i, row in enumerate(space.dist) for j, d in enumerate(row) if i != j
+        ]
+        expected = all(d == 1 for d in off_diagonal)
+        assert space.is_discrete() == expected
+        seen.add((expected, len(off_diagonal) > 0))
+    assert seen == {(True, True), (False, True), (True, False)}
 
 
 def line_metric(rng, size, max_denominator):
@@ -217,7 +227,8 @@ def pruning_mismatches():
         p = gen.random_simplex_point(rng, space.points, 6)
         q = gen.random_simplex_point(rng, space.points, 6)
         diff = [a - b for a, b in zip(p.weights, q.weights)]
-        value, f = _one_sided_lp(diff, space)
+        result = maximize(diff, *space.lp_system)
+        value, f = result.value, result.solution
         dist = space.dist
         pairs = list(itertools.permutations(range(size), 2))
         if any(dist[i][j] >= 1 for i, j in pairs):

@@ -1,6 +1,7 @@
 """Set-algebra substrate: generation, atoms, semi-rings, premeasurability."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -282,6 +283,62 @@ def test_sigma_of_injective_function_is_powerset():
     g = GroundSet(("0", "1", "2"))
     alg = sigma_of_functions(g, [(F(0), F(1), F(2))])
     assert len(alg.members) == 8
+
+
+def level_set_sigma(ground, fns):
+    """Reference: the algebra the level sets ``{x : f(x) > r}`` generate, r
+    over each function's values."""
+    masks = []
+    for values in fns:
+        vals = [F(v) for v in values]
+        for r in sorted(set(vals)):
+            masks.append(sum(1 << i for i, v in enumerate(vals) if v > r))
+    return generate_algebra(ground, masks)
+
+
+def spelled(rng, v):
+    """``v`` as it is, as an int when it is whole, or as an unreduced "n/d"
+    string: each reads back as the same rational."""
+    kind = rng.randrange(3)
+    if kind == 1 and v.denominator == 1:
+        return int(v)
+    return f"{2 * v.numerator}/{2 * v.denominator}" if kind == 2 else v
+
+
+def random_functions(rng, size):
+    """0-4 functions on grid values, some repeated and some constant."""
+    fns = []
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(4)
+        if kind == 0 and fns:
+            fns.append(rng.choice(fns))
+        elif kind == 1:
+            fns.append((F(rng.randint(0, 2), 2),) * size)
+        else:
+            den = rng.randint(1, 3)
+            fns.append(tuple(F(rng.randint(0, den), den) for _ in range(size)))
+    return [tuple(spelled(rng, v) for v in fn) for fn in fns]
+
+
+def test_sigma_of_functions_keeps_the_level_set_atoms():
+    rng = random.Random(32)
+    separated_by_last = 0
+    for _ in range(400):
+        g = GroundSet(tuple(str(i) for i in range(rng.randint(1, 6))))
+        fns = random_functions(rng, g.size)
+        expected = level_set_sigma(g, fns)
+        assert sigma_of_functions(g, fns) == expected, (g.points, fns)
+        separated_by_last += fns != [] and expected != level_set_sigma(g, fns[:-1])
+    assert separated_by_last > 50  # the draws exercise every function
+
+
+def test_sigma_of_functions_rejects_the_first_short_function():
+    g = GroundSet(("0", "1", "2"))
+    with pytest.raises(DomainError, match="function must assign a value to every point"):
+        sigma_of_functions(g, [(0, 1, 2), (0, 1), ("x", "y", "z")])
+    # each function is length-checked and then read, in order
+    with pytest.raises(ValueError):
+        sigma_of_functions(g, [(0, 1, 2), ("x", "y", "z"), (0, 1)])
 
 
 # --- is_premeasurable --------------------------------------------------------------
