@@ -19,7 +19,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial, reduce
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from . import gen, serialize, workers
 from .codensity import (
@@ -47,7 +47,7 @@ from .lipmetric import (
     total_variation,
 )
 from .monad import SimplexPoint, check_monad_laws
-from .report import FORMATS, MODE_LABELS, CheckOutcome, Report, SuiteConfig, tally
+from .report import FORMATS, CheckOutcome, Report, SuiteConfig, tally
 from .represent import (
     Functional,
     WeakIntegrationLattice,
@@ -88,10 +88,20 @@ def run_laws(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
 
 
 def run_codensity(config: SuiteConfig) -> list[CheckOutcome]:
-    """The measure/cone bijection, then small-index sufficiency once at each
-    k in {1, 2, 3}: arrows into one label must leave the reconstruction
-    undetermined, arrows into two or three determine it, where "determined"
-    means the cones of two sampled measures differ."""
+    """The measure/cone bijection, then :func:`run_sufficiency` under
+    ``sufficiency``.  ``all`` runs the two as rows of :data:`ALL_JOBS`, which
+    decides each job's section, process share and place in the report."""
+    sufficiency = _prefixed("sufficiency", run_sufficiency(config))
+    return [*verify_codensity_bijection(config), *sufficiency]
+
+
+def run_sufficiency(config: SuiteConfig) -> list[CheckOutcome]:
+    """Small-index sufficiency once at each k in {1, 2, 3}: arrows into one
+    label must leave the reconstruction undetermined, arrows into two or
+    three determine it, where "determined" means the cones of two sampled
+    measures differ.  Each k's cases fold into one check, ``k1`` to ``k3``.
+    In ``all`` its row of :data:`ALL_JOBS` decides its section, process
+    share and place in the report."""
     sufficiency = []
     for k in (1, 2, 3):
         determined, reconstruction = small_index_sufficiency(config, k)
@@ -103,7 +113,7 @@ def run_codensity(config: SuiteConfig) -> list[CheckOutcome]:
             else ()
         )
         sufficiency.append(CheckOutcome(f"k{k}", int(ok), int(not ok), witnesses))
-    return [*verify_codensity_bijection(config), *_prefixed("sufficiency", sufficiency)]
+    return sufficiency
 
 
 def run_distance_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
@@ -423,59 +433,44 @@ def _integral_case(config: SuiteConfig, rng):
     yield "properties", not failing, f"clauses {failing} failed"
 
 
-# The jobs of `all`: each the name of a runner of this module, looked up
-# when the job runs, so that a rebound runner reaches every worker, and its
-# cost, the percent of a one-process run it took in a fresh process at the
-# default config (about 0.35 s for extend down to 0.03 s for distance, of
-# 2.0 s), longest first.  The costs decide which process runs each job.
+# The jobs of `all`, one row per report section in report order: the name
+# of the runner of this module that fills the section, looked up when the
+# job runs, so that a rebound runner reaches every worker, and its cost, the
+# percent of a one-process run it took in a fresh process at the default
+# config (about 0.39 s for extend down to 0.05 s for distance, of 2.5 s).
+# The costs decide which process runs each job.
 ALL_JOBS = {
-    "extend": ("run_extension_suite", 17),
-    "laws.sigma": ("run_laws", 14),
-    "laws.charge": ("run_laws", 14),
-    "integrate": ("run_integrate_suite", 14),
-    "codensity": ("run_codensity", 11),
-    "nonexpansive": ("run_nonexpansive", 9),
-    "reconstruct": ("run_reconstruction_suite", 7),
-    "bijection": ("verify_codensity_bijection", 7),
-    "lipschitz-equivalence": ("run_lipschitz_equivalence", 4),
+    "laws.sigma": ("run_laws", 13),
+    "laws.finitely_additive": ("run_laws", 13),
+    "codensity.sigma": ("verify_codensity_bijection", 7),
+    "codensity.finitely_additive": ("verify_codensity_bijection", 7),
+    "codensity.sufficiency": ("run_sufficiency", 4),
     "distance": ("run_distance_suite", 2),
+    "lipschitz-equivalence": ("run_lipschitz_equivalence", 5),
+    "nonexpansive": ("run_nonexpansive", 11),
+    "reconstruct": ("run_reconstruction_suite", 7),
+    "extend": ("run_extension_suite", 16),
+    "integrate": ("run_integrate_suite", 14),
 }
 
 
 def run_all(config: SuiteConfig) -> list[CheckOutcome]:
-    """Every suite, each check named under its suite's prefix.  The laws and
-    the bijection are filed under both :data:`~finprob.report.MODE_LABELS`,
-    each label's checks from a run of its own, so that every count comes from
-    a run that produced it; sufficiency runs once, beside the first bijection.
+    """Every suite, each check named under its row's section.  One table,
+    :data:`ALL_JOBS`, decides each job's section, its process share and its
+    place in the report.  The laws and the bijection have a row under each
+    of :data:`~finprob.report.MODE_LABELS`, each label's checks from a run
+    of its own, so that every count comes from a run that produced it.
 
-    The ten runner calls are independent: each draws its cases from its own
-    seeded streams.  :func:`~finprob.workers.run_jobs` splits them by their
-    costs into fixed shares, one per available CPU, runs one share here and
-    forks a process for each other.  The checks are assembled here in one
-    fixed order, so the report is the same whatever process ran each call.
+    The eleven runner calls are independent: each draws its cases from its
+    own seeded streams.  :func:`~finprob.workers.run_jobs` splits them by
+    their costs into fixed shares, one per available CPU, runs one share
+    here and forks a process for each other.  The checks are filed here in
+    table order, so the report is the same whatever process ran each call.
     A call's exception is raised here."""
     jobs = [lambda name=name: globals()[name](config) for name, _ in ALL_JOBS.values()]
     costs = [cost for _, cost in ALL_JOBS.values()]
-    done = dict(zip(ALL_JOBS, workers.run_jobs(jobs, costs)))
-    sigma, charge = MODE_LABELS
-    laws = [*_prefixed(sigma, done["laws.sigma"]), *_prefixed(charge, done["laws.charge"])]
-    first = done["codensity"]
-    sufficiency = [c for c in first if c.name.startswith("sufficiency.")]
-    codensity = [
-        *_prefixed(sigma, [c for c in first if c not in sufficiency]),
-        *_prefixed(charge, done["bijection"]),
-        *sufficiency,
-    ]
-    return [
-        *_prefixed("laws", laws),
-        *_prefixed("codensity", codensity),
-        *_prefixed("distance", done["distance"]),
-        *_prefixed("lipschitz-equivalence", done["lipschitz-equivalence"]),
-        *_prefixed("nonexpansive", done["nonexpansive"]),
-        *_prefixed("reconstruct", done["reconstruct"]),
-        *_prefixed("extend", done["extend"]),
-        *_prefixed("integrate", done["integrate"]),
-    ]
+    done = workers.run_jobs(jobs, costs)
+    return [c for key, checks in zip(ALL_JOBS, done) for c in _prefixed(key, checks)]
 
 
 # ---------------------------------------------------------------------------
@@ -566,53 +561,52 @@ def run_integrate_input(data: dict) -> tuple[CheckOutcome, ...]:
 # argument parsing and dispatch
 
 
+# A command names its runners on this module.  `run` looks them up when the
+# command runs, as `run_all` does for ALL_JOBS, so that rebinding a runner
+# on this module (a monkeypatch, a tracer) reaches the dispatch.
 class Command(NamedTuple):
     help: str
-    suite: Callable[[SuiteConfig], Sequence[CheckOutcome]]
-    run_input: Callable[[dict], Sequence[CheckOutcome]] | None = None
+    suite: str
+    run_input: str | None = None
     keys: tuple[str, ...] = ()  # top-level instance keys besides "format"
     notes: tuple[str, ...] = ()  # the generated suite's report notes
 
 
-# The lambdas look each runner up when they are called, so that rebinding a
-# runner on this module (a monkeypatch, a tracer) also reaches the dispatch.
 COMMANDS = {
-    "laws": Command("monad law suite", lambda c: run_laws(c), notes=(LAWS_NOTE,)),
+    "laws": Command("monad law suite", "run_laws", notes=(LAWS_NOTE,)),
     "codensity": Command(
         "measure/cone bijection and small-index sufficiency",
-        lambda c: run_codensity(c),
-        lambda data: run_codensity_input(data),
+        "run_codensity",
+        "run_codensity_input",
         ("algebra", "cone"),
         (CODENSITY_NOTE,),
     ),
     "distance": Command(
         "bounded Lipschitz distances",
-        lambda c: run_distance_suite(c),
-        lambda data: run_distance_input(data),
+        "run_distance_suite",
+        "run_distance_input",
         ("metric", "p", "q"),
     ),
     "reconstruct": Command(
         "functional-to-measure reconstruction",
-        lambda c: run_reconstruction_suite(c),
-        lambda data: run_reconstruct_input(data),
+        "run_reconstruction_suite",
+        "run_reconstruct_input",
         ("algebra", "table"),
     ),
     "extend": Command(
         "semi-ring premeasure extension",
-        lambda c: run_extension_suite(c),
-        lambda data: run_extend_input(data),
+        "run_extension_suite",
+        "run_extend_input",
         ("points", "family", "mu"),
     ),
     "integrate": Command(
         "integral property checks",
-        lambda c: run_integrate_suite(c),
-        lambda data: run_integrate_input(data),
+        "run_integrate_suite",
+        "run_integrate_input",
         ("measure", "functions"),
     ),
     "all": Command(
-        "the full verification suite",
-        lambda c: run_all(c),
-        notes=(LAWS_NOTE, CODENSITY_NOTE),
+        "the full verification suite", "run_all", notes=(LAWS_NOTE, CODENSITY_NOTE)
     ),
 }
 
@@ -686,9 +680,10 @@ def run(argv=None) -> int:
     try:
         config = SuiteConfig(**options)
         if path is None:
-            checks, notes = command.suite(config), command.notes
+            checks, notes = globals()[command.suite](config), command.notes
         else:
-            checks, notes = command.run_input(_read_input(path, command.keys)), ()
+            data = _read_input(path, command.keys)
+            checks, notes = globals()[command.run_input](data), ()
         report = Report(name, config.to_payload(), tuple(checks), notes)
         wall_time = time.monotonic() - started
         text = report.render(fmt)

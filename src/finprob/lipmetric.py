@@ -46,6 +46,8 @@ class FiniteMetricSpace:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "dist", dist)
         n = len(points)
+        if not n:
+            raise ValueError("metric space must contain at least one point")
         if len(set(points)) != n:
             raise ValueError("metric space labels must be distinct")
         if len(dist) != n or any(len(row) != n for row in dist):

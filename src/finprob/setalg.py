@@ -290,8 +290,9 @@ class SemiRing:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-        check = is_semiring(self.members)
+        members = tuple(sorted(set(map(self.ground.check_mask, self.members))))
+        object.__setattr__(self, "members", members)
+        check = is_semiring(members)
         if not check.ok:
             raise ValueError(f"not a semi-ring: {check.clause} witness {check.witness}")
 

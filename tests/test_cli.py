@@ -522,6 +522,15 @@ def test_distance_input_foreign_simplex_labels_exit_two(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_distance_input_on_an_empty_metric_exits_two_at_the_metric(tmp_path):
+    instance = {"format": 1, "metric": {"points": [], "dist": []}, "p": [], "q": []}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(instance))
+    done = run_module("distance", path)
+    assert_input_error(done, "$.metric")
+    assert "metric space must contain at least one point" in done.stderr
+
+
 TWO_POINTS = {
     "format": 1,
     "metric": {"points": ["a", "b"], "dist": [["0/1", "1/1"], ["1/1", "0/1"]]},

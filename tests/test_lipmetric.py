@@ -870,6 +870,11 @@ def test_metric_space_validation():
         )  # triangle violation
 
 
+def test_metric_space_needs_a_point():
+    with pytest.raises(ValueError, match="metric space must contain at least one point"):
+        FiniteMetricSpace((), ())
+
+
 def test_lipschitz_function_validation():
     space = FiniteMetricSpace(("a", "b"), ((F(0), F(1, 4)), (F(1, 4), F(0))))
     LipschitzFunction(space, (F(1, 2), F(1, 4)))

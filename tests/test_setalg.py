@@ -252,6 +252,15 @@ def test_semiring_type_rejects_invalid_family():
         SemiRing(g, (0, g.mask_of(["0", "1"]), g.mask_of(["1", "2"])))
 
 
+def test_semiring_type_rejects_a_member_outside_its_ground_set():
+    """A member with a bit past the ground set is refused when the semi-ring
+    is built, not later by the extension that reads it."""
+    with pytest.raises(DomainError, match="mask 0x6 is not a subset of the ground set"):
+        SemiRing(GroundSet(("a",)), (0, 1, 0b110))
+    with pytest.raises(DomainError):
+        SemiRing(GroundSet(("a", "b")), (0, -1))
+
+
 def test_semiring_difference_decomposition_witness():
     g = GroundSet(("0", "1", "2"))
     alg = generate_algebra(g, [1, 2])

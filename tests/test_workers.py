@@ -5,6 +5,7 @@ import os
 import pickle
 import signal
 import threading
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -47,14 +48,6 @@ def assert_no_child_left():
 
 PARENT = os.getpid()
 
-# where each job of `all` files its checks
-PREFIX = {
-    **{job: job for job in cli.ALL_JOBS},
-    "laws.charge": "laws.finitely_additive",
-    "codensity": "codensity.sigma",
-    "bijection": "codensity.finitely_additive",
-}
-
 
 def in_child() -> bool:
     return os.getpid() != PARENT
@@ -72,9 +65,17 @@ def stamp_pids(monkeypatch):
         monkeypatch.setattr(cli, name, runner)
 
 
-def pids_by_job(checks) -> dict:
-    pids = {c.name.removesuffix(".pid"): c.witnesses[0] for c in checks if c.name.endswith(".pid")}
-    return {job: pids[prefix] for job, prefix in PREFIX.items()}
+def rows(checks) -> dict:
+    """``{key: (pid, checks)}`` for each row of `all` under
+    :func:`stamp_pids`, whose ``key.pid`` check ends the row's checks."""
+    split, row = {}, []
+    for check in checks:
+        row.append(check)
+        if check.name.endswith(".pid"):
+            split[check.name.removesuffix(".pid")] = (check.witnesses[0], row)
+            row = []
+    assert not row and list(split) == list(cli.ALL_JOBS)
+    return split
 
 
 def caller_share(n) -> set:
@@ -91,10 +92,22 @@ def test_the_checks_are_the_same_from_one_process_and_from_two(cpus, alarm):
     assert_no_child_left()
 
 
+def test_all_files_each_row_of_the_job_table_under_its_key():
+    """Row by row, in table order, the checks of the row's runner, each
+    named under the row's key."""
+    config = SuiteConfig(cases=20)
+    expected = [
+        replace(check, name=f"{key}.{check.name}")
+        for key, (runner, _) in cli.ALL_JOBS.items()
+        for check in getattr(cli, runner)(config)
+    ]
+    assert cli.run_all(config) == expected
+
+
 def test_two_cpus_run_the_jobs_in_two_processes(cpus, monkeypatch, alarm):
     cpus(2)
     stamp_pids(monkeypatch)
-    pids = pids_by_job(cli.run_all(SuiteConfig(cases=20)))
+    pids = {job: pid for job, (pid, _) in rows(cli.run_all(SuiteConfig(cases=20))).items()}
     assert {job for job, pid in pids.items() if pid == PARENT} == caller_share(2)
     assert len(set(pids.values())) == 2
     assert_no_child_left()
@@ -106,7 +119,8 @@ def test_each_job_runs_once_in_a_fixed_share():
         split = workers.shares(costs, n)
         assert sorted(i for share in split for i in share) == list(range(len(costs)))
         assert split == workers.shares(costs, n)
-    assert workers.shares(costs, 1) == [list(range(len(costs)))]
+    longest_first = sorted(range(len(costs)), key=lambda i: -costs[i])
+    assert workers.shares(costs, 1) == [longest_first]
 
 
 def test_on_two_cpus_the_child_share_fits_its_allowance():
@@ -121,8 +135,8 @@ def test_on_two_cpus_the_child_share_fits_its_allowance():
 def test_a_fault_installed_before_the_fork_reaches_the_children(cpus, monkeypatch, alarm, n):
     """bench/faults.py's ``distance-off`` fault, every LP distance 1/1000
     too large, set in this process, fails a check that a child ran: on two
-    CPUs the distance suite, on three the distance and nonexpansive suites
-    and the LP spot checks of lipschitz-equivalence."""
+    CPUs the nonexpansive suite and the LP spot checks of
+    lipschitz-equivalence, on three those and the distance suite."""
     original = lipmetric.bl_distance_lp_witness
 
     def faulty(p, q, space):
@@ -132,15 +146,10 @@ def test_a_fault_installed_before_the_fork_reaches_the_children(cpus, monkeypatc
     monkeypatch.setattr(lipmetric, "bl_distance_lp_witness", faulty)
     cpus(n)
     stamp_pids(monkeypatch)
-    checks = cli.run_all(SuiteConfig(cases=20))
-    pids = pids_by_job(checks)
-    caught = {
-        job
-        for job, prefix in PREFIX.items()
-        if any(c.failed and c.name.startswith(f"{prefix}.") for c in checks)
-    }
+    split = rows(cli.run_all(SuiteConfig(cases=20)))
+    caught = {job for job, (_, checks) in split.items() if any(c.failed for c in checks)}
     assert {"distance", "nonexpansive", "lipschitz-equivalence"} <= caught
-    assert any(pids[job] != PARENT for job in caught)
+    assert any(split[job][0] != PARENT for job in caught)
     assert_no_child_left()
 
 
