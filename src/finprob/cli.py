@@ -437,8 +437,10 @@ def _integral_case(config: SuiteConfig, rng):
 # of the runner of this module that fills the section, looked up when the
 # job runs, so that a rebound runner reaches every worker, and its cost, the
 # percent of a one-process run it took in a fresh process at the default
-# config (about 0.39 s for extend down to 0.05 s for distance, of 2.5 s).
-# The costs decide which process runs each job.
+# config.  The costs decide which process runs each job.  Re-measured after
+# the laws and cone suites got faster (about 0.35 s for extend down to 0.05 s
+# for distance, of 2.2 s), they would give the caller a larger share on two
+# CPUs and on three, so the table keeps its earlier costs.
 ALL_JOBS = {
     "laws.sigma": ("run_laws", 13),
     "laws.finitely_additive": ("run_laws", 13),

@@ -6,14 +6,17 @@ between measures and cones.
 A point of the simplex on a finite label set is a :class:`Measure` on the
 labels' powerset (:func:`~finprob.monad.SimplexPoint`), and the simplex map
 of a label function is :func:`~finprob.measure.pushforward` into the
-target labels' powerset.  :func:`check_cone_naturality` applies that map
-to integer numerators: an arrow composed with a label map is found among
-the declared arrows by its summed, reduced integer columns, and the legs of
-a triangle are compared by cross-multiplication, so no measure or arrow is
-built unless a triangle fails.  A cone is a table from arrows to legs; the
-canonical cone of a measure has, at each arrow, the average of the arrow's
-rows weighted by the measure's own numerators (:func:`~finprob.monad.average`,
-the body of the monad multiplication).
+target labels' powerset, applied here to integer numerators in two steps.
+:func:`naturality_triangles` enumerates a family's commutative triangles:
+an arrow composed with a label map is found among the declared arrows by
+its summed, reduced integer columns.  The triangles depend on the arrows
+alone, so a suite run enumerates each family once and checks the cones of
+all its measures over that family on them.  :func:`check_cone_naturality`
+compares the legs of each triangle by cross-multiplication, so no measure
+or arrow is built unless a triangle fails.  A cone is a table from arrows
+to legs; the canonical cone of a measure has, at each arrow, the average of
+the arrow's rows weighted by the measure's own numerators
+(:func:`~finprob.monad.average`, the body of the monad multiplication).
 
 The full comma category of arrows is infinite; a cone here is declared over
 a finite arrow family whose closure (binary arrows of every component, the
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .exact import common
@@ -173,41 +176,47 @@ class NaturalityResult:
     witness: tuple | None = None
 
 
-def check_cone_naturality(cone: Cone) -> NaturalityResult:
-    """Enumerate commutative triangles inside the declared family and check
-    that the legs commute with the simplex maps of all label functions:
-    every map from an arrow's labels into each target set, at most ``4**4``.
-    The first failing triangle's witness is ``(f, mapping, g, pushed leg of
-    f, leg of g)``, where ``g`` is the declared arrow equal to ``f``
-    composed with ``mapping``."""
-    target_sets = sorted({arrow.targets for arrow in cone.legs})
-    arrows = []  # (f, leg of f, den, integer columns of f)
-    declared = {}  # an arrow's targets and integer columns -> (arrow, leg)
-    for arrow, leg in cone.legs.items():
-        den, rows = arrow.numerators
-        columns = tuple(zip(*rows))
-        arrows.append((arrow, leg, den, columns))
-        declared[(arrow.targets, den, columns)] = arrow, leg
-    triangles = 0
-    for f, leg_f, den, f_columns in arrows:
+def naturality_triangles(arrows: Sequence[Arrow]) -> Iterator[tuple[int, int, tuple]]:
+    """Every commutative triangle inside a family of arrows, in order, as
+    ``(f, g, image)``: ``arrows[g]`` is ``arrows[f]`` composed with the label
+    map taking ``arrows[f].targets[t]`` to ``arrows[g].targets[image[t]]``.
+    Every map from an arrow's labels into each target set is tried, at most
+    ``4**4``, and the composite is found among the arrows by its summed,
+    reduced integer columns."""
+    target_sets = sorted({arrow.targets for arrow in arrows})
+    columns = [(a.numerators[0], tuple(zip(*a.numerators[1]))) for a in arrows]
+    # an arrow's targets and integer columns -> its index
+    declared = {(a.targets, *c): j for j, (a, c) in enumerate(zip(arrows, columns))}
+    for f, arrow in enumerate(arrows):
         for targets in target_sets:
-            for image in itertools.product(range(len(targets)), repeat=len(f.targets)):
-                hit = declared.get((targets, *_composed(den, f_columns, image, len(targets))))
-                if hit is None:
-                    continue
-                triangles += 1
-                g, leg_g = hit
-                pushed = [0] * len(targets)
-                for u, n in zip(image, leg_f.nums):
-                    pushed[u] += n
-                if any(n * leg_g.den != m * leg_f.den for n, m in zip(pushed, leg_g.nums)):
-                    mapping = {label: targets[u] for label, u in zip(f.targets, image)}
-                    cod = simplex_algebra(targets)
-                    expected = Measure.from_numerators(cod, leg_f.den, pushed)
-                    return NaturalityResult(
-                        False, triangles, witness=(f, mapping, g, expected, leg_g)
-                    )
-    return NaturalityResult(True, triangles)
+            for image in itertools.product(range(len(targets)), repeat=len(arrow.targets)):
+                g = declared.get((targets, *_composed(*columns[f], image, len(targets))))
+                if g is not None:
+                    yield f, g, image
+
+
+def check_cone_naturality(cone: Cone, triangles=None) -> NaturalityResult:
+    """Check each triangle of :func:`naturality_triangles` in order: the
+    pushed leg of ``f`` and the leg of ``g`` are compared by cross-multiplying
+    integer numerators.  ``triangles`` are those of the cone's arrows, in its
+    order, or else enumerated here in the same pass.  The first failing
+    triangle's witness is ``(f, mapping, g, pushed leg of f, leg of g)``."""
+    arrows, legs = tuple(cone.legs), tuple(cone.legs.values())
+    if triangles is None:
+        triangles = naturality_triangles(arrows)
+    count = 0
+    for count, (f, g, image) in enumerate(triangles, 1):
+        leg_f, leg_g = legs[f], legs[g]
+        pushed = [0] * len(leg_g.nums)
+        for u, n in zip(image, leg_f.nums):
+            pushed[u] += n
+        if any(n * leg_g.den != m * leg_f.den for n, m in zip(pushed, leg_g.nums)):
+            targets = arrows[g].targets
+            mapping = {label: targets[u] for label, u in zip(arrows[f].targets, image)}
+            expected = Measure.from_numerators(simplex_algebra(targets), leg_f.den, pushed)
+            witness = (arrows[f], mapping, arrows[g], expected, leg_g)
+            return NaturalityResult(False, count, witness=witness)
+    return NaturalityResult(True, count)
 
 
 def _composed(den: int, columns, image: tuple[int, ...], width: int):
@@ -251,16 +260,17 @@ def indicator_table(cone: Cone) -> Functional:
     return Functional(source, table)
 
 
-def reconstruct_from_cone(cone: Cone) -> Measure:
+def reconstruct_from_cone(cone: Cone, triangles=None) -> Measure:
     """The unique measure whose canonical cone has the given legs.
 
-    Naturality is checked first and failures are reported with the
-    violating triangle.  The :func:`indicator_table` is then handed to
+    Naturality is checked first, on ``triangles`` as
+    :func:`check_cone_naturality` takes them, and failures are reported with
+    the violating triangle.  The :func:`indicator_table` is then handed to
     :func:`~finprob.represent.reconstruct_measure`, which names any atom or
     whole-set indicator the family lacks and supplies normalization and
     finite-additivity checking.
     """
-    naturality = check_cone_naturality(cone)
+    naturality = check_cone_naturality(cone, triangles)
     if not naturality.ok:
         raise ReconstructionError(
             "cone legs do not commute with a label map", witness=naturality.witness
@@ -291,15 +301,20 @@ def verify_codensity_bijection(
     """
     from . import gen
 
+    families = {}  # this run's algebras -> (indicator family, its triangles)
+
     def check_case(rng):
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, min(config.max_ground_size, MAX_GROUND_SIZE))
         )
-        family = indicator_family(current)
+        if current not in families:
+            family = indicator_family(current)
+            families[current] = family, tuple(naturality_triangles(family))
+        family, triangles = families[current]
         p = gen.random_measure(rng, current, config.max_denominator)
         cone = cone_of_measure(p, family)
-        nat = check_cone_naturality(cone)
-        passed = nat.triangles - (not nat.ok)  # a failure ends the enumeration
+        nat = check_cone_naturality(cone, triangles)
+        passed = nat.triangles - (not nat.ok)  # a failing triangle ends the check
         yield from itertools.repeat(("naturality", True, None), passed)
         if not nat.ok:
             yield "naturality", False, str(nat.witness[1])
@@ -349,18 +364,23 @@ def small_index_sufficiency(
     if k < 1:
         raise PreconditionError("label-set size bound must be at least 1")
 
+    families = {}  # this run's algebras -> (small family, its triangles)
+
     def check_case(rng):
         current = algebra or gen.random_algebra(
             rng, gen.random_ground(rng, min(config.max_ground_size, MAX_GROUND_SIZE))
         )
-        family = tuple(a for a in indicator_family(current) if len(a.targets) <= k)
-        if k >= 3 and len(current.atoms) <= 3:
-            family = family + (_atom_arrow(current, k),)
+        if current not in families:
+            family = tuple(a for a in indicator_family(current) if len(a.targets) <= k)
+            if k >= 3 and len(current.atoms) <= 3:
+                family = family + (_atom_arrow(current, k),)
+            families[current] = family, tuple(naturality_triangles(family))
+        family, triangles = families[current]
         p = gen.random_measure(rng, current, config.max_denominator)
         q = gen.random_measure(rng, current, config.max_denominator)
         cone = cone_of_measure(p, family)
         try:
-            back = reconstruct_from_cone(cone)
+            back = reconstruct_from_cone(cone, triangles)
         except ReconstructionError as exc:
             yield "determined", False, f"no reconstruction at k={k}: {exc}"
             return

@@ -1,8 +1,9 @@
 """Exact rational kernels on integer numerators and denominators, one
 implementation each: exact sums (:func:`total`, :func:`dot`), rational grids
 (:func:`grid`), rational vectors over one denominator (:class:`Scaled`,
-:func:`scaled`, :func:`common`), and rationals as wire text
-(:func:`wire_text`, every digit) and as prose (:func:`rational_text`).
+:func:`scaled`, :func:`scaled_pairs`, :func:`common`), and rationals as
+wire text (:func:`wire_text`, every digit) and as prose
+(:func:`rational_text`).
 
 Adding ``Fraction``s one by one reduces every partial sum by a gcd and builds
 a new ``Fraction`` per term.  The sums here keep one integer numerator over
@@ -72,8 +73,15 @@ def scaled(values: Sequence) -> tuple[int, tuple[int, ...]]:
     """``(den, nums)`` with ``values[j] == nums[j] / den``, where ``den`` is
     the least common denominator of the rational values (1 when there are
     none); the numerators are then in lowest terms."""
-    den = lcm(*(v.denominator for v in values))
-    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+    return scaled_pairs([(v.numerator, v.denominator) for v in values])
+
+
+def scaled_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]]:
+    """``(den, nums)`` for rationals given as integer pairs ``(n, d)`` with
+    ``d > 0``, building no ``Fraction``: ``den`` is the least common multiple
+    of the ``d``s, so pairs in lowest terms give :func:`scaled`'s result."""
+    den = lcm(*(d for _, d in pairs))
+    return den, tuple(n * (den // d) for n, d in pairs)
 
 
 def common(vectors: Iterable) -> tuple[int, tuple[tuple[int, ...], ...]]:

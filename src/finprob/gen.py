@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
+from .exact import Scaled
 from .lipmetric import FiniteMetricSpace
 from .measure import Measure, simplex_algebra
 from .monad import MetaMeasure
@@ -97,13 +98,15 @@ def random_weights(rng: random.Random, k: int, max_denominator: int) -> tuple[Fr
     return tuple(Fraction(c, d) for c in counts)
 
 
-def _composition(rng: random.Random, k: int, max_denominator: int) -> tuple[int, list[int]]:
-    """``(d, counts)``: a random denominator ``d`` up to ``max_denominator``
-    and ``k`` nonnegative counts summing to it, the draws of
-    :func:`random_weights`."""
-    d = rng.randint(1, max_denominator)
-    counts = [0] * k
-    for _ in range(d):
+def _composition(
+    rng: random.Random, k: int, max_denominator: int, least: int = 0
+) -> tuple[int, list[int]]:
+    """``(d, counts)``: a random ``d`` from ``max(1, k * least)`` to ``max(k *
+    least, max_denominator)`` and ``k`` counts of at least ``least`` summing
+    to it, the draws of :func:`random_weights` and :func:`random_positive_weights`."""
+    d = rng.randint(max(1, k * least), max(k * least, max_denominator))
+    counts = [least] * k
+    for _ in range(d - k * least):
         counts[rng.randrange(k)] += 1
     return d, counts
 
@@ -112,10 +115,7 @@ def random_positive_weights(
     rng: random.Random, k: int, max_denominator: int
 ) -> tuple[Fraction, ...]:
     """As :func:`random_weights` but with every entry strictly positive."""
-    d = rng.randint(k, max(k, max_denominator))
-    counts = [1] * k
-    for _ in range(d - k):
-        counts[rng.randrange(k)] += 1
+    d, counts = _composition(rng, k, max_denominator, 1)
     return tuple(Fraction(c, d) for c in counts)
 
 
@@ -205,8 +205,7 @@ def random_meta_measure(
     count = rng.randint(1, MAX_SUPPORT)
     draw = partial(random_measure, rng, algebra, max_denominator)
     support = distinct_draws(draw, count, 4 * count)
-    weights = random_positive_weights(rng, len(support), max_denominator)
-    return MetaMeasure(tuple(support), weights)
+    return MetaMeasure(support, Scaled(*_composition(rng, len(support), max_denominator, 1)))
 
 
 def random_simplex_point(

@@ -15,12 +15,10 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .exact import common, fractions, scaled, total
+from .exact import Scaled, common, fractions, scaled
 from .measure import Measure, dirac, pushforward, simplex_algebra
 from .report import CheckOutcome, SuiteConfig
 from .setalg import Algebra
-
-ONE = Fraction(1)
 
 
 def SimplexPoint(labels: Sequence[str], weights: Sequence[Fraction]) -> Measure:
@@ -34,35 +32,42 @@ def unit(x: str, algebra: Algebra) -> Measure:
     return dirac(x, algebra)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetaMeasure:
     """A finitely supported probability measure on the measures of a space.
 
     Support measures are pairwise distinct and share one algebra, and every
     weight is strictly positive (zero-weight entries are rejected rather
-    than silently dropped).
+    than silently dropped).  The weights are one
+    :class:`~finprob.exact.Scaled` vector, ``mass``, taken as it is when
+    given as one: support measure ``i`` weighs ``mass.nums[i] / mass.den``.
     """
 
     support: tuple[Measure, ...]
-    weights: tuple[Fraction, ...]
+    mass: Scaled
 
-    def __post_init__(self):
-        weights = fractions(self.weights)
-        object.__setattr__(self, "support", tuple(self.support))
-        object.__setattr__(self, "weights", weights)
-        if not self.support:
+    def __init__(self, support: Iterable[Measure], weights: Iterable) -> None:
+        mass, support = Scaled.of(weights), tuple(support)
+        if not support:
             raise ValueError("meta-measure needs at least one support measure")
-        if len(weights) != len(self.support):
+        if len(mass) != len(support):
             raise ValueError("one weight per support measure required")
-        if len(set(self.support)) != len(self.support):
+        if len(set(support)) != len(support):
             raise ValueError("support measures must be pairwise distinct")
-        if any(q.algebra != self.support[0].algebra for q in self.support[1:]):
+        if any(q.algebra != support[0].algebra for q in support[1:]):
             raise ValueError("support measures must share one algebra")
-        if any(w.numerator <= 0 for w in weights):
+        if min(mass.nums) <= 0:
             raise ValueError("meta-measure weights must be strictly positive")
-        mass = total(weights)
-        if mass != 1:
-            raise ValueError(f"meta-measure weights must sum to 1, got {mass}")
+        if sum(mass.nums) != mass.den:
+            got = Fraction(sum(mass.nums), mass.den)
+            raise ValueError(f"meta-measure weights must sum to 1, got {got}")
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "mass", mass)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The weights as ``Fraction``s in lowest terms."""
+        return self.mass.values
 
     @property
     def algebra(self) -> Algebra:
@@ -70,20 +75,25 @@ class MetaMeasure:
 
     @classmethod
     def point_mass(cls, p: Measure) -> "MetaMeasure":
-        return cls((p,), (ONE,))
+        return cls((p,), (1,))
 
     @classmethod
-    def merge(cls, pairs: Iterable[tuple[Fraction, Measure]]) -> "MetaMeasure":
+    def merge(cls, pairs: Iterable[tuple], den: int | None = None) -> "MetaMeasure":
         """The meta-measure of ``(weight, measure)`` pairs: the weights of a
         repeated measure are added, and the support is sorted by weight
-        vector, so equal meta-measures come out identical."""
-        merged: dict[Measure, list] = {}
-        for w, p in pairs:
-            merged.setdefault(p, []).append(w)
+        vector, so equal meta-measures come out identical.  With ``den``
+        given, each weight is an integer numerator over it."""
+        if den is None:
+            pairs = tuple(pairs)
+            den, nums = scaled(fractions(w for w, _ in pairs))
+            pairs = zip(nums, (p for _, p in pairs))
+        merged: dict[Measure, int] = {}
+        for n, p in pairs:
+            merged[p] = merged.get(p, 0) + n
         # numerators over one common denominator order as the weights do
         _, rows = common(merged)
         support = tuple(p for _, p in sorted(zip(rows, merged), key=itemgetter(0)))
-        return cls(support, tuple(total(merged[p]) for p in support))
+        return cls(support, Scaled(den, [merged[p] for p in support]))
 
 
 def average(den: int, coeffs: Sequence[int], algebra: Algebra, numerators: tuple) -> Measure:
@@ -102,7 +112,7 @@ def mult(m: MetaMeasure) -> Measure:
     ``mult(M)(A)`` is the integral of ``P(A)`` against ``M``; with finite
     support this is exactly ``sum_i weight_i * P_i(A)``.
     """
-    return average(*scaled(m.weights), m.algebra, common(m.support))
+    return average(m.mass.den, m.mass.nums, m.algebra, common(m.support))
 
 
 def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:
@@ -111,11 +121,11 @@ def combine_meta(parts: Sequence[tuple[Fraction, MetaMeasure]]) -> MetaMeasure:
         raise ValueError("empty combination")
     if any(Fraction(coeff) <= 0 for coeff, _ in parts):
         raise ValueError("combination coefficients must be positive")
-    return MetaMeasure.merge(
-        (Fraction(coeff) * w, p)
-        for coeff, m in parts
-        for w, p in zip(m.weights, m.support)
-    )
+    coeff_den, coeffs = scaled(fractions(coeff for coeff, _ in parts))
+    den, rows = common(m.mass for _, m in parts)
+    pairs = zip(coeffs, rows, (m.support for _, m in parts))
+    terms = ((c * n, p) for c, row, support in pairs for n, p in zip(row, support))
+    return MetaMeasure.merge(terms, coeff_den * den)
 
 
 def eta_as_meta(p: Measure) -> MetaMeasure:
@@ -124,20 +134,18 @@ def eta_as_meta(p: Measure) -> MetaMeasure:
     Each atom with positive weight contributes the Dirac measure at (any
     point of) that atom, weighted by the atom's mass.
     """
-    return MetaMeasure.merge(
-        (w, dirac(p.algebra.ground.labels_of(atom)[0], p.algebra))
-        for atom, w in zip(p.algebra.atoms, p.weights)
-        if w != 0
-    )
+    algebra = p.algebra
+    pairs = zip(p.nums, algebra.atoms)
+    diracs = ((n, dirac(algebra.ground.labels_of(atom)[0], algebra)) for n, atom in pairs if n)
+    return MetaMeasure.merge(diracs, p.den)
 
 
 def map_meta(
     m: MetaMeasure, mapping: Mapping[str, str], cod: Algebra
 ) -> MetaMeasure:
     """The lifted pushforward ``GGf``: push every support measure forward."""
-    return MetaMeasure.merge(
-        (w, pushforward(p, mapping, cod)) for w, p in zip(m.weights, m.support)
-    )
+    pushed = (pushforward(p, mapping, cod) for p in m.support)
+    return MetaMeasure.merge(zip(m.mass.nums, pushed), m.mass.den)
 
 
 LAWS = (

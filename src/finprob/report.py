@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quoted
 from typing import Any, Iterable
 
 from .errors import InputError
@@ -131,7 +132,7 @@ class Report:
     def render(self, fmt: str) -> str:
         """The report as key-sorted, indented JSON, or as text."""
         if fmt == "json":
-            return json.dumps(self.to_payload(), sort_keys=True, indent=2) + "\n"
+            return _json(self.to_payload(), "\n") + "\n"
         lines = [f"suite {self.suite}: {'PASS' if self.ok else 'FAIL'}"]
         for c in self.checks:
             status = "pass" if c.ok else "FAIL"
@@ -139,6 +140,22 @@ class Report:
             for w in c.witnesses[:3]:
                 lines.append(f"      witness: {_jsonable(w)}")
         return "\n".join(lines) + "\n"
+
+
+def _json(value: Any, newline: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, dict keys being
+    strings, with ``newline`` and the value's indent before each inner line,
+    and without the pure-Python encoder ``json`` uses for indented output."""
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{quoted(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if value else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if value else "[]"
+    if isinstance(value, str):
+        return quoted(value)
+    return int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
 def _jsonable(value: Any):

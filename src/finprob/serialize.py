@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from math import lcm
 from typing import Any
 
 from .codensity import Arrow, Cone
 from .errors import FinprobError, InputError
-from .exact import wire_text
+from .exact import scaled_pairs, wire_text
 from .integrate import SimpleFunction
 from .lipmetric import FiniteMetricSpace
 from .measure import Measure, simplex_algebra
@@ -313,8 +312,7 @@ def load_simplex(data: Any, location: str = "$", labels=None, rows=None) -> Meas
         where = f"{location}.weights"
         raw = _expect(_field(obj, "weights", location), list, where)
     pairs = [parse_rational(v, f"{where}[{i}]") for i, v in enumerate(raw)]
-    den = lcm(*(d for _, d in pairs))
-    nums = [n * (den // d) for n, d in pairs]
+    den, nums = scaled_pairs(pairs)
     point = _build(
         location,
         lambda: Measure.from_numerators(simplex_algebra(tuple(names)), den, nums),

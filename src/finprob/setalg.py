@@ -233,26 +233,23 @@ class ClauseCheck:
     witness: tuple | None = None
 
 
-def _exact_cover(target: int, pieces: Sequence[int]) -> tuple[int, ...] | None:
-    """A pairwise-disjoint subfamily of ``pieces`` with union ``target``."""
-    usable = [p for p in pieces if p and p & target == p]
-    memo: dict[int, tuple[int, ...] | None] = {0: ()}
-
-    def solve(rest: int) -> tuple[int, ...] | None:
-        if rest in memo:
-            return memo[rest]
-        low = rest & -rest
-        result = None
-        for p in usable:
-            if p & low and p & rest == p:
-                tail = solve(rest & ~p)
-                if tail is not None:
-                    result = (p,) + tail
-                    break
-        memo[rest] = result
-        return result
-
-    return solve(target)
+def _exact_cover(rest: int, usable: Sequence[int], memo: dict) -> tuple[int, ...] | None:
+    """A pairwise-disjoint subfamily of the nonzero pieces ``usable`` with
+    union ``rest``, or ``None``.  ``memo`` maps each target solved so far to
+    its cover, ``{0: ()}`` at first.  A cover of ``rest`` takes only pieces
+    inside ``rest``, so every target of one family shares one memo."""
+    if rest in memo:
+        return memo[rest]
+    low = rest & -rest
+    result = None
+    for p in usable:
+        if p & low and p & rest == p:
+            tail = _exact_cover(rest & ~p, usable, memo)
+            if tail is not None:
+                result = (p,) + tail
+                break
+    memo[rest] = result
+    return result
 
 
 def is_semiring(family: Iterable[int]) -> ClauseCheck:
@@ -271,12 +268,13 @@ def is_semiring(family: Iterable[int]) -> ClauseCheck:
         for b in masks:
             if a & b not in members:
                 return ClauseCheck(False, "intersection", (a, b))
+    usable, memo = [m for m in masks if m], {0: ()}
     for a in masks:
         for b in masks:
             diff = a & ~b
             if diff in members:
                 continue
-            if _exact_cover(diff, masks) is None:
+            if _exact_cover(diff, usable, memo) is None:
                 return ClauseCheck(False, "difference", (a, b))
     return ClauseCheck(True)
 
@@ -300,7 +298,7 @@ class SemiRing:
         """Disjoint members whose union is ``a`` minus ``b``."""
         if a not in self.members or b not in self.members:
             raise DomainError("difference arguments must be members")
-        cover = _exact_cover(a & ~b, self.members)
+        cover = _exact_cover(a & ~b, [m for m in self.members if m], {0: ()})
         assert cover is not None  # guaranteed by construction-time validation
         return cover
 

@@ -450,3 +450,58 @@ def test_naturality_matches_the_composed_arrow_reference():
         assert result.ok == (perturb is None)
         failures += not result.ok
     assert failures == 5 * 3 * 2 * 2
+
+
+def test_a_perturbed_cone_fails_alike_on_a_shared_enumeration():
+    """Triangles enumerated once on a measure's cone check a cone with one
+    perturbed leg over the same arrows exactly as a fresh enumeration does:
+    same verdict, triangle count and witness."""
+    rng = gen.rng_for(34, "shared-triangles")
+    shapes = itertools.product(range(1, 6), (0, 1, 2), (False, True))
+    for atoms, extra, with_atom_arrow in shapes:
+        state = rng.getstate()
+        clean = seeded_cone(rng, atoms, extra, with_atom_arrow, None)
+        rng.setstate(state)
+        perturbed = seeded_cone(rng, atoms, extra, with_atom_arrow, "extra")
+        assert tuple(perturbed.legs) == tuple(clean.legs)
+        triangles = tuple(codensity.naturality_triangles(tuple(clean.legs)))
+        for cone in (clean, perturbed):
+            shared = check_cone_naturality(cone, triangles)
+            fresh = check_cone_naturality(cone)
+            assert shared == fresh
+            assert repr(shared.witness) == repr(fresh.witness)
+        assert check_cone_naturality(clean).triangles == len(triangles)
+        assert not check_cone_naturality(perturbed).ok
+
+
+def test_a_suite_run_enumerates_each_family_once_and_a_direct_check_every_time(monkeypatch):
+    real = codensity.naturality_triangles
+    enumerated = []
+
+    def spy(arrows):
+        enumerated.append(tuple(arrows))
+        return real(arrows)
+
+    drawn = []
+    real_cone = codensity.cone_of_measure
+
+    def cone_spy(p, family):
+        drawn.append(p.algebra)
+        return real_cone(p, family)
+
+    monkeypatch.setattr(codensity, "naturality_triangles", spy)
+    monkeypatch.setattr(codensity, "cone_of_measure", cone_spy)
+    config = SuiteConfig(seed=0, cases=100)
+    for run in (verify_codensity_bijection, lambda c: small_index_sufficiency(c, 3)):
+        for _ in range(2):  # a second run enumerates again: nothing outlives a run
+            enumerated.clear()
+            drawn.clear()
+            assert all(c.ok for c in run(config))
+            sources = [family[0].source for family in enumerated]
+            assert len(set(sources)) == len(sources) == len(set(drawn)) < len(drawn) / 2
+            assert set(sources) == set(drawn)
+    cone = cone_of_measure(uniform(powerset3()), indicator_family(powerset3()))
+    enumerated.clear()
+    first, second = check_cone_naturality(cone), check_cone_naturality(cone)
+    assert first == second and first.ok
+    assert enumerated == [tuple(cone.legs)] * 2

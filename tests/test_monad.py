@@ -19,7 +19,7 @@ from finprob import (
     simplex_algebra,
     unit,
 )
-from finprob.monad import LAWS, eta_as_meta
+from finprob.monad import LAWS, eta_as_meta, map_meta
 from finprob import gen
 from finprob.report import SuiteConfig
 
@@ -184,3 +184,103 @@ def test_every_failing_law_keeps_its_own_witnesses(monkeypatch, capsys):
     for c in failing:
         assert len(c["witnesses"]) == min(c["failed"], MAX_WITNESSES), c["name"]
         assert all(w.startswith("case ") for w in c["witnesses"])
+
+
+def rejection(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def test_every_meta_measure_rejection_keeps_its_text():
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    p, q = dirac("0", alg), dirac("1", alg)
+    other = dirac("x", simplex_algebra(("x",)))
+    m = MetaMeasure.point_mass(p)
+    assert [
+        rejection(build)
+        for build in (
+            lambda: MetaMeasure((), ()),
+            lambda: MetaMeasure.merge([]),
+            lambda: MetaMeasure((p, q), (F(1),)),
+            lambda: MetaMeasure((p, p), (F(1, 2), F(1, 2))),
+            lambda: MetaMeasure((p, other), (F(1, 2), F(1, 2))),
+            lambda: MetaMeasure((p, q), (F(1), F(0))),
+            lambda: MetaMeasure((p, q), (F(3, 2), F(-1, 2))),
+            lambda: MetaMeasure.merge([(F(1, 2), p), (F(0), q)]),
+            lambda: MetaMeasure((p, q), (F(1, 2), F(1, 3))),
+            lambda: MetaMeasure.merge([(F(1, 2), p), (F(1, 2), q), (F(1, 3), p)]),
+            lambda: combine_meta([]),
+            lambda: combine_meta([(F(0), m)]),
+            lambda: combine_meta([(F(1, 2), m), (F(1), m)]),
+            lambda: MetaMeasure((p,), ("one",)),
+        )
+    ] == [
+        "meta-measure needs at least one support measure",
+        "meta-measure needs at least one support measure",
+        "one weight per support measure required",
+        "support measures must be pairwise distinct",
+        "support measures must share one algebra",
+        "meta-measure weights must be strictly positive",
+        "meta-measure weights must be strictly positive",
+        "meta-measure weights must be strictly positive",
+        "meta-measure weights must sum to 1, got 5/6",
+        "meta-measure weights must sum to 1, got 4/3",
+        "empty combination",
+        "combination coefficients must be positive",
+        "meta-measure weights must sum to 1, got 3/2",
+        "Invalid literal for Fraction: 'one'",
+    ]
+
+
+def fraction_merge(pairs):
+    """``(support, weights)`` of a merge done on ``Fraction``s: weights of a
+    repeated measure added, support sorted by ``Fraction`` weight vector."""
+    merged = {}
+    for w, p in pairs:
+        merged[p] = merged.get(p, 0) + F(w)
+    support = tuple(sorted(merged, key=lambda p: p.weights))
+    return support, tuple(merged[p] for p in support)
+
+
+def test_meta_measures_on_numerators_keep_fraction_weights_and_merge_order():
+    """Built from numerators, every meta-measure still reads its weights as
+    ``Fraction``s and sorts its support as a merge on ``Fraction``s does."""
+    rng = gen.rng_for(34, "meta-numerators")
+    for _ in range(200):
+        alg = gen.random_algebra(rng, gen.random_ground(rng, 4))
+        metas = [gen.random_meta_measure(rng, alg, 12) for _ in range(rng.randint(1, 3))]
+        outer = gen.random_positive_weights(rng, len(metas), 12)
+        mapping, cod = gen.random_premeasurable_map(rng, alg)
+        p = gen.random_measure(rng, alg, 12)
+        averages = list(zip(outer, map(mult, metas)))
+        first = list(zip(metas[0].weights, metas[0].support))
+        cases = [
+            (
+                combine_meta(list(zip(outer, metas))),
+                [(c * w, q) for c, m in zip(outer, metas) for w, q in zip(m.weights, m.support)],
+            ),
+            (
+                eta_as_meta(p),
+                [
+                    (w, dirac(alg.ground.labels_of(atom)[0], alg))
+                    for atom, w in zip(alg.atoms, p.weights)
+                    if w
+                ],
+            ),
+            (
+                map_meta(metas[0], mapping, cod),
+                [(w, pushforward(q, mapping, cod)) for w, q in first],
+            ),
+            (MetaMeasure.merge(averages), averages),
+        ]
+        for meta, pairs in cases:
+            assert all(type(w) is F for w in meta.weights)
+            assert (meta.support, meta.weights) == fraction_merge(pairs)
+            expected = tuple(
+                sum(w * q.weights[i] for w, q in zip(meta.weights, meta.support))
+                for i in range(len(meta.algebra.atoms))
+            )
+            assert mult(meta).weights == expected
+        assert all(type(w) is F for m in metas for w in m.weights)
+        assert all(sum(m.weights) == 1 and min(m.weights) > 0 for m in metas)

@@ -1,8 +1,11 @@
-"""The pass/fail tally behind every check, and a fault it must report."""
+"""The pass/fail tally behind every check, a fault it must report, and the
+bytes of a JSON report."""
+
+import json
 
 from finprob import cli, gen
 from finprob.measure import Measure
-from finprob.report import MAX_WITNESSES, SuiteConfig, tally
+from finprob.report import MAX_WITNESSES, Report, SuiteConfig, _json, tally
 
 
 def test_tally_counts_every_outcome_and_keeps_first_five_witnesses():
@@ -105,3 +108,29 @@ def test_faulted_reconstruction_keeps_five_round_trip_witnesses(monkeypatch):
     assert round_trip.failed > MAX_WITNESSES
     assert round_trip.passed + round_trip.failed == 20
     assert len(round_trip.witnesses) == MAX_WITNESSES
+
+
+def test_json_reports_have_the_bytes_of_the_indented_encoder():
+    """The report's JSON writer lays out every kind of value as
+    ``json.dumps(sort_keys=True, indent=2)`` does."""
+    values = [
+        {},
+        [],
+        (),
+        {"b": [], "a": {}},
+        [[], {}, [[]], [{}]],
+        {"z": {"y": [1, {"x": None}]}, "a": [True, False, None]},
+        ["ascii", "café", "中文", "\U0001f600", "tab\tnew\nline", "\x00\x1f\x7f"],
+        ['q"b\\', "\u2028", "\ud800"],
+        {"é": 1, "\x01": 2, "": 3},
+        [0, -7, 10**30, 0.5, -1e-300, 1e300, float("inf"), float("-inf"), float("nan")],
+        ("tuple", ("nested", ())),
+        3,
+        "plain",
+        None,
+    ]
+    for value in values:
+        assert _json(value, "\n") == json.dumps(value, sort_keys=True, indent=2)
+    report = Report("laws", SuiteConfig().to_payload(), cli.run_laws(SuiteConfig(cases=20)))
+    expected = json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
+    assert report.render("json") == expected

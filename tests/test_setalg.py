@@ -246,6 +246,65 @@ def test_is_semiring_agrees_with_oracle(data):
     assert is_semiring(family).ok == oracle_is_semiring(family)
 
 
+def memo_per_pair_cover(target, pieces):
+    """A disjoint cover of ``target`` by ``pieces``, searched with a memo and
+    a list of usable pieces of its own."""
+    usable = [p for p in pieces if p and p & target == p]
+    memo = {0: ()}
+
+    def solve(rest):
+        if rest not in memo:
+            low = rest & -rest
+            memo[rest] = None
+            for p in usable:
+                if p & low and p & rest == p and (tail := solve(rest & ~p)) is not None:
+                    memo[rest] = (p,) + tail
+                    break
+        return memo[rest]
+
+    return solve(target)
+
+
+def memo_per_pair_is_semiring(family):
+    """``is_semiring`` with a fresh cover search for every difference."""
+    members = set(family)
+    if 0 not in members:
+        return setalg.ClauseCheck(False, "missing-empty", ())
+    masks = tuple(sorted(members))
+    for a, b in itertools.product(masks, repeat=2):
+        if a & b not in members:
+            return setalg.ClauseCheck(False, "intersection", (a, b))
+    for a, b in itertools.product(masks, repeat=2):
+        if a & ~b not in members and memo_per_pair_cover(a & ~b, masks) is None:
+            return setalg.ClauseCheck(False, "difference", (a, b))
+    return setalg.ClauseCheck(True)
+
+
+def test_one_cover_memo_per_family_gives_the_memo_per_pair_clause():
+    """Sharing one exact-cover memo across a family's differences changes no
+    clause and no witness, on seeded families that pass and fail, and a
+    semi-ring's decompositions are the covers a fresh search finds."""
+    rng = random.Random("semiring-shared-memo")
+    clauses = []
+    for _ in range(400):
+        size = rng.randint(1, 4)
+        family = {0} if rng.random() < 0.9 else set()
+        family |= {rng.randrange(1 << size) for _ in range(rng.randint(1, 7))}
+        if rng.random() < 0.7:  # intersection-closed, to reach the last clause
+            while any(a & b not in family for a in family for b in family):
+                family |= {a & b for a in family for b in family}
+        check = is_semiring(family)
+        assert check == memo_per_pair_is_semiring(family)
+        clauses.append(check.clause)
+        if check.ok:
+            sr = SemiRing(GroundSet(tuple(map(str, range(size)))), tuple(family))
+            for a, b in itertools.product(sr.members, repeat=2):
+                expected = memo_per_pair_cover(a & ~b, sr.members)
+                assert sr.difference_decomposition(a, b) == expected
+    for clause in (None, "missing-empty", "intersection", "difference"):
+        assert clauses.count(clause) >= 10, clause
+
+
 def test_semiring_type_rejects_invalid_family():
     g = GroundSet(("0", "1", "2"))
     with pytest.raises(ValueError):
