@@ -435,12 +435,12 @@ def _integral_case(config: SuiteConfig, rng):
 
 # The jobs of `all`, one row per report section in report order: the name
 # of the runner of this module that fills the section, looked up when the
-# job runs, so that a rebound runner reaches every worker, and its cost, the
-# percent of a one-process run it took in a fresh process at the default
-# config.  The costs decide which process runs each job.  Re-measured after
-# the laws and cone suites got faster (about 0.35 s for extend down to 0.05 s
-# for distance, of 2.2 s), they would give the caller a larger share on two
-# CPUs and on three, so the table keeps its earlier costs.
+# job runs, so that a rebound runner reaches every worker, and its weight.
+# The weights fix which process runs each job, and are kept as they are:
+# each was the job's percent of a one-process run at the default config
+# before the laws and cone suites got faster.  Today's times (about 0.35 s
+# for extend down to 0.05 s for distance, of 2.2 s) would give the caller a
+# larger share on two CPUs and on three.
 ALL_JOBS = {
     "laws.sigma": ("run_laws", 13),
     "laws.finitely_additive": ("run_laws", 13),

@@ -329,8 +329,8 @@ def verify_codensity_bijection(
             return
 
         q = gen.random_measure(rng, current, config.max_denominator)
-        legs_q = cone_of_measure(q, family).legs
-        same_legs, same_measures = cone.legs == legs_q, q == p
+        legs_q = tuple(cone_of_measure(q, family).legs.values())  # arrows in one order
+        same_legs, same_measures = tuple(cone.legs.values()) == legs_q, q == p
         yield (
             "uniqueness",
             same_measures == same_legs,
@@ -342,9 +342,7 @@ def verify_codensity_bijection(
     return gen.run_cases(config.seed, "codensity", cases, BIJECTION_CHECKS, check_case)
 
 
-def small_index_sufficiency(
-    config: SuiteConfig, k: int, algebra: Algebra | None = None
-) -> tuple[CheckOutcome, ...]:
+def small_index_sufficiency(config: SuiteConfig, k: int) -> tuple[CheckOutcome, ...]:
     """Whether arrows with at most ``k`` target labels already determine the
     reconstruction, over ``max(1, config.cases // 10)`` seeded cases drawn
     as in :func:`verify_codensity_bijection`: a ``determined`` check with
@@ -367,7 +365,7 @@ def small_index_sufficiency(
     families = {}  # this run's algebras -> (small family, its triangles)
 
     def check_case(rng):
-        current = algebra or gen.random_algebra(
+        current = gen.random_algebra(
             rng, gen.random_ground(rng, min(config.max_ground_size, MAX_GROUND_SIZE))
         )
         if current not in families:
@@ -385,7 +383,8 @@ def small_index_sufficiency(
             yield "determined", False, f"no reconstruction at k={k}: {exc}"
             return
         yield "reconstruction", back == p, f"reconstruction wrong at k={k}"
-        separated = p == q or cone_of_measure(q, family).legs != cone.legs
+        legs_p = tuple(cone.legs.values())  # q's cone lists the family in one order
+        separated = p == q or tuple(cone_of_measure(q, family).legs.values()) != legs_p
         yield "determined", separated, f"distinct measures share their legs at k={k}"
 
     cases = max(1, config.cases // 10)

@@ -2,7 +2,12 @@
 
 
 class FinprobError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  ``witness``, when
+    given, is what shows the violation the message names."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class DomainError(FinprobError):
@@ -25,18 +30,10 @@ class ReconstructionError(FinprobError):
     """A functional or cone fails the hypotheses needed to represent it
     as a measure.  Carries a witness of the violation."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class ExtensionError(FinprobError):
     """A premeasure on a semi-ring cannot be extended consistently.
     Carries the violating member and its decomposition."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
 
 
 class InputError(FinprobError):

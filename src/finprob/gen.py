@@ -179,8 +179,6 @@ def random_term_list(
         coeff = Fraction(rng.randint(0, cap), d)
         terms.append((coeff, rng.choice(members)))
         budget -= coeff  # pointwise sums are at most the coefficient sum
-    if not terms:
-        terms = [(ZERO, 0)]
     return SimpleFunction.from_terms(algebra, terms)
 
 

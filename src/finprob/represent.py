@@ -13,7 +13,7 @@ The slab route is deliberately implemented in full -- build the semi-ring of
 slabs ``{(x, t) : f(x) <= t < g(x)}``, extend the induced premeasure to the
 generated algebra on a finite product grid, and read the measure off the
 height-one slice -- and is then cross-checked against the direct indicator
-reconstruction wherever the lattice exposes indicators.  One function,
+reconstruction from the lifted indicator values.  One function,
 :func:`slab_grid`, builds that grid and every slab's cell mask on it.  The
 lattice clauses and the slab route hold every function as integer numerators
 over the lattice's least common denominator (:func:`~finprob.exact.common`),
@@ -426,8 +426,8 @@ def daniell_stone(
     in the integer-multiple span of a valid lattice), assigns each slab the
     lifted functional value of its height, runs the Carathéodory extension on
     the induced finite product grid, and reads the measure off the
-    height-one slice.  The result is cross-checked against the direct
-    indicator reconstruction whenever the lattice exposes every indicator.
+    height-one slice.  The result is then cross-checked against the direct
+    indicator reconstruction from the indicators lifted on the way.
 
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
@@ -489,36 +489,30 @@ def daniell_stone(
     )
     product_ground = GroundSet(product_points)
 
-    def fractions_of(slab):
-        return tuple(tuple(Fraction(v, scale) for v in vec) for vec in slab)
-
-    slab_values: dict[int, tuple] = {}
+    # Slabs with one mask have one height: the cells are cut at every bound
+    # value, so over each atom a mask's cells tile [lower, upper), and their
+    # widths add up to the height there.  So each mask is lifted once.
+    slab_values: dict[int, Fraction] = {}
     for lower in bound_family:
         for upper in bound_family:
             if any(map(int.__gt__, lower, upper)):
                 continue
             mask = above[lower] & below[upper]
+            if mask in slab_values:
+                continue
             value = lift(tuple(hi - lo for lo, hi in zip(lower, upper)))
             if value is None:
                 raise ExtensionError(
                     "slab height is not a rational multiple of any declared "
                     "lattice member; declare a richer family",
-                    witness=fractions_of((lower, upper)),
-                )
-            if mask in slab_values and slab_values[mask][0] != value:
-                raise ExtensionError(
-                    "functional assigns different masses to one slab set",
-                    witness=(
-                        fractions_of(slab_values[mask][1]),
-                        fractions_of((lower, upper)),
+                    witness=tuple(
+                        tuple(Fraction(v, scale) for v in vec) for vec in (lower, upper)
                     ),
                 )
-            slab_values.setdefault(mask, (value, (lower, upper)))
+            slab_values[mask] = value
 
     semiring = SemiRing(product_ground, tuple(slab_values))
-    extension = caratheodory_extend(
-        semiring, {mask: value for mask, (value, _) in slab_values.items()}
-    )
+    extension = caratheodory_extend(semiring, slab_values)
 
     column = (1 << len(cells)) - 1  # every cell of atom 0
     weights = [extension.value(column << i * len(cells)) for i in range(atom_count)]
@@ -538,19 +532,16 @@ def daniell_stone(
                 witness=(vec, table[vec], simple_integral(result, f_simple)),
             )
 
-    # uniqueness cross-check against the direct indicator reconstruction,
-    # when every member's indicator lifts to a value
-    indicators = {}
-    for member_mask, ind in indicator_vecs.items():
-        value = lift(ind)
-        if value is None:
-            break
-        indicators[SimpleFunction.indicator(sigma, member_mask)] = value
-    else:
-        direct = reconstruct_measure(Functional(sigma, indicators))
-        if direct != result:
-            raise ExtensionError(
-                "slab route disagrees with the direct indicator reconstruction",
-                witness=(result.weights, direct.weights),
-            )
+    # uniqueness cross-check against the direct indicator reconstruction; zero
+    # and each member's indicator are bounds, so the slab [0, 1_A) was lifted
+    indicators = {
+        SimpleFunction.indicator(sigma, member_mask): lift(ind)
+        for member_mask, ind in indicator_vecs.items()
+    }
+    direct = reconstruct_measure(Functional(sigma, indicators))
+    if direct != result:
+        raise ExtensionError(
+            "slab route disagrees with the direct indicator reconstruction",
+            witness=(result.weights, direct.weights),
+        )
     return result

@@ -531,6 +531,47 @@ def test_distance_input_on_an_empty_metric_exits_two_at_the_metric(tmp_path):
     assert "metric space must contain at least one point" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "flag, value, location, message",
+    [
+        ("--seed", "-1", "$.seed", "seed must be nonnegative"),
+        ("--cases", "0", "$.cases", "cases must be positive"),
+        ("--size", "17", "$.max_ground_size", "max_ground_size must be at most 16"),
+        ("--denominator", "0", "$.max_denominator", "max_denominator must be positive"),
+    ],
+)
+def test_an_option_out_of_range_exits_two_with_one_line(
+    capsys, flag, value, location, message
+):
+    code, out, err = run_cli(capsys, "laws", flag, value)
+    assert (code, out, err) == (2, "", f"input error at {location}: {message}\n")
+
+
+def test_a_point_at_positive_distance_from_itself_exits_two(tmp_path, capsys):
+    metric = {"points": ["a", "b"], "dist": [["1/2", "1/1"], ["1/1", "0/1"]]}
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(dict(TWO_POINTS, metric=metric)))
+    code, out, err = run_cli(capsys, "distance", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error at $.metric: dist(a, a) must be 0\n"
+
+
+def test_a_cone_leg_without_its_point_exits_two(tmp_path, capsys):
+    from finprob import Algebra, GroundSet, cone_of_measure, indicator_family, uniform
+    from finprob import serialize
+
+    algebra = Algebra.powerset(GroundSet(("0", "1")))
+    cone = cone_of_measure(uniform(algebra), indicator_family(algebra))
+    cone = serialize.dump_cone(cone)
+    cone[0] = cone[0][:1]
+    instance = {"format": 1, "algebra": serialize.dump_algebra(algebra), "cone": cone}
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(instance))
+    code, out, err = run_cli(capsys, "codensity", "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == "input error at $.cone[0]: cone leg must be [arrow, point]\n"
+
+
 TWO_POINTS = {
     "format": 1,
     "metric": {"points": ["a", "b"], "dist": [["0/1", "1/1"], ["1/1", "0/1"]]},
@@ -781,6 +822,13 @@ def test_extend_input_keeps_each_value_on_its_listed_set(tmp_path, capsys):
     )
     assert code == 1
     assert witness == "premeasure of the empty set is 3/4, not 0"
+
+
+def test_extend_input_negative_value_exits_one_with_its_witness(tmp_path, capsys):
+    family, mu = [[], [0], [1]], ["0/1", "-1/2", "3/2"]
+    code, witness = extend_witness(capsys, tmp_path, family, mu)
+    assert code == 1
+    assert witness == "premeasure value -1/2 on 0x1 is negative"
 
 
 def test_extend_input_atoms_do_not_depend_on_the_listed_order(tmp_path, capsys):

@@ -173,6 +173,15 @@ def measure_and_terms(draw):
     return p, s
 
 
+def test_a_random_term_list_has_at_least_one_term():
+    """The first pass of its loop has the whole budget 1 and a denominator
+    of at least 1, so it always draws a term."""
+    rng = gen.rng_for(0, "term-lists")
+    for _ in range(1000):
+        algebra = gen.random_algebra(rng, gen.random_ground(rng, 4))
+        assert gen.random_term_list(rng, algebra, rng.randint(1, 12)).terms
+
+
 @settings(max_examples=80)
 @given(measure_and_terms())
 def test_representation_independence(data):

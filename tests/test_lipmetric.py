@@ -337,6 +337,25 @@ def test_pruning_fault_is_caught_by_unit_contraction(monkeypatch):
     assert faulty["unit-contraction"].failed > 0
 
 
+def test_nonexpansive_draws_each_support_with_six_attempts_a_measure(monkeypatch):
+    """The attempt budget of the meta-measure supports is ``6 * count``: with
+    ``6 // count`` no support reaches 3 measures, and yet `all --seed 0`
+    keeps its bytes."""
+    calls = []
+    real = gen.distinct_draws
+
+    def spy(draw, count, attempts):
+        support = real(draw, count, attempts)
+        calls.append((count, attempts, len(support)))
+        return support
+
+    monkeypatch.setattr(gen, "distinct_draws", spy)
+    check_bl_monad_nonexpansive(SuiteConfig())  # the suite as `finprob all` runs it
+    assert len(calls) == 200
+    assert all(attempts == 6 * count for count, attempts, _ in calls)
+    assert any(size == 3 for *_, size in calls)
+
+
 def test_subsets_worked_pair():
     labels = ("a", "b", "c")
     p = SimplexPoint(labels, (F(1, 2), F(1, 2), F(0)))

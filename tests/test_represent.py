@@ -506,6 +506,148 @@ def test_a_seeded_mask_fault_fails_slab_calculus(fault, monkeypatch):
     )
 
 
+def _grid_skipping_a_bound(seeds, scale):
+    """:func:`slab_grid` with the least bound value other than 0 and
+    ``scale`` missing from the breakpoints, and its masks built on the
+    coarser cells."""
+    family, cells, _, _ = slab_grid(seeds, scale)
+    breakpoints = [lo for lo, _ in cells] + [cells[-1][1]]
+    inner = sorted({v for vec in family for v in vec} - {0, scale})
+    if inner:
+        breakpoints.remove(inner[0])
+    cells = list(zip(breakpoints, breakpoints[1:]))
+    above = _cell_masks(cells, lambda v, lo, hi: v <= lo)
+    below = _cell_masks(cells, lambda v, lo, hi: hi <= v)
+    return family, cells, {v: above(v) for v in family}, {v: below(v) for v in family}
+
+
+def _seeded_bounds(count):
+    """``(seeds, scale)`` draws as `extend.slab-calculus` makes them: four
+    bound vectors on 1-4 atoms, integers up to ``2 * scale``."""
+    rng = gen.rng_for(0, "slab-heights")
+    for _ in range(count):
+        atoms, scale = rng.randint(1, 4), rng.randint(1, 4)
+        draw = [tuple(rng.randint(0, 2 * scale) for _ in range(atoms)) for _ in range(4)]
+        yield draw, scale
+
+
+def _one_mask_two_heights(grid, seeds, scale):
+    """Two slabs ``(lower, upper)`` on ``grid``'s bounds with one cell mask
+    and different heights, or ``None``."""
+    family, _, above, below = grid(seeds, scale)
+    first = {}
+    for lower, upper in itertools.product(family, repeat=2):
+        if all(map(operator.le, lower, upper)):
+            height = tuple(map(operator.sub, upper, lower))
+            seen = first.setdefault(above[lower] & below[upper], (height, lower, upper))
+            if seen[0] != height:
+                return seen[1:], (lower, upper)
+    return None
+
+
+def test_slabs_with_one_mask_have_one_height():
+    """Why `daniell_stone` lifts each cell mask once: the cells are cut at
+    every bound value, so a mask's cells over an atom tile its slab there."""
+    draws = list(_seeded_bounds(200))
+    assert all(_one_mask_two_heights(slab_grid, *draw) is None for draw in draws)
+    assert any(_one_mask_two_heights(_grid_skipping_a_bound, *draw) for draw in draws)
+
+
+def test_every_indicator_is_lifted_in_the_slab_loop(monkeypatch):
+    """Zero and each member's indicator are slab bounds, so the slab
+    ``[0, 1_A)`` carries the functional's value on ``1_A`` into the
+    extension, and the cross-check's indicators are all lifted before it."""
+    grids, premeasures = [], []
+
+    def grid_spy(seeds, scale):
+        grids.append(slab_grid(seeds, scale))
+        return grids[-1]
+
+    def extend_spy(semiring, mu):
+        premeasures.append(mu)
+        return caratheodory_extend(semiring, mu)
+
+    monkeypatch.setattr(represent, "slab_grid", grid_spy)
+    monkeypatch.setattr(represent, "caratheodory_extend", extend_spy)
+    rng = gen.rng_for(0, "slab-indicators")
+    for _ in range(30):
+        lattice, hidden = cli._random_grid_lattice(rng, 6)
+        assert daniell_stone(lattice, cli._integration_table(hidden, lattice)) == hidden
+        (_, _, above, below), mu = grids.pop(), premeasures.pop()
+        sigma = hidden.algebra
+        scale, _ = exact.common(map(exact.Scaled.of, lattice.functions))
+        zero = (0,) * len(sigma.atoms)
+        for member in sigma.members:
+            indicator = tuple(scale if atom & member else 0 for atom in sigma.atoms)
+            assert mu[above[zero] & below[indicator]] == hidden(member)
+
+
+def _seeds_without_their_closure(seeds, scale):
+    """The bound family as the seeds alone, without their join/meet closure;
+    the cells and masks are still the real grid's."""
+    _, cells, above, below = slab_grid(seeds, scale)
+    return sorted(set(seeds)), cells, above, below
+
+
+def _cell_moved_below_under_the_top(seeds, scale):
+    """For every bound under atom 1's top value, the last cell of atom 0,
+    which lies past atom 0's top value, moves from ``above`` to ``below``.
+    No slab ``lower <= upper`` holds it, so only the meet of two slabs that
+    are disjoint on atom 1 shows it."""
+    family, cells, above, below = slab_grid(seeds, scale)
+    if len(family[0]) < 2 or cells[-1][0] < max(vec[0] for vec in family):
+        return family, cells, above, below
+    cell, top = 1 << len(cells) - 1, max(vec[1] for vec in family)
+    moved = {vec for vec in family if vec[1] < top}
+    above = {vec: m & ~cell if vec in moved else m for vec, m in above.items()}
+    below = {vec: m | cell if vec in moved else m for vec, m in below.items()}
+    return family, cells, above, below
+
+
+_difference_decomposition = SemiRing.difference_decomposition
+
+
+def _first_piece_dropped(semiring, a, b):
+    return _difference_decomposition(semiring, a, b)[1:]
+
+
+# The later failure branches of `cli._slab_mask_fault`: what each is patched
+# with, and the witness it must give for every failing case.
+SLAB_BRANCH_FAULTS = {
+    "bounds": (
+        cli,
+        "slab_grid",
+        _grid_skipping_a_bound,
+        r"cells .* miss 0 or split a bound in .*",
+    ),
+    "meet": (cli, "slab_grid", _cell_moved_below_under_the_top, r"meet of .* is not .*"),
+    "semi-ring": (
+        cli,
+        "slab_grid",
+        _seeds_without_their_closure,
+        r"masks on bounds .*: not a semi-ring: .*",
+    ),
+    "pieces": (
+        SemiRing,
+        "difference_decomposition",
+        _first_piece_dropped,
+        r"pieces .* overlap or miss part of it",
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", SLAB_BRANCH_FAULTS)
+def test_each_failure_branch_of_slab_calculus_catches_its_fault(branch, monkeypatch):
+    """Each branch fails under a fault that the branches before it let
+    through, and reports every failing case itself."""
+    owner, name, fault, witness = SLAB_BRANCH_FAULTS[branch]
+    monkeypatch.setattr(owner, name, fault)
+    check = cli.run_extension_suite(SuiteConfig(cases=50))[0]
+    assert check.name == "slab-calculus" and check.failed > 0
+    for text in check.witnesses:
+        assert re.fullmatch(r"case \d+: " + witness, text), text
+
+
 # --- caratheodory extension -----------------------------------------------------
 
 
