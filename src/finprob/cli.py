@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .exact import dot, wire_text
+from .exact import total, wire_text
 from .integrate import SimpleFunction, check_integral_properties, simple_integral
 from .lipmetric import (
     SUBSET_ENUMERATION_CAP,
@@ -416,7 +416,7 @@ def _integration_table(p, lattice) -> dict:
     lattice's generated algebra: its values at one point of each atom,
     weighted by the atoms' masses."""
     points = [(atom & -atom).bit_length() - 1 for atom in p.algebra.atoms]
-    return {f: dot(p.weights, [f[i] for i in points]) for f in lattice.functions}
+    return {f: total(w * f[i] for w, i in zip(p.weights, points)) for f in lattice.functions}
 
 
 def run_integrate_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:

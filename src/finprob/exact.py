@@ -1,16 +1,17 @@
 """Exact rational kernels on integer numerators and denominators, one
-implementation each: exact sums (:func:`total`, :func:`dot`), rational grids
+implementation each: the exact sum (:func:`total`), rational grids
 (:func:`grid`), rational vectors over one denominator (:class:`Scaled`,
 :func:`scaled`, :func:`scaled_pairs`, :func:`common`), and rationals as
 wire text (:func:`wire_text`, every digit) and as prose
 (:func:`rational_text`).
 
 Adding ``Fraction``s one by one reduces every partial sum by a gcd and builds
-a new ``Fraction`` per term.  The sums here keep one integer numerator over
-the least common denominator of the terms seen so far and build a single
-``Fraction`` at the end.  The kernels read only the ``numerator`` and
-``denominator`` of their inputs, so they take ``Fraction`` and ``int`` values
-alike; :func:`fractions` brings any other input to ``Fraction`` first.
+a new ``Fraction`` per term.  :func:`total` instead brings the terms over
+their least common denominator with :func:`scaled`, adds the integer
+numerators and builds a single ``Fraction``.  The kernels read only the
+``numerator`` and ``denominator`` of their inputs, so they take ``Fraction``
+and ``int`` values alike; :func:`fractions` brings any other input to
+``Fraction`` first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, lcm, log10
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def fractions(values: Iterable) -> tuple[Fraction, ...]:
@@ -32,33 +33,10 @@ def fractions(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
-def _accumulate(terms: Iterator[tuple[int, int]]) -> Fraction:
-    """The sum of ``n / d`` over integer pairs with ``d > 0``, reduced once."""
-    num, den = 0, 1
-    for n, d in terms:
-        if d == den:
-            num += n
-        elif den % d == 0:
-            num += n * (den // d)
-        else:
-            g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-    return Fraction(num, den)
-
-
 def total(values: Iterable) -> Fraction:
     """The exact sum of rational values (``Fraction(0)`` when empty)."""
-    return _accumulate((v.numerator, v.denominator) for v in values)
-
-
-def dot(xs: Iterable, ys: Iterable) -> Fraction:
-    """The exact sum of ``x * y`` over paired values, stopping at the
-    shorter input as ``zip`` does."""
-    return _accumulate(
-        (x.numerator * y.numerator, x.denominator * y.denominator)
-        for x, y in zip(xs, ys)
-    )
+    den, nums = scaled(values)
+    return Fraction(sum(nums), den)
 
 
 def grid(upper, max_denominator: int) -> list[Fraction]:
@@ -69,7 +47,7 @@ def grid(upper, max_denominator: int) -> list[Fraction]:
     return sorted(values)
 
 
-def scaled(values: Sequence) -> tuple[int, tuple[int, ...]]:
+def scaled(values: Iterable) -> tuple[int, tuple[int, ...]]:
     """``(den, nums)`` with ``values[j] == nums[j] / den``, where ``den`` is
     the least common denominator of the rational values (1 when there are
     none); the numerators are then in lowest terms."""
@@ -80,8 +58,8 @@ def scaled_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]
     """``(den, nums)`` for rationals given as integer pairs ``(n, d)`` with
     ``d > 0``, building no ``Fraction``: ``den`` is the least common multiple
     of the ``d``s, so pairs in lowest terms give :func:`scaled`'s result."""
-    den = lcm(*(d for _, d in pairs))
-    return den, tuple(n * (den // d) for n, d in pairs)
+    den = lcm(*[d for _, d in pairs])
+    return den, tuple([n * (den // d) for n, d in pairs])
 
 
 def common(vectors: Iterable) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -99,9 +77,11 @@ class Scaled:
     ``nums[i] / den``, with ``den > 0`` and ``gcd(den, *nums) == 1``.
 
     A subclass (:class:`~finprob.measure.Measure`,
-    :class:`~finprob.integrate.SimpleFunction`) indexes its entries by the
-    atoms of its ``algebra``, is built through :meth:`from_numerators` and
-    defines only ``_check``, its own checks of the numerators."""
+    :class:`~finprob.integrate.SimpleFunction`,
+    :class:`~finprob.represent.ExtensionResult`) indexes its entries by the
+    atoms of its ``algebra``, is built through ``_init_on`` (as
+    :meth:`from_numerators` is) and defines ``_check``, its own checks of
+    the numerators."""
 
     den: int
     nums: tuple[int, ...]

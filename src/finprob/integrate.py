@@ -18,7 +18,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import DomainError, RangeError
-from .exact import Scaled, common, dot, fractions, grid, in_unit_interval, scaled, total
+from .exact import Scaled, common, fractions, grid, in_unit_interval, scaled, total
 from .measure import Measure, evaluate
 from .report import CheckOutcome, tally
 from .setalg import Algebra
@@ -154,7 +154,7 @@ def _term_sum(p: Measure, f: SimpleFunction) -> Fraction:
             (Fraction(n - below, f.den), sum(a for a, x in zip(atoms, f.nums) if x >= n))
             for below, n in zip([0] + levels, levels)
         )
-    return dot((a for a, _ in terms), (evaluate(p, m) for _, m in terms))
+    return total(a * evaluate(p, m) for a, m in terms)
 
 
 def _grid_bounds(p: Measure, f: SimpleFunction) -> tuple[Fraction, Fraction]:

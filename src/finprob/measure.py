@@ -76,8 +76,9 @@ def simplex_algebra(labels: Sequence[str]) -> Algebra:
     return Algebra.powerset(GroundSet(labels))
 
 
-def evaluate(p: Measure, mask: int) -> Fraction:
-    """The measure of a member: the sum of its atoms' weights."""
+def evaluate(p: Scaled, mask: int) -> Fraction:
+    """The value of a member under ``p``, a measure or another ``Scaled``
+    vector on atoms: its atoms' numerators summed, over ``p.den``."""
     p.algebra.check_member(mask)
     return Fraction(sum(n for atom, n in zip(p.algebra.atoms, p.nums) if atom & mask), p.den)
 

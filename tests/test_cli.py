@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -243,6 +244,28 @@ def test_adversarial_detection_expects_the_one_message_of_each_style(monkeypatch
     assert detection() == (50, 0)
     monkeypatch.setattr(cli, "reconstruct_measure", misreported)
     assert detection() == (38, 12)
+
+
+def test_an_accepted_adversarial_table_fails_adversarial_detection(monkeypatch):
+    """A reconstruction that returns a measure for a table it should reject
+    leaves every adversarial case's violation undetected."""
+    from finprob import ReconstructionError, uniform
+
+    real = cli.reconstruct_measure
+
+    def accepts(functional):
+        try:
+            return real(functional)
+        except ReconstructionError:
+            return uniform(functional.algebra)
+
+    monkeypatch.setattr(cli, "reconstruct_measure", accepts)
+    checks = cli.run_reconstruction_suite(SuiteConfig(seed=0))
+    check = next(c for c in checks if c.name == "adversarial-detection")
+    assert (check.passed, check.failed) == (0, 50)
+    assert check.witnesses
+    for witness in check.witnesses:
+        assert re.fullmatch(r"case \d+: style [012] violation undetected", witness)
 
 
 def test_reconstruct_input_violation_exits_one(tmp_path, capsys):

@@ -323,6 +323,28 @@ def test_a_failed_reconstruction_fails_round_trip_and_reaches_no_uniqueness(monk
     assert naturality.ok
 
 
+def test_a_second_measure_given_the_first_cones_legs_fails_uniqueness(monkeypatch):
+    """Each case takes p's cone, then q's; handing q the legs of p's cone
+    makes the legs agree while the measures differ."""
+    real = codensity.cone_of_measure
+    cones = []
+
+    def q_gets_p_legs(p, family):
+        cones.append(cones[-1] if len(cones) % 2 else real(p, family))
+        return cones[-1]
+
+    monkeypatch.setattr(codensity, "cone_of_measure", q_gets_p_legs)
+    round_trip, naturality, uniqueness = verify_codensity_bijection(
+        SuiteConfig(seed=0, cases=25)  # 10 cases
+    )
+    assert round_trip.ok and naturality.ok
+    assert uniqueness.failed > 0 and uniqueness.passed + uniqueness.failed == 10
+    assert uniqueness.witnesses
+    for witness in uniqueness.witnesses:
+        assert witness.startswith("case ")
+        assert witness.endswith(": legs agree but measures differ")
+
+
 def test_a_natural_cone_over_the_indicator_family_need_not_be_a_measures_cone():
     """Naturality over ``indicator_family`` forces only the two ends and
     complements: legs 1/2 at every singleton and pair pass every triangle,

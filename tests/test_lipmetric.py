@@ -838,6 +838,27 @@ def test_a_faulted_mult_fails_metric_laws(monkeypatch):
     assert laws.passed + laws.failed == 20  # one outcome per case
 
 
+def test_a_unit_on_the_wrong_point_fails_the_right_unit_law(monkeypatch):
+    """An ``eta_as_meta`` that gives each atom's mass to the Dirac measure of
+    the next atom's point breaks ``mult . eta = id`` on every measure that is
+    not invariant under that shift."""
+
+    def next_point(p):
+        algebra = p.algebra
+        points = [algebra.ground.labels_of(atom)[0] for atom in algebra.atoms]
+        shifted = points[1:] + points[:1]
+        diracs = ((n, dirac(x, algebra)) for n, x in zip(p.nums, shifted) if n)
+        return MetaMeasure.merge(diracs, p.den)
+
+    monkeypatch.setattr(lipmetric, "eta_as_meta", next_point)
+    checks = {c.name: c for c in check_bl_monad_nonexpansive(SuiteConfig(seed=0, cases=50))}
+    laws = checks["metric-laws"]
+    assert laws.failed > 0 and laws.passed + laws.failed == 10  # one outcome per case
+    assert laws.witnesses
+    for witness in laws.witnesses:
+        assert witness.startswith("case ") and ": right unit fails at (" in witness
+
+
 def test_each_unit_pair_counts_once(monkeypatch):
     """An off LP breaks the unit equality of every pair; each pair is one
     failed outcome."""

@@ -303,7 +303,7 @@ def test_extension_results_value_a_member_by_its_atom_weights():
     g = GroundSet(("0", "1", "2"))
     a = Algebra.powerset(g)
     weights = (F(1, 2), F(1, 3), F(1, 6))
-    extension = ExtensionResult(a, weights, F(1), g.full_mask)
+    extension = ExtensionResult(a, 6, (3, 2, 1), g.full_mask)
     assert extension.value(g.mask_of(["1", "2"])) == F(1, 2)
     assert extension.to_measure() == Measure(a, weights)
     assert extension.to_measure()(g.mask_of(["1", "2"])) == F(1, 2)

@@ -711,6 +711,66 @@ def test_extension_uniqueness_under_perturbation():
         assert disagreements
 
 
+FOUR = GroundSet(("a", "b", "c", "d"))
+# the four singletons, {a, b} and the whole set, with values over 6 and 12
+FOUR_MEMBERS = (0, 1, 2, 4, 8, 3, 15)
+FOUR_MU = {0: F(0), 1: F(1, 12), 2: F(1, 12), 4: F(1, 3), 8: F(1, 2), 3: F(1, 6), 15: F(1)}
+
+
+def test_one_premeasure_over_other_denominators_gives_one_extension():
+    semiring = SemiRing(FOUR, FOUR_MEMBERS)
+    over_12 = {m: f"{v * 12}/12" for m, v in FOUR_MU.items()}
+    over_24 = {m: f"{v * 24}/24" for m, v in FOUR_MU.items()}
+    a, b = (caratheodory_extend(semiring, mu) for mu in (FOUR_MU, over_12))
+    assert a == b and hash(a) == hash(b)
+    assert (a.den, a.nums) == (12, (1, 1, 4, 6))
+    assert a == caratheodory_extend(semiring, over_24)
+    # the constructor reduces: 2/24, 2/24, 8/24 and 12/24 are the same weights
+    twice = represent.ExtensionResult(a.algebra, 24, (2, 2, 8, 12), a.covered)
+    assert twice == a and hash(twice) == hash(a)
+    assert twice.weights == (F(1, 12), F(1, 12), F(1, 3), F(1, 2))
+    assert type(twice.mass) is F and twice.mass == 1
+    with pytest.raises(ValueError, match="one weight per atom required"):
+        represent.ExtensionResult(a.algebra, 12, (1, 1, 4), a.covered)
+
+
+def test_an_extension_values_each_member_by_its_summed_atom_weights():
+    for case in range(40):
+        rng = gen.rng_for(case, "extension-value")
+        algebra = gen.random_algebra(rng, gen.random_ground(rng, 5))
+        p = gen.random_measure(rng, algebra, 12)
+        semiring = SemiRing(algebra.ground, tuple(algebra.members))
+        extension = caratheodory_extend(semiring, {m: p(m) for m in algebra.members})
+        for m in algebra.members:
+            summed = sum(
+                (w for atom, w in zip(algebra.atoms, extension.weights) if atom & m), F(0)
+            )
+            assert extension.value(m) == summed == p(m)
+    extension = caratheodory_extend(SemiRing(FOUR, FOUR_MEMBERS), FOUR_MU)
+    assert [extension.value(m) for m in FOUR_MEMBERS] == [FOUR_MU[m] for m in FOUR_MEMBERS]
+
+
+def test_an_extension_of_mass_three_halves_is_no_measure():
+    semiring = SemiRing(FOUR, (0, 1, 2, 4))
+    extension = caratheodory_extend(semiring, {0: 0, 1: F(1, 2), 2: F(1, 2), 4: F(1, 2)})
+    assert extension.mass == F(3, 2) and type(extension.mass) is F
+    assert extension.uncovered_atoms == (8,)
+    with pytest.raises(DomainError) as err:
+        extension.to_measure()
+    assert str(err.value) == "extension has total mass 3/2, not 1"
+
+
+def test_a_member_bumped_by_one_twenty_fourth_is_not_additive():
+    bumped = {**FOUR_MU, 3: FOUR_MU[3] + F(1, 24)}
+    with pytest.raises(ExtensionError) as err:
+        caratheodory_extend(SemiRing(FOUR, FOUR_MEMBERS), bumped)
+    assert str(err.value) == (
+        "premeasure is not additive: mu = 5/24 on a member whose disjoint "
+        "decomposition sums to 1/6"
+    )
+    assert err.value.witness == (3, (1, 2))
+
+
 # --- the slab route ----------------------------------------------------------------
 
 
