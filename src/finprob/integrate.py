@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, RangeError
 from .exact import Scaled, common, fractions, grid, in_unit_interval, scaled, total
-from .measure import Measure, evaluate
+from .measure import Measure, masked_sum
 from .report import CheckOutcome, tally
 from .setalg import Algebra
 
@@ -138,23 +138,21 @@ def simple_integral(p: Measure, s: SimpleFunction) -> Fraction:
 
 
 def _term_sum(p: Measure, f: SimpleFunction) -> Fraction:
-    """``sum a_k * P(A_k)`` over the terms of ``f``, computed from measures of
-    members rather than atom weights.
+    """``sum a_k * P(A_k)`` over the terms of ``f``, computed from the members'
+    numerator sums under ``p`` rather than atom weights, and divided once.
 
     A function with no term list is written as its level-set decomposition
     ``sum_j (v_j - v_{j-1}) * 1{f >= v_j}`` over its distinct nonzero values
-    ``v_1 < v_2 < ...`` (with ``v_0 = 0``).
-    """
-    terms = f.terms
-    if not terms:
+    ``v_1 < v_2 < ...`` (with ``v_0 = 0``)."""
+    if f.terms:
+        den, coefficients = scaled([a for a, _ in f.terms])
+        masks = [m for _, m in f.terms]
+    else:
         levels = sorted(set(f.nums) - {0})
-        atoms = f.algebra.atoms
-        terms = tuple(
-            # atoms are disjoint, so their sum is their union
-            (Fraction(n - below, f.den), sum(a for a, x in zip(atoms, f.nums) if x >= n))
-            for below, n in zip([0] + levels, levels)
-        )
-    return total(a * evaluate(p, m) for a, m in terms)
+        den, coefficients = f.den, [n - below for below, n in zip([0] + levels, levels)]
+        # atoms are disjoint, so their sum is their union
+        masks = [sum(a for a, x in zip(f.algebra.atoms, f.nums) if x >= n) for n in levels]
+    return Fraction(sum(c * masked_sum(p, m) for c, m in zip(coefficients, masks)), den * p.den)
 
 
 def _grid_bounds(p: Measure, f: SimpleFunction) -> tuple[Fraction, Fraction]:

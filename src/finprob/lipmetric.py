@@ -271,11 +271,8 @@ def check_simplex_lipschitz(
 
     subset, subset_witness = True, None
     m = len(labels)
-    # subset sums of the images' numerators over their common denominator,
-    # taken as exact rationals whatever type subset_sums returns, and
-    # compared with the distances cross-multiplied
     den, rows = common(images)
-    sums = [[Fraction(s) for s in subset_sums(row)] for row in rows]
+    sums = [subset_sums(row) for row in rows]
     dist_den, dist = space.scaled_dist
     for mask in range(1 << m):
         for i in range(len(points)):

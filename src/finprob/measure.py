@@ -78,9 +78,14 @@ def simplex_algebra(labels: Sequence[str]) -> Algebra:
 
 def evaluate(p: Scaled, mask: int) -> Fraction:
     """The value of a member under ``p``, a measure or another ``Scaled``
-    vector on atoms: its atoms' numerators summed, over ``p.den``."""
+    vector on atoms: :func:`masked_sum` over ``p.den``."""
+    return Fraction(masked_sum(p, mask), p.den)
+
+
+def masked_sum(p: Scaled, mask: int) -> int:
+    """The numerators of ``p``'s atoms inside the member ``mask``, summed."""
     p.algebra.check_member(mask)
-    return Fraction(sum(n for atom, n in zip(p.algebra.atoms, p.nums) if atom & mask), p.den)
+    return sum(n for atom, n in zip(p.algebra.atoms, p.nums) if atom & mask)
 
 
 def dirac(x: str, algebra: Algebra) -> Measure:

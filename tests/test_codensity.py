@@ -27,7 +27,7 @@ from finprob import (
 from finprob.codensity import Arrow, NaturalityResult, collapse_arrow
 from finprob.measure import pushforward
 from finprob.report import SuiteConfig
-from finprob import cli, codensity, gen
+from finprob import codensity, gen
 
 
 def powerset3():
@@ -236,10 +236,6 @@ def test_bijection_suite_both_modes(all_checks_at_100_cases):
     assert sufficiency == [f"codensity.sufficiency.k{k}" for k in (1, 2, 3)]
 
 
-def codensity_checks_at_50_cases():
-    return {c.name: c for c in cli.run_codensity(SuiteConfig(seed=0, cases=50))}
-
-
 def test_a_bijection_case_takes_one_cone_per_measure(monkeypatch):
     """The cone of p and the cone of the uniqueness check's q: the round trip
     compares the reconstructed measure with p and re-takes no cone."""
@@ -254,95 +250,6 @@ def test_a_bijection_case_takes_one_cone_per_measure(monkeypatch):
     checks = verify_codensity_bijection(SuiteConfig(seed=0, cases=25))  # 10 cases
     assert all(c.ok for c in checks)
     assert len(measures) == 2 * 10
-
-
-def test_a_cone_that_fails_naturality_reaches_no_later_check(monkeypatch):
-    clean = codensity_checks_at_50_cases()
-    real = codensity.check_cone_naturality
-    calls = []
-
-    def every_third_fails(cone, *args, **kwargs):
-        result = real(cone, *args, **kwargs)
-        calls.append(cone)
-        if len(calls) % 3:
-            return result
-        return NaturalityResult(False, result.triangles, (None, "seeded fault"))
-
-    monkeypatch.setattr(codensity, "check_cone_naturality", every_third_fails)
-    checks = codensity_checks_at_50_cases()
-    for name in ("round-trip", "uniqueness"):
-        assert (checks[name].passed, checks[name].failed) == (14, 0)
-    naturality = checks["naturality"]
-    assert naturality.failed == 6
-    assert naturality.passed + naturality.failed == clean["naturality"].passed
-    assert naturality.witnesses[0] == "case 2: seeded fault"
-
-
-def test_a_wrong_reconstruction_keeps_its_case_out_of_uniqueness(monkeypatch):
-    real = codensity.reconstruct_measure
-    faulted = []
-
-    def one_wrong(functional):
-        back = real(functional)
-        if faulted or len(back.weights) < 2:
-            return back
-        faulted.append(back)
-        # the point mass on a lightest atom differs from any measure on 2+ atoms
-        light = min(range(len(back.weights)), key=back.weights.__getitem__)
-        point = back.algebra.ground.labels_of(back.algebra.atoms[light])[0]
-        return dirac(point, back.algebra)
-
-    monkeypatch.setattr(codensity, "reconstruct_measure", one_wrong)
-    round_trip, naturality, uniqueness = verify_codensity_bijection(
-        SuiteConfig(seed=0, cases=25)  # 10 cases
-    )
-    assert faulted
-    assert (round_trip.passed, round_trip.failed) == (9, 1)
-    assert f": {faulted[0].weights} -> (" in round_trip.witnesses[0]
-    assert (uniqueness.passed, uniqueness.failed) == (9, 0)
-    assert naturality.ok
-
-
-def test_a_failed_reconstruction_fails_round_trip_and_reaches_no_uniqueness(monkeypatch):
-    real = codensity.reconstruct_measure
-    calls = []
-
-    def second_raises(functional):
-        calls.append(functional)
-        if len(calls) == 2:
-            raise ReconstructionError("seeded fault")
-        return real(functional)
-
-    monkeypatch.setattr(codensity, "reconstruct_measure", second_raises)
-    round_trip, naturality, uniqueness = verify_codensity_bijection(
-        SuiteConfig(seed=0, cases=25)  # 10 cases
-    )
-    assert (round_trip.passed, round_trip.failed) == (9, 1)
-    assert round_trip.witnesses == ("case 1: seeded fault",)
-    assert (uniqueness.passed, uniqueness.failed) == (9, 0)
-    assert naturality.ok
-
-
-def test_a_second_measure_given_the_first_cones_legs_fails_uniqueness(monkeypatch):
-    """Each case takes p's cone, then q's; handing q the legs of p's cone
-    makes the legs agree while the measures differ."""
-    real = codensity.cone_of_measure
-    cones = []
-
-    def q_gets_p_legs(p, family):
-        cones.append(cones[-1] if len(cones) % 2 else real(p, family))
-        return cones[-1]
-
-    monkeypatch.setattr(codensity, "cone_of_measure", q_gets_p_legs)
-    round_trip, naturality, uniqueness = verify_codensity_bijection(
-        SuiteConfig(seed=0, cases=25)  # 10 cases
-    )
-    assert round_trip.ok and naturality.ok
-    assert uniqueness.failed > 0 and uniqueness.passed + uniqueness.failed == 10
-    assert uniqueness.witnesses
-    for witness in uniqueness.witnesses:
-        assert witness.startswith("case ")
-        assert witness.endswith(": legs agree but measures differ")
 
 
 def test_a_natural_cone_over_the_indicator_family_need_not_be_a_measures_cone():

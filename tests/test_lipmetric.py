@@ -9,7 +9,6 @@ import pytest
 from finprob import (
     FiniteMetricSpace,
     LipschitzFunction,
-    Measure,
     MetaMeasure,
     SimplexPoint,
     bl_distance_lp,
@@ -25,9 +24,11 @@ from finprob import (
 )
 from finprob import exact, gen, lipmetric
 from finprob.exact import grid
-from finprob.linprog import LPResult, maximize
+from finprob.linprog import maximize
 from finprob.report import SuiteConfig
 from finprob.lipmetric import bl_distance_lp_witness, simplex_grid
+
+from test_faults import adds, drop_rows_below_a_half, halve_subset_sums, scales
 
 
 def grid_oracle(p, q, space, max_denominator=8):
@@ -311,30 +312,11 @@ def test_line_metric_keeps_only_neighbour_rows():
     )
 
 
-def _drop_rows_below_a_half(monkeypatch):
-    real = lipmetric._lipschitz_rows
-    monkeypatch.setattr(
-        lipmetric,
-        "_lipschitz_rows",
-        lambda space: [(i, j) for i, j in real(space) if space.dist[i][j] >= F(1, 2)],
-    )
-
-
 def test_pruning_fault_is_caught_by_the_reference(monkeypatch):
-    _drop_rows_below_a_half(monkeypatch)
+    rows = drop_rows_below_a_half(lipmetric._lipschitz_rows)
+    monkeypatch.setattr(lipmetric, "_lipschitz_rows", rows)
     mismatches, _ = pruning_mismatches()
     assert len(mismatches) > 0
-
-
-def test_pruning_fault_is_caught_by_unit_contraction(monkeypatch):
-    from finprob.cli import run_nonexpansive
-
-    config = SuiteConfig()  # the suite as `finprob all` runs it
-    clean = {c.name: c for c in run_nonexpansive(config)}
-    assert clean["unit-contraction"].failed == 0
-    _drop_rows_below_a_half(monkeypatch)
-    faulty = {c.name: c for c in run_nonexpansive(config)}
-    assert faulty["unit-contraction"].failed > 0
 
 
 def test_nonexpansive_draws_each_support_with_six_attempts_a_measure(monkeypatch):
@@ -434,10 +416,7 @@ def test_close_points_with_far_images_fail():
 
 
 def _halve_subset_sums(monkeypatch):
-    real = lipmetric.subset_sums
-    monkeypatch.setattr(
-        lipmetric, "subset_sums", lambda weights: [s / 2 for s in real(weights)]
-    )
+    monkeypatch.setattr(lipmetric, "subset_sums", halve_subset_sums(lipmetric.subset_sums))
 
 
 def test_disagreeing_criteria_are_reported(monkeypatch):
@@ -522,24 +501,7 @@ def test_equivalence_sweep_fault_config_passes(monkeypatch):
 
 
 def _shrink_total_variation(monkeypatch):
-    real = lipmetric.total_variation
-    monkeypatch.setattr(
-        lipmetric, "total_variation", lambda p, q: real(p, q) * F(3, 4)
-    )
-
-
-def test_equivalence_sweep_catches_a_wrong_direct_side(monkeypatch):
-    _shrink_total_variation(monkeypatch)
-    sweep = fault_sweep(monkeypatch)
-    assert not sweep.ok
-    assert sweep.checks[0].failed == 52
-
-
-def test_equivalence_sweep_catches_a_wrong_subset_side(monkeypatch):
-    _halve_subset_sums(monkeypatch)
-    sweep = fault_sweep(monkeypatch)
-    assert not sweep.ok
-    assert sweep.checks[0].failed == 190
+    monkeypatch.setattr(lipmetric, "total_variation", scales(F(3, 4))(lipmetric.total_variation))
 
 
 def reference_sweep(config):
@@ -752,54 +714,6 @@ def test_nonexpansive_unit_tight_on_discrete():
     assert (unit.name, unit.passed, unit.failed) == ("unit-contraction", 15, 0)
 
 
-def test_an_lp_short_on_non_discrete_spaces_fails_unit_contraction(monkeypatch):
-    """The unit's distance must equal min(d(x, y), 1) on every metric, not
-    only be bounded by it: an LP that returns 9/10 of the optimum wherever
-    the metric is not discrete stays within every bound."""
-    real = lipmetric.bl_distance_lp_witness
-
-    def short(p, q, space):
-        value, f = real(p, q, space)
-        return (value if space.is_discrete() else value * F(9, 10)), f
-
-    monkeypatch.setattr(lipmetric, "bl_distance_lp_witness", short)
-    unit = check_bl_monad_nonexpansive(SuiteConfig(seed=0, cases=500))[0]  # 100 cases
-    assert unit.failed > 0 and unit.witnesses
-    assert all(w.startswith("case ") and "unit pair " in w for w in unit.witnesses)
-
-
-@pytest.mark.parametrize(
-    "solution, message",
-    [
-        (lambda f: (F(2),) + f[1:], "value 2 outside [0, 1]"),
-        (lambda f: (F(1),) + (F(0),) * (len(f) - 1), "not 1-Lipschitz at (a, b)"),
-    ],
-    ids=["outside-unit-interval", "steep"],
-)
-def test_a_rejected_lp_optimum_fails_the_checks_without_crashing(
-    monkeypatch, solution, message
-):
-    """An optimal test function that ``LipschitzFunction`` rejects is a
-    failed ``unit-contraction`` pair or ``mult-contraction`` case, never an
-    exception out of the suite."""
-    real = lipmetric.maximize
-
-    def rejected(c, a_ub, b_ub):
-        result = real(c, a_ub, b_ub)
-        return LPResult(result.value, solution(result.solution))
-
-    monkeypatch.setattr(lipmetric, "maximize", rejected)
-    third = F(1, 3)
-    space = FiniteMetricSpace(
-        ("a", "b", "c"), ((0, third, third), (third, 0, third), (third, third, 0))
-    )
-    unit, meta, laws = check_bl_monad_nonexpansive(SuiteConfig(cases=20), space)  # 4 cases
-    assert (unit.passed, unit.failed) == (0, 12)
-    assert all(message in w for w in unit.witnesses)
-    assert (meta.passed, meta.failed) == (0, 4)
-    assert laws.failed == 0
-
-
 def test_nonexpansive_small_distance():
     labels = ("a", "b")
     space = FiniteMetricSpace(labels, ((F(0), F(1, 3)), (F(1, 3), F(0))))
@@ -818,74 +732,15 @@ def test_nonexpansive_equal_meta_measures():
     assert bl_distance_lp(p, p, space) == 0
 
 
-def test_a_faulted_mult_fails_metric_laws(monkeypatch):
-    from finprob.cli import run_nonexpansive
-
-    def swaps_two_weights(m):
-        p = mult(m)
-        w = list(p.weights)
-        if len(w) > 1:
-            w[0], w[1] = w[1], w[0]
-        return Measure(p.algebra, tuple(w))
-
-    monkeypatch.setattr(lipmetric, "mult", swaps_two_weights)
-    checks = {c.name: c for c in run_nonexpansive(SuiteConfig(cases=100))}
-    laws = checks["metric-laws"]
-    assert laws.failed > 0 and laws.witnesses
-    assert all(w.startswith("case ") for w in laws.witnesses)
-    for check in checks.values():
-        assert check.passed >= 0
-    assert laws.passed + laws.failed == 20  # one outcome per case
-
-
-def test_a_unit_on_the_wrong_point_fails_the_right_unit_law(monkeypatch):
-    """An ``eta_as_meta`` that gives each atom's mass to the Dirac measure of
-    the next atom's point breaks ``mult . eta = id`` on every measure that is
-    not invariant under that shift."""
-
-    def next_point(p):
-        algebra = p.algebra
-        points = [algebra.ground.labels_of(atom)[0] for atom in algebra.atoms]
-        shifted = points[1:] + points[:1]
-        diracs = ((n, dirac(x, algebra)) for n, x in zip(p.nums, shifted) if n)
-        return MetaMeasure.merge(diracs, p.den)
-
-    monkeypatch.setattr(lipmetric, "eta_as_meta", next_point)
-    checks = {c.name: c for c in check_bl_monad_nonexpansive(SuiteConfig(seed=0, cases=50))}
-    laws = checks["metric-laws"]
-    assert laws.failed > 0 and laws.passed + laws.failed == 10  # one outcome per case
-    assert laws.witnesses
-    for witness in laws.witnesses:
-        assert witness.startswith("case ") and ": right unit fails at (" in witness
-
-
 def test_each_unit_pair_counts_once(monkeypatch):
     """An off LP breaks the unit equality of every pair; each pair is one
     failed outcome."""
-    real = lipmetric.bl_distance_lp
-    monkeypatch.setattr(
-        lipmetric, "bl_distance_lp", lambda p, q, space: real(p, q, space) + F(1, 1000)
-    )
+    monkeypatch.setattr(lipmetric, "bl_distance_lp", adds(F(1, 1000))(lipmetric.bl_distance_lp))
     checks = check_bl_monad_nonexpansive(  # 4 cases
         SuiteConfig(cases=20), discrete_space(("a", "b", "c"))
     )
     unit = checks[0]
     assert (unit.name, unit.passed, unit.failed) == ("unit-contraction", 0, 12)
-
-
-def test_a_faulted_lp_fails_lp_spot_checks_alone(monkeypatch):
-    from finprob.cli import run_lipschitz_equivalence
-
-    real = lipmetric.bl_distance_lp
-    monkeypatch.setattr(
-        lipmetric, "bl_distance_lp", lambda p, q, space: real(p, q, space) + 1
-    )
-    checks = {c.name: c for c in run_lipschitz_equivalence(SuiteConfig())}
-    spot = checks["lp-spot-checks"]
-    assert spot.failed > 0 and spot.witnesses
-    assert spot.passed + spot.failed == 100
-    assert all(w.startswith("lp spot check disagrees") for w in spot.witnesses)
-    assert checks["criteria-agree"].failed == 0
 
 
 def test_nonexpansive_random_spaces(monkeypatch):

@@ -159,33 +159,6 @@ def test_law_suite_on_fixed_algebra():
     assert all((c.passed, c.failed) == (50, 0) for c in checks)
 
 
-def test_every_failing_law_keeps_its_own_witnesses(monkeypatch, capsys):
-    import json
-
-    from finprob import monad
-    from finprob.cli import run
-    from finprob.report import MAX_WITNESSES
-
-    real = monad.mult
-
-    def swaps_two_weights(m):
-        p = real(m)
-        w = list(p.weights)
-        if len(w) > 1:
-            w[0], w[1] = w[1], w[0]
-        return Measure(p.algebra, tuple(w))
-
-    monkeypatch.setattr(monad, "mult", swaps_two_weights)
-    assert run(["laws", "--cases", "60"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    failing = [c for c in checks if c["failed"]]
-    assert len(failing) >= 3
-    assert sum(c["failed"] for c in failing) > 2 * MAX_WITNESSES
-    for c in failing:
-        assert len(c["witnesses"]) == min(c["failed"], MAX_WITNESSES), c["name"]
-        assert all(w.startswith("case ") for w in c["witnesses"])
-
-
 def rejection(build):
     with pytest.raises(ValueError) as info:
         build()

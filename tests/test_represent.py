@@ -3,7 +3,6 @@
 import functools
 import itertools
 import operator
-import re
 from fractions import Fraction as F
 
 import pytest
@@ -30,8 +29,9 @@ from finprob import (
     uniform,
 )
 from finprob import cli, exact, gen, represent
-from finprob.report import SuiteConfig
 from finprob.setalg import ClauseCheck, SemiRing, is_semiring, sigma_of_functions
+
+from test_faults import grid_skipping_a_bound, raw_direction
 
 
 def indicator_family_of(algebra):
@@ -459,68 +459,6 @@ def test_slab_ops_extensional_on_random_pairs():
         assert (name, ok) == ("slab-calculus", True), witness
 
 
-def _cell_masks(cells, covers):
-    """Per bound vector, the mask of the cells ``(lo, hi)`` on each atom with
-    ``covers(v, lo, hi)`` for the vector's value ``v`` there."""
-    return lambda vec: sum(
-        1 << i * len(cells) + j
-        for i, v in enumerate(vec)
-        for j, (lo, hi) in enumerate(cells)
-        if covers(v, lo, hi)
-    )
-
-
-def _above_off_by_one(family, cells, above, below):
-    shifted = _cell_masks(cells, lambda v, lo, hi: v <= hi)  # one cell too low
-    return {vec: shifted(vec) for vec in family}, below
-
-
-def _below_strict(family, cells, above, below):
-    strict = _cell_masks(cells, lambda v, lo, hi: hi < v)  # `<` for `<=`
-    return above, {vec: strict(vec) for vec in family}
-
-
-def _last_atom_dropped(family, cells, above, below):
-    atoms = len(family[0])
-    keep = (1 << (atoms - 1) * len(cells)) - 1
-    return {vec: mask & keep for vec, mask in above.items()}, below
-
-
-@pytest.mark.parametrize(
-    "fault", [_above_off_by_one, _below_strict, _last_atom_dropped]
-)
-def test_a_seeded_mask_fault_fails_slab_calculus(fault, monkeypatch):
-    real = represent.slab_grid
-
-    def faulty(seeds, scale):
-        family, cells, above, below = real(seeds, scale)
-        return (family, cells, *fault(family, cells, above, below))
-
-    monkeypatch.setattr(cli, "slab_grid", faulty)
-    check = cli.run_extension_suite(SuiteConfig(cases=50))[0]
-    assert check.name == "slab-calculus" and check.failed > 0
-    assert re.fullmatch(
-        r"case \d+: slab \[\(.*\), \(.*\)\) over \d: cell \(\d+, \d+\) "
-        r"of atom \d is wrongly (in|missing from) its mask",
-        check.witnesses[0],
-    )
-
-
-def _grid_skipping_a_bound(seeds, scale):
-    """:func:`slab_grid` with the least bound value other than 0 and
-    ``scale`` missing from the breakpoints, and its masks built on the
-    coarser cells."""
-    family, cells, _, _ = slab_grid(seeds, scale)
-    breakpoints = [lo for lo, _ in cells] + [cells[-1][1]]
-    inner = sorted({v for vec in family for v in vec} - {0, scale})
-    if inner:
-        breakpoints.remove(inner[0])
-    cells = list(zip(breakpoints, breakpoints[1:]))
-    above = _cell_masks(cells, lambda v, lo, hi: v <= lo)
-    below = _cell_masks(cells, lambda v, lo, hi: hi <= v)
-    return family, cells, {v: above(v) for v in family}, {v: below(v) for v in family}
-
-
 def _seeded_bounds(count):
     """``(seeds, scale)`` draws as `extend.slab-calculus` makes them: four
     bound vectors on 1-4 atoms, integers up to ``2 * scale``."""
@@ -550,7 +488,7 @@ def test_slabs_with_one_mask_have_one_height():
     every bound value, so a mask's cells over an atom tile its slab there."""
     draws = list(_seeded_bounds(200))
     assert all(_one_mask_two_heights(slab_grid, *draw) is None for draw in draws)
-    assert any(_one_mask_two_heights(_grid_skipping_a_bound, *draw) for draw in draws)
+    assert any(_one_mask_two_heights(grid_skipping_a_bound(slab_grid), *draw) for draw in draws)
 
 
 def test_every_indicator_is_lifted_in_the_slab_loop(monkeypatch):
@@ -580,72 +518,6 @@ def test_every_indicator_is_lifted_in_the_slab_loop(monkeypatch):
         for member in sigma.members:
             indicator = tuple(scale if atom & member else 0 for atom in sigma.atoms)
             assert mu[above[zero] & below[indicator]] == hidden(member)
-
-
-def _seeds_without_their_closure(seeds, scale):
-    """The bound family as the seeds alone, without their join/meet closure;
-    the cells and masks are still the real grid's."""
-    _, cells, above, below = slab_grid(seeds, scale)
-    return sorted(set(seeds)), cells, above, below
-
-
-def _cell_moved_below_under_the_top(seeds, scale):
-    """For every bound under atom 1's top value, the last cell of atom 0,
-    which lies past atom 0's top value, moves from ``above`` to ``below``.
-    No slab ``lower <= upper`` holds it, so only the meet of two slabs that
-    are disjoint on atom 1 shows it."""
-    family, cells, above, below = slab_grid(seeds, scale)
-    if len(family[0]) < 2 or cells[-1][0] < max(vec[0] for vec in family):
-        return family, cells, above, below
-    cell, top = 1 << len(cells) - 1, max(vec[1] for vec in family)
-    moved = {vec for vec in family if vec[1] < top}
-    above = {vec: m & ~cell if vec in moved else m for vec, m in above.items()}
-    below = {vec: m | cell if vec in moved else m for vec, m in below.items()}
-    return family, cells, above, below
-
-
-_difference_decomposition = SemiRing.difference_decomposition
-
-
-def _first_piece_dropped(semiring, a, b):
-    return _difference_decomposition(semiring, a, b)[1:]
-
-
-# The later failure branches of `cli._slab_mask_fault`: what each is patched
-# with, and the witness it must give for every failing case.
-SLAB_BRANCH_FAULTS = {
-    "bounds": (
-        cli,
-        "slab_grid",
-        _grid_skipping_a_bound,
-        r"cells .* miss 0 or split a bound in .*",
-    ),
-    "meet": (cli, "slab_grid", _cell_moved_below_under_the_top, r"meet of .* is not .*"),
-    "semi-ring": (
-        cli,
-        "slab_grid",
-        _seeds_without_their_closure,
-        r"masks on bounds .*: not a semi-ring: .*",
-    ),
-    "pieces": (
-        SemiRing,
-        "difference_decomposition",
-        _first_piece_dropped,
-        r"pieces .* overlap or miss part of it",
-    ),
-}
-
-
-@pytest.mark.parametrize("branch", SLAB_BRANCH_FAULTS)
-def test_each_failure_branch_of_slab_calculus_catches_its_fault(branch, monkeypatch):
-    """Each branch fails under a fault that the branches before it let
-    through, and reports every failing case itself."""
-    owner, name, fault, witness = SLAB_BRANCH_FAULTS[branch]
-    monkeypatch.setattr(owner, name, fault)
-    check = cli.run_extension_suite(SuiteConfig(cases=50))[0]
-    assert check.name == "slab-calculus" and check.failed > 0
-    for text in check.witnesses:
-        assert re.fullmatch(r"case \d+: " + witness, text), text
 
 
 # --- caratheodory extension -----------------------------------------------------
@@ -1351,34 +1223,9 @@ def test_direction_without_gcd_division_is_caught(monkeypatch):
     assert check_weak_lattice(chain).ok
     values = tabulate(chain, lambda values: values[0])
     assert daniell_stone(chain, values).weights == (F(1),)
-    monkeypatch.setattr(
-        represent, "_direction", lambda vec: tuple(vec) if any(vec) else None
-    )
+    monkeypatch.setattr(represent, "_direction", raw_direction(represent._direction))
     check = check_weak_lattice(chain)
     assert (check.ok, check.clause) == (False, "span")
     assert check.witness == (1, 2, (F(3, 4), F(3, 4)))
     with pytest.raises(PreconditionError, match="clause span"):
         daniell_stone(chain, values)
-
-
-def test_direction_without_gcd_division_fails_the_lattice_cases(monkeypatch):
-    """The seeded lattice cases include sparse lattices whose clauses need
-    multiplier 2, so the same fault fails them: a full value grid alone
-    never needs a multiplier above 1."""
-    from functools import partial
-
-    from finprob import cli, gen
-    from finprob.report import SuiteConfig
-
-    def lattice_check():
-        name = "lattice-representation"
-        case = partial(cli._lattice_case, SuiteConfig(seed=0), name)
-        (check,) = gen.run_cases(0, "daniell", 100, (name,), case)
-        return check
-
-    healthy = lattice_check()
-    assert (healthy.passed, healthy.failed) == (100, 0)
-    monkeypatch.setattr(
-        represent, "_direction", lambda vec: tuple(vec) if any(vec) else None
-    )
-    assert lattice_check().failed > 0

@@ -6,13 +6,14 @@ import pickle
 import signal
 import threading
 from dataclasses import replace
-from fractions import Fraction
 
 import pytest
 
 from finprob import cli, lipmetric, workers
 from finprob.errors import InputError
 from finprob.report import CheckOutcome, SuiteConfig
+
+from test_faults import distance_off
 
 RUNNERS = sorted({name for name, _ in cli.ALL_JOBS.values()})
 
@@ -137,12 +138,7 @@ def test_a_fault_installed_before_the_fork_reaches_the_children(cpus, monkeypatc
     too large, set in this process, fails a check that a child ran: on two
     CPUs the nonexpansive suite and the LP spot checks of
     lipschitz-equivalence, on three those and the distance suite."""
-    original = lipmetric.bl_distance_lp_witness
-
-    def faulty(p, q, space):
-        value, f = original(p, q, space)
-        return value + Fraction(1, 1000), f
-
+    faulty = distance_off(lipmetric.bl_distance_lp_witness)
     monkeypatch.setattr(lipmetric, "bl_distance_lp_witness", faulty)
     cpus(n)
     stamp_pids(monkeypatch)
