@@ -470,6 +470,10 @@ ROWS = [
          "worked-pair": (0, 1, ("expected 1/3",))}),
     Row("distance.input-lp-shifted", {"cli.bl_distance_lp": adds(F(3, 2))}, HALF_TRIANGLE,
         {"distance": (0, 1, ({"lp": "2/1", "subsets": "1/1"},))}),
+    # off the discrete metric the subset maximum bounds the lp: an lp just past
+    # it, still short of twice the clean lp, fails
+    Row("distance.input-lp-past-subsets", {"cli.bl_distance_lp": adds(F(3, 4))}, HALF_TRIANGLE,
+        {"distance": (0, 1, ({"lp": "5/4", "subsets": "1/1"},))}),
     Row("distance.input-subsets-shifted",
         {"cli.bl_distance_subsets": adds(F(3, 2))}, HALF_TRIANGLE,
         {"distance": (0, 1, ({"lp": "1/2", "subsets": "5/2"},))}),
