@@ -99,7 +99,8 @@ def run_sufficiency(config: SuiteConfig) -> list[CheckOutcome]:
     """Small-index sufficiency once at each k in {1, 2, 3}: arrows into one
     label must leave the reconstruction undetermined, arrows into two or
     three determine it, where "determined" means the cones of two sampled
-    measures differ.  Each k's cases fold into one check, ``k1`` to ``k3``.
+    measures differ.  Each k's cases fold into one check, ``k1`` to ``k3``,
+    which keeps the first witness.
     In ``all`` its row of :data:`ALL_JOBS` decides its section, process
     share and place in the report."""
     sufficiency = []
@@ -107,7 +108,7 @@ def run_sufficiency(config: SuiteConfig) -> list[CheckOutcome]:
         determined, reconstruction = small_index_sufficiency(config, k)
         expect_determined = k >= 2
         ok = determined.ok == expect_determined and reconstruction.ok
-        witnesses = reconstruction.witnesses or (
+        witnesses = reconstruction.witnesses[:1] or (
             (f"determined={determined.ok}, expected {expect_determined}",)
             if not ok
             else ()

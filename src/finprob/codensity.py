@@ -39,6 +39,7 @@ from math import gcd
 from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import gen
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .exact import common
 from .integrate import SimpleFunction
@@ -299,8 +300,6 @@ def verify_codensity_bijection(
     whose reconstruction fails or differs from its measure does not reach
     ``uniqueness``.
     """
-    from . import gen
-
     families = {}  # this run's algebras -> (indicator family, its triangles)
 
     def check_case(rng):
@@ -357,8 +356,6 @@ def small_index_sufficiency(config: SuiteConfig, k: int) -> tuple[CheckOutcome, 
     normalization, so reconstruction is undetermined; with two labels the
     binary indicator arrows separate measures and reconstruction succeeds.
     """
-    from . import gen
-
     if k < 1:
         raise PreconditionError("label-set size bound must be at least 1")
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import bench_workloads
 
 from finprob import (
     Arrow,
@@ -190,18 +191,6 @@ def test_help_is_pinned(capsys, monkeypatch):
     assert done.value.code == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256
-
-
-def bench_workloads():
-    """The benchmark's ``bench/workloads.py``, which pins the reports it
-    runs."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(bench))
-    return workloads
 
 
 def test_criterion_10_determinism():

@@ -13,17 +13,15 @@ at the same config with no fault must pass every check; that clean run
 happens once per runner and config, and rows share it.  So a fault that does
 nothing fails its row."""
 
-import io
 import itertools
 import json
 import re
-import sys
-from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
 from typing import Callable, NamedTuple
 
+import conftest
 import pytest
 
 import finprob
@@ -74,25 +72,19 @@ def suite(runner, *args, constants=(), **config):
     return Run(runner, (SuiteConfig(**config), *args), constants)
 
 
-def command(*argv):
+def command(*argv, stdin=None):
     """``finprob ARGV`` in this process: its exit code, its stderr and its
     JSON report's checks."""
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.run(list(argv))
-    checks = json.loads(out.getvalue())["checks"]
+    code, out, err = conftest.finprob(argv, stdin)
+    checks = json.loads(out)["checks"]
     checks = {c["name"]: (c["passed"], c["failed"], tuple(c["witnesses"])) for c in checks}
-    return code, err.getvalue(), checks
+    return code, err, checks
 
 
 def with_input(name, instance):
     """``finprob NAME --input -`` in this process, with the JSON text
     ``instance`` on stdin."""
-    stdin, sys.stdin = sys.stdin, io.StringIO(instance)
-    try:
-        return command(name, "--input", "-")
-    finally:
-        sys.stdin = stdin
+    return command(name, "--input", "-", stdin=instance)
 
 
 def outcome(run):
@@ -428,7 +420,7 @@ SIMPLE_AGREEMENT = CASE + r"clauses \['simple-agreement'\] failed"
 
 
 def wrong_at(k):
-    return tuple(f"case {i}: reconstruction wrong at k={k}" for i in (1, 3, 4))
+    return (f"case 1: reconstruction wrong at k={k}",)
 
 
 # fmt: off

@@ -90,12 +90,6 @@ def test_meta_measure_rejects_a_foreign_algebra_in_first_place():
         MetaMeasure((p, q, r), (F(1, 3), F(1, 3), F(1, 3)))
 
 
-def test_left_unit_single_case():
-    g = GroundSet(("0", "1"))
-    p = Measure(Algebra.powerset(g), (F(1, 3), F(2, 3)))
-    assert mult(MetaMeasure.point_mass(p)) == p
-
-
 def test_right_unit_via_dirac_decomposition():
     g = GroundSet(("0", "1", "2"))
     p = Measure(Algebra.powerset(g), (F(1, 2), F(1, 3), F(1, 6)))

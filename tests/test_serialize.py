@@ -71,13 +71,6 @@ def test_algebra_round_trip_and_canonical_order():
     assert serialize.load_algebra(data) == alg
 
 
-def test_algebra_load_rejects_non_closed_family():
-    data = {"points": ["0", "1"], "family": [[], [0], [0, 1]]}
-    with pytest.raises(InputError) as err:
-        serialize.load_algebra(data)
-    assert "complement" in str(err.value)
-
-
 def test_measure_round_trip():
     g = GroundSet(("0", "1", "2"))
     p = Measure(Algebra.powerset(g), (F(1, 2), F(1, 3), F(1, 6)))
@@ -86,22 +79,6 @@ def test_measure_round_trip():
     assert serialize.load_measure(data) == p
     for label in ("sigma", "finitely_additive"):  # format-1 files may carry one
         assert serialize.load_measure({**data, "mode": label}) == p
-
-
-def test_measure_load_rejects_bad_weights():
-    g = GroundSet(("0", "1"))
-    data = serialize.dump_measure(uniform(Algebra.powerset(g)))
-    data["weights"]["0"] = "2/3"
-    with pytest.raises(InputError) as err:
-        serialize.load_measure(data)
-    assert "$.weights" in str(err.value)
-
-
-def test_a_weight_that_names_no_atom_is_rejected():
-    data = serialize.dump_measure(uniform(Algebra.powerset(GroundSet(("0", "1")))))
-    data["weights"]["2"] = "5/7"
-    with pytest.raises(InputError, match=r"^\$\.weights\.2: key '2' names no atom$"):
-        serialize.load_measure(data)
 
 
 def test_simple_function_round_trip():
@@ -207,30 +184,10 @@ def test_a_row_is_reused_only_on_its_own_labels():
     assert [arrow.targets for arrow in loaded.legs] == [("0",), ("a", "b")] + [("0", "1")] * 3
 
 
-def test_arrow_targets_must_be_strings():
-    g = GroundSet(("0", "1"))
-    alg = Algebra.powerset(g)
-    data = serialize.dump_arrow(binary_arrow(SimpleFunction.indicator(alg, 1)))
-    data["targets"] = [0, 1]
-    with pytest.raises(InputError, match=r"^\$\.targets\[0\]: label must be a string"):
-        serialize.load_arrow(data, alg)
-
-
-def test_a_row_that_names_no_ground_point_is_rejected():
-    alg = Algebra.powerset(GroundSet(("0", "1")))
-    data = serialize.dump_arrow(binary_arrow(SimpleFunction.indicator(alg, 1)))
-    data["rows"]["z"] = data["rows"]["0"]
-    with pytest.raises(InputError, match=r"^\$\.rows\.z: key 'z' names no ground point$"):
-        serialize.load_arrow(data, alg)
-
-
-def test_instance_format_version_enforced():
-    with pytest.raises(InputError):
-        serialize.loads_instance('{"format": 2}')
-    with pytest.raises(InputError):
-        serialize.loads_instance("not json")
+def test_an_instance_keeps_keys_it_does_not_know():
+    """A command rejects a key it does not take; ``loads_instance`` passes it
+    on."""
     assert serialize.loads_instance('{"format": 1, "x": 3}')["x"] == 3
-
 
 
 def test_build_places_a_rejected_value_at_its_location():
