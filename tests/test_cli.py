@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, determinism, diagnostics.  The exit-2
-rows of bad input are in ``test_inputs.py``."""
+rows of bad input, given on stdin, are in ``test_inputs.py``; two given as a
+file are here."""
 
 import json
 import os
@@ -67,6 +68,39 @@ def test_distance_input_both_methods(tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["checks"][0]["witnesses"][0] == {"lp": "1/1", "subsets": "1/1"}
+
+
+def test_integrate_input_rejects_a_weight_that_names_no_atom(tmp_path):
+    instance = {
+        "format": 1,
+        "measure": {
+            "algebra": {"points": ["0", "1"], "family": [[], [0], [1], [0, 1]]},
+            "weights": {"0": "1/2", "1": "1/2", "2": "5/7"},
+        },
+        "functions": [{"terms": [["1/2", [0]]]}],
+    }
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(instance))
+    assert finprob(["integrate", "--input", str(path)]) == (
+        2,
+        "",
+        "input error at $.measure.weights.2: key '2' names no atom\n",
+    )
+
+
+def test_codensity_input_rejects_a_row_that_names_no_ground_point(tmp_path):
+    from finprob import Algebra, GroundSet, cone_of_measure, indicator_family, serialize, uniform
+
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    cone = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    cone[0][0]["rows"]["z"] = cone[0][0]["rows"]["0"]
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"format": 1, "algebra": serialize.dump_algebra(alg), "cone": cone}))
+    assert finprob(["codensity", "--input", str(path)]) == (
+        2,
+        "",
+        "input error at $.cone[0][0].rows.z: key 'z' names no ground point\n",
+    )
 
 
 def test_reconstruct_input_violation_exits_one():

@@ -81,6 +81,13 @@ def test_measure_round_trip():
         assert serialize.load_measure({**data, "mode": label}) == p
 
 
+def test_a_weight_that_names_no_atom_is_rejected():
+    data = serialize.dump_measure(uniform(Algebra.powerset(GroundSet(("0", "1")))))
+    data["weights"]["2"] = "5/7"
+    with pytest.raises(InputError, match=r"^\$\.weights\.2: key '2' names no atom$"):
+        serialize.load_measure(data)
+
+
 def test_simple_function_round_trip():
     g = GroundSet(("0", "1", "2"))
     alg = Algebra.powerset(g)
@@ -182,6 +189,14 @@ def test_a_row_is_reused_only_on_its_own_labels():
     cone[1][0]["targets"] = cone[1][1]["labels"] = ["a", "b"]  # the rows of 1_{}
     loaded = serialize.load_cone(cone, alg)
     assert [arrow.targets for arrow in loaded.legs] == [("0",), ("a", "b")] + [("0", "1")] * 3
+
+
+def test_a_row_that_names_no_ground_point_is_rejected():
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    data = serialize.dump_arrow(binary_arrow(SimpleFunction.indicator(alg, 1)))
+    data["rows"]["z"] = data["rows"]["0"]
+    with pytest.raises(InputError, match=r"^\$\.rows\.z: key 'z' names no ground point$"):
+        serialize.load_arrow(data, alg)
 
 
 def test_an_instance_keeps_keys_it_does_not_know():
