@@ -484,9 +484,9 @@ def run_distance_input(data: dict) -> tuple[CheckOutcome, ...]:
     """The distance between ``p`` and ``q`` on the given metric: the LP
     always, and the subset maximum beside it when the metric has at most
     :data:`SUBSET_ENUMERATION_CAP` points."""
-    space = serialize.load_metric(data.get("metric"), "$.metric")
-    p = serialize.load_simplex(data.get("p"), "$.p", labels=space.points)
-    q = serialize.load_simplex(data.get("q"), "$.q", labels=space.points)
+    space = serialize.load_metric(data["metric"], "$.metric")
+    p = serialize.load_simplex(data["p"], "$.p", labels=space.points)
+    q = serialize.load_simplex(data["q"], "$.q", labels=space.points)
     values = {"lp": bl_distance_lp(p, q, space)}
     if space.size <= SUBSET_ENUMERATION_CAP:
         values["subsets"] = bl_distance_subsets(p, q)
@@ -502,8 +502,8 @@ def run_distance_input(data: dict) -> tuple[CheckOutcome, ...]:
 
 def run_codensity_input(data: dict) -> tuple[CheckOutcome, ...]:
     """Check a declared cone's naturality and reconstruct its measure."""
-    algebra = serialize.load_algebra(data.get("algebra"), "$.algebra")
-    cone = serialize.load_cone(data.get("cone"), algebra, "$.cone")
+    algebra = serialize.load_algebra(data["algebra"], "$.algebra")
+    cone = serialize.load_cone(data["cone"], algebra, "$.cone")
     nat = check_cone_naturality(cone)
     if nat.ok:
         naturality = CheckOutcome("naturality", nat.triangles, 0)
@@ -515,10 +515,8 @@ def run_codensity_input(data: dict) -> tuple[CheckOutcome, ...]:
 
 
 def run_reconstruct_input(data: dict) -> tuple[CheckOutcome, ...]:
-    algebra = serialize.load_algebra(data.get("algebra"), "$.algebra")
-    functional = serialize.load_functional_table(
-        data.get("table"), algebra, "$.table"
-    )
+    algebra = serialize.load_algebra(data["algebra"], "$.algebra")
+    functional = serialize.load_functional_table(data["table"], algebra, "$.table")
     return (_reconstruct_check(functional),)
 
 
@@ -555,8 +553,8 @@ def run_extend_input(data: dict) -> tuple[CheckOutcome, ...]:
 
 
 def run_integrate_input(data: dict) -> tuple[CheckOutcome, ...]:
-    measure = serialize.load_measure(data.get("measure"), "$.measure")
-    fns = serialize.load_functions(data.get("functions"), measure.algebra)
+    measure = serialize.load_measure(data["measure"], "$.measure")
+    fns = serialize.load_functions(data["functions"], measure.algebra)
     return check_integral_properties(measure, fns)
 
 
@@ -662,6 +660,8 @@ def _read_input(path: str, keys: tuple[str, ...]) -> dict:
     for key in data:
         if key != "format" and key not in keys:
             raise InputError(f"unknown key {key!r}", f"$.{key}")
+    for key in keys:
+        serialize._field(data, key, "$")
     return data
 
 

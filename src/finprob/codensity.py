@@ -167,7 +167,7 @@ def cone_of_measure(p: Measure, family: Iterable[Arrow]) -> Cone:
             raise PreconditionError("arrow source differs from the measure's algebra")
         target = simplex_algebra(arrow.targets)
         legs.append((arrow, average(p.den, p.nums, target, arrow.numerators)))
-    return Cone(f"measure{p.weights}", tuple(legs))
+    return Cone("measure", tuple(legs))
 
 
 @dataclass(frozen=True)

@@ -250,7 +250,7 @@ def load_premeasure(data: Any, location: str = "$") -> tuple[SemiRing, dict]:
     """The semi-ring a family file lists, and the premeasure that gives
     ``mu[i]`` to its i-th listed set."""
     ground, masks = load_family(data, location)
-    raw_mu = data.get("mu")
+    raw_mu = _field(data, "mu", location)
     if not isinstance(raw_mu, list) or len(raw_mu) != len(masks):
         raise InputError("mu must list one value per family member", f"{location}.mu")
     semiring = _build(f"{location}.family", SemiRing, ground, masks)

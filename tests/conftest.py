@@ -85,7 +85,9 @@ def relabelled_cone(m):
     return {"format": 1, "algebra": serialize.dump_algebra(alg), "cone": legs}
 
 
-def _unlimited_str(n: int) -> str:
+def unlimited_str(n: int) -> str:
+    """``str(n)`` with Python's int-to-string limit lifted for that one call
+    only, to build the expected text of an integer past the limit."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -102,10 +104,3 @@ def all_checks_at_100_cases():
     from finprob.report import SuiteConfig
 
     return {c.name: c for c in cli.run_all(SuiteConfig(cases=100))}
-
-
-@pytest.fixture
-def unlimited_str():
-    """``str(n)`` with Python's int-to-string limit lifted for that one call
-    only, to build the expected text of an integer past the limit."""
-    return _unlimited_str

@@ -17,24 +17,18 @@ import copy
 import io
 import json
 import random
-import sys
-from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import bench_workloads
 
 from finprob import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
 KINDS = ("codensity", "reconstruct", "extend", "integrate", "distance")
 
 
 def _valid_instances():
-    sys.path.insert(0, str(BENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(BENCH))
+    workloads = bench_workloads()
     rng = random.Random(0)
     return [(kind, workloads._valid(kind, rng)) for kind in KINDS for _ in range(3)]
 

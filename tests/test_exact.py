@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import unlimited_str
 
 from finprob import exact
 from finprob.integrate import SimpleFunction
@@ -122,7 +123,7 @@ def test_wire_text_is_p_over_q_within_the_digit_limit(v):
         F(10**20000 + 7 * 10**9000, 1),
     ],
 )
-def test_wire_text_writes_every_digit_past_the_limit(value, unlimited_str):
+def test_wire_text_writes_every_digit_past_the_limit(value):
     expected = f"{unlimited_str(value.numerator)}/{unlimited_str(value.denominator)}"
     assert exact.wire_text(value) == expected
 

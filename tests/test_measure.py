@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import unlimited_str
 
 from finprob import (
     Algebra,
@@ -230,7 +231,7 @@ def test_invalid_weights_keep_their_messages():
             Measure.from_numerators(a, den, tuple(int(w * den) for w in weights))
 
 
-def test_a_weight_past_the_int_to_string_limit_constructs_and_dumps_in_full(unlimited_str):
+def test_a_weight_past_the_int_to_string_limit_constructs_and_dumps_in_full():
     from finprob.serialize import dump_measure
 
     tiny = F(1, 10**5000)
