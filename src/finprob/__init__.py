@@ -5,8 +5,10 @@ integration, reconstruction of measures from integration functionals, the
 probability monad with exhaustive law verification, its limit-cone
 description over finite simplices, Carathéodory/Daniell-Stone extension over
 semi-rings of slabs (cell masks on a finite product grid), and the bounded
-Lipschitz metric by exact rational linear programming.  Every quantity is a
-``fractions.Fraction``; every check is exact.
+Lipschitz metric by exact rational linear programming.  Every quantity is
+exact: a vector of rationals is held as integer numerators over one
+denominator (:class:`~finprob.exact.Scaled`), read as ``fractions.Fraction``
+views; every check is exact.
 """
 
 from .errors import (

@@ -208,24 +208,17 @@ def _adversarial_case(config: SuiteConfig, rng):
         "additivity violated on the test family",
     )[style]
     bump = Fraction(1, 2 * config.max_denominator)
-    full = algebra.ground.full_mask
-
-    def oracle(s: SimpleFunction) -> Fraction:
-        value = simple_integral(p, s)
-        delta = bump if value + bump <= 1 else -bump
-        if style == 0 and s == SimpleFunction.indicator(p.algebra, full):
-            return value - bump  # break normalization
-        if style == 1 and s == SimpleFunction.indicator(p.algebra, p.algebra.atoms[0]):
-            return value + delta  # break atom additivity
-        if style == 2 and set(s.values) == {Fraction(1, 2)}:
-            return value + delta  # break the test family
-        return value
-
     half = SimpleFunction.constant(algebra, Fraction(1, 2))
+    full = algebra.ground.full_mask
     listed = [SimpleFunction.indicator(algebra, m) for m in (full, *algebra.atoms)]
-    listed.append(half)
+    table = {s: simple_integral(p, s) for s in (*listed, half)}
+    # shift one entry off the integral, down when up would pass 1: 1_X (which
+    # integrates to 1, so normalization breaks), the first atom's indicator
+    # (atom additivity) or the constant 1/2 (the test family)
+    shifted = (listed[0], listed[1], half)[style]
+    table[shifted] += bump if table[shifted] + bump <= 1 else -bump
     try:
-        reconstruct_measure(Functional(algebra, {s: oracle(s) for s in listed}))
+        reconstruct_measure(Functional(algebra, table))
     except ReconstructionError as exc:
         matches = str(exc).startswith(expected) and (
             style < 2 or any(failure[0] == half for failure in exc.witness)
@@ -706,7 +699,3 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
-
-
-if __name__ == "__main__":
-    main()

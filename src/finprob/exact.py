@@ -79,9 +79,11 @@ class Scaled:
     A subclass (:class:`~finprob.measure.Measure`,
     :class:`~finprob.integrate.SimpleFunction`,
     :class:`~finprob.represent.ExtensionResult`) indexes its entries by the
-    atoms of its ``algebra``, is built through ``_init_on`` (as
-    :meth:`from_numerators` is) and defines ``_check``, its own checks of
-    the numerators."""
+    atoms of its ``algebra`` and is built through ``_init_on`` (as
+    :meth:`from_numerators` is), which requires one entry per atom and then
+    runs the subclass's ``_check``, its own checks of the numerators.  The
+    base owns that atom count and :attr:`weights`, the entries read as atom
+    weights."""
 
     den: int
     nums: tuple[int, ...]
@@ -105,9 +107,14 @@ class Scaled:
         return s
 
     def _init_on(self, algebra, den: int, nums: tuple[int, ...]) -> None:
+        if len(nums) != len(algebra.atoms):
+            raise ValueError("one weight per atom required")
         self._check(algebra, den, nums)
         object.__setattr__(self, "algebra", algebra)
         Scaled.__init__(self, den, nums)
+
+    def _check(self, algebra, den: int, nums: tuple[int, ...]) -> None:
+        """A subclass's own checks of the numerators; none by default."""
 
     @staticmethod
     def of(values: Iterable) -> "Scaled":
@@ -125,6 +132,11 @@ class Scaled:
     def values(self) -> tuple[Fraction, ...]:
         """The entries as ``Fraction``s in lowest terms, built on first read."""
         return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The atom weights as ``Fraction``s in lowest terms: :attr:`values`."""
+        return self.values
 
     def __len__(self) -> int:
         return len(self.nums)

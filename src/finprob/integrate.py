@@ -41,7 +41,7 @@ class SimpleFunction(Scaled):
     nums: tuple[int, ...] = field(init=False, repr=False)
     algebra: Algebra
     # a field, so the repr and dataclasses.replace read it; its class-level
-    # default is Scaled's lazy view, which an instance built from values shadows
+    # default is Scaled's lazy view, the one way values are read
     values: tuple[Fraction, ...] = field(default=Scaled.values, compare=False)
     terms: tuple[tuple[Fraction, int], ...] = field(default=(), compare=False, repr=False)
 
@@ -51,14 +51,10 @@ class SimpleFunction(Scaled):
         values: Sequence,
         terms: Iterable[tuple[Fraction, int]] = (),
     ) -> None:
-        values = fractions(values)
         object.__setattr__(self, "terms", _fraction_terms(terms))
-        self._init_on(algebra, *scaled(values))
-        object.__setattr__(self, "values", values)  # already in lowest terms
+        self._init_on(algebra, *scaled(fractions(values)))
 
     def _check(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
-        if len(nums) != len(algebra.atoms):
-            raise ValueError("one value per atom required")
         if min(nums) < 0 or max(nums) > den:
             bad = next(n for n in nums if not 0 <= n <= den)
             raise RangeError(f"simple function value {Fraction(bad, den)} outside [0, 1]")

@@ -242,10 +242,13 @@ def check_simplex_lipschitz(
     definition (the simplex distance between images, solved as a linear
     program, is at most the distance between arguments), which decides
     ``is_lipschitz``, and the subset-sum criterion (every subset sum of
-    components is 1-Lipschitz into [0, 1]).  The direct side never uses
-    subset sums, so the two verdicts are independent.  On failure the
-    witness is the offending pair and, for the subset route, the offending
-    subset.
+    components is 1-Lipschitz into [0, 1], that is,
+    :func:`bl_distance_subsets` between images is at most the distance
+    between arguments).  The direct side never uses subset sums, so the two
+    verdicts are independent.  On failure the witness is ``(x, y, gap)``:
+    the first pair whose images are too far apart, with their distance by
+    the direct route when it fails and by the subset route otherwise.  Past
+    :data:`SUBSET_ENUMERATION_CAP` labels the subset route raises.
     """
     points = space.points
     images = []
@@ -256,37 +259,18 @@ def check_simplex_lipschitz(
         if images and img.algebra != images[0].algebra:
             raise DomainError("images must share one simplex index set")
         images.append(img)
-    labels = images[0].labels
-    target = discrete_space(labels)
+    target = discrete_space(images[0].labels)
 
-    direct, direct_witness = True, None
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            gap = bl_distance_lp(images[i], images[j], target)
+    def first_failure(distance):
+        for i, j in itertools.combinations(range(len(points)), 2):
+            gap = distance(images[i], images[j])
             if gap > space.dist[i][j]:
-                direct, direct_witness = False, (points[i], points[j], gap)
-                break
-        if not direct:
-            break
+                return points[i], points[j], gap
+        return None
 
-    subset, subset_witness = True, None
-    m = len(labels)
-    den, rows = common(images)
-    sums = [subset_sums(row) for row in rows]
-    dist_den, dist = space.scaled_dist
-    for mask in range(1 << m):
-        for i in range(len(points)):
-            for j in range(i + 1, len(points)):
-                if abs(sums[i][mask] - sums[j][mask]) * dist_den > dist[i][j] * den:
-                    chosen = tuple(labels[k] for k in range(m) if mask >> k & 1)
-                    subset, subset_witness = False, (points[i], points[j], chosen)
-                    break
-            if not subset:
-                break
-        if not subset:
-            break
-
-    return SimplexLipschitzCheck(direct, subset, direct_witness or subset_witness)
+    direct = first_failure(lambda p, q: bl_distance_lp(p, q, target))
+    subset = first_failure(bl_distance_subsets)
+    return SimplexLipschitzCheck(direct is None, subset is None, direct or subset)
 
 
 @lru_cache

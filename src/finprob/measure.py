@@ -35,23 +35,14 @@ class Measure(Scaled):
     algebra: Algebra
 
     def __init__(self, algebra: Algebra, weights: Sequence) -> None:
-        weights = fractions(weights)
-        self._init_on(algebra, *scaled(weights))
-        object.__setattr__(self, "values", weights)  # already in lowest terms
+        self._init_on(algebra, *scaled(fractions(weights)))
 
     def _check(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
-        if len(nums) != len(algebra.atoms):
-            raise ValueError("one weight per atom required")
         if min(nums) < 0 or max(nums) > den:
             raise ValueError("atom weights must lie in [0, 1]")
         mass = sum(nums)
         if mass != den:
             raise ValueError(f"atom weights must sum to 1, got {Fraction(mass, den)}")
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        """The atom weights as ``Fraction``s in lowest terms."""
-        return self.values
 
     def __repr__(self) -> str:
         return f"Measure(algebra={self.algebra!r}, weights={self.weights!r})"

@@ -299,15 +299,6 @@ class ExtensionResult(Scaled):
         self._init_on(algebra, den, tuple(nums))
         object.__setattr__(self, "covered", covered)
 
-    def _check(self, algebra: Algebra, den: int, nums: tuple[int, ...]) -> None:
-        if len(nums) != len(algebra.atoms):
-            raise ValueError("one weight per atom required")
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        """The atom weights as ``Fraction``s in lowest terms."""
-        return self.values
-
     @property
     def mass(self) -> Fraction:
         return Fraction(sum(self.nums), self.den)
@@ -452,6 +443,13 @@ def daniell_stone(
 
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
+
+    The route represents a functional only when every slab height is a
+    rational multiple of a lattice member, and the join/meet closure of the
+    bounds can add one that is not.  So some lattices that
+    :func:`check_weak_lattice` accepts raise :class:`ExtensionError` for
+    every functional: on two points, the closure of ``(0, 1/4)`` and
+    ``(1/2, 0)`` gains the bound ``(1, 1/4)``, on no member's ray.
     """
     check = check_weak_lattice(lattice)
     if not check.ok:

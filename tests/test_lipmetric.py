@@ -432,6 +432,24 @@ def test_disagreeing_criteria_are_reported(monkeypatch):
     assert not result.verdicts_agree
 
 
+def test_the_subset_witness_is_the_pair_and_its_subset_distance(monkeypatch):
+    """With every subset sum doubled, images 1/4 apart in total variation
+    read 1/2 apart by subsets, past the points' distance 3/8: the direct
+    route passes and the subset route names the pair and its gap."""
+    real = lipmetric.subset_sums
+    monkeypatch.setattr(lipmetric, "subset_sums", lambda weights: [2 * s for s in real(weights)])
+    labels = ("u", "v")
+    space = FiniteMetricSpace(("x", "y"), ((F(0), F(3, 8)), (F(3, 8), F(0))))
+    f = {
+        "x": SimplexPoint(labels, (F(1, 2), F(1, 2))),
+        "y": SimplexPoint(labels, (F(3, 4), F(1, 4))),
+    }
+    result = check_simplex_lipschitz(f, space)
+    assert result.is_lipschitz
+    assert not result.verdicts_agree
+    assert result.witness == ("x", "y", F(1, 2))
+
+
 def test_vertex_embedding_of_discrete_space_is_lipschitz():
     points = ("x", "y", "z")
     space = discrete_space(points)

@@ -1,9 +1,10 @@
 """The pass/fail tally behind every check and the bytes of a JSON report."""
 
 import json
+from fractions import Fraction as F
 
 from finprob import cli, gen
-from finprob.report import MAX_WITNESSES, Report, SuiteConfig, _json, tally
+from finprob.report import MAX_WITNESSES, CheckOutcome, Report, SuiteConfig, _json, tally
 
 
 def test_tally_counts_every_outcome_and_keeps_first_five_witnesses():
@@ -85,3 +86,46 @@ def test_json_reports_have_the_bytes_of_the_indented_encoder():
     report = Report("laws", SuiteConfig().to_payload(), cli.run_laws(SuiteConfig(cases=20)))
     expected = json.dumps(report.to_payload(), sort_keys=True, indent=2) + "\n"
     assert report.render("json") == expected
+
+
+def test_a_failing_check_renders_its_witnesses_as_text_and_json():
+    """The text form shows the first three witnesses; JSON writes a
+    ``Fraction`` as ``"p/q"``, keys as strings, ``None`` as null and any
+    other object as its repr."""
+
+    class Opaque:
+        def __repr__(self):
+            return "<opaque>"
+
+    witnesses = (F(1, 3), {1: F(1, 2)}, None, Opaque())
+    report = Report("sample", {}, (CheckOutcome("sample", 0, 4, witnesses),))
+    assert report.render("text") == (
+        "suite sample: FAIL\n"
+        "  [FAIL] sample: 0 passed, 4 failed\n"
+        "      witness: 1/3\n"
+        "      witness: {'1': '1/2'}\n"
+        "      witness: None\n"
+    )
+    assert report.render("json") == """{
+  "checks": [
+    {
+      "failed": 4,
+      "name": "sample",
+      "passed": 0,
+      "witnesses": [
+        "1/3",
+        {
+          "1": "1/2"
+        },
+        null,
+        "<opaque>"
+      ]
+    }
+  ],
+  "config": {},
+  "format": 1,
+  "notes": [],
+  "ok": false,
+  "suite": "sample"
+}
+"""

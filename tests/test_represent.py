@@ -725,6 +725,32 @@ def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
         assert rebuilt == direct
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=ExtensionError,
+    reason="the bound 1_{x0} v (0, 1/4) = (1, 1/4) that slab_grid closes in lies on no "
+    "member's ray, so its slab height cannot be lifted",
+)
+def test_the_slab_route_represents_an_integral_on_every_valid_lattice():
+    """(0, 1/4) and (1/2, 0) closed under the lattice clauses: a valid
+    lattice whose functions generate the powerset, so the integral of any
+    measure on it is a lattice functional that the route must represent."""
+    g = GroundSet(("x0", "x1"))
+    lattice = WeakIntegrationLattice(
+        g,
+        tuple(
+            (F(a), F(b))
+            for a, b in [
+                (0, 0), (0, "1/4"), ("1/2", 0), ("1/2", "1/4"), ("1/2", "1/2"),
+                ("1/2", "3/4"), ("1/2", 1), (1, "3/4"), (1, 1),
+            ]
+        ),
+    )
+    assert check_weak_lattice(lattice).ok
+    hidden = Measure(Algebra.powerset(g), (F(1, 3), F(2, 3)))
+    assert daniell_stone(lattice, cli._integration_table(hidden, lattice)) == hidden
+
+
 # --- the integer kernel against the Fraction scan it replaced ------------------
 #
 # ``check_weak_lattice`` and ``daniell_stone`` work on integer vectors over the
