@@ -432,9 +432,9 @@ def _integral_case(config: SuiteConfig, rng):
 # job runs, so that a rebound runner reaches every worker, and its weight.
 # The weights fix which process runs each job, and are kept as they are:
 # each was the job's percent of a one-process run at the default config
-# before the laws and cone suites got faster.  Today's times (about 0.35 s
-# for extend down to 0.05 s for distance, of 2.2 s) would give the caller a
-# larger share on two CPUs and on three.
+# before the laws and cone suites got faster.  README's `all` paragraph
+# gives today's median per job and how it was measured; as weights, those
+# times would give the caller a larger share on two CPUs and on three.
 ALL_JOBS = {
     "laws.sigma": ("run_laws", 13),
     "laws.finitely_additive": ("run_laws", 13),

@@ -8,8 +8,11 @@ labels' powerset (:func:`~finprob.monad.SimplexPoint`), and the simplex map
 of a label function is :func:`~finprob.measure.pushforward` into the
 target labels' powerset, applied here to integer numerators in two steps.
 :func:`naturality_triangles` enumerates a family's commutative triangles:
-an arrow composed with a label map is found among the declared arrows by
-its summed, reduced integer columns.  The triangles depend on the arrows
+every arrow's columns are packed into ints over the family's common
+denominator, one field per atom, so an arrow composed with a label map is
+a sum of packed columns and is found among the declared arrows by one dict
+probe (a field sums one row's entries, at most that denominator, so it
+never carries into the next).  The triangles depend on the arrows
 alone, so a suite run enumerates each family once and checks the cones of
 all its measures over that family on them.  :func:`check_cone_naturality`
 compares the legs of each triangle by cross-multiplication, so no measure
@@ -35,8 +38,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
-from operator import add
+from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gen
@@ -82,8 +84,7 @@ class Arrow:
     ) -> "Arrow":
         """Build from per-point assignments, which must be constant on atoms."""
         rows = []
-        for atom in source.atoms:
-            labels = source.ground.labels_of(atom)
+        for labels in source.atom_points:
             first = by_point[labels[0]]
             for other in labels[1:]:
                 if by_point[other] != first:
@@ -182,16 +183,33 @@ def naturality_triangles(arrows: Sequence[Arrow]) -> Iterator[tuple[int, int, tu
     ``(f, g, image)``: ``arrows[g]`` is ``arrows[f]`` composed with the label
     map taking ``arrows[f].targets[t]`` to ``arrows[g].targets[image[t]]``.
     Every map from an arrow's labels into each target set is tried, at most
-    ``4**4``, and the composite is found among the arrows by its summed,
-    reduced integer columns."""
-    target_sets = sorted({arrow.targets for arrow in arrows})
-    columns = [(a.numerators[0], tuple(zip(*a.numerators[1]))) for a in arrows]
-    # an arrow's targets and integer columns -> its index
-    declared = {(a.targets, *c): j for j, (a, c) in enumerate(zip(arrows, columns))}
-    for f, arrow in enumerate(arrows):
-        for targets in target_sets:
-            for image in itertools.product(range(len(targets)), repeat=len(arrow.targets)):
-                g = declared.get((targets, *_composed(*columns[f], image, len(targets))))
+    ``4**4``, and the composite is found among the arrows by its packed
+    columns.
+
+    Every arrow's numerators are brought to the family's least common
+    denominator ``D`` once, and a target label's column becomes one int
+    with a ``D.bit_length()``-bit field per atom.  A field of a composite
+    column sums entries of one row, which sum to ``D``, so it never carries
+    into the next field: packed columns are equal exactly when the rational
+    columns are, and a composite is a few int additions away."""
+    numerators = [a.numerators for a in arrows]
+    den = lcm(*(d for d, _ in numerators))
+    width = den.bit_length()
+    packed = [
+        [sum(n * (den // d) << width * i for i, n in enumerate(c)) for c in zip(*rows)]
+        for d, rows in numerators
+    ]
+    declared = {}  # target labels -> packed columns -> the arrow's index
+    for j, (arrow, columns) in enumerate(zip(arrows, packed)):
+        declared.setdefault(arrow.targets, {})[tuple(columns)] = j
+    target_sets = sorted(declared.items())
+    for f, columns in enumerate(packed):
+        for targets, found in target_sets:
+            for image in itertools.product(range(len(targets)), repeat=len(columns)):
+                sums = [0] * len(targets)
+                for column, u in zip(columns, image):
+                    sums[u] += column
+                g = found.get(tuple(sums))
                 if g is not None:
                     yield f, g, image
 
@@ -218,18 +236,6 @@ def check_cone_naturality(cone: Cone, triangles=None) -> NaturalityResult:
             witness = (arrows[f], mapping, arrows[g], expected, leg_g)
             return NaturalityResult(False, count, witness=witness)
     return NaturalityResult(True, count)
-
-
-def _composed(den: int, columns, image: tuple[int, ...], width: int):
-    """The ``(den, columns)`` of an arrow's composite with the label map
-    ``t -> image[t]`` into ``width`` labels, from the arrow's own (its
-    :func:`~finprob.exact.common` rows, transposed): column
-    ``u`` sums the columns mapped to ``u``, reduced to lowest terms."""
-    sums = [(0,) * len(columns[0])] * width
-    for column, u in zip(columns, image):
-        sums[u] = tuple(map(add, sums[u], column))
-    g = gcd(den, *itertools.chain.from_iterable(sums))
-    return den // g, tuple(tuple(n // g for n in column) for column in sums)
 
 
 def _binary_indicator_mask(arrow: Arrow) -> int | None:

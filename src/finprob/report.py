@@ -5,7 +5,7 @@ checks."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as quoted
 from typing import Any, Iterable
@@ -55,7 +55,7 @@ class SuiteConfig:
             )
 
     def to_payload(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

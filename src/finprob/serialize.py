@@ -304,8 +304,9 @@ def load_simplex(data: Any, location: str = "$", labels=None, rows=None) -> Meas
         names, raw, where = labels, data, location
         if rows is not None and all(type(v) is str for v in raw):
             key = (tuple(labels), tuple(raw))
-            if key in rows:
-                return rows[key]
+            point = rows.get(key)
+            if point is not None:
+                return point
     else:
         obj = _expect(data, dict, location)
         names = _labels(_field(obj, "labels", location), f"{location}.labels")
@@ -341,7 +342,7 @@ def dump_arrow(arrow: Arrow) -> dict:
 def load_arrow(data: Any, source: Algebra, location: str = "$", rows=None) -> Arrow:
     """An arrow from ``source``; ``rows`` is passed to :func:`load_simplex`."""
     obj = _expect(data, dict, location)
-    targets = _labels(_field(obj, "targets", location), f"{location}.targets")
+    targets = tuple(_labels(_field(obj, "targets", location), f"{location}.targets"))
     if len(set(targets)) != len(targets):
         raise InputError("arrow target labels must be distinct", f"{location}.targets")
     rows_raw = _expect(_field(obj, "rows", location), dict, f"{location}.rows")
@@ -353,9 +354,7 @@ def load_arrow(data: Any, source: Algebra, location: str = "$", rows=None) -> Ar
         by_point[point] = load_simplex(
             rows_raw[point], f"{location}.rows.{point}", targets, rows
         )
-    return _build(
-        f"{location}.rows", Arrow.from_point_rows, source, tuple(targets), by_point
-    )
+    return _build(f"{location}.rows", Arrow.from_point_rows, source, targets, by_point)
 
 
 def dump_cone(cone: Cone) -> list:

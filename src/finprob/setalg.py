@@ -175,6 +175,11 @@ class Algebra:
                     index[j] = i
         return tuple(index)
 
+    @cached_property
+    def atom_points(self) -> tuple[tuple[str, ...], ...]:
+        """The labels of each atom's points, in atom order."""
+        return tuple(self.ground.labels_of(atom) for atom in self.atoms)
+
     def atom_of_point(self, label: str) -> int:
         return self.point_atoms[self.ground.index(label)]
 

@@ -2,6 +2,8 @@
 
 import itertools
 from fractions import Fraction as F
+from math import gcd
+from operator import add
 
 import pytest
 
@@ -434,3 +436,143 @@ def test_a_suite_run_enumerates_each_family_once_and_a_direct_check_every_time(m
     first, second = check_cone_naturality(cone), check_cone_naturality(cone)
     assert first == second and first.ok
     assert enumerated == [tuple(cone.legs)] * 2
+
+
+def reference_naturality_triangles(arrows):
+    """The triangles found on reduced columns: each arrow's columns over
+    its own common denominator, a composite's summed columns reduced to
+    lowest terms, then looked up with its targets among the arrows'."""
+    target_sets = sorted({arrow.targets for arrow in arrows})
+    columns = [(a.numerators[0], tuple(zip(*a.numerators[1]))) for a in arrows]
+    declared = {(a.targets, *c): j for j, (a, c) in enumerate(zip(arrows, columns))}
+    for f, arrow in enumerate(arrows):
+        for targets in target_sets:
+            for image in itertools.product(range(len(targets)), repeat=len(arrow.targets)):
+                composite = reference_composed(*columns[f], image, len(targets))
+                g = declared.get((targets, *composite))
+                if g is not None:
+                    yield f, g, image
+
+
+def reference_composed(den, columns, image, width):
+    """``(den, columns)`` of the composite with ``t -> image[t]``: column
+    ``u`` sums the columns mapped to ``u``, reduced to lowest terms."""
+    sums = [(0,) * len(columns[0])] * width
+    for column, u in zip(columns, image):
+        sums[u] = tuple(map(add, sums[u], column))
+    g = gcd(den, *itertools.chain.from_iterable(sums))
+    return den // g, tuple(tuple(n // g for n in column) for column in sums)
+
+
+def arrow_of(algebra, targets, *rows):
+    """The arrow from ``algebra`` whose atom ``i`` maps to ``rows[i]``."""
+    simplex = simplex_algebra(targets)
+    return Arrow(algebra, targets, tuple(Measure(simplex, row) for row in rows))
+
+
+def with_images(arrows, maps):
+    """``arrows`` and, for each ``(arrow, mapping, targets)`` of ``maps``,
+    the composite of ``arrow`` with that label map, each arrow once."""
+    family = list(arrows)
+    for arrow, mapping, targets in maps:
+        composite = reference_compose_label_map(arrow, mapping, targets)
+        if composite not in family:
+            family.append(composite)
+    return family
+
+
+def four_label_family():
+    """Arrows into four labels: the atom arrow, an arrow with rows over 2,
+    3, 5 and 8, their images under a label cycle, and the second one's
+    merges into two labels and into three."""
+    algebra = Algebra.powerset(GroundSet(tuple(f"x{i}" for i in range(4))))
+    four = ("t0", "t1", "t2", "t3")
+    atoms = codensity._atom_arrow(algebra, 4)
+    spread = arrow_of(
+        algebra,
+        four,
+        (F(1, 2), F(1, 4), F(1, 8), F(1, 8)),
+        (F(0), F(1, 3), F(1, 3), F(1, 3)),
+        (F(1, 5), F(1, 5), F(1, 5), F(2, 5)),
+        (F(0), F(0), F(0), F(1)),
+    )
+    cycle = dict(zip(four, four[1:] + four[:1]))
+    return with_images(
+        [*indicator_family(algebra), atoms, spread],
+        [
+            (atoms, cycle, four),
+            (spread, cycle, four),
+            (spread, {"t0": "0", "t1": "0", "t2": "1", "t3": "1"}, codensity.BINARY_LABELS),
+            (spread, {"t0": "a", "t1": "b", "t2": "c", "t3": "c"}, ("a", "b", "c")),
+        ],
+    )
+
+
+def coprime_family():
+    """Rows over 7, 11 and 13, so the family's D is 1001 (fields of 10
+    bits) and an indicator row's entry is D.  ``near`` and ``far`` pack
+    alike if a field is one bit short: ``near``'s 512/1001 at atom 0 would
+    read as ``far``'s 1/1001 at atom 1."""
+    algebra = powerset3()
+    binary = codensity.BINARY_LABELS
+    f = binary_arrow(SimpleFunction(algebra, (F(1, 7), F(2, 11), F(3, 13))))
+    near = arrow_of(algebra, binary, (F(489, 1001), F(512, 1001)), (1, 0), (1, 0))
+    far = arrow_of(algebra, binary, (1, 0), (F(1000, 1001), F(1, 1001)), (1, 0))
+    swap = {"0": "1", "1": "0"}
+    family = [*indicator_family(algebra), near, far, f]
+    return with_images(family, [(f, swap, binary), (near, swap, binary)])
+
+
+def equal_columns_family():
+    """Two arrows with the same rows into differently named labels."""
+    algebra = powerset3()
+    f = binary_arrow(SimpleFunction(algebra, (F(1, 3), F(1, 2), F(1))))
+    renamed = arrow_of(algebra, ("a", "b"), *(row.weights for row in f.rows))
+    zero = binary_arrow(SimpleFunction.constant(algebra, 0))
+    return [collapse_arrow(algebra), f, renamed, zero]
+
+
+def one_atom_family():
+    """The indicator family of a one-atom algebra, a constant binary arrow,
+    a three-label arrow and their images under label maps."""
+    algebra = Algebra.trivial(GroundSet(("x", "y", "z")))
+    binary = codensity.BINARY_LABELS
+    third = binary_arrow(SimpleFunction.constant(algebra, F(1, 3)))
+    spread = arrow_of(algebra, ("a", "b", "c"), (F(1, 3), F(2, 3), F(0)))
+    return with_images(
+        [*indicator_family(algebra), third, spread],
+        [
+            (third, {"0": "1", "1": "0"}, binary),
+            (spread, {"a": "0", "b": "1", "c": "1"}, binary),
+        ],
+    )
+
+
+def seeded_families():
+    rng = gen.rng_for(41, "packed-columns")
+    return [
+        tuple(seeded_cone(rng, atoms, extra, True, None).legs)
+        for atoms, extra in itertools.product(range(1, 6), (0, 2))
+    ]
+
+
+@pytest.mark.parametrize(
+    "families",
+    [
+        pytest.param(lambda: [four_label_family()], id="four-labels"),
+        pytest.param(lambda: [coprime_family()], id="coprime-denominators"),
+        pytest.param(lambda: [equal_columns_family()], id="equal-columns"),
+        pytest.param(lambda: [one_atom_family()], id="one-atom"),
+        pytest.param(lambda: [()], id="empty"),
+        pytest.param(seeded_families, id="seeded"),
+    ],
+)
+def test_packed_columns_give_the_reduced_column_triangles(families):
+    """The packed kernel yields exactly the reduced-column enumeration's
+    ``(f, g, image)`` sequence, and each family has a triangle between two
+    of its arrows to compare."""
+    for family in families():
+        triangles = list(codensity.naturality_triangles(family))
+        assert triangles == list(reference_naturality_triangles(family))
+        assert len(triangles) >= len(family)  # each arrow's identity triangle at least
+        assert len(family) < 2 or any(f != g for f, g, _ in triangles)
