@@ -35,7 +35,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .exact import total, wire_text
+from .exact import wire_text
 from .integrate import SimpleFunction, check_integral_properties, simple_integral
 from .lipmetric import (
     SUBSET_ENUMERATION_CAP,
@@ -53,6 +53,7 @@ from .represent import (
     WeakIntegrationLattice,
     caratheodory_extend,
     daniell_stone,
+    integration_table,
     reconstruct_measure,
     slab_grid,
 )
@@ -233,7 +234,7 @@ def _lattice_case(config: SuiteConfig, name: str, rng):
     rebuild the hidden measure."""
     lattice, hidden = _random_grid_lattice(rng, config.max_denominator)
     try:
-        rebuilt = daniell_stone(lattice, _integration_table(hidden, lattice))
+        rebuilt = daniell_stone(lattice, integration_table(hidden, lattice))
     except FinprobError as exc:
         yield name, False, str(exc)
     else:
@@ -405,14 +406,6 @@ def _closed_half_grid(family: list) -> list:
     return [tuple(Fraction(x, 2) for x in f) for f in doubled]
 
 
-def _integration_table(p, lattice) -> dict:
-    """Each lattice function's integral against ``p``, a measure on the
-    lattice's generated algebra: its values at one point of each atom,
-    weighted by the atoms' masses."""
-    points = [(atom & -atom).bit_length() - 1 for atom in p.algebra.atoms]
-    return {f: total(w * f[i] for w, i in zip(p.weights, points)) for f in lattice.functions}
-
-
 def run_integrate_suite(config: SuiteConfig) -> tuple[CheckOutcome, ...]:
     case = partial(_integral_case, config)
     return gen.run_cases(config.seed, "integral", config.cases, ("properties",), case)
@@ -536,10 +529,10 @@ def run_extend_input(data: dict) -> tuple[CheckOutcome, ...]:
         "mass": wire_text(extension.mass),
         "atoms": [
             {
-                "points": list(extension.algebra.ground.labels_of(atom)),
+                "points": list(labels),
                 "weight": wire_text(w),
             }
-            for atom, w in zip(extension.algebra.atoms, extension.weights)
+            for labels, w in zip(extension.algebra.atom_points, extension.weights)
         ],
     }
     return (CheckOutcome("extend", 1, 0, (payload,)),)

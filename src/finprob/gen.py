@@ -166,7 +166,7 @@ def random_term_list(
     rng: random.Random, algebra: Algebra, max_denominator: int
 ) -> SimpleFunction:
     """A simple function built from explicit coefficient/member terms."""
-    members = list(algebra.members)
+    members = algebra.members
     terms = []
     budget = ONE
     for _ in range(rng.randint(1, MAX_TERMS)):
@@ -190,9 +190,9 @@ def random_premeasurable_map(
     m = rng.randint(1, 3)
     cod_ground = GroundSet(tuple(f"y{i}" for i in range(m)))
     mapping = {}
-    for atom in dom.atoms:
+    for labels in dom.atom_points:
         target = rng.choice(cod_ground.points)
-        for label in dom.ground.labels_of(atom):
+        for label in labels:
             mapping[label] = target
     return mapping, random_algebra(rng, cod_ground)
 

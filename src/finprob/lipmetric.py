@@ -25,6 +25,7 @@ from .linprog import maximize
 from .measure import Measure, dirac, simplex_algebra
 from .monad import MetaMeasure, SimplexPoint, combine_meta, eta_as_meta, mult
 from .report import CheckOutcome, SuiteConfig, tally
+from .setalg import subset_sums
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -200,17 +201,6 @@ def bl_distance_subsets(p: Measure, q: Measure) -> Fraction:
     den, (p_nums, q_nums) = common((p, q))
     gap = max(abs(s) for s in subset_sums([a - b for a, b in zip(p_nums, q_nums)]))
     return Fraction(gap) / den
-
-
-def subset_sums(weights: Sequence[int]) -> list[int]:
-    """The sum of ``weights`` over every subset of indices, listed by bit
-    mask: entry ``mask`` sums the weights whose bit is set in ``mask``.
-    The sums start from the integer 0, so integer weights give integer
-    sums, and ``Fraction`` weights ``Fraction`` sums."""
-    sums = [0]
-    for w in weights:
-        sums += [s + w for s in sums]
-    return sums
 
 
 def total_variation(p: Measure, q: Measure) -> Fraction:

@@ -138,8 +138,8 @@ def eta_as_meta(p: Measure) -> MetaMeasure:
     point of) that atom, weighted by the atom's mass.
     """
     algebra = p.algebra
-    pairs = zip(p.nums, algebra.atoms)
-    diracs = ((n, dirac(algebra.ground.labels_of(atom)[0], algebra)) for n, atom in pairs if n)
+    pairs = zip(p.nums, algebra.atom_points)
+    diracs = ((n, dirac(labels[0], algebra)) for n, labels in pairs if n)
     return MetaMeasure.merge(diracs, p.den)
 
 

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .exact import Scaled, common, rational_text, scaled
+from .exact import Scaled, common, rational_text, scaled, total
 from .integrate import SimpleFunction, simple_integral
 from .measure import Measure, evaluate
 from .setalg import (
@@ -431,15 +431,18 @@ def daniell_stone(
     the zero function need not be listed, since its value is forced to 0.
 
     Builds the semi-ring of slabs between members of a join/meet-closed bound
-    family (the lattice functions bounded by one, the constants zero and one,
-    and the indicators of the generated algebra's members, all of which lie
-    in the integer-multiple span of a valid lattice), assigns each slab the
-    lifted functional value of its height, runs the Carathéodory extension on
-    the induced finite product grid, and reads the measure off the
-    height-one slice, which must represent the functional on every lattice
-    member bounded by one.  The slab ``[0, 1_A)`` carries the lifted value of
-    each member's indicator, so the result is the direct indicator
-    reconstruction too, and no second route is run to compare.
+    family, assigns each slab the lifted functional value of its height,
+    runs the Carathéodory extension on the induced finite product grid, and
+    reads the measure off the height-one slice, which must represent the
+    functional on every lattice member bounded by one (its
+    :func:`integration_table` must agree with ``values`` there).  The closure
+    is seeded with the lattice functions bounded by one, the constants zero
+    and one among them, and the indicators of the generated algebra's
+    atoms, all of which lie in the integer-multiple span of a valid lattice.
+    Joins of atom indicators are every member's indicator, so each
+    ``1_A`` is a bound, the slab ``[0, 1_A)`` carries the lifted value of
+    ``1_A``, the result is the direct indicator reconstruction too, and no
+    second route is run to compare.
 
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
@@ -494,12 +497,10 @@ def daniell_stone(
         k = next(i for i, v in enumerate(d) if v)
         return Fraction(height[k], members[j][k]) * member_values[j]
 
-    # The slabs' bounds: the lattice functions bounded by one and the
-    # indicators of the algebra's members, the constants zero and one among them.
+    # The slabs' bounds: the lattice functions bounded by one and the atoms'
+    # indicators, whose joins are the indicators of the algebra's members.
     seeds = [vec for vec in members if max(vec) <= scale]
-    seeds += (
-        tuple(scale if atom & mask else 0 for atom in sigma.atoms) for mask in sigma.members
-    )
+    seeds += (tuple(scale if i == a else 0 for i in range(atom_count)) for a in range(atom_count))
     bound_family, cells, above, below = slab_grid(seeds, scale)
     product_points = tuple(
         f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
@@ -538,21 +539,21 @@ def daniell_stone(
     except ValueError as exc:
         raise ExtensionError(f"slab extension is not a probability measure: {exc}")
 
-    # representation property on lattice members bounded by one
+    represented = integration_table(result, lattice)
     for vec in lattice.functions:
-        if any(v > 1 for v in vec):
-            continue
-        f_simple = SimpleFunction(sigma, tuple(vec[p] for p in firsts))
-        if simple_integral(result, f_simple) != table[vec]:
+        if max(vec) <= 1 and represented[vec] != table[vec]:
             raise ExtensionError(
                 "slab route fails to represent the functional",
-                witness=(vec, table[vec], simple_integral(result, f_simple)),
+                witness=(vec, table[vec], represented[vec]),
             )
-
-    # No cross-check against the direct indicator reconstruction follows, as
-    # none could fail.  Zero and each member's indicator are bounds, so the
-    # slab [0, 1_A) is a semi-ring member, valued lift(1_A) and checked
-    # additive over its cells; it is the union of the columns of A's atoms,
-    # column i being [0, 1_{atom i}), so lift(1_A) is result(A), and
-    # reconstruct_measure of the lifted indicators returns the result itself.
     return result
+
+
+def integration_table(
+    p: Measure, lattice: WeakIntegrationLattice
+) -> dict[tuple[Fraction, ...], Fraction]:
+    """Each lattice function's integral against ``p``, a measure on the
+    lattice's generated algebra: its values at one point of each atom,
+    weighted by the atoms' masses."""
+    points = [(atom & -atom).bit_length() - 1 for atom in p.algebra.atoms]
+    return {f: total(w * f[i] for w, i in zip(p.weights, points)) for f in lattice.functions}

@@ -4,8 +4,8 @@ Subsets are bit masks over the ground set's canonical point order: bit ``i``
 stands for ``points[i]``.  A family of subsets is an iterable of masks;
 :class:`SemiRing` and :class:`Algebra` keep theirs sorted and deduplicated so
 every operation is deterministic.  An algebra is represented by its atom
-partition; its full member list (all unions of atoms) is exposed as a lazy
-view, since ``|members| == 2**len(atoms)``.
+partition; its full member list (all unions of atoms) is built on request
+by :func:`subset_sums`, since ``|members| == 2**len(atoms)``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
 
@@ -22,7 +22,7 @@ from .errors import DomainError
 #: not capped.
 DEFAULT_SIZE_CAP = 16
 
-#: Algebras larger than this refuse to iterate their member view.
+#: Algebras with more members than this refuse to list them.
 MEMBER_ITERATION_CAP = 1 << 20
 
 
@@ -73,37 +73,14 @@ class GroundSet:
         return self.full_mask ^ self.check_mask(mask)
 
 
-class AlgebraMembers:
-    """Lazy view of an algebra's members: all unions of its atoms."""
-
-    def __init__(self, algebra: "Algebra"):
-        self._algebra = algebra
-
-    def __contains__(self, mask: int) -> bool:
-        return self._algebra.is_member(mask)
-
-    def __len__(self) -> int:
-        return 1 << len(self._algebra.atoms)
-
-    def __iter__(self) -> Iterator[int]:
-        atoms = self._algebra.atoms
-        if len(self) > MEMBER_ITERATION_CAP:
-            raise DomainError(
-                f"refusing to enumerate {len(self)} members; use is_member instead"
-            )
-        members = [0]
-        for atom in atoms:
-            members += [m | atom for m in members]
-        return iter(sorted(members))
-
-
 @dataclass(frozen=True)
 class Algebra:
     """A family of subsets closed under complement and intersection.
 
     Stored by its atom partition; on a finite ground set this determines the
     algebra completely (members are exactly the unions of atoms) and doubles
-    as a sigma-algebra.
+    as a sigma-algebra.  :attr:`members` lists those unions as a tuple, built
+    anew on each read; :meth:`is_member` decides one set without listing.
     """
 
     ground: GroundSet
@@ -149,8 +126,12 @@ class Algebra:
         return generate_algebra(ground, family)
 
     @property
-    def members(self) -> AlgebraMembers:
-        return AlgebraMembers(self)
+    def members(self) -> tuple[int, ...]:
+        """Every union of atoms, in ascending mask order."""
+        count = 1 << len(self.atoms)
+        if count > MEMBER_ITERATION_CAP:
+            raise DomainError(f"refusing to enumerate {count} members; use is_member instead")
+        return tuple(sorted(subset_sums(self.atoms)))
 
     def is_member(self, mask: int) -> bool:
         self.ground.check_mask(mask)
@@ -182,6 +163,19 @@ class Algebra:
 
     def atom_of_point(self, label: str) -> int:
         return self.point_atoms[self.ground.index(label)]
+
+
+def subset_sums(weights: Sequence[int]) -> list[int]:
+    """The sum of ``weights`` over every subset of indices, listed by bit
+    mask: entry ``mask`` sums the weights whose bit is set in ``mask``.
+    The sums start from the integer 0, so integer weights give integer
+    sums, and ``Fraction`` weights ``Fraction`` sums.  Pairwise-disjoint
+    masks are weights too: a sum of them is their union, so one loop lists
+    both an algebra's members and a distance's subset gaps."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
 
 
 def generate_algebra(ground: GroundSet, generators: Iterable[int]) -> Algebra:

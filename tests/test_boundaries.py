@@ -1,7 +1,8 @@
 """Constructor behaviour of the exact value types at the edges of what they
 accept: sums a hair away from 1, weights of exactly 0 and 1, values a hair
-outside [0, 1], and string or integer inputs.  Each rejection is pinned to
-its exception type and its exact message."""
+outside [0, 1], and string or integer inputs; and one row for each
+rejection of a value type or its operations that no other test reaches.
+Each rejection is pinned to its exception type and its exact message."""
 
 from fractions import Fraction as F
 
@@ -9,15 +10,29 @@ import pytest
 
 from finprob import (
     Algebra,
+    Arrow,
+    Cone,
     GroundSet,
     LipschitzFunction,
     Measure,
     MetaMeasure,
+    SemiRing,
     SimpleFunction,
     SimplexPoint,
+    WeakIntegrationLattice,
+    bl_distance_subsets,
+    caratheodory_extend,
+    check_integral_properties,
+    check_simplex_lipschitz,
+    cone_of_measure,
+    daniell_stone,
     discrete_space,
+    pushforward,
+    total_variation,
 )
-from finprob.errors import RangeError
+from finprob.codensity import collapse_arrow
+from finprob.errors import DomainError, PreconditionError, RangeError
+from finprob.lipmetric import bl_distance_lp_witness
 
 EPS = F(1, 10**9)
 LABELS = ("a", "b", "c")
@@ -176,3 +191,120 @@ def test_malformed_strings_are_rejected_by_the_fraction_constructor():
         "Invalid literal for Fraction: '1/'",
         lambda: measure(("1/", 0, 1)),
     )
+
+
+ONE_POINT = Algebra.trivial(GroundSet(("a",)))
+A = SimplexPoint(LABELS, (1, 0, 0))
+X = SimplexPoint(("x",), (1,))
+WIDE = SimplexPoint(tuple(map(str, range(21))), (1,) + (0,) * 20)
+
+
+@pytest.mark.parametrize(
+    "exc_type, message, build",
+    [
+        pytest.param(
+            ValueError, "arrow target labels must be distinct",
+            lambda: Arrow(ALGEBRA, ("x", "x"), ()), id="arrow-repeated-target",
+        ),
+        pytest.param(
+            ValueError, "one simplex point per source atom required",
+            lambda: Arrow(ALGEBRA, ("x",), (X,)), id="arrow-row-count",
+        ),
+        pytest.param(
+            ValueError, "arrow rows must be indexed by the target labels",
+            lambda: Arrow(ONE_POINT, ("y",), (X,)), id="arrow-row-labels",
+        ),
+        pytest.param(
+            ValueError, "leg must be indexed by its arrow's targets",
+            lambda: Cone("c", ((collapse_arrow(ALGEBRA), X),)), id="cone-leg-labels",
+        ),
+        pytest.param(
+            PreconditionError, "arrow source differs from the measure's algebra",
+            lambda: cone_of_measure(A, [collapse_arrow(ONE_POINT)]), id="cone-of-measure-source",
+        ),
+        pytest.param(
+            RangeError, "scalar 2 outside [0, 1]",
+            lambda: SimpleFunction(ALGEBRA, (0, 0, 0)).scale(2), id="scale-above-one",
+        ),
+        pytest.param(
+            DomainError, "simple functions live on different algebras",
+            lambda: SimpleFunction(ALGEBRA, (0, 0, 0)).add(SimpleFunction(ONE_POINT, (0,))),
+            id="add-across-algebras",
+        ),
+        pytest.param(
+            DomainError, "all functions must live on the measure's algebra",
+            lambda: check_integral_properties(A, [SimpleFunction(ONE_POINT, (0,))]),
+            id="integral-properties-algebra",
+        ),
+        pytest.param(
+            ValueError, "one value per point required",
+            lambda: LipschitzFunction(SPACE, (0, 0)), id="lipschitz-value-count",
+        ),
+        pytest.param(
+            DomainError, "simplex points must be indexed by the metric's points",
+            lambda: bl_distance_lp_witness(X, X, SPACE), id="lp-witness-labels",
+        ),
+        pytest.param(
+            DomainError, "simplex points must share one index set",
+            lambda: bl_distance_subsets(A, X), id="subsets-labels",
+        ),
+        pytest.param(
+            DomainError, "subset enumeration capped at 20 labels; use the LP",
+            lambda: bl_distance_subsets(WIDE, WIDE), id="subsets-label-cap",
+        ),
+        pytest.param(
+            DomainError, "simplex points must share one index set",
+            lambda: total_variation(A, X), id="total-variation-labels",
+        ),
+        pytest.param(
+            DomainError, "map is not total: missing 'c'",
+            lambda: check_simplex_lipschitz({"a": X, "b": X}, SPACE), id="lipschitz-map-not-total",
+        ),
+        pytest.param(
+            DomainError, "images must share one simplex index set",
+            lambda: check_simplex_lipschitz({"a": X, "b": A, "c": X}, SPACE),
+            id="lipschitz-mixed-images",
+        ),
+        pytest.param(
+            DomainError, "map is not total: missing 'a'",
+            lambda: pushforward(A, {}, ALGEBRA), id="pushforward-not-total",
+        ),
+        pytest.param(
+            ValueError, "every function must assign a value to each point",
+            lambda: WeakIntegrationLattice(ALGEBRA.ground, ((1,),)), id="lattice-length",
+        ),
+        pytest.param(
+            ValueError, "lattice functions must be nonnegative",
+            lambda: WeakIntegrationLattice(ONE_POINT.ground, ((-1,),)), id="lattice-sign",
+        ),
+        pytest.param(
+            DomainError, "premeasure missing a value for member 0x1",
+            lambda: caratheodory_extend(SemiRing(ONE_POINT.ground, (0, 1)), {0: 0}),
+            id="premeasure-missing-member",
+        ),
+        pytest.param(
+            PreconditionError, "functional value -1 is negative",
+            lambda: daniell_stone(WeakIntegrationLattice(ONE_POINT.ground, ((1,),)), {(1,): -1}),
+            id="functional-negative",
+        ),
+        pytest.param(
+            ValueError, "atoms must be nonempty",
+            lambda: Algebra(ALGEBRA.ground, (0, 7)), id="algebra-empty-atom",
+        ),
+        pytest.param(
+            ValueError, "atoms must be pairwise disjoint",
+            lambda: Algebra(ALGEBRA.ground, (3, 6)), id="algebra-overlapping-atoms",
+        ),
+        pytest.param(
+            ValueError, "atoms must cover the ground set",
+            lambda: Algebra(ALGEBRA.ground, (1, 2)), id="algebra-uncovering-atoms",
+        ),
+        pytest.param(
+            DomainError, "difference arguments must be members",
+            lambda: SemiRing(ALGEBRA.ground, (0, 1)).difference_decomposition(2, 0),
+            id="difference-of-a-non-member",
+        ),
+    ],
+)
+def test_each_value_type_rejection_names_its_fault(exc_type, message, build):
+    rejects(exc_type, message, build)

@@ -510,7 +510,7 @@ def test_every_indicator_is_lifted_in_the_slab_loop(monkeypatch):
     rng = gen.rng_for(0, "slab-indicators")
     for _ in range(30):
         lattice, hidden = cli._random_grid_lattice(rng, 6)
-        assert daniell_stone(lattice, cli._integration_table(hidden, lattice)) == hidden
+        assert daniell_stone(lattice, represent.integration_table(hidden, lattice)) == hidden
         (_, _, above, below), mu = grids.pop(), premeasures.pop()
         sigma = hidden.algebra
         scale, _ = exact.common(map(exact.Scaled.of, lattice.functions))
@@ -518,6 +518,38 @@ def test_every_indicator_is_lifted_in_the_slab_loop(monkeypatch):
         for member in sigma.members:
             indicator = tuple(scale if atom & member else 0 for atom in sigma.atoms)
             assert mu[above[zero] & below[indicator]] == hidden(member)
+
+
+def test_atom_indicators_seed_the_grid_that_member_indicators_seed(monkeypatch):
+    """Why `daniell_stone` seeds its slab bounds with the atoms' indicators
+    and not every member's: their joins are the members' indicators, so
+    both seeds close to one grid.  On the sparse lattices that lack some
+    atom's indicator, the lattice functions alone close to a smaller one."""
+    seeded = []
+
+    def grid_spy(seeds, scale):
+        seeded.append(list(seeds))
+        return slab_grid(seeded[-1], scale)
+
+    monkeypatch.setattr(represent, "slab_grid", grid_spy)
+    rng = gen.rng_for(0, "slab-seeds")
+    lacking = smaller = 0
+    for _ in range(100):
+        lattice, hidden = cli._random_grid_lattice(rng, 6)
+        assert daniell_stone(lattice, represent.integration_table(hidden, lattice)) == hidden
+        sigma = hidden.algebra
+        scale, vecs = exact.common(map(exact.Scaled.of, lattice.functions))
+        firsts = [(atom & -atom).bit_length() - 1 for atom in sigma.atoms]
+        bounded = [tuple(vec[p] for p in firsts) for vec in vecs if max(vec) <= scale]
+
+        def indicator(mask):
+            return tuple(scale if atom & mask else 0 for atom in sigma.atoms)
+
+        every_member = bounded + [indicator(member) for member in sigma.members]
+        assert slab_grid(seeded.pop(), scale) == slab_grid(every_member, scale)
+        lacking += any(indicator(atom) not in bounded for atom in sigma.atoms)
+        smaller += slab_grid(bounded, scale) != slab_grid(every_member, scale)
+    assert lacking >= smaller >= 10
 
 
 # --- caratheodory extension -----------------------------------------------------
@@ -710,12 +742,12 @@ def test_daniell_stone_rejects_inconsistent_oracle():
 
 
 def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
-    from finprob.cli import _integration_table, _random_grid_lattice
+    from finprob.cli import _random_grid_lattice
 
     for case in range(25):
         rng = gen.rng_for(99, "daniell-agree", str(case))
         lattice, hidden = _random_grid_lattice(rng, 8)
-        rebuilt = daniell_stone(lattice, _integration_table(hidden, lattice))
+        rebuilt = daniell_stone(lattice, represent.integration_table(hidden, lattice))
         assert rebuilt.algebra == hidden.algebra
         assert rebuilt.weights == hidden.weights
         family = indicator_family_of(hidden.algebra)
@@ -748,7 +780,7 @@ def test_the_slab_route_represents_an_integral_on_every_valid_lattice():
     )
     assert check_weak_lattice(lattice).ok
     hidden = Measure(Algebra.powerset(g), (F(1, 3), F(2, 3)))
-    assert daniell_stone(lattice, cli._integration_table(hidden, lattice)) == hidden
+    assert daniell_stone(lattice, represent.integration_table(hidden, lattice)) == hidden
 
 
 # --- the integer kernel against the Fraction scan it replaced ------------------
