@@ -433,16 +433,16 @@ def daniell_stone(
     Builds the semi-ring of slabs between members of a join/meet-closed bound
     family, assigns each slab the lifted functional value of its height,
     runs the Carathéodory extension on the induced finite product grid, and
-    reads the measure off the height-one slice, which must represent the
-    functional on every lattice member bounded by one (its
-    :func:`integration_table` must agree with ``values`` there).  The closure
-    is seeded with the lattice functions bounded by one, the constants zero
-    and one among them, and the indicators of the generated algebra's
-    atoms, all of which lie in the integer-multiple span of a valid lattice.
-    Joins of atom indicators are every member's indicator, so each
-    ``1_A`` is a bound, the slab ``[0, 1_A)`` carries the lifted value of
-    ``1_A``, the result is the direct indicator reconstruction too, and no
-    second route is run to compare.
+    reads the measure off the height-one slice.  The closure is seeded with
+    the lattice functions bounded by one and nothing else; the constants
+    zero and one are among them.  The result must represent the functional
+    on every lattice function, those with values above one included: its
+    :func:`integration_table` must agree with ``values`` everywhere.  So a
+    table that breaks homogeneity on a member above one is caught too.  A
+    measure that passes is the only one that represents the functional,
+    since on every lattice tried the functions bounded by one, read on the
+    generated algebra's atoms, have full rank (a test pins this), and two
+    measures that agree on them agree on each atom.
 
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
@@ -451,8 +451,9 @@ def daniell_stone(
     rational multiple of a lattice member, and the join/meet closure of the
     bounds can add one that is not.  So some lattices that
     :func:`check_weak_lattice` accepts raise :class:`ExtensionError` for
-    every functional: on two points, the closure of ``(0, 1/4)`` and
-    ``(1/2, 0)`` gains the bound ``(1, 1/4)``, on no member's ray.
+    every functional: on two points, the 20-function closure of
+    ``(1/6, 1/3)`` and ``(1/2, 1)`` gains the bounds ``(0, 2/3)`` and one,
+    whose slab height ``(1, 1/3)`` is on no member's ray.
     """
     check = check_weak_lattice(lattice)
     if not check.ok:
@@ -497,10 +498,8 @@ def daniell_stone(
         k = next(i for i, v in enumerate(d) if v)
         return Fraction(height[k], members[j][k]) * member_values[j]
 
-    # The slabs' bounds: the lattice functions bounded by one and the atoms'
-    # indicators, whose joins are the indicators of the algebra's members.
+    # The slabs' bounds: the lattice functions bounded by one, closed.
     seeds = [vec for vec in members if max(vec) <= scale]
-    seeds += (tuple(scale if i == a else 0 for i in range(atom_count)) for a in range(atom_count))
     bound_family, cells, above, below = slab_grid(seeds, scale)
     product_points = tuple(
         f"a{i}c{j}" for i in range(atom_count) for j in range(len(cells))
@@ -541,7 +540,7 @@ def daniell_stone(
 
     represented = integration_table(result, lattice)
     for vec in lattice.functions:
-        if max(vec) <= 1 and represented[vec] != table[vec]:
+        if represented[vec] != table[vec]:
             raise ExtensionError(
                 "slab route fails to represent the functional",
                 witness=(vec, table[vec], represented[vec]),

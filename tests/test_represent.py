@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction as F
 
@@ -491,67 +492,6 @@ def test_slabs_with_one_mask_have_one_height():
     assert any(_one_mask_two_heights(grid_skipping_a_bound(slab_grid), *draw) for draw in draws)
 
 
-def test_every_indicator_is_lifted_in_the_slab_loop(monkeypatch):
-    """Zero and each member's indicator are slab bounds, so the slab
-    ``[0, 1_A)`` carries the functional's value on ``1_A`` into the
-    extension, and the cross-check's indicators are all lifted before it."""
-    grids, premeasures = [], []
-
-    def grid_spy(seeds, scale):
-        grids.append(slab_grid(seeds, scale))
-        return grids[-1]
-
-    def extend_spy(semiring, mu):
-        premeasures.append(mu)
-        return caratheodory_extend(semiring, mu)
-
-    monkeypatch.setattr(represent, "slab_grid", grid_spy)
-    monkeypatch.setattr(represent, "caratheodory_extend", extend_spy)
-    rng = gen.rng_for(0, "slab-indicators")
-    for _ in range(30):
-        lattice, hidden = cli._random_grid_lattice(rng, 6)
-        assert daniell_stone(lattice, represent.integration_table(hidden, lattice)) == hidden
-        (_, _, above, below), mu = grids.pop(), premeasures.pop()
-        sigma = hidden.algebra
-        scale, _ = exact.common(map(exact.Scaled.of, lattice.functions))
-        zero = (0,) * len(sigma.atoms)
-        for member in sigma.members:
-            indicator = tuple(scale if atom & member else 0 for atom in sigma.atoms)
-            assert mu[above[zero] & below[indicator]] == hidden(member)
-
-
-def test_atom_indicators_seed_the_grid_that_member_indicators_seed(monkeypatch):
-    """Why `daniell_stone` seeds its slab bounds with the atoms' indicators
-    and not every member's: their joins are the members' indicators, so
-    both seeds close to one grid.  On the sparse lattices that lack some
-    atom's indicator, the lattice functions alone close to a smaller one."""
-    seeded = []
-
-    def grid_spy(seeds, scale):
-        seeded.append(list(seeds))
-        return slab_grid(seeded[-1], scale)
-
-    monkeypatch.setattr(represent, "slab_grid", grid_spy)
-    rng = gen.rng_for(0, "slab-seeds")
-    lacking = smaller = 0
-    for _ in range(100):
-        lattice, hidden = cli._random_grid_lattice(rng, 6)
-        assert daniell_stone(lattice, represent.integration_table(hidden, lattice)) == hidden
-        sigma = hidden.algebra
-        scale, vecs = exact.common(map(exact.Scaled.of, lattice.functions))
-        firsts = [(atom & -atom).bit_length() - 1 for atom in sigma.atoms]
-        bounded = [tuple(vec[p] for p in firsts) for vec in vecs if max(vec) <= scale]
-
-        def indicator(mask):
-            return tuple(scale if atom & mask else 0 for atom in sigma.atoms)
-
-        every_member = bounded + [indicator(member) for member in sigma.members]
-        assert slab_grid(seeded.pop(), scale) == slab_grid(every_member, scale)
-        lacking += any(indicator(atom) not in bounded for atom in sigma.atoms)
-        smaller += slab_grid(bounded, scale) != slab_grid(every_member, scale)
-    assert lacking >= smaller >= 10
-
-
 # --- caratheodory extension -----------------------------------------------------
 
 
@@ -757,30 +697,170 @@ def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
         assert rebuilt == direct
 
 
+def _two_point_lattice(*pairs):
+    return WeakIntegrationLattice(
+        GroundSet(("x0", "x1")), tuple((F(a), F(b)) for a, b in pairs)
+    )
+
+
+def test_the_slab_route_represents_an_integral_on_a_lattice_without_atom_indicators():
+    """(0, 1/4) and (1/2, 0) closed under the lattice clauses: a valid
+    lattice whose functions generate the powerset but hold neither atom's
+    indicator.  Its bounded functions close to slabs whose heights all lie
+    on members' rays."""
+    lattice = _two_point_lattice(
+        (0, 0), (0, "1/4"), ("1/2", 0), ("1/2", "1/4"), ("1/2", "1/2"),
+        ("1/2", "3/4"), ("1/2", 1), (1, "3/4"), (1, 1),
+    )
+    assert check_weak_lattice(lattice).ok
+    hidden = Measure(Algebra.powerset(lattice.ground), (F(1, 3), F(2, 3)))
+    assert daniell_stone(lattice, represent.integration_table(hidden, lattice)) == hidden
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=ExtensionError,
-    reason="the bound 1_{x0} v (0, 1/4) = (1, 1/4) that slab_grid closes in lies on no "
-    "member's ray, so its slab height cannot be lifted",
+    reason="slab_grid closes in the bounds (0, 2/3) and 1, whose slab height "
+    "(1, 1/3) lies on no member's ray, so it cannot be lifted",
 )
 def test_the_slab_route_represents_an_integral_on_every_valid_lattice():
-    """(0, 1/4) and (1/2, 0) closed under the lattice clauses: a valid
+    """(1/6, 1/3) and (1/2, 1) closed under the lattice clauses: a valid
     lattice whose functions generate the powerset, so the integral of any
     measure on it is a lattice functional that the route must represent."""
-    g = GroundSet(("x0", "x1"))
-    lattice = WeakIntegrationLattice(
-        g,
-        tuple(
-            (F(a), F(b))
-            for a, b in [
-                (0, 0), (0, "1/4"), ("1/2", 0), ("1/2", "1/4"), ("1/2", "1/2"),
-                ("1/2", "3/4"), ("1/2", 1), (1, "3/4"), (1, 1),
-            ]
-        ),
+    lattice = _two_point_lattice(
+        (0, 0), (0, "1/3"), (0, 1),
+        ("1/6", 0), ("1/6", "1/3"), ("1/6", "2/3"), ("1/6", 1),
+        ("1/3", 0), ("1/3", "1/3"), ("1/3", 1),
+        ("1/2", 0), ("1/2", "1/3"), ("1/2", "2/3"), ("1/2", 1),
+        ("2/3", "1/3"), ("2/3", 1),
+        ("5/6", "1/3"), ("5/6", "2/3"), ("5/6", 1),
+        (1, 1),
     )
     assert check_weak_lattice(lattice).ok
-    hidden = Measure(Algebra.powerset(g), (F(1, 3), F(2, 3)))
+    hidden = Measure(Algebra.powerset(lattice.ground), (F(1, 3), F(2, 3)))
     assert daniell_stone(lattice, represent.integration_table(hidden, lattice)) == hidden
+
+
+def _clause_closure(seeds, cap=48):
+    """The lattice of zero, one and ``seeds``, each of them a tuple of
+    ``Fraction``s, closed under the lattice clauses: each join, meet and
+    span of two members and each clip ``min(n f, 1)`` that is no integer
+    multiple of a member becomes one, until every such target is covered.
+    None once it passes ``cap`` members.
+
+    As :func:`finprob.cli._closed_half_grid` does, it grows integer vectors
+    over the seeds' common denominator; ``rays`` maps each primitive
+    direction to the gcds of the members on it, so that ``vec`` is a
+    multiple of a member when its gcd is a multiple of one of those."""
+    scale = math.lcm(*(v.denominator for f in seeds for v in f))
+    size = len(seeds[0])
+    members, rays = [(0,) * size], {}
+
+    def admit(vec, seed=False):
+        k = math.gcd(*vec)
+        on_ray = rays.setdefault(tuple(x // k for x in vec), []) if k else [1]
+        if all(k % m for m in on_ray) or seed and vec not in members:
+            on_ray.append(k)
+            members.append(vec)
+
+    for vec in [(scale,) * size, *(tuple(int(v * scale) for v in f) for f in seeds)]:
+        admit(vec, seed=True)
+    for i, f in enumerate(members):  # grows as it is read
+        for n in range(1, scale + 1):
+            admit(tuple(min(n * x, scale) for x in f))
+        for g in members[: i + 1]:
+            join, meet = tuple(map(max, f, g)), tuple(map(min, f, g))
+            for target in (join, meet, tuple(map(operator.sub, join, meet))):
+                admit(target)
+        if len(members) > cap:
+            return None
+    ground = GroundSet(tuple(f"x{i}" for i in range(size)))
+    return WeakIntegrationLattice(
+        ground, tuple(tuple(F(x, scale) for x in f) for f in members)
+    )
+
+
+@functools.cache
+def _closed_draws(count=250):
+    """Clause closures of one or two seeds on one to three points, each
+    value at most 1 or at most 2 over a denominator of at most 6, each
+    with a hidden measure on the algebra its functions generate."""
+    rng = gen.rng_for(7, "clause-closure")
+    draws = []
+    for _ in range(count):
+        size, top = rng.randint(1, 3), rng.choice((1, 2))
+        seeds = [
+            tuple(F(rng.randint(0, top * d), d) for d in rng.choices(range(1, 7), k=size))
+            for _ in range(rng.randint(1, 2))
+        ]
+        lattice = _clause_closure(seeds)
+        if lattice is not None:
+            sigma = sigma_of_functions(lattice.ground, lattice.functions)
+            draws.append((lattice, gen.random_measure(rng, sigma, 6)))
+    return draws
+
+
+def test_the_slab_route_returns_the_hidden_measure_on_closed_lattices():
+    """Every clause closure is a valid lattice, and the route recovers the
+    measure from its integration table on all but the few whose closed
+    bounds have a slab height on no member's ray."""
+    unliftable = 0
+    for lattice, hidden in _closed_draws():
+        try:
+            p = daniell_stone(lattice, represent.integration_table(hidden, lattice))
+        except ExtensionError as exc:
+            assert str(exc).startswith("slab height is not a rational multiple")
+            unliftable += 1
+        else:
+            assert p == hidden
+    assert (len(_closed_draws()), unliftable) == (206, 2)
+
+
+def test_a_wrong_value_on_a_member_above_one_is_caught():
+    """Homogeneity broken on one multiple: a member above one, off its
+    integral by 1/24, is the route's witness."""
+    bumped = 0
+    for lattice, hidden in _closed_draws():
+        table = represent.integration_table(hidden, lattice)
+        above = [f for f in lattice.functions if max(f) > 1]
+        if not above:
+            continue
+        f = above[len(above) // 2]
+        given = table[f] + F(1, 24)
+        with pytest.raises(ExtensionError) as err:
+            daniell_stone(lattice, {**table, f: given})
+        assert str(err.value) == "slab route fails to represent the functional"
+        assert err.value.witness == (f, given, table[f])
+        bumped += 1
+    assert bumped == 69
+
+
+def _rank(rows):
+    """The rank of ``rows``, by exact Gaussian elimination."""
+    rows, rank = [list(map(F, row)) for row in rows], 0
+    for col in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if i is None:
+            continue
+        rows[rank], rows[i] = rows[i], rows[rank]
+        pivot = rows[rank]
+        for r in rows[rank + 1 :]:
+            ratio = r[col] / pivot[col]
+            r[:] = [a - ratio * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank
+
+
+def test_the_bounded_functions_have_full_rank_on_the_atoms():
+    """Why the route's result is the one measure that represents the
+    functional: the lattice functions bounded by one, read on σ(L)'s atoms,
+    span every atom's indicator, so two measures that agree on them agree."""
+    rng = gen.rng_for(0, "slab-rank")
+    grids = [cli._random_grid_lattice(rng, 6) for _ in range(300)]
+    for lattice, hidden in _closed_draws() + grids:
+        firsts = [(atom & -atom).bit_length() - 1 for atom in hidden.algebra.atoms]
+        bounded = [[f[p] for p in firsts] for f in lattice.functions if max(f) <= 1]
+        assert _rank(bounded) == len(firsts)
 
 
 # --- the integer kernel against the Fraction scan it replaced ------------------
@@ -921,10 +1001,6 @@ def reference_daniell_stone(lattice, oracle, family_cap=512):
     for vec in members_atom:
         if all(v <= 1 for v in vec):
             bounds.add(vec)
-    for member_mask in sigma.members:
-        bounds.add(
-            tuple(F(1) if atom & member_mask else F(0) for atom in sigma.atoms)
-        )
     frontier = list(bounds)
     while frontier:
         if len(bounds) > family_cap:
@@ -997,34 +1073,17 @@ def reference_daniell_stone(lattice, oracle, family_cap=512):
     except ValueError as exc:
         raise ExtensionError(f"slab extension is not a probability measure: {exc}")
 
-    # representation property on lattice members bounded by one
+    # representation property on every lattice member
     for vec in lattice.functions:
-        if any(v > 1 for v in vec):
-            continue
-        f_simple = SimpleFunction(sigma, to_atom_vec(vec))
-        if simple_integral(result, f_simple) != table[vec]:
+        integral = sum(
+            (w * v for w, v in zip(result.weights, to_atom_vec(vec))), F(0)
+        )
+        if integral != table[vec]:
             raise ExtensionError(
                 "slab route fails to represent the functional",
-                witness=(vec, table[vec], simple_integral(result, f_simple)),
+                witness=(vec, table[vec], integral),
             )
 
-    # uniqueness cross-check against the direct indicator reconstruction
-    indicator_pairs = []
-    complete = True
-    for member_mask in sigma.members:
-        ind = tuple(F(1) if atom & member_mask else F(0) for atom in sigma.atoms)
-        value = lift(ind)
-        if value is None:
-            complete = False
-            break
-        indicator_pairs.append((SimpleFunction.indicator(sigma, member_mask), value))
-    if complete:
-        direct = reconstruct_measure(Functional(sigma, dict(indicator_pairs)))
-        if direct != result:
-            raise ExtensionError(
-                "slab route disagrees with the direct indicator reconstruction",
-                witness=(result.weights, direct.weights),
-            )
     return result
 
 
