@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -259,7 +260,7 @@ def indicator_table(cone: Cone) -> Functional:
         raise ReconstructionError("cone has no legs to reconstruct from")
     source = next(iter(cone.legs)).source
     legs = sorted(
-        (mask, point.weights[1])
+        (mask, Fraction(point.nums[1], point.den))
         for arrow, point in cone.legs.items()
         if (mask := _binary_indicator_mask(arrow)) is not None
     )

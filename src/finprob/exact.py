@@ -65,10 +65,13 @@ def scaled_pairs(pairs: Sequence[tuple[int, int]]) -> tuple[int, tuple[int, ...]
 def common(vectors: Iterable) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """``(den, rows)``: row ``i`` holds the i-th vector's ``nums`` over the
     least common denominator ``den`` of the vectors' ``den``s; the vectors are
-    in lowest terms, so no factor above 1 divides ``den`` and every entry."""
+    in lowest terms, so no factor above 1 divides ``den`` and every entry.
+    A vector already over ``den`` gives its own ``nums``."""
     vectors = tuple(vectors)
     den = lcm(*(v.den for v in vectors))
-    return den, tuple(tuple(n * (den // v.den) for n in v.nums) for v in vectors)
+    return den, tuple(
+        v.nums if v.den == den else tuple(n * (den // v.den) for n in v.nums) for v in vectors
+    )
 
 
 @dataclass(frozen=True, init=False)

@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -151,7 +152,7 @@ def _term_sum(p: Measure, f: SimpleFunction) -> Fraction:
     return Fraction(sum(c * masked_sum(p, m) for c, m in zip(coefficients, masks)), den * p.den)
 
 
-def _grid_bounds(p: Measure, f: SimpleFunction) -> tuple[Fraction, Fraction]:
+def _grid_bounds(p: Measure, f: SimpleFunction, scores: dict) -> tuple[Fraction, Fraction]:
     """The integrals of the best minorant and the best majorant of ``f``
     whose values lie on ``grid(1, GRID_DENOMINATOR)`` or equal f's own.
 
@@ -160,15 +161,21 @@ def _grid_bounds(p: Measure, f: SimpleFunction) -> tuple[Fraction, Fraction]:
     the minorant, ``c >= v_k`` for the majorant, scored by
     :func:`simple_integral` of the function that is ``c`` on atom k and 0
     elsewhere.  Whether the integral is additive across atoms is the
-    question of the ``additive`` and ``finite-series`` clauses."""
+    question of the ``additive`` and ``finite-series`` clauses.  ``scores``
+    maps each piece scored so far, as ``(k, c, d)`` with ``c/d`` in lowest
+    terms, to its integral; a piece does not depend on ``f``, so it is shared."""
     lower, upper = [], []
     nums = [0] * len(f.nums)
     for k, v in enumerate(f.nums):
+        g = gcd(v, f.den)
         scored = []  # (the sign of c - v_k, the piece's integral)
-        for c, d in ((v, f.den), *_grid_levels()):
-            nums[k] = c
-            piece = SimpleFunction.from_numerators(p.algebra, d, nums)
-            scored.append((c * f.den - v * d, simple_integral(p, piece)))
+        for c, d in ((v // g, f.den // g), *_grid_levels()):
+            score = scores.get((k, c, d))
+            if score is None:
+                nums[k] = c
+                piece = SimpleFunction.from_numerators(p.algebra, d, nums)
+                score = scores[k, c, d] = simple_integral(p, piece)
+            scored.append((c * f.den - v * d, score))
         nums[k] = 0
         lower.append(max(s for sign, s in scored if sign <= 0))
         upper.append(min(s for sign, s in scored if sign >= 0))
@@ -190,10 +197,10 @@ def check_integral_properties(
     :func:`simple_integral` with the term sum ``sum a_k * P(A_k)``;
     monotonicity; ``sup-inf``, the supremum over grid minorants equal to
     the infimum over grid majorants, found atom by atom at every atom count
-    (:func:`_grid_bounds`); additivity of sums staying within [0, 1];
-    monotone limits of eventually constant increasing sequences; and finite
-    decompositions standing in for countable sums with finitely many nonzero
-    terms.
+    (:func:`_grid_bounds`, each grid piece scored once per call);
+    additivity of sums staying within [0, 1]; monotone limits of eventually
+    constant increasing sequences; and finite decompositions standing in
+    for countable sums with finitely many nonzero terms.
     """
     for f in fns:
         if f.algebra != p.algebra:
@@ -216,8 +223,9 @@ def check_integral_properties(
 
     # (iii) sup over minorants equals inf over majorants
     cases = []
+    scores = {}  # this call's grid pieces, shared by its functions
     for i, f in enumerate(fns):
-        lower, upper = _grid_bounds(p, f)
+        lower, upper = _grid_bounds(p, f, scores)
         cases.append((lower == simple_integral(p, f) == upper, f"fn#{i}"))
     results.append(tally("sup-inf", cases))
 

@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     ReconstructionError,
 )
-from .exact import Scaled, common, rational_text, scaled, total
+from .exact import Scaled, common, fractions, rational_text, scaled, total
 from .integrate import SimpleFunction, simple_integral
 from .measure import Measure, evaluate
 from .setalg import (
@@ -69,7 +69,7 @@ class Functional:
     values: Mapping[SimpleFunction, Fraction]
 
     def __post_init__(self):
-        values = {s: Fraction(v) for s, v in self.values.items()}
+        values = dict(zip(self.values, fractions(self.values.values())))
         if any(s.algebra != self.algebra for s in values):
             raise DomainError("listed functions must live on the functional's algebra")
         object.__setattr__(self, "values", values)

@@ -3,8 +3,9 @@
 Rational values travel as ``"p/q"`` strings (:func:`~finprob.exact.wire_text`,
 every digit included).  Simplex weights are read straight to integer
 numerators (:func:`parse_rational`), with ``Fraction``'s grammar as the
-fallback for any other spelling, and a cone loads each distinct bare-list
-row once per call.  Subsets are sorted point-index
+fallback for any other spelling and a weight's location formatted only
+there, and a cone loads each distinct bare-list row once per call, looked
+up before any location is built.  Subsets are sorted point-index
 arrays.  Dumps write families sorted by their bit-vector encoding, so they
 are canonical and byte-stable; loads keep a family in the order the file
 lists it.  This is the one input boundary: a loader checks the JSON
@@ -44,14 +45,15 @@ def parse_fraction(raw: Any, location: str) -> Fraction:
         raise InputError(f"bad rational {raw!r}: {exc}", location) from None
 
 
-def parse_rational(raw: Any, location: str) -> tuple[int, int]:
+def parse_rational(raw: Any, parent: str, index: int) -> tuple[int, int]:
     """``(num, den)`` with ``den > 0`` and ``num / den`` the value
     :func:`parse_fraction` gives ``raw``, not necessarily in lowest terms.
 
     ASCII digits, optionally followed by ``/`` and ASCII digits naming a
     nonzero denominator, become ``int``s directly; every other input
     (signs, spaces, decimals, other digits, JSON numbers, integers past
-    the int digit limit) is parsed, or rejected, by :func:`parse_fraction`.
+    the int digit limit) is parsed, or rejected, by :func:`parse_fraction`
+    at ``{parent}[{index}]``, a location formatted only then.
     """
     if type(raw) is str and raw.isascii():
         num, slash, den = raw.partition("/")
@@ -60,7 +62,7 @@ def parse_rational(raw: Any, location: str) -> tuple[int, int]:
                 return int(num), int(den) if slash else 1
             except ValueError:  # past the int digit limit: parse_fraction says so
                 pass
-    value = parse_fraction(raw, location)
+    value = parse_fraction(raw, f"{parent}[{index}]")
     return value.numerator, value.denominator
 
 
@@ -292,28 +294,16 @@ def dump_simplex(p: Measure) -> dict:
     }
 
 
-def load_simplex(data: Any, location: str = "$", labels=None, rows=None) -> Measure:
-    """A bare list of weights on known ``labels``, or ``{"labels", "weights"}``.
-
-    ``rows``, when given, maps ``(labels, weights)`` of the bare-list rows
-    loaded so far to their measures: a row of strings listed again is
-    looked up there, not parsed again.  The caller owns it, so it lives no
-    longer than the caller's one load."""
-    key = None
+def load_simplex(data: Any, location: str = "$", labels=None) -> Measure:
+    """A bare list of weights on known ``labels``, or ``{"labels", "weights"}``."""
     if isinstance(data, list) and labels is not None:
         names, raw, where = labels, data, location
-        if rows is not None and all(type(v) is str for v in raw):
-            key = (tuple(labels), tuple(raw))
-            point = rows.get(key)
-            if point is not None:
-                return point
     else:
         obj = _expect(data, dict, location)
         names = _labels(_field(obj, "labels", location), f"{location}.labels")
         where = f"{location}.weights"
         raw = _expect(_field(obj, "weights", location), list, where)
-    pairs = [parse_rational(v, f"{where}[{i}]") for i, v in enumerate(raw)]
-    den, nums = scaled_pairs(pairs)
+    den, nums = scaled_pairs([parse_rational(v, where, i) for i, v in enumerate(raw)])
     point = _build(
         location,
         lambda: Measure.from_numerators(simplex_algebra(tuple(names)), den, nums),
@@ -321,6 +311,20 @@ def load_simplex(data: Any, location: str = "$", labels=None, rows=None) -> Meas
     if labels is not None and point.labels != tuple(labels):
         message = f"labels {list(point.labels)} must be {list(labels)}"
         raise InputError(message, f"{location}.labels")
+    return point
+
+
+def _table_row(data: Any, labels: tuple[str, ...], rows: dict, locate) -> Measure:
+    """:func:`load_simplex` of ``data`` on ``labels`` at ``locate()``, unless
+    ``rows``, the caller's table of the rows of strings loaded in its one
+    load, keyed by ``(labels, weights)``, holds it: no location is built then."""
+    key = None
+    if isinstance(data, list) and all(type(v) is str for v in data):
+        key = (labels, tuple(data))
+        point = rows.get(key)
+        if point is not None:
+            return point
+    point = load_simplex(data, locate(), labels)
     if key is not None:
         rows[key] = point
     return point
@@ -340,19 +344,20 @@ def dump_arrow(arrow: Arrow) -> dict:
 
 
 def load_arrow(data: Any, source: Algebra, location: str = "$", rows=None) -> Arrow:
-    """An arrow from ``source``; ``rows`` is passed to :func:`load_simplex`."""
+    """An arrow from ``source``, its rows read through :func:`_table_row`."""
     obj = _expect(data, dict, location)
     targets = tuple(_labels(_field(obj, "targets", location), f"{location}.targets"))
     if len(set(targets)) != len(targets):
         raise InputError("arrow target labels must be distinct", f"{location}.targets")
     rows_raw = _expect(_field(obj, "rows", location), dict, f"{location}.rows")
     _only_keys(rows_raw, source.ground.points, "ground point", f"{location}.rows")
+    rows = {} if rows is None else rows
     by_point = {}
     for point in source.ground.points:
         if point not in rows_raw:
             raise InputError(f"missing row for point {point!r}", f"{location}.rows")
-        by_point[point] = load_simplex(
-            rows_raw[point], f"{location}.rows.{point}", targets, rows
+        by_point[point] = _table_row(
+            rows_raw[point], targets, rows, lambda: f"{location}.rows.{point}"
         )
     return _build(f"{location}.rows", Arrow.from_point_rows, source, targets, by_point)
 
@@ -376,7 +381,7 @@ def load_cone(data: Any, source: Algebra, location: str = "$.cone") -> Cone:
         if len(pair) != 2:
             raise InputError("cone leg must be [arrow, point]", f"{location}[{i}]")
         arrow = load_arrow(pair[0], source, f"{location}[{i}][0]", rows)
-        point = load_simplex(pair[1], f"{location}[{i}][1]", arrow.targets, rows)
+        point = _table_row(pair[1], arrow.targets, rows, lambda: f"{location}[{i}][1]")
         legs.append((arrow, point))
     return _build(location, Cone, "input", tuple(legs))
 

@@ -110,20 +110,23 @@ class Algebra:
 
     @classmethod
     def from_members(cls, ground: GroundSet, masks: Iterable[int]) -> "Algebra":
-        """Build from an explicit member list, validating closure."""
-        family = tuple(sorted(set(ground.check_mask(m) for m in masks)))
-        members = set(family)
+        """Build from an explicit member list, validating closure: the
+        family is the algebra it generates exactly when it lists ``2**k``
+        sets for that algebra's ``k`` atoms; if not, a scan names the first
+        set or pair that escapes."""
+        members = set(ground.check_mask(m) for m in masks)
         if 0 not in members or ground.full_mask not in members:
             raise ValueError("an algebra must contain the empty set and the ground set")
+        algebra = generate_algebra(ground, members)
+        if len(members) == 1 << len(algebra.atoms):
+            return algebra
+        family = sorted(members)
         for a in family:
             if ground.complement(a) not in members:
                 raise ValueError(f"family not closed under complement at {a:#x}")
             for b in family:
                 if a & b not in members:
                     raise ValueError(f"family not closed under intersection at ({a:#x}, {b:#x})")
-        # closed under complement and intersection, hence under union: the
-        # family is the algebra its own atoms generate
-        return generate_algebra(ground, family)
 
     @property
     def members(self) -> tuple[int, ...]:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import sys
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 
@@ -13,6 +15,7 @@ from finprob import (
     Algebra,
     DomainError,
     GroundSet,
+    Measure,
     RangeError,
     SimpleFunction,
     check_integral_properties,
@@ -286,9 +289,39 @@ def test_atom_by_atom_sup_inf_matches_the_product_search(atom_counts, count):
     assert integrate.GRID_DENOMINATOR == 4
     for p, f in sup_inf_pairs(atom_counts, count, str(atom_counts)):
         expected = reference_sup_inf(p, f, 4)
-        assert integrate._grid_bounds(p, f) == expected == (simple_integral(p, f),) * 2
+        assert integrate._grid_bounds(p, f, {}) == expected == (simple_integral(p, f),) * 2
         (sup_inf,) = [c for c in check_integral_properties(p, [f]) if c.name == "sup-inf"]
         assert (sup_inf.passed, sup_inf.failed) == (1, 0)
+
+
+def test_each_grid_piece_is_scored_once_per_call(monkeypatch):
+    """A grid piece, ``c`` on atom k and 0 elsewhere, does not depend on the
+    function bounded: one call of :func:`check_integral_properties` scores
+    each distinct piece once, shared by its functions, and a second call,
+    on another measure, scores its own."""
+    alg = Algebra.powerset(GroundSet(("0", "1", "2")))
+    f = SimpleFunction(alg, (F(1, 3), F(0), F(5, 6)))
+    g = SimpleFunction(alg, (F(1, 3), F(1), F(2, 5)))
+    pieces = Counter(
+        SimpleFunction(alg, [v if j == k else 0 for j in range(3)])
+        for k in range(3)
+        for v in {*grid(1, integrate.GRID_DENOMINATOR), f.values[k], g.values[k]}
+    )
+    scored = []
+    real = integrate.simple_integral
+
+    def spy(p, s):
+        if sys._getframe(1).f_code is integrate._grid_bounds.__code__:
+            scored.append((p, s))
+        return real(p, s)
+
+    monkeypatch.setattr(integrate, "simple_integral", spy)
+    for weights in ((F(1, 2), F(1, 3), F(1, 6)), (F(1, 5), F(0), F(4, 5))):
+        p = Measure(alg, weights)
+        scored.clear()
+        check_integral_properties(p, [f, g])
+        assert Counter(s for _, s in scored) == pieces
+        assert all(q is p for q, _ in scored)
 
 
 def test_properties_report_structure():

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from conftest import finprob
 
 from finprob import (
     Algebra,
@@ -55,10 +56,10 @@ def test_parse_rational_matches_fraction(raw):
         expected = serialize.parse_fraction(raw, "$.w[0]")
     except InputError as exc:
         with pytest.raises(InputError) as caught:
-            serialize.parse_rational(raw, "$.w[0]")
+            serialize.parse_rational(raw, "$.w", 0)
         assert (str(caught.value), caught.value.location) == (str(exc), exc.location)
         return
-    num, den = serialize.parse_rational(raw, "$.w[0]")
+    num, den = serialize.parse_rational(raw, "$.w", 0)
     assert type(num) is int and type(den) is int and den > 0
     assert F(num, den) == expected == F(raw)
 
@@ -181,6 +182,53 @@ def test_a_row_equal_only_in_value_to_an_earlier_one_is_loaded_again():
     with pytest.raises(InputError) as caught:
         serialize.load_cone(cone, alg)
     assert str(caught.value) == "$.cone[2][0].rows.0[0]: expected a 'p/q' string, got bool"
+
+
+def test_rows_equal_in_value_on_one_atom_load_as_one_row():
+    """``"1/2"`` and ``"2/4"`` are two keys of the row table, but they load
+    to one measure, so the arrow is constant on the atom."""
+    alg = Algebra.trivial(GroundSet(("0", "1")))
+    data = {"targets": ["a", "b"], "rows": {"0": ["1/2", "1/2"], "1": ["2/4", "2/4"]}}
+    arrow = serialize.load_arrow(data, alg)
+    assert arrow.rows == (SimplexPoint(("a", "b"), (F(1, 2), F(1, 2))),)
+
+
+def test_a_bool_row_after_an_equal_string_row_exits_2_at_its_own_location():
+    """``[true, false]`` is no key of the row table, so it is parsed, and
+    rejected, where it stands, after ``["1/1", "0/1"]`` on the same labels."""
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    legs = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    assert legs[1][0]["rows"]["0"] == ["1/1", "0/1"]
+    legs[3][0]["rows"]["0"] = [True, False]
+    instance = {"format": 1, "algebra": serialize.dump_algebra(alg), "cone": legs}
+    code, out, err = finprob(("codensity", "--input", "-"), instance)
+    location = "$.cone[3][0].rows.0[0]"
+    assert (code, out) == (2, "")
+    assert err == f"input error at {location}: expected a 'p/q' string, got bool\n"
+
+
+def test_a_bare_list_leg_that_repeats_a_row_is_served_from_the_table(monkeypatch):
+    """The collapse leg ``["1/1"]`` repeats its arrow's rows, so the cone
+    holds the very measure the arrow holds, and no leg given as a bare
+    list of an earlier row builds a measure."""
+    alg = Algebra.powerset(GroundSet(("0", "1", "2")))
+    legs = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    for leg in legs:
+        leg[1] = leg[1]["weights"]
+    rows = {(tuple(a["targets"]), tuple(row)) for a, _ in legs for row in a["rows"].values()}
+    fresh = {(tuple(a["targets"]), tuple(point)) for a, point in legs} - rows
+    built = []
+    real = Measure.from_numerators.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return real(cls, *args)
+
+    monkeypatch.setattr(Measure, "from_numerators", classmethod(counting))
+    loaded = serialize.load_cone(legs, alg)
+    assert len(built) == len(rows) + len(fresh) < len(rows) + len(legs)
+    collapse, point = next(iter(loaded.legs.items()))
+    assert legs[0][1] == ["1/1"] and point is collapse.rows[0]
 
 
 def test_a_row_is_reused_only_on_its_own_labels():

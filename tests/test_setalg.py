@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,22 @@ def oracle_smallest_algebra(ground, generators):
         if best is not None:
             break
     return best
+
+
+def oracle_from_members(ground, masks):
+    """``Algebra.from_members`` by the pairwise closure scan: the algebra of
+    a closed family, whose atoms are its minimal nonempty members, or the
+    message naming the first set or pair, in mask order, that escapes."""
+    family = sorted(set(masks))
+    members = set(family)
+    for a in family:
+        if ground.full_mask ^ a not in members:
+            return f"family not closed under complement at {a:#x}"
+        for b in family:
+            if a & b not in members:
+                return f"family not closed under intersection at ({a:#x}, {b:#x})"
+    atoms = [a for a in family if a and all(b in (0, a) or b & a != b for b in family)]
+    return Algebra(ground, tuple(atoms))
 
 
 def oracle_is_semiring(members):
@@ -482,6 +499,47 @@ def test_algebra_from_members_validates_closure():
         Algebra.from_members(g, (0, 1, 3))  # missing complement of {0}
     alg = Algebra.from_members(g, (0, 1, 2, 3))
     assert alg.atoms == (1, 2)
+
+
+def from_members_families():
+    """Every family of a 3-point ground set holding the empty set and the
+    ground set, then 500 seeded such families of a 4-point one, in shuffled
+    order: half are algebras with one member dropped or one set added at
+    random, half are random families."""
+    three = GroundSet(("0", "1", "2"))
+    for r in range(7):
+        for rest in itertools.combinations(range(1, 7), r):
+            yield three, (0, 7, *rest)
+    four = GroundSet(("0", "1", "2", "3"))
+    rng = random.Random("from-members-oracle")
+    for case in range(500):
+        if case % 2:
+            family = set(generate_algebra(four, rng.sample(range(16), rng.randint(1, 3))).members)
+            if rng.random() < 0.4:
+                family.discard(rng.randrange(1, 15))
+            if rng.random() < 0.4:
+                family.add(rng.randrange(16))
+        else:
+            family = {0, 15} | {m for m in range(1, 15) if rng.random() < 0.5}
+        family = list(family)
+        rng.shuffle(family)
+        yield four, tuple(family)
+
+
+def test_from_members_matches_the_pairwise_closure_oracle():
+    outcomes = Counter()
+    for ground, family in from_members_families():
+        expected = oracle_from_members(ground, family)
+        if isinstance(expected, Algebra):
+            assert Algebra.from_members(ground, family) == expected, family
+            outcomes["algebra"] += 1
+            continue
+        with pytest.raises(ValueError) as caught:
+            Algebra.from_members(ground, family)
+        assert str(caught.value) == expected, family
+        outcomes[expected.split(" at ")[0]] += 1
+    assert sum(outcomes.values()) == 564
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_member_check_raises_domain_error():
