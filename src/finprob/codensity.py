@@ -15,8 +15,9 @@ probe (a field sums one row's entries, at most that denominator, so it
 never carries into the next).  The triangles depend on the arrows
 alone, so a suite run enumerates each family once and checks the cones of
 all its measures over that family on them.  :func:`check_cone_naturality`
-compares the legs of each triangle by cross-multiplication, so no measure
-or arrow is built unless a triangle fails.  A cone is a table from arrows
+packs the legs the same way, over their own common denominator, so a
+triangle is a few shift-adds and one int comparison, and no measure or
+arrow is built unless a triangle fails.  A cone is a table from arrows
 to legs; the canonical cone of a measure has, at each arrow, the average of
 the arrow's rows weighted by the measure's own numerators
 (:func:`~finprob.monad.average`, the body of the monad multiplication).
@@ -78,6 +79,11 @@ class Arrow:
         for row in self.rows:
             if row.algebra != simplex:
                 raise ValueError("arrow rows must be indexed by the target labels")
+
+    def __hash__(self) -> int:
+        """The hash of ``(targets, rows)``: strings and the rows' ints, not
+        the source algebra, which equality still compares."""
+        return hash((self.targets, self.rows))
 
     @classmethod
     def from_point_rows(
@@ -217,23 +223,37 @@ def naturality_triangles(arrows: Sequence[Arrow]) -> Iterator[tuple[int, int, tu
 
 def check_cone_naturality(cone: Cone, triangles=None) -> NaturalityResult:
     """Check each triangle of :func:`naturality_triangles` in order: the
-    pushed leg of ``f`` and the leg of ``g`` are compared by cross-multiplying
-    integer numerators.  ``triangles`` are those of the cone's arrows, in its
-    order, or else enumerated here in the same pass.  The first failing
-    triangle's witness is ``(f, mapping, g, pushed leg of f, leg of g)``."""
+    pushed leg of ``f`` must equal the leg of ``g``.  ``triangles`` are those
+    of the cone's arrows, in its order, or else enumerated here in the same
+    pass.  The first failing triangle's witness is ``(f, mapping, g, pushed
+    leg of f, leg of g)``.
+
+    The legs are brought to their least common denominator ``L`` once, and
+    each becomes one int with an ``L.bit_length()``-bit field per label, as
+    :func:`naturality_triangles` packs columns.  A pushed leg is a sum of
+    one shifted numerator per label of ``f``, and its fields sum to ``L``,
+    so none carries: it equals the leg of ``g`` exactly when the packed ints
+    do, and no measure is built unless a triangle fails."""
     arrows, legs = tuple(cone.legs), tuple(cone.legs.values())
     if triangles is None:
         triangles = naturality_triangles(arrows)
+    den = lcm(*(leg.den for leg in legs))
+    width = den.bit_length()
+    numerators = [[n * (den // leg.den) for n in leg.nums] for leg in legs]
+    packed = [sum(n << width * t for t, n in enumerate(nums)) for nums in numerators]
     count = 0
     for count, (f, g, image) in enumerate(triangles, 1):
-        leg_f, leg_g = legs[f], legs[g]
-        pushed = [0] * len(leg_g.nums)
-        for u, n in zip(image, leg_f.nums):
-            pushed[u] += n
-        if any(n * leg_g.den != m * leg_f.den for n, m in zip(pushed, leg_g.nums)):
+        pushed = 0
+        for n, u in zip(numerators[f], image):
+            pushed += n << width * u
+        if pushed != packed[g]:
+            leg_f, leg_g = legs[f], legs[g]
+            nums = [0] * len(leg_g.nums)
+            for u, n in zip(image, leg_f.nums):
+                nums[u] += n
             targets = arrows[g].targets
             mapping = {label: targets[u] for label, u in zip(arrows[f].targets, image)}
-            expected = Measure.from_numerators(simplex_algebra(targets), leg_f.den, pushed)
+            expected = Measure.from_numerators(simplex_algebra(targets), leg_f.den, nums)
             witness = (arrows[f], mapping, arrows[g], expected, leg_g)
             return NaturalityResult(False, count, witness=witness)
     return NaturalityResult(True, count)

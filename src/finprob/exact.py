@@ -119,6 +119,12 @@ class Scaled:
     def _check(self, algebra, den: int, nums: tuple[int, ...]) -> None:
         """A subclass's own checks of the numerators; none by default."""
 
+    def __hash__(self) -> int:
+        """The hash of ``(den, nums)``, ints alone.  A subclass that compares
+        its ``algebra`` too takes this hash (equal values still hash equal),
+        so no dict probe walks the algebra."""
+        return hash((self.den, self.nums))
+
     @staticmethod
     def of(values: Iterable) -> "Scaled":
         """The rational values as a vector: a ``Scaled`` one as it is, ``int``s

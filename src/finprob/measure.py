@@ -3,12 +3,12 @@
 A measure is stored by its atom weight vector, the unique minimal
 representation, as a :class:`~finprob.exact.Scaled` vector, so two measures
 are equal exactly when their algebras, denominators and numerators are, and
-hashing reads only ints.  The value on any member is the sum of the weights
-of the atoms it contains.  There is no separate type or flag for finitely
-additive charges: a finite algebra has finitely many members, so every
-countable disjoint family in it has only finitely many nonempty members,
-and a finitely additive charge is already sigma-additive.  The two notions
-name one object here.
+hashing reads only the ints ``(den, nums)``, not the algebra.  The value on
+any member is the sum of the weights of the atoms it contains.  There is no
+separate type or flag for finitely additive charges: a finite algebra has
+finitely many members, so every countable disjoint family in it has only
+finitely many nonempty members, and a finitely additive charge is already
+sigma-additive.  The two notions name one object here.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ class Measure(Scaled):
     """
 
     algebra: Algebra
+    __hash__ = Scaled.__hash__
 
     def __init__(self, algebra: Algebra, weights: Sequence) -> None:
         self._init_on(algebra, *scaled(fractions(weights)))

@@ -447,13 +447,14 @@ def daniell_stone(
     Bounds, heights, breakpoints and cells are integer vectors over the
     lattice's common denominator ``D``; functional values stay rational.
 
-    The route represents a functional only when every slab height is a
-    rational multiple of a lattice member, and the join/meet closure of the
-    bounds can add one that is not.  So some lattices that
-    :func:`check_weak_lattice` accepts raise :class:`ExtensionError` for
-    every functional: on two points, the 20-function closure of
+    A slab's value is the lifted value of its height, a rational multiple
+    of a lattice member.  The join/meet closure of the bounds can add a
+    height that is none: on two points, the 20-function closure of
     ``(1/6, 1/3)`` and ``(1/2, 1)`` gains the bounds ``(0, 2/3)`` and one,
-    whose slab height ``(1, 1/3)`` is on no member's ray.
+    whose slab height ``(1, 1/3)`` is on no member's ray.  Such a slab takes
+    the lifted value of its upper bound less that of its lower one, and
+    :class:`ExtensionError` is raised only when one of those lifts on no ray
+    either.
     """
     check = check_weak_lattice(lattice)
     if not check.ok:
@@ -518,6 +519,10 @@ def daniell_stone(
             if mask in slab_values:
                 continue
             value = lift(tuple(hi - lo for lo, hi in zip(lower, upper)))
+            if value is None:  # a height on no member's ray: I(upper) - I(lower)
+                top, bottom = lift(upper), lift(lower)
+                if top is not None and bottom is not None:
+                    value = top - bottom
             if value is None:
                 raise ExtensionError(
                     "slab height is not a rational multiple of any declared "

@@ -4,13 +4,15 @@ Rational values travel as ``"p/q"`` strings (:func:`~finprob.exact.wire_text`,
 every digit included).  Simplex weights are read straight to integer
 numerators (:func:`parse_rational`), with ``Fraction``'s grammar as the
 fallback for any other spelling and a weight's location formatted only
-there, and a cone loads each distinct bare-list row once per call, looked
-up before any location is built.  Subsets are sorted point-index
-arrays.  Dumps write families sorted by their bit-vector encoding, so they
-are canonical and byte-stable; loads keep a family in the order the file
-lists it.  This is the one input boundary: a loader checks the JSON
-shapes, the value type's constructor checks the values, and :func:`_build`
-alone makes a rejected value an :class:`InputError` with a JSON path.
+there, and a cone loads each distinct row or leg once per call, looked up
+before any location is built: a bare-list row and a ``{"labels",
+"weights"}`` leg on its arrow's targets are keys of one table.  Subsets
+are sorted point-index arrays.  Dumps write families sorted by their
+bit-vector encoding, so they are canonical and byte-stable; loads keep a
+family in the order the file lists it.  This is the one input boundary: a
+loader checks the JSON shapes, the value type's constructor checks the
+values, and :func:`_build` alone makes a rejected value an
+:class:`InputError` with a JSON path.
 """
 
 from __future__ import annotations
@@ -317,10 +319,15 @@ def load_simplex(data: Any, location: str = "$", labels=None) -> Measure:
 def _table_row(data: Any, labels: tuple[str, ...], rows: dict, locate) -> Measure:
     """:func:`load_simplex` of ``data`` on ``labels`` at ``locate()``, unless
     ``rows``, the caller's table of the rows of strings loaded in its one
-    load, keyed by ``(labels, weights)``, holds it: no location is built then."""
+    load, keyed by ``(labels, weights)``, holds it: no location is built then.
+    A bare list of weights and a ``{"labels", "weights"}`` object whose
+    labels are ``labels`` name the same point, so they share one key."""
+    weights = data
+    if isinstance(data, dict) and data.get("labels") == list(labels):
+        weights = data.get("weights")
     key = None
-    if isinstance(data, list) and all(type(v) is str for v in data):
-        key = (labels, tuple(data))
+    if isinstance(weights, list) and all(type(v) is str for v in weights):
+        key = (labels, tuple(weights))
         point = rows.get(key)
         if point is not None:
             return point
@@ -369,8 +376,8 @@ def dump_cone(cone: Cone) -> list:
 
 
 def load_cone(data: Any, source: Algebra, location: str = "$.cone") -> Cone:
-    """A cone over arrows from ``source``.  A bare-list row repeated across
-    its arrows and legs, as the indicator rows of a cone are, is loaded once."""
+    """A cone over arrows from ``source``.  A row or leg repeated across its
+    arrows and legs, as the indicator rows of a cone are, is loaded once."""
     raw = _expect(data, list, location)
     if not raw:
         raise InputError("cone needs at least one leg", location)

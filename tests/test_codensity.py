@@ -576,3 +576,113 @@ def test_packed_columns_give_the_reduced_column_triangles(families):
         assert triangles == list(reference_naturality_triangles(family))
         assert len(triangles) >= len(family)  # each arrow's identity triangle at least
         assert len(family) < 2 or any(f != g for f, g, _ in triangles)
+
+
+def cross_multiplied_naturality(cone, triangles):
+    """:func:`check_cone_naturality` on ``triangles`` by cross-multiplying
+    each pushed leg's numerators with the other leg's denominator, label by
+    label, as the check did before its legs were packed."""
+    arrows, legs = tuple(cone.legs), tuple(cone.legs.values())
+    count = 0
+    for count, (f, g, image) in enumerate(triangles, 1):
+        leg_f, leg_g = legs[f], legs[g]
+        pushed = [0] * len(leg_g.nums)
+        for u, n in zip(image, leg_f.nums):
+            pushed[u] += n
+        if any(n * leg_g.den != m * leg_f.den for n, m in zip(pushed, leg_g.nums)):
+            targets = arrows[g].targets
+            mapping = {label: targets[u] for label, u in zip(arrows[f].targets, image)}
+            expected = Measure.from_numerators(simplex_algebra(targets), leg_f.den, pushed)
+            witness = (arrows[f], mapping, arrows[g], expected, leg_g)
+            return NaturalityResult(False, count, witness)
+    return NaturalityResult(True, count)
+
+
+def constants_cone(move=None):
+    """The point mass's cone on a one-atom algebra over its indicator family
+    and the binary arrows of 1/7, 2/11 and 3/13 and their complements, so
+    the legs lie over 7, 11 and 13 (L = 1001, fields of 10 bits).
+    ``move`` replaces the leg of the constant at that index with another
+    point: one over a denominator the others do not share."""
+    algebra = Algebra.trivial(GroundSet(("x", "y")))
+    constants = [F(1, 7), F(6, 7), F(2, 11), F(9, 11), F(3, 13), F(10, 13)]
+    family = [*indicator_family(algebra)]
+    family += [binary_arrow(SimpleFunction.constant(algebra, c)) for c in constants]
+    legs = list(cone_of_measure(dirac("x", algebra), family).legs.items())
+    if move is not None:
+        index, value = move
+        hit = len(family) - len(constants) + index
+        legs[hit] = (legs[hit][0], SimplexPoint(("0", "1"), (1 - value, value)))
+    return Cone("constants", tuple(legs))
+
+
+def three_label_cone():
+    """Two arrows with the row (0, 1000/1001, 1/1001) into three labels each,
+    and the second one's leg moved by (512, -513, 1)/1001: over 1001 it
+    packs alike with the first one's leg if a field is one bit short."""
+    algebra = Algebra.trivial(GroundSet(("x",)))
+    row = (F(0), F(1000, 1001), F(1, 1001))
+    f, g = arrow_of(algebra, ("a", "b", "c"), row), arrow_of(algebra, ("d", "e", "f"), row)
+    cone = cone_of_measure(dirac("x", algebra), [*indicator_family(algebra), f, g])
+    moved = SimplexPoint(g.targets, (F(512, 1001), F(487, 1001), F(2, 1001)))
+    return Cone("three-labels", (*tuple(cone.legs.items())[:-1], (g, moved)))
+
+
+def test_packed_legs_agree_with_cross_multiplication():
+    """The packed check gives the cross-multiplying loop's verdict, triangle
+    count and witness on seeded cones with and without one perturbed leg,
+    and on legs over the coprime denominators 7, 11 and 13: a natural cone,
+    one leg moved by as little as 1/1001 or to another denominator, and a
+    moved three-label leg that a field one bit short would miss."""
+    rng = gen.rng_for(46, "packed-legs")
+    cases = [
+        (seeded_cone(rng, atoms, extra, with_atom_arrow, perturb), perturb is None)
+        for atoms, extra, with_atom_arrow, perturb in itertools.product(
+            range(1, 6), (0, 2), (False, True), (None, "indicator", "extra")
+        )
+    ]
+    p = Measure(powerset3(), (F(1, 7), F(2, 11), F(52, 77)))
+    cases += [(constants_cone(), True), (cone_of_measure(p, coprime_family()), True)]
+    for move in ((0, F(2, 7)), (2, F(2, 11) + F(1, 1001)), (4, F(3, 11)), (5, F(3, 13))):
+        cases.append((constants_cone(move), False))
+    cases.append((three_label_cone(), False))
+    for cone, natural in cases:
+        triangles = tuple(codensity.naturality_triangles(tuple(cone.legs)))
+        packed = check_cone_naturality(cone, triangles)
+        expected = cross_multiplied_naturality(cone, triangles)
+        assert (packed.ok, packed.triangles) == (expected.ok, expected.triangles)
+        assert packed.witness == expected.witness
+        assert repr(packed.witness) == repr(expected.witness)
+        assert packed.ok == natural
+
+
+def test_equal_values_hash_alike_and_the_hash_reads_no_algebra(monkeypatch):
+    """A measure, a simple function and an arrow built twice, on equal but
+    distinct algebras and by different constructors, are equal and hash
+    alike.  The hash reads ints and labels only: it runs with hashing an
+    algebra or a ground set made to raise.  Equal numerators on different
+    algebras hash alike but stay distinct dict keys."""
+    first, second = powerset3(), powerset3()
+    assert first == second and first is not second
+    p = Measure(first, (F(1, 2), F(1, 4), F(1, 4)))
+    q = Measure.from_numerators(second, 8, (4, 2, 2))
+    f = SimpleFunction(first, (F(1, 2), F(0), F(1)))
+    g = SimpleFunction.from_terms(second, ((F(1, 2), 1), (F(1), 4)))
+    a, b = binary_arrow(f), binary_arrow(g)
+    renamed = simplex_algebra(("a", "b", "c"))
+    others = {
+        p: Measure.from_numerators(renamed, 4, (2, 1, 1)),
+        f: SimpleFunction.from_numerators(renamed, 2, (1, 0, 2)),
+        collapse_arrow(first): collapse_arrow(renamed),
+    }
+
+    def unhashable(self):
+        raise AssertionError("hashed an algebra")
+
+    monkeypatch.setattr(Algebra, "__hash__", unhashable)
+    monkeypatch.setattr(GroundSet, "__hash__", unhashable)
+    for one, other in ((p, q), (f, g), (a, b)):
+        assert one == other and hash(one) == hash(other)
+    for one, other in others.items():
+        assert one != other and hash(one) == hash(other)
+        assert len({one: 0, other: 1}) == 2

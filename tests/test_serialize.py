@@ -149,14 +149,14 @@ def test_a_cone_loads_each_distinct_row_once_per_request(tmp_path, monkeypatch):
     cone = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
     path = tmp_path / "cone.json"
     path.write_text(json.dumps({"format": 1, "cone": cone}))
-    # the collapse row and the two indicator rows; each leg is in dict form,
-    # which is loaded on its own
+    # the collapse row, the two indicator rows and the legs (2/3, 1/3) and
+    # (1/3, 2/3); every other leg repeats a row on its arrow's targets
     distinct = {
         (tuple(arrow["targets"]), tuple(row))
-        for arrow, _ in cone
-        for row in arrow["rows"].values()
+        for arrow, leg in cone
+        for row in (*arrow["rows"].values(), leg["weights"])
     }
-    assert len(distinct) == 3 and len(cone) == 9
+    assert len(distinct) == 5 and len(cone) == 9
     built = []
     real = Measure.from_numerators.__func__
 
@@ -169,7 +169,7 @@ def test_a_cone_loads_each_distinct_row_once_per_request(tmp_path, monkeypatch):
         built.clear()
         data = serialize.loads_instance(path.read_text())
         serialize.load_cone(data["cone"], alg)
-        assert len(built) == len(distinct) + len(cone)
+        assert len(built) == len(distinct)
 
 
 def test_a_row_equal_only_in_value_to_an_earlier_one_is_loaded_again():
@@ -205,6 +205,21 @@ def test_a_bool_row_after_an_equal_string_row_exits_2_at_its_own_location():
     location = "$.cone[3][0].rows.0[0]"
     assert (code, out) == (2, "")
     assert err == f"input error at {location}: expected a 'p/q' string, got bool\n"
+
+
+def test_a_leg_on_other_labels_after_an_equal_row_exits_2_at_its_labels():
+    """A leg's weights are a key of the row table only on its arrow's
+    targets: ``["1/1", "0/1"]`` on the labels ``1, 0`` is parsed, and
+    rejected, where it stands, after the row ``["1/1", "0/1"]`` on ``0, 1``."""
+    alg = Algebra.powerset(GroundSet(("0", "1")))
+    legs = serialize.dump_cone(cone_of_measure(uniform(alg), indicator_family(alg)))
+    assert legs[1][0]["rows"]["0"] == legs[1][1]["weights"] == ["1/1", "0/1"]
+    legs[1][1]["labels"] = ["1", "0"]
+    instance = {"format": 1, "algebra": serialize.dump_algebra(alg), "cone": legs}
+    code, out, err = finprob(("codensity", "--input", "-"), instance)
+    message = "labels ['1', '0'] must be ['0', '1']"
+    assert (code, out) == (2, "")
+    assert err == f"input error at $.cone[1][1].labels: {message}\n"
 
 
 def test_a_bare_list_leg_that_repeats_a_row_is_served_from_the_table(monkeypatch):
