@@ -75,9 +75,9 @@ class Arrow:
             raise ValueError("arrow target labels must be distinct")
         if len(self.rows) != len(self.source.atoms):
             raise ValueError("one simplex point per source atom required")
-        simplex = simplex_algebra(targets)
+        simplex = simplex_algebra(targets)  # one object per label tuple
         for row in self.rows:
-            if row.algebra != simplex:
+            if row.algebra is not simplex and row.algebra != simplex:
                 raise ValueError("arrow rows must be indexed by the target labels")
 
     def __hash__(self) -> int:
@@ -94,7 +94,8 @@ class Arrow:
         for labels in source.atom_points:
             first = by_point[labels[0]]
             for other in labels[1:]:
-                if by_point[other] != first:
+                row = by_point[other]
+                if row is not first and row != first:
                     raise DomainError(
                         f"assignment not constant on atom {labels}"
                     )
@@ -144,7 +145,9 @@ class Cone:
 
     Built from ``(arrow, leg)`` pairs; ``legs`` maps each arrow to its leg.
     The arrows are distinct, share one source algebra and have at most
-    :data:`MAX_TARGETS` target labels each.
+    :data:`MAX_TARGETS` target labels each.  An algebra is compared by
+    identity before value: the legs and rows on one label tuple usually
+    share :func:`~finprob.measure.simplex_algebra`'s one object.
     """
 
     apex: str
@@ -152,12 +155,16 @@ class Cone:
 
     def __post_init__(self):
         legs = {}
+        source = None  # the first arrow's
         for arrow, point in self.legs:
             if len(arrow.targets) > MAX_TARGETS:
                 raise ValueError(f"cone arrows have at most {MAX_TARGETS} target labels")
-            if point.algebra != simplex_algebra(arrow.targets):
+            simplex = simplex_algebra(arrow.targets)
+            if point.algebra is not simplex and point.algebra != simplex:
                 raise ValueError("leg must be indexed by its arrow's targets")
-            if legs and arrow.source != next(iter(legs)).source:
+            if source is None:
+                source = arrow.source
+            elif arrow.source is not source and arrow.source != source:
                 raise ValueError("cone arrows must share one source algebra")
             declared = len(legs)
             legs[arrow] = point  # the one hash of the arrow

@@ -321,18 +321,24 @@ def _table_row(data: Any, labels: tuple[str, ...], rows: dict, locate) -> Measur
     ``rows``, the caller's table of the rows of strings loaded in its one
     load, keyed by ``(labels, weights)``, holds it: no location is built then.
     A bare list of weights and a ``{"labels", "weights"}`` object whose
-    labels are ``labels`` name the same point, so they share one key."""
+    labels are ``labels`` name the same point, so they share one key.  Only
+    weights made entirely of strings are entered, and a string equals no
+    other JSON value, so a probe needs no type check: ``[true, false]``
+    never finds ``["1/1", "0/1"]``."""
     weights = data
     if isinstance(data, dict) and data.get("labels") == list(labels):
         weights = data.get("weights")
     key = None
-    if isinstance(weights, list) and all(type(v) is str for v in weights):
-        key = (labels, tuple(weights))
-        point = rows.get(key)
+    if isinstance(weights, list):
+        try:
+            key = (labels, tuple(weights))
+            point = rows.get(key)
+        except TypeError:  # a weight that is a list or an object
+            key = point = None
         if point is not None:
             return point
     point = load_simplex(data, locate(), labels)
-    if key is not None:
+    if key is not None and all(type(v) is str for v in weights):
         rows[key] = point
     return point
 
@@ -356,17 +362,17 @@ def load_arrow(data: Any, source: Algebra, location: str = "$", rows=None) -> Ar
     targets = tuple(_labels(_field(obj, "targets", location), f"{location}.targets"))
     if len(set(targets)) != len(targets):
         raise InputError("arrow target labels must be distinct", f"{location}.targets")
-    rows_raw = _expect(_field(obj, "rows", location), dict, f"{location}.rows")
-    _only_keys(rows_raw, source.ground.points, "ground point", f"{location}.rows")
+    where = f"{location}.rows"
+    rows_raw = _expect(_field(obj, "rows", location), dict, where)
+    points = source.ground.points
+    _only_keys(rows_raw, points, "ground point", where)
     rows = {} if rows is None else rows
     by_point = {}
-    for point in source.ground.points:
+    for point in points:
         if point not in rows_raw:
-            raise InputError(f"missing row for point {point!r}", f"{location}.rows")
-        by_point[point] = _table_row(
-            rows_raw[point], targets, rows, lambda: f"{location}.rows.{point}"
-        )
-    return _build(f"{location}.rows", Arrow.from_point_rows, source, targets, by_point)
+            raise InputError(f"missing row for point {point!r}", where)
+        by_point[point] = _table_row(rows_raw[point], targets, rows, lambda: f"{where}.{point}")
+    return _build(where, Arrow.from_point_rows, source, targets, by_point)
 
 
 def dump_cone(cone: Cone) -> list:

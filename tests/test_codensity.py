@@ -686,3 +686,20 @@ def test_equal_values_hash_alike_and_the_hash_reads_no_algebra(monkeypatch):
     for one, other in others.items():
         assert one != other and hash(one) == hash(other)
         assert len({one: 0, other: 1}) == 2
+
+
+def test_equal_algebras_that_are_distinct_objects_pass_every_check():
+    """Arrows and cones compare an algebra by identity first, then by
+    value: rows, legs and sources on equal algebras that are distinct
+    objects are accepted, and equal rows on one atom make one row."""
+    labels = ("0", "1")
+    own = Algebra.powerset(GroundSet(labels))
+    assert own == simplex_algebra(labels) and own is not simplex_algebra(labels)
+    source, twin = (Algebra.trivial(GroundSet(("x", "y"))) for _ in range(2))
+    half = Measure.from_numerators(own, 2, (1, 1))
+    again = Measure(simplex_algebra(labels), (F(1, 2), F(1, 2)))
+    third = Measure.from_numerators(own, 3, (1, 2))
+    f = Arrow.from_point_rows(source, labels, {"x": half, "y": again})
+    g = Arrow(twin, labels, (third,))
+    cone = Cone("twins", ((f, again), (g, third)))
+    assert f.rows == (half,) and list(cone.legs) == [f, g]
