@@ -94,11 +94,12 @@ def reconstruct_measure(f: Functional) -> Measure:
     """
     algebra = f.algebra
     table = f.values
+    listed = {s.nums: s for s in table if s.den == 1}  # the listed indicators
     needed = {
-        mask: SimpleFunction.indicator(algebra, mask)
+        mask: listed.get(tuple(int(atom & mask != 0) for atom in algebra.atoms))
         for mask in algebra.atoms + (algebra.ground.full_mask,)
     }
-    missing = [mask for mask, s in needed.items() if s not in table]
+    missing = [mask for mask, s in needed.items() if s is None]
     if missing:
         names = ", ".join(
             "1_{" + ", ".join(algebra.ground.labels_of(mask)) + "}"
@@ -431,30 +432,29 @@ def daniell_stone(
     the zero function need not be listed, since its value is forced to 0.
 
     Builds the semi-ring of slabs between members of a join/meet-closed bound
-    family, assigns each slab the lifted functional value of its height,
-    runs the Carathéodory extension on the induced finite product grid, and
-    reads the measure off the height-one slice.  The closure is seeded with
-    the lattice functions bounded by one and nothing else; the constants
-    zero and one are among them.  The result must represent the functional
-    on every lattice function, those with values above one included: its
-    :func:`integration_table` must agree with ``values`` everywhere.  So a
-    table that breaks homogeneity on a member above one is caught too.  A
-    measure that passes is the only one that represents the functional,
-    since on every lattice tried the functions bounded by one, read on the
-    generated algebra's atoms, have full rank (a test pins this), and two
-    measures that agree on them agree on each atom.
+    family, assigns each slab the lifted functional value of its upper bound
+    less that of its lower one, runs the Carathéodory extension on the induced
+    finite product grid, and reads the measure off the height-one slice.  The
+    closure is seeded with the lattice functions bounded by one and nothing
+    else; the constants zero and one are among them.  The result must
+    represent the functional on every lattice function, those with values
+    above one included: its :func:`integration_table` must agree with
+    ``values`` everywhere.  So a table that breaks homogeneity on a member
+    above one is caught too.  A measure that passes is the only one that
+    represents the functional, since on every lattice tried the functions
+    bounded by one, read on the generated algebra's atoms, have full rank (a
+    test pins this), and two measures that agree on them agree on each atom.
 
-    Bounds, heights, breakpoints and cells are integer vectors over the
-    lattice's common denominator ``D``; functional values stay rational.
+    Bounds, breakpoints and cells are integer vectors over the lattice's
+    common denominator ``D``; functional values stay rational.
 
-    A slab's value is the lifted value of its height, a rational multiple
-    of a lattice member.  The join/meet closure of the bounds can add a
-    height that is none: on two points, the 20-function closure of
-    ``(1/6, 1/3)`` and ``(1/2, 1)`` gains the bounds ``(0, 2/3)`` and one,
-    whose slab height ``(1, 1/3)`` is on no member's ray.  Such a slab takes
-    the lifted value of its upper bound less that of its lower one, and
-    :class:`ExtensionError` is raised only when one of those lifts on no ray
-    either.
+    Each bound is lifted once, as a rational multiple of a lattice member,
+    and a slab ``[lower, upper)`` is worth the lift of ``upper`` less that of
+    ``lower``.  Heights are not lifted, since one can lie on no member's
+    ray: on two points, the 20-function closure of ``(1/6, 1/3)`` and
+    ``(1/2, 1)`` has the bounds ``(0, 2/3)`` and one, whose slab height
+    ``(1, 1/3)`` is no multiple of a member.  :class:`ExtensionError` is
+    raised when a bound itself lies on no member's ray.
     """
     check = check_weak_lattice(lattice)
     if not check.ok:
@@ -487,17 +487,21 @@ def daniell_stone(
     member_values = [table[vec] for vec in lattice.functions]
     by_direction = _direction_index(members)
 
-    def lift(height: tuple[int, ...]) -> Fraction | None:
-        """The lifted functional on rational multiples of declared members."""
-        d = _direction(height)
+    def lift(bound: tuple[int, ...]) -> Fraction:
+        """The lifted functional at a bound, a rational multiple of a member."""
+        d = _direction(bound)
         if d is None:
             return ZERO
         on_ray = by_direction.get(d)
         if on_ray is None:
-            return None
+            raise ExtensionError(
+                "slab bound is not a rational multiple of any declared lattice "
+                "member; declare a richer family",
+                witness=tuple(Fraction(v, scale) for v in bound),
+            )
         j = on_ray[0]
         k = next(i for i, v in enumerate(d) if v)
-        return Fraction(height[k], members[j][k]) * member_values[j]
+        return Fraction(bound[k], members[j][k]) * member_values[j]
 
     # The slabs' bounds: the lattice functions bounded by one, closed.
     seeds = [vec for vec in members if max(vec) <= scale]
@@ -507,31 +511,16 @@ def daniell_stone(
     )
     product_ground = GroundSet(product_points)
 
-    # Slabs with one mask have one height: the cells are cut at every bound
-    # value, so over each atom a mask's cells tile [lower, upper), and their
-    # widths add up to the height there.  So each mask is lifted once.
+    # A slab [lower, upper) is worth I(upper) - I(lower).  Pairs that share a
+    # mask keep the first value; a table on which they disagree fails the
+    # extension or the final check.
+    lifted = {vec: lift(vec) for vec in bound_family}
     slab_values: dict[int, Fraction] = {}
     for lower in bound_family:
         for upper in bound_family:
-            if any(map(int.__gt__, lower, upper)):
-                continue
-            mask = above[lower] & below[upper]
-            if mask in slab_values:
-                continue
-            value = lift(tuple(hi - lo for lo, hi in zip(lower, upper)))
-            if value is None:  # a height on no member's ray: I(upper) - I(lower)
-                top, bottom = lift(upper), lift(lower)
-                if top is not None and bottom is not None:
-                    value = top - bottom
-            if value is None:
-                raise ExtensionError(
-                    "slab height is not a rational multiple of any declared "
-                    "lattice member; declare a richer family",
-                    witness=tuple(
-                        tuple(Fraction(v, scale) for v in vec) for vec in (lower, upper)
-                    ),
-                )
-            slab_values[mask] = value
+            if not any(map(int.__gt__, lower, upper)):
+                value = lifted[upper] - lifted[lower]
+                slab_values.setdefault(above[lower] & below[upper], value)
 
     semiring = SemiRing(product_ground, tuple(slab_values))
     extension = caratheodory_extend(semiring, slab_values)

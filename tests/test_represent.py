@@ -1,5 +1,6 @@
 """Reconstruction from functionals, weak lattices, slab masks, and extension."""
 
+import collections
 import functools
 import itertools
 import math
@@ -677,8 +678,10 @@ def test_daniell_stone_rejects_inconsistent_oracle():
             return F(3, 4)
         return sum(values) / 2
 
-    with pytest.raises((ExtensionError, ReconstructionError)):
+    with pytest.raises(ExtensionError) as err:
         daniell_stone(lattice, tabulate(lattice, skewed))
+    assert str(err.value) == "slab route fails to represent the functional"
+    assert err.value.witness == ((0, 1), F(3, 4), F(1, 2))
 
 
 def test_daniell_stone_matches_direct_reconstruction_on_random_cases():
@@ -722,8 +725,8 @@ def test_the_slab_route_represents_an_integral_on_every_valid_lattice():
     lattice whose functions generate the powerset, so the integral of any
     measure on it is a lattice functional that the route must represent.
     Its closed bounds (0, 2/3) and 1 have the slab height (1, 1/3), on no
-    member's ray, so that slab takes the lifted value of 1 less that of
-    (0, 2/3)."""
+    member's ray; that slab, like every slab, is worth the lifted value of
+    its upper bound less that of its lower one."""
     lattice = _two_point_lattice(
         (0, 0), (0, "1/3"), (0, 1),
         ("1/6", 0), ("1/6", "1/3"), ("1/6", "2/3"), ("1/6", 1),
@@ -800,13 +803,14 @@ def _closed_draws(count=250):
 def test_the_slab_route_returns_the_hidden_measure_on_closed_lattices():
     """Every clause closure is a valid lattice, and the route recovers the
     measure from its integration table on each, those whose closed bounds
-    have a slab height on no member's ray included."""
+    have a slab height on no member's ray included.  None has a bound on no
+    member's ray."""
     unliftable = 0
     for lattice, hidden in _closed_draws():
         try:
             p = daniell_stone(lattice, represent.integration_table(hidden, lattice))
         except ExtensionError as exc:
-            assert str(exc).startswith("slab height is not a rational multiple")
+            assert str(exc).startswith("slab bound is not a rational multiple")
             unliftable += 1
         else:
             assert p == hidden
@@ -816,18 +820,20 @@ def test_the_slab_route_returns_the_hidden_measure_on_closed_lattices():
 def test_the_slab_route_represents_every_two_point_closure_of_small_seeds():
     """Every clause closure of one or two seeds on two points, each value
     in [0, 1] over a denominator of at most 3, within 48 members: 112
-    distinct lattices.  The route returns a hidden measure on each, with a
-    distinct weight per atom of the algebra its functions generate.  Six of
-    them raise unless a slab whose height is on no member's ray takes the
-    lifted value of its upper bound less that of its lower one."""
-    values = sorted({F(n, d) for d in range(1, 4) for n in range(d + 1)})
-    points = list(itertools.product(values, repeat=2))
+    distinct lattices; and on three points, each value in {0, 1/2, 1},
+    within 64 members: 59 more.  The route returns a hidden measure on each,
+    with a distinct weight per atom of the algebra its functions generate.
+    Six of the two-point ones have a slab whose height is on no member's
+    ray, so they raise unless slabs are valued by their bounds."""
     closures = {}
-    for seeds in [*itertools.combinations(points, 1), *itertools.combinations(points, 2)]:
-        lattice = _clause_closure(list(seeds))
-        if lattice is not None:
-            closures.setdefault(frozenset(lattice.functions), lattice)
-    assert len(closures) == 112
+    for size, den, cap in ((2, 3, 48), (3, 2, 64)):
+        values = sorted({F(n, d) for d in range(1, den + 1) for n in range(d + 1)})
+        points = list(itertools.product(values, repeat=size))
+        for seeds in [*itertools.combinations(points, 1), *itertools.combinations(points, 2)]:
+            lattice = _clause_closure(list(seeds), cap)
+            if lattice is not None:
+                closures.setdefault(frozenset(lattice.functions), lattice)
+    assert collections.Counter(lat.ground.size for lat in closures.values()) == {2: 112, 3: 59}
     for lattice in closures.values():
         sigma = sigma_of_functions(lattice.ground, lattice.functions)
         n = len(sigma.atoms)
@@ -991,15 +997,15 @@ def reference_daniell_stone(lattice, oracle, family_cap=512):
 
     members_atom = {to_atom_vec(vec): vec for vec in lattice.functions}
 
-    def lift(height):
-        """The lifted functional on rational multiples of declared members."""
-        if all(v == 0 for v in height):
+    def lift(bound):
+        """The lifted functional at a rational multiple of a declared member."""
+        if all(v == 0 for v in bound):
             return F(0)
         for member, point_vec in members_atom.items():
             if all(v == 0 for v in member):
                 continue
             ratio = None
-            for t, v in zip(height, member):
+            for t, v in zip(bound, member):
                 if v == 0:
                     if t != 0:
                         ratio = None
@@ -1013,7 +1019,11 @@ def reference_daniell_stone(lattice, oracle, family_cap=512):
                     break
             if ratio is not None and ratio > 0:
                 return ratio * table[point_vec]
-        return None
+        raise ExtensionError(
+            "slab bound is not a rational multiple of any declared lattice "
+            "member; declare a richer family",
+            witness=bound,
+        )
 
     # Join/meet-closed family of slab bounds, capped at height one.
     bounds = {(F(0),) * atom_count, (F(1),) * atom_count}
@@ -1055,33 +1065,16 @@ def reference_daniell_stone(lattice, oracle, family_cap=512):
                 bit += 1
         return mask
 
+    lifted = {bound: lift(bound) for bound in bound_family}
     slab_values = {}
     for lower in bound_family:
         for upper in bound_family:
             if any(lo > hi for lo, hi in zip(lower, upper)):
                 continue
-            mask = slab_mask(lower, upper)
-            height = tuple(hi - lo for lo, hi in zip(lower, upper))
-            value = lift(height)
-            if value is None and lift(upper) is not None and lift(lower) is not None:
-                value = lift(upper) - lift(lower)
-            if value is None:
-                raise ExtensionError(
-                    "slab height is not a rational multiple of any declared "
-                    "lattice member; declare a richer family",
-                    witness=(lower, upper),
-                )
-            if mask in slab_values and slab_values[mask][0] != value:
-                raise ExtensionError(
-                    "functional assigns different masses to one slab set",
-                    witness=(slab_values[mask][1], (lower, upper)),
-                )
-            slab_values.setdefault(mask, (value, (lower, upper)))
+            slab_values.setdefault(slab_mask(lower, upper), lifted[upper] - lifted[lower])
 
     semiring = SemiRing(product_ground, tuple(slab_values))
-    extension = caratheodory_extend(
-        semiring, {mask: value for mask, (value, _) in slab_values.items()}
-    )
+    extension = caratheodory_extend(semiring, slab_values)
 
     weights = []
     for i in range(atom_count):
