@@ -47,7 +47,7 @@ from . import gen
 from .errors import DomainError, PreconditionError, ReconstructionError
 from .exact import common
 from .integrate import SimpleFunction
-from .measure import Measure, dirac, simplex_algebra
+from .measure import Measure, dirac, pushforward, simplex_algebra
 from .monad import average
 from .report import CheckOutcome, SuiteConfig
 from .represent import Functional, reconstruct_measure
@@ -235,18 +235,19 @@ def check_cone_naturality(cone: Cone, triangles=None) -> NaturalityResult:
     pass.  The first failing triangle's witness is ``(f, mapping, g, pushed
     leg of f, leg of g)``.
 
-    The legs are brought to their least common denominator ``L`` once, and
-    each becomes one int with an ``L.bit_length()``-bit field per label, as
-    :func:`naturality_triangles` packs columns.  A pushed leg is a sum of
-    one shifted numerator per label of ``f``, and its fields sum to ``L``,
-    so none carries: it equals the leg of ``g`` exactly when the packed ints
-    do, and no measure is built unless a triangle fails."""
+    The legs are brought to their least common denominator ``L`` once, by
+    :func:`~finprob.exact.common`, and each becomes one int with an
+    ``L.bit_length()``-bit field per label, as :func:`naturality_triangles`
+    packs columns.  A pushed leg is a sum of one shifted numerator per label
+    of ``f``, and its fields sum to ``L``, so none carries: it equals the leg
+    of ``g`` exactly when the packed ints do, and no measure is built unless
+    a triangle fails.  A failing triangle's expected leg is
+    :func:`~finprob.measure.pushforward` of ``f``'s leg."""
     arrows, legs = tuple(cone.legs), tuple(cone.legs.values())
     if triangles is None:
         triangles = naturality_triangles(arrows)
-    den = lcm(*(leg.den for leg in legs))
+    den, numerators = common(legs)
     width = den.bit_length()
-    numerators = [[n * (den // leg.den) for n in leg.nums] for leg in legs]
     packed = [sum(n << width * t for t, n in enumerate(nums)) for nums in numerators]
     count = 0
     for count, (f, g, image) in enumerate(triangles, 1):
@@ -254,14 +255,10 @@ def check_cone_naturality(cone: Cone, triangles=None) -> NaturalityResult:
         for n, u in zip(numerators[f], image):
             pushed += n << width * u
         if pushed != packed[g]:
-            leg_f, leg_g = legs[f], legs[g]
-            nums = [0] * len(leg_g.nums)
-            for u, n in zip(image, leg_f.nums):
-                nums[u] += n
             targets = arrows[g].targets
             mapping = {label: targets[u] for label, u in zip(arrows[f].targets, image)}
-            expected = Measure.from_numerators(simplex_algebra(targets), leg_f.den, nums)
-            witness = (arrows[f], mapping, arrows[g], expected, leg_g)
+            expected = pushforward(legs[f], mapping, simplex_algebra(targets))
+            witness = (arrows[f], mapping, arrows[g], expected, legs[g])
             return NaturalityResult(False, count, witness=witness)
     return NaturalityResult(True, count)
 

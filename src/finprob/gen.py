@@ -17,7 +17,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .exact import Scaled
 from .lipmetric import FiniteMetricSpace
-from .measure import Measure, simplex_algebra
+from .measure import Measure, simplex_algebra, uniform
 from .monad import MetaMeasure
 from .integrate import SimpleFunction
 from .report import CheckOutcome, tally
@@ -128,7 +128,7 @@ def random_measure(
         i = rng.randrange(k)
         return Measure.from_numerators(algebra, 1, [int(j == i) for j in range(k)])
     if style == 1 and k <= max_denominator:  # forced edge case: uniform
-        return Measure.from_numerators(algebra, k, (1,) * k)
+        return uniform(algebra)
     return Measure.from_numerators(algebra, *_composition(rng, k, max_denominator))
 
 

@@ -348,19 +348,16 @@ def check_bl_monad_nonexpansive(
                 ]
                 for a in range(len(merged))
             ]
-            if len(merged) == 1:
-                meta_distance = ZERO
-            else:
-                meta_labels = tuple(f"s{a}" for a in range(len(merged)))
-                meta_space = FiniteMetricSpace(
-                    meta_labels, tuple(tuple(row) for row in base)
-                )
-                weights = [dict(zip(m.support, m.weights)) for m in (meta1, meta2)]
-                ext1, ext2 = (
-                    SimplexPoint(meta_labels, tuple(w.get(s, ZERO) for s in merged))
-                    for w in weights
-                )
-                meta_distance = bl_distance_lp(ext1, ext2, meta_space)
+            meta_labels = tuple(f"s{a}" for a in range(len(merged)))
+            meta_space = FiniteMetricSpace(
+                meta_labels, tuple(tuple(row) for row in base)
+            )
+            weights = [dict(zip(m.support, m.weights)) for m in (meta1, meta2)]
+            ext1, ext2 = (
+                SimplexPoint(meta_labels, tuple(w.get(s, ZERO) for s in merged))
+                for w in weights
+            )
+            meta_distance = bl_distance_lp(ext1, ext2, meta_space)
             lhs = bl_distance_lp(*averages, current)
         except ValueError as exc:  # an LP optimum or the meta metric is invalid
             yield "mult-contraction", False, str(exc)

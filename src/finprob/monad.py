@@ -52,12 +52,9 @@ class MetaMeasure:
             raise ValueError("meta-measure needs at least one support measure")
         if len(mass) != len(support):
             raise ValueError("one weight per support measure required")
-        shared = all(q.algebra == support[0].algebra for q in support[1:])
-        # on one algebra a measure is its (den, nums), hashed without the algebra
-        distinct = {(q.den, q.nums) for q in support} if shared else set(support)
-        if len(distinct) != len(support):
+        if len(set(support)) != len(support):
             raise ValueError("support measures must be pairwise distinct")
-        if not shared:
+        if any(q.algebra != support[0].algebra for q in support[1:]):
             raise ValueError("support measures must share one algebra")
         if min(mass.nums) <= 0:
             raise ValueError("meta-measure weights must be strictly positive")

@@ -160,7 +160,8 @@ def test_cone_rejects_an_arrow_declared_twice(same_leg):
 
 def test_an_arrow_computes_its_numerators_once(monkeypatch):
     """The canonical cones of several measures and the naturality check all
-    read each arrow's cached integer rows."""
+    read each arrow's cached integer rows; each naturality check brings its
+    own legs to one denominator once."""
     calls = []
     real = codensity.common
     monkeypatch.setattr(codensity, "common", lambda rows: calls.append(rows) or real(rows))
@@ -169,7 +170,7 @@ def test_an_arrow_computes_its_numerators_once(monkeypatch):
     rng = gen.rng_for(4, "numerators-once")
     cones = [cone_of_measure(gen.random_measure(rng, alg, 12), family) for _ in range(3)]
     assert all(check_cone_naturality(cone).ok for cone in cones)
-    assert len(calls) == len(family)
+    assert len(calls) == len(family) + len(cones)
     assert all(arrow.numerators == real(arrow.rows) for arrow in family)
 
 

@@ -338,6 +338,28 @@ def test_nonexpansive_draws_each_support_with_six_attempts_a_measure(monkeypatch
     assert any(size == 3 for *_, size in calls)
 
 
+def test_a_one_point_metric_solves_its_one_point_meta_space(monkeypatch):
+    """On a one-point space every support is the one point mass, so the
+    meta space has one point too; its distance comes from the LP like any
+    other, which gives 0."""
+    spaces = []
+    real = lipmetric.bl_distance_lp
+
+    def spy(p, q, space):
+        spaces.append(space.points)
+        return real(p, q, space)
+
+    monkeypatch.setattr(lipmetric, "bl_distance_lp", spy)
+    space = FiniteMetricSpace(("m0",), ((F(0),),))
+    checks = check_bl_monad_nonexpansive(SuiteConfig(cases=25), space)
+    assert [(c.name, c.passed, c.failed) for c in checks] == [
+        ("unit-contraction", 0, 0),
+        ("mult-contraction", 5, 0),
+        ("metric-laws", 5, 0),
+    ]
+    assert ("s0",) in spaces
+
+
 def test_subsets_worked_pair():
     labels = ("a", "b", "c")
     p = SimplexPoint(labels, (F(1, 2), F(1, 2), F(0)))
